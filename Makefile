@@ -2,9 +2,14 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lockgraph test race bench bench-sim bench-cluster bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build vet lint lockgraph test race bench bench-sim bench-cluster bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
+
+# The CI gate (ci.sh runs exactly this): every recipe below is written once
+# and composed here. `race` is the full test suite under the race detector.
+ci: build vet lint race fuzz-smoke bench-smoke chaos-smoke durability-smoke metrics-smoke
+	@echo "CI OK"
 
 build:
 	$(GO) build ./...

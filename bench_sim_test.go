@@ -38,7 +38,6 @@ func benchSimDevices(b *testing.B, devices int) {
 		Clock:      clock,
 		Seed:       42,
 		MobileLink: &netsim.Link{}, // zero latency: handshakes complete without advances
-		DeviceMode: sim.DeviceModePooled,
 		Pool: sim.PoolOptions{
 			Connections:    8,
 			FrameSize:      64,

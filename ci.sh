@@ -1,49 +1,5 @@
 #!/bin/sh
-# CI gate for the SenSocial reproduction. Mirrors what a reviewer runs
-# locally: build, vet, the project-invariant analyzer suite (sensolint),
-# then the full test suite under the race detector. Any step failing fails
-# the run.
-set -eu
-
-echo "==> go build ./..."
-go build ./...
-
-echo "==> go vet ./..."
-go vet ./...
-
-echo "==> go run ./cmd/sensolint ./..."
-go run ./cmd/sensolint ./...
-
-echo "==> go test -race ./..."
-go test -race ./...
-
-echo "==> fuzz-smoke: FuzzDecodeItem (10s)"
-go test -run '^$' -fuzz '^FuzzDecodeItem$' -fuzztime 10s ./internal/core
-
-echo "==> fuzz-smoke: FuzzTopicMatchConsistency (10s)"
-go test -run '^$' -fuzz '^FuzzTopicMatchConsistency$' -fuzztime 10s ./internal/mqtt
-
-echo "==> fuzz-smoke: FuzzFabricLifecycle (10s)"
-go test -run '^$' -fuzz '^FuzzFabricLifecycle$' -fuzztime 10s ./internal/netsim
-
-echo "==> fuzz-smoke: FuzzWALReplay (10s)"
-go test -run '^$' -fuzz '^FuzzWALReplay$' -fuzztime 10s ./internal/wal
-
-echo "==> go test -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkSimDevices|BenchmarkCluster' -benchtime 1x ."
-go test -run '^$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkSimDevices|BenchmarkCluster' -benchtime 1x .
-
-echo "==> chaos-smoke: sensocial-sim -chaos smoke / -chaos dtn / -chaos crash / -chaos cluster"
-go run ./cmd/sensocial-sim -chaos smoke -devices 128
-go run ./cmd/sensocial-sim -chaos dtn -devices 64
-go run ./cmd/sensocial-sim -chaos crash -devices 64
-go run ./cmd/sensocial-sim -chaos cluster -devices 96
-
-echo "==> durability-smoke: write -> kill -> reopen -> verify"
-go test -race -count=1 \
-    -run 'TestBrokerCrashRedeliversUnackedQoS1|TestBrokerRestartRecoversRetainedAndSubscriptions|TestRestartBrokerRecoversDurableSessions|TestDurableRegistryRecoversAcrossRuns|TestDurableTraceByteIdentical|TornTail' \
-    ./internal/wal ./internal/mqtt ./internal/sim
-
-echo "==> go run ./cmd/obscheck"
-go run ./cmd/obscheck
-
-echo "CI OK"
+# CI gate for the SenSocial reproduction: `make ci`, which composes the
+# Makefile's build, vet, sensolint, race-test, fuzz, bench, chaos,
+# durability and metrics smoke targets. Any step failing fails the run.
+exec make ci

@@ -110,7 +110,7 @@ func scrape() (string, error) {
 	if _, err := dep.AddUser("prober-user", profile); err != nil {
 		return "", err
 	}
-	if err := dep.StartHTTP(); err != nil {
+	if err := dep.Shards[0].StartHTTP(); err != nil {
 		return "", err
 	}
 	client := dep.HTTPClient("prober")

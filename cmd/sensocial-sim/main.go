@@ -20,7 +20,8 @@
 // ParseSchedule) with the invariant checks from internal/chaos, and exits
 // nonzero if any invariant is violated.
 //
-// Two device modes exist (-mode auto picks by fleet size):
+// Two device modes exist (-mode auto picks pooled beyond 500 devices or
+// with -shards > 1):
 //
 //   - full: one complete middleware stack per device on a scaled
 //     real-time clock, plus simulated OSN activity. Full fidelity; fleets
@@ -53,8 +54,7 @@ import (
 )
 
 func main() {
-	devices := flag.Int("devices", 0, "number of simulated devices")
-	users := flag.Int("users", 0, "deprecated alias for -devices")
+	devices := flag.Int("devices", 10, "number of simulated devices")
 	mode := flag.String("mode", "auto", "device mode: auto, full, or pooled")
 	hours := flag.Float64("hours", 1, "virtual hours to simulate")
 	speedup := flag.Float64("speedup", 600, "virtual seconds per real second (full mode)")
@@ -66,12 +66,6 @@ func main() {
 	flag.Parse()
 
 	n := *devices
-	if n == 0 {
-		n = *users
-	}
-	if n == 0 {
-		n = 10
-	}
 
 	if *chaosSched != "" {
 		hoursSet := false
@@ -94,8 +88,9 @@ func main() {
 	case "full":
 	case "auto":
 		// Beyond a few hundred full stacks the goroutine-per-device path
-		// stops being the interesting experiment; switch to the pool.
-		pooled = n > 500
+		// stops being the interesting experiment; switch to the pool. A
+		// sharded run is a scaling experiment by construction.
+		pooled = n > 500 || *shards > 1
 	default:
 		fmt.Fprintf(os.Stderr, "sensocial-sim: unknown -mode %q (want auto, full or pooled)\n", *mode)
 		os.Exit(2)
@@ -117,74 +112,49 @@ func main() {
 }
 
 // runPooled drives a pooled fleet on the manual clock, advancing virtual
-// time as fast as the host executes the scheduled events. With shards > 1
-// it runs a consistent-hash sharded cluster instead of one deployment:
-// each device uploads to its ring owner's broker and the per-shard
+// time as fast as the host executes the scheduled events. The deployment is
+// a consistent-hash ring of the given number of shards: each device uploads
+// to its ring owner's broker, and with more than one shard the per-shard
 // publish split is reported in the summary.
 func runPooled(devices int, hours float64, traceCap int, durableDir string, shards int) error {
 	if devices < 1 {
 		return fmt.Errorf("need at least one device")
 	}
-	if shards > 1 && durableDir != "" {
-		return fmt.Errorf("-durable is single-shard only: every shard would journal into the same directory")
-	}
 	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
-	simOpts := sim.Options{
-		Clock: clock,
-		Seed:  42,
+	deployment, err := sim.New(sim.Options{
+		Clock:  clock,
+		Seed:   42,
+		Shards: shards,
 		// The pooled experiment measures scheduler and pipeline cost, not
 		// link latency; an instantaneous link also lets the shared MQTT
 		// handshakes finish without virtual-time advances.
 		MobileLink:    &netsim.Link{},
-		DeviceMode:    sim.DeviceModePooled,
 		TraceCapacity: traceCap,
 		DurableDir:    durableDir,
+	})
+	if err != nil {
+		return err
 	}
-	var (
-		cl         *sim.Cluster
-		deployment *sim.Simulation
-	)
-	if shards > 1 {
-		c, err := sim.NewCluster(sim.ClusterOptions{Shards: shards, Sim: simOpts})
-		if err != nil {
-			return err
-		}
-		defer c.Close()
-		cl, deployment = c, c.Shards[0]
-	} else {
-		s, err := sim.New(simOpts)
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		deployment = s
-	}
+	defer deployment.Close()
 	processed := func() uint64 {
-		if cl == nil {
-			return deployment.Server.Stats().Pipeline.Processed
-		}
 		var sum uint64
-		for _, sh := range cl.Shards {
+		for _, sh := range deployment.Shards {
 			sum += sh.Server.Stats().Pipeline.Processed
 		}
 		return sum
 	}
 
-	addDevices, startPool := deployment.AddDevices, deployment.StartPool
-	if cl != nil {
-		addDevices, startPool = cl.AddDevices, cl.StartPool
-	}
-	if err := addDevices(devices); err != nil {
+	if err := deployment.AddDevices(devices); err != nil {
 		return err
 	}
-	if err := startPool(); err != nil {
+	if err := deployment.StartPool(); err != nil {
 		return err
 	}
 	if err := deployment.Pool.WaitReady(30 * time.Second); err != nil {
 		return err
 	}
 
-	if cl != nil {
+	if shards > 1 {
 		fmt.Printf("sensocial-sim: %d pooled devices over %d shards, %.1f virtual hours on the manual clock\n",
 			devices, shards, hours)
 	} else {
@@ -213,7 +183,7 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 			fmt.Printf("  t=%-8s samples=%-9d published=%-9d processed=%-9d drops=%d",
 				time.Duration(m)*time.Minute, st.Samples, st.ItemsPublished,
 				processed(), st.ItemsDropped)
-			if cl != nil {
+			if shards > 1 {
 				fmt.Printf(" by-shard=%v", st.PublishedByShard)
 			}
 			fmt.Println()
@@ -249,9 +219,9 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	fmt.Printf("  peak heap          %d bytes (%.0f bytes/device)\n", peakHeap, float64(peakHeap)/float64(st.Devices))
 	fmt.Printf("  samples            %d\n", st.Samples)
 	fmt.Printf("  items published    %d (dropped %d, publish errors %d)\n", st.ItemsPublished, st.ItemsDropped, st.PublishErrors)
-	if cl != nil {
+	if shards > 1 {
 		fmt.Printf("  published by shard %v (ring: %d virtual nodes/shard)\n",
-			st.PublishedByShard, cl.Ring.VirtualNodes())
+			st.PublishedByShard, deployment.Ring.VirtualNodes())
 	}
 	fmt.Printf("  items processed    %d\n", processed())
 	meter := deployment.Pool.Charger().Meter()
@@ -260,16 +230,9 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 
 	if traceCap > 0 {
 		fmt.Println("\ntrace (canonical span dump, offsets from tracer start):")
-		trShards := []*sim.Simulation{deployment}
-		if cl != nil {
-			trShards = cl.Shards
-		}
-		for i, sh := range trShards {
-			if cl != nil {
-				fmt.Printf("=== %s ===\n", sim.ShardID(i))
-			}
-			if sh.Tracer == nil {
-				continue
+		for _, sh := range deployment.Shards {
+			if shards > 1 {
+				fmt.Printf("=== %s ===\n", sh.ID)
 			}
 			if err := sh.Tracer.WriteText(os.Stdout); err != nil {
 				return err
@@ -300,13 +263,14 @@ func runFull(users int, hours, speedup float64, rate float64, traceCap int, dura
 		return err
 	}
 	defer deployment.Close()
+	shard := deployment.Shards[0]
 
 	cities := []string{"Paris", "Bordeaux", "Lyon", "Toulouse"}
 	activities := []sensors.Activity{sensors.ActivityStill, sensors.ActivityWalking, sensors.ActivityRunning}
 	var items, triggers int
 	var mu sync.Mutex
 	analyzer := behavior.NewAnalyzer()
-	deployment.Server.OnItem(func(i core.Item) {
+	shard.Server.OnItem(func(i core.Item) {
 		analyzer.OnItem(i)
 		mu.Lock()
 		items++
@@ -333,14 +297,14 @@ func runFull(users int, hours, speedup float64, rate float64, traceCap int, dura
 		}
 		// Everyone streams classified activity continuously and location +
 		// context on OSN actions.
-		if err := deployment.Server.CreateRemoteStream(core.StreamConfig{
+		if err := shard.Server.CreateRemoteStream(core.StreamConfig{
 			ID: "act-" + name, DeviceID: name + "-phone", UserID: name,
 			Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 			Kind: core.KindContinuous, SampleInterval: 5 * time.Minute,
 		}); err != nil {
 			return err
 		}
-		if err := deployment.Server.CreateRemoteStream(core.StreamConfig{
+		if err := shard.Server.CreateRemoteStream(core.StreamConfig{
 			ID: "osn-loc-" + name, DeviceID: name + "-phone", UserID: name,
 			Modality: sensors.ModalityLocation, Granularity: core.GranularityClassified,
 			Kind: core.KindSocialEvent,
@@ -382,7 +346,7 @@ func runFull(users int, hours, speedup float64, rate float64, traceCap int, dura
 		mu.Lock()
 		i, tr := items, triggers
 		mu.Unlock()
-		st := deployment.Broker.Stats()
+		st := shard.Broker.Stats()
 		fmt.Printf("  t=%-8s items=%-6d osn-coupled=%-5d actions=%-5d broker{pub=%d del=%d conn=%d}\n",
 			clock.Since(start).Round(time.Second), i, tr, deployment.Facebook.ActionCount(),
 			st.Published, st.Delivered, st.Connections)
@@ -433,7 +397,7 @@ func runFull(users int, hours, speedup float64, rate float64, traceCap int, dura
 			u, s.ActiveFraction*100, s.SentimentBalance, s.Wellbeing, s.OSNActions, s.Cities, s.TopTopics)
 	}
 
-	if tr := deployment.Tracer; tr != nil {
+	if tr := shard.Tracer; tr != nil {
 		fmt.Println("\ntrace (canonical span dump, offsets from tracer start):")
 		if err := tr.WriteText(os.Stdout); err != nil {
 			return err

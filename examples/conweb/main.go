@@ -34,6 +34,8 @@ func run() error {
 		return err
 	}
 	defer deployment.Close()
+	// One shard (the default): its server is the application's server side.
+	srv := deployment.Shards[0].Server
 
 	// A user who walks through noisy Paris streets, then sits down
 	// somewhere quiet: the page must adapt across the transition.
@@ -54,7 +56,7 @@ func run() error {
 	for _, modality := range []string{
 		sensors.ModalityAccelerometer, sensors.ModalityMicrophone, sensors.ModalityLocation,
 	} {
-		if err := deployment.Server.CreateRemoteStream(core.StreamConfig{
+		if err := srv.CreateRemoteStream(core.StreamConfig{
 			ID: "conweb-" + modality, DeviceID: "alice-phone", UserID: "alice",
 			Modality: modality, Granularity: core.GranularityClassified,
 			Kind: core.KindContinuous, SampleInterval: time.Minute,
@@ -67,7 +69,7 @@ func run() error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /page", func(w http.ResponseWriter, r *http.Request) {
 		user := r.URL.Query().Get("user")
-		ctx := deployment.Server.Context()
+		ctx := srv.Context()
 		activity := ctx[core.Key(user, core.CtxPhysicalActivity)]
 		audio := ctx[core.Key(user, core.CtxAudioEnvironment)]
 		city := ctx[core.Key(user, core.CtxPlace)]

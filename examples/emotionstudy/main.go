@@ -39,6 +39,8 @@ func run() error {
 		return err
 	}
 	defer deployment.Close()
+	// One shard (the default): its server is the application's server side.
+	srv := deployment.Shards[0].Server
 
 	// A small cohort: two friend clusters with different moods and
 	// physical routines.
@@ -87,7 +89,7 @@ func run() error {
 		return err
 	}
 	observed := make(chan struct{}, 64)
-	deployment.Server.OnItem(func(i core.Item) {
+	srv.OnItem(func(i core.Item) {
 		if i.Action == nil {
 			return
 		}

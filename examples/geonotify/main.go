@@ -35,6 +35,8 @@ func run() error {
 		return err
 	}
 	defer deployment.Close()
+	// One shard (the default): its server is the application's server side.
+	srv := deployment.Shards[0].Server
 
 	// Home towns per Figure 2.
 	home := map[string]string{"A": "Paris", "B": "Paris", "C": "Bordeaux", "D": "Bordeaux", "E": "Bordeaux"}
@@ -58,13 +60,13 @@ func run() error {
 			return err
 		}
 	}
-	if err := deployment.Server.SyncFriendships(deployment.Graph); err != nil {
+	if err := srv.SyncFriendships(deployment.Graph); err != nil {
 		return err
 	}
 
 	// Location streams on every device, managed remotely from the server.
 	for user := range home {
-		if err := deployment.Server.CreateRemoteStream(core.StreamConfig{
+		if err := srv.CreateRemoteStream(core.StreamConfig{
 			ID: "loc-" + user, DeviceID: user + "-phone", UserID: user,
 			Modality: sensors.ModalityLocation, Granularity: core.GranularityClassified,
 			Kind: core.KindContinuous, SampleInterval: 2 * time.Minute,
@@ -83,7 +85,7 @@ func run() error {
 	// notify that friend. (~15 lines of app code on top of the middleware.)
 	var mu sync.Mutex
 	lastCity := map[string]string{}
-	if err := deployment.Server.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
+	if err := srv.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
 		if i.Modality != sensors.ModalityLocation || i.Classified == "" {
 			return
 		}
@@ -94,7 +96,7 @@ func run() error {
 		if prev == i.Classified {
 			return
 		}
-		friends, err := deployment.Server.FriendsOf(i.UserID)
+		friends, err := srv.FriendsOf(i.UserID)
 		if err != nil {
 			return
 		}
@@ -102,13 +104,13 @@ func run() error {
 			if home[f] != i.Classified {
 				continue
 			}
-			devices, err := deployment.Server.DevicesOf(f)
+			devices, err := srv.DevicesOf(f)
 			if err != nil {
 				continue
 			}
 			msg := fmt.Sprintf("Your friend %s has arrived in %s!", i.UserID, i.Classified)
 			for _, d := range devices {
-				_ = deployment.Server.NotifyDevice(d, msg)
+				_ = srv.NotifyDevice(d, msg)
 			}
 		}
 	})); err != nil {

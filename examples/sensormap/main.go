@@ -56,6 +56,8 @@ func run() error {
 		return err
 	}
 	defer deployment.Close()
+	// One shard (the default): its server is the application's server side.
+	srv := deployment.Shards[0].Server
 
 	// Two users in different cities, doing different things.
 	users := map[string]struct {
@@ -83,7 +85,7 @@ func run() error {
 	var mu sync.Mutex
 	joined := map[string]*marker{} // action id -> marker
 	done := make(chan struct{}, 16)
-	if err := deployment.Server.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
+	if err := srv.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
 		if i.Action == nil {
 			return
 		}
@@ -149,7 +151,7 @@ func run() error {
 	sort.Slice(markers, func(i, j int) bool { return markers[i].Text < markers[j].Text })
 	fmt.Println("\nFacebook Sensor Map — markers (OSN action + physical context):")
 	for _, m := range markers {
-		sentiment, topics := deployment.Server.ClassifyActionText(osn.Action{Text: m.Text})
+		sentiment, topics := srv.ClassifyActionText(osn.Action{Text: m.Text})
 		fmt.Printf("  📍 %s @ %s\n     %s: %q (sentiment %s, topics %v)\n     context: %s, %s\n",
 			m.User, m.Place, m.Action, m.Text, sentiment, topics, m.Activity, m.Audio)
 	}

@@ -49,12 +49,12 @@ import (
 type Options struct {
 	// Devices is the pooled fleet size; required.
 	Devices int
-	// Shards > 1 runs the scenario against a consistent-hash sharded
-	// cluster (sim.NewCluster) instead of a single deployment: N brokers
-	// meshed by summary-gated bridges, the pool spreading each device to
-	// its ring owner. Required (>= 2, and > the highest killed shard
-	// index) for schedules containing kill faults; crash faults are
-	// single-shard only (a cluster loses shards permanently via kill).
+	// Shards is the deployment's ring size (sim.Options.Shards, default
+	// 1): N brokers meshed by summary-gated bridges, the pool spreading
+	// each device to its ring owner. Required (>= 2, and > the highest
+	// killed shard index) for schedules containing kill faults; crash
+	// faults are one-shard only (a larger ring loses shards permanently
+	// via kill).
 	Shards int
 	// Schedule is the fault script driving the run; required.
 	Schedule *netsim.Schedule
@@ -131,6 +131,8 @@ func validate(o Options) error {
 			if o.Shards < 2 {
 				return fmt.Errorf("chaos: fault @%v kill needs a cluster (Options.Shards >= 2)", f.At)
 			}
+			// sim.KillShard takes any shard; shard0 is off limits here only
+			// because this harness's probe and storm rigs connect to it.
 			ok := false
 			for k := 1; k < o.Shards; k++ {
 				if len(f.A) == 1 && f.A[0] == sim.ShardID(k) {
@@ -138,7 +140,7 @@ func validate(o Options) error {
 				}
 			}
 			if !ok {
-				return fmt.Errorf("chaos: fault @%v kill %v: target must be shard1..shard%d (shard0 hosts the device pool and probe rig)",
+				return fmt.Errorf("chaos: fault @%v kill %v: target must be shard1..shard%d (the probe and storm rigs connect to shard0)",
 					f.At, f.A, o.Shards-1)
 			}
 			continue
@@ -250,71 +252,46 @@ func Run(opts Options) (*Result, error) {
 	}
 
 	clock := vclock.NewManual(chaosEpoch)
-	simOpts := sim.Options{
-		Clock: clock,
-		Seed:  opts.Seed,
+	dep, err := sim.New(sim.Options{
+		Clock:  clock,
+		Seed:   opts.Seed,
+		Shards: opts.Shards,
 		// A delay-free base fabric: every impairment comes from the
 		// schedule, which also keeps handshakes inside scheduled events
 		// deterministic.
 		MobileLink:    &netsim.Link{},
-		DeviceMode:    sim.DeviceModePooled,
 		Pool:          opts.Pool,
 		IngestShards:  opts.IngestShards,
 		TraceCapacity: opts.TraceCapacity,
 		DurableDir:    opts.DurableDir,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-
-	// A run drives either one Simulation or a sharded Cluster; either way
-	// the harness works against the shard list (length 1 when single), the
-	// shared fabric, and shard0's broker address for the pool/probe/storm
-	// rigs (shard0 is never killable).
-	var (
-		cl         *sim.Cluster
-		shards     []*sim.Simulation
-		fabric     *netsim.Network
-		brokerAddr string
-		pool       *sim.DevicePool
-		closeAll   func()
-	)
-	if opts.Shards > 1 {
-		c, err := sim.NewCluster(sim.ClusterOptions{Shards: opts.Shards, Sim: simOpts})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		cl, shards, fabric, brokerAddr = c, c.Shards, c.Fabric, sim.ShardBrokerAddr(0)
-		closeAll = c.Close
-	} else {
-		s, err := sim.New(simOpts)
-		if err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		shards, fabric, brokerAddr = []*sim.Simulation{s}, s.Fabric, sim.BrokerAddr
-		closeAll = s.Close
-	}
-	defer closeAll()
+	defer dep.Close()
+	// The probe and storm rigs connect to shard 0 (see validate).
+	fabric, brokerAddr := dep.Fabric, dep.Shards[0].BrokerAddr
 
 	inv := newChecker()
-	for _, sh := range shards {
+	for _, sh := range dep.Shards {
 		sh.Server.OnItem(inv.tap)
 	}
 	// regOf resolves a user to its owning shard's registry for staleness
 	// checks; users owned by a killed shard are skipped (their snapshots
 	// are frozen with the shard, not stale).
 	regOf := func(userID string) *server.ContextRegistry {
-		i := 0
-		if cl != nil {
-			if i = cl.OwnerIndex(userID); !cl.Alive(i) {
-				return nil
-			}
+		sh := dep.Owner(userID)
+		if !sh.Alive() {
+			return nil
 		}
-		return shards[i].Server.Registry()
+		return sh.Server.Registry()
 	}
 	// pipeSum aggregates the ingest pipeline counters over every shard,
 	// dead ones included: a killed shard's pipeline drains on close, so
 	// its frozen counters still account for everything it accepted.
 	pipeSum := func() ingest.Stats {
 		var t ingest.Stats
-		for _, sh := range shards {
+		for _, sh := range dep.Shards {
 			st := sh.Server.Stats().Pipeline
 			t.Enqueued += st.Enqueued
 			t.Processed += st.Processed
@@ -325,18 +302,13 @@ func Run(opts Options) (*Result, error) {
 		return t
 	}
 
-	addDevices, startPool := shards[0].AddDevices, shards[0].StartPool
-	if cl != nil {
-		addDevices, startPool = cl.AddDevices, cl.StartPool
-	}
-	if err := addDevices(opts.Devices); err != nil {
+	if err := dep.AddDevices(opts.Devices); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	if err := startPool(); err != nil {
+	if err := dep.StartPool(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	pool = shards[0].Pool
-	if err := pool.WaitReady(quiesceTimeout); err != nil {
+	if err := dep.Pool.WaitReady(quiesceTimeout); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
@@ -360,8 +332,8 @@ func Run(opts Options) (*Result, error) {
 		OnCrash: func() {
 			// Kill the broker mid-write and recover it from the session
 			// journal (sim crashes the journal before reopening it).
-			// Single-shard only (validated), so shards[0] is the deployment.
-			if err := shards[0].RestartBroker(); err != nil {
+			// One-shard only (validated), so shard 0 is the whole ring.
+			if err := dep.Shards[0].RestartBroker(); err != nil {
 				inv.violate("crash: broker recovery failed: %v", err)
 				return
 			}
@@ -369,10 +341,10 @@ func Run(opts Options) (*Result, error) {
 		},
 		OnKill: func(shardID string) {
 			// Permanent shard loss: bridge first, then broker and server.
-			// Validation pinned the target to shard1..shardN-1 of a cluster.
-			for i := range shards {
-				if sim.ShardID(i) == shardID {
-					if err := cl.KillShard(i); err != nil {
+			// Validation pinned the target to shard1..shardN-1.
+			for i, sh := range dep.Shards {
+				if sh.ID == shardID {
+					if err := dep.KillShard(i); err != nil {
 						inv.violate("kill: %v", err)
 					}
 					return
@@ -406,7 +378,7 @@ func Run(opts Options) (*Result, error) {
 					return nil, fmt.Errorf("chaos: step %d: probe reconnect: %w", i+1, err)
 				}
 			}
-			drainInflight(shards[0], inv)
+			drainInflight(dep.Shards[0], inv)
 		}
 		if probes != nil {
 			probes.round(opts.Probes, inv)
@@ -427,12 +399,11 @@ func Run(opts Options) (*Result, error) {
 	res := &Result{
 		Steps:        steps,
 		Engine:       eng.Stats(),
-		Pool:         pool.Stats(),
-		Server:       shards[0].Server.Stats(),
+		Pool:         dep.Pool.Stats(),
+		Server:       dep.Shards[0].Server.Stats(),
 		StormClients: storm.joined(),
 	}
-	// Conservation is judged against the cluster-wide pipeline aggregate
-	// (identical to res.Server.Pipeline on single-shard runs).
+	// Conservation is judged against the ring-wide pipeline aggregate.
 	res.Server.Pipeline = pipeSum()
 	inv.checkConservation(res.Pool, res.Server.Pipeline, res.Engine, opts.Pool.UploadQoS)
 	if probes != nil {
@@ -442,14 +413,11 @@ func Run(opts Options) (*Result, error) {
 	res.Violations, res.Items = inv.report()
 
 	if opts.TraceCapacity > 0 {
-		closeAll()
+		dep.Close()
 		var buf writerBuf
-		for i, sh := range shards {
-			if cl != nil {
-				fmt.Fprintf(&buf, "=== %s ===\n", sim.ShardID(i))
-			}
-			if sh.Tracer == nil {
-				continue
+		for _, sh := range dep.Shards {
+			if len(dep.Shards) > 1 {
+				fmt.Fprintf(&buf, "=== %s ===\n", sh.ID)
 			}
 			if err := sh.Tracer.WriteText(&buf); err != nil {
 				return nil, fmt.Errorf("chaos: trace dump: %w", err)
@@ -505,7 +473,7 @@ func quiesce(pipe func() ingest.Stats) error {
 // QoS 1 set to drain: redeliveries to the reconnected probe subscriber are
 // acked on its read loop, so with the clock parked the count must fall to
 // zero in bounded goroutine time.
-func drainInflight(s *sim.Simulation, inv *checker) {
+func drainInflight(s *sim.Shard, inv *checker) {
 	state := s.BrokerSessionStore()
 	if state == nil {
 		return

@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,38 +14,47 @@ import (
 )
 
 // TestSmokeScheduleZeroViolations runs the CI smoke schedule — every
-// fault verb once — and requires a clean invariant report.
+// fault verb once — against a ring of one and a ring of two, and requires a
+// clean invariant report from both.
 func TestSmokeScheduleZeroViolations(t *testing.T) {
-	res, err := Run(Options{
-		Devices:  128,
-		Schedule: Smoke(),
-		Step:     time.Minute,
-		Pool: sim.PoolOptions{
-			Connections:    4,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-		},
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Ok() {
-		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
-	}
-	if res.Items == 0 {
-		t.Fatalf("no items ingested end to end")
-	}
-	if res.Engine.Applied != len(Smoke().Faults) {
-		t.Fatalf("engine applied %d of %d faults", res.Engine.Applied, len(Smoke().Faults))
-	}
-	if res.Engine.Partitions == 0 || res.Engine.LinkFaults == 0 || res.Engine.ChurnResets == 0 {
-		t.Fatalf("smoke run missed fault classes: %+v", res.Engine)
-	}
-	if res.StormClients != 64 {
-		t.Fatalf("storm joined %d clients, want 64", res.StormClients)
-	}
-	if res.ProbesSent == 0 || res.ProbesAcked == 0 {
-		t.Fatalf("probe rig idle: %+v", res)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			res, err := Run(Options{
+				Devices:  128,
+				Shards:   shards,
+				Schedule: Smoke(),
+				Step:     time.Minute,
+				Pool: sim.PoolOptions{
+					Connections:    4,
+					SampleInterval: time.Minute,
+					UploadBatch:    2,
+				},
+			})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if !res.Ok() {
+				t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
+			}
+			if res.Items == 0 {
+				t.Fatalf("no items ingested end to end")
+			}
+			if res.Engine.Applied != len(Smoke().Faults) {
+				t.Fatalf("engine applied %d of %d faults", res.Engine.Applied, len(Smoke().Faults))
+			}
+			if res.Engine.Partitions == 0 || res.Engine.LinkFaults == 0 || res.Engine.ChurnResets == 0 {
+				t.Fatalf("smoke run missed fault classes: %+v", res.Engine)
+			}
+			if res.StormClients != 64 {
+				t.Fatalf("storm joined %d clients, want 64", res.StormClients)
+			}
+			if res.ProbesSent == 0 || res.ProbesAcked == 0 {
+				t.Fatalf("probe rig idle: %+v", res)
+			}
+			if len(res.Pool.PublishedByShard) != shards {
+				t.Fatalf("pool ledger split %v, want one entry per shard", res.Pool.PublishedByShard)
+			}
+		})
 	}
 }
 
@@ -319,10 +331,19 @@ func TestValidateRejectsHostileSchedules(t *testing.T) {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
 	if err := validate(Options{Devices: 1, Shards: 3, Schedule: killPool}.withDefaults()); err == nil {
-		t.Fatalf("killing shard0 (pool host) accepted")
+		t.Fatalf("killing shard0 (where the probe and storm rigs connect) accepted")
 	}
 	if err := validate(Options{Devices: 1, Shards: 3, Schedule: Crash(), DurableDir: "x"}.withDefaults()); err == nil {
 		t.Fatalf("crash schedule accepted on a cluster")
+	}
+	// One journal directory cannot hold three shards' logs: the deployment
+	// refuses before anything touches the disk.
+	journal := filepath.Join(t.TempDir(), "journal")
+	if _, err := Run(Options{Devices: 1, Shards: 3, Schedule: Cluster(), DurableDir: journal}); err == nil {
+		t.Fatalf("DurableDir accepted on a 3-shard run")
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("rejected run left %s behind (stat err %v)", journal, err)
 	}
 }
 

@@ -51,8 +51,8 @@ const crashText = `
 // (Options.Shards >= 3): connection churn as a warm-up, then one shard is
 // killed permanently — no restart — while the survivors must keep serving
 // their ring shares, and a flash crowd joins afterwards to prove the
-// remaining fan-out path still scales. Shard0 hosts the device pool and
-// the probe rig, so the victim is always a peer shard.
+// remaining fan-out path still scales. The probe and storm rigs connect
+// to shard0, so the victim is always another shard.
 const clusterText = `
 @6m  churn device-pool
 @12m kill shard2

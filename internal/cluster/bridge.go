@@ -208,6 +208,9 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 
 	for i, p := range opts.Peers {
 		link := b.links[i]
+		// The redialer may connect and call back before NewRedialer's
+		// result is stored; holding link.mu makes requestSync wait for it.
+		link.mu.Lock()
 		re, err := mqtt.NewRedialer(p.Dial, mqtt.RedialerOptions{
 			Client: mqtt.ClientOptions{
 				ClientID: "$bridge/" + b.shardID,
@@ -221,11 +224,12 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 				}
 			},
 		})
+		link.re = re
+		link.mu.Unlock()
 		if err != nil {
 			_ = b.Close()
 			return nil, err
 		}
-		link.re = re
 		// The subscription is durable in the redialer: it is replayed on
 		// every reconnect before the link reports connected, and the
 		// peer broker replays its retained snapshot on each subscribe.
@@ -409,9 +413,10 @@ func (p *peerLink) requestSync() {
 	}
 	p.syncPending = true
 	p.synced = false
+	re := p.re
 	p.mu.Unlock()
 	p.b.metrics.SummaryResyncs.Inc()
-	_ = p.re.Publish(syncTopicPrefix+p.id, []byte(p.b.shardID), 0, false)
+	_ = re.Publish(syncTopicPrefix+p.id, []byte(p.b.shardID), 0, false)
 }
 
 // onSummary applies one summary control message from the peer. Calls

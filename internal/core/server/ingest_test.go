@@ -296,7 +296,7 @@ func TestRegistrySkipsNoopLocationWrites(t *testing.T) {
 func TestStatsEndpoint(t *testing.T) {
 	s := fastSim(t)
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityStill)
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "st", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -304,8 +304,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
-	waitUntil(t, func() bool { return s.Server.Stats().Pipeline.Processed > 0 })
-	if err := s.StartHTTP(); err != nil {
+	waitUntil(t, func() bool { return s.Shards[0].Server.Stats().Pipeline.Processed > 0 })
+	if err := s.Shards[0].StartHTTP(); err != nil {
 		t.Fatalf("StartHTTP: %v", err)
 	}
 

@@ -26,7 +26,7 @@ func seedLocations(t *testing.T, s *sim.Simulation, where map[string]string) {
 		if !ok {
 			t.Fatalf("unknown city %q", city)
 		}
-		if err := s.Server.UpdateUserLocation(user, p.Region.Center, city); err != nil {
+		if err := s.Shards[0].Server.UpdateUserLocation(user, p.Region.Center, city); err != nil {
 			t.Fatalf("UpdateUserLocation(%s): %v", user, err)
 		}
 	}
@@ -39,7 +39,7 @@ func TestMulticastCityMembershipAndData(t *testing.T) {
 	addStillUser(t, s, "carol", "Bordeaux", sensors.ActivityStill)
 	seedLocations(t, s, map[string]string{"alice": "Paris", "bob": "Paris", "carol": "Bordeaux"})
 
-	ms, err := s.Server.CreateMulticastStream("paris-wifi", core.StreamConfig{
+	ms, err := s.Shards[0].Server.CreateMulticastStream("paris-wifi", core.StreamConfig{
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
 	}, server.MemberQuery{Kind: server.QueryCity, City: "Paris"})
@@ -85,11 +85,11 @@ func TestMulticastFriendsQueryAndSetFilter(t *testing.T) {
 			t.Fatalf("Befriend: %v", err)
 		}
 	}
-	if err := s.Server.SyncFriendships(s.Graph); err != nil {
+	if err := s.Shards[0].Server.SyncFriendships(s.Graph); err != nil {
 		t.Fatalf("SyncFriendships: %v", err)
 	}
 
-	ms, err := s.Server.CreateMulticastStream("friends-act", core.StreamConfig{
+	ms, err := s.Shards[0].Server.CreateMulticastStream("friends-act", core.StreamConfig{
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
 	}, server.MemberQuery{Kind: server.QueryFriendsOf, UserID: "alice"})
@@ -149,7 +149,7 @@ func TestMulticastRefreshFollowsMovement(t *testing.T) {
 	addStillUser(t, s, "carol", "Bordeaux", sensors.ActivityStill)
 	seedLocations(t, s, map[string]string{"alice": "Paris", "carol": "Bordeaux"})
 
-	ms, err := s.Server.CreateMulticastStream("paris-bt", core.StreamConfig{
+	ms, err := s.Shards[0].Server.CreateMulticastStream("paris-bt", core.StreamConfig{
 		Modality: sensors.ModalityBluetooth, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 25 * time.Millisecond,
 	}, server.MemberQuery{Kind: server.QueryNear,
@@ -170,7 +170,7 @@ func TestMulticastRefreshFollowsMovement(t *testing.T) {
 	}
 	// Alice leaves.
 	bordeaux, _ := s.Places.Lookup("Bordeaux")
-	if err := s.Server.UpdateUserLocation("alice", bordeaux.Region.Center, "Bordeaux"); err != nil {
+	if err := s.Shards[0].Server.UpdateUserLocation("alice", bordeaux.Region.Center, "Bordeaux"); err != nil {
 		t.Fatalf("UpdateUserLocation: %v", err)
 	}
 	if err := ms.Refresh(); err != nil {
@@ -187,7 +187,7 @@ func TestMulticastValidation(t *testing.T) {
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: time.Second,
 	}
-	if _, err := s.Server.CreateMulticastStream("", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err == nil {
+	if _, err := s.Shards[0].Server.CreateMulticastStream("", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err == nil {
 		t.Fatal("empty id accepted")
 	}
 	bad := []server.MemberQuery{
@@ -197,21 +197,21 @@ func TestMulticastValidation(t *testing.T) {
 		{Kind: "astrological"},
 	}
 	for _, q := range bad {
-		if _, err := s.Server.CreateMulticastStream("m", tmpl, q); err == nil {
+		if _, err := s.Shards[0].Server.CreateMulticastStream("m", tmpl, q); err == nil {
 			t.Errorf("query %+v accepted", q)
 		}
 	}
-	if _, err := s.Server.CreateMulticastStream("dup", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err != nil {
+	if _, err := s.Shards[0].Server.CreateMulticastStream("dup", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err != nil {
 		t.Fatalf("CreateMulticastStream: %v", err)
 	}
-	if _, err := s.Server.CreateMulticastStream("dup", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err == nil {
+	if _, err := s.Shards[0].Server.CreateMulticastStream("dup", tmpl, server.MemberQuery{Kind: server.QueryCity, City: "Paris"}); err == nil {
 		t.Fatal("duplicate multicast id accepted")
 	}
 }
 
 func TestHTTPEndpoints(t *testing.T) {
 	s := fastSim(t)
-	if err := s.StartHTTP(); err != nil {
+	if err := s.Shards[0].StartHTTP(); err != nil {
 		t.Fatalf("StartHTTP: %v", err)
 	}
 	client := s.HTTPClient("tester")
@@ -248,7 +248,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if code := reg(`not json`); code != http.StatusBadRequest {
 		t.Fatalf("bad json register = %d", code)
 	}
-	devs, err := s.Server.DevicesOf("webuser")
+	devs, err := s.Shards[0].Server.DevicesOf("webuser")
 	if err != nil || len(devs) != 1 {
 		t.Fatalf("DevicesOf = %v, %v", devs, err)
 	}
@@ -280,7 +280,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// Stream config download (FilterDownloader).
-	err = s.Server.CreateRemoteStream(core.StreamConfig{
+	err = s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "web-s1", DeviceID: "webdev", UserID: "webuser",
 		Modality: sensors.ModalityLocation, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: time.Minute,
@@ -316,10 +316,10 @@ func TestOSNWebhookDeliveryPath(t *testing.T) {
 	s := fastSim(t, func(o *sim.Options) { o.DeliverViaHTTP = true })
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("se", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("se", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "se", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindSocialEvent,

@@ -94,12 +94,12 @@ func TestRemoteStreamEndToEnd(t *testing.T) {
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
 
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("loc-alice", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("loc-alice", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
 	// Server-side remote stream creation: config XML travels over MQTT,
 	// the device instantiates the stream and uploads items.
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "loc-alice", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityLocation, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 30 * time.Millisecond,
@@ -116,7 +116,7 @@ func TestRemoteStreamEndToEnd(t *testing.T) {
 	}
 	// The registry tracked the user's city from the stream.
 	waitUntil(t, func() bool {
-		_, city, err := s.Server.UserLocation("alice")
+		_, city, err := s.Shards[0].Server.UserLocation("alice")
 		return err == nil && city == "Paris"
 	})
 }
@@ -125,10 +125,10 @@ func TestDestroyRemoteStreamStopsFlow(t *testing.T) {
 	s := fastSim(t)
 	h := addStillUser(t, s, "alice", "Paris", sensors.ActivityStill)
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("w1", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("w1", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "w1", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -137,12 +137,12 @@ func TestDestroyRemoteStreamStopsFlow(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	sink.waitFor(t, 1)
-	if err := s.Server.DestroyRemoteStream("w1"); err != nil {
+	if err := s.Shards[0].Server.DestroyRemoteStream("w1"); err != nil {
 		t.Fatalf("DestroyRemoteStream: %v", err)
 	}
 	// The device-side stream disappears.
 	waitUntil(t, func() bool { return len(h.Mobile.StreamConfigs()) == 0 })
-	if err := s.Server.DestroyRemoteStream("w1"); err == nil {
+	if err := s.Shards[0].Server.DestroyRemoteStream("w1"); err == nil {
 		t.Fatal("double destroy accepted")
 	}
 }
@@ -152,10 +152,10 @@ func TestOSNActionTriggersSocialEventStream(t *testing.T) {
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
 
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("se", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("se", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "se", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindSocialEvent,
@@ -183,7 +183,7 @@ func TestOSNActionTriggersSocialEventStream(t *testing.T) {
 		t.Fatalf("context = %v", it.Context)
 	}
 	// OSN text classifiers work on the carried action.
-	sentiment, topics := s.Server.ClassifyActionText(*it.Action)
+	sentiment, topics := s.Shards[0].Server.ClassifyActionText(*it.Action)
 	if sentiment != "positive" {
 		t.Fatalf("sentiment = %q", sentiment)
 	}
@@ -196,10 +196,10 @@ func TestTwitterPollTriggersToo(t *testing.T) {
 	s := fastSim(t)
 	addStillUser(t, s, "bob", "Bordeaux", sensors.ActivityStill)
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("se", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("se", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "se", DeviceID: "bob-phone", UserID: "bob",
 		Modality: sensors.ModalityMicrophone, Granularity: core.GranularityClassified,
 		Kind: core.KindSocialEvent,
@@ -229,10 +229,10 @@ func TestCrossUserFilterOnServer(t *testing.T) {
 	// bob is still (the paper's "sends user's GPS data only when another
 	// user is walking" example).
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("x1", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("x1", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "x1", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -244,7 +244,7 @@ func TestCrossUserFilterOnServer(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	// Bob's activity must be known to the server: stream it.
-	err = s.Server.CreateRemoteStream(core.StreamConfig{
+	err = s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "bob-act", DeviceID: "bob-phone", UserID: "bob",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -253,7 +253,7 @@ func TestCrossUserFilterOnServer(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	waitUntil(t, func() bool {
-		return s.Server.Context()[core.Key("bob", core.CtxPhysicalActivity)] == "still"
+		return s.Shards[0].Server.Context()[core.Key("bob", core.CtxPhysicalActivity)] == "still"
 	})
 	time.Sleep(100 * time.Millisecond)
 	if sink.count() != 0 {
@@ -267,10 +267,10 @@ func TestCrossUserFilterPassesWhenOtherUserWalks(t *testing.T) {
 	addStillUser(t, s, "bob", "Paris", sensors.ActivityWalking) // bob WALKS
 
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("x1", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("x1", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	err := s.Server.CreateRemoteStream(core.StreamConfig{
+	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "bob-act", DeviceID: "bob-phone", UserID: "bob",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -279,9 +279,9 @@ func TestCrossUserFilterPassesWhenOtherUserWalks(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	waitUntil(t, func() bool {
-		return s.Server.Context()[core.Key("bob", core.CtxPhysicalActivity)] == "walking"
+		return s.Shards[0].Server.Context()[core.Key("bob", core.CtxPhysicalActivity)] == "walking"
 	})
-	err = s.Server.CreateRemoteStream(core.StreamConfig{
+	err = s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "x1", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -303,10 +303,10 @@ func TestRegistryAndQueries(t *testing.T) {
 	if err := s.Graph.Befriend("alice", "carol"); err != nil {
 		t.Fatalf("Befriend: %v", err)
 	}
-	if err := s.Server.SyncFriendships(s.Graph); err != nil {
+	if err := s.Shards[0].Server.SyncFriendships(s.Graph); err != nil {
 		t.Fatalf("SyncFriendships: %v", err)
 	}
-	friends, err := s.Server.FriendsOf("alice")
+	friends, err := s.Shards[0].Server.FriendsOf("alice")
 	if err != nil {
 		t.Fatalf("FriendsOf: %v", err)
 	}
@@ -322,29 +322,29 @@ func TestRegistryAndQueries(t *testing.T) {
 		"carol": bordeaux.Region.Center,
 	} {
 		city := s.Places.ReverseGeocode(pt)
-		if err := s.Server.UpdateUserLocation(user, pt, city); err != nil {
+		if err := s.Shards[0].Server.UpdateUserLocation(user, pt, city); err != nil {
 			t.Fatalf("UpdateUserLocation(%s): %v", user, err)
 		}
 	}
-	inParis, err := s.Server.UsersInCity("Paris")
+	inParis, err := s.Shards[0].Server.UsersInCity("Paris")
 	if err != nil {
 		t.Fatalf("UsersInCity: %v", err)
 	}
 	if strings.Join(inParis, ",") != "alice,bob" {
 		t.Fatalf("UsersInCity = %v", inParis)
 	}
-	near, err := s.Server.UsersNear(paris.Region.Center, 20000)
+	near, err := s.Shards[0].Server.UsersNear(paris.Region.Center, 20000)
 	if err != nil {
 		t.Fatalf("UsersNear: %v", err)
 	}
 	if strings.Join(near, ",") != "alice,bob" {
 		t.Fatalf("UsersNear = %v", near)
 	}
-	devs, err := s.Server.DevicesOf("carol")
+	devs, err := s.Shards[0].Server.DevicesOf("carol")
 	if err != nil || len(devs) != 1 || devs[0] != "carol-phone" {
 		t.Fatalf("DevicesOf = %v, %v", devs, err)
 	}
-	if err := s.Server.UpdateUserLocation("ghost", paris.Region.Center, "Paris"); err == nil {
+	if err := s.Shards[0].Server.UpdateUserLocation("ghost", paris.Region.Center, "Paris"); err == nil {
 		t.Fatal("location update for unknown user accepted")
 	}
 }
@@ -357,16 +357,16 @@ func TestServerValidation(t *testing.T) {
 		t.Fatal("missing broker accepted")
 	}
 	s := fastSim(t)
-	if err := s.Server.RegisterUser(""); err == nil {
+	if err := s.Shards[0].Server.RegisterUser(""); err == nil {
 		t.Fatal("empty user accepted")
 	}
-	if err := s.Server.RegisterDevice("u", ""); err == nil {
+	if err := s.Shards[0].Server.RegisterDevice("u", ""); err == nil {
 		t.Fatal("empty device accepted")
 	}
-	if err := s.Server.CreateRemoteStream(core.StreamConfig{ID: "x"}); err == nil {
+	if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{ID: "x"}); err == nil {
 		t.Fatal("invalid remote stream accepted")
 	}
-	if err := s.Server.SyncFriendships(nil); err == nil {
+	if err := s.Shards[0].Server.SyncFriendships(nil); err == nil {
 		t.Fatal("nil graph accepted")
 	}
 }
@@ -386,7 +386,7 @@ func TestCreateAggregatorOnServer(t *testing.T) {
 	s := fastSim(t)
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityStill)
 	addStillUser(t, s, "bob", "Bordeaux", sensors.ActivityStill)
-	agg, err := s.Server.CreateAggregator("join", "wa", "wb")
+	agg, err := s.Shards[0].Server.CreateAggregator("join", "wa", "wb")
 	if err != nil {
 		t.Fatalf("CreateAggregator: %v", err)
 	}
@@ -396,7 +396,7 @@ func TestCreateAggregatorOnServer(t *testing.T) {
 	}
 	for _, u := range []string{"alice", "bob"} {
 		id := "w" + u[:1]
-		if err := s.Server.CreateRemoteStream(core.StreamConfig{
+		if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 			ID: id, DeviceID: u + "-phone", UserID: u,
 			Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 			Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -418,7 +418,7 @@ func TestCreateAggregatorOnServer(t *testing.T) {
 	if agg.Count() < 4 {
 		t.Fatalf("Count = %d", agg.Count())
 	}
-	if _, err := s.Server.CreateAggregator(""); err == nil {
+	if _, err := s.Shards[0].Server.CreateAggregator(""); err == nil {
 		t.Fatal("empty aggregator id accepted")
 	}
 }
@@ -426,7 +426,7 @@ func TestCreateAggregatorOnServer(t *testing.T) {
 func TestPersistItemsToStore(t *testing.T) {
 	s := fastSim(t, func(o *sim.Options) { o.PersistItems = true })
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
-	if err := s.Server.CreateRemoteStream(core.StreamConfig{
+	if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "act", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -434,10 +434,10 @@ func TestPersistItemsToStore(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	waitUntil(t, func() bool {
-		n, err := s.Server.Store().Collection("items").Count(nil)
+		n, err := s.Shards[0].Server.Store().Collection("items").Count(nil)
 		return err == nil && n >= 2
 	})
-	docs, err := s.Server.Store().Collection("items").Find(
+	docs, err := s.Shards[0].Server.Store().Collection("items").Find(
 		map[string]any{"user": "alice", "classified": "walking"},
 		// insertion order suffices
 		docstoreFindOpts())
@@ -448,17 +448,17 @@ func TestPersistItemsToStore(t *testing.T) {
 
 func TestUserLocationBeforeAnyFix(t *testing.T) {
 	s := fastSim(t)
-	if err := s.Server.RegisterUser("nowhere"); err != nil {
+	if err := s.Shards[0].Server.RegisterUser("nowhere"); err != nil {
 		t.Fatalf("RegisterUser: %v", err)
 	}
-	pt, city, err := s.Server.UserLocation("nowhere")
+	pt, city, err := s.Shards[0].Server.UserLocation("nowhere")
 	if err != nil {
 		t.Fatalf("UserLocation: %v", err)
 	}
 	if city != "" || pt.Lat != 0 || pt.Lon != 0 {
 		t.Fatalf("phantom location: %v %q", pt, city)
 	}
-	if _, _, err := s.Server.UserLocation("ghost"); err == nil {
+	if _, _, err := s.Shards[0].Server.UserLocation("ghost"); err == nil {
 		t.Fatal("unknown user accepted")
 	}
 }
@@ -468,15 +468,15 @@ func TestRemoteStreamViaDownload(t *testing.T) {
 	// it with a config-pull trigger, and the device fetches the XML over
 	// HTTP before instantiating.
 	s := fastSim(t)
-	if err := s.StartHTTP(); err != nil {
+	if err := s.Shards[0].StartHTTP(); err != nil {
 		t.Fatalf("StartHTTP: %v", err)
 	}
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
 	sink := &itemSink{}
-	if err := s.Server.RegisterListener("dl", sink); err != nil {
+	if err := s.Shards[0].Server.RegisterListener("dl", sink); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	if err := s.Server.CreateRemoteStreamViaDownload(core.StreamConfig{
+	if err := s.Shards[0].Server.CreateRemoteStreamViaDownload(core.StreamConfig{
 		ID: "dl", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: 25 * time.Millisecond,
@@ -487,7 +487,7 @@ func TestRemoteStreamViaDownload(t *testing.T) {
 	if items[0].Classified != "walking" {
 		t.Fatalf("item = %+v", items[0])
 	}
-	if err := s.Server.CreateRemoteStreamViaDownload(core.StreamConfig{ID: "bad"}); err == nil {
+	if err := s.Shards[0].Server.CreateRemoteStreamViaDownload(core.StreamConfig{ID: "bad"}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 )
 
@@ -94,37 +93,4 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 		c.mu.Unlock()
 	}
 	return s, nil
-}
-
-// SaveFile checkpoints the store to a file (atomically via rename).
-func (s *Store) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	if err := s.WriteSnapshot(f); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("docstore: save: %w", err)
-	}
-	return nil
-}
-
-// LoadFile restores a store from a checkpoint file.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("docstore: load: %w", err)
-	}
-	defer f.Close()
-	return ReadSnapshot(f)
 }

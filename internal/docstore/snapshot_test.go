@@ -2,7 +2,6 @@ package docstore
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,24 +80,6 @@ func TestSnapshotRejectsGarbageAndVersions(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Fatal("future version accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	s := populated(t)
-	path := filepath.Join(t.TempDir(), "store.json")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	restored, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if restored.Collection("users").Len() != 2 {
-		t.Fatal("restore incomplete")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }
 

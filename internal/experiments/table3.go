@@ -92,14 +92,14 @@ func RunTable3OnClock(wall vclock.Clock) (*Table3Result, error) {
 	}
 	// Social event-based microphone stream: the trigger starts one-off
 	// sensing whose item timestamps mark "mobile starts sampling".
-	if err := s.Server.CreateRemoteStream(core.StreamConfig{
+	if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "t3", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityMicrophone, Granularity: core.GranularityClassified,
 		Kind: core.KindSocialEvent,
 	}); err != nil {
 		return nil, fmt.Errorf("experiments: table3: %w", err)
 	}
-	s.Server.OnItem(func(item core.Item) {
+	s.Shards[0].Server.OnItem(func(item core.Item) {
 		if item.Action == nil {
 			return
 		}

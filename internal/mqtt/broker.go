@@ -117,7 +117,11 @@ type Broker struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
-	closed   bool
+	// handshaking holds accepted connections whose CONNECT has not arrived
+	// yet. They have no session to close, so Close must close them itself:
+	// otherwise it waits on a read only the dialing side can end.
+	handshaking map[net.Conn]struct{}
+	closed      bool
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -151,6 +155,7 @@ func NewBroker(opts BrokerOptions) *Broker {
 		subs:        topictrie.NewFilterTrie[subEntry](),
 		retained:    topictrie.NewTopicTrie[Message](),
 		sessions:    make(map[string]*session),
+		handshaking: make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
 	}
 	if b.state != nil {
@@ -215,6 +220,7 @@ func (b *Broker) Serve(l net.Listener) error {
 			return nil
 		}
 		b.wg.Add(1)
+		b.handshaking[conn] = struct{}{}
 		b.mu.Unlock()
 		go func() {
 			defer b.wg.Done()
@@ -237,6 +243,9 @@ func (b *Broker) Close() error {
 	sessions := make([]*session, 0, len(b.sessions))
 	for _, s := range b.sessions {
 		sessions = append(sessions, s)
+	}
+	for conn := range b.handshaking {
+		_ = conn.Close()
 	}
 	b.mu.Unlock()
 	for _, s := range sessions {
@@ -365,6 +374,9 @@ func (b *Broker) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 
 	pkt, err := readPacket(conn)
+	b.mu.Lock()
+	delete(b.handshaking, conn)
+	b.mu.Unlock()
 	if err != nil {
 		b.logf("connect read failed", "err", err)
 		return

@@ -16,33 +16,30 @@ import (
 
 var clusterEpoch = time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC)
 
-// newClusterFixture boots a pooled multi-shard cluster on a manual clock
-// over a zero-latency fabric. One frame covers the whole fleet and each
-// shard gets exactly one pooled connection, so every flush is a single
-// ordered publish sequence — the same pinning the single-shard trace
+// newClusterFixture boots a pooled deployment of the given ring size on a
+// manual clock over a zero-latency fabric. One frame covers the whole fleet
+// and each shard gets exactly one pooled connection, so every flush is a
+// single ordered publish sequence — the same pinning the pooled trace
 // determinism test uses.
-func newClusterFixture(t *testing.T, shards, devices, traceCap int) (*Cluster, *vclock.Manual) {
+func newClusterFixture(t *testing.T, shards, devices, traceCap int) (*Simulation, *vclock.Manual) {
 	t.Helper()
 	clock := vclock.NewManual(clusterEpoch)
-	cl, err := NewCluster(ClusterOptions{
-		Shards: shards,
-		Sim: Options{
-			Clock:      clock,
-			Seed:       7,
-			MobileLink: &netsim.Link{},
-			DeviceMode: DeviceModePooled,
-			Pool: PoolOptions{
-				Connections:    shards,
-				FrameSize:      devices,
-				SampleInterval: time.Minute,
-				UploadBatch:    2,
-			},
-			IngestShards:  1,
-			TraceCapacity: traceCap,
+	cl, err := New(Options{
+		Clock:      clock,
+		Seed:       7,
+		Shards:     shards,
+		MobileLink: &netsim.Link{},
+		Pool: PoolOptions{
+			Connections:    shards,
+			FrameSize:      devices,
+			SampleInterval: time.Minute,
+			UploadBatch:    2,
 		},
+		IngestShards:  1,
+		TraceCapacity: traceCap,
 	})
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(cl.Close)
 	if err := cl.AddDevices(devices); err != nil {
@@ -58,10 +55,10 @@ func newClusterFixture(t *testing.T, shards, devices, traceCap int) (*Cluster, *
 }
 
 // clusterProcessed sums ingest-processed items across live shards.
-func clusterProcessed(cl *Cluster) uint64 {
+func clusterProcessed(cl *Simulation) uint64 {
 	var sum uint64
-	for i, s := range cl.Shards {
-		if cl.Alive(i) {
+	for _, s := range cl.Shards {
+		if s.Alive() {
 			sum += s.Server.Stats().Pipeline.Processed
 		}
 	}
@@ -83,7 +80,7 @@ func waitCluster(t *testing.T, what string, cond func() bool) {
 
 // clusterForeign sums the foreign-item skip counter over every shard's own
 // registry (shards keep separate registries, like separate processes).
-func clusterForeign(cl *Cluster) uint64 {
+func clusterForeign(cl *Simulation) uint64 {
 	var sum uint64
 	for _, s := range cl.Shards {
 		sum += s.Metrics.Counter("sensocial_cluster_foreign_items_total",
@@ -93,7 +90,7 @@ func clusterForeign(cl *Cluster) uint64 {
 }
 
 // clusterForwarded sums bridge-forwarded publishes over every shard.
-func clusterForwarded(cl *Cluster) uint64 {
+func clusterForwarded(cl *Simulation) uint64 {
 	var sum uint64
 	for _, s := range cl.Shards {
 		sum += s.ClusterMetrics.Forwarded.Value()
@@ -101,42 +98,47 @@ func clusterForwarded(cl *Cluster) uint64 {
 	return sum
 }
 
-// TestClusterShardLocalDelivery checks the scale-out happy path: pooled
-// devices spread over the address ring, every item ingested exactly once,
-// by its ring owner, with zero cross-shard forwarding (no shard has a
-// remote subscriber, so the summary-gated bridges stay silent).
+// TestClusterShardLocalDelivery checks the scale-out happy path at ring
+// sizes 1 and 3: pooled devices spread over the ring, every item ingested
+// exactly once, by its ring owner, with zero cross-shard forwarding (no
+// shard has a remote subscriber, so the summary-gated bridges stay silent).
 func TestClusterShardLocalDelivery(t *testing.T) {
-	const devices = 24
-	cl, clock := newClusterFixture(t, 3, devices, 0)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const devices = 24
+			cl, clock := newClusterFixture(t, shards, devices, 0)
 
-	clock.Advance(2 * time.Minute)
-	want := uint64(devices * 2)
-	waitCluster(t, "all items processed", func() bool { return clusterProcessed(cl) >= want })
+			clock.Advance(2 * time.Minute)
+			want := uint64(devices * 2)
+			waitCluster(t, "all items processed", func() bool { return clusterProcessed(cl) >= want })
 
-	st := cl.Pool.Stats()
-	if st.ItemsPublished != want {
-		t.Fatalf("published %d items, want %d", st.ItemsPublished, want)
-	}
-	if got := clusterProcessed(cl); got != want {
-		t.Fatalf("processed %d items cluster-wide, want exactly %d (no double ingest)", got, want)
-	}
-	for i, n := range st.PublishedByShard {
-		if n == 0 {
-			t.Fatalf("shard %d received no publishes; ring left it empty: %v", i, st.PublishedByShard)
-		}
-	}
-	for i, s := range cl.Shards {
-		if p := s.Server.Stats().Pipeline.Processed; p == 0 {
-			t.Fatalf("shard %d processed nothing", i)
-		} else if p != st.PublishedByShard[i] {
-			t.Fatalf("shard %d processed %d items, want its ring share %d", i, p, st.PublishedByShard[i])
-		}
-	}
-	if f := clusterForeign(cl); f != 0 {
-		t.Fatalf("%v foreign items counted on a shard-local workload", f)
-	}
-	if fwd := clusterForwarded(cl); fwd != 0 {
-		t.Fatalf("%v publishes crossed the bridge with no remote subscriber", fwd)
+			st := cl.Pool.Stats()
+			if st.ItemsPublished != want {
+				t.Fatalf("published %d items, want %d", st.ItemsPublished, want)
+			}
+			if got := clusterProcessed(cl); got != want {
+				t.Fatalf("processed %d items ring-wide, want exactly %d (no double ingest)", got, want)
+			}
+			if len(st.PublishedByShard) != shards {
+				t.Fatalf("publish split %v, want one entry per shard", st.PublishedByShard)
+			}
+			for i, s := range cl.Shards {
+				if p := s.Server.Stats().Pipeline.Processed; p == 0 {
+					t.Fatalf("shard %d processed nothing; ring left it empty: %v", i, st.PublishedByShard)
+				} else if p != st.PublishedByShard[i] {
+					t.Fatalf("shard %d processed %d items, want its ring share %d", i, p, st.PublishedByShard[i])
+				}
+				if got := s.ClusterMetrics.RingShards.Value(); got != float64(shards) {
+					t.Fatalf("shard %d reports a ring of %v, want %d", i, got, shards)
+				}
+			}
+			if f := clusterForeign(cl); f != 0 {
+				t.Fatalf("%v foreign items counted on a shard-local workload", f)
+			}
+			if fwd := clusterForwarded(cl); fwd != 0 {
+				t.Fatalf("%v publishes crossed the bridge with no remote subscriber", fwd)
+			}
+		})
 	}
 }
 
@@ -150,7 +152,7 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 
 	dev := -1
 	for i, u := range cl.Pool.users {
-		if cl.OwnerIndex(u) == 0 {
+		if cl.Ring.OwnerIndex(u) == 0 {
 			dev = i
 			break
 		}
@@ -160,7 +162,7 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	}
 	topic := core.StreamDataTopic(cl.Pool.ids[dev])
 
-	conn, err := cl.Fabric.Dial("cross-sub", ShardBrokerAddr(1))
+	conn, err := cl.Fabric.Dial("cross-sub", cl.Shards[1].BrokerAddr)
 	if err != nil {
 		t.Fatalf("dial shard1: %v", err)
 	}
@@ -175,7 +177,7 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	}
 	sc := &cluster.MatchScratch{}
 	waitCluster(t, "summary propagation to shard0", func() bool {
-		return len(cl.Bridges[0].Index().Match(topic, sc)) == 1
+		return len(cl.Shards[0].Bridge.Index().Match(topic, sc)) == 1
 	})
 
 	clock.Advance(2 * time.Minute)
@@ -191,71 +193,83 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	}
 }
 
-// TestClusterKillShardSurvivorsServe kills one shard permanently and
-// checks that the survivors keep ingesting their ring share while the dead
-// shard's devices degrade to bounded buffering — and that the pool's item
-// conservation invariant survives the kill.
+// TestClusterKillShardSurvivorsServe kills one shard permanently — shard 0
+// is as killable as any other — and checks that the survivors keep
+// ingesting their ring share while the dead shard's devices degrade to
+// bounded buffering, and that the pool's item conservation invariant
+// survives the kill.
 func TestClusterKillShardSurvivorsServe(t *testing.T) {
-	const devices = 24
-	cl, clock := newClusterFixture(t, 3, devices, 0)
+	for _, victim := range []int{0, 2} {
+		t.Run(fmt.Sprintf("victim=%d", victim), func(t *testing.T) {
+			const devices = 24
+			cl, clock := newClusterFixture(t, 3, devices, 0)
 
-	clock.Advance(2 * time.Minute)
-	waitCluster(t, "pre-kill processing", func() bool {
-		return clusterProcessed(cl) >= uint64(devices*2)
-	})
-	pre := cl.Pool.Stats()
+			clock.Advance(2 * time.Minute)
+			waitCluster(t, "pre-kill processing", func() bool {
+				return clusterProcessed(cl) >= uint64(devices*2)
+			})
+			pre := cl.Pool.Stats()
 
-	if err := cl.KillShard(2); err != nil {
-		t.Fatalf("KillShard: %v", err)
-	}
-	if cl.Alive(2) {
-		t.Fatal("shard2 still alive after kill")
-	}
-	if err := cl.KillShard(2); err == nil {
-		t.Fatal("double kill accepted")
-	}
-	if err := cl.KillShard(0); err == nil {
-		t.Fatal("killing shard0 (pool host) accepted")
-	}
+			if err := cl.KillShard(victim); err != nil {
+				t.Fatalf("KillShard: %v", err)
+			}
+			if cl.Shards[victim].Alive() {
+				t.Fatalf("shard%d still alive after kill", victim)
+			}
+			if err := cl.KillShard(victim); err == nil {
+				t.Fatal("double kill accepted")
+			}
+			if err := cl.KillShard(3); err == nil {
+				t.Fatal("killing a shard outside the ring accepted")
+			}
 
-	for i := 0; i < 3; i++ {
-		clock.Advance(2 * time.Minute)
-	}
-	waitCluster(t, "survivors settle", func() bool {
-		st := cl.Pool.Stats()
-		return clusterProcessed(cl) >= st.PublishedByShard[0]+st.PublishedByShard[1]
-	})
+			for i := 0; i < 3; i++ {
+				clock.Advance(2 * time.Minute)
+			}
+			survivorShare := func(st PoolStats) (sum uint64) {
+				for i, n := range st.PublishedByShard {
+					if i != victim {
+						sum += n
+					}
+				}
+				return sum
+			}
+			waitCluster(t, "survivors settle", func() bool {
+				return clusterProcessed(cl) >= survivorShare(cl.Pool.Stats())
+			})
 
-	st := cl.Pool.Stats()
-	for _, i := range []int{0, 1} {
-		if st.PublishedByShard[i] <= pre.PublishedByShard[i] {
-			t.Fatalf("surviving shard %d stopped receiving publishes after the kill (%d -> %d)",
-				i, pre.PublishedByShard[i], st.PublishedByShard[i])
-		}
-	}
-	if st.PublishedByShard[2] != pre.PublishedByShard[2] {
-		t.Fatalf("dead shard2 kept receiving publishes (%d -> %d)",
-			pre.PublishedByShard[2], st.PublishedByShard[2])
-	}
-	if got := clusterProcessed(cl); got != st.PublishedByShard[0]+st.PublishedByShard[1] {
-		t.Fatalf("survivors processed %d, want %d", got, st.PublishedByShard[0]+st.PublishedByShard[1])
-	}
-	// Items for the dead shard end up buffered or dropped, never lost to
-	// accounting: Samples == Published + AckLost + Dropped + Backlog.
-	if st.Samples != st.ItemsPublished+st.ItemsAckLost+st.ItemsDropped+st.Backlog {
-		t.Fatalf("conservation violated after kill: %+v", st)
-	}
-	if st.ItemsDropped+st.Backlog == 0 {
-		t.Fatal("dead shard's devices show neither backlog nor drops")
+			st := cl.Pool.Stats()
+			for i := range cl.Shards {
+				switch {
+				case i == victim && st.PublishedByShard[i] != pre.PublishedByShard[i]:
+					t.Fatalf("dead shard%d kept receiving publishes (%d -> %d)",
+						i, pre.PublishedByShard[i], st.PublishedByShard[i])
+				case i != victim && st.PublishedByShard[i] <= pre.PublishedByShard[i]:
+					t.Fatalf("surviving shard %d stopped receiving publishes after the kill (%d -> %d)",
+						i, pre.PublishedByShard[i], st.PublishedByShard[i])
+				}
+			}
+			if got := clusterProcessed(cl); got != survivorShare(st) {
+				t.Fatalf("survivors processed %d, want %d", got, survivorShare(st))
+			}
+			// Items for the dead shard end up buffered or dropped, never lost to
+			// accounting: Samples == Published + AckLost + Dropped + Backlog.
+			if st.Samples != st.ItemsPublished+st.ItemsAckLost+st.ItemsDropped+st.Backlog {
+				t.Fatalf("conservation violated after kill: %+v", st)
+			}
+			if st.ItemsDropped+st.Backlog == 0 {
+				t.Fatal("dead shard's devices show neither backlog nor drops")
+			}
+		})
 	}
 }
 
-// clusterTraceRun is one deterministic multi-shard run; it returns the
-// concatenated canonical trace dumps of every shard.
-func clusterTraceRun(t *testing.T) string {
+// clusterTraceRun is one deterministic run at the given ring size; it
+// returns the concatenated canonical trace dumps of every shard.
+func clusterTraceRun(t *testing.T, shards int) string {
 	t.Helper()
 	const devices = 12
-	cl, clock := newClusterFixture(t, 3, devices, 4096)
+	cl, clock := newClusterFixture(t, shards, devices, 4096)
 
 	const steps = 3
 	for i := 1; i <= steps; i++ {
@@ -268,29 +282,33 @@ func clusterTraceRun(t *testing.T) string {
 	cl.Close()
 
 	var buf bytes.Buffer
-	for i, s := range cl.Shards {
-		fmt.Fprintf(&buf, "=== shard%d ===\n", i)
+	for _, s := range cl.Shards {
+		fmt.Fprintf(&buf, "=== %s ===\n", s.ID)
 		if err := s.Tracer.WriteText(&buf); err != nil {
-			t.Fatalf("WriteText shard%d: %v", i, err)
+			t.Fatalf("WriteText %s: %v", s.ID, err)
 		}
 	}
 	return buf.String()
 }
 
-// TestClusterTraceDeterministicAcrossRuns extends the byte-determinism
-// acceptance check to multi-shard deployments: two same-seed cluster runs
-// must produce identical concatenated /trace dumps. Bridge control chatter
-// ($cluster/... topics) rides real goroutine scheduling and is therefore
-// excluded from tracing by the broker.
+// TestClusterTraceDeterministicAcrossRuns holds the byte-determinism
+// acceptance check at ring sizes 1 and 3: two same-seed runs must produce
+// identical concatenated /trace dumps. Bridge control chatter ($cluster/...
+// topics) rides real goroutine scheduling and is therefore excluded from
+// tracing by the broker.
 func TestClusterTraceDeterministicAcrossRuns(t *testing.T) {
-	first := clusterTraceRun(t)
-	second := clusterTraceRun(t)
-	if first != second {
-		t.Fatalf("cluster trace dumps differ across same-seed runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first, second)
-	}
-	for _, span := range []string{"mqtt.route", "ingest.enqueue", "ingest.process"} {
-		if !bytes.Contains([]byte(first), []byte(span)) {
-			t.Fatalf("cluster trace missing %s spans:\n%s", span, first)
-		}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			first := clusterTraceRun(t, shards)
+			second := clusterTraceRun(t, shards)
+			if first != second {
+				t.Fatalf("trace dumps differ across same-seed runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first, second)
+			}
+			for _, span := range []string{"mqtt.route", "ingest.enqueue", "ingest.process"} {
+				if !bytes.Contains([]byte(first), []byte(span)) {
+					t.Fatalf("trace missing %s spans:\n%s", span, first)
+				}
+			}
+		})
 	}
 }

@@ -49,14 +49,21 @@ func TestRestartBrokerRecoversDurableSessions(t *testing.T) {
 		t.Fatalf("Publish: %v", err)
 	}
 	_ = pub.Close()
-	// Publish returned after the broker's PUBACK, so the retained write is
-	// in the journal's pending batch; fsync it before the crash drops
-	// whatever is not yet durable.
-	if err := s.BrokerSessionStore().Sync(); err != nil {
+	// The broker PUBACKs before it routes, so Publish returning does not
+	// mean the retained write has reached the journal's pending batch yet.
+	// Wait for it, then fsync before the crash drops whatever is not yet
+	// durable.
+	for deadline := time.Now().Add(5 * time.Second); len(s.Shards[0].BrokerSessionStore().RetainedMessages()) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("retained publish never reached the session journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.Shards[0].BrokerSessionStore().Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 
-	if err := s.RestartBroker(); err != nil {
+	if err := s.Shards[0].RestartBroker(); err != nil {
 		t.Fatalf("RestartBroker: %v", err)
 	}
 
@@ -82,7 +89,7 @@ func TestRestartBrokerRecoversDurableSessions(t *testing.T) {
 		t.Fatal("retained message not recovered across broker crash")
 	}
 	// ...and the old client's subscription survived as session state.
-	if subs := s.BrokerSessionStore().Subs("dur-dev"); subs["cfg/#"] != 1 {
+	if subs := s.Shards[0].BrokerSessionStore().Subs("dur-dev"); subs["cfg/#"] != 1 {
 		t.Fatalf("persistent subscription lost across crash: %v", subs)
 	}
 }
@@ -98,10 +105,10 @@ func TestDurableRegistryRecoversAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := s1.Server.RegisterDevice("alice", "alice-phone"); err != nil {
+	if err := s1.Shards[0].Server.RegisterDevice("alice", "alice-phone"); err != nil {
 		t.Fatalf("RegisterDevice: %v", err)
 	}
-	if err := s1.Server.UpdateUserLocation("alice", paris, "Paris"); err != nil {
+	if err := s1.Shards[0].Server.UpdateUserLocation("alice", paris, "Paris"); err != nil {
 		t.Fatalf("UpdateUserLocation: %v", err)
 	}
 	s1.Close()
@@ -111,18 +118,18 @@ func TestDurableRegistryRecoversAcrossRuns(t *testing.T) {
 		t.Fatalf("New over recovered dir: %v", err)
 	}
 	defer s2.Close()
-	if _, city, err := s2.Server.UserLocation("alice"); err != nil || city != "Paris" {
+	if _, city, err := s2.Shards[0].Server.UserLocation("alice"); err != nil || city != "Paris" {
 		t.Fatalf("UserLocation after recovery = %q, %v", city, err)
 	}
-	if users, err := s2.Server.UsersInCity("Paris"); err != nil || len(users) != 1 || users[0] != "alice" {
+	if users, err := s2.Shards[0].Server.UsersInCity("Paris"); err != nil || len(users) != 1 || users[0] != "alice" {
 		t.Fatalf("UsersInCity after recovery = %v, %v", users, err)
 	}
-	if devs, err := s2.Server.DevicesOf("alice"); err != nil || len(devs) != 1 || devs[0] != "alice-phone" {
+	if devs, err := s2.Shards[0].Server.DevicesOf("alice"); err != nil || len(devs) != 1 || devs[0] != "alice-phone" {
 		t.Fatalf("DevicesOf after recovery = %v, %v", devs, err)
 	}
 	// warmContexts restored the location write-memory: an identical fix is
 	// recognized as unchanged and elided.
-	if !s2.Server.Registry().LocationUnchanged("alice", paris, "Paris") {
+	if !s2.Shards[0].Server.Registry().LocationUnchanged("alice", paris, "Paris") {
 		t.Fatal("location write-memory not warmed from the recovered registry")
 	}
 }
@@ -136,7 +143,6 @@ func durablePooledTraceRun(t *testing.T) string {
 		Clock:      clock,
 		Seed:       7,
 		MobileLink: &netsim.Link{},
-		DeviceMode: DeviceModePooled,
 		Pool: PoolOptions{
 			Connections:    1,
 			FrameSize:      32,
@@ -166,17 +172,17 @@ func durablePooledTraceRun(t *testing.T) string {
 		clock.Advance(2 * time.Minute)
 		deadline := time.Now().Add(30 * time.Second)
 		want := uint64(devices * 2 * i)
-		for s.Server.Stats().Pipeline.Processed < want {
+		for s.Shards[0].Server.Stats().Pipeline.Processed < want {
 			if time.Now().After(deadline) {
 				t.Fatalf("step %d: processed=%d within 30s, want %d",
-					i, s.Server.Stats().Pipeline.Processed, want)
+					i, s.Shards[0].Server.Stats().Pipeline.Processed, want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
 	s.Close()
 	var buf bytes.Buffer
-	if err := s.Tracer.WriteText(&buf); err != nil {
+	if err := s.Shards[0].Tracer.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	return buf.String()

@@ -38,12 +38,12 @@ func TestMalformedTriggerIgnored(t *testing.T) {
 		[]byte(`{"kind":"config","device_id":"alice-phone","config_xml":"bm90IHhtbA=="}`),
 		{},
 	} {
-		if err := s.Broker.PublishLocal(mqtt.Message{Topic: topic, Payload: junk}); err != nil {
+		if err := s.Shards[0].Broker.PublishLocal(mqtt.Message{Topic: topic, Payload: junk}); err != nil {
 			t.Fatalf("PublishLocal: %v", err)
 		}
 	}
 	// A valid notify trigger still lands afterwards.
-	if err := s.Server.NotifyDevice("alice-phone", "still alive"); err != nil {
+	if err := s.Shards[0].Server.NotifyDevice("alice-phone", "still alive"); err != nil {
 		t.Fatalf("NotifyDevice: %v", err)
 	}
 	select {
@@ -79,7 +79,7 @@ func TestTriggerForWrongDeviceIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
-	if err := s.Broker.PublishLocal(mqtt.Message{
+	if err := s.Shards[0].Broker.PublishLocal(mqtt.Message{
 		Topic: core.DeviceTriggerTopic("alice-phone"), Payload: payload,
 	}); err != nil {
 		t.Fatalf("PublishLocal: %v", err)
@@ -116,7 +116,7 @@ func TestBrokerLossSurvivedByMobile(t *testing.T) {
 		t.Fatalf("CreateStream: %v", err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if err := s.Broker.Close(); err != nil {
+	if err := s.Shards[0].Broker.Close(); err != nil {
 		t.Fatalf("broker Close: %v", err)
 	}
 	// Sampling continues and the manager doesn't wedge.
@@ -152,12 +152,12 @@ func TestPrivacyGatesRemoteStreams(t *testing.T) {
 		t.Fatalf("AddUserWithPrivacy: %v", err)
 	}
 	received := make(chan core.Item, 16)
-	if err := s.Server.RegisterListener("loc", core.ListenerFunc(func(i core.Item) {
+	if err := s.Shards[0].Server.RegisterListener("loc", core.ListenerFunc(func(i core.Item) {
 		received <- i
 	})); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
 	}
-	if err := s.Server.CreateRemoteStream(core.StreamConfig{
+	if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "loc", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityLocation, Granularity: core.GranularityRaw,
 		Kind: core.KindContinuous, SampleInterval: 15 * time.Millisecond,
@@ -213,7 +213,7 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("device.New: %v", err)
 	}
-	if err := s.Server.RegisterDevice("r", "r-phone"); err != nil {
+	if err := s.Shards[0].Server.RegisterDevice("r", "r-phone"); err != nil {
 		t.Fatalf("RegisterDevice: %v", err)
 	}
 	mgr, err := mobile.New(mobile.Options{
@@ -228,7 +228,7 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 	defer mgr.Close()
 
 	received := make(chan core.Item, 64)
-	if err := s.Server.RegisterListener("rw", core.ListenerFunc(func(i core.Item) {
+	if err := s.Shards[0].Server.RegisterListener("rw", core.ListenerFunc(func(i core.Item) {
 		received <- i
 	})); err != nil {
 		t.Fatalf("RegisterListener: %v", err)
@@ -248,7 +248,7 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 
 	// Restart the broker on the same address. The sim's own broker owns
 	// the listener, so rebuild both.
-	if err := s.RestartBroker(); err != nil {
+	if err := s.Shards[0].RestartBroker(); err != nil {
 		t.Fatalf("RestartBroker: %v", err)
 	}
 
@@ -262,7 +262,7 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 	}
 	notified := make(chan string, 4)
 	mgr.OnNotify(func(m string) { notified <- m })
-	if err := s.Server.NotifyDevice("r-phone", "welcome back"); err != nil {
+	if err := s.Shards[0].Server.NotifyDevice("r-phone", "welcome back"); err != nil {
 		t.Fatalf("NotifyDevice: %v", err)
 	}
 	select {

@@ -39,7 +39,7 @@ func deterministicTraceRun(t *testing.T) string {
 	if err != nil {
 		t.Fatalf("AddUser: %v", err)
 	}
-	if err := s.Server.CreateRemoteStream(core.StreamConfig{
+	if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 		ID: "act-alice", DeviceID: "alice-phone", UserID: "alice",
 		Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityClassified,
 		Kind: core.KindContinuous, SampleInterval: time.Minute,
@@ -71,10 +71,10 @@ func deterministicTraceRun(t *testing.T) string {
 		// goroutines of the device, broker and pipeline while the virtual
 		// clock stands still. Wait on real time for it to land.
 		deadline := time.Now().Add(30 * time.Second)
-		for s.Server.Stats().Pipeline.Processed < uint64(i) {
+		for s.Shards[0].Server.Stats().Pipeline.Processed < uint64(i) {
 			if time.Now().After(deadline) {
 				t.Fatalf("step %d: item not processed within 30s (processed=%d)",
-					i, s.Server.Stats().Pipeline.Processed)
+					i, s.Shards[0].Server.Stats().Pipeline.Processed)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -84,7 +84,7 @@ func deterministicTraceRun(t *testing.T) string {
 	// buffer is complete and stable before it is rendered.
 	s.Close()
 	var buf bytes.Buffer
-	if err := s.Tracer.WriteText(&buf); err != nil {
+	if err := s.Shards[0].Tracer.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	return buf.String()
@@ -119,7 +119,6 @@ func deterministicPooledTraceRun(t *testing.T) string {
 		Clock:      clock,
 		Seed:       7,
 		MobileLink: &netsim.Link{},
-		DeviceMode: DeviceModePooled,
 		Pool: PoolOptions{
 			Connections:    1,
 			FrameSize:      32, // one frame: ticks and flushes are a single ordered sequence
@@ -153,10 +152,10 @@ func deterministicPooledTraceRun(t *testing.T) string {
 		clock.Advance(2 * time.Minute)
 		deadline := time.Now().Add(30 * time.Second)
 		want := uint64(devices * 2 * i)
-		for s.Server.Stats().Pipeline.Processed < want {
+		for s.Shards[0].Server.Stats().Pipeline.Processed < want {
 			if time.Now().After(deadline) {
 				t.Fatalf("step %d: processed=%d within 30s, want %d",
-					i, s.Server.Stats().Pipeline.Processed, want)
+					i, s.Shards[0].Server.Stats().Pipeline.Processed, want)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -164,14 +163,14 @@ func deterministicPooledTraceRun(t *testing.T) string {
 
 	s.Close()
 	var buf bytes.Buffer
-	if err := s.Tracer.WriteText(&buf); err != nil {
+	if err := s.Shards[0].Tracer.WriteText(&buf); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
 	return buf.String()
 }
 
 // TestPooledTraceDeterministicAcrossRuns extends the determinism
-// acceptance check to DeviceModePooled: same-seed pooled runs must stay
+// acceptance check to the pooled fleet: same-seed pooled runs must stay
 // byte-identical on the canonical /trace dump.
 func TestPooledTraceDeterministicAcrossRuns(t *testing.T) {
 	first := deterministicPooledTraceRun(t)
@@ -206,7 +205,7 @@ func TestMetricsAndTraceOverHTTP(t *testing.T) {
 	if _, err := s.AddUser("alice", profile); err != nil {
 		t.Fatalf("AddUser: %v", err)
 	}
-	if err := s.StartHTTP(); err != nil {
+	if err := s.Shards[0].StartHTTP(); err != nil {
 		t.Fatalf("StartHTTP: %v", err)
 	}
 	client := s.HTTPClient("prober")

@@ -19,24 +19,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// DeviceMode selects how simulated devices execute.
-type DeviceMode int
-
-const (
-	// DeviceModeFull runs one device.Device + mobile.Manager per user:
-	// full-fidelity goroutine-per-device simulation, the right choice for
-	// small populations and every behaviour that needs real per-device
-	// middleware (privacy filters, OSN-coupled streams, reconnect logic).
-	DeviceModeFull DeviceMode = iota
-	// DeviceModePooled keeps per-device state in struct-of-arrays form and
-	// runs sampling/classification/upload as scheduled events on pooled
-	// frames, multiplexed over a bounded number of fabric connections.
-	// It trades middleware fidelity for footprint: ~150 bytes of pool
-	// state per device instead of goroutines, buffers and a sensor suite,
-	// which is what makes -devices 100000 runnable in one process.
-	DeviceModePooled
-)
-
 // PoolOptions tunes the pooled device scheduler.
 type PoolOptions struct {
 	// Connections bounds the fabric connections shared by the whole pooled
@@ -66,15 +48,6 @@ type PoolOptions struct {
 	// ItemsAckLost and never resent (at-most-once — resending could
 	// double-deliver, because the broker acks before routing).
 	UploadQoS byte
-	// Addrs lists the broker addresses uploads spread across (default: the
-	// simulation's own broker only). With k addresses the Connections
-	// budget is split into k groups of Connections/k slots (min 1 each),
-	// one group per address, and every device publishes only through its
-	// own shard's group — the cluster's address ring.
-	Addrs []string
-	// ShardOf maps a user id to an index into Addrs (the cluster ring's
-	// OwnerIndex). Nil places every device on Addrs[0].
-	ShardOf func(userID string) int
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
@@ -139,9 +112,8 @@ type PoolStats struct {
 	ItemsDropped   uint64
 	Backlog        uint64
 	PublishErrors  uint64
-	// PublishedByShard splits ItemsPublished by the address-ring group the
-	// publish went through (one entry per PoolOptions.Addrs entry; a single
-	// entry outside cluster deployments).
+	// PublishedByShard splits ItemsPublished by the shard whose connection
+	// group the publish went through (one entry per shard of the ring).
 	PublishedByShard []uint64
 }
 
@@ -251,16 +223,16 @@ type flushClient struct {
 	bytes  int
 }
 
-// newDevicePool wires a pool into a simulation's fabric and registries.
+// newDevicePool wires a pool into the deployment's fabric, ring and fleet
+// registry. The Connections budget is split into one group of
+// Connections/len(Shards) slots (min 1) per shard, and every device
+// publishes only through its ring owner's group.
 func newDevicePool(s *Simulation, opts PoolOptions) (*DevicePool, error) {
 	opts = opts.withDefaults()
-	addrs := opts.Addrs
-	if len(addrs) == 0 {
-		addrs = []string{s.brokerAddr}
+	addrs := make([]string, len(s.Shards))
+	for i, sh := range s.Shards {
+		addrs[i] = sh.BrokerAddr
 	}
-	// Split the connection budget evenly across the address ring; with one
-	// address (the non-cluster default) this reduces to the old layout of
-	// Connections slots all dialing the local broker.
 	perShard := opts.Connections / len(addrs)
 	if perShard < 1 {
 		perShard = 1
@@ -275,12 +247,12 @@ func newDevicePool(s *Simulation, opts PoolOptions) (*DevicePool, error) {
 	p := &DevicePool{
 		clock:   s.Clock,
 		fabric:  s.Fabric,
-		charger: device.NewBulkCharger(energy.CostModel{}, s.Metrics),
+		charger: device.NewBulkCharger(energy.CostModel{}, s.fleetMetrics),
 		conns:   conns,
 
 		addrs:    addrs,
 		perShard: perShard,
-		shardOf:  opts.ShardOf,
+		shardOf:  s.Ring.OwnerIndex,
 
 		frameSize:   opts.FrameSize,
 		interval:    opts.SampleInterval,
@@ -328,13 +300,7 @@ func (p *DevicePool) AddDevices(n int) error {
 		p.lat = append(p.lat, float32(46.0+float64(idx%256)*0.01))
 		p.lon = append(p.lon, float32(2.0+float64((idx/256)%256)*0.01))
 		p.phase = append(p.phase, uint32(idx%3))
-		sh := 0
-		if p.shardOf != nil {
-			if o := p.shardOf(user); o >= 0 && o < len(p.addrs) {
-				sh = o
-			}
-		}
-		p.shard = append(p.shard, int32(sh))
+		p.shard = append(p.shard, int32(p.shardOf(user)))
 		p.backlog = append(p.backlog, 0)
 		p.drained = append(p.drained, 0)
 		p.cads = append(p.cads, sensing.Cadence{})

@@ -19,7 +19,6 @@ func newPooledSim(t *testing.T, clock vclock.Clock, opts PoolOptions, traceCap i
 		Clock:         clock,
 		Seed:          7,
 		MobileLink:    &netsim.Link{}, // zero latency: handshakes and deliveries never wait on a frozen clock
-		DeviceMode:    DeviceModePooled,
 		Pool:          opts,
 		IngestShards:  1, // single shard keeps processing order (and hence trace output) deterministic
 		TraceCapacity: traceCap,
@@ -33,10 +32,10 @@ func newPooledSim(t *testing.T, clock vclock.Clock, opts PoolOptions, traceCap i
 func waitProcessed(t *testing.T, s *Simulation, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for s.Server.Stats().Pipeline.Processed < want {
+	for s.Shards[0].Server.Stats().Pipeline.Processed < want {
 		if time.Now().After(deadline) {
 			t.Fatalf("pipeline processed %d items within 30s, want %d",
-				s.Server.Stats().Pipeline.Processed, want)
+				s.Shards[0].Server.Stats().Pipeline.Processed, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -64,7 +63,7 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[string]int) // deviceID -> items
 	var badLabel, badUser int
-	s.Server.OnItem(func(i core.Item) {
+	s.Shards[0].Server.OnItem(func(i core.Item) {
 		mu.Lock()
 		defer mu.Unlock()
 		seen[i.DeviceID]++
@@ -168,9 +167,8 @@ func TestPooledFallbackGoroutineFrames(t *testing.T) {
 func TestPooledBacklogBounded(t *testing.T) {
 	clock := vclock.NewManual(poolEpoch)
 	s, err := New(Options{
-		Clock:      clock,
-		Seed:       7,
-		DeviceMode: DeviceModePooled,
+		Clock: clock,
+		Seed:  7,
 		// A link slower than the whole run: the CONNECT stays in flight for
 		// the entire test, so the handshake deterministically never
 		// completes and no backlog can ever flush.
@@ -225,31 +223,4 @@ func TestPooledLifecycleErrors(t *testing.T) {
 	}
 	s.Pool.Close()
 	s.Pool.Close() // idempotent
-}
-
-// TestAddDevicesFullMode routes AddDevices through the full-fidelity path
-// when no DeviceMode is set, building complete per-user stacks.
-func TestAddDevicesFullMode(t *testing.T) {
-	opts := fastOptions()
-	s, err := New(opts)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	if err := s.AddDevices(3); err != nil {
-		t.Fatalf("AddDevices: %v", err)
-	}
-	if s.Pool != nil {
-		t.Fatal("full mode built a pool")
-	}
-	for _, name := range []string{"user00000", "user00001", "user00002"} {
-		if _, ok := s.Handle(name); !ok {
-			t.Fatalf("missing handle %s", name)
-		}
-	}
-	g := s.Metrics.Gauge("sensocial_sim_devices",
-		"Simulated devices currently running (full and pooled modes).")
-	if got := g.Value(); got != 3 {
-		t.Fatalf("sensocial_sim_devices = %v, want 3", got)
-	}
 }

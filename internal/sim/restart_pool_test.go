@@ -22,7 +22,6 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 		Clock:      clock,
 		Seed:       3,
 		MobileLink: &netsim.Link{},
-		DeviceMode: DeviceModePooled,
 		Pool: PoolOptions{
 			Connections:    4,
 			SampleInterval: time.Minute,
@@ -40,7 +39,7 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	var mu sync.Mutex
 	lastTime := make(map[string]time.Time)
 	violations := 0
-	s.Server.OnItem(func(item core.Item) {
+	s.Shards[0].Server.OnItem(func(item core.Item) {
 		mu.Lock()
 		if prev, ok := lastTime[item.DeviceID]; ok && !item.Time.After(prev) {
 			violations++
@@ -62,7 +61,7 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		clock.Advance(time.Minute)
 		if i%5 == 4 {
-			if err := s.RestartBroker(); err != nil {
+			if err := s.Shards[0].RestartBroker(); err != nil {
 				t.Fatalf("RestartBroker #%d: %v", i/5, err)
 			}
 		}
@@ -74,7 +73,7 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := s.Server.Stats().Pipeline
+		st := s.Shards[0].Server.Stats().Pipeline
 		if st.Backlog == 0 && st.Enqueued == st.Processed {
 			break
 		}
@@ -96,7 +95,7 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	}
 
 	ps := s.Pool.Stats()
-	pl := s.Server.Stats().Pipeline
+	pl := s.Shards[0].Server.Stats().Pipeline
 	if ps.Samples != ps.ItemsPublished+ps.ItemsAckLost+ps.ItemsDropped+ps.Backlog {
 		t.Fatalf("pool ledger leaks items across restarts: %+v", ps)
 	}

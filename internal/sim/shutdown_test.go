@@ -21,10 +21,10 @@ func TestCloseJoinsServeGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := s.StartHTTP(); err != nil {
+	if err := s.Shards[0].StartHTTP(); err != nil {
 		t.Fatalf("StartHTTP: %v", err)
 	}
-	if err := s.RestartBroker(); err != nil {
+	if err := s.Shards[0].RestartBroker(); err != nil {
 		t.Fatalf("RestartBroker: %v", err)
 	}
 	s.Close()

@@ -1,8 +1,14 @@
-// Package sim assembles a complete SenSocial deployment in one process:
-// a netsim network fabric, the MQTT broker, the server-side middleware, the
-// simulated OSNs with their plug-ins, and any number of simulated devices
-// running the mobile middleware. The experiment harness, the integration
-// tests, the examples and cmd/sensocial-sim all build on it.
+// Package sim assembles a complete SenSocial deployment in one process. A
+// deployment is a consistent-hash ring of one or more shards on a single
+// netsim fabric. The deployment owns what exists once — the clock, the
+// fabric, the ring, the simulated OSNs with their plug-ins, the places
+// database, the classifier registry and the device fleet (full per-user
+// middleware stacks from AddUser, the struct-of-arrays pool from
+// AddDevices). A Shard is what one sensocial-server process holds: broker,
+// server middleware, bridge to its peers, and its own metrics registry,
+// tracer and journals. Options.Shards is the only difference between a
+// single server and a cluster. The experiment harness, the integration
+// tests, the examples, internal/chaos and cmd/sensocial-sim all build on it.
 package sim
 
 import (
@@ -10,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -18,20 +23,18 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/core/mobile"
-	"repro/internal/core/server"
 	"repro/internal/device"
-	"repro/internal/docstore"
 	"repro/internal/geo"
-	"repro/internal/mqtt"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/osn"
 	"repro/internal/sensors"
 	"repro/internal/vclock"
-	"repro/internal/wal"
 )
 
-// Well-known fabric addresses.
+// Fabric addresses of a one-shard deployment's broker and HTTP surface.
+// Shards of a larger ring bind "shard<i>:1883" / "shard<i>:8080"; either way
+// the addresses are on Shard.BrokerAddr and Shard.HTTPAddr.
 const (
 	BrokerAddr = "server:1883"
 	HTTPAddr   = "server:8080"
@@ -43,27 +46,18 @@ const (
 	defaultMobileJitter  = 10 * time.Millisecond
 )
 
-// Options configures a simulation.
+// Options configures a deployment.
 type Options struct {
 	// Clock drives everything; required.
 	Clock vclock.Clock
 	// Seed makes the whole simulation deterministic.
 	Seed int64
-	// Fabric, when set, runs the simulation over a shared network instead of
-	// creating its own — the multi-shard cluster puts every shard on one
-	// fabric. A provided fabric is used as-is (no default link or metric
-	// instrumentation is applied, the owner already did that) and is NOT
-	// closed by Close.
-	Fabric *netsim.Network
-	// BrokerAddr and HTTPAddr override the fabric addresses this
-	// simulation's broker and HTTP server bind (defaults BrokerAddr /
-	// HTTPAddr package constants). Cluster shards bind "shard<i>:1883" so
-	// they can share one fabric.
-	BrokerAddr string
-	HTTPAddr   string
-	// Owns restricts server-side ingest to users this shard owns (see
-	// server.Options.Owns); nil means single-shard, everything is local.
-	Owns func(userID string) bool
+	// Shards is the size of the ring (default 1). Every user is owned by
+	// exactly one shard: its devices upload to that shard's broker, its OSN
+	// actions are delivered to that shard's server, and the other shards
+	// skip its items as foreign. With more than one shard the brokers are
+	// meshed by summary-gated bridges (DESIGN.md §15).
+	Shards int
 	// Places is the reverse-geocoding database (default EuropeanCities).
 	Places *geo.PlaceDB
 	// MobileLink shapes device<->server traffic (default: 40 ms ± 10 ms,
@@ -80,117 +74,66 @@ type Options struct {
 	ServerProcessingJitter time.Duration
 	// PersistItems stores received items in the document store.
 	PersistItems bool
-	// IngestShards and IngestQueueDepth size the server's sharded ingest
+	// IngestShards and IngestQueueDepth size each server's sharded ingest
 	// pipeline (zero keeps the server defaults).
 	IngestShards     int
 	IngestQueueDepth int
-	// BrokerFanoutQueue bounds each MQTT session's outbound delivery
-	// queue (0 = broker default). Deliveries beyond the bound are dropped
-	// and counted rather than blocking the publisher.
-	BrokerFanoutQueue int
 	// DeliverViaHTTP routes Facebook plug-in notifications through the
-	// server's HTTP webhook over the fabric (full fidelity) instead of the
-	// direct in-process call.
+	// owning server's HTTP webhook over the fabric (full fidelity) instead
+	// of the direct in-process call.
 	DeliverViaHTTP bool
 	// ActionTap, when set, observes every OSN action at the moment the
 	// server receives it (the Table 3 experiment timestamps server
 	// receipt with it).
 	ActionTap func(osn.Action)
-	// Metrics is the deployment-wide observability registry shared by the
-	// fabric, broker, server and every device. Nil creates a fresh one;
-	// either way it is exposed as Simulation.Metrics and served on
-	// GET /metrics once StartHTTP runs.
-	Metrics *obs.Registry
-	// TraceCapacity enables span tracing with a ring buffer of that many
-	// spans (served on GET /trace and readable via Simulation.Tracer).
+	// TraceCapacity enables span tracing with a per-shard ring buffer of
+	// that many spans (served on GET /trace and readable via Shard.Tracer).
 	// Zero leaves tracing off, which keeps the ingest fast path
 	// allocation-free.
 	TraceCapacity int
 	// DurableDir, when non-empty, journals the document store and the
 	// broker's session state (retained messages, persistent subscriptions,
 	// QoS 1 in-flight deliveries) to write-ahead logs under this directory
-	// (subdirectories "docstore" and "broker"). RestartBroker then becomes
-	// a crash-recovery path, and a later New over the same directory
-	// recovers the registry. See docs/DURABILITY.md.
+	// (subdirectories "docstore" and "broker"). Shard.RestartBroker then
+	// becomes a crash-recovery path, and a later New over the same
+	// directory recovers the registry. See docs/DURABILITY.md. One-shard
+	// deployments only: the directory holds one shard's journals.
 	DurableDir string
-	// DeviceMode selects the device execution strategy for AddDevices:
-	// DeviceModeFull (default) builds one full middleware stack per user,
-	// DeviceModePooled runs the struct-of-arrays event-driven pool.
-	DeviceMode DeviceMode
-	// Pool tunes the pooled scheduler; ignored in DeviceModeFull.
+	// Pool tunes the pooled device scheduler behind AddDevices.
 	Pool PoolOptions
 }
 
 // Simulation is a running deployment.
 type Simulation struct {
-	Clock    vclock.Clock
-	Fabric   *netsim.Network
-	Broker   *mqtt.Broker
-	Server   *server.Manager
+	Clock  vclock.Clock
+	Fabric *netsim.Network
+	// Ring decides which shard owns a user; its ids are ShardID(i).
+	Ring   *cluster.Ring
+	Shards []*Shard
+
 	Places   *geo.PlaceDB
 	Graph    *osn.Graph
 	Facebook *osn.Network
 	Twitter  *osn.Network
 	FBPlugin *osn.PushPlugin
 	TWPlugin *osn.PollPlugin
-	// Metrics aggregates every component's series; WritePrometheus or the
-	// /metrics endpoint render it.
-	Metrics *obs.Registry
-	// Tracer is nil unless Options.TraceCapacity was positive.
-	Tracer *obs.Tracer
-	// Pool is the struct-of-arrays device pool; non-nil only when the
-	// simulation was built with DeviceModePooled.
+	// Pool is the struct-of-arrays device pool; nil until AddDevices.
 	Pool *DevicePool
-	// ClusterMetrics holds the sensocial_cluster_* families. They are
-	// registered in every mode so the series documented in
-	// docs/OBSERVABILITY.md appear on /metrics even for single-shard runs;
-	// the bridge increments them only in cluster deployments.
-	ClusterMetrics *cluster.Metrics
 
 	classifiers *classify.Registry
 	seed        int64
-	deviceMode  DeviceMode
-	brokerAddr  string
-	httpAddr    string
-	ownFabric   bool
+	poolOpts    PoolOptions
 
-	// simDevices/simTickDur are registered unconditionally so the
-	// sensocial_sim_* families documented in docs/OBSERVABILITY.md appear
-	// on /metrics in every mode.
-	simDevices *obs.Gauge
-	simTickDur *obs.Histogram
-	// brokerFanoutQueue is remembered so RestartBroker rebuilds the broker
-	// with the same per-session queue bound.
-	brokerFanoutQueue int
-
-	// Durability: non-nil only when Options.DurableDir was set. walMetrics
-	// is registered unconditionally so the sensocial_wal_* families appear
-	// on /metrics in every mode.
-	walMetrics *wal.Metrics
-	durableDir string
-	store      *docstore.Store
-	sessions   *mqtt.SessionStore
-
-	// serveWG tracks every listener-serve goroutine (broker accept loops,
-	// the HTTP server) so Close joins them instead of leaking acceptors
-	// into whatever runs next in the process.
-	serveWG sync.WaitGroup
+	// fleetMetrics carries the series of what the deployment owns (fabric,
+	// pool, devices' energy). Those components have no process of their own
+	// to scrape, so they are exported through shard 0's registry, which
+	// keeps a one-shard deployment's GET /metrics complete.
+	fleetMetrics *obs.Registry
+	simDevices   *obs.Gauge
+	simTickDur   *obs.Histogram
 
 	mu      sync.Mutex
 	handles map[string]*Handle
-	httpSrv *http.Server
-	brokerL net.Listener
-	closers []func()
-}
-
-// serve runs f on a tracked goroutine; Close waits for every tracked serve
-// loop after the listeners feeding them are closed.
-func (s *Simulation) serve(f func()) {
-	s.serveWG.Add(1)
-	go func() {
-		defer s.serveWG.Done()
-		f()
-	}()
 }
 
 // Handle bundles one user's device and mobile middleware.
@@ -201,10 +144,20 @@ type Handle struct {
 	Profile *sensors.Profile
 }
 
-// New builds and starts a simulation.
+// New builds and starts a deployment.
 func New(opts Options) (*Simulation, error) {
 	if opts.Clock == nil {
 		return nil, fmt.Errorf("sim: clock required")
+	}
+	if opts.Shards == 0 {
+		opts.Shards = 1
+	}
+	if opts.Shards < 1 {
+		return nil, fmt.Errorf("sim: need at least 1 shard, got %d", opts.Shards)
+	}
+	if opts.DurableDir != "" && opts.Shards > 1 {
+		return nil, fmt.Errorf("sim: DurableDir is one-shard only: %d shards would interleave their journals in %s",
+			opts.Shards, opts.DurableDir)
 	}
 	if opts.Places == nil {
 		opts.Places = geo.EuropeanCities()
@@ -221,141 +174,99 @@ func New(opts Options) (*Simulation, error) {
 		opts.TwitterPollPeriod = 15 * time.Second
 	}
 
-	metrics := opts.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
+	ids := make([]string, opts.Shards)
+	for i := range ids {
+		ids[i] = ShardID(i)
 	}
-	var tracer *obs.Tracer
-	if opts.TraceCapacity > 0 {
-		tracer = obs.NewTracer(opts.Clock, opts.TraceCapacity)
-	}
-
-	fabric := opts.Fabric
-	ownFabric := fabric == nil
-	if ownFabric {
-		fabric = netsim.NewNetwork(opts.Clock, opts.Seed)
-		fabric.SetDefaultLink(link)
-		fabric.Instrument(metrics)
-	}
-	brokerAddr := opts.BrokerAddr
-	if brokerAddr == "" {
-		brokerAddr = BrokerAddr
-	}
-	httpAddr := opts.HTTPAddr
-	if httpAddr == "" {
-		httpAddr = HTTPAddr
-	}
-
-	// The wal families are registered even for in-memory runs so the
-	// sensocial_wal_* series documented in docs/OBSERVABILITY.md appear on
-	// /metrics in every mode.
-	walMetrics := wal.NewMetrics(metrics)
-	var durStore *docstore.Store
-	var sessions *mqtt.SessionStore
-	if opts.DurableDir != "" {
-		var err error
-		durStore, _, err = docstore.OpenDurable(filepath.Join(opts.DurableDir, "docstore"),
-			docstore.DurableOptions{Clock: opts.Clock, Metrics: walMetrics})
-		if err != nil {
-			return nil, fmt.Errorf("sim: durable store: %w", err)
-		}
-		sessions, err = mqtt.OpenSessionStore(filepath.Join(opts.DurableDir, "broker"),
-			mqtt.SessionStoreOptions{Clock: opts.Clock, Metrics: walMetrics})
-		if err != nil {
-			_ = durStore.Close()
-			return nil, fmt.Errorf("sim: session store: %w", err)
-		}
-	}
-
-	broker := mqtt.NewBroker(mqtt.BrokerOptions{Clock: opts.Clock, Metrics: metrics, Tracer: tracer, FanoutQueue: opts.BrokerFanoutQueue, State: sessions})
-	brokerL, err := fabric.Listen(brokerAddr)
+	ring, err := cluster.NewRing(ids, cluster.DefaultVirtualNodes)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	srv, err := server.New(server.Options{
-		Clock:            opts.Clock,
-		Store:            durStore,
-		Broker:           broker,
-		Places:           opts.Places,
-		ProcessingDelay:  opts.ServerProcessingDelay,
-		ProcessingJitter: opts.ServerProcessingJitter,
-		PersistItems:     opts.PersistItems,
-		Seed:             opts.Seed + 1,
-		IngestShards:     opts.IngestShards,
-		IngestQueueDepth: opts.IngestQueueDepth,
-		Owns:             opts.Owns,
-		Metrics:          metrics,
-		Tracer:           tracer,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	graph := osn.NewGraph()
-	facebook, err := osn.NewNetwork("facebook", graph)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	twitter, err := osn.NewNetwork("twitter", graph)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-
-	classifiers, err := classify.DefaultRegistry(opts.Places)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
+	fabric := netsim.NewNetwork(opts.Clock, opts.Seed)
+	fabric.SetDefaultLink(link)
 
 	s := &Simulation{
 		Clock:    opts.Clock,
 		Fabric:   fabric,
-		Broker:   broker,
-		Server:   srv,
+		Ring:     ring,
 		Places:   opts.Places,
-		Graph:    graph,
-		Facebook: facebook,
-		Twitter:  twitter,
-		Metrics:  metrics,
-		Tracer:   tracer,
-
-		ClusterMetrics: cluster.NewMetrics(metrics),
-
-		classifiers: classifiers,
-		seed:        opts.Seed,
-		deviceMode:  opts.DeviceMode,
-		brokerAddr:  brokerAddr,
-		httpAddr:    httpAddr,
-		ownFabric:   ownFabric,
-
-		simDevices: metrics.Gauge("sensocial_sim_devices",
-			"Simulated devices currently running (full and pooled modes)."),
-		simTickDur: metrics.Histogram("sensocial_sim_tick_duration_seconds",
-			"Host CPU seconds spent executing one pooled frame tick.", obs.LatencyBuckets),
-
-		brokerFanoutQueue: opts.BrokerFanoutQueue,
-		walMetrics:        walMetrics,
-		durableDir:        opts.DurableDir,
-		store:             durStore,
-		sessions:          sessions,
-		handles:           make(map[string]*Handle),
+		Graph:    osn.NewGraph(),
+		seed:     opts.Seed,
+		poolOpts: opts.Pool,
+		handles:  make(map[string]*Handle),
 	}
-	s.brokerL = brokerL
-	// The accept loop starts only now that the Simulation exists, so it can
-	// be tracked; nothing dials the broker before New returns.
-	s.serve(func() { _ = broker.Serve(brokerL) })
-	s.closers = append(s.closers, func() {
-		s.mu.Lock()
-		l := s.brokerL
-		s.mu.Unlock()
-		if l != nil {
-			_ = l.Close()
+	fail := func(err error) (*Simulation, error) {
+		s.Close()
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	for i := range ids {
+		sh, err := newShard(s, i, opts)
+		s.Shards = append(s.Shards, sh)
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", sh.ID, err))
 		}
-	})
+	}
+	s.fleetMetrics = s.Shards[0].Metrics
+	fabric.Instrument(s.fleetMetrics)
+	s.simDevices = s.fleetMetrics.Gauge("sensocial_sim_devices",
+		"Simulated devices currently running (full and pooled modes).")
+	s.simTickDur = s.fleetMetrics.Histogram("sensocial_sim_tick_duration_seconds",
+		"Host CPU seconds spent executing one pooled frame tick.", obs.LatencyBuckets)
 
-	deliver := srv.OnOSNAction
+	for _, sh := range s.Shards {
+		sh.ClusterMetrics.RingShards.Set(float64(opts.Shards))
+		var peers []cluster.Peer
+		for _, peer := range s.Shards {
+			if peer == sh {
+				continue
+			}
+			host, addr := sh.ID+"-bridge", peer.BrokerAddr
+			peers = append(peers, cluster.Peer{ID: peer.ID, Dial: func() (net.Conn, error) {
+				return fabric.Dial(host, addr)
+			}})
+		}
+		// A ring of one has no peer to bridge to, and a bridge's catch-all
+		// hook would sit on the broker's route path for nothing.
+		if len(peers) == 0 {
+			continue
+		}
+		sh.Bridge, err = cluster.NewBridge(cluster.BridgeOptions{
+			ShardID: sh.ID,
+			Broker:  sh.Broker,
+			Peers:   peers,
+			Clock:   opts.Clock,
+			Metrics: sh.ClusterMetrics,
+		})
+		if err != nil {
+			return fail(err)
+		}
+	}
+
+	if s.Facebook, err = osn.NewNetwork("facebook", s.Graph); err != nil {
+		return fail(err)
+	}
+	if s.Twitter, err = osn.NewNetwork("twitter", s.Graph); err != nil {
+		return fail(err)
+	}
+	if s.classifiers, err = classify.DefaultRegistry(opts.Places); err != nil {
+		return fail(err)
+	}
+
+	// An action goes to the server of the shard owning the acting user —
+	// the shard AddUser registered that user's device with. Users of a
+	// killed shard lose their OSN coupling along with everything else.
+	toOwner := func(a osn.Action) {
+		if sh := s.Owner(a.UserID); sh.Alive() {
+			sh.Server.OnOSNAction(a)
+		}
+	}
+	deliver := toOwner
 	if opts.DeliverViaHTTP {
-		if err := s.StartHTTP(); err != nil {
-			return nil, err
+		for _, sh := range s.Shards {
+			if err := sh.StartHTTP(); err != nil {
+				s.Close()
+				return nil, err
+			}
 		}
 		deliver = s.httpDeliver
 	}
@@ -366,67 +277,45 @@ func New(opts Options) (*Simulation, error) {
 			inner(a)
 		}
 	}
-	fbPlugin, err := osn.NewPushPlugin(facebook, opts.Clock, fbDelay, opts.Seed+2, deliver)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
+	if s.FBPlugin, err = osn.NewPushPlugin(s.Facebook, opts.Clock, fbDelay, opts.Seed+2, deliver); err != nil {
+		return fail(err)
 	}
-	s.FBPlugin = fbPlugin
-
-	twPlugin, err := osn.NewPollPlugin(twitter, opts.Clock, opts.TwitterPollPeriod, opts.Clock.Now(), srv.OnOSNAction)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	s.TWPlugin = twPlugin
-
-	if opts.DeviceMode == DeviceModePooled {
-		pool, err := newDevicePool(s, opts.Pool)
-		if err != nil {
-			return nil, err
-		}
-		s.Pool = pool
+	if s.TWPlugin, err = osn.NewPollPlugin(s.Twitter, opts.Clock, opts.TwitterPollPeriod, opts.Clock.Now(), toOwner); err != nil {
+		return fail(err)
 	}
 	return s, nil
 }
 
-// AddDevices provisions n simulated devices using the configured
-// DeviceMode. In full mode it builds complete middleware stacks (one user
-// per device, stationary profiles rotated over a few cities, activity
-// phases staggered); in pooled mode it appends rows to the device pool.
-// Pooled fleets are started with StartPool once the population is final.
+// Owner returns the shard that owns a user under the ring.
+func (s *Simulation) Owner(userID string) *Shard {
+	return s.Shards[s.Ring.OwnerIndex(userID)]
+}
+
+// AddDevices appends n devices to the pooled fleet (created on first use),
+// each uploading to its ring owner's broker. Start the fleet with StartPool
+// once the population is final. Devices that need the real middleware —
+// privacy filters, OSN-coupled streams, triggers — come from AddUser.
 func (s *Simulation) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: AddDevices(%d)", n)
 	}
-	if s.deviceMode == DeviceModePooled {
-		return s.Pool.AddDevices(n)
-	}
-	cities := []string{"Paris", "Bordeaux", "Lyon", "Toulouse"}
-	activities := []sensors.Activity{sensors.ActivityStill, sensors.ActivityWalking, sensors.ActivityRunning}
+	var err error
 	s.mu.Lock()
-	base := len(s.handles)
-	s.mu.Unlock()
-	for k := 0; k < n; k++ {
-		idx := base + k
-		name := fmt.Sprintf("user%05d", idx)
-		profile, err := StationaryProfile(s.Places, cities[idx%len(cities)],
-			sensors.WithPhases(true,
-				sensors.Phase{Activity: activities[idx%3], Audio: sensors.AudioNoisy, Duration: 30 * time.Minute},
-				sensors.Phase{Activity: sensors.ActivityStill, Audio: sensors.AudioSilent, Duration: 30 * time.Minute},
-			))
-		if err != nil {
-			return err
-		}
-		if _, err := s.AddUser(name, profile); err != nil {
-			return err
-		}
+	if s.Pool == nil {
+		s.Pool, err = newDevicePool(s, s.poolOpts)
 	}
-	return nil
+	pool := s.Pool
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return pool.AddDevices(n)
 }
 
-// StartPool begins pooled execution; a no-op outside DeviceModePooled.
+// StartPool begins pooled execution.
 func (s *Simulation) StartPool() error {
 	if s.Pool == nil {
-		return nil
+		return fmt.Errorf("sim: StartPool: no devices added")
 	}
 	return s.Pool.Start()
 }
@@ -434,10 +323,10 @@ func (s *Simulation) StartPool() error {
 // Classifiers returns the default on-device classifier registry.
 func (s *Simulation) Classifiers() *classify.Registry { return s.classifiers }
 
-// AddUser registers a user with one device running the mobile middleware.
-// The device id is "<userID>-phone" and its fabric host matches. The user
-// is registered with the OSN graph, the server registry, and the Facebook
-// push plug-in.
+// AddUser registers a user with one device running the mobile middleware
+// against the shard that owns the user. The device id is "<userID>-phone"
+// and its fabric host matches. The user is registered with the OSN graph,
+// the owner's server registry, and both OSN plug-ins.
 func (s *Simulation) AddUser(userID string, profile *sensors.Profile) (*Handle, error) {
 	return s.AddUserWithPrivacy(userID, profile, nil)
 }
@@ -455,13 +344,17 @@ func (s *Simulation) AddUserWithPrivacy(userID string, profile *sensors.Profile,
 	seed := s.seed + int64(len(s.handles))*7919
 	s.mu.Unlock()
 
+	sh := s.Owner(userID)
 	deviceID := userID + "-phone"
 	if err := s.Graph.AddUser(userID); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if err := s.Server.RegisterDevice(userID, deviceID); err != nil {
+	if err := sh.Server.RegisterDevice(userID, deviceID); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	// The device reports into the registry and tracer of the shard it
+	// uploads to, so one shard's /trace follows an item from device.sample
+	// to delivery.
 	dev, err := device.New(device.Config{
 		ID:      deviceID,
 		UserID:  userID,
@@ -470,8 +363,8 @@ func (s *Simulation) AddUserWithPrivacy(userID string, profile *sensors.Profile,
 		Profile: profile,
 		Fabric:  s.Fabric,
 		Seed:    seed,
-		Metrics: s.Metrics,
-		Tracer:  s.Tracer,
+		Metrics: sh.Metrics,
+		Tracer:  sh.Tracer,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -480,8 +373,8 @@ func (s *Simulation) AddUserWithPrivacy(userID string, profile *sensors.Profile,
 		Device:      dev,
 		Classifiers: s.classifiers,
 		Privacy:     privacy,
-		BrokerAddr:  s.brokerAddr,
-		HTTPAddr:    s.httpAddr,
+		BrokerAddr:  sh.BrokerAddr,
+		HTTPAddr:    sh.HTTPAddr,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -505,27 +398,6 @@ func (s *Simulation) Handle(userID string) (*Handle, bool) {
 	return h, ok
 }
 
-// StartHTTP serves the server's HTTP surface on the fabric at HTTPAddr.
-func (s *Simulation) StartHTTP() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.httpSrv != nil {
-		return nil
-	}
-	l, err := s.Fabric.Listen(s.httpAddr)
-	if err != nil {
-		return fmt.Errorf("sim: http listen: %w", err)
-	}
-	srv := &http.Server{Handler: s.Server.HTTPHandler()}
-	s.serve(func() { _ = srv.Serve(l) })
-	s.httpSrv = srv
-	s.closers = append(s.closers, func() {
-		_ = srv.Close()
-		_ = l.Close()
-	})
-	return nil
-}
-
 // HTTPClient returns an http.Client whose connections originate from the
 // given fabric host.
 func (s *Simulation) HTTPClient(fromHost string) *http.Client {
@@ -542,185 +414,72 @@ func (s *Simulation) HTTPClient(fromHost string) *http.Client {
 	}
 }
 
-// httpDeliver posts an action to the server webhook over the fabric,
-// exactly as the original Facebook application notifies the PHP receiver.
+// httpDeliver posts an action to the owning server's webhook over the
+// fabric, exactly as the original Facebook application notifies the PHP
+// receiver.
 func (s *Simulation) httpDeliver(a osn.Action) {
 	body, err := jsonMarshal(a)
 	if err != nil {
 		return
 	}
 	client := s.HTTPClient("facebook-cloud")
-	resp, err := client.Post("http://"+s.httpAddr+"/osn/action", "application/json", body)
+	resp, err := client.Post("http://"+s.Owner(a.UserID).HTTPAddr+"/osn/action", "application/json", body)
 	if err != nil {
 		return
 	}
 	_ = resp.Body.Close()
 }
 
-// RestartBroker simulates a broker (Mosquitto) death and restart: the
-// current broker and its listener are torn down, a fresh broker binds the
-// same address, and the server middleware re-attaches to it. Clients built
-// with the reconnecting link recover on their own; plain clients stay
-// dead, as they would in the original system.
-//
-// Without Options.DurableDir the replacement broker starts empty (retained
-// messages, subscriptions and in-flight QoS 1 deliveries are lost exactly
-// as with an unpersisted Mosquitto). With DurableDir set this is a full
-// crash-recovery path: the session journal is killed mid-write (un-fsynced
-// appends are dropped, like SIGKILL), reopened from disk, and the new
-// broker recovers retained messages, persistent subscriptions and unacked
-// QoS 1 deliveries per the contract in docs/DURABILITY.md.
-func (s *Simulation) RestartBroker() error {
-	s.mu.Lock()
-	oldL, oldB, oldSess := s.brokerL, s.Broker, s.sessions
-	s.mu.Unlock()
-	// Kill the journal first so late writes from the dying broker's
-	// goroutines fail harmlessly instead of racing recovery.
-	var sessions *mqtt.SessionStore
-	if oldSess != nil {
-		oldSess.Crash()
+// KillShard permanently removes shard i, as a crashed-and-not-restarted
+// process (see Shard.stop for the order). Survivors keep serving; their
+// bridge redialers see refused dials and back off cleanly, and the fleet's
+// devices owned by the dead shard degrade to bounded buffering.
+func (s *Simulation) KillShard(i int) error {
+	if i < 0 || i >= len(s.Shards) {
+		return fmt.Errorf("sim: cannot kill shard %d of %d", i, len(s.Shards))
 	}
-	if oldL != nil {
-		_ = oldL.Close()
+	if !s.Shards[i].Alive() {
+		return fmt.Errorf("sim: shard %d already dead", i)
 	}
-	if oldB != nil {
-		_ = oldB.Close()
+	s.Shards[i].stop()
+	for _, sh := range s.Shards {
+		sh.ClusterMetrics.RingShards.Add(-1)
 	}
-	if oldSess != nil {
-		var err error
-		sessions, err = mqtt.OpenSessionStore(filepath.Join(s.durableDir, "broker"),
-			mqtt.SessionStoreOptions{Clock: s.Clock, Metrics: s.walMetrics})
-		if err != nil {
-			return fmt.Errorf("sim: restart broker: recover sessions: %w", err)
-		}
-	}
-	// Re-registering against the shared registry repoints the connection
-	// gauges at the fresh broker and lets its counters continue the same
-	// series — a restart is invisible on /metrics except for the dip.
-	broker := mqtt.NewBroker(mqtt.BrokerOptions{Clock: s.Clock, Metrics: s.Metrics, Tracer: s.Tracer, FanoutQueue: s.brokerFanoutQueue, State: sessions})
-	l, err := s.Fabric.Listen(s.brokerAddr)
-	if err != nil {
-		return fmt.Errorf("sim: restart broker: %w", err)
-	}
-	s.serve(func() { _ = broker.Serve(l) })
-	if err := s.Server.AttachBroker(broker); err != nil {
-		return fmt.Errorf("sim: restart broker: %w", err)
-	}
-	s.mu.Lock()
-	s.Broker = broker
-	s.brokerL = l
-	s.sessions = sessions
-	s.mu.Unlock()
 	return nil
 }
 
-// BrokerSessionStore returns the broker's durable session state, or nil
-// for in-memory simulations. After RestartBroker it is the recovered
-// store, not the crashed one.
-func (s *Simulation) BrokerSessionStore() *mqtt.SessionStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sessions
-}
-
-// DurableStore returns the journal-backed document store, or nil for
-// in-memory simulations.
-func (s *Simulation) DurableStore() *docstore.Store { return s.store }
-
-// BrokerAddress returns the fabric address this simulation's broker is
-// bound to ("server:1883" outside cluster deployments).
-func (s *Simulation) BrokerAddress() string { return s.brokerAddr }
-
-// HTTPAddress returns the fabric address StartHTTP binds.
-func (s *Simulation) HTTPAddress() string { return s.httpAddr }
-
-// Kill tears one shard down abruptly, the way a crashed process would
-// disappear from a cluster: listeners close first (new dials are refused,
-// which is what keeps surviving shards' bridge redialers in clean backoff
-// instead of wedged mid-handshake), then the broker drops every session,
-// then the server and plug-ins stop. The shared fabric is left untouched —
-// survivors keep serving. Callers in a cluster must close this shard's own
-// bridge before calling Kill (see Cluster.KillShard).
-func (s *Simulation) Kill() {
-	s.mu.Lock()
-	handles := make([]*Handle, 0, len(s.handles))
-	for _, h := range s.handles {
-		handles = append(handles, h)
-	}
-	closers := append([]func(){}, s.closers...)
-	s.mu.Unlock()
-
-	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
-	}
-	_ = s.Broker.Close()
-	if s.Pool != nil {
-		s.Pool.Close()
-	}
-	for _, h := range handles {
-		_ = h.Mobile.Close()
-	}
-	_ = s.Server.Close()
-	s.FBPlugin.Close()
-	s.TWPlugin.Close()
-	s.serveWG.Wait()
-	s.mu.Lock()
-	sessions := s.sessions
-	s.mu.Unlock()
-	if sessions != nil {
-		_ = sessions.Close()
-	}
-	if s.store != nil {
-		_ = s.store.Close()
-	}
-	if s.ownFabric {
-		_ = s.Fabric.Close()
-	}
-}
-
-// Close tears the simulation down in dependency order.
+// Close tears the deployment down: the OSN plug-ins stop generating, then
+// every bridge closes before any broker dies (a surviving bridge's redialer
+// must never be left mid-CONNECT into a dead-but-listening peer), then each
+// live shard stops exactly as KillShard stops one, and only then the fleet
+// and the fabric under it — devices outlive their shard on both paths.
 func (s *Simulation) Close() {
+	if s.FBPlugin != nil {
+		s.FBPlugin.Close()
+	}
+	if s.TWPlugin != nil {
+		s.TWPlugin.Close()
+	}
+	for _, sh := range s.Shards {
+		if sh.Bridge != nil {
+			_ = sh.Bridge.Close()
+		}
+	}
+	for _, sh := range s.Shards {
+		sh.stop()
+	}
 	s.mu.Lock()
+	pool := s.Pool
 	handles := make([]*Handle, 0, len(s.handles))
 	for _, h := range s.handles {
 		handles = append(handles, h)
 	}
-	closers := append([]func(){}, s.closers...)
 	s.mu.Unlock()
-
-	s.FBPlugin.Close()
-	s.TWPlugin.Close()
-	if s.Pool != nil {
-		s.Pool.Close()
+	if pool != nil {
+		pool.Close()
 	}
 	for _, h := range handles {
 		_ = h.Mobile.Close()
 	}
-	_ = s.Server.Close()
-	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
-	}
-	_ = s.Broker.Close()
-	// The closers above shut every listener, so each tracked serve loop's
-	// Accept has failed by now; the join is what keeps repeated
-	// build-run-Close cycles (RestartBroker tests, experiment sweeps) from
-	// accumulating acceptor goroutines.
-	s.serveWG.Wait()
-	// Clean shutdown of the journals: flush and fsync everything, so a
-	// later New over the same DurableDir replays a complete history. The
-	// broker and server are already down, so no appender races the close.
-	s.mu.Lock()
-	sessions := s.sessions
-	s.mu.Unlock()
-	if sessions != nil {
-		_ = sessions.Close()
-	}
-	if s.store != nil {
-		_ = s.store.Close()
-	}
-	// A shared (cluster) fabric outlives any one shard; only a
-	// simulation-owned fabric dies with it.
-	if s.ownFabric {
-		_ = s.Fabric.Close()
-	}
+	_ = s.Fabric.Close()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,18 @@ func fastOptions() Options {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Fatal("missing clock accepted")
+	}
+	if _, err := New(Options{Clock: vclock.NewReal(), Shards: -1}); err == nil {
+		t.Fatal("negative ring size accepted")
+	}
+	// One journal directory cannot hold several shards' logs; the refusal
+	// comes before anything touches the disk.
+	journal := filepath.Join(t.TempDir(), "journal")
+	if _, err := New(Options{Clock: vclock.NewReal(), Shards: 3, DurableDir: journal}); err == nil {
+		t.Fatal("DurableDir accepted with 3 shards")
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Fatalf("rejected New left %s behind (stat err %v)", journal, err)
 	}
 }
 
@@ -79,6 +93,15 @@ func TestAddUserValidation(t *testing.T) {
 	if _, ok := s.Handle("ghost"); ok {
 		t.Fatal("phantom handle")
 	}
+	// The rejected calls above must not count: one full stack is running.
+	g := s.Shards[0].Metrics.Gauge("sensocial_sim_devices",
+		"Simulated devices currently running (full and pooled modes).")
+	if got := g.Value(); got != 1 {
+		t.Fatalf("sensocial_sim_devices = %v, want 1", got)
+	}
+	if s.Pool != nil {
+		t.Fatal("AddUser built a device pool")
+	}
 	if s.Classifiers() == nil {
 		t.Fatal("nil classifiers")
 	}
@@ -117,11 +140,11 @@ func TestFigure2Scenario(t *testing.T) {
 			t.Fatalf("Befriend: %v", err)
 		}
 	}
-	if err := s.Server.SyncFriendships(s.Graph); err != nil {
+	if err := s.Shards[0].Server.SyncFriendships(s.Graph); err != nil {
 		t.Fatalf("SyncFriendships: %v", err)
 	}
 	for user := range home {
-		if err := s.Server.CreateRemoteStream(core.StreamConfig{
+		if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 			ID: "loc-" + user, DeviceID: user + "-phone", UserID: user,
 			Modality: sensors.ModalityLocation, Granularity: core.GranularityClassified,
 			Kind: core.KindContinuous, SampleInterval: time.Minute,
@@ -144,7 +167,7 @@ func TestFigure2Scenario(t *testing.T) {
 
 	lastCity := map[string]string{}
 	var appMu sync.Mutex
-	if err := s.Server.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
+	if err := s.Shards[0].Server.RegisterListener(core.Wildcard, core.ListenerFunc(func(i core.Item) {
 		if i.Modality != sensors.ModalityLocation || i.Classified == "" {
 			return
 		}
@@ -155,7 +178,7 @@ func TestFigure2Scenario(t *testing.T) {
 		if prev == i.Classified || prev == "" {
 			return
 		}
-		friends, err := s.Server.FriendsOf(i.UserID)
+		friends, err := s.Shards[0].Server.FriendsOf(i.UserID)
 		if err != nil {
 			return
 		}
@@ -163,12 +186,12 @@ func TestFigure2Scenario(t *testing.T) {
 			if home[f] != i.Classified {
 				continue
 			}
-			devices, err := s.Server.DevicesOf(f)
+			devices, err := s.Shards[0].Server.DevicesOf(f)
 			if err != nil {
 				continue
 			}
 			for _, d := range devices {
-				_ = s.Server.NotifyDevice(d, i.UserID+" arrived in "+i.Classified)
+				_ = s.Shards[0].Server.NotifyDevice(d, i.UserID+" arrived in "+i.Classified)
 			}
 		}
 	})); err != nil {
@@ -217,7 +240,7 @@ func TestMultiUserEnergyIsolation(t *testing.T) {
 		if _, err := s.AddUser(u, profile); err != nil {
 			t.Fatalf("AddUser: %v", err)
 		}
-		if err := s.Server.CreateRemoteStream(core.StreamConfig{
+		if err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
 			ID: "wifi-" + u, DeviceID: u + "-phone", UserID: u,
 			Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
 			Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
@@ -273,7 +296,7 @@ func TestTwitterPollDelayShorterThanFacebook(t *testing.T) {
 		delay   time.Duration
 	}
 	got := make(chan arrival, 4)
-	s.Server.OnItem(func(i core.Item) {
+	s.Shards[0].Server.OnItem(func(i core.Item) {
 		if i.Action == nil {
 			return
 		}
