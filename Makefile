@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all ci build vet lint lockgraph test race bench bench-sim bench-cluster bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-sim bench-cluster bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
 
 # The CI gate (ci.sh runs exactly this): every recipe below is written once
 # and composed here. `race` is the full test suite under the race detector.
-ci: build vet lint race fuzz-smoke bench-smoke chaos-smoke durability-smoke metrics-smoke
+ci: build vet lint no-stats race fuzz-smoke bench-smoke chaos-smoke durability-smoke metrics-smoke
 	@echo "CI OK"
 
 build:
@@ -22,6 +22,12 @@ vet:
 # Also enforced by internal/lint/selfcheck_test.go under `make test`.
 lint:
 	$(GO) run ./cmd/sensolint ./...
+
+# Counts live once, in the obs registry (DESIGN.md §14): fail if a component
+# grows a Stats() snapshot method beside it again.
+no-stats:
+	@if grep -rnE 'func \([^)]*\) Stats\(\)' internal cmd --include='*.go' | grep -v '_test\.go:'; then \
+		echo "no-stats: read counts with obs.Registry.Sum, not a Stats() method"; exit 1; fi
 
 # Print the cross-package mutex-acquisition DAG inferred by lockorder.
 lockgraph:
@@ -39,12 +45,12 @@ bench:
 
 # Simulator scaling bench: pooled fleets at 1k/10k/100k devices on the
 # timer-wheel manual clock, recording devices vs ns/tick vs heap
-# bytes/device into BENCH_sim.json (see DESIGN.md §12).
+# bytes/device into BENCH_sim.json (see DESIGN.md §11).
 bench-sim:
 	BENCH_SIM_JSON=BENCH_sim.json BENCH_SIM_BENCHTIME=10x \
 		$(GO) test -run '^$$' -bench 'BenchmarkSimDevices' -benchtime 10x .
 
-# Cluster scale-out acceptance bench (DESIGN.md §15): 3-shard aggregate
+# Cluster scale-out acceptance bench (DESIGN.md §12): 3-shard aggregate
 # fan-out throughput vs single shard over per-shard shaped uplinks,
 # summary-gated bridge suppression vs naive flooding, and PeerIndex.Match
 # flatness across peer counts, recorded into BENCH_cluster.json.
@@ -68,7 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricLifecycle$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 
-# Deterministic chaos runs under fault schedules (DESIGN.md §13): the
+# Deterministic chaos runs under fault schedules (DESIGN.md §8, §15): the
 # smoke schedule exercises every fault verb over a 128-device fleet, the
 # dtn schedule keeps the fleet dark for hours and checks batch-upload on
 # reconnect. Exits nonzero if any of the four invariants (ordering, no

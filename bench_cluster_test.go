@@ -1,4 +1,4 @@
-// Cluster scale-out benchmark suite (DESIGN.md §15): three criteria for
+// Cluster scale-out benchmark suite (DESIGN.md §12): three criteria for
 // the consistent-hash sharded deployment, recorded into BENCH_cluster.json
 // by `make bench-cluster` (BENCH_CLUSTER_JSON set).
 //
@@ -452,7 +452,7 @@ func recordClusterBenchCase(b *testing.B, name string, c map[string]any) {
 	clusterBenchCases[name] = c
 	report := map[string]any{
 		"benchmark": "BenchmarkCluster",
-		"description": "Horizontal scale-out acceptance (DESIGN.md §15). fanout: aggregate shard-local " +
+		"description": "Horizontal scale-out acceptance (DESIGN.md §12). fanout: aggregate shard-local " +
 			"fan-out throughput, one bandwidth-shaped 1 MiB/s ingress uplink per shard (the resource a " +
 			"new shard adds — its own machine's network capacity; CPU is shared in-process, so the " +
 			"uplink is pinned as the binding constraint); speedup_vs_single_shard must be >= 2 at 3 " +

@@ -23,7 +23,7 @@ import (
 // sampling cycles. ns/op is the host cost of one cycle across the whole
 // fleet; the reported ns/tick divides by the frame events executed, and
 // heap-B/device is live heap per device after the run (the bytes/device
-// budget DESIGN.md §12 states).
+// budget DESIGN.md §11 states).
 func BenchmarkSimDevices(b *testing.B) {
 	for _, devices := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("devices-%d", devices), func(b *testing.B) {
@@ -59,7 +59,9 @@ func benchSimDevices(b *testing.B, devices int) {
 		b.Fatalf("WaitReady: %v", err)
 	}
 
-	before := s.Pool.Stats()
+	const ticksFamily, publishedFamily = "sensocial_sim_tick_duration_seconds", "sensocial_sim_items_published_total"
+	fleet := s.Shards[0].Metrics
+	ticksBefore, publishedBefore := fleet.Sum(ticksFamily), fleet.Sum(publishedFamily)
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
@@ -68,8 +70,7 @@ func benchSimDevices(b *testing.B, devices int) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 
-	st := s.Pool.Stats()
-	ticks := st.Ticks - before.Ticks
+	ticks := fleet.Sum(ticksFamily) - ticksBefore
 	if ticks == 0 {
 		b.Fatal("no frame ticks executed")
 	}
@@ -84,12 +85,12 @@ func benchSimDevices(b *testing.B, devices int) {
 
 	recordSimBenchCase(b, simBenchCase{
 		Devices:           devices,
-		Frames:            st.Frames,
+		Frames:            s.Pool.Frames(),
 		Ticks:             ticks,
 		NsPerTick:         round1(nsPerTick),
 		NsPerCycle:        round1(float64(elapsed.Nanoseconds()) / float64(b.N)),
 		HeapBytesPerDev:   round1(heapPerDevice),
-		ItemsPublished:    st.ItemsPublished - before.ItemsPublished,
+		ItemsPublished:    fleet.Sum(publishedFamily) - publishedBefore,
 		SamplesPerAdvance: devices,
 	})
 }
@@ -130,7 +131,7 @@ func recordSimBenchCase(b *testing.B, c simBenchCase) {
 		"description": "Pooled event-driven simulator scaling: ns/tick is host CPU per frame event " +
 			"(64 devices sampled per tick) while a fleet runs one-minute sampling cycles on the " +
 			"timer-wheel manual clock; heap_bytes_per_device is live heap per device after the " +
-			"timed cycles (GC'd), the memory budget stated in DESIGN.md §12. Sublinear ns/tick " +
+			"timed cycles (GC'd), the memory budget stated in DESIGN.md §11. Sublinear ns/tick " +
 			"growth with fleet size is the acceptance criterion: the per-tick cost must stay " +
 			"roughly flat from 1k to 100k devices because a tick touches one frame, not the fleet.",
 		"environment": map[string]string{

@@ -10,7 +10,7 @@
 //	sensocial-server -shard-id shard0 -shard-peers shard1=10.0.0.2:1883,shard2=10.0.0.3:1883
 //
 // With -shard-id and -shard-peers the process joins a consistent-hash
-// sharded cluster (DESIGN.md §15): it only ingests stream items for users
+// sharded cluster (DESIGN.md §12): it only ingests stream items for users
 // the ring assigns to it, and its broker bridges to every peer broker,
 // forwarding a publish across a link only when the peer's subscription
 // summary matches. Every member must be started with the same ring
@@ -21,9 +21,8 @@
 // deliveries) journal to write-ahead logs under DIR and are recovered on
 // the next start; see docs/DURABILITY.md for the recovery contract.
 //
-// The HTTP surface includes GET /metrics (Prometheus text), GET /trace
-// (span dump) and GET /stats (JSON counter snapshot); see
-// docs/OBSERVABILITY.md.
+// The HTTP surface includes GET /metrics (Prometheus text) and GET /trace
+// (span dump); see docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -215,7 +214,7 @@ func run(mqttAddr, httpAddr string, shards, queueDepth, fanoutQueue, traceCap in
 		fmt.Printf("sensocial-server: shard %s of ring %v, bridging %d peers\n",
 			shardID, ring.Shards(), len(peers))
 	}
-	fmt.Printf("sensocial-server: MQTT on %s, HTTP on %s (GET /metrics, /trace, /stats; Ctrl-C to stop)\n",
+	fmt.Printf("sensocial-server: MQTT on %s, HTTP on %s (GET /metrics, /trace; Ctrl-C to stop)\n",
 		mqttL.Addr(), httpL.Addr())
 
 	sig := make(chan os.Signal, 1)

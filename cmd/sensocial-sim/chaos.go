@@ -60,14 +60,23 @@ func runChaos(schedule string, devices int, hours float64, hoursSet bool, traceC
 	fmt.Printf("\nchaos summary:\n")
 	fmt.Printf("  steps              %d\n", res.Steps)
 	fmt.Printf("  items ingested     %d\n", res.Items)
+	// The tallies are series on the fleet registry: faults by kind, forced
+	// resets by cause, and the pool's sample ledger.
+	faults := func(kinds ...string) (n uint64) {
+		for _, k := range kinds {
+			n += res.Metrics.Sum("sensocial_netsim_faults_total", k)
+		}
+		return n
+	}
 	fmt.Printf("  faults applied     %d (partitions %d, link faults %d, churn resets %d, storm clients %d, crashes %d, shard kills %d)\n",
-		res.Engine.Applied, res.Engine.Partitions, res.Engine.LinkFaults,
-		res.Engine.ChurnResets, res.StormClients, res.Engine.Crashes, res.Engine.Kills)
+		res.Metrics.Sum("sensocial_netsim_faults_total"), faults("partition"), faults("latency", "bandwidth", "loss"),
+		res.Metrics.Sum("sensocial_netsim_conn_resets_total", "churn"), res.StormClients, faults("crash"), faults("kill"))
 	fmt.Printf("  probes             %d sent, %d acked, %d ambiguous\n",
 		res.ProbesSent, res.ProbesAcked, res.ProbesAmbiguous)
 	fmt.Printf("  pool ledger        samples=%d published=%d ackLost=%d dropped=%d backlog=%d\n",
-		res.Pool.Samples, res.Pool.ItemsPublished, res.Pool.ItemsAckLost,
-		res.Pool.ItemsDropped, res.Pool.Backlog)
+		res.Metrics.Sum("sensocial_sim_samples_total"), res.Metrics.Sum("sensocial_sim_items_published_total"),
+		res.Metrics.Sum("sensocial_sim_items_ack_lost_total"), res.Metrics.Sum("sensocial_sim_items_dropped_total"),
+		res.Metrics.Sum("sensocial_sim_backlog"))
 
 	if len(res.Trace) > 0 {
 		fmt.Println("\ntrace (canonical span dump, offsets from tracer start):")

@@ -136,12 +136,21 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 		return err
 	}
 	defer deployment.Close()
-	processed := func() uint64 {
-		var sum uint64
+	// Every count below is read where it is kept: the pool's ledger on the
+	// fleet registry (shard 0's), ingest on each shard's own.
+	fleet := deployment.Shards[0].Metrics
+	processed := func() (sum uint64) {
 		for _, sh := range deployment.Shards {
-			sum += sh.Server.Stats().Pipeline.Processed
+			sum += sh.Metrics.Sum("sensocial_ingest_processed_total")
 		}
 		return sum
+	}
+	publishedByShard := func() []uint64 {
+		by := make([]uint64, shards)
+		for i := range by {
+			by[i] = fleet.Sum("sensocial_sim_items_published_total", sim.ShardID(i))
+		}
+		return by
 	}
 
 	if err := deployment.AddDevices(devices); err != nil {
@@ -179,12 +188,12 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 			}
 		}
 		if m%60 == 0 || m == minutes {
-			st := deployment.Pool.Stats()
 			fmt.Printf("  t=%-8s samples=%-9d published=%-9d processed=%-9d drops=%d",
-				time.Duration(m)*time.Minute, st.Samples, st.ItemsPublished,
-				processed(), st.ItemsDropped)
+				time.Duration(m)*time.Minute, fleet.Sum("sensocial_sim_samples_total"),
+				fleet.Sum("sensocial_sim_items_published_total"), processed(),
+				fleet.Sum("sensocial_sim_items_dropped_total"))
 			if shards > 1 {
-				fmt.Printf(" by-shard=%v", st.PublishedByShard)
+				fmt.Printf(" by-shard=%v", publishedByShard())
 			}
 			fmt.Println()
 		}
@@ -192,41 +201,40 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	//lint:ignore wallclock see above: real host cost measurement
 	elapsed := time.Since(start)
 
-	// Let the broker and ingest pipeline drain what the last advance
+	// Let the brokers and ingest pipelines drain what the last advance
 	// published before reading the final counters.
-	drain := elapsed / 10
-	if drain < 200*time.Millisecond {
-		drain = 200 * time.Millisecond
+	if err := deployment.Quiesce(time.Minute); err != nil {
+		return err
 	}
-	//lint:ignore wallclock drain wait is real goroutine-scheduling time; the virtual clock is already final
-	time.Sleep(drain)
 
-	st := deployment.Pool.Stats()
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > peakHeap {
 		peakHeap = ms.HeapAlloc
 	}
+	ticks := fleet.Sum("sensocial_sim_tick_duration_seconds")
 	nsPerTick := float64(0)
-	if st.Ticks > 0 {
-		nsPerTick = float64(elapsed.Nanoseconds()) / float64(st.Ticks)
+	if ticks > 0 {
+		nsPerTick = float64(elapsed.Nanoseconds()) / float64(ticks)
 	}
 	virt := time.Duration(minutes) * time.Minute
 	fmt.Printf("\nrun summary:\n")
-	fmt.Printf("  devices            %d (pooled, %d frames over %d connections)\n", st.Devices, st.Frames, st.Connections)
+	fmt.Printf("  devices            %d (pooled, %d frames over %d connections)\n",
+		devices, deployment.Pool.Frames(), deployment.Pool.Connections())
 	fmt.Printf("  virtual time       %s in %s real (%.0fx)\n",
 		virt, elapsed.Round(time.Millisecond), virt.Seconds()/elapsed.Seconds())
-	fmt.Printf("  ticks              %d (%.0f ns/tick)\n", st.Ticks, nsPerTick)
-	fmt.Printf("  peak heap          %d bytes (%.0f bytes/device)\n", peakHeap, float64(peakHeap)/float64(st.Devices))
-	fmt.Printf("  samples            %d\n", st.Samples)
-	fmt.Printf("  items published    %d (dropped %d, publish errors %d)\n", st.ItemsPublished, st.ItemsDropped, st.PublishErrors)
+	fmt.Printf("  ticks              %d (%.0f ns/tick)\n", ticks, nsPerTick)
+	fmt.Printf("  peak heap          %d bytes (%.0f bytes/device)\n", peakHeap, float64(peakHeap)/float64(devices))
+	fmt.Printf("  samples            %d\n", fleet.Sum("sensocial_sim_samples_total"))
+	fmt.Printf("  items published    %d (dropped %d, publish errors %d)\n", fleet.Sum("sensocial_sim_items_published_total"),
+		fleet.Sum("sensocial_sim_items_dropped_total"), fleet.Sum("sensocial_sim_publish_errors_total"))
 	if shards > 1 {
 		fmt.Printf("  published by shard %v (ring: %d virtual nodes/shard)\n",
-			st.PublishedByShard, deployment.Ring.VirtualNodes())
+			publishedByShard(), deployment.Ring.VirtualNodes())
 	}
 	fmt.Printf("  items processed    %d\n", processed())
 	meter := deployment.Pool.Charger().Meter()
 	fmt.Printf("  fleet energy       %.1f µAh total, %.2f µAh/device\n",
-		meter.TotalMicroAh(), meter.TotalMicroAh()/float64(st.Devices))
+		meter.TotalMicroAh(), meter.TotalMicroAh()/float64(devices))
 
 	if traceCap > 0 {
 		fmt.Println("\ntrace (canonical span dump, offsets from tracer start):")
@@ -346,10 +354,10 @@ func runFull(users int, hours, speedup float64, rate float64, traceCap int, dura
 		mu.Lock()
 		i, tr := items, triggers
 		mu.Unlock()
-		st := shard.Broker.Stats()
 		fmt.Printf("  t=%-8s items=%-6d osn-coupled=%-5d actions=%-5d broker{pub=%d del=%d conn=%d}\n",
 			clock.Since(start).Round(time.Second), i, tr, deployment.Facebook.ActionCount(),
-			st.Published, st.Delivered, st.Connections)
+			shard.Metrics.Sum("sensocial_mqtt_published_total"), shard.Metrics.Sum("sensocial_mqtt_delivered_total"),
+			shard.Metrics.Sum("sensocial_mqtt_connections"))
 	}
 	//lint:ignore wallclock see above: real elapsed time for the summary
 	elapsed := time.Since(realStart)

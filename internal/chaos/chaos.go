@@ -38,9 +38,9 @@ import (
 	"time"
 
 	"repro/internal/core/server"
-	"repro/internal/core/server/ingest"
 	"repro/internal/mqtt"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vclock"
 )
@@ -217,10 +217,11 @@ type Result struct {
 	ProbesAmbiguous int
 	// StormClients is how many flash-crowd subscribers joined.
 	StormClients int
-	// Engine, Pool and Server snapshot the component counters at the end.
-	Engine netsim.EngineStats
-	Pool   sim.PoolStats
-	Server server.Stats
+	// Metrics is shard 0's registry as the run left it. It carries what the
+	// deployment owns — the fault tallies (sensocial_netsim_faults_total by
+	// kind, sensocial_netsim_conn_resets_total by cause) and the pool ledger
+	// (sensocial_sim_*) — beside shard 0's own broker and server series.
+	Metrics *obs.Registry
 	// Trace is the canonical span dump (nil unless TraceCapacity was set).
 	Trace []byte
 }
@@ -286,22 +287,6 @@ func Run(opts Options) (*Result, error) {
 		}
 		return sh.Server.Registry()
 	}
-	// pipeSum aggregates the ingest pipeline counters over every shard,
-	// dead ones included: a killed shard's pipeline drains on close, so
-	// its frozen counters still account for everything it accepted.
-	pipeSum := func() ingest.Stats {
-		var t ingest.Stats
-		for _, sh := range dep.Shards {
-			st := sh.Server.Stats().Pipeline
-			t.Enqueued += st.Enqueued
-			t.Processed += st.Processed
-			t.Dropped += st.Dropped
-			t.Backlog += st.Backlog
-			t.Shards += st.Shards
-		}
-		return t
-	}
-
 	if err := dep.AddDevices(opts.Devices); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
@@ -365,7 +350,7 @@ func Run(opts Options) (*Result, error) {
 	steps := int(opts.Duration / opts.Step)
 	for i := 0; i < steps; i++ {
 		clock.Advance(opts.Step)
-		if err := quiesce(pipeSum); err != nil {
+		if err := dep.Quiesce(quiesceTimeout); err != nil {
 			return nil, fmt.Errorf("chaos: step %d: %w", i+1, err)
 		}
 		if crashed {
@@ -391,21 +376,17 @@ func Run(opts Options) (*Result, error) {
 	// still-dark backlogs either drain or stay counted as backlog.
 	fabric.Heal()
 	clock.Advance(opts.Step)
-	if err := quiesce(pipeSum); err != nil {
+	if err := dep.Quiesce(quiesceTimeout); err != nil {
 		return nil, fmt.Errorf("chaos: final settle: %w", err)
 	}
 	inv.checkStaleness(regOf)
 
 	res := &Result{
 		Steps:        steps,
-		Engine:       eng.Stats(),
-		Pool:         dep.Pool.Stats(),
-		Server:       dep.Shards[0].Server.Stats(),
+		Metrics:      dep.Shards[0].Metrics,
 		StormClients: storm.joined(),
 	}
-	// Conservation is judged against the ring-wide pipeline aggregate.
-	res.Server.Pipeline = pipeSum()
-	inv.checkConservation(res.Pool, res.Server.Pipeline, res.Engine, opts.Pool.UploadQoS)
+	inv.checkConservation(dep.Shards, opts.Pool.UploadQoS)
 	if probes != nil {
 		probes.finalCheck(inv)
 		res.ProbesSent, res.ProbesAcked, res.ProbesAmbiguous = probes.counts()
@@ -436,37 +417,6 @@ type writerBuf struct{ b []byte }
 func (w *writerBuf) Write(p []byte) (int, error) {
 	w.b = append(w.b, p...)
 	return len(p), nil
-}
-
-// quiesce waits, in real time, until the (cluster-wide) server ingest
-// pipelines have drained everything the last virtual-time step put in
-// flight. With the clock parked, delivery over delay-free paths is pure
-// goroutine progress, so a short stable window means the system is at
-// rest.
-func quiesce(pipe func() ingest.Stats) error {
-	//lint:ignore wallclock quiesce polls real goroutine progress while virtual time is parked
-	deadline := time.Now().Add(quiesceTimeout)
-	stable := 0
-	var last [3]uint64
-	for {
-		st := pipe()
-		cur := [3]uint64{st.Enqueued, st.Processed, st.Dropped}
-		if st.Backlog == 0 && st.Enqueued == st.Processed && cur == last {
-			if stable++; stable >= 3 {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		last = cur
-		//lint:ignore wallclock see above: real-time deadline on background drain
-		if time.Now().After(deadline) {
-			return fmt.Errorf("pipeline not quiescent after %v (enqueued=%d processed=%d dropped=%d backlog=%d)",
-				quiesceTimeout, st.Enqueued, st.Processed, st.Dropped, st.Backlog)
-		}
-		//lint:ignore wallclock see above: real-time backoff while goroutines drain
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // drainInflight waits, in real time, for the recovered broker's in-flight

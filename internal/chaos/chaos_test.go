@@ -13,6 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
+// The fault tallies every chaos test reads off Result.Metrics.
+const (
+	faults = "sensocial_netsim_faults_total"      // by kind
+	resets = "sensocial_netsim_conn_resets_total" // by cause
+)
+
 // TestSmokeScheduleZeroViolations runs the CI smoke schedule — every
 // fault verb once — against a ring of one and a ring of two, and requires a
 // clean invariant report from both.
@@ -39,11 +45,11 @@ func TestSmokeScheduleZeroViolations(t *testing.T) {
 			if res.Items == 0 {
 				t.Fatalf("no items ingested end to end")
 			}
-			if res.Engine.Applied != len(Smoke().Faults) {
-				t.Fatalf("engine applied %d of %d faults", res.Engine.Applied, len(Smoke().Faults))
+			if got := res.Metrics.Sum(faults); got != uint64(len(Smoke().Faults)) {
+				t.Fatalf("engine applied %d of %d faults", got, len(Smoke().Faults))
 			}
-			if res.Engine.Partitions == 0 || res.Engine.LinkFaults == 0 || res.Engine.ChurnResets == 0 {
-				t.Fatalf("smoke run missed fault classes: %+v", res.Engine)
+			if res.Metrics.Sum(faults, "partition") == 0 || res.Metrics.Sum(faults, "latency") == 0 || res.Metrics.Sum(resets, "churn") == 0 {
+				t.Fatalf("smoke run missed a fault class: partition, link shaping or churn resets")
 			}
 			if res.StormClients != 64 {
 				t.Fatalf("storm joined %d clients, want 64", res.StormClients)
@@ -51,8 +57,10 @@ func TestSmokeScheduleZeroViolations(t *testing.T) {
 			if res.ProbesSent == 0 || res.ProbesAcked == 0 {
 				t.Fatalf("probe rig idle: %+v", res)
 			}
-			if len(res.Pool.PublishedByShard) != shards {
-				t.Fatalf("pool ledger split %v, want one entry per shard", res.Pool.PublishedByShard)
+			for i := 0; i < shards; i++ {
+				if res.Metrics.Sum("sensocial_sim_items_published_total", sim.ShardID(i)) == 0 {
+					t.Fatalf("pool ledger shows nothing published to %s", sim.ShardID(i))
+				}
 			}
 		})
 	}
@@ -82,16 +90,16 @@ func TestDTNBatchUploadOnReconnect(t *testing.T) {
 	}
 	// The partition must actually have disconnected the fleet, and the
 	// post-heal flushes must have drained the dark-time backlog.
-	if res.Engine.PartitionResets == 0 {
-		t.Fatalf("partition cut no connections: %+v", res.Engine)
+	if res.Metrics.Sum(resets, "partition") == 0 {
+		t.Fatalf("partition cut no connections")
 	}
-	if res.Pool.Backlog != 0 {
-		t.Fatalf("backlog not drained after heal: %+v", res.Pool)
+	if got := res.Metrics.Sum("sensocial_sim_backlog"); got != 0 {
+		t.Fatalf("backlog of %d not drained after heal", got)
 	}
 	// Four dark hours at 1-minute sampling far exceeds MaxBacklog=512?
 	// No: 240 samples fit, so nothing may be dropped to overflow either.
-	if res.Pool.ItemsDropped != 0 {
-		t.Fatalf("DTN run dropped %d items despite sufficient backlog", res.Pool.ItemsDropped)
+	if got := res.Metrics.Sum("sensocial_sim_items_dropped_total"); got != 0 {
+		t.Fatalf("DTN run dropped %d items despite sufficient backlog", got)
 	}
 	if res.Items == 0 {
 		t.Fatalf("no items ingested end to end")
@@ -132,11 +140,11 @@ func TestPartitionReconnect1kDevices(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
 	}
-	if res.Pool.Devices != 1000 {
-		t.Fatalf("pool ran %d devices, want 1000", res.Pool.Devices)
+	if got := res.Metrics.Sum("sensocial_sim_samples_total"); got < 1000 {
+		t.Fatalf("pool took %d samples, want some from each of 1000 devices", got)
 	}
-	if res.Engine.PartitionResets == 0 || res.Engine.ChurnResets == 0 {
-		t.Fatalf("faults cut no connections: %+v", res.Engine)
+	if res.Metrics.Sum(resets, "partition") == 0 || res.Metrics.Sum(resets, "churn") == 0 {
+		t.Fatalf("faults cut no connections")
 	}
 	if res.Items == 0 {
 		t.Fatalf("no items ingested end to end")
@@ -232,8 +240,8 @@ func TestCrashScheduleRecoversWithInvariants(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
 	}
-	if res.Engine.Crashes != 2 {
-		t.Fatalf("engine crashed %d times, want 2: %+v", res.Engine.Crashes, res.Engine)
+	if got := res.Metrics.Sum(faults, "crash"); got != 2 {
+		t.Fatalf("engine crashed %d times, want 2", got)
 	}
 	if res.Items == 0 {
 		t.Fatalf("no items ingested end to end")
@@ -268,8 +276,8 @@ func TestClusterScheduleKillOneShardSurvives(t *testing.T) {
 	if !res.Ok() {
 		t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
 	}
-	if res.Engine.Kills != 1 {
-		t.Fatalf("engine killed %d shards, want 1: %+v", res.Engine.Kills, res.Engine)
+	if got := res.Metrics.Sum(faults, "kill"); got != 1 {
+		t.Fatalf("engine killed %d shards, want 1", got)
 	}
 	if res.Items == 0 {
 		t.Fatalf("no items ingested end to end")
@@ -282,8 +290,8 @@ func TestClusterScheduleKillOneShardSurvives(t *testing.T) {
 	}
 	// The dead shard's devices must degrade to bounded buffering, not
 	// vanish from the ledger.
-	if res.Pool.ItemsDropped+res.Pool.Backlog == 0 {
-		t.Fatalf("killed shard's devices show neither backlog nor drops: %+v", res.Pool)
+	if res.Metrics.Sum("sensocial_sim_items_dropped_total")+res.Metrics.Sum("sensocial_sim_backlog") == 0 {
+		t.Fatalf("killed shard's devices show neither backlog nor drops")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/core/server"
-	"repro/internal/core/server/ingest"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -102,43 +101,60 @@ func (c *checker) checkStaleness(regOf func(userID string) *server.ContextRegist
 }
 
 // checkConservation asserts the end-of-run accounting identities between
-// the pool's sample ledger, the server ingest pipeline and the fault
-// engine's disruption counters.
-func (c *checker) checkConservation(ps sim.PoolStats, pl ingest.Stats, eng netsim.EngineStats, qos byte) {
-	accounted := ps.ItemsPublished + ps.ItemsAckLost + ps.ItemsDropped + ps.Backlog
-	if ps.Samples != accounted {
+// the pool's sample ledger, the server ingest pipelines and the fault
+// tallies, all read from the shards' registries. The ledger and the fabric's
+// fault series are the deployment's, exported by shard 0; ingest is summed
+// over the ring, dead shards included (a killed shard's pipeline drained on
+// close, so its frozen counters still account for everything it accepted).
+func (c *checker) checkConservation(shards []*sim.Shard, qos byte) {
+	fleet := shards[0].Metrics
+	samples := fleet.Sum("sensocial_sim_samples_total")
+	published := fleet.Sum("sensocial_sim_items_published_total")
+	ackLost := fleet.Sum("sensocial_sim_items_ack_lost_total")
+	dropped := fleet.Sum("sensocial_sim_items_dropped_total")
+	backlog := fleet.Sum("sensocial_sim_backlog")
+	if samples != published+ackLost+dropped+backlog {
 		c.violate("conservation: pool samples=%d != published=%d + ackLost=%d + dropped=%d + backlog=%d",
-			ps.Samples, ps.ItemsPublished, ps.ItemsAckLost, ps.ItemsDropped, ps.Backlog)
+			samples, published, ackLost, dropped, backlog)
 	}
-	if pl.Enqueued != pl.Processed {
-		c.violate("conservation: ingest enqueued=%d != processed=%d at quiesce",
-			pl.Enqueued, pl.Processed)
+	var enqueued, processed, rejected uint64
+	for _, sh := range shards {
+		enqueued += sh.Metrics.Sum("sensocial_ingest_enqueued_total")
+		processed += sh.Metrics.Sum("sensocial_ingest_processed_total")
+		rejected += sh.Metrics.Sum("sensocial_ingest_dropped_total")
 	}
-	// Enqueued counts accepted items, Dropped counts queue-full rejects;
+	if enqueued != processed {
+		c.violate("conservation: ingest enqueued=%d != processed=%d at quiesce", enqueued, processed)
+	}
+	// Enqueued counts accepted items, dropped counts queue-full rejects;
 	// together they are every stream-data publish the broker routed to
 	// the server.
-	received := pl.Enqueued + pl.Dropped
-	clean := eng.Disruptions() == 0 && eng.LinkFaults == 0
+	received := enqueued + rejected
 	if qos >= 1 {
 		// QoS 1 publishes only count once acked, and the broker acks
 		// before routing, so every published item reached ingest; the
 		// ambiguous ack-lost ones may or may not have.
-		if received < ps.ItemsPublished || received > ps.ItemsPublished+ps.ItemsAckLost {
+		if received < published || received > published+ackLost {
 			c.violate("conservation: QoS1 ingest received=%d outside [published=%d, published+ackLost=%d]",
-				received, ps.ItemsPublished, ps.ItemsPublished+ps.ItemsAckLost)
+				received, published, published+ackLost)
 		}
 		return
 	}
 	// QoS 0 publishes count on write success; faults may discard them in
 	// flight, so receipts can only fall short — and must match exactly on
-	// a disruption-free run.
-	if received > ps.ItemsPublished {
-		c.violate("conservation: QoS0 ingest received=%d exceeds published=%d",
-			received, ps.ItemsPublished)
+	// a run in which no fault severed the fabric, reset a connection or
+	// shaped a link.
+	if received > published {
+		c.violate("conservation: QoS0 ingest received=%d exceeds published=%d", received, published)
 	}
-	if clean && received != ps.ItemsPublished {
-		c.violate("conservation: fault-free QoS0 run ingested %d of %d published",
-			received, ps.ItemsPublished)
+	const faults = "sensocial_netsim_faults_total"
+	disruptive := fleet.Sum("sensocial_netsim_conn_resets_total")
+	for _, kind := range []netsim.FaultKind{netsim.FaultPartition, netsim.FaultCrash, netsim.FaultKill,
+		netsim.FaultLatency, netsim.FaultBandwidth, netsim.FaultLoss} {
+		disruptive += fleet.Sum(faults, kind.String())
+	}
+	if disruptive == 0 && received != published {
+		c.violate("conservation: fault-free QoS0 run ingested %d of %d published", received, published)
 	}
 }
 

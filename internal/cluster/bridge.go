@@ -72,7 +72,7 @@ type BridgeOptions struct {
 // Forwards travel wrapped as $cluster/bridge/<origin>/<topic>; the
 // receiving bridge unwraps and re-injects them with the origin tag set,
 // and never re-forwards a tagged message, so the single-hop mesh cannot
-// loop. See DESIGN.md §15.
+// loop. See DESIGN.md §12.
 type Bridge struct {
 	shardID    string
 	broker     *mqtt.Broker

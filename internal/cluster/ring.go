@@ -6,7 +6,7 @@
 // summary digest — incremental deltas plus retained snapshots on a
 // control topic — merged into one copy-on-write FilterTrie, so the
 // per-publish bridge check is a single trie walk regardless of how many
-// peers the ring has. See DESIGN.md §15.
+// peers the ring has. See DESIGN.md §12.
 package cluster
 
 import (

@@ -106,23 +106,3 @@ func (d *DeliveryHub) persistItem(item core.Item) {
 	}
 	d.persisted.Inc()
 }
-
-// DeliveryStats are the output-stage counters.
-type DeliveryStats struct {
-	// Published counts items fanned out on the hub.
-	Published uint64 `json:"published"`
-	// Persisted counts items written to the document store.
-	Persisted uint64 `json:"persisted"`
-	// PersistFailures counts item writes the store rejected.
-	PersistFailures uint64 `json:"persist_failures"`
-}
-
-// Stats samples the delivery counters (the same obs series served on
-// /metrics).
-func (d *DeliveryHub) Stats() DeliveryStats {
-	return DeliveryStats{
-		Published:       d.published.Value(),
-		Persisted:       d.persisted.Value(),
-		PersistFailures: d.persistFailures.Value(),
-	}
-}

@@ -17,7 +17,6 @@ import (
 //	POST /osn/action      — OSN plug-in webhook (FacebookReceiver.php)
 //	POST /register        — user/device registration
 //	GET  /streams?device= — stream configuration download (FilterDownloader)
-//	GET  /stats           — JSON counter snapshot (registry-backed façade)
 //	GET  /metrics         — full metric registry, Prometheus text format
 //	GET  /trace           — canonical span-ring dump (503 when disabled)
 //	GET  /healthz         — liveness
@@ -26,7 +25,6 @@ func (m *Manager) HTTPHandler() http.Handler {
 	mux.HandleFunc("POST /osn/action", m.handleOSNAction)
 	mux.HandleFunc("POST /register", m.handleRegister)
 	mux.HandleFunc("GET /streams", m.handleStreamsDownload)
-	mux.HandleFunc("GET /stats", m.handleStats)
 	mux.Handle("GET /metrics", obs.MetricsHandler(m.metrics))
 	mux.Handle("GET /trace", obs.TraceHandler(m.tracer))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -34,19 +32,6 @@ func (m *Manager) HTTPHandler() http.Handler {
 		_, _ = io.WriteString(w, "ok")
 	})
 	return mux
-}
-
-// handleStats serves a point-in-time sample of the sharded server's
-// counters: per-shard pipeline queues and drops, registry write/skip
-// counts, delivery totals.
-func (m *Manager) handleStats(w http.ResponseWriter, _ *http.Request) {
-	body, err := json.MarshalIndent(m.Stats(), "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
 }
 
 func (m *Manager) handleOSNAction(w http.ResponseWriter, r *http.Request) {

@@ -12,9 +12,8 @@
 // platforms separate collection from processing with bounded hand-off
 // buffers between the stages.
 //
-// Counters are backed by the obs metrics registry (families
-// sensocial_ingest_*); Stats reads the same counters, so the JSON façade
-// and a Prometheus scrape can never disagree.
+// The counters are obs registry series (families sensocial_ingest_*) and
+// nothing else: read them with Registry.Sum or off a /metrics scrape.
 package ingest
 
 import (
@@ -137,6 +136,9 @@ func New[T any](nShards, depth int, key func(T) string, process func(T), opts ..
 			}
 			return float64(total)
 		})
+	cfg.metrics.Gauge("sensocial_ingest_queue_capacity",
+		"Slots across all shard queues; backlog over capacity is the pipeline's saturation.").
+		Set(float64(nShards * depth))
 	p.wg.Add(nShards)
 	for _, sh := range p.shards {
 		go p.worker(sh)
@@ -207,55 +209,6 @@ func (p *Pipeline[T]) Close() {
 	}
 	close(p.quit)
 	p.wg.Wait()
-}
-
-// ShardStats is one shard's counters at a point in time.
-type ShardStats struct {
-	// Enqueued counts values accepted into the shard queue.
-	Enqueued uint64 `json:"enqueued"`
-	// Dropped counts values rejected because the queue was full (or the
-	// pipeline closed).
-	Dropped uint64 `json:"dropped"`
-	// Processed counts values the worker has finished handling.
-	Processed uint64 `json:"processed"`
-	// Backlog is the queue occupancy at sampling time.
-	Backlog int `json:"backlog"`
-}
-
-// Stats aggregates the pipeline's counters.
-type Stats struct {
-	Shards     int          `json:"shards"`
-	QueueDepth int          `json:"queue_depth"`
-	Enqueued   uint64       `json:"enqueued"`
-	Dropped    uint64       `json:"dropped"`
-	Processed  uint64       `json:"processed"`
-	Backlog    int          `json:"backlog"`
-	PerShard   []ShardStats `json:"per_shard"`
-}
-
-// Stats samples the per-shard counters. Totals are sums of independently
-// sampled atomics: consistent per counter, approximate across counters.
-// The counters are the same obs registry series served on /metrics.
-func (p *Pipeline[T]) Stats() Stats {
-	s := Stats{
-		Shards:     len(p.shards),
-		QueueDepth: cap(p.shards[0].queue),
-		PerShard:   make([]ShardStats, len(p.shards)),
-	}
-	for i, sh := range p.shards {
-		ss := ShardStats{
-			Enqueued:  sh.enqueued.Value(),
-			Dropped:   sh.dropped.Value(),
-			Processed: sh.processed.Value(),
-			Backlog:   len(sh.queue),
-		}
-		s.PerShard[i] = ss
-		s.Enqueued += ss.Enqueued
-		s.Dropped += ss.Dropped
-		s.Processed += ss.Processed
-		s.Backlog += ss.Backlog
-	}
-	return s
 }
 
 // shardIndex maps a key onto [0, n) with FNV-1a, allocation-free.

@@ -8,6 +8,14 @@ import (
 	"time"
 
 	"repro/internal/core/server/ingest"
+	"repro/internal/obs"
+)
+
+// The pipeline's counts are read where they live: the registry series.
+const (
+	enqueued  = "sensocial_ingest_enqueued_total"
+	dropped   = "sensocial_ingest_dropped_total"
+	processed = "sensocial_ingest_processed_total"
 )
 
 // keyed is the test payload: a partition key plus a sequence number.
@@ -25,7 +33,8 @@ func TestPipelineValidation(t *testing.T) {
 	if _, err := ingest.New[keyed](4, 16, keyOf, nil); err == nil {
 		t.Fatal("nil process function accepted")
 	}
-	p, err := ingest.New(0, 0, keyOf, func(keyed) {})
+	reg := obs.NewRegistry()
+	p, err := ingest.New(0, 0, keyOf, func(keyed) {}, ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -33,8 +42,8 @@ func TestPipelineValidation(t *testing.T) {
 	if p.Shards() != ingest.DefaultShards {
 		t.Fatalf("default shards = %d, want %d", p.Shards(), ingest.DefaultShards)
 	}
-	if s := p.Stats(); s.QueueDepth != ingest.DefaultQueueDepth {
-		t.Fatalf("default depth = %d, want %d", s.QueueDepth, ingest.DefaultQueueDepth)
+	if got := reg.Sum("sensocial_ingest_queue_capacity"); got != ingest.DefaultShards*ingest.DefaultQueueDepth {
+		t.Fatalf("default capacity = %d, want %d queues of %d", got, ingest.DefaultShards, ingest.DefaultQueueDepth)
 	}
 }
 
@@ -62,11 +71,12 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 	const keys, perKey = 8, 1000
 	var mu sync.Mutex
 	got := make(map[string][]int, keys)
+	reg := obs.NewRegistry()
 	p, err := ingest.New(4, 4096, keyOf, func(v keyed) {
 		mu.Lock()
 		got[v.key] = append(got[v.key], v.seq)
 		mu.Unlock()
-	})
+	}, ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -86,9 +96,8 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 	wg.Wait()
 	p.Close() // drains the accepted backlog
 
-	stats := p.Stats()
-	if stats.Processed != stats.Enqueued {
-		t.Fatalf("processed %d != enqueued %d after Close", stats.Processed, stats.Enqueued)
+	if p, e := reg.Sum(processed), reg.Sum(enqueued); p != e {
+		t.Fatalf("processed %d != enqueued %d after Close", p, e)
 	}
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("user-%d", k)
@@ -110,10 +119,11 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 func TestPipelineOverflowDropsCounted(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
+	reg := obs.NewRegistry()
 	p, err := ingest.New(1, 1, keyOf, func(keyed) {
 		started <- struct{}{}
 		<-gate
-	})
+	}, ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -130,12 +140,11 @@ func TestPipelineOverflowDropsCounted(t *testing.T) {
 			accepted++
 		}
 	}
-	stats := p.Stats()
-	if stats.Dropped == 0 {
+	if reg.Sum(dropped) == 0 {
 		t.Fatal("overfilling a depth-1 queue dropped nothing")
 	}
-	if stats.Enqueued+stats.Dropped != total {
-		t.Fatalf("enqueued %d + dropped %d != sent %d", stats.Enqueued, stats.Dropped, total)
+	if e, d := reg.Sum(enqueued), reg.Sum(dropped); e+d != total {
+		t.Fatalf("enqueued %d + dropped %d != sent %d", e, d, total)
 	}
 	close(gate)
 	go func() {
@@ -145,9 +154,8 @@ func TestPipelineOverflowDropsCounted(t *testing.T) {
 	p.Close()
 	close(started)
 
-	stats = p.Stats()
-	if stats.Processed != stats.Enqueued {
-		t.Fatalf("processed %d != enqueued %d: accepted values were lost", stats.Processed, stats.Enqueued)
+	if p, e := reg.Sum(processed), reg.Sum(enqueued); p != e {
+		t.Fatalf("processed %d != enqueued %d: accepted values were lost", p, e)
 	}
 }
 
@@ -156,11 +164,12 @@ func TestPipelineOverflowDropsCounted(t *testing.T) {
 func TestPipelineCloseDrainsBacklog(t *testing.T) {
 	var mu sync.Mutex
 	n := 0
+	reg := obs.NewRegistry()
 	p, err := ingest.New(2, 128, keyOf, func(keyed) {
 		mu.Lock()
 		n++
 		mu.Unlock()
-	})
+	}, ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -177,8 +186,8 @@ func TestPipelineCloseDrainsBacklog(t *testing.T) {
 	if p.Enqueue(keyed{key: "late"}) {
 		t.Fatal("enqueue accepted after Close")
 	}
-	if s := p.Stats(); s.Dropped != 1 {
-		t.Fatalf("post-close drop not counted: %+v", s)
+	if got := reg.Sum(dropped); got != 1 {
+		t.Fatalf("post-close drops = %d, want the one late enqueue counted", got)
 	}
 	p.Close() // idempotent
 }

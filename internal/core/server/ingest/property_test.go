@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // This file is a property test, not an example-based one: each seed
@@ -63,13 +65,14 @@ func runOrderingScenario(p propParams) error {
 	rng := rand.New(rand.NewSource(p.seed))
 	var mu sync.Mutex
 	got := make(map[string][]int, p.users)
+	reg := obs.NewRegistry()
 	pl, err := New[propItem](p.shards, p.depth,
 		func(it propItem) string { return it.user },
 		func(it propItem) {
 			mu.Lock()
 			got[it.user] = append(got[it.user], it.seq)
 			mu.Unlock()
-		})
+		}, WithMetrics(reg))
 	if err != nil {
 		return err
 	}
@@ -122,14 +125,14 @@ func runOrderingScenario(p propParams) error {
 	closeWG.Wait()
 	pl.Close()
 
-	st := pl.Stats()
-	if st.Enqueued+st.Dropped != totalOps {
+	enqueued := reg.Sum("sensocial_ingest_enqueued_total")
+	if dropped := reg.Sum("sensocial_ingest_dropped_total"); enqueued+dropped != totalOps {
 		return fmt.Errorf("counter leak: enqueued=%d + dropped=%d != %d Enqueue calls",
-			st.Enqueued, st.Dropped, totalOps)
+			enqueued, dropped, totalOps)
 	}
-	if st.Enqueued != acceptedTotal.Load() {
+	if enqueued != acceptedTotal.Load() {
 		return fmt.Errorf("enqueued counter %d != %d accepted Enqueue calls",
-			st.Enqueued, acceptedTotal.Load())
+			enqueued, acceptedTotal.Load())
 	}
 	var processedTotal uint64
 	for u := 0; u < p.users; u++ {
@@ -158,9 +161,9 @@ func runOrderingScenario(p propParams) error {
 				user, len(accepted[u]), len(seqs))
 		}
 	}
-	if st.Processed != processedTotal {
+	if processed := reg.Sum("sensocial_ingest_processed_total"); processed != processedTotal {
 		return fmt.Errorf("processed counter %d != %d callback invocations",
-			st.Processed, processedTotal)
+			processed, processedTotal)
 	}
 	return nil
 }

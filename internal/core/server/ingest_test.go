@@ -3,7 +3,6 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/mqtt"
 	"repro/internal/sensors"
-	"repro/internal/sim"
 	"repro/internal/vclock"
 )
 
@@ -36,6 +34,13 @@ func bareManager(t *testing.T, tweak func(*server.Options)) *server.Manager {
 		_ = broker.Close()
 	})
 	return m
+}
+
+// drained reports whether the ingest pipeline has processed everything it
+// accepted, read off the manager's registry.
+func drained(m *server.Manager) bool {
+	reg := m.Metrics()
+	return reg.Sum("sensocial_ingest_processed_total") == reg.Sum("sensocial_ingest_enqueued_total")
 }
 
 // seqPayload carries a per-user sequence number through Item.Raw.
@@ -89,10 +94,7 @@ func TestConcurrentIngestPreservesPerUserOrder(t *testing.T) {
 		}(fmt.Sprintf("user%d", u))
 	}
 	wg.Wait()
-	waitUntil(t, func() bool {
-		s := m.Stats().Pipeline
-		return s.Processed == s.Enqueued
-	})
+	waitUntil(t, func() bool { return drained(m) })
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -173,10 +175,7 @@ func TestCrossUserFilterSeesConsistentSnapshot(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	waitUntil(t, func() bool {
-		s := m.Stats().Pipeline
-		return s.Processed == s.Enqueued
-	})
+	waitUntil(t, func() bool { return drained(m) })
 	if n := sink.count(); n != 0 {
 		t.Fatalf("filter passed %d items: a torn context snapshot mixed two of bob's updates", n)
 	}
@@ -229,21 +228,18 @@ func TestIngestOverflowDropsCounted(t *testing.T) {
 		m.Ingest(seqItem("u", i))
 		sent++
 	}
-	s := m.Stats().Pipeline
-	if s.Dropped == 0 {
+	enqueued, dropped := m.Metrics().Sum("sensocial_ingest_enqueued_total"), m.Metrics().Sum("sensocial_ingest_dropped_total")
+	if dropped == 0 {
 		t.Fatal("flooding a full depth-1 queue dropped nothing")
 	}
-	if s.Enqueued+s.Dropped != sent {
-		t.Fatalf("enqueued %d + dropped %d != sent %d", s.Enqueued, s.Dropped, sent)
+	if enqueued+dropped != sent {
+		t.Fatalf("enqueued %d + dropped %d != sent %d", enqueued, dropped, sent)
 	}
 	mu.Lock()
 	opened = true
 	mu.Unlock()
 	close(gate)
-	waitUntil(t, func() bool {
-		s := m.Stats().Pipeline
-		return s.Processed == s.Enqueued
-	})
+	waitUntil(t, func() bool { return drained(m) })
 }
 
 // TestRegistrySkipsNoopLocationWrites uploads the same raw fix repeatedly:
@@ -270,16 +266,12 @@ func TestRegistrySkipsNoopLocationWrites(t *testing.T) {
 			t.Fatalf("ingest %d rejected", i)
 		}
 	}
-	waitUntil(t, func() bool {
-		s := m.Stats().Pipeline
-		return s.Processed == s.Enqueued
-	})
-	rs := m.Stats().Registry
-	if rs.LocationWrites != 1 {
-		t.Fatalf("identical fixes caused %d registry writes, want 1", rs.LocationWrites)
+	waitUntil(t, func() bool { return drained(m) })
+	if writes := m.Metrics().Sum("sensocial_context_location_writes_total"); writes != 1 {
+		t.Fatalf("identical fixes caused %d registry writes, want 1", writes)
 	}
-	if rs.LocationSkips != repeats-1 {
-		t.Fatalf("counted %d skips, want %d", rs.LocationSkips, repeats-1)
+	if skips := m.Metrics().Sum("sensocial_context_location_skips_total"); skips != repeats-1 {
+		t.Fatalf("counted %d skips, want %d", skips, repeats-1)
 	}
 	if _, city, err := m.UserLocation("carol"); err != nil || city != "Paris" {
 		t.Fatalf("UserLocation = %q, %v; want Paris", city, err)
@@ -288,47 +280,5 @@ func TestRegistrySkipsNoopLocationWrites(t *testing.T) {
 	if !m.Ingest(fix(45.4642, 9.19)) { // Milan: a real move writes again
 		t.Fatal("ingest of new fix rejected")
 	}
-	waitUntil(t, func() bool { return m.Stats().Registry.LocationWrites == 2 })
-}
-
-// TestStatsEndpoint samples GET /stats over the simulated fabric and spot
-// checks that the pipeline counters flow through the JSON surface.
-func TestStatsEndpoint(t *testing.T) {
-	s := fastSim(t)
-	addStillUser(t, s, "alice", "Paris", sensors.ActivityStill)
-	err := s.Shards[0].Server.CreateRemoteStream(core.StreamConfig{
-		ID: "st", DeviceID: "alice-phone", UserID: "alice",
-		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
-		Kind: core.KindContinuous, SampleInterval: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("CreateRemoteStream: %v", err)
-	}
-	waitUntil(t, func() bool { return s.Shards[0].Server.Stats().Pipeline.Processed > 0 })
-	if err := s.Shards[0].StartHTTP(); err != nil {
-		t.Fatalf("StartHTTP: %v", err)
-	}
-
-	resp, err := s.HTTPClient("tester").Get("http://" + sim.HTTPAddr + "/stats")
-	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET /stats: %d: %s", resp.StatusCode, body)
-	}
-	var stats server.Stats
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatalf("decode stats: %v\n%s", err, body)
-	}
-	if stats.Pipeline.Processed == 0 || stats.Pipeline.Shards == 0 {
-		t.Fatalf("stats endpoint lost pipeline counters: %+v", stats)
-	}
-	if stats.Filters != 1 {
-		t.Fatalf("stats reports %d filters, want 1", stats.Filters)
-	}
+	waitUntil(t, func() bool { return m.Metrics().Sum("sensocial_context_location_writes_total") == 2 })
 }

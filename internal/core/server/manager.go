@@ -23,8 +23,8 @@
 // GET /metrics), and the item path is traced end to end when
 // Options.Tracer is set: ingest.enqueue on broker receipt, then
 // ingest.process → filter.eval → delivery.deliver → multicast.refresh on
-// the shard worker. Stats() and GET /stats read the same registry-backed
-// counters, so the JSON façade and a Prometheus scrape always agree.
+// the shard worker. The registry is the only place a count is kept; read
+// one with Metrics().Sum or off a GET /metrics scrape.
 package server
 
 import (
@@ -85,8 +85,8 @@ type Options struct {
 	// ingest.DefaultShards.
 	IngestShards int
 	// IngestQueueDepth bounds each shard's queue. When a queue is full
-	// further items for its users are dropped and counted (see Stats)
-	// rather than blocking the broker. Non-positive selects
+	// further items for its users are dropped and counted
+	// (sensocial_ingest_dropped_total) rather than blocking the broker. Non-positive selects
 	// ingest.DefaultQueueDepth.
 	IngestQueueDepth int
 	// Owns, when set, restricts ingest to users this shard owns under the
@@ -98,8 +98,8 @@ type Options struct {
 	Owns func(userID string) bool
 	// Metrics is the observability registry every subcomponent registers
 	// its counters against (served on GET /metrics). Nil creates a private
-	// registry, so Stats always works; share one registry across broker and
-	// server to get a single scrape surface.
+	// registry; share one registry across broker and server to get a single
+	// scrape surface.
 	Metrics *obs.Registry
 	// Tracer records spans along the item path (served on GET /trace). Nil
 	// disables tracing at zero cost.
@@ -501,27 +501,6 @@ func (m *Manager) CreateAggregator(id string, sourceStreamIDs ...string) (*core.
 		}
 	}
 	return agg, nil
-}
-
-// Stats samples the counters of every subcomponent.
-type Stats struct {
-	Pipeline ingest.Stats  `json:"pipeline"`
-	Registry RegistryStats `json:"registry"`
-	Delivery DeliveryStats `json:"delivery"`
-	Filters  int           `json:"filters"`
-}
-
-// Stats returns a point-in-time sample of pipeline, registry and delivery
-// counters (served on GET /stats). The values are read from the same
-// obs registry series exported on GET /metrics, so the two surfaces can
-// never disagree.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Pipeline: m.pipeline.Stats(),
-		Registry: m.registry.Stats(),
-		Delivery: m.delivery.Stats(),
-		Filters:  m.filters.Len(),
-	}
 }
 
 // Close stops background work: the ingest pipeline drains its accepted

@@ -215,24 +215,3 @@ func (r *ContextRegistry) RememberLocation(userID string, pt geo.Point, city str
 	sh.mu.Unlock()
 	r.locationWrites.Inc()
 }
-
-// RegistryStats are the location-write counters.
-type RegistryStats struct {
-	// LocationWrites counts registry location documents actually written.
-	LocationWrites uint64 `json:"location_writes"`
-	// LocationSkips counts location updates elided because point and city
-	// were unchanged.
-	LocationSkips uint64 `json:"location_skips"`
-	// ContextShards is the shard count of the context cache.
-	ContextShards int `json:"context_shards"`
-}
-
-// Stats samples the registry counters (the same obs series served on
-// /metrics, so the façade and a scrape can never disagree).
-func (r *ContextRegistry) Stats() RegistryStats {
-	return RegistryStats{
-		LocationWrites: r.locationWrites.Value(),
-		LocationSkips:  r.locationSkips.Value(),
-		ContextShards:  len(r.shards),
-	}
-}

@@ -217,7 +217,7 @@ func (m *Manager) onStreamData(msg mqtt.Message) {
 
 // Ingest enqueues one decoded item on its user's pipeline shard. It reports
 // whether the item was accepted; false means the shard's bounded queue was
-// full (or the manager closed) and the drop was counted in Stats — the
+// full (or the manager closed) and the drop was counted on the registry — the
 // pipeline never blocks the caller. Exposed for in-process pipelines
 // (tests, single-binary sims).
 func (m *Manager) Ingest(item core.Item) bool {

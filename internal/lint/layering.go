@@ -104,8 +104,7 @@ func DefaultLayering() []LayerRule {
 		{From: "internal/sim", Deny: []string{"internal/experiments", "internal/baselineapps/..."},
 			Why: "the world simulator composes the middleware, not the evaluation harness"},
 		{From: "internal/chaos", Only: []string{"internal/core", "internal/core/server",
-			"internal/core/server/ingest", "internal/mqtt", "internal/netsim", "internal/sim",
-			"internal/vclock"},
+			"internal/mqtt", "internal/netsim", "internal/obs", "internal/sim", "internal/vclock"},
 			Why: "the chaos harness drives the simulator from above; it composes sim, netsim and the transport and nothing may import it back"},
 		{From: "internal/...", Deny: []string{"internal/chaos"},
 			Why: "the chaos harness is a leaf like experiments; only cmd/ and tests may drive it"},

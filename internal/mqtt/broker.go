@@ -30,26 +30,6 @@ type Message struct {
 	Origin string
 }
 
-// BrokerStats is a snapshot of broker counters.
-type BrokerStats struct {
-	// Connections is the number of currently connected clients.
-	Connections int
-	// TotalConnections counts every CONNECT ever accepted.
-	TotalConnections int
-	// Published counts PUBLISH packets received from clients.
-	Published int
-	// Delivered counts PUBLISH packets sent to subscribers.
-	Delivered int
-	// Retained is the number of retained messages held.
-	Retained int
-	// Filters is the number of subscription filters currently indexed
-	// (network sessions and local handlers combined).
-	Filters int
-	// FanoutDropped counts deliveries dropped because a session's
-	// outbound queue was full (backpressure on a slow subscriber).
-	FanoutDropped int
-}
-
 // BrokerOptions configures a Broker.
 type BrokerOptions struct {
 	// Clock supplies time (defaults to the real clock).
@@ -65,8 +45,8 @@ type BrokerOptions struct {
 	// sensocial_mqtt_fanout_dropped_total.
 	FanoutQueue int
 	// Metrics registers the broker's counters (families sensocial_mqtt_*).
-	// Nil uses a private registry, so Stats always works; share the
-	// deployment registry to surface the broker on /metrics.
+	// Nil uses a private registry; share the deployment registry to
+	// surface the broker on /metrics.
 	Metrics *obs.Registry
 	// Tracer records an mqtt.route span per routed PUBLISH; nil disables.
 	Tracer *obs.Tracer
@@ -253,23 +233,6 @@ func (b *Broker) Close() error {
 	}
 	b.wg.Wait()
 	return nil
-}
-
-// Stats returns a snapshot of broker counters. The counts are read from
-// the same obs registry series served on /metrics.
-func (b *Broker) Stats() BrokerStats {
-	st := BrokerStats{
-		TotalConnections: int(b.connects.Value()),
-		Published:        int(b.published.Value()),
-		Delivered:        int(b.delivered.Value()),
-		FanoutDropped:    int(b.fanoutDropped.Value()),
-		Retained:         b.retained.Len(),
-		Filters:          b.subs.Len(),
-	}
-	b.mu.Lock()
-	st.Connections = len(b.sessions)
-	b.mu.Unlock()
-	return st
 }
 
 // SubscribeLocal registers an in-process handler for a topic filter.

@@ -8,20 +8,23 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
 // testBus is a broker served over a netsim fabric.
 type testBus struct {
-	t      *testing.T
-	net    *netsim.Network
-	broker *Broker
+	t       *testing.T
+	net     *netsim.Network
+	broker  *Broker
+	metrics *obs.Registry
 }
 
 func newTestBus(t *testing.T) *testBus {
 	t.Helper()
 	n := netsim.NewNetwork(vclock.NewReal(), 1)
-	b := NewBroker(BrokerOptions{})
+	reg := obs.NewRegistry()
+	b := NewBroker(BrokerOptions{Metrics: reg})
 	l, err := n.Listen("broker:1883")
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -31,7 +34,7 @@ func newTestBus(t *testing.T) *testBus {
 		_ = b.Close()
 		_ = n.Close()
 	})
-	return &testBus{t: t, net: n, broker: b}
+	return &testBus{t: t, net: n, broker: b, metrics: reg}
 }
 
 func (tb *testBus) connect(clientID string, opts ...func(*ClientOptions)) *Client {
@@ -164,9 +167,8 @@ func TestFanoutToManySubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d got %q", i, msgs[0].Payload)
 		}
 	}
-	st := bus.broker.Stats()
-	if st.Delivered < n {
-		t.Fatalf("Delivered = %d, want >= %d", st.Delivered, n)
+	if got := bus.metrics.Sum("sensocial_mqtt_delivered_total"); got < n {
+		t.Fatalf("delivered = %d, want >= %d", got, n)
 	}
 }
 
@@ -210,7 +212,7 @@ func TestRetainedMessageDeliveredOnSubscribe(t *testing.T) {
 	if err := pub.Publish("config/dev1", nil, 0, true); err != nil {
 		t.Fatalf("clear retained: %v", err)
 	}
-	waitUntil(t, func() bool { return bus.broker.Stats().Retained == 0 })
+	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_retained") == 0 })
 	sub2 := bus.connect("latecomer2")
 	var col2 collector
 	if err := sub2.Subscribe("config/+", 0, col2.handler); err != nil {
@@ -261,13 +263,13 @@ func TestClientIDTakeover(t *testing.T) {
 	bus := newTestBus(t)
 	first := bus.connect("dev1")
 	_ = first
-	waitUntil(t, func() bool { return bus.broker.Stats().Connections == 1 })
+	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_connections") == 1 })
 	second := bus.connect("dev1")
 	var col collector
 	if err := second.Subscribe("t", 0, col.handler); err != nil {
 		t.Fatalf("Subscribe on takeover session: %v", err)
 	}
-	waitUntil(t, func() bool { return bus.broker.Stats().Connections == 1 })
+	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_connections") == 1 })
 	pub := bus.connect("publisher")
 	if err := pub.Publish("t", []byte("x"), 0, false); err != nil {
 		t.Fatalf("Publish: %v", err)
@@ -402,9 +404,15 @@ func TestBrokerStatsCounts(t *testing.T) {
 		t.Fatalf("Publish: %v", err)
 	}
 	col.waitFor(t, 1)
-	st := bus.broker.Stats()
-	if st.Connections != 2 || st.TotalConnections != 2 || st.Published != 1 || st.Delivered != 1 {
-		t.Fatalf("stats = %+v", st)
+	for family, want := range map[string]uint64{
+		"sensocial_mqtt_connections":     2,
+		"sensocial_mqtt_connects_total":  2,
+		"sensocial_mqtt_published_total": 1,
+		"sensocial_mqtt_delivered_total": 1,
+	} {
+		if got := bus.metrics.Sum(family); got != want {
+			t.Errorf("%s = %d, want %d", family, got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -19,7 +20,8 @@ import (
 func TestServeCloseRace(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		n := netsim.NewNetwork(vclock.NewReal(), 1)
-		b := NewBroker(BrokerOptions{})
+		reg := obs.NewRegistry()
+		b := NewBroker(BrokerOptions{Metrics: reg})
 		l, err := n.Listen("broker:1883")
 		if err != nil {
 			t.Fatalf("iter %d: Listen: %v", iter, err)
@@ -60,7 +62,7 @@ func TestServeCloseRace(t *testing.T) {
 
 		// Close waited on the session WaitGroup, so no session may remain
 		// registered — a leftover would be the leaked untracked goroutine.
-		if got := b.Stats().Connections; got != 0 {
+		if got := reg.Sum("sensocial_mqtt_connections"); got != 0 {
 			t.Fatalf("iter %d: %d sessions survived Close", iter, got)
 		}
 		_ = n.Close()

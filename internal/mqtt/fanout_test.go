@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/mqtt/topictrie"
+	"repro/internal/obs"
 )
 
 // splitTopicMatches is the historical strings.Split-based matcher that
@@ -81,7 +82,7 @@ func TestRetainedReplayOverlappingWildcards(t *testing.T) {
 			t.Fatalf("Publish retained %s: %v", r.topic, err)
 		}
 	}
-	waitUntil(t, func() bool { return bus.broker.Stats().Retained == 3 })
+	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_retained") == 3 })
 
 	// Two late subscribers with overlapping filters: both index into the
 	// same trie paths, and each filter must replay exactly its own match
@@ -235,9 +236,10 @@ func TestFanoutQoS1PacketIDsPerSession(t *testing.T) {
 
 // TestFanoutBackpressureDropsSlowSession pins the backpressure contract: a
 // session whose outbound queue is full loses the delivery (counted in
-// FanoutDropped) instead of stalling the publisher or its peers.
+// sensocial_mqtt_fanout_dropped_total) instead of stalling the publisher or its peers.
 func TestFanoutBackpressureDropsSlowSession(t *testing.T) {
-	b := NewBroker(BrokerOptions{})
+	reg := obs.NewRegistry()
+	b := NewBroker(BrokerOptions{Metrics: reg})
 	slow := newBenchSession(b, "slow", "bp/topic", 0)
 	fast := newBenchSession(b, "fast", "bp/topic", 0)
 	total := cap(slow.out) + 3
@@ -250,9 +252,8 @@ func TestFanoutBackpressureDropsSlowSession(t *testing.T) {
 		fast.writeFrame(f)
 		f.release()
 	}
-	st := b.Stats()
-	if st.FanoutDropped != 3 {
-		t.Fatalf("FanoutDropped = %d, want 3", st.FanoutDropped)
+	if got := reg.Sum("sensocial_mqtt_fanout_dropped_total"); got != 3 {
+		t.Fatalf("fanout drops = %d, want 3", got)
 	}
 	// Every accepted delivery is still queued for the slow session.
 	if len(slow.out) != cap(slow.out) {

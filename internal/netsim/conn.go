@@ -188,9 +188,10 @@ type deliveryQueue struct {
 
 	mu        sync.Mutex
 	queue     []timedChunk
+	held      int       // size of the chunk the reader took last and has not come back from
 	busyUntil time.Time // when the last accepted write finishes occupying the pipe
 	closed    bool
-	failErr   error // non-nil when torn down by fault injection (RST)
+	failErr   error         // non-nil when torn down by fault injection (RST)
 	wake      chan struct{} // closed & replaced whenever state changes
 }
 
@@ -229,6 +230,8 @@ func (q *deliveryQueue) enqueue(data []byte, tx, prop time.Duration) error {
 func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 	for {
 		q.mu.Lock()
+		// The reader is back for more, so it is done with its last chunk.
+		q.held = 0
 		if len(q.queue) > 0 {
 			head := q.queue[0]
 			now := q.clock.Now()
@@ -238,6 +241,7 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			// the reader forever when the virtual clock has stopped.
 			if q.closed || !head.deliverAt.After(now) {
 				q.queue = q.queue[1:]
+				q.held = len(head.data)
 				q.mu.Unlock()
 				return head.data, nil
 			}
@@ -272,6 +276,23 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			return nil, timeoutError{}
 		}
 	}
+}
+
+// due reports the bytes the receiving end still owes work for: the chunk its
+// reader took last and has not come back from, plus the chunks at the head
+// of the queue whose delivery stamp has passed (what a dequeue would hand
+// over without waiting on the clock).
+func (q *deliveryQueue) due(now time.Time) (n int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n = q.held
+	for _, c := range q.queue {
+		if c.deliverAt.After(now) {
+			break
+		}
+		n += len(c.data)
+	}
+	return n
 }
 
 func (q *deliveryQueue) wakeChan() <-chan struct{} {

@@ -293,35 +293,6 @@ func parseEndpoints(f *Fault, args []string, minRest, maxRest int) ([]string, er
 	return rest, nil
 }
 
-// EngineStats tallies what a FaultEngine has applied.
-type EngineStats struct {
-	// Applied counts schedule entries executed.
-	Applied int
-	// Partitions and Heals count those verbs.
-	Partitions int
-	Heals      int
-	// LinkFaults counts latency/bandwidth/loss injections.
-	LinkFaults int
-	// ChurnResets and PartitionResets count connections forcibly reset by
-	// churn faults and by partitions cutting established connections.
-	ChurnResets     int
-	PartitionResets int
-	// Storms counts storm faults; StormClients sums their sizes.
-	Storms       int
-	StormClients int
-	// Crashes counts broker crash-restart faults.
-	Crashes int
-	// Kills counts permanent shard removals.
-	Kills int
-}
-
-// Disruptions reports whether any fault actually reset connections or
-// severed the fabric — the condition under which in-flight data may have
-// been legitimately lost.
-func (s EngineStats) Disruptions() int {
-	return s.Partitions + s.ChurnResets + s.PartitionResets + s.Crashes + s.Kills
-}
-
 // EngineOptions tunes fault application.
 type EngineOptions struct {
 	// OnStorm handles FaultStorm entries (the engine itself owns no
@@ -354,7 +325,6 @@ type FaultEngine struct {
 	mu      sync.Mutex
 	started bool
 	stopped bool
-	stats   EngineStats
 	events  []vclock.Event
 
 	done chan struct{}
@@ -433,13 +403,10 @@ func (e *FaultEngine) Stop() {
 	e.wg.Wait()
 }
 
-// Stats snapshots the applied-fault tallies.
-func (e *FaultEngine) Stats() EngineStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
+// apply executes one schedule entry. What it did is counted on the fabric's
+// registry: sensocial_netsim_faults_total by kind here, and the connections
+// a partition or churn reset on sensocial_netsim_conn_resets_total by cause
+// inside Partition and ResetConns.
 func (e *FaultEngine) apply(f Fault) {
 	e.mu.Lock()
 	if e.stopped {
@@ -448,11 +415,10 @@ func (e *FaultEngine) apply(f Fault) {
 	}
 	e.mu.Unlock()
 
-	e.net.countFault()
-	var churned, cut int
+	e.net.countFault(f.Kind)
 	switch f.Kind {
 	case FaultPartition:
-		cut = e.net.Partition(f.A, f.B)
+		e.net.Partition(f.A, f.B)
 	case FaultHeal:
 		e.net.Heal()
 	case FaultLatency, FaultBandwidth, FaultLoss:
@@ -467,7 +433,7 @@ func (e *FaultEngine) apply(f Fault) {
 		}
 	case FaultChurn:
 		for _, pat := range f.A {
-			churned += e.net.ResetConns(pat)
+			e.net.ResetConns(pat)
 		}
 	case FaultStorm:
 		if e.opts.OnStorm != nil {
@@ -482,28 +448,6 @@ func (e *FaultEngine) apply(f Fault) {
 			e.opts.OnKill(f.A[0])
 		}
 	}
-
-	e.mu.Lock()
-	e.stats.Applied++
-	switch f.Kind {
-	case FaultPartition:
-		e.stats.Partitions++
-		e.stats.PartitionResets += cut
-	case FaultHeal:
-		e.stats.Heals++
-	case FaultLatency, FaultBandwidth, FaultLoss:
-		e.stats.LinkFaults++
-	case FaultChurn:
-		e.stats.ChurnResets += churned
-	case FaultStorm:
-		e.stats.Storms++
-		e.stats.StormClients += f.Count
-	case FaultCrash:
-		e.stats.Crashes++
-	case FaultKill:
-		e.stats.Kills++
-	}
-	e.mu.Unlock()
 
 	if e.opts.OnFault != nil {
 		e.opts.OnFault(f)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -270,6 +271,8 @@ func TestResetConnsChurn(t *testing.T) {
 func TestFaultEngineRunsSchedule(t *testing.T) {
 	clock := vclock.NewManual(time.Unix(0, 0))
 	n := NewNetwork(clock, 1)
+	reg := obs.NewRegistry()
+	n.Instrument(reg)
 	t.Cleanup(func() { _ = n.Close() })
 	startEcho(t, n, "server:1883")
 	c, err := n.Dial("device-1", "server:1883")
@@ -311,20 +314,21 @@ func TestFaultEngineRunsSchedule(t *testing.T) {
 	clock.Advance(3 * time.Minute) // past the whole schedule
 	eng.Stop()
 
-	st := eng.Stats()
-	if st.Applied != 5 {
-		t.Fatalf("applied %d faults, want 5: %+v", st.Applied, st)
+	// The tallies are the fabric's registry series, by kind and by cause.
+	const faults, resets = "sensocial_netsim_faults_total", "sensocial_netsim_conn_resets_total"
+	if got := reg.Sum(faults); got != 5 {
+		t.Fatalf("applied %d faults, want 5", got)
 	}
-	if st.Partitions != 1 || st.Heals != 1 || st.LinkFaults != 1 || st.Storms != 1 {
-		t.Fatalf("fault tallies wrong: %+v", st)
+	for _, kind := range []string{"partition", "heal", "latency", "churn", "storm"} {
+		if got := reg.Sum(faults, kind); got != 1 {
+			t.Fatalf("%s{kind=%q} = %d, want 1", faults, kind, got)
+		}
 	}
-	if st.PartitionResets != 1 {
-		t.Fatalf("partition reset %d conns, want 1: %+v", st.PartitionResets, st)
+	// The partition cut the one connection; nothing was left for the churn.
+	if cut, churned := reg.Sum(resets, "partition"), reg.Sum(resets, "churn"); cut != 1 || churned != 0 {
+		t.Fatalf("resets: partition %d, churn %d; want 1, 0", cut, churned)
 	}
 	if storms != 3 {
 		t.Fatalf("storm hook saw %d clients, want 3", storms)
-	}
-	if st.Disruptions() == 0 {
-		t.Fatalf("Disruptions() = 0 for a run with partitions and churn")
 	}
 }

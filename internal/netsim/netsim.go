@@ -13,7 +13,7 @@
 // groups at runtime (see Partition, ApplyLinkFault, ResetConns) and driven
 // from a scripted, virtual-time fault schedule (see Schedule and
 // FaultEngine in fault.go). Fault state layers over the base Link profiles,
-// so SetLink/ConnPool callers are untouched.
+// so SetLink callers are untouched.
 package netsim
 
 import (
@@ -152,8 +152,8 @@ func (p *connPair) abort(err error) {
 type fabricCounters struct {
 	dials           *obs.Counter
 	txBytes         *obs.Counter
-	faults          *obs.Counter
-	connResets      *obs.Counter
+	faults          *obs.CounterVec // by fault kind, as the schedule DSL spells it
+	connResets      *obs.CounterVec // by cause: "partition" or "churn"
 	dialsRefused    *obs.Counter
 	lossRetransmits *obs.Counter
 }
@@ -164,10 +164,10 @@ func newFabricCounters(reg *obs.Registry) *fabricCounters {
 			"Connections established through the simulated fabric."),
 		txBytes: reg.Counter("sensocial_netsim_tx_bytes_total",
 			"Bytes written into simulated links (both directions)."),
-		faults: reg.Counter("sensocial_netsim_faults_total",
-			"Fault-schedule actions applied to the fabric (partitions, heals, link faults, churn, storms)."),
-		connResets: reg.Counter("sensocial_netsim_conn_resets_total",
-			"Established connections forcibly reset by fault injection."),
+		faults: reg.CounterVec("sensocial_netsim_faults_total",
+			"Fault-schedule entries applied to the fabric, by fault kind.", "kind"),
+		connResets: reg.CounterVec("sensocial_netsim_conn_resets_total",
+			"Established connections forcibly reset by fault injection, by cause (partition or churn).", "cause"),
 		dialsRefused: reg.Counter("sensocial_netsim_dials_refused_total",
 			"Dials refused because an injected partition separated the hosts."),
 		lossRetransmits: reg.Counter("sensocial_netsim_loss_retransmits_total",
@@ -198,6 +198,27 @@ func (n *Network) Instrument(reg *obs.Registry) {
 		return
 	}
 	n.counters.Store(newFabricCounters(reg))
+	reg.GaugeFunc("sensocial_netsim_unread_bytes",
+		"Bytes due at the receiving end of established connections that its reader has not taken, or took and has not come back from.",
+		n.unreadBytes)
+}
+
+// unreadBytes is the fabric's saturation signal: data the link has finished
+// carrying (its stamp has passed on the clock) that the receiving goroutine
+// has not read yet, or has read and is still working through — a reader
+// proves it is done with a chunk by calling Read again. Every endpoint keeps
+// a reader parked in Read, so at rest it is zero; with a manual clock parked
+// it is what tells "nothing more will arrive" from "the receiver is still
+// catching up".
+func (n *Network) unreadBytes() float64 {
+	n.mu.Lock()
+	pairs := n.collectLocked(func(*connPair) bool { return true })
+	n.mu.Unlock()
+	now, total := n.clock.Now(), 0
+	for _, p := range pairs {
+		total += p.client.in.due(now) + p.server.in.due(now)
+	}
+	return float64(total)
 }
 
 // SetDefaultLink sets the conditions applied to every connection without a
@@ -408,7 +429,7 @@ func (n *Network) Partition(a, b []string) int {
 		p.abort(ErrConnReset)
 	}
 	if len(victims) > 0 {
-		fc.connResets.Add(uint64(len(victims)))
+		fc.connResets.WithLabelValues("partition").Add(uint64(len(victims)))
 	}
 	return len(victims)
 }
@@ -529,7 +550,7 @@ func (n *Network) ResetConns(pattern string) int {
 		p.abort(ErrConnReset)
 	}
 	if len(victims) > 0 {
-		fc.connResets.Add(uint64(len(victims)))
+		fc.connResets.WithLabelValues("churn").Add(uint64(len(victims)))
 	}
 	return len(victims)
 }
@@ -564,8 +585,8 @@ func (n *Network) PathDelayFree(src, dst string) bool {
 
 // countFault bumps the fault-action counter (one per applied schedule
 // entry).
-func (n *Network) countFault() {
-	n.counters.Load().faults.Inc()
+func (n *Network) countFault(kind FaultKind) {
+	n.counters.Load().faults.WithLabelValues(kind.String()).Inc()
 }
 
 func (n *Network) randFloat() float64 {

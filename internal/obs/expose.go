@@ -185,6 +185,43 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	return out
 }
 
+// Sum is how Go code reads a count back: the total over the named family's
+// series, or — given label values — over the series whose leading label
+// values equal them, the way a PromQL sum() over a scrape would. Counters
+// and gauges contribute their value (gauges hold integral counts here:
+// backlogs, connections, capacities), histograms their observation count.
+// Reading a family nobody registered panics, like a conflicting
+// registration: a misspelt name must not read as zero.
+func (r *Registry) Sum(name string, labelValues ...string) uint64 {
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil {
+		panic(fmt.Sprintf("obs: Sum of unregistered family %q", name))
+	}
+	var total uint64
+	f.mu.RLock()
+	fn := f.fn
+	for _, s := range f.children {
+		if len(labelValues) > len(s.labelValues) || !equalStrings(s.labelValues[:len(labelValues)], labelValues) {
+			continue
+		}
+		switch f.typ {
+		case typeCounter:
+			total += s.counter.Value()
+		case typeGauge:
+			total += uint64(s.gauge.Value())
+		case typeHistogram:
+			total += s.hist.Count()
+		}
+	}
+	f.mu.RUnlock()
+	if fn != nil { // a gauge func has no series; sample it outside the lock
+		return uint64(fn())
+	}
+	return total
+}
+
 // infUpperBound marks the +Inf bucket in snapshots.
 var infUpperBound = math.Inf(1)
 

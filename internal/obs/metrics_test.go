@@ -103,6 +103,38 @@ func TestGaugeFuncReplace(t *testing.T) {
 	}
 }
 
+// TestSum pins the read side: a family sums over its series, a label value
+// narrows it, every collector type reads as a count, and an unknown family
+// is a programmer error rather than a silent zero.
+func TestSum(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("test_by_kind_total", "By kind.", "kind")
+	v.WithLabelValues("a").Add(2)
+	v.WithLabelValues("b").Inc()
+	r.Gauge("test_depth", "Depth.").Set(4)
+	r.GaugeFunc("test_live", "Live.", func() float64 { return 7 })
+	h := r.Histogram("test_seconds", "Seconds.", LatencyBuckets)
+	h.Observe(0.5)
+	h.Observe(50)
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   uint64
+	}{
+		{"test_by_kind_total", nil, 3},
+		{"test_by_kind_total", []string{"a"}, 2},
+		{"test_by_kind_total", []string{"absent"}, 0},
+		{"test_depth", nil, 4},
+		{"test_live", nil, 7},
+		{"test_seconds", nil, 2},
+	} {
+		if got := r.Sum(c.name, c.labels...); got != c.want {
+			t.Errorf("Sum(%s, %v) = %d, want %d", c.name, c.labels, got, c.want)
+		}
+	}
+	mustPanic(t, "unregistered family", func() { r.Sum("test_missing_total") })
+}
+
 // TestConcurrentRegistration hammers get-or-create from many goroutines;
 // run under -race this verifies the registry's synchronization.
 func TestConcurrentRegistration(t *testing.T) {

@@ -59,7 +59,7 @@ func clusterProcessed(cl *Simulation) uint64 {
 	var sum uint64
 	for _, s := range cl.Shards {
 		if s.Alive() {
-			sum += s.Server.Stats().Pipeline.Processed
+			sum += s.Metrics.Sum("sensocial_ingest_processed_total")
 		}
 	}
 	return sum
@@ -83,10 +83,14 @@ func waitCluster(t *testing.T, what string, cond func() bool) {
 func clusterForeign(cl *Simulation) uint64 {
 	var sum uint64
 	for _, s := range cl.Shards {
-		sum += s.Metrics.Counter("sensocial_cluster_foreign_items_total",
-			"Stream items skipped because the receiving shard does not own the user.").Value()
+		sum += s.Metrics.Sum("sensocial_cluster_foreign_items_total")
 	}
 	return sum
+}
+
+// publishedTo reads the pool ledger's per-shard publish split.
+func publishedTo(cl *Simulation, shard int) uint64 {
+	return cl.Shards[0].Metrics.Sum("sensocial_sim_items_published_total", ShardID(shard))
 }
 
 // clusterForwarded sums bridge-forwarded publishes over every shard.
@@ -110,23 +114,19 @@ func TestClusterShardLocalDelivery(t *testing.T) {
 
 			clock.Advance(2 * time.Minute)
 			want := uint64(devices * 2)
-			waitCluster(t, "all items processed", func() bool { return clusterProcessed(cl) >= want })
+			quiesce(t, cl)
 
-			st := cl.Pool.Stats()
-			if st.ItemsPublished != want {
-				t.Fatalf("published %d items, want %d", st.ItemsPublished, want)
+			if got := cl.Shards[0].Metrics.Sum("sensocial_sim_items_published_total"); got != want {
+				t.Fatalf("published %d items, want %d", got, want)
 			}
 			if got := clusterProcessed(cl); got != want {
 				t.Fatalf("processed %d items ring-wide, want exactly %d (no double ingest)", got, want)
 			}
-			if len(st.PublishedByShard) != shards {
-				t.Fatalf("publish split %v, want one entry per shard", st.PublishedByShard)
-			}
 			for i, s := range cl.Shards {
-				if p := s.Server.Stats().Pipeline.Processed; p == 0 {
-					t.Fatalf("shard %d processed nothing; ring left it empty: %v", i, st.PublishedByShard)
-				} else if p != st.PublishedByShard[i] {
-					t.Fatalf("shard %d processed %d items, want its ring share %d", i, p, st.PublishedByShard[i])
+				if p := s.Metrics.Sum("sensocial_ingest_processed_total"); p == 0 {
+					t.Fatalf("shard %d processed nothing; the ring left it empty", i)
+				} else if p != publishedTo(cl, i) {
+					t.Fatalf("shard %d processed %d items, want its ring share %d", i, p, publishedTo(cl, i))
 				}
 				if got := s.ClusterMetrics.RingShards.Value(); got != float64(shards) {
 					t.Fatalf("shard %d reports a ring of %v, want %d", i, got, shards)
@@ -184,7 +184,7 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	waitCluster(t, "cross-shard delivery", func() bool { return got.Load() >= 2 })
 
 	want := uint64(devices * 2)
-	waitCluster(t, "all items processed", func() bool { return clusterProcessed(cl) >= want })
+	quiesce(t, cl)
 	if p := clusterProcessed(cl); p != want {
 		t.Fatalf("processed %d cluster-wide, want %d: bridged copies were double-ingested", p, want)
 	}
@@ -205,10 +205,11 @@ func TestClusterKillShardSurvivorsServe(t *testing.T) {
 			cl, clock := newClusterFixture(t, 3, devices, 0)
 
 			clock.Advance(2 * time.Minute)
-			waitCluster(t, "pre-kill processing", func() bool {
-				return clusterProcessed(cl) >= uint64(devices*2)
-			})
-			pre := cl.Pool.Stats()
+			quiesce(t, cl)
+			var pre [3]uint64
+			for i := range pre {
+				pre[i] = publishedTo(cl, i)
+			}
 
 			if err := cl.KillShard(victim); err != nil {
 				t.Fatalf("KillShard: %v", err)
@@ -226,38 +227,31 @@ func TestClusterKillShardSurvivorsServe(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				clock.Advance(2 * time.Minute)
 			}
-			survivorShare := func(st PoolStats) (sum uint64) {
-				for i, n := range st.PublishedByShard {
-					if i != victim {
-						sum += n
-					}
-				}
-				return sum
-			}
-			waitCluster(t, "survivors settle", func() bool {
-				return clusterProcessed(cl) >= survivorShare(cl.Pool.Stats())
-			})
+			quiesce(t, cl)
 
-			st := cl.Pool.Stats()
+			var survivorShare uint64
 			for i := range cl.Shards {
+				now := publishedTo(cl, i)
 				switch {
-				case i == victim && st.PublishedByShard[i] != pre.PublishedByShard[i]:
-					t.Fatalf("dead shard%d kept receiving publishes (%d -> %d)",
-						i, pre.PublishedByShard[i], st.PublishedByShard[i])
-				case i != victim && st.PublishedByShard[i] <= pre.PublishedByShard[i]:
-					t.Fatalf("surviving shard %d stopped receiving publishes after the kill (%d -> %d)",
-						i, pre.PublishedByShard[i], st.PublishedByShard[i])
+				case i == victim && now != pre[i]:
+					t.Fatalf("dead shard%d kept receiving publishes (%d -> %d)", i, pre[i], now)
+				case i != victim && now <= pre[i]:
+					t.Fatalf("surviving shard %d stopped receiving publishes after the kill (%d -> %d)", i, pre[i], now)
+				case i != victim:
+					survivorShare += now
 				}
 			}
-			if got := clusterProcessed(cl); got != survivorShare(st) {
-				t.Fatalf("survivors processed %d, want %d", got, survivorShare(st))
+			if got := clusterProcessed(cl); got != survivorShare {
+				t.Fatalf("survivors processed %d, want %d", got, survivorShare)
 			}
 			// Items for the dead shard end up buffered or dropped, never lost to
-			// accounting: Samples == Published + AckLost + Dropped + Backlog.
-			if st.Samples != st.ItemsPublished+st.ItemsAckLost+st.ItemsDropped+st.Backlog {
-				t.Fatalf("conservation violated after kill: %+v", st)
+			// accounting: samples == published + ackLost + dropped + backlog.
+			samples, published, ackLost, dropped, backlog := poolLedger(cl)
+			if samples != published+ackLost+dropped+backlog {
+				t.Fatalf("conservation violated after kill: samples=%d published=%d ackLost=%d dropped=%d backlog=%d",
+					samples, published, ackLost, dropped, backlog)
 			}
-			if st.ItemsDropped+st.Backlog == 0 {
+			if dropped+backlog == 0 {
 				t.Fatal("dead shard's devices show neither backlog nor drops")
 			}
 		})
@@ -274,10 +268,10 @@ func clusterTraceRun(t *testing.T, shards int) string {
 	const steps = 3
 	for i := 1; i <= steps; i++ {
 		clock.Advance(2 * time.Minute)
-		want := uint64(devices * 2 * i)
-		waitCluster(t, fmt.Sprintf("step %d processed", i), func() bool {
-			return clusterProcessed(cl) >= want
-		})
+		quiesce(t, cl)
+		if got, want := clusterProcessed(cl), uint64(devices*2*i); got != want {
+			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
+		}
 	}
 	cl.Close()
 

@@ -170,14 +170,9 @@ func durablePooledTraceRun(t *testing.T) string {
 	const steps = 3
 	for i := 1; i <= steps; i++ {
 		clock.Advance(2 * time.Minute)
-		deadline := time.Now().Add(30 * time.Second)
-		want := uint64(devices * 2 * i)
-		for s.Shards[0].Server.Stats().Pipeline.Processed < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("step %d: processed=%d within 30s, want %d",
-					i, s.Shards[0].Server.Stats().Pipeline.Processed, want)
-			}
-			time.Sleep(time.Millisecond)
+		quiesce(t, s)
+		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*2*i); got != want {
+			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
 		}
 	}
 	s.Close()

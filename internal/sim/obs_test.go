@@ -2,8 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -69,14 +71,18 @@ func deterministicTraceRun(t *testing.T) string {
 		clock.Advance(time.Minute)
 		// The advance fires the sampler; the item then crosses the (real)
 		// goroutines of the device, broker and pipeline while the virtual
-		// clock stands still. Wait on real time for it to land.
-		deadline := time.Now().Add(30 * time.Second)
-		for s.Shards[0].Server.Stats().Pipeline.Processed < uint64(i) {
-			if time.Now().After(deadline) {
-				t.Fatalf("step %d: item not processed within 30s (processed=%d)",
-					i, s.Shards[0].Server.Stats().Pipeline.Processed)
+		// clock stands still. The sampler is a goroutine of its own, so the
+		// deployment can look quiescent before it has emitted anything:
+		// quiesce until the step's item has landed.
+		for deadline := time.Now().Add(30 * time.Second); ; {
+			quiesce(t, s)
+			got := ingested(s, "sensocial_ingest_processed_total")
+			if got == uint64(i) {
+				break
 			}
-			time.Sleep(time.Millisecond)
+			if got > uint64(i) || time.Now().After(deadline) {
+				t.Fatalf("step %d: processed %d items, want %d", i, got, i)
+			}
 		}
 	}
 
@@ -150,14 +156,9 @@ func deterministicPooledTraceRun(t *testing.T) string {
 	const steps = 3
 	for i := 1; i <= steps; i++ {
 		clock.Advance(2 * time.Minute)
-		deadline := time.Now().Add(30 * time.Second)
-		want := uint64(devices * 2 * i)
-		for s.Shards[0].Server.Stats().Pipeline.Processed < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("step %d: processed=%d within 30s, want %d",
-					i, s.Shards[0].Server.Stats().Pipeline.Processed, want)
-			}
-			time.Sleep(time.Millisecond)
+		quiesce(t, s)
+		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*2*i); got != want {
+			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
 		}
 	}
 
@@ -187,69 +188,122 @@ func TestPooledTraceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestMetricsAndTraceOverHTTP scrapes GET /metrics and GET /trace through
-// the simulated fabric, pinning the exposition basics end to end (format
-// header, a family from each instrumented component).
-func TestMetricsAndTraceOverHTTP(t *testing.T) {
-	opts := fastOptions()
-	opts.TraceCapacity = 128
-	s, err := New(opts)
+// scrapeMetrics GETs a shard's /metrics over the simulated fabric and sums
+// the Prometheus text by sample name — all the accounting below uses is what
+// an operator's scraper would have.
+func scrapeMetrics(t *testing.T, client *http.Client, sh *Shard) (text string, sums map[string]float64) {
+	t.Helper()
+	resp, err := client.Get("http://" + sh.HTTPAddr + "/metrics")
 	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer s.Close()
-	profile, err := StationaryProfile(s.Places, "Paris")
-	if err != nil {
-		t.Fatalf("StationaryProfile: %v", err)
-	}
-	if _, err := s.AddUser("alice", profile); err != nil {
-		t.Fatalf("AddUser: %v", err)
-	}
-	if err := s.Shards[0].StartHTTP(); err != nil {
-		t.Fatalf("StartHTTP: %v", err)
-	}
-	client := s.HTTPClient("prober")
-
-	resp, err := client.Get("http://" + HTTPAddr + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET %s/metrics: %v", sh.ID, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: %s", resp.Status)
+		t.Fatalf("GET %s/metrics: %s", sh.ID, resp.Status)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("GET /metrics Content-Type = %q, want Prometheus text 0.0.4", ct)
+		t.Fatalf("GET %s/metrics Content-Type = %q, want Prometheus text 0.0.4", sh.ID, ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatalf("read body: %v", err)
 	}
-	for _, family := range []string{
-		"# TYPE sensocial_netsim_dials_total counter",
-		"# TYPE sensocial_mqtt_connections gauge",
-		"# TYPE sensocial_device_samples_total counter",
-		"# TYPE sensocial_ingest_process_duration_seconds histogram",
-		"# TYPE sensocial_delivery_published_total counter",
-	} {
-		if !strings.Contains(string(body), family) {
-			t.Errorf("/metrics missing %q", family)
+	sums = make(map[string]float64)
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
 		}
+		// "<name>[{labels}] <value>": the value follows the last space.
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if i < 0 || err != nil {
+			t.Fatalf("%s/metrics: unparseable sample line %q", sh.ID, line)
+		}
+		name, _, _ := strings.Cut(line[:i], "{")
+		sums[name] += v
 	}
+	return string(body), sums
+}
 
-	tr, err := client.Get("http://" + HTTPAddr + "/trace")
-	if err != nil {
-		t.Fatalf("GET /trace: %v", err)
-	}
-	defer tr.Body.Close()
-	if tr.StatusCode != http.StatusOK {
-		t.Fatalf("GET /trace: %s", tr.Status)
-	}
-	trace, err := io.ReadAll(tr.Body)
-	if err != nil {
-		t.Fatalf("read trace: %v", err)
-	}
-	if !strings.HasPrefix(string(trace), "# trace:") {
-		t.Fatalf("trace dump missing header: %q", string(trace[:min(len(trace), 40)]))
+// TestMetricsAndTraceOverHTTP runs a pooled fleet at ring sizes 1 and 3 and
+// then works from GET /metrics and GET /trace alone, through the simulated
+// fabric: the exposition basics (format header, a family from each
+// instrumented component), and the run's accounting recomputed from the
+// Prometheus text — the pool's conservation identity from shard 0's scrape,
+// and ingest enqueued == processed == published summed over every shard's.
+func TestMetricsAndTraceOverHTTP(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			const devices = 24
+			cl, clock := newClusterFixture(t, shards, devices, 128)
+			for _, sh := range cl.Shards {
+				if err := sh.StartHTTP(); err != nil {
+					t.Fatalf("StartHTTP: %v", err)
+				}
+			}
+			// Three cycles at UploadBatch=2: one flush of two items per device,
+			// and a third sample left buffered.
+			clock.Advance(3 * time.Minute)
+			quiesce(t, cl)
+			client := cl.HTTPClient("prober")
+
+			var fleet map[string]float64
+			var enqueued, processed float64
+			for i, sh := range cl.Shards {
+				text, sums := scrapeMetrics(t, client, sh)
+				enqueued += sums["sensocial_ingest_enqueued_total"]
+				processed += sums["sensocial_ingest_processed_total"]
+				if sums["sensocial_ingest_queue_capacity"] == 0 {
+					t.Errorf("%s: no ingest queue capacity on the scrape; depth/capacity is not computable", sh.ID)
+				}
+				if i > 0 {
+					continue
+				}
+				fleet = sums
+				for _, family := range []string{
+					"# TYPE sensocial_netsim_dials_total counter",
+					"# TYPE sensocial_mqtt_connections gauge",
+					"# TYPE sensocial_device_samples_total counter",
+					"# TYPE sensocial_ingest_process_duration_seconds histogram",
+					"# TYPE sensocial_delivery_published_total counter",
+					"# TYPE sensocial_sim_items_published_total counter",
+				} {
+					if !strings.Contains(text, family) {
+						t.Errorf("/metrics missing %q", family)
+					}
+				}
+			}
+			samples, published := fleet["sensocial_sim_samples_total"], fleet["sensocial_sim_items_published_total"]
+			ackLost, dropped := fleet["sensocial_sim_items_ack_lost_total"], fleet["sensocial_sim_items_dropped_total"]
+			backlog := fleet["sensocial_sim_backlog"]
+			if samples != devices*3 || published != devices*2 || backlog != devices {
+				t.Errorf("scraped ledger samples=%v published=%v backlog=%v, want %d, %d, %d",
+					samples, published, backlog, devices*3, devices*2, devices)
+			}
+			if samples != published+ackLost+dropped+backlog {
+				t.Errorf("conservation broken on the scrape: samples=%v != published=%v + ackLost=%v + dropped=%v + backlog=%v",
+					samples, published, ackLost, dropped, backlog)
+			}
+			if enqueued != processed || processed != published {
+				t.Errorf("scraped ingest enqueued=%v processed=%v, want both equal to published=%v",
+					enqueued, processed, published)
+			}
+
+			tr, err := client.Get("http://" + cl.Shards[0].HTTPAddr + "/trace")
+			if err != nil {
+				t.Fatalf("GET /trace: %v", err)
+			}
+			defer tr.Body.Close()
+			if tr.StatusCode != http.StatusOK {
+				t.Fatalf("GET /trace: %s", tr.Status)
+			}
+			trace, err := io.ReadAll(tr.Body)
+			if err != nil {
+				t.Fatalf("read trace: %v", err)
+			}
+			if !strings.HasPrefix(string(trace), "# trace:") {
+				t.Fatalf("trace dump missing header: %q", string(trace[:min(len(trace), 40)]))
+			}
+		})
 	}
 }

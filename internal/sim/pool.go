@@ -45,8 +45,9 @@ type PoolOptions struct {
 	// default 0). At QoS 1 a flush blocks on each PUBACK, so the broker's
 	// receipt of every counted item is confirmed; publishes whose
 	// acknowledgement is lost to a mid-flight fault are charged to
-	// ItemsAckLost and never resent (at-most-once — resending could
-	// double-deliver, because the broker acks before routing).
+	// sensocial_sim_items_ack_lost_total and never resent (at-most-once —
+	// resending could double-deliver, because the broker acks before
+	// routing).
 	UploadQoS byte
 }
 
@@ -90,31 +91,57 @@ func poolActivity(phase uint32, t time.Time) string {
 	return poolActivityLabels[slot%3]
 }
 
-// PoolStats is a point-in-time snapshot of pool progress. Every sample
-// taken ends up in exactly one of ItemsPublished (confirmed written, and
-// at QoS 1 acked), ItemsAckLost (QoS 1 publish whose ack was lost to a
-// fault — delivery unknown, never resent), ItemsDropped (backlog-cap
-// overflow or encode failure) or Backlog (still buffered), so
+// fleetSeries are the sensocial_sim_* series on the fleet registry: the
+// fleet's size, the cost of a pooled tick, and the pool's ledger of its
+// samples, which is kept here and nowhere else. Every sample taken ends up
+// in exactly one of published (confirmed written, and at QoS 1 acked),
+// ackLost (QoS 1 publish whose ack was lost to a fault — delivery unknown,
+// never resent), dropped (backlog-cap overflow or encode failure) or backlog
+// (still buffered), so
 //
-//	Samples == ItemsPublished + ItemsAckLost + ItemsDropped + Backlog
+//	samples == published + ackLost + dropped + backlog
 //
-// holds whenever no flush is mid-flight (always true at quiesce on a
-// manual clock). The chaos harness asserts it as a conservation
-// invariant.
-type PoolStats struct {
-	Devices        int
-	Frames         int
-	Connections    int
-	Ticks          uint64
-	Samples        uint64
-	ItemsPublished uint64
-	ItemsAckLost   uint64
-	ItemsDropped   uint64
-	Backlog        uint64
-	PublishErrors  uint64
-	// PublishedByShard splits ItemsPublished by the shard whose connection
-	// group the publish went through (one entry per shard of the ring).
-	PublishedByShard []uint64
+// holds whenever no flush is mid-flight (always true at quiesce on a manual
+// clock). The chaos harness asserts it as a conservation invariant, and a
+// /metrics scrape of shard 0 is enough to recompute it.
+type fleetSeries struct {
+	devices *obs.Gauge     // full stacks and pooled rows
+	tickDur *obs.Histogram // its count is the number of frame ticks
+
+	samples     *obs.Counter
+	published   []*obs.Counter // by ring shard the publish went through
+	ackLost     *obs.Counter
+	dropped     *obs.Counter
+	publishErrs *obs.Counter
+	backlog     *obs.Gauge
+}
+
+// newFleetSeries registers the series for a ring of the given size. sim.New
+// calls it for every deployment, so the families (and one published series
+// per shard) are on /metrics before any device exists.
+func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
+	l := fleetSeries{
+		devices: reg.Gauge("sensocial_sim_devices",
+			"Simulated devices currently running (full and pooled modes)."),
+		tickDur: reg.Histogram("sensocial_sim_tick_duration_seconds",
+			"Host CPU seconds spent executing one pooled frame tick.", obs.LatencyBuckets),
+		samples: reg.Counter("sensocial_sim_samples_total",
+			"Sensor samples taken by pooled devices."),
+		ackLost: reg.Counter("sensocial_sim_items_ack_lost_total",
+			"Pooled QoS 1 publishes whose acknowledgement was lost to a fault; delivery unknown, never resent."),
+		dropped: reg.Counter("sensocial_sim_items_dropped_total",
+			"Pooled samples dropped at the per-device backlog cap or on an encode failure."),
+		publishErrs: reg.Counter("sensocial_sim_publish_errors_total",
+			"Failed pooled dials, handshakes, encodes and publishes."),
+		backlog: reg.Gauge("sensocial_sim_backlog",
+			"Pooled samples buffered on devices awaiting upload."),
+	}
+	published := reg.CounterVec("sensocial_sim_items_published_total",
+		"Items pooled devices published (at QoS 1: and saw acknowledged), by the ring shard they were sent to.", "shard")
+	for i := 0; i < shards; i++ {
+		l.published = append(l.published, published.WithLabelValues(ShardID(i)))
+	}
+	return l
 }
 
 // DevicePool runs a large fleet of simulated devices as scheduled events
@@ -134,13 +161,13 @@ type PoolStats struct {
 // encoded exactly like mobile's pipeline and published at UploadQoS to
 // core.StreamDataTopic(deviceID) over MQTT, so the broker, the server
 // ingest pipeline and every downstream consumer see pooled devices as
-// indistinguishable from full ones. The fleet shares Connections fabric
-// conns via netsim.ConnPool; per-device attribution rides in the topic.
+// indistinguishable from full ones. The whole fleet shares Connections
+// fabric conns, one MQTT client per slot; per-device attribution rides in
+// the topic.
 type DevicePool struct {
 	clock   vclock.Clock
 	fabric  *netsim.Network
 	charger *device.BulkCharger
-	conns   *netsim.ConnPool
 
 	// addrs/perShard form the pool's address ring: slot s dials
 	// addrs[s/perShard], so each address owns a contiguous group of
@@ -159,12 +186,15 @@ type DevicePool struct {
 	modality    string
 	streamID    string
 
-	devicesGauge *obs.Gauge
-	tickDur      *obs.Histogram
+	series fleetSeries
 
 	mu      sync.Mutex
 	started bool
 	closed  bool
+	// conns holds each slot's latest fabric conn, so Close can unblock a
+	// handshake still parked in a read; an established client owns (and
+	// closes) its conn.
+	conns []net.Conn
 	// Struct-of-arrays device state. ids/users/lat/lon/phase are written
 	// only before Start; cads/backlog/drained are mutated under mu by
 	// frame ticks.
@@ -183,14 +213,6 @@ type DevicePool struct {
 	connecting []atomic.Bool
 	done       chan struct{}
 	wg         sync.WaitGroup
-
-	ticks          atomic.Uint64
-	samples        atomic.Uint64
-	itemsPublished atomic.Uint64
-	itemsAckLost   atomic.Uint64
-	itemsDropped   atomic.Uint64
-	publishErrs    atomic.Uint64
-	pubByShard     []atomic.Uint64
 }
 
 // poolFrame is one scheduled span [lo,hi) of the pool's device arrays. The
@@ -227,28 +249,18 @@ type flushClient struct {
 // registry. The Connections budget is split into one group of
 // Connections/len(Shards) slots (min 1) per shard, and every device
 // publishes only through its ring owner's group.
-func newDevicePool(s *Simulation, opts PoolOptions) (*DevicePool, error) {
+func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 	opts = opts.withDefaults()
 	addrs := make([]string, len(s.Shards))
 	for i, sh := range s.Shards {
 		addrs[i] = sh.BrokerAddr
 	}
-	perShard := opts.Connections / len(addrs)
-	if perShard < 1 {
-		perShard = 1
-	}
+	perShard := max(1, opts.Connections/len(addrs))
 	total := perShard * len(addrs)
-	conns, err := netsim.NewConnPool(total, func(slot int) (net.Conn, error) {
-		return s.Fabric.Dial("device-pool", addrs[slot/perShard])
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: device pool: %w", err)
-	}
-	p := &DevicePool{
+	return &DevicePool{
 		clock:   s.Clock,
 		fabric:  s.Fabric,
 		charger: device.NewBulkCharger(energy.CostModel{}, s.fleetMetrics),
-		conns:   conns,
 
 		addrs:    addrs,
 		perShard: perShard,
@@ -263,16 +275,13 @@ func newDevicePool(s *Simulation, opts PoolOptions) (*DevicePool, error) {
 		modality:    sensors.ModalityAccelerometer,
 		streamID:    "pool-activity",
 
-		devicesGauge: s.simDevices,
-		tickDur:      s.simTickDur,
+		series: s.series,
 
+		conns:      make([]net.Conn, total),
 		clients:    make([]atomic.Pointer[mqtt.Client], total),
 		connecting: make([]atomic.Bool, total),
 		done:       make(chan struct{}),
-
-		pubByShard: make([]atomic.Uint64, len(addrs)),
 	}
-	return p, nil
 }
 
 // AddDevices appends n pooled devices. Must be called before Start.
@@ -305,7 +314,7 @@ func (p *DevicePool) AddDevices(n int) error {
 		p.drained = append(p.drained, 0)
 		p.cads = append(p.cads, sensing.Cadence{})
 	}
-	p.devicesGauge.Add(float64(n))
+	p.series.devices.Add(float64(n))
 	return nil
 }
 
@@ -386,12 +395,12 @@ func (p *DevicePool) Start() error {
 	return nil
 }
 
-// connectSlot dials the slot's pooled fabric connection and performs the
-// MQTT handshake, publishing the client for frame flushes once the broker
-// acknowledges. Errors are counted and the slot stays nil; its frames keep
-// buffering (capped) until a later flush retries. The connecting guard
-// keeps the initial background dial and a frame's synchronous reconnect
-// from racing a double handshake over one pooled conn.
+// connectSlot dials the slot's fabric connection to its shard's broker and
+// performs the MQTT handshake, publishing the client for frame flushes once
+// the broker acknowledges. Errors are counted and the slot stays nil; its
+// frames keep buffering (capped) until a later flush retries. The connecting
+// guard keeps the initial background dial and a frame's synchronous
+// reconnect from racing two handshakes for one slot.
 func (p *DevicePool) connectSlot(slot int) {
 	if !p.connecting[slot].CompareAndSwap(false, true) {
 		return
@@ -405,9 +414,17 @@ func (p *DevicePool) connectSlot(slot int) {
 	if p.clients[slot].Load() != nil {
 		return
 	}
-	conn, err := p.conns.Get(slot)
+	conn, err := p.fabric.Dial("device-pool", p.addrs[slot/p.perShard])
 	if err != nil {
-		p.publishErrs.Add(1)
+		p.series.publishErrs.Inc()
+		return
+	}
+	p.mu.Lock()
+	closed := p.closed
+	p.conns[slot] = conn
+	p.mu.Unlock()
+	if closed {
+		_ = conn.Close()
 		return
 	}
 	cli, err := mqtt.Connect(conn, mqtt.ClientOptions{
@@ -415,8 +432,8 @@ func (p *DevicePool) connectSlot(slot int) {
 		Clock:    p.clock,
 	})
 	if err != nil {
-		p.publishErrs.Add(1)
-		p.conns.Invalidate(slot)
+		p.series.publishErrs.Inc()
+		_ = conn.Close()
 		return
 	}
 	p.clients[slot].Store(cli)
@@ -439,13 +456,12 @@ func (p *DevicePool) reconnectSlot(slot int) *mqtt.Client {
 	return p.clients[slot].Load()
 }
 
-// retireClient drops a slot's broken client and invalidates its pooled
-// conn so a later flush redials. The compare-and-swap keeps a racing frame
-// on another goroutine from retiring a freshly dialed replacement.
+// retireClient drops a slot's broken client, closing its conn with it, so a
+// later flush redials. The compare-and-swap keeps a racing frame on another
+// goroutine from retiring a freshly dialed replacement.
 func (p *DevicePool) retireClient(slot int, cli *mqtt.Client) {
 	if p.clients[slot].CompareAndSwap(cli, nil) {
 		_ = cli.Close()
-		p.conns.Invalidate(slot)
 	}
 }
 
@@ -470,30 +486,21 @@ func (p *DevicePool) restoreBacklog(i, count int) {
 	}
 	p.backlog[i] += uint16(add)
 	p.mu.Unlock()
+	p.series.backlog.Add(float64(add))
 	if dropped := count - add; dropped > 0 {
-		p.itemsDropped.Add(uint64(dropped))
+		p.series.dropped.Add(uint64(dropped))
 	}
 }
 
-// Ready reports whether every pooled connection has completed its MQTT
-// handshake.
-func (p *DevicePool) Ready() bool {
-	for i := range p.clients {
-		if p.clients[i].Load() == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// WaitReady blocks until Ready or the real-time timeout expires. Tests on
+// WaitReady blocks until every pooled connection has completed its MQTT
+// handshake or the real-time timeout expires. Tests on
 // a manual clock call this before advancing so that every flush lands at a
 // deterministic virtual time; it needs a zero-latency link (the handshake
 // completes without virtual-time advances) to terminate.
 func (p *DevicePool) WaitReady(timeout time.Duration) error {
 	//lint:ignore wallclock readiness spans real goroutine scheduling (background handshakes), independent of the virtual clock
 	deadline := time.Now().Add(timeout)
-	for !p.Ready() {
+	for p.readyCount() < len(p.clients) {
 		//lint:ignore wallclock see above: polling real progress of background handshake goroutines
 		if time.Now().After(deadline) {
 			return fmt.Errorf("sim: device pool: %d/%d connections ready after %v",
@@ -533,8 +540,7 @@ func (f *poolFrame) fire(now time.Time) {
 		f.ev.Reschedule(f.next)
 	}
 	//lint:ignore wallclock see above: measuring host CPU cost of the tick
-	p.tickDur.Observe(time.Since(t0).Seconds())
-	p.ticks.Add(1)
+	p.series.tickDur.Observe(time.Since(t0).Seconds())
 }
 
 // loop is the fallback driver for clocks without an event scheduler: one
@@ -581,10 +587,11 @@ func (f *poolFrame) tick(now time.Time) {
 	}
 	p.mu.Unlock()
 	if dropped > 0 {
-		p.itemsDropped.Add(dropped)
+		p.series.dropped.Add(dropped)
 	}
-	if n := len(f.sampled); n > 0 {
-		p.samples.Add(uint64(n))
+	if n := uint64(len(f.sampled)); n > 0 {
+		p.series.samples.Add(n)
+		p.series.backlog.Add(float64(n - dropped))
 	}
 }
 
@@ -607,11 +614,13 @@ func (f *poolFrame) flush(now time.Time) {
 
 	f.flushIdx = f.flushIdx[:0]
 	f.flushCnt = f.flushCnt[:0]
+	taken := 0
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
 		if int(p.backlog[i]) >= p.uploadBatch {
 			f.flushIdx = append(f.flushIdx, int32(i))
 			f.flushCnt = append(f.flushCnt, p.backlog[i])
+			taken += int(p.backlog[i])
 			p.backlog[i] = 0
 		}
 	}
@@ -619,6 +628,8 @@ func (f *poolFrame) flush(now time.Time) {
 	if len(f.flushIdx) == 0 {
 		return
 	}
+	// Whatever a broken flush could not send comes back via restoreBacklog.
+	p.series.backlog.Add(-float64(taken))
 
 	// Devices in a frame can belong to different shards; each shard's
 	// client is resolved at most once per flush, and a mid-flush failure
@@ -663,8 +674,8 @@ func (f *poolFrame) flush(now time.Time) {
 			}
 			payload, err := item.Encode()
 			if err != nil {
-				p.publishErrs.Add(1)
-				p.itemsDropped.Add(1)
+				p.series.publishErrs.Inc()
+				p.series.dropped.Inc()
 				consumed++
 				continue
 			}
@@ -677,13 +688,13 @@ func (f *poolFrame) flush(now time.Time) {
 			}
 			// Connection broke mid-flush: retire the client, re-buffer
 			// whatever was not confirmed sent, and let a later tick redial.
-			p.publishErrs.Add(1)
+			p.series.publishErrs.Inc()
 			if errors.Is(err, mqtt.ErrAckUnknown) || errors.Is(err, mqtt.ErrAckTimeout) {
 				// The PUBLISH reached the wire but its ack never came back:
 				// the broker may or may not have routed it. Resending could
 				// double-deliver, so the item is charged to ack-lost and
 				// never re-buffered (at-most-once).
-				p.itemsAckLost.Add(1)
+				p.series.ackLost.Inc()
 				consumed++
 			}
 			st.failed = true
@@ -698,7 +709,7 @@ func (f *poolFrame) flush(now time.Time) {
 		if st.msgs > 0 {
 			msgs += st.msgs
 			bytes += st.bytes
-			p.pubByShard[sh].Add(uint64(st.msgs))
+			p.series.published[sh].Add(uint64(st.msgs))
 		}
 	}
 	if msgs > 0 {
@@ -709,15 +720,7 @@ func (f *poolFrame) flush(now time.Time) {
 			p.drained[i] += share
 		}
 		p.mu.Unlock()
-		p.itemsPublished.Add(uint64(msgs))
 	}
-}
-
-// Devices returns the pooled fleet size.
-func (p *DevicePool) Devices() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.ids)
 }
 
 // Charger exposes the fleet-wide resource accountant.
@@ -733,44 +736,17 @@ func (p *DevicePool) DrainedMicroAh(i int) float64 {
 	return p.drained[i]
 }
 
-// Stats snapshots pool progress counters.
-func (p *DevicePool) Stats() PoolStats {
-	p.mu.Lock()
-	devices, frames := len(p.ids), len(p.frames)
-	var backlog uint64
-	for _, b := range p.backlog {
-		backlog += uint64(b)
-	}
-	p.mu.Unlock()
-	byShard := make([]uint64, len(p.pubByShard))
-	for i := range p.pubByShard {
-		byShard[i] = p.pubByShard[i].Load()
-	}
-	return PoolStats{
-		Devices:          devices,
-		Frames:           frames,
-		Connections:      p.conns.Size(),
-		Ticks:            p.ticks.Load(),
-		Samples:          p.samples.Load(),
-		ItemsPublished:   p.itemsPublished.Load(),
-		ItemsAckLost:     p.itemsAckLost.Load(),
-		ItemsDropped:     p.itemsDropped.Load(),
-		Backlog:          backlog,
-		PublishErrors:    p.publishErrs.Load(),
-		PublishedByShard: byShard,
-	}
-}
-
-// BacklogTotal sums the pending-upload backlog across the fleet.
-func (p *DevicePool) BacklogTotal() uint64 {
+// Frames returns how many scheduled frames the started fleet was carved
+// into.
+func (p *DevicePool) Frames() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var t uint64
-	for _, b := range p.backlog {
-		t += uint64(b)
-	}
-	return t
+	return len(p.frames)
 }
+
+// Connections returns the fleet's connection budget: one slot group per
+// shard.
+func (p *DevicePool) Connections() int { return len(p.clients) }
 
 // Close stops every frame event, tears down the pooled connections and
 // joins the background goroutines. Safe to call more than once.
@@ -783,6 +759,7 @@ func (p *DevicePool) Close() {
 	p.closed = true
 	frames := p.frames
 	devices := len(p.ids)
+	conns := append([]net.Conn(nil), p.conns...)
 	p.mu.Unlock()
 
 	close(p.done)
@@ -796,8 +773,13 @@ func (p *DevicePool) Close() {
 			_ = cli.Close()
 		}
 	}
-	// Closing the conns unblocks any handshake still parked in a read.
-	_ = p.conns.Close()
+	// Closing the conns unblocks any handshake still parked in a read; a
+	// dial that lands after this snapshot sees closed and closes its own.
+	for _, c := range conns {
+		if c != nil {
+			_ = c.Close()
+		}
+	}
 	p.wg.Wait()
-	p.devicesGauge.Add(-float64(devices))
+	p.series.devices.Add(-float64(devices))
 }

@@ -29,16 +29,30 @@ func newPooledSim(t *testing.T, clock vclock.Clock, opts PoolOptions, traceCap i
 	return s
 }
 
-func waitProcessed(t *testing.T, s *Simulation, want uint64) {
+// quiesce parks the test until the deployment has drained what the last
+// advance put in flight (Simulation.Quiesce, the one wait there is).
+func quiesce(t *testing.T, s *Simulation) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Shards[0].Server.Stats().Pipeline.Processed < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline processed %d items within 30s, want %d",
-				s.Shards[0].Server.Stats().Pipeline.Processed, want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := s.Quiesce(30 * time.Second); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// poolLedger reads the pool's sample ledger off the fleet registry; at rest
+// samples == published + ackLost + dropped + backlog.
+func poolLedger(s *Simulation) (samples, published, ackLost, dropped, backlog uint64) {
+	fleet := s.Shards[0].Metrics
+	return fleet.Sum("sensocial_sim_samples_total"), fleet.Sum("sensocial_sim_items_published_total"),
+		fleet.Sum("sensocial_sim_items_ack_lost_total"), fleet.Sum("sensocial_sim_items_dropped_total"),
+		fleet.Sum("sensocial_sim_backlog")
+}
+
+// ingested sums a sensocial_ingest_* family over every shard's registry.
+func ingested(s *Simulation, family string) (sum uint64) {
+	for _, sh := range s.Shards {
+		sum += sh.Metrics.Sum(family)
+	}
+	return sum
 }
 
 // TestPooledDevicesPublishThroughBroker drives a pooled fleet on the manual
@@ -87,20 +101,21 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	// Four sampling cycles: with UploadBatch=2 every device publishes twice,
 	// two items per flush (frame offsets are < 2s, so 4m30s covers all).
 	clock.Advance(4*time.Minute + 30*time.Second)
-	waitProcessed(t, s, devices*4)
+	quiesce(t, s)
 
-	st := s.Pool.Stats()
-	if st.Devices != devices {
-		t.Fatalf("Stats.Devices = %d, want %d", st.Devices, devices)
-	}
-	if st.Samples != devices*4 {
-		t.Fatalf("Stats.Samples = %d, want %d", st.Samples, devices*4)
-	}
-	if st.ItemsPublished != devices*4 {
-		t.Fatalf("Stats.ItemsPublished = %d, want %d", st.ItemsPublished, devices*4)
-	}
-	if st.ItemsDropped != 0 || st.PublishErrors != 0 {
-		t.Fatalf("drops=%d errors=%d, want none", st.ItemsDropped, st.PublishErrors)
+	fleet := s.Shards[0].Metrics
+	for family, want := range map[string]uint64{
+		"sensocial_sim_devices":               devices,
+		"sensocial_sim_samples_total":         devices * 4,
+		"sensocial_sim_items_published_total": devices * 4,
+		"sensocial_ingest_processed_total":    devices * 4,
+		"sensocial_sim_items_dropped_total":   0,
+		"sensocial_sim_publish_errors_total":  0,
+		"sensocial_sim_backlog":               0,
+	} {
+		if got := fleet.Sum(family); got != want {
+			t.Errorf("%s = %d, want %d", family, got, want)
+		}
 	}
 
 	mu.Lock()
@@ -155,9 +170,17 @@ func TestPooledFallbackGoroutineFrames(t *testing.T) {
 	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
 		t.Fatalf("WaitReady: %v", err)
 	}
-	waitProcessed(t, s, 8) // one full cycle from all 8 devices
-	if st := s.Pool.Stats(); st.Frames != 2 || st.Ticks == 0 {
-		t.Fatalf("stats = %+v, want 2 frames with ticks", st)
+	// The scaled clock runs on its own, so there is no parked instant to
+	// quiesce at: wait for one full cycle from all 8 devices.
+	deadline := time.Now().Add(30 * time.Second)
+	for ingested(s, "sensocial_ingest_processed_total") < 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pipeline processed %d items within 30s, want 8", ingested(s, "sensocial_ingest_processed_total"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if frames, ticks := s.Pool.Frames(), s.Shards[0].Metrics.Sum("sensocial_sim_tick_duration_seconds"); frames != 2 || ticks == 0 {
+		t.Fatalf("%d frames, %d ticks; want 2 frames with ticks", frames, ticks)
 	}
 }
 
@@ -186,13 +209,16 @@ func TestPooledBacklogBounded(t *testing.T) {
 		t.Fatalf("StartPool: %v", err)
 	}
 	clock.Advance(20 * time.Minute)
-	st := s.Pool.Stats()
-	if st.Samples != 16*20 {
-		t.Fatalf("samples = %d, want %d", st.Samples, 16*20)
+	fleet := s.Shards[0].Metrics
+	if got := fleet.Sum("sensocial_sim_samples_total"); got != 16*20 {
+		t.Fatalf("samples = %d, want %d", got, 16*20)
 	}
 	// 5 buffered per device, the rest dropped — never published.
-	if st.ItemsDropped != 16*15 {
-		t.Fatalf("dropped = %d, want %d", st.ItemsDropped, 16*15)
+	if got := fleet.Sum("sensocial_sim_items_dropped_total"); got != 16*15 {
+		t.Fatalf("dropped = %d, want %d", got, 16*15)
+	}
+	if got := fleet.Sum("sensocial_sim_backlog"); got != 16*5 {
+		t.Fatalf("backlog = %d, want %d", got, 16*5)
 	}
 }
 

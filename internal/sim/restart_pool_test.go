@@ -71,17 +71,7 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		clock.Advance(time.Minute)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := s.Shards[0].Server.Stats().Pipeline
-		if st.Backlog == 0 && st.Enqueued == st.Processed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingest pipeline wedged after restarts: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	quiesce(t, s)
 
 	mu.Lock()
 	ordered := violations
@@ -94,17 +84,18 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 		t.Fatalf("no devices delivered anything")
 	}
 
-	ps := s.Pool.Stats()
-	pl := s.Shards[0].Server.Stats().Pipeline
-	if ps.Samples != ps.ItemsPublished+ps.ItemsAckLost+ps.ItemsDropped+ps.Backlog {
-		t.Fatalf("pool ledger leaks items across restarts: %+v", ps)
+	reg := s.Shards[0].Metrics
+	samples, published, ackLost, dropped, backlog := poolLedger(s)
+	if samples != published+ackLost+dropped+backlog {
+		t.Fatalf("pool ledger leaks items across restarts: samples=%d published=%d ackLost=%d dropped=%d backlog=%d",
+			samples, published, ackLost, dropped, backlog)
 	}
-	received := pl.Enqueued + pl.Dropped
-	if received < ps.ItemsPublished || received > ps.ItemsPublished+ps.ItemsAckLost {
+	received := reg.Sum("sensocial_ingest_enqueued_total") + reg.Sum("sensocial_ingest_dropped_total")
+	if received < published || received > published+ackLost {
 		t.Fatalf("QoS1 receipts=%d outside [published=%d, published+ackLost=%d]",
-			received, ps.ItemsPublished, ps.ItemsPublished+ps.ItemsAckLost)
+			received, published, published+ackLost)
 	}
-	if ps.PublishErrors == 0 {
+	if reg.Sum("sensocial_sim_publish_errors_total") == 0 {
 		t.Fatalf("restarts never disrupted a flush; the test exercised nothing")
 	}
 }

@@ -14,6 +14,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -56,7 +57,7 @@ type Options struct {
 	// exactly one shard: its devices upload to that shard's broker, its OSN
 	// actions are delivered to that shard's server, and the other shards
 	// skip its items as foreign. With more than one shard the brokers are
-	// meshed by summary-gated bridges (DESIGN.md §15).
+	// meshed by summary-gated bridges (DESIGN.md §12).
 	Shards int
 	// Places is the reverse-geocoding database (default EuropeanCities).
 	Places *geo.PlaceDB
@@ -129,8 +130,7 @@ type Simulation struct {
 	// to scrape, so they are exported through shard 0's registry, which
 	// keeps a one-shard deployment's GET /metrics complete.
 	fleetMetrics *obs.Registry
-	simDevices   *obs.Gauge
-	simTickDur   *obs.Histogram
+	series       fleetSeries
 
 	mu      sync.Mutex
 	handles map[string]*Handle
@@ -158,6 +158,9 @@ func New(opts Options) (*Simulation, error) {
 	if opts.DurableDir != "" && opts.Shards > 1 {
 		return nil, fmt.Errorf("sim: DurableDir is one-shard only: %d shards would interleave their journals in %s",
 			opts.Shards, opts.DurableDir)
+	}
+	if opts.Pool.MaxBacklog > math.MaxUint16 {
+		return nil, fmt.Errorf("sim: Pool.MaxBacklog %d exceeds the backlog counter's %d", opts.Pool.MaxBacklog, math.MaxUint16)
 	}
 	if opts.Places == nil {
 		opts.Places = geo.EuropeanCities()
@@ -208,10 +211,7 @@ func New(opts Options) (*Simulation, error) {
 	}
 	s.fleetMetrics = s.Shards[0].Metrics
 	fabric.Instrument(s.fleetMetrics)
-	s.simDevices = s.fleetMetrics.Gauge("sensocial_sim_devices",
-		"Simulated devices currently running (full and pooled modes).")
-	s.simTickDur = s.fleetMetrics.Histogram("sensocial_sim_tick_duration_seconds",
-		"Host CPU seconds spent executing one pooled frame tick.", obs.LatencyBuckets)
+	s.series = newFleetSeries(s.fleetMetrics, opts.Shards)
 
 	for _, sh := range s.Shards {
 		sh.ClusterMetrics.RingShards.Set(float64(opts.Shards))
@@ -299,16 +299,12 @@ func (s *Simulation) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: AddDevices(%d)", n)
 	}
-	var err error
 	s.mu.Lock()
 	if s.Pool == nil {
-		s.Pool, err = newDevicePool(s, s.poolOpts)
+		s.Pool = newDevicePool(s, s.poolOpts)
 	}
 	pool := s.Pool
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	return pool.AddDevices(n)
 }
 
@@ -318,6 +314,47 @@ func (s *Simulation) StartPool() error {
 		return fmt.Errorf("sim: StartPool: no devices added")
 	}
 	return s.Pool.Start()
+}
+
+// Quiesce waits, in real time, until the deployment has drained what the
+// fleet put in flight: the fabric holds no due-but-unread bytes, on every
+// shard (dead ones included — a killed shard's pipeline drains on close, so
+// its frozen counters still balance) the ingest pipeline has processed
+// everything it accepted and queues nothing, and no ingest count moved across
+// three consecutive polls. With a manual clock parked, delivery over
+// delay-free paths is pure goroutine progress: the unread bytes cover a
+// receiver that has not been scheduled yet, the stable window the hops
+// between goroutines past the wire. Everything is read from the registries.
+func (s *Simulation) Quiesce(timeout time.Duration) error {
+	//lint:ignore wallclock quiesce polls real goroutine progress while virtual time is parked
+	deadline := time.Now().Add(timeout)
+	stable := 0
+	var last [3]uint64
+	for {
+		var cur [3]uint64 // enqueued, processed, dropped
+		pending := s.fleetMetrics.Sum("sensocial_netsim_unread_bytes")
+		for _, sh := range s.Shards {
+			cur[0] += sh.Metrics.Sum("sensocial_ingest_enqueued_total")
+			cur[1] += sh.Metrics.Sum("sensocial_ingest_processed_total")
+			cur[2] += sh.Metrics.Sum("sensocial_ingest_dropped_total")
+			pending += sh.Metrics.Sum("sensocial_ingest_backlog")
+		}
+		if pending == 0 && cur[0] == cur[1] && cur == last {
+			if stable++; stable >= 3 {
+				return nil
+			}
+		} else {
+			stable = 0
+		}
+		last = cur
+		//lint:ignore wallclock see above: real-time deadline on background drain
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: not quiescent after %v (ingest enqueued=%d processed=%d dropped=%d, %d unread bytes or queued items)",
+				timeout, cur[0], cur[1], cur[2], pending)
+		}
+		//lint:ignore wallclock see above: real-time backoff while goroutines drain
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // Classifiers returns the default on-device classifier registry.
@@ -386,7 +423,7 @@ func (s *Simulation) AddUserWithPrivacy(userID string, profile *sensors.Profile,
 	s.mu.Lock()
 	s.handles[userID] = h
 	s.mu.Unlock()
-	s.simDevices.Add(1)
+	s.series.devices.Add(1)
 	return h, nil
 }
 

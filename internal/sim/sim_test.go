@@ -40,6 +40,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("rejected New left %s behind (stat err %v)", journal, err)
 	}
+	// A device's backlog counter is a uint16: a larger cap would wrap to 0
+	// and silently break the pool's conservation identity.
+	if _, err := New(Options{Clock: vclock.NewReal(), Pool: PoolOptions{MaxBacklog: 1 << 16}}); err == nil {
+		t.Fatal("Pool.MaxBacklog of 65536 accepted")
+	}
+	s, err := New(Options{Clock: vclock.NewReal(), Pool: PoolOptions{MaxBacklog: 1<<16 - 1}})
+	if err != nil {
+		t.Fatalf("Pool.MaxBacklog of 65535 rejected: %v", err)
+	}
+	s.Close()
 }
 
 func TestProfileHelpers(t *testing.T) {
