@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-sim bench-cluster bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
 
@@ -43,26 +43,12 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Simulator scaling bench: pooled fleets at 1k/10k/100k devices on the
-# timer-wheel manual clock, recording devices vs ns/tick vs heap
-# bytes/device into BENCH_sim.json (see DESIGN.md §11).
-bench-sim:
-	BENCH_SIM_JSON=BENCH_sim.json BENCH_SIM_BENCHTIME=10x \
-		$(GO) test -run '^$$' -bench 'BenchmarkSimDevices' -benchtime 10x .
-
-# Cluster scale-out acceptance bench (DESIGN.md §12): 3-shard aggregate
-# fan-out throughput vs single shard over per-shard shaped uplinks,
-# summary-gated bridge suppression vs naive flooding, and PeerIndex.Match
-# flatness across peer counts, recorded into BENCH_cluster.json.
-bench-cluster:
-	BENCH_CLUSTER_JSON=BENCH_cluster.json BENCH_CLUSTER_BENCHTIME=4096x \
-		$(GO) test -run '^$$' -bench 'BenchmarkCluster' -benchtime 4096x .
-
-# Smoke-run the ingest scaling, broker fan-out, simulator scaling and
-# cluster benches (one iteration each): catches compile rot and harness
-# deadlocks without paying full benchmark time.
+# Smoke-run the ingest scaling and broker fan-out benches (one iteration
+# each): catches compile rot and harness deadlocks without paying full
+# benchmark time. The simulator and cluster layers are measured end to end by
+# `go run ./bench` (sim.*, cluster.* in bench/BASELINE.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkSimDevices|BenchmarkCluster' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout' -benchtime 1x .
 
 # Short coverage-guided runs of the wire-format fuzzer, the topic-trie
 # match cross-check and the netsim lifecycle fuzzer: catches decode
@@ -88,7 +74,7 @@ chaos-smoke:
 
 # Durability smoke (docs/DURABILITY.md): write → kill → reopen → verify.
 # Covers un-acked QoS 1 redelivery with DUP across a broker crash, retained
-# messages and subscriptions recovered through sim.RestartBroker, the
+# messages and subscriptions recovered through Shard.RestartBroker, the
 # registry (documents, indexes, context write-memory) recovered across
 # deployments, and torn-tail truncation in the log itself.
 durability-smoke:

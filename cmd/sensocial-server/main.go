@@ -2,7 +2,8 @@
 // standalone process on real TCP: the MQTT broker (Mosquitto's role), the
 // middleware server component, and the HTTP endpoints (the PHP scripts'
 // role). Mobile middleware instances — real or simulated — connect over the
-// network.
+// network. The process is one shard.Shard (internal/shard), the assembly the
+// simulator builds per ring member, listening on TCP instead of the fabric.
 //
 // Usage:
 //
@@ -30,203 +31,103 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strings"
 	"syscall"
 
 	"repro/internal/cluster"
-	"repro/internal/core/server"
-	"repro/internal/docstore"
 	"repro/internal/geo"
-	"repro/internal/mqtt"
-	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/vclock"
-	"repro/internal/wal"
 )
 
 func main() {
-	mqttAddr := flag.String("mqtt", ":1883", "MQTT broker listen address")
-	httpAddr := flag.String("http", ":8080", "HTTP listen address")
-	shards := flag.Int("ingest-shards", 0, "ingest pipeline shards (0 = default)")
-	queueDepth := flag.Int("ingest-queue", 0, "per-shard ingest queue depth (0 = default)")
-	fanoutQueue := flag.Int("mqtt-fanout-queue", 0, "per-session MQTT delivery queue bound (0 = default)")
-	traceCap := flag.Int("trace-capacity", 0, "span ring-buffer capacity for GET /trace (0 = tracing off)")
-	durableDir := flag.String("durable", "", "directory for WAL+snapshot durability of the registry and broker sessions (empty = in-memory)")
-	shardID := flag.String("shard-id", "", "this process's shard ID in a sharded cluster (e.g. shard0); enables ring ownership checks and the broker bridge")
+	opts := shard.Options{
+		Listen:       func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) },
+		Clock:        vclock.NewReal(),
+		Places:       geo.EuropeanCities(),
+		PersistItems: true,
+	}
+	flag.StringVar(&opts.BrokerAddr, "mqtt", ":1883", "MQTT broker listen address")
+	flag.StringVar(&opts.HTTPAddr, "http", ":8080", "HTTP listen address")
+	flag.IntVar(&opts.IngestShards, "ingest-shards", 0, "ingest pipeline shards (0 = default)")
+	flag.IntVar(&opts.IngestQueueDepth, "ingest-queue", 0, "per-shard ingest queue depth (0 = default)")
+	flag.IntVar(&opts.FanoutQueue, "mqtt-fanout-queue", 0, "per-session MQTT delivery queue bound (0 = default)")
+	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "span ring-buffer capacity for GET /trace (0 = tracing off)")
+	flag.StringVar(&opts.DurableDir, "durable", "", "directory for WAL+snapshot durability of the registry and broker sessions (empty = in-memory)")
+	flag.StringVar(&opts.ID, "shard-id", "", "this process's shard ID in a sharded cluster (e.g. shard0); enables ring ownership checks and the broker bridge")
 	shardPeers := flag.String("shard-peers", "", "comma-separated peer shards as id=host:port; with -shard-id, forms the consistent-hash ring and bridges the brokers")
 	verbose := flag.Bool("v", false, "verbose logging")
 	flag.Parse()
-	if err := run(*mqttAddr, *httpAddr, *shards, *queueDepth, *fanoutQueue, *traceCap, *durableDir, *shardID, *shardPeers, *verbose); err != nil {
+	if *verbose {
+		opts.Logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	}
+	if err := run(opts, *shardPeers); err != nil {
 		fmt.Fprintln(os.Stderr, "sensocial-server:", err)
 		os.Exit(1)
 	}
 }
 
-// parsePeers splits a -shard-peers list ("shard1=10.0.0.2:1883,...") into
-// bridge peers dialing real TCP.
-func parsePeers(list string) ([]cluster.Peer, error) {
-	if list == "" {
-		return nil, nil
-	}
+// membership turns -shard-id and -shard-peers ("shard1=10.0.0.2:1883,...")
+// into the ring and the bridge peers dialing real TCP; both are nil for an
+// unsharded server. The ring must be identical in every shard process, so
+// membership is sorted rather than taken in flag order.
+func membership(id, list string) (*cluster.Ring, []cluster.Peer, error) {
+	ids := []string{id}
 	var peers []cluster.Peer
-	for _, ent := range strings.Split(list, ",") {
-		id, addr, ok := strings.Cut(strings.TrimSpace(ent), "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad -shard-peers entry %q (want id=host:port)", ent)
+	for _, ent := range strings.FieldsFunc(list, func(r rune) bool { return r == ',' }) {
+		peerID, addr, ok := strings.Cut(strings.TrimSpace(ent), "=")
+		if !ok || peerID == "" || addr == "" {
+			return nil, nil, fmt.Errorf("bad -shard-peers entry %q (want id=host:port)", ent)
 		}
-		peers = append(peers, cluster.Peer{ID: id, Dial: func() (net.Conn, error) {
+		ids = append(ids, peerID)
+		peers = append(peers, cluster.Peer{ID: peerID, Dial: func() (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		}})
 	}
-	return peers, nil
+	if id == "" {
+		if len(peers) > 0 {
+			return nil, nil, fmt.Errorf("-shard-peers needs -shard-id")
+		}
+		return nil, nil, nil
+	}
+	sort.Strings(ids)
+	ring, err := cluster.NewRing(ids, 0)
+	return ring, peers, err
 }
 
-func run(mqttAddr, httpAddr string, shards, queueDepth, fanoutQueue, traceCap int, durableDir, shardID, shardPeers string, verbose bool) error {
-	var logger *slog.Logger
-	if verbose {
-		logger = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	}
-
-	peers, err := parsePeers(shardPeers)
+func run(opts shard.Options, shardPeers string) error {
+	ring, peers, err := membership(opts.ID, shardPeers)
 	if err != nil {
 		return err
 	}
-	if shardID == "" && len(peers) > 0 {
-		return fmt.Errorf("-shard-peers needs -shard-id")
-	}
-	// The ring must be identical in every shard process, so membership is
-	// sorted rather than taken in flag order.
-	var ring *cluster.Ring
-	if shardID != "" {
-		ids := []string{shardID}
-		for _, p := range peers {
-			ids = append(ids, p.ID)
-		}
-		sort.Strings(ids)
-		var err error
-		if ring, err = cluster.NewRing(ids, 0); err != nil {
-			return err
-		}
-	}
-
-	// One registry (and optionally one tracer) spans the broker and the
-	// middleware so GET /metrics shows the whole deployment.
-	clock := vclock.NewReal()
-	metrics := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if traceCap > 0 {
-		tracer = obs.NewTracer(clock, traceCap)
-	}
-
-	// With -durable, the registry store and broker session state recover
-	// from their write-ahead logs before anything accepts connections; the
-	// wal metric families register either way so /metrics is mode-agnostic.
-	walMetrics := wal.NewMetrics(metrics)
-	var store *docstore.Store
-	var sessions *mqtt.SessionStore
-	if durableDir != "" {
-		var info *docstore.RecoveryInfo
-		var err error
-		store, info, err = docstore.OpenDurable(filepath.Join(durableDir, "docstore"),
-			docstore.DurableOptions{Clock: clock, Metrics: walMetrics})
-		if err != nil {
-			return fmt.Errorf("durable store: %w", err)
-		}
-		defer store.Close()
-		sessions, err = mqtt.OpenSessionStore(filepath.Join(durableDir, "broker"),
-			mqtt.SessionStoreOptions{Clock: clock, Metrics: walMetrics})
-		if err != nil {
-			return fmt.Errorf("session store: %w", err)
-		}
-		defer sessions.Close()
-		fmt.Printf("sensocial-server: recovered %s (snapshot LSN %d, %d journal records replayed)\n",
-			durableDir, info.SnapshotLSN, info.Replayed)
-	}
-
-	broker := mqtt.NewBroker(mqtt.BrokerOptions{Clock: clock, Logger: logger, Metrics: metrics, Tracer: tracer, FanoutQueue: fanoutQueue, State: sessions})
-	mqttL, err := net.Listen("tcp", mqttAddr)
-	if err != nil {
-		return fmt.Errorf("mqtt listen: %w", err)
-	}
-	defer mqttL.Close()
-	go func() {
-		if err := broker.Serve(mqttL); err != nil {
-			fmt.Fprintln(os.Stderr, "sensocial-server: broker:", err)
-		}
-	}()
-
-	// Cluster families register even unsharded so /metrics is mode-agnostic.
-	clusterMetrics := cluster.NewMetrics(metrics)
-	var bridge *cluster.Bridge
-	if ring != nil {
-		clusterMetrics.RingShards.Set(float64(len(ring.Shards())))
-		if len(peers) > 0 {
-			bridge, err = cluster.NewBridge(cluster.BridgeOptions{
-				ShardID: shardID,
-				Broker:  broker,
-				Peers:   peers,
-				Clock:   clock,
-				Metrics: clusterMetrics,
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-
-	var owns func(string) bool
-	if ring != nil {
-		owns = func(userID string) bool { return ring.Owner(userID) == shardID }
-	}
-	mgr, err := server.New(server.Options{
-		Clock:            clock,
-		Broker:           broker,
-		Store:            store,
-		Places:           geo.EuropeanCities(),
-		PersistItems:     true,
-		Logger:           logger,
-		IngestShards:     shards,
-		IngestQueueDepth: queueDepth,
-		Owns:             owns,
-		Metrics:          metrics,
-		Tracer:           tracer,
-	})
+	opts.Ring = ring
+	sh, err := shard.New(opts)
 	if err != nil {
 		return err
 	}
-
-	httpL, err := net.Listen("tcp", httpAddr)
-	if err != nil {
-		return fmt.Errorf("http listen: %w", err)
+	defer sh.Stop()
+	if opts.DurableDir != "" {
+		fmt.Printf("sensocial-server: recovered %s (%d journal records replayed)\n",
+			opts.DurableDir, sh.Metrics.Sum("sensocial_wal_replayed_records_total"))
 	}
-	web := &http.Server{Handler: mgr.HTTPHandler()}
-	go func() {
-		if err := web.Serve(httpL); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintln(os.Stderr, "sensocial-server: http:", err)
-		}
-	}()
-
+	if err := sh.StartHTTP(); err != nil {
+		return err
+	}
+	if err := sh.StartBridge(peers); err != nil {
+		return err
+	}
 	if ring != nil {
-		fmt.Printf("sensocial-server: shard %s of ring %v, bridging %d peers\n",
-			shardID, ring.Shards(), len(peers))
+		fmt.Printf("sensocial-server: shard %s of ring %v, bridging %d peers\n", sh.ID, ring.Shards(), len(peers))
 	}
 	fmt.Printf("sensocial-server: MQTT on %s, HTTP on %s (GET /metrics, /trace; Ctrl-C to stop)\n",
-		mqttL.Addr(), httpL.Addr())
+		sh.BrokerAddr, sh.HTTPAddr)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("sensocial-server: shutting down")
-	_ = web.Close()
-	// The bridge stops before the broker so no peer link is left
-	// mid-handshake into a dying broker.
-	if bridge != nil {
-		_ = bridge.Close()
-	}
-	_ = mgr.Close()
-	return broker.Close()
+	return nil
 }

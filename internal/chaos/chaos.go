@@ -41,6 +41,7 @@ import (
 	"repro/internal/mqtt"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/vclock"
 )
@@ -423,7 +424,7 @@ func (w *writerBuf) Write(p []byte) (int, error) {
 // QoS 1 set to drain: redeliveries to the reconnected probe subscriber are
 // acked on its read loop, so with the clock parked the count must fall to
 // zero in bounded goroutine time.
-func drainInflight(s *sim.Shard, inv *checker) {
+func drainInflight(s *shard.Shard, inv *checker) {
 	state := s.BrokerSessionStore()
 	if state == nil {
 		return

@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/server"
 	"repro/internal/netsim"
-	"repro/internal/sim"
+	"repro/internal/shard"
 )
 
 // maxViolations caps how many breach lines a run records; past the cap
@@ -106,7 +106,7 @@ func (c *checker) checkStaleness(regOf func(userID string) *server.ContextRegist
 // fault series are the deployment's, exported by shard 0; ingest is summed
 // over the ring, dead shards included (a killed shard's pipeline drained on
 // close, so its frozen counters still account for everything it accepted).
-func (c *checker) checkConservation(shards []*sim.Shard, qos byte) {
+func (c *checker) checkConservation(shards []*shard.Shard, qos byte) {
 	fleet := shards[0].Metrics
 	samples := fleet.Sum("sensocial_sim_samples_total")
 	published := fleet.Sum("sensocial_sim_items_published_total")

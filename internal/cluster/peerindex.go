@@ -7,8 +7,8 @@ import (
 // PeerIndex merges every peer shard's subscription summary into one
 // copy-on-write FilterTrie keyed by peer ordinal. Deciding which peers a
 // PUBLISH must be forwarded to is then a single trie walk whose cost
-// scales with the matching filter population, not the peer count — the
-// property BENCH_cluster.json criterion (c) measures. Writers (summary
+// scales with the matching filter population, not the peer count (the
+// benchmark reports it as cluster.peerindex_match_ns). Writers (summary
 // delta/snapshot application) serialize inside the trie; Match is
 // wait-free and safe against concurrent writes.
 type PeerIndex struct {

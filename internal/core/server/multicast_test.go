@@ -215,7 +215,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("StartHTTP: %v", err)
 	}
 	client := s.HTTPClient("tester")
-	base := "http://" + sim.HTTPAddr
+	base := "http://" + s.Shards[0].HTTPAddr
 
 	// Health.
 	resp, err := client.Get(base + "/healthz")

@@ -100,11 +100,24 @@ func DefaultLayering() []LayerRule {
 			"internal/experiments", "internal/baselineapps/...", "internal/docstore"},
 			Why: "the mobile half must not reach into server-side storage or the simulator"},
 
+		// The one shard assembly: broker + journals + server + bridge + HTTP
+		// are wired together here and nowhere else, behind an injected Listen.
+		{From: "internal/shard", Only: []string{"internal/cluster", "internal/core/server",
+			"internal/docstore", "internal/geo", "internal/mqtt", "internal/obs",
+			"internal/vclock", "internal/wal"},
+			Why: "a shard is what one sensocial-server process holds; its transport is injected, so it must not know the fabric or the simulator"},
+		{From: "cmd/sensocial-server", Deny: []string{"internal/mqtt", "internal/docstore",
+			"internal/wal", "internal/core/server"},
+			Why: "the server binary runs internal/shard's assembly; wiring the pieces by hand again would fork what the simulator tests"},
+
 		// Harness layers: strictly on top, never imported back.
 		{From: "internal/sim", Deny: []string{"internal/experiments", "internal/baselineapps/..."},
 			Why: "the world simulator composes the middleware, not the evaluation harness"},
+		{From: "internal/sim", Deny: []string{"internal/core/server", "internal/docstore", "internal/wal"},
+			Why: "the simulator builds its ring members with internal/shard, not a second hand-assembly"},
 		{From: "internal/chaos", Only: []string{"internal/core", "internal/core/server",
-			"internal/mqtt", "internal/netsim", "internal/obs", "internal/sim", "internal/vclock"},
+			"internal/mqtt", "internal/netsim", "internal/obs", "internal/shard", "internal/sim",
+			"internal/vclock"},
 			Why: "the chaos harness drives the simulator from above; it composes sim, netsim and the transport and nothing may import it back"},
 		{From: "internal/...", Deny: []string{"internal/chaos"},
 			Why: "the chaos harness is a leaf like experiments; only cmd/ and tests may drive it"},

@@ -29,7 +29,7 @@ func TestRestartBrokerRecoversDurableSessions(t *testing.T) {
 	defer s.Close()
 
 	dial := func(host string) *mqtt.Client {
-		conn, err := s.Fabric.Dial(host, BrokerAddr)
+		conn, err := s.Fabric.Dial(host, s.Shards[0].BrokerAddr)
 		if err != nil {
 			t.Fatalf("Dial(%s): %v", host, err)
 		}

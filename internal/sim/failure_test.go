@@ -219,7 +219,7 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 	mgr, err := mobile.New(mobile.Options{
 		Device:      dev,
 		Classifiers: s.Classifiers(),
-		BrokerAddr:  BrokerAddr,
+		BrokerAddr:  s.Shards[0].BrokerAddr,
 		Reconnect:   true,
 	})
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sensors"
+	"repro/internal/shard"
 	"repro/internal/vclock"
 )
 
@@ -191,7 +192,7 @@ func TestPooledTraceDeterministicAcrossRuns(t *testing.T) {
 // scrapeMetrics GETs a shard's /metrics over the simulated fabric and sums
 // the Prometheus text by sample name — all the accounting below uses is what
 // an operator's scraper would have.
-func scrapeMetrics(t *testing.T, client *http.Client, sh *Shard) (text string, sums map[string]float64) {
+func scrapeMetrics(t *testing.T, client *http.Client, sh *shard.Shard) (text string, sums map[string]float64) {
 	t.Helper()
 	resp, err := client.Get("http://" + sh.HTTPAddr + "/metrics")
 	if err != nil {

@@ -65,10 +65,7 @@ func (o PoolOptions) withDefaults() PoolOptions {
 		o.UploadBatch = 4
 	}
 	if o.MaxBacklog < o.UploadBatch {
-		o.MaxBacklog = 64
-		if o.MaxBacklog < o.UploadBatch {
-			o.MaxBacklog = o.UploadBatch
-		}
+		o.MaxBacklog = max(64, o.UploadBatch)
 	}
 	if o.DutyCycle <= 0 || o.DutyCycle > 1 {
 		o.DutyCycle = 1
@@ -84,7 +81,11 @@ func (o PoolOptions) withDefaults() PoolOptions {
 // labels the full-fidelity activity classifier emits.
 var poolActivityLabels = [...]string{"still", "walking", "running"}
 
-const poolActivityPeriod = 30 * time.Minute
+const (
+	poolActivityPeriod = 30 * time.Minute
+	poolModality       = sensors.ModalityAccelerometer
+	poolStreamID       = "pool-activity"
+)
 
 func poolActivity(phase uint32, t time.Time) string {
 	slot := uint64(t.UnixNano()/int64(poolActivityPeriod)) + uint64(phase)
@@ -177,14 +178,7 @@ type DevicePool struct {
 	perShard int
 	shardOf  func(userID string) int
 
-	frameSize   int
-	interval    time.Duration
-	uploadBatch int
-	maxBacklog  int
-	duty        float64
-	uploadQoS   byte
-	modality    string
-	streamID    string
+	opts PoolOptions // defaults applied
 
 	series fleetSeries
 
@@ -195,13 +189,11 @@ type DevicePool struct {
 	// handshake still parked in a read; an established client owns (and
 	// closes) its conn.
 	conns []net.Conn
-	// Struct-of-arrays device state. ids/users/lat/lon/phase are written
+	// Struct-of-arrays device state. ids/users/phase/shard are written
 	// only before Start; cads/backlog/drained are mutated under mu by
 	// frame ticks.
 	ids     []string
 	users   []string
-	lat     []float32
-	lon     []float32
 	phase   []uint32
 	shard   []int32
 	backlog []uint16
@@ -266,14 +258,7 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 		perShard: perShard,
 		shardOf:  s.Ring.OwnerIndex,
 
-		frameSize:   opts.FrameSize,
-		interval:    opts.SampleInterval,
-		uploadBatch: opts.UploadBatch,
-		maxBacklog:  opts.MaxBacklog,
-		duty:        opts.DutyCycle,
-		uploadQoS:   opts.UploadQoS,
-		modality:    sensors.ModalityAccelerometer,
-		streamID:    "pool-activity",
+		opts: opts,
 
 		series: s.series,
 
@@ -285,9 +270,8 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 }
 
 // AddDevices appends n pooled devices. Must be called before Start.
-// Devices are named "pool<idx>" / "pool<idx>-phone" and placed on a
-// deterministic grid around the place database's cities; their activity
-// ground truth is a phase-shifted rotation through the classifier labels.
+// Devices are named "pool<idx>" / "pool<idx>-phone"; their activity ground
+// truth is a phase-shifted rotation through the classifier labels.
 func (p *DevicePool) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: device pool: AddDevices(%d)", n)
@@ -300,14 +284,9 @@ func (p *DevicePool) AddDevices(n int) error {
 	base := len(p.ids)
 	for k := 0; k < n; k++ {
 		idx := base + k
-		user := "pool" + itoaPadded(idx)
+		user := fmt.Sprintf("pool%06d", idx) // zero-padded so pooled ids sort lexically
 		p.ids = append(p.ids, user+"-phone")
 		p.users = append(p.users, user)
-		// A coarse deterministic grid around central France; location is
-		// per-device bookkeeping state (the paper's stationary profile),
-		// not uploaded by the pooled path.
-		p.lat = append(p.lat, float32(46.0+float64(idx%256)*0.01))
-		p.lon = append(p.lon, float32(2.0+float64((idx/256)%256)*0.01))
 		p.phase = append(p.phase, uint32(idx%3))
 		p.shard = append(p.shard, int32(p.shardOf(user)))
 		p.backlog = append(p.backlog, 0)
@@ -316,11 +295,6 @@ func (p *DevicePool) AddDevices(n int) error {
 	}
 	p.series.devices.Add(float64(n))
 	return nil
-}
-
-// itoaPadded renders idx with zero padding so pooled ids sort lexically.
-func itoaPadded(idx int) string {
-	return fmt.Sprintf("%06d", idx)
 }
 
 // Start carves the device arrays into frames, schedules them, and begins
@@ -345,25 +319,22 @@ func (p *DevicePool) Start() error {
 	}
 	p.started = true
 	start := p.clock.Now()
-	nFrames := (len(p.ids) + p.frameSize - 1) / p.frameSize
+	nFrames := (len(p.ids) + p.opts.FrameSize - 1) / p.opts.FrameSize
 	p.frames = make([]*poolFrame, 0, nFrames)
 	for j := 0; j < nFrames; j++ {
-		lo := j * p.frameSize
-		hi := lo + p.frameSize
-		if hi > len(p.ids) {
-			hi = len(p.ids)
-		}
+		lo := j * p.opts.FrameSize
+		hi := min(lo+p.opts.FrameSize, len(p.ids))
 		// Stagger frame anchors across one interval so broker load is
 		// smooth: frame j fires at offset (j mod 64)/64 of the interval.
-		offset := p.interval * time.Duration(j%64) / 64
+		offset := p.opts.SampleInterval * time.Duration(j%64) / 64
 		anchor := start.Add(offset)
 		for i := lo; i < hi; i++ {
-			p.cads[i] = sensing.NewCadence(anchor, p.interval)
+			p.cads[i] = sensing.NewCadence(anchor, p.opts.SampleInterval)
 		}
 		f := &poolFrame{
 			pool: p, lo: lo, hi: hi,
 			base:     j % p.perShard,
-			next:     anchor.Add(p.interval),
+			next:     anchor.Add(p.opts.SampleInterval),
 			sampled:  make([]int32, 0, hi-lo),
 			flushIdx: make([]int32, 0, hi-lo),
 			flushCnt: make([]uint16, 0, hi-lo),
@@ -476,14 +447,7 @@ func (p *DevicePool) restoreBacklog(i, count int) {
 		return
 	}
 	p.mu.Lock()
-	room := p.maxBacklog - int(p.backlog[i])
-	if room < 0 {
-		room = 0
-	}
-	add := count
-	if add > room {
-		add = room
-	}
+	add := min(count, max(0, p.opts.MaxBacklog-int(p.backlog[i])))
 	p.backlog[i] += uint16(add)
 	p.mu.Unlock()
 	p.series.backlog.Add(float64(add))
@@ -535,7 +499,7 @@ func (f *poolFrame) fire(now time.Time) {
 	t0 := time.Now()
 	f.tick(now)
 	f.flush(now)
-	f.next = f.next.Add(p.interval)
+	f.next = f.next.Add(p.opts.SampleInterval)
 	if f.ev != nil {
 		f.ev.Reschedule(f.next)
 	}
@@ -549,11 +513,7 @@ func (f *poolFrame) loop() {
 	p := f.pool
 	defer p.wg.Done()
 	for {
-		d := f.next.Sub(p.clock.Now())
-		if d < 0 {
-			d = 0
-		}
-		t := p.clock.NewTimer(d)
+		t := p.clock.NewTimer(max(0, f.next.Sub(p.clock.Now())))
 		select {
 		case <-p.done:
 			t.Stop()
@@ -575,11 +535,11 @@ func (f *poolFrame) tick(now time.Time) {
 	dropped := uint64(0)
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
-		if !p.cads[i].Tick(p.duty) {
+		if !p.cads[i].Tick(p.opts.DutyCycle) {
 			continue
 		}
 		f.sampled = append(f.sampled, int32(i))
-		if int(p.backlog[i]) < p.maxBacklog {
+		if int(p.backlog[i]) < p.opts.MaxBacklog {
 			p.backlog[i]++
 		} else {
 			dropped++
@@ -602,8 +562,8 @@ func (f *poolFrame) tick(now time.Time) {
 func (f *poolFrame) flush(now time.Time) {
 	p := f.pool
 	if n := len(f.sampled); n > 0 {
-		perSample, _ := p.charger.ChargeSamples(p.modality, n)
-		perClass, _ := p.charger.ChargeClassifications(p.modality, n)
+		perSample, _ := p.charger.ChargeSamples(poolModality, n)
+		perClass, _ := p.charger.ChargeClassifications(poolModality, n)
 		per := perSample + perClass
 		p.mu.Lock()
 		for _, i := range f.sampled {
@@ -617,7 +577,7 @@ func (f *poolFrame) flush(now time.Time) {
 	taken := 0
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
-		if int(p.backlog[i]) >= p.uploadBatch {
+		if int(p.backlog[i]) >= p.opts.UploadBatch {
 			f.flushIdx = append(f.flushIdx, int32(i))
 			f.flushCnt = append(f.flushCnt, p.backlog[i])
 			taken += int(p.backlog[i])
@@ -662,12 +622,12 @@ func (f *poolFrame) flush(now time.Time) {
 		for j := 0; j < depth; j++ {
 			// Backdate buffered samples to their acquisition ticks, the
 			// same store-and-forward timestamping the mobile pipeline uses.
-			ts := now.Add(-time.Duration(depth-1-j) * p.interval)
+			ts := now.Add(-time.Duration(depth-1-j) * p.opts.SampleInterval)
 			item := core.Item{
-				StreamID:    p.streamID,
+				StreamID:    poolStreamID,
 				DeviceID:    p.ids[i],
 				UserID:      p.users[i],
-				Modality:    p.modality,
+				Modality:    poolModality,
 				Granularity: core.GranularityClassified,
 				Time:        ts,
 				Classified:  poolActivity(p.phase[i], ts),
@@ -679,7 +639,7 @@ func (f *poolFrame) flush(now time.Time) {
 				consumed++
 				continue
 			}
-			err = st.cli.Publish(core.StreamDataTopic(p.ids[i]), payload, p.uploadQoS, false)
+			err = st.cli.Publish(core.StreamDataTopic(p.ids[i]), payload, p.opts.UploadQoS, false)
 			if err == nil {
 				consumed++
 				st.msgs++
@@ -713,7 +673,7 @@ func (f *poolFrame) flush(now time.Time) {
 		}
 	}
 	if msgs > 0 {
-		tx := p.charger.ChargeTransmissions(p.modality, msgs, bytes)
+		tx := p.charger.ChargeTransmissions(poolModality, msgs, bytes)
 		share := tx / float64(len(f.flushIdx))
 		p.mu.Lock()
 		for _, i := range f.flushIdx {

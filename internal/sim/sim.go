@@ -4,15 +4,18 @@
 // fabric, the ring, the simulated OSNs with their plug-ins, the places
 // database, the classifier registry and the device fleet (full per-user
 // middleware stacks from AddUser, the struct-of-arrays pool from
-// AddDevices). A Shard is what one sensocial-server process holds: broker,
-// server middleware, bridge to its peers, and its own metrics registry,
-// tracer and journals. Options.Shards is the only difference between a
-// single server and a cluster. The experiment harness, the integration
+// AddDevices). Each ring member is a shard.Shard, the same assembly a
+// sensocial-server process runs, listening on the fabric instead of TCP; this
+// package adds only the simulator's naming (ShardID, the "server" host of a
+// ring of one). Options.Shards is the only difference between a single server
+// and a cluster. The experiment harness, the integration
 // tests, the examples, internal/chaos and cmd/sensocial-sim all build on it.
 package sim
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -30,16 +33,24 @@ import (
 	"repro/internal/obs"
 	"repro/internal/osn"
 	"repro/internal/sensors"
+	"repro/internal/shard"
 	"repro/internal/vclock"
 )
 
-// Fabric addresses of a one-shard deployment's broker and HTTP surface.
-// Shards of a larger ring bind "shard<i>:1883" / "shard<i>:8080"; either way
-// the addresses are on Shard.BrokerAddr and Shard.HTTPAddr.
-const (
-	BrokerAddr = "server:1883"
-	HTTPAddr   = "server:8080"
-)
+// ShardID names shard i the way every surface spells it: ring ids, bridge
+// host names ("shard<i>-bridge"), chaos kill targets, trace dump headers.
+func ShardID(i int) string { return fmt.Sprintf("shard%d", i) }
+
+// shardHost is the fabric host shard i of n binds, on ports 1883 (broker)
+// and 8080 (HTTP); the addresses are on Shard.BrokerAddr and Shard.HTTPAddr.
+// A ring of one keeps the name "server" that fault schedules partition on;
+// larger rings use the shard id.
+func shardHost(i, n int) string {
+	if n == 1 {
+		return "server"
+	}
+	return ShardID(i)
+}
 
 // Default device<->server link shaping (the paper's "uncongested WiFi").
 const (
@@ -110,7 +121,7 @@ type Simulation struct {
 	Fabric *netsim.Network
 	// Ring decides which shard owns a user; its ids are ShardID(i).
 	Ring   *cluster.Ring
-	Shards []*Shard
+	Shards []*shard.Shard
 
 	Places   *geo.PlaceDB
 	Graph    *osn.Graph
@@ -202,19 +213,37 @@ func New(opts Options) (*Simulation, error) {
 		s.Close()
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	for i := range ids {
-		sh, err := newShard(s, i, opts)
-		s.Shards = append(s.Shards, sh)
+	for i, id := range ids {
+		host := shardHost(i, opts.Shards)
+		sh, err := shard.New(shard.Options{
+			ID:         id,
+			Ring:       ring,
+			Listen:     fabric.Listen,
+			BrokerAddr: host + ":1883",
+			HTTPAddr:   host + ":8080",
+			Clock:      opts.Clock,
+			// Distinct per-shard seeds keep shard-local randomness
+			// (processing jitter) decorrelated while staying reproducible.
+			Seed:             opts.Seed + int64(i)*1009 + 1,
+			Places:           opts.Places,
+			ProcessingDelay:  opts.ServerProcessingDelay,
+			ProcessingJitter: opts.ServerProcessingJitter,
+			PersistItems:     opts.PersistItems,
+			IngestShards:     opts.IngestShards,
+			IngestQueueDepth: opts.IngestQueueDepth,
+			TraceCapacity:    opts.TraceCapacity,
+			DurableDir:       opts.DurableDir,
+		})
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", sh.ID, err))
+			return fail(fmt.Errorf("%s: %w", id, err))
 		}
+		s.Shards = append(s.Shards, sh)
 	}
 	s.fleetMetrics = s.Shards[0].Metrics
 	fabric.Instrument(s.fleetMetrics)
 	s.series = newFleetSeries(s.fleetMetrics, opts.Shards)
 
 	for _, sh := range s.Shards {
-		sh.ClusterMetrics.RingShards.Set(float64(opts.Shards))
 		var peers []cluster.Peer
 		for _, peer := range s.Shards {
 			if peer == sh {
@@ -225,19 +254,7 @@ func New(opts Options) (*Simulation, error) {
 				return fabric.Dial(host, addr)
 			}})
 		}
-		// A ring of one has no peer to bridge to, and a bridge's catch-all
-		// hook would sit on the broker's route path for nothing.
-		if len(peers) == 0 {
-			continue
-		}
-		sh.Bridge, err = cluster.NewBridge(cluster.BridgeOptions{
-			ShardID: sh.ID,
-			Broker:  sh.Broker,
-			Peers:   peers,
-			Clock:   opts.Clock,
-			Metrics: sh.ClusterMetrics,
-		})
-		if err != nil {
+		if err := sh.StartBridge(peers); err != nil {
 			return fail(err)
 		}
 	}
@@ -264,8 +281,7 @@ func New(opts Options) (*Simulation, error) {
 	if opts.DeliverViaHTTP {
 		for _, sh := range s.Shards {
 			if err := sh.StartHTTP(); err != nil {
-				s.Close()
-				return nil, err
+				return fail(err)
 			}
 		}
 		deliver = s.httpDeliver
@@ -287,7 +303,7 @@ func New(opts Options) (*Simulation, error) {
 }
 
 // Owner returns the shard that owns a user under the ring.
-func (s *Simulation) Owner(userID string) *Shard {
+func (s *Simulation) Owner(userID string) *shard.Shard {
 	return s.Shards[s.Ring.OwnerIndex(userID)]
 }
 
@@ -455,12 +471,12 @@ func (s *Simulation) HTTPClient(fromHost string) *http.Client {
 // fabric, exactly as the original Facebook application notifies the PHP
 // receiver.
 func (s *Simulation) httpDeliver(a osn.Action) {
-	body, err := jsonMarshal(a)
+	body, err := json.Marshal(a)
 	if err != nil {
 		return
 	}
 	client := s.HTTPClient("facebook-cloud")
-	resp, err := client.Post("http://"+s.Owner(a.UserID).HTTPAddr+"/osn/action", "application/json", body)
+	resp, err := client.Post("http://"+s.Owner(a.UserID).HTTPAddr+"/osn/action", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return
 	}
@@ -468,7 +484,7 @@ func (s *Simulation) httpDeliver(a osn.Action) {
 }
 
 // KillShard permanently removes shard i, as a crashed-and-not-restarted
-// process (see Shard.stop for the order). Survivors keep serving; their
+// process (see shard.Shard.Stop for the order). Survivors keep serving; their
 // bridge redialers see refused dials and back off cleanly, and the fleet's
 // devices owned by the dead shard degrade to bounded buffering.
 func (s *Simulation) KillShard(i int) error {
@@ -478,7 +494,7 @@ func (s *Simulation) KillShard(i int) error {
 	if !s.Shards[i].Alive() {
 		return fmt.Errorf("sim: shard %d already dead", i)
 	}
-	s.Shards[i].stop()
+	s.Shards[i].Stop()
 	for _, sh := range s.Shards {
 		sh.ClusterMetrics.RingShards.Add(-1)
 	}
@@ -503,7 +519,7 @@ func (s *Simulation) Close() {
 		}
 	}
 	for _, sh := range s.Shards {
-		sh.stop()
+		sh.Stop()
 	}
 	s.mu.Lock()
 	pool := s.Pool

@@ -277,8 +277,13 @@ func TestMultiUserEnergyIsolation(t *testing.T) {
 // period, in contrast to Facebook's ~46 s notification latency.
 func TestTwitterPollDelayShorterThanFacebook(t *testing.T) {
 	opts := fastOptions()
-	// Realistic Facebook delay on a compressed clock; tight Twitter poll.
-	opts.Clock = vclock.NewScaled(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC), 600)
+	// Realistic Facebook delay and a tight Twitter poll on a manual clock
+	// stepped a virtual second at a time: the delays compared below are
+	// virtual, so host scheduling cannot stretch them past their bounds the
+	// way it could on a compressed real clock.
+	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
+	opts.Clock = clock
+	opts.MobileLink = &netsim.Link{} // zero latency: deliveries never wait on the parked clock
 	fb := osn.FacebookDelay()
 	opts.FacebookDelay = &fb
 	opts.TwitterPollPeriod = 2 * time.Second
@@ -305,13 +310,15 @@ func TestTwitterPollDelayShorterThanFacebook(t *testing.T) {
 		network string
 		delay   time.Duration
 	}
-	got := make(chan arrival, 4)
+	got := make(chan arrival, 16)
 	s.Shards[0].Server.OnItem(func(i core.Item) {
 		if i.Action == nil {
 			return
 		}
 		got <- arrival{network: i.Action.Network, delay: i.Time.Sub(i.Action.Time)}
 	})
+	// The poll plug-in reports only actions after the user's registration.
+	clock.Advance(time.Second)
 	if _, err := s.Twitter.Record("alice", osn.ActionTweet, "quick tweet", s.Clock.Now()); err != nil {
 		t.Fatalf("Record: %v", err)
 	}
@@ -319,14 +326,20 @@ func TestTwitterPollDelayShorterThanFacebook(t *testing.T) {
 		t.Fatalf("Record: %v", err)
 	}
 	delays := map[string]time.Duration{}
-	for len(delays) < 2 {
-		select {
-		case a := <-got:
-			if _, ok := delays[a.network]; !ok {
+	for step := 0; len(delays) < 2; step++ {
+		if step == 120 {
+			t.Fatalf("arrivals incomplete after %d virtual seconds: %v", step, delays)
+		}
+		clock.Advance(time.Second)
+		// Whatever the step's timers set off runs on real goroutines while
+		// virtual time is parked; let it land before the next step.
+		time.Sleep(2 * time.Millisecond)
+		quiesce(t, s)
+		for len(got) > 0 {
+			a := <-got
+			if _, seen := delays[a.network]; !seen {
 				delays[a.network] = a.delay
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("arrivals incomplete: %v", delays)
 		}
 	}
 	if delays["twitter"] >= delays["facebook"] {

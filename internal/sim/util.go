@@ -1,24 +1,12 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/sensors"
 )
-
-// jsonMarshal wraps encoding for the HTTP delivery path.
-func jsonMarshal(v any) (io.Reader, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("sim: marshal: %w", err)
-	}
-	return bytes.NewReader(b), nil
-}
 
 // StationaryProfile builds a profile for a user parked at a named place in
 // the simulation's place database.

@@ -245,7 +245,7 @@ func (l *Log) Close() error {
 // Crash abandons pending (un-flushed) appends and closes the log
 // abruptly, without a final flush or fsync: the on-disk state is whatever
 // the group-commit syncer had already persisted, exactly as after a
-// SIGKILL. The crash-recovery tests and sim.RestartBroker use it; real
+// SIGKILL. The crash-recovery tests and shard.RestartBroker use it; real
 // deployments use Close.
 func (l *Log) Crash() {
 	l.mu.Lock()
