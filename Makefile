@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-smoke bench-e2e-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
 
 # The CI gate (ci.sh runs exactly this): every recipe below is written once
 # and composed here. `race` is the full test suite under the race detector.
-ci: build vet lint no-stats race fuzz-smoke bench-smoke chaos-smoke durability-smoke metrics-smoke
+ci: build vet lint no-stats race fuzz-smoke bench-smoke bench-e2e-smoke chaos-smoke durability-smoke metrics-smoke
 	@echo "CI OK"
 
 build:
@@ -43,22 +43,31 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Smoke-run the ingest scaling and broker fan-out benches (one iteration
-# each): catches compile rot and harness deadlocks without paying full
-# benchmark time. The simulator and cluster layers are measured end to end by
-# `go run ./bench` (sim.*, cluster.* in bench/BASELINE.md).
+# Smoke-run the ingest scaling, broker fan-out and document-store benches
+# (one iteration each): catches compile rot and harness deadlocks without
+# paying full benchmark time. The simulator and cluster layers are measured
+# end to end by `go run ./bench` (sim.*, cluster.* in bench/BASELINE.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem' -benchtime 1x .
+
+# The end-to-end benchmark's untraced pass of every workload at a tenth of
+# the work (about 18 s): exits non-zero if any of its exact-count
+# correctness checks fails, so they run on every change and not only when
+# the benchmark driver does.
+bench-e2e-smoke:
+	$(GO) run ./bench -short
 
 # Short coverage-guided runs of the wire-format fuzzer, the topic-trie
-# match cross-check and the netsim lifecycle fuzzer: catches decode
-# panics, trie/matcher divergence and fabric deadlocks under fault/close
-# interleavings without a dedicated fuzz farm.
+# match cross-check, the netsim lifecycle fuzzer, the WAL replay fuzzer and
+# the document-record codec fuzzer: catches decode panics, trie/matcher
+# divergence, fabric deadlocks under fault/close interleavings and records
+# that do not read back as written, without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatchConsistency$$' -fuzztime 10s ./internal/mqtt
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricLifecycle$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 10s ./internal/docstore
 
 # Deterministic chaos runs under fault schedules (DESIGN.md §8, §15): the
 # smoke schedule exercises every fault verb over a 128-device fleet, the

@@ -9,6 +9,8 @@ package repro
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,6 +313,48 @@ func BenchmarkDocstoreIndexedQuery(b *testing.B) {
 			b.Fatalf("find: %v (%d docs)", err, len(docs))
 		}
 	}
+}
+
+// BenchmarkDocstoreInsertItem builds and inserts the document
+// server.DeliveryHub persists per item, in bench/'s uplink_capacity mix
+// (60 % classified, 30 % a raw ~1 KB accelerometer window, 10 % a raw
+// location fix), and reports what the store keeps per document once the
+// garbage is gone. Every document gets strings of its own, as items off the
+// wire have: a store that keeps the caller's strings pays for them here too.
+func BenchmarkDocstoreInsertItem(b *testing.B) {
+	accel := `{"rate_hz":50,"x":[` + strings.Repeat("-1234,", 170) + `0]}`
+	fix := `{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := docstore.NewStore().Collection("items")
+	before := heap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		user := strconv.Itoa(100000 + i%1000)[1:]
+		d := docstore.Doc{
+			"stream": "activity-" + user, "device": "d" + user, "user": "u" + user,
+			"modality": "accelerometer", "granularity": "classified",
+			"time": int64(1_700_000_000_000 + i), "classified": "walking",
+		}
+		switch {
+		case i%10 >= 7:
+			d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(accel)
+		case i%10 == 6:
+			d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(fix)
+		}
+		if _, err := c.Insert(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric((float64(heap())-float64(before))/float64(b.N), "B/doc")
+	runtime.KeepAlive(c)
 }
 
 func BenchmarkNetsimThroughput(b *testing.B) {

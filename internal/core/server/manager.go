@@ -221,6 +221,10 @@ func New(opts Options) (*Manager, error) {
 	if err := m.store.Collection(devicesCollection).CreateIndex("user"); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	// Every FilterDownloader request asks for one device's stream configs.
+	if err := m.store.Collection(streamsCollection).CreateIndex("device"); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
 	// A journal-backed store may arrive with recovered users; rebuild the
 	// in-memory context registry from their stored locations so cross-user
 	// filters and multicast queries see last-known state immediately after

@@ -98,14 +98,17 @@ func (s *Store) Drop(name string) {
 	}
 }
 
-// Collection is an ordered set of documents keyed by _id.
+// Collection is an ordered set of documents keyed by _id. A document is
+// held as one encoded record (record.go); every Doc handed out is decoded
+// fresh, so callers can never reach stored state.
 type Collection struct {
 	name  string
-	store *Store // owning store, for the journal; nil in isolated tests
+	store *Store   // owning store, for the journal; nil in isolated tests
+	keys  keyTable // field names the records refer to; has its own lock
 
 	mu     sync.RWMutex
-	docs   map[string]Doc
-	order  []string // insertion order of live ids
+	docs   map[string][]byte // _id → record of the other fields
+	order  []string          // insertion order of live ids
 	seq    uint64
 	hashIx map[string]*hashIndex
 	geoIx  map[string]*geoIndex
@@ -114,7 +117,7 @@ type Collection struct {
 func newCollection(name string) *Collection {
 	return &Collection{
 		name:   name,
-		docs:   make(map[string]Doc),
+		docs:   make(map[string][]byte),
 		hashIx: make(map[string]*hashIndex),
 		geoIx:  make(map[string]*geoIndex),
 	}
@@ -130,27 +133,40 @@ func (c *Collection) Len() int {
 	return len(c.docs)
 }
 
-// Insert stores a deep copy of doc. If doc lacks an _id a fresh one is
-// assigned. The (possibly generated) id is returned.
+// decode returns the document filed under id as a fresh Doc. Records are
+// immutable, so it needs no lock once the caller has the record.
+func (c *Collection) decode(id string, rec []byte) Doc {
+	d, err := c.keys.decode(id, rec)
+	if err != nil {
+		// Every record was written by keys.encode; only a bug gets here.
+		panic(fmt.Sprintf("docstore: %q in %q: %v", id, c.name, err))
+	}
+	return d
+}
+
+// Insert stores doc; the collection keeps no reference to it. If doc lacks
+// an _id a fresh one is assigned. The (possibly generated) id is returned.
+// A value that is not nil, a bool, a number, a string, a []any or a nested
+// Doc is an error naming its field path and Go type.
 func (c *Collection) Insert(doc Doc) (string, error) {
 	if doc == nil {
 		return "", fmt.Errorf("docstore: insert into %q: nil document", c.name)
 	}
-	cp := deepCopyDoc(doc)
+	rec, err := c.keys.encode(doc)
+	if err != nil {
+		return "", fmt.Errorf("docstore: insert into %q: %w", c.name, err)
+	}
 	pinned := c.pinJournal()
 	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, err := c.idForLocked(cp)
+	id, err := c.idForLocked(doc)
 	if err != nil {
 		return "", err
 	}
-	cp[IDField] = id
-	c.docs[id] = cp
-	c.order = append(c.order, id)
-	c.indexAddLocked(id, cp)
+	c.putLocked(id, rec)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opInsert, Doc: cp}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, rec)}); err != nil {
 			return id, err
 		}
 	}
@@ -172,15 +188,55 @@ func (c *Collection) idForLocked(doc Doc) (string, error) {
 	return c.name + "-" + strconv.FormatUint(c.seq, 10), nil
 }
 
-// Get returns a deep copy of the document with the given id.
+// putLocked files rec under id, as a new document or in place of the one
+// there, keeping order and indexes in step. Every write — Insert, Upsert,
+// Update, journal replay — ends here.
+func (c *Collection) putLocked(id string, rec []byte) {
+	old, replaced := c.docs[id]
+	if !replaced {
+		c.order = append(c.order, id)
+	}
+	c.docs[id] = rec
+	if replaced {
+		c.indexRemoveLocked(id, old)
+	}
+	c.indexAddLocked(id, rec)
+}
+
+// deleteLocked removes the documents with the given ids (absent ones are
+// skipped) and returns how many went.
+func (c *Collection) deleteLocked(ids []string) int {
+	n := 0
+	for _, id := range ids {
+		rec, ok := c.docs[id]
+		if !ok {
+			continue
+		}
+		c.indexRemoveLocked(id, rec)
+		delete(c.docs, id)
+		n++
+	}
+	if n > 0 {
+		live := c.order[:0]
+		for _, id := range c.order {
+			if _, ok := c.docs[id]; ok {
+				live = append(live, id)
+			}
+		}
+		c.order = live
+	}
+	return n
+}
+
+// Get returns the document with the given id.
 func (c *Collection) Get(id string) (Doc, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
+	rec, ok := c.docs[id]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("docstore: get %q from %q: %w", id, c.name, ErrNotFound)
 	}
-	return deepCopyDoc(d), nil
+	return c.decode(id, rec), nil
 }
 
 // FindOpts controls Find result shaping.
@@ -193,24 +249,23 @@ type FindOpts struct {
 	Limit int
 }
 
-// Find returns deep copies of all documents matching query, shaped by opts.
+// Find returns all documents matching query, shaped by opts.
 func (c *Collection) Find(query Doc, opts FindOpts) ([]Doc, error) {
 	m, err := compileQuery(query)
 	if err != nil {
 		return nil, fmt.Errorf("docstore: find in %q: %w", c.name, err)
 	}
-	c.mu.RLock()
-	candidates := c.planLocked(query)
-	var out []Doc
-	for _, id := range candidates {
-		d, ok := c.docs[id]
-		if !ok {
-			continue
-		}
-		if m.match(d) {
-			out = append(out, deepCopyDoc(d))
-		}
+	// Without a sort the first Limit matches are the answer.
+	stopAt := 0
+	if opts.SortBy == "" {
+		stopAt = opts.Limit
 	}
+	var out []Doc
+	c.mu.RLock()
+	c.scanLocked(query, m, func(_ string, d Doc) bool {
+		out = append(out, d)
+		return len(out) != stopAt
+	})
 	c.mu.RUnlock()
 
 	if opts.SortBy != "" {
@@ -230,7 +285,7 @@ func (c *Collection) Find(query Doc, opts FindOpts) ([]Doc, error) {
 	return out, nil
 }
 
-// FindOne returns a deep copy of the first matching document.
+// FindOne returns the first matching document.
 func (c *Collection) FindOne(query Doc) (Doc, error) {
 	docs, err := c.Find(query, FindOpts{Limit: 1})
 	if err != nil {
@@ -244,22 +299,31 @@ func (c *Collection) FindOne(query Doc) (Doc, error) {
 
 // Count returns the number of documents matching query.
 func (c *Collection) Count(query Doc) (int, error) {
-	docs, err := c.Find(query, FindOpts{})
-	if err != nil {
-		return 0, err
+	if len(query) == 0 {
+		return c.Len(), nil
 	}
-	return len(docs), nil
+	m, err := compileQuery(query)
+	if err != nil {
+		return 0, fmt.Errorf("docstore: count in %q: %w", c.name, err)
+	}
+	n := 0
+	c.mu.RLock()
+	c.scanLocked(query, m, func(string, Doc) bool { n++; return true })
+	c.mu.RUnlock()
+	return n, nil
 }
 
 // Update applies the update spec to every document matching query and
 // returns the number of documents modified. The update spec must use update
-// operators ($set, $unset, $inc, $push); see ApplyUpdate.
+// operators ($set, $unset, $inc, $push); see compileUpdate. It is all or
+// nothing: if the spec cannot be applied to one matched document, no
+// document changes, nothing is journaled and the count is 0.
 func (c *Collection) Update(query, update Doc) (int, error) {
 	m, err := compileQuery(query)
 	if err != nil {
 		return 0, fmt.Errorf("docstore: update in %q: %w", c.name, err)
 	}
-	up, err := compileUpdate(update)
+	up, err := compileUpdate(&c.keys, update)
 	if err != nil {
 		return 0, fmt.Errorf("docstore: update in %q: %w", c.name, err)
 	}
@@ -267,71 +331,72 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, id := range c.planLocked(query) {
-		d, ok := c.docs[id]
-		if !ok || !m.match(d) {
-			continue
-		}
-		c.indexRemoveLocked(id, d)
-		if err := up.apply(d); err != nil {
-			c.indexAddLocked(id, d)
-			return n, fmt.Errorf("docstore: update %q in %q: %w", id, c.name, err)
-		}
-		d[IDField] = id // updates may not change identity
-		c.indexAddLocked(id, d)
-		n++
+	type write struct {
+		id  string
+		rec []byte
 	}
-	if pinned != nil && n > 0 {
+	var writes []write
+	var failed error
+	c.scanLocked(query, m, func(id string, d Doc) bool {
+		var rec []byte
+		err := up.apply(d)
+		if err == nil {
+			rec, err = c.keys.encode(d)
+		}
+		if err != nil {
+			failed = fmt.Errorf("docstore: update %q in %q: %w", id, c.name, err)
+			return false
+		}
+		writes = append(writes, write{id, rec})
+		return true
+	})
+	if failed != nil {
+		return 0, failed
+	}
+	for _, w := range writes {
+		c.putLocked(w.id, w.rec)
+	}
+	if pinned != nil && len(writes) > 0 {
 		// Query+update replay is deterministic: the matched set and the
 		// per-document application are both order-independent.
 		if err := c.logLocked(journalRecord{Op: opUpdate, Query: query, Upd: update}); err != nil {
-			return n, err
+			return len(writes), err
 		}
 	}
-	return n, nil
+	return len(writes), nil
 }
 
 // Upsert replaces the document matching query with doc, or inserts doc when
-// nothing matches. Returns the id of the stored document.
+// nothing matches. Returns the id of the stored document. Values are
+// restricted as for Insert.
 func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 	m, err := compileQuery(query)
 	if err != nil {
 		return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
 	}
-	cp := deepCopyDoc(doc)
+	rec, err := c.keys.encode(doc)
+	if err != nil {
+		return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
+	}
 	pinned := c.pinJournal()
 	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.planLocked(query) {
-		d, ok := c.docs[id]
-		if !ok || !m.match(d) {
-			continue
+	id := ""
+	c.scanLocked(query, m, func(match string, _ Doc) bool {
+		id = match
+		return false
+	})
+	if id == "" {
+		if id, err = c.idForLocked(doc); err != nil {
+			return "", err
 		}
-		c.indexRemoveLocked(id, d)
-		cp[IDField] = id
-		c.docs[id] = cp
-		c.indexAddLocked(id, cp)
-		if pinned != nil {
-			// Log the resolved effect (which id was replaced), not the
-			// query: candidate order depends on map iteration.
-			if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: cp}); err != nil {
-				return id, err
-			}
-		}
-		return id, nil
 	}
-	id, err := c.idForLocked(cp)
-	if err != nil {
-		return "", err
-	}
-	cp[IDField] = id
-	c.docs[id] = cp
-	c.order = append(c.order, id)
-	c.indexAddLocked(id, cp)
+	c.putLocked(id, rec)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: cp}); err != nil {
+		// Log the resolved effect (which id was written), not the query:
+		// candidate order depends on map iteration.
+		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, rec)}); err != nil {
 			return id, err
 		}
 	}
@@ -349,86 +414,79 @@ func (c *Collection) Delete(query Doc) (int, error) {
 	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	var removed []string
-	for _, id := range c.planLocked(query) {
-		d, ok := c.docs[id]
-		if !ok || !m.match(d) {
-			continue
-		}
-		c.indexRemoveLocked(id, d)
-		delete(c.docs, id)
-		if pinned != nil {
-			removed = append(removed, id)
-		}
-		n++
-	}
-	if n > 0 {
-		live := c.order[:0]
-		for _, id := range c.order {
-			if _, ok := c.docs[id]; ok {
-				live = append(live, id)
-			}
-		}
-		c.order = live
-	}
-	if len(removed) > 0 {
+	var ids []string
+	c.scanLocked(query, m, func(id string, _ Doc) bool {
+		ids = append(ids, id)
+		return true
+	})
+	n := c.deleteLocked(ids)
+	if pinned != nil && n > 0 {
 		// Log the matched ids rather than the query, for the same
 		// map-iteration-order reason as Upsert.
-		if err := c.logLocked(journalRecord{Op: opDelete, IDs: removed}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opDelete, IDs: ids}); err != nil {
 			return n, err
 		}
 	}
 	return n, nil
 }
 
-// planLocked chooses candidate ids for a query: an index scan when the
-// query (or any conjunct of a top-level $and) has an equality on an indexed
-// field or a $near on a geo-indexed field, otherwise the full collection in
-// insertion order. The exact matcher always runs afterwards, so the plan
-// only needs to be a superset of the true result.
-func (c *Collection) planLocked(query Doc) []string {
-	if ids, ok := c.indexCandidatesLocked(query); ok {
-		return ids
-	}
-	// A top-level $and can be served by an index on any of its conjuncts.
-	if andRaw, ok := query["$and"]; ok {
-		if subs, ok := andRaw.([]any); ok {
-			for _, s := range subs {
-				if sd, ok := s.(map[string]any); ok {
-					if ids, ok := c.indexCandidatesLocked(sd); ok {
-						return ids
-					}
-				}
-			}
-		}
-	}
-	return append([]string(nil), c.order...)
-}
-
-// indexCandidatesLocked tries to serve one conjunction's fields from an
-// index.
-func (c *Collection) indexCandidatesLocked(query Doc) ([]string, bool) {
-	for field, cond := range query {
-		if strings.HasPrefix(field, "$") {
+// scanLocked decodes the plan's candidates in plan order and hands visit
+// each one the query matches, until visit returns false. visit must leave
+// the collection as it is: the plan may be the collection's own order or an
+// index's own bucket.
+func (c *Collection) scanLocked(query Doc, m matcher, visit func(id string, d Doc) bool) {
+	for _, id := range c.planLocked(query) {
+		rec, ok := c.docs[id]
+		if !ok {
 			continue
 		}
-		if ix, ok := c.hashIx[field]; ok {
-			if isPlainValue(cond) {
-				return append([]string(nil), ix.get(hashKey(cond))...), true
+		if d := c.decode(id, rec); m.match(d) && !visit(id, d) {
+			return
+		}
+	}
+}
+
+// planLocked chooses candidate ids for a query from the query itself and
+// the conjuncts of a top-level $and, trying in order: the primary key (a
+// literal string _id names at most one document), a hash index (equality on
+// an indexed field), a geo index ($near on a geo-indexed field), and last
+// the whole collection in insertion order. The exact matcher always runs
+// afterwards, so the plan only needs to be a superset of the true result.
+// The returned slice is shared, not a copy.
+func (c *Collection) planLocked(query Doc) []string {
+	conjuncts := append(make([]Doc, 0, 4), query)
+	if subs, ok := query["$and"].([]any); ok {
+		for _, s := range subs {
+			if sd, ok := s.(map[string]any); ok {
+				conjuncts = append(conjuncts, sd)
 			}
 		}
-		if ix, ok := c.geoIx[field]; ok {
-			if m, ok := cond.(map[string]any); ok {
-				if nearSpec, ok := m["$near"]; ok {
-					if center, radius, err := parseNear(nearSpec); err == nil {
-						return ix.candidates(center, radius), true
-					}
+	}
+	for _, q := range conjuncts {
+		if id, ok := q[IDField].(string); ok {
+			if _, ok := c.docs[id]; !ok {
+				return nil
+			}
+			return []string{id}
+		}
+	}
+	for _, q := range conjuncts {
+		for path, ix := range c.hashIx {
+			if cond, ok := q[path]; ok && isPlainValue(cond) {
+				return ix.get(hashKey(cond))
+			}
+		}
+	}
+	for _, q := range conjuncts {
+		for path, ix := range c.geoIx {
+			if ops, ok := q[path].(map[string]any); ok {
+				if center, radius, err := parseNear(ops["$near"]); err == nil {
+					return ix.candidates(center, radius)
 				}
 			}
 		}
 	}
-	return nil, false
+	return c.order
 }
 
 // isPlainValue reports whether v is a literal (implicit $eq) rather than an
@@ -444,32 +502,4 @@ func isPlainValue(v any) bool {
 		}
 	}
 	return true
-}
-
-// deepCopyDoc copies a document and all nested containers. Scalars are
-// shared (they are immutable).
-func deepCopyDoc(d Doc) Doc {
-	if d == nil {
-		return nil
-	}
-	out := make(Doc, len(d))
-	for k, v := range d {
-		out[k] = deepCopyValue(v)
-	}
-	return out
-}
-
-func deepCopyValue(v any) any {
-	switch t := v.(type) {
-	case map[string]any:
-		return deepCopyDoc(t)
-	case []any:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = deepCopyValue(e)
-		}
-		return out
-	default:
-		return v
-	}
 }

@@ -216,10 +216,18 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 			return err
 		}
 	case opUpsert:
-		c.applyUpsertByID(r.ID, r.Doc)
+		rec, err := c.keys.encode(r.Doc)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		c.putLocked(r.ID, rec)
+		c.mu.Unlock()
 		c.noteGeneratedID(r.ID)
 	case opDelete:
-		c.deleteIDs(r.IDs)
+		c.mu.Lock()
+		c.deleteLocked(r.IDs)
+		c.mu.Unlock()
 	case opHashIndex:
 		return c.CreateIndex(r.Path)
 	case opGeoIndex:
@@ -228,47 +236,6 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	return nil
-}
-
-// applyUpsertByID replays an upsert's resolved effect: replace the
-// document with the given id, or insert it fresh.
-func (c *Collection) applyUpsertByID(id string, doc Doc) {
-	cp := deepCopyDoc(doc)
-	cp[IDField] = id
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.docs[id]; ok {
-		c.indexRemoveLocked(id, old)
-		c.docs[id] = cp
-		c.indexAddLocked(id, cp)
-		return
-	}
-	c.docs[id] = cp
-	c.order = append(c.order, id)
-	c.indexAddLocked(id, cp)
-}
-
-// deleteIDs replays a delete's resolved effect.
-func (c *Collection) deleteIDs(ids []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, id := range ids {
-		if d, ok := c.docs[id]; ok {
-			c.indexRemoveLocked(id, d)
-			delete(c.docs, id)
-			n++
-		}
-	}
-	if n > 0 {
-		live := c.order[:0]
-		for _, id := range c.order {
-			if _, ok := c.docs[id]; ok {
-				live = append(live, id)
-			}
-		}
-		c.order = live
-	}
 }
 
 // noteGeneratedID bumps the id-generation sequence past a replayed or

@@ -1,9 +1,12 @@
 package docstore
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -256,5 +259,113 @@ func TestDurableSharedMetrics(t *testing.T) {
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
+	}
+}
+
+// storeJSON is the whole store as a snapshot would write it — collections,
+// documents in insertion order, index definitions, id sequences — decoded
+// so that two stores compare by content.
+func storeJSON(t *testing.T, s *Store) any {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteSnapshot(&buf); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	var v any
+	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	return v
+}
+
+func TestUpdateIsAllOrNothingAndJournaledAsSuch(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	c := s.Collection("users")
+	if err := c.CreateIndex("city"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	// The update below reaches u1 and u3 before or after u2, on which it
+	// fails half way: "a" is set, then "city.zip" is blocked by a string.
+	for _, d := range []Doc{
+		{IDField: "u1", "group": "g", "n": 1},
+		{IDField: "u2", "group": "g", "n": 2, "city": "Paris"},
+		{IDField: "u3", "group": "g", "n": 3},
+	} {
+		if _, err := c.Insert(d); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	before := storeJSON(t, s)
+	n, err := c.Update(Doc{"group": "g"}, Doc{"$set": Doc{"a": true, "city.zip": 75000}, "$inc": Doc{"n": 10}})
+	if err == nil || n != 0 || !strings.Contains(err.Error(), `"u2"`) {
+		t.Fatalf("Update = %d, %v; want 0 and an error naming u2", n, err)
+	}
+	if after := storeJSON(t, s); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed update changed the store\n got %v\nwant %v", after, before)
+	}
+	wantIDs(t, mustFind(t, c, Doc{"city": "Paris"}), "u2") // and the index still finds it
+	// One that succeeds everywhere goes through, to show the journal is live.
+	if n, err := c.Update(Doc{"group": "g"}, Doc{"$inc": Doc{"n": 10}}); err != nil || n != 3 {
+		t.Fatalf("Update = %d, %v; want 3", n, err)
+	}
+	want := storeJSON(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, info := openDurable(t, dir)
+	defer s2.Close()
+	if info.Replayed != 5 { // index, three inserts, one update: the failed one left no record
+		t.Fatalf("replayed %d records, want 5", info.Replayed)
+	}
+	if got := storeJSON(t, s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered store differs from memory\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestReopensParentCommitDirectories opens a journal-only directory and a
+// snapshot-plus-tail directory written by the commit before records
+// (testdata/parent_*: inserts with and without ids, nested values, every
+// update operator, upserts that replace and insert, deletes, a dropped
+// collection, both index kinds) and expects the documents, order, indexes
+// and sequences that commit itself recovered from them (*.want.json).
+func TestReopensParentCommitDirectories(t *testing.T) {
+	for _, name := range []string{"parent_journal", "parent_snapshot"} {
+		dir := t.TempDir() // opening appends to the journal; keep testdata as it is
+		files, err := os.ReadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantRaw, err := os.ReadFile(filepath.Join("testdata", name+".want.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want any
+		if err := json.Unmarshal(wantRaw, &want); err != nil {
+			t.Fatal(err)
+		}
+		s, info := openDurable(t, dir)
+		if info.Replayed == 0 || info.TruncatedTail || (name == "parent_snapshot") != (info.SnapshotLSN > 0) {
+			t.Fatalf("%s: recovery %+v", name, info)
+		}
+		if got := storeJSON(t, s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s reopened differently\n got %v\nwant %v", name, got, want)
+		}
+		// The recovered indexes answer queries.
+		wantIDs(t, mustFind(t, s.Collection("users"), Doc{"city": "Paris"}), "alice")
+		wantIDs(t, mustFind(t, s.Collection("users"), Doc{"loc": Doc{"$near": Doc{"lat": 52.5, "lon": 13.4, "$maxDistance": 5000.0}}}), "users-1")
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/geo"
@@ -16,7 +17,7 @@ import (
 // certain area".
 
 // hashIndex maps an equality key to the ids of documents holding that value
-// at the indexed field path.
+// at the indexed field path, or in the array there.
 type hashIndex struct {
 	path string
 	byK  map[string][]string
@@ -31,8 +32,9 @@ func (ix *hashIndex) add(id string, d Doc) {
 	if !ok {
 		return
 	}
-	k := hashKey(v)
-	ix.byK[k] = append(ix.byK[k], id)
+	for _, k := range equalityKeys(v) {
+		ix.byK[k] = append(ix.byK[k], id)
+	}
 }
 
 func (ix *hashIndex) remove(id string, d Doc) {
@@ -40,18 +42,34 @@ func (ix *hashIndex) remove(id string, d Doc) {
 	if !ok {
 		return
 	}
-	k := hashKey(v)
-	ids := ix.byK[k]
-	for i, x := range ids {
-		if x == id {
-			ids[i] = ids[len(ids)-1]
-			ix.byK[k] = ids[:len(ids)-1]
-			break
+	for _, k := range equalityKeys(v) {
+		ids := ix.byK[k]
+		for i, x := range ids {
+			if x == id {
+				ids[i] = ids[len(ids)-1]
+				ix.byK[k] = ids[:len(ids)-1]
+				break
+			}
+		}
+		if len(ix.byK[k]) == 0 {
+			delete(ix.byK, k)
 		}
 	}
-	if len(ix.byK[k]) == 0 {
-		delete(ix.byK, k)
+}
+
+// equalityKeys returns the keys a field value is found under: its own and,
+// because the matcher lets an array match through any one element, each
+// distinct element's.
+func equalityKeys(v any) []string {
+	keys := []string{hashKey(v)}
+	if arr, ok := v.([]any); ok {
+		for _, e := range arr {
+			if k := hashKey(e); !slices.Contains(keys, k) {
+				keys = append(keys, k)
+			}
+		}
 	}
+	return keys
 }
 
 func (ix *hashIndex) get(key string) []string { return ix.byK[key] }
@@ -178,8 +196,8 @@ func (c *Collection) CreateIndex(path string) error {
 		return nil
 	}
 	ix := newHashIndex(path)
-	for id, d := range c.docs {
-		ix.add(id, d)
+	for id, rec := range c.docs {
+		ix.add(id, c.decode(id, rec))
 	}
 	c.hashIx[path] = ix
 	if pinned != nil {
@@ -202,8 +220,8 @@ func (c *Collection) CreateGeoIndex(path string) error {
 		return nil
 	}
 	ix := newGeoIndex(path)
-	for id, d := range c.docs {
-		ix.add(id, d)
+	for id, rec := range c.docs {
+		ix.add(id, c.decode(id, rec))
 	}
 	c.geoIx[path] = ix
 	if pinned != nil {
@@ -225,7 +243,13 @@ func (c *Collection) Indexes() (hash, geoPaths []string) {
 	return hash, geoPaths
 }
 
-func (c *Collection) indexAddLocked(id string, d Doc) {
+// indexAddLocked and indexRemoveLocked enter and withdraw the document
+// filed as rec under id; a collection without indexes never decodes it.
+func (c *Collection) indexAddLocked(id string, rec []byte) {
+	if len(c.hashIx)+len(c.geoIx) == 0 {
+		return
+	}
+	d := c.decode(id, rec)
 	for _, ix := range c.hashIx {
 		ix.add(id, d)
 	}
@@ -234,7 +258,11 @@ func (c *Collection) indexAddLocked(id string, d Doc) {
 	}
 }
 
-func (c *Collection) indexRemoveLocked(id string, d Doc) {
+func (c *Collection) indexRemoveLocked(id string, rec []byte) {
+	if len(c.hashIx)+len(c.geoIx) == 0 {
+		return
+	}
+	d := c.decode(id, rec)
 	for _, ix := range c.hashIx {
 		ix.remove(id, d)
 	}

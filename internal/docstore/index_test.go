@@ -218,3 +218,118 @@ func TestIndexServesAndConjuncts(t *testing.T) {
 		}
 	}
 }
+
+func TestHashIndexServesArrayElementMatch(t *testing.T) {
+	// The matcher lets {"tags": "x"} match a document whose tags array holds
+	// "x"; an index on tags must not hide it.
+	c := NewStore().Collection("posts")
+	if err := c.CreateIndex("tags"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for id, tags := range map[string][]any{"a": {"go", "db", "go"}, "b": {"db"}, "c": {}} {
+		if _, err := c.Insert(Doc{IDField: id, "tags": tags}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	wantIDs(t, mustFind(t, c, Doc{"tags": "go"}), "a") // once, though "go" is there twice
+	wantIDs(t, mustFind(t, c, Doc{"tags": "db"}), "a", "b")
+	wantIDs(t, mustFind(t, c, Doc{"tags": []any{"db"}}), "b")
+	if _, err := c.Update(Doc{IDField: "a"}, Doc{"$set": Doc{"tags": []any{"db"}}}); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	wantIDs(t, mustFind(t, c, Doc{"tags": "go"}))
+	if n, err := c.Delete(Doc{"tags": "db"}); err != nil || n != 2 {
+		t.Fatalf("Delete = %d, %v; want 2", n, err)
+	}
+	wantIDs(t, mustFind(t, c, nil), "c")
+}
+
+func TestPrimaryKeyPlan(t *testing.T) {
+	c := NewStore().Collection("users")
+	if err := c.CreateIndex("city"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := c.Insert(Doc{IDField: fmt.Sprintf("u%02d", i), "city": "Paris", "n": i}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		query      Doc
+		candidates int
+		ids        []string
+	}{
+		{"id alone", Doc{IDField: "u07"}, 1, []string{"u07"}},
+		{"id beside a field", Doc{IDField: "u07", "n": 7}, 1, []string{"u07"}},
+		{"id beside a field that fails", Doc{IDField: "u07", "n": 8}, 1, nil},
+		{"id wins over the hash index", Doc{"city": "Paris", IDField: "u07"}, 1, []string{"u07"}},
+		{"id in $and", Doc{"$and": []any{Doc{IDField: "u07"}, Doc{"n": Doc{"$lt": 10}}}}, 1, []string{"u07"}},
+		{"id in a later conjunct", Doc{"$and": []any{Doc{"city": "Paris"}, Doc{IDField: "u09"}}}, 1, []string{"u09"}},
+		{"missing id", Doc{IDField: "nobody"}, 0, nil},
+		{"missing id in $and", Doc{"$and": []any{Doc{IDField: "nobody"}, Doc{"city": "Paris"}}}, 0, nil},
+		{"operator on id scans", Doc{IDField: Doc{"$in": []any{"u01", "u02"}}}, 50, []string{"u01", "u02"}},
+		{"id under $or scans", Doc{"$or": []any{Doc{IDField: "u01"}, Doc{IDField: "u02"}}}, 50, []string{"u01", "u02"}},
+		{"no id, hash index", Doc{"city": "Lyon"}, 0, nil},
+	} {
+		c.mu.RLock()
+		got := len(c.planLocked(tc.query))
+		c.mu.RUnlock()
+		if got != tc.candidates {
+			t.Errorf("%s: plan examines %d candidates, want %d", tc.name, got, tc.candidates)
+		}
+		wantIDs(t, mustFind(t, c, tc.query), tc.ids...)
+	}
+
+	// The mutators resolve their targets through the same plan.
+	if n, err := c.Update(Doc{IDField: "u07"}, Doc{"$inc": Doc{"n": 100}}); err != nil || n != 1 {
+		t.Fatalf("Update by id = %d, %v", n, err)
+	}
+	if id, err := c.Upsert(Doc{IDField: "u08"}, Doc{"city": "Lyon"}); err != nil || id != "u08" {
+		t.Fatalf("Upsert by id = %q, %v", id, err)
+	}
+	if n, err := c.Delete(Doc{IDField: "u09"}); err != nil || n != 1 {
+		t.Fatalf("Delete by id = %d, %v", n, err)
+	}
+	wantIDs(t, mustFind(t, c, Doc{"n": 107}), "u07")
+	wantIDs(t, mustFind(t, c, Doc{"city": "Lyon"}), "u08")
+	if c.Len() != 49 {
+		t.Fatalf("Len = %d, want 49", c.Len())
+	}
+}
+
+func TestFindStopsAtLimitWithoutSort(t *testing.T) {
+	c := NewStore().Collection("events")
+	for i := 0; i < 100; i++ {
+		if _, err := c.Insert(Doc{IDField: fmt.Sprintf("e%03d", i), "n": i}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	q := Doc{"n": Doc{"$gte": 10}}
+	first := testing.AllocsPerRun(20, func() {
+		if docs, err := c.Find(q, FindOpts{Limit: 1}); err != nil || len(docs) != 1 || docs[0][IDField] != "e010" {
+			t.Fatalf("Find limit 1 = %v, %v", docs, err)
+		}
+	})
+	all := testing.AllocsPerRun(20, func() {
+		if docs, err := c.Find(q, FindOpts{}); err != nil || len(docs) != 90 {
+			t.Fatalf("Find = %d docs, %v", len(docs), err)
+		}
+	})
+	// 11 documents decoded against 100.
+	if first > all/4 {
+		t.Fatalf("Find with Limit 1 allocates %.0f objects, unlimited %.0f: it did not stop at the limit", first, all)
+	}
+	// A sort needs every match before it can cut.
+	docs, err := c.Find(q, FindOpts{SortBy: "n", Desc: true, Limit: 2})
+	if err != nil {
+		t.Fatalf("Find: %v", err)
+	}
+	wantIDs(t, docs, "e099", "e098")
+	if n, err := c.Count(q); err != nil || n != 90 {
+		t.Fatalf("Count = %d, %v", n, err)
+	}
+	if n, err := c.Count(nil); err != nil || n != 100 {
+		t.Fatalf("Count(nil) = %d, %v", n, err)
+	}
+}

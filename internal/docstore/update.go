@@ -14,20 +14,26 @@ import (
 //
 // Operators are applied in the fixed order $set, $unset, $inc, $push so
 // update application is deterministic regardless of map iteration order.
+// $set and $push values are restricted as Insert's are.
 
 type updater struct {
-	set   map[string]any
+	keys *keyTable
+	// $set and $push values are kept encoded and decoded afresh into every
+	// document, so no two documents (nor the caller's spec) share a container
+	// a later operator of the same update could write through.
+	set   map[string][]byte
 	unset []string
 	inc   map[string]float64
-	push  map[string]any
+	push  map[string][]byte
 }
 
-// compileUpdate validates an update spec.
-func compileUpdate(u Doc) (*updater, error) {
+// compileUpdate validates an update spec; keys is the table of the
+// collection the values are headed for.
+func compileUpdate(keys *keyTable, u Doc) (*updater, error) {
 	if len(u) == 0 {
 		return nil, fmt.Errorf("empty update")
 	}
-	up := &updater{set: map[string]any{}, inc: map[string]float64{}, push: map[string]any{}}
+	up := &updater{keys: keys, set: map[string][]byte{}, inc: map[string]float64{}, push: map[string][]byte{}}
 	for op, arg := range u {
 		fields, ok := arg.(map[string]any)
 		if !ok {
@@ -40,9 +46,12 @@ func compileUpdate(u Doc) (*updater, error) {
 			if strings.TrimSpace(path) == "" {
 				return nil, fmt.Errorf("%s has empty field path", op)
 			}
+			var err error
 			switch op {
 			case "$set":
-				up.set[path] = deepCopyValue(val)
+				up.set[path], err = keys.encodeValue(path, val)
+			case "$push":
+				up.push[path], err = keys.encodeValue(path, val)
 			case "$unset":
 				up.unset = append(up.unset, path)
 			case "$inc":
@@ -51,10 +60,11 @@ func compileUpdate(u Doc) (*updater, error) {
 					return nil, fmt.Errorf("$inc %q requires a number, got %T", path, val)
 				}
 				up.inc[path] = f
-			case "$push":
-				up.push[path] = deepCopyValue(val)
 			default:
 				return nil, fmt.Errorf("unknown update operator %q", op)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", op, err)
 			}
 		}
 	}
@@ -64,14 +74,18 @@ func compileUpdate(u Doc) (*updater, error) {
 // apply mutates doc in place.
 func (u *updater) apply(doc Doc) error {
 	for _, path := range sortedKeys(u.set) {
-		if err := setPath(doc, path, deepCopyValue(u.set[path])); err != nil {
+		val, err := u.keys.decodeValue(u.set[path])
+		if err != nil {
+			return err
+		}
+		if err := setPath(doc, path, val); err != nil {
 			return err
 		}
 	}
 	for _, path := range u.unset {
 		unsetPath(doc, path)
 	}
-	for _, path := range sortedKeysF(u.inc) {
+	for _, path := range sortedKeys(u.inc) {
 		cur, ok := lookupPath(doc, path)
 		base := 0.0
 		if ok {
@@ -95,25 +109,16 @@ func (u *updater) apply(doc Doc) error {
 			}
 			arr = a
 		}
-		arr = append(arr, deepCopyValue(u.push[path]))
+		val, err := u.keys.decodeValue(u.push[path])
+		if err != nil {
+			return err
+		}
+		arr = append(arr, val)
 		if err := setPath(doc, path, arr); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func sortedKeysF(m map[string]float64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-	return ks
 }
 
 // setPath writes val at a dot-separated path, creating intermediate objects.
