@@ -76,11 +76,18 @@ func Key(userID, modality string) string {
 	return userID + "/" + modality
 }
 
-// Eval evaluates the condition against a context snapshot. A missing
-// context value fails every operator except not_equals (which is satisfied
-// vacuously: the value is certainly not equal).
+// Eval evaluates the condition against a context snapshot.
 func (c Condition) Eval(ctx Context) bool {
 	got, ok := ctx[Key(c.UserID, c.Modality)]
+	return c.EvalValue(got, ok)
+}
+
+// EvalValue evaluates the condition against the current value of its
+// modality, for callers that hold context in some other shape than a
+// Context map; ok is false when there is none. A missing context value
+// fails every operator except not_equals (which is satisfied vacuously: the
+// value is certainly not equal).
+func (c Condition) EvalValue(got string, ok bool) bool {
 	if !ok {
 		return c.Operator == OpNotEquals
 	}

@@ -112,6 +112,10 @@ func TestConditionEvalCrossUser(t *testing.T) {
 	if own.Eval(ctx) {
 		t.Fatal("own-user condition read another user's value")
 	}
+	// EvalValue is Eval for a caller that looked the value up itself.
+	if !c.EvalValue("Walking", true) || c.EvalValue("still", true) || c.EvalValue("", false) {
+		t.Fatal("EvalValue disagrees with Eval on a present or a missing value")
+	}
 }
 
 func TestFilterEvalConjunction(t *testing.T) {

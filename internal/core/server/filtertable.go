@@ -21,25 +21,26 @@ type FilterTable struct {
 // filterSnapshot is an immutable view of the table. Fields must never be
 // mutated after publication.
 type filterSnapshot struct {
-	filters map[string]compiledFilter // by stream id
+	// filters holds, by stream id, what the server has to evaluate of the
+	// stream's filter: its cross-user conditions, grouped by the user they
+	// read so the hot path neither rescans conditions nor allocates. Empty
+	// means nothing (same-user conditions were already enforced on the
+	// mobile).
+	filters map[string][]userConditions
 	hooks   []func(core.Item)
 }
 
-// compiledFilter is a filter plus its precomputed cross-user analysis, so
-// the hot path neither rescans conditions nor allocates to decide the
-// fast path.
-type compiledFilter struct {
-	filter core.Filter
-	// crossUsers lists the distinct users referenced by cross-user
-	// conditions; empty means the server has nothing to evaluate (same-user
-	// conditions were already enforced on the mobile).
-	crossUsers []string
+// userConditions are the conditions of one filter on one other user's
+// context; ContextRegistry.evalUser evaluates them in one visit.
+type userConditions struct {
+	userID string
+	conds  []ctxCondition
 }
 
 // NewFilterTable returns an empty table.
 func NewFilterTable() *FilterTable {
 	t := &FilterTable{}
-	t.snap.Store(&filterSnapshot{filters: map[string]compiledFilter{}})
+	t.snap.Store(&filterSnapshot{filters: map[string][]userConditions{}})
 	return t
 }
 
@@ -53,7 +54,7 @@ func (t *FilterTable) Set(streamID string, f core.Filter) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.snap.Load()
-	filters := make(map[string]compiledFilter, len(cur.filters)+1)
+	filters := make(map[string][]userConditions, len(cur.filters)+1)
 	for k, v := range cur.filters {
 		filters[k] = v
 	}
@@ -69,7 +70,7 @@ func (t *FilterTable) Delete(streamID string) {
 	if _, ok := cur.filters[streamID]; !ok {
 		return
 	}
-	filters := make(map[string]compiledFilter, len(cur.filters)-1)
+	filters := make(map[string][]userConditions, len(cur.filters)-1)
 	for k, v := range cur.filters {
 		if k != streamID {
 			filters[k] = v
@@ -95,23 +96,22 @@ func (t *FilterTable) AddHook(f func(core.Item)) {
 // Len reports how many streams have a filter installed.
 func (t *FilterTable) Len() int { return len(t.snap.Load().filters) }
 
-// compileFilter extracts the distinct cross-user condition users.
-func compileFilter(f core.Filter) compiledFilter {
-	cf := compiledFilter{filter: f}
+// compileFilter groups a filter's cross-user conditions by user, in order
+// of first mention.
+func compileFilter(f core.Filter) []userConditions {
+	var groups []userConditions
 	for _, c := range f.Conditions {
 		if c.UserID == "" {
 			continue
 		}
-		dup := false
-		for _, u := range cf.crossUsers {
-			if u == c.UserID {
-				dup = true
-				break
-			}
+		g := 0
+		for g < len(groups) && groups[g].userID != c.UserID {
+			g++
 		}
-		if !dup {
-			cf.crossUsers = append(cf.crossUsers, c.UserID)
+		if g == len(groups) {
+			groups = append(groups, userConditions{userID: c.UserID})
 		}
+		groups[g].conds = append(groups[g].conds, ctxCondition{Condition: c, modality: modalityIndex(c.Modality)})
 	}
-	return cf
+	return groups
 }

@@ -195,6 +195,97 @@ func TestCrossUserFilterSeesConsistentSnapshot(t *testing.T) {
 	sink.waitFor(t, 1)
 }
 
+// TestCrossUserFilterOnTwoFriends conditions alice's stream on two friends
+// at once. Each friend's conditions are evaluated against that friend's
+// record in one visit, so while bob and carol both flip between pairs that
+// fail their own half, nothing may pass however the two interleave; and
+// the filter is a conjunction across friends: bob's half holding is not
+// enough until carol's holds too.
+func TestCrossUserFilterOnTwoFriends(t *testing.T) {
+	m := bareManager(t, nil)
+	err := m.CreateRemoteStream(core.StreamConfig{
+		ID: "x", DeviceID: "alice-phone", UserID: "alice",
+		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
+		Kind: core.KindContinuous, SampleInterval: time.Second,
+		Filter: core.Filter{Conditions: []core.Condition{
+			{Modality: core.CtxPhysicalActivity, Operator: core.OpEquals, Value: "walking", UserID: "bob"},
+			{Modality: core.CtxPlace, Operator: core.OpEquals, Value: "Paris", UserID: "carol"},
+			{Modality: core.CtxAudioEnvironment, Operator: core.OpEquals, Value: "silent", UserID: "bob"},
+			{Modality: core.CtxPhysicalActivity, Operator: core.OpNotEquals, Value: "walking", UserID: "carol"},
+		}},
+	})
+	if err != nil {
+		t.Fatalf("CreateRemoteStream: %v", err)
+	}
+	sink := &itemSink{}
+	if err := m.RegisterListener("x", sink); err != nil {
+		t.Fatalf("RegisterListener: %v", err)
+	}
+	ingest := func(it core.Item) {
+		for !m.Ingest(it) {
+			runtime.Gosched()
+		}
+	}
+	friend := func(user string, ctx core.Context) core.Item {
+		return core.Item{
+			StreamID: user + "-ctx", DeviceID: user + "-phone", UserID: user,
+			Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityRaw,
+			Context: ctx,
+		}
+	}
+	alice := func(seq int) core.Item {
+		it := seqItem("alice", seq)
+		it.StreamID = "x"
+		return it
+	}
+	flip := func(user string, even, odd core.Context, rounds int, wg *sync.WaitGroup) {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if i%2 == 0 {
+				ingest(friend(user, even))
+			} else {
+				ingest(friend(user, odd))
+			}
+		}
+	}
+
+	const rounds = 400
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go flip("bob",
+		core.Context{core.CtxPhysicalActivity: "walking", core.CtxAudioEnvironment: "noisy"},
+		core.Context{core.CtxPhysicalActivity: "still", core.CtxAudioEnvironment: "silent"}, rounds, &wg)
+	go flip("carol",
+		core.Context{core.CtxPlace: "Paris", core.CtxPhysicalActivity: "walking"},
+		core.Context{core.CtxPlace: "Milan", core.CtxPhysicalActivity: "still"}, rounds, &wg)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			ingest(alice(i))
+		}
+	}()
+	wg.Wait()
+	waitUntil(t, func() bool { return drained(m) })
+	if n := sink.count(); n != 0 {
+		t.Fatalf("filter passed %d items while neither friend's half ever held", n)
+	}
+
+	// Bob's half holds, carol's does not: still rejected.
+	ingest(friend("bob", core.Context{core.CtxPhysicalActivity: "walking", core.CtxAudioEnvironment: "silent"}))
+	waitUntil(t, func() bool { return drained(m) })
+	rejected := m.Metrics().Sum("sensocial_filter_rejected_total")
+	ingest(alice(rounds))
+	waitUntil(t, func() bool { return drained(m) })
+	if n, r := sink.count(), m.Metrics().Sum("sensocial_filter_rejected_total"); n != 0 || r != rejected+1 {
+		t.Fatalf("with only bob's half holding: %d items passed, %d newly rejected; want 0, 1", n, r-rejected)
+	}
+	// Both halves hold: alice's item passes.
+	ingest(friend("carol", core.Context{core.CtxPlace: "Paris", core.CtxPhysicalActivity: "still"}))
+	waitUntil(t, func() bool { return drained(m) })
+	ingest(alice(rounds + 1))
+	sink.waitFor(t, 1)
+}
+
 // TestIngestOverflowDropsCounted saturates a single depth-1 shard behind a
 // gated delivery hook: the pipeline must shed load via counted drops, and
 // every accepted item must still be processed after the gate opens.

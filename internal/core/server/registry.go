@@ -1,7 +1,7 @@
 package server
 
 import (
-	"sort"
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -26,11 +26,41 @@ type ContextRegistry struct {
 // ctxShard holds the state of the users hashing onto it.
 type ctxShard struct {
 	mu sync.Mutex
-	// users maps userID -> context modality -> value.
-	users map[string]map[string]string
+	// users maps userID -> that user's record: one entry per context
+	// modality seen, at most eight, scanned linearly. A record is a single
+	// small allocation; a map per user cost nearly four times as much to
+	// hold one value (EXPERIMENTS.md "Context registry: records per user").
+	users map[string][]ctxEntry
+	// entries counts the (user, modality) values held in users.
+	entries int
 	// loc maps userID -> the location last written to the document store,
 	// letting the ingest path skip no-op registry writes.
 	loc map[string]lastLocation
+}
+
+// ctxEntry is one context value of a user's record.
+type ctxEntry struct {
+	value    string
+	modality uint8 // core.ContextModalityIndex of the value's modality
+}
+
+// noModality stands for a name outside the context vocabulary: no entry
+// carries it, so a lookup by it finds nothing.
+const noModality = uint8(255)
+
+// modalityIndex maps a context modality name to its entry tag.
+func modalityIndex(name string) uint8 {
+	if i, ok := core.ContextModalityIndex(name); ok {
+		return uint8(i)
+	}
+	return noModality
+}
+
+// ctxCondition is a filter condition with its modality resolved once, at
+// filter install time, to the tag evalUser compares entries by.
+type ctxCondition struct {
+	core.Condition
+	modality uint8
 }
 
 // lastLocation remembers the most recent successful registry write.
@@ -52,7 +82,7 @@ func NewContextRegistry(n int, metrics *obs.Registry) *ContextRegistry {
 	}
 	r := &ContextRegistry{shards: make([]ctxShard, n)}
 	for i := range r.shards {
-		r.shards[i].users = make(map[string]map[string]string)
+		r.shards[i].users = make(map[string][]ctxEntry)
 		r.shards[i].loc = make(map[string]lastLocation)
 	}
 	r.locationWrites = metrics.Counter("sensocial_context_location_writes_total",
@@ -61,16 +91,10 @@ func NewContextRegistry(n int, metrics *obs.Registry) *ContextRegistry {
 		"Location updates elided because point and city were unchanged.")
 	metrics.GaugeFunc("sensocial_context_users",
 		"Users with at least one context entry in the cache.",
-		func() float64 {
-			total := 0
-			for i := range r.shards {
-				sh := &r.shards[i]
-				sh.mu.Lock()
-				total += len(sh.users)
-				sh.mu.Unlock()
-			}
-			return float64(total)
-		})
+		func() float64 { return float64(r.total(func(sh *ctxShard) int { return len(sh.users) })) })
+	metrics.GaugeFunc("sensocial_context_entries",
+		"Context values, one per (user, modality), held in the cache.",
+		func() float64 { return float64(r.total(func(sh *ctxShard) int { return sh.entries })) })
 	return r
 }
 
@@ -86,24 +110,45 @@ func (r *ContextRegistry) shardOf(userID string) *ctxShard {
 	return &r.shards[h%uint32(len(r.shards))]
 }
 
-// Set records one context value for a user.
-func (r *ContextRegistry) Set(userID, modality, value string) {
+// total sums a per-shard count, reading each shard under its lock.
+func (r *ContextRegistry) total(count func(*ctxShard) int) int {
+	n := 0
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.mu.Lock()
+		n += count(sh)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Set records one context value for a user. A modality outside
+// core.ContextModalities() is refused: no filter could ever read it back.
+func (r *ContextRegistry) Set(userID, modality, value string) error {
 	if userID == "" {
-		return
+		return nil
+	}
+	mod := modalityIndex(modality)
+	if mod == noModality {
+		return fmt.Errorf("server: context of %q: unknown modality %q", userID, modality)
 	}
 	sh := r.shardOf(userID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.setLocked(userID, modality, value)
+	sh.setLocked(userID, mod, value)
+	return nil
 }
 
-func (sh *ctxShard) setLocked(userID, modality, value string) {
-	m := sh.users[userID]
-	if m == nil {
-		m = make(map[string]string)
-		sh.users[userID] = m
+func (sh *ctxShard) setLocked(userID string, modality uint8, value string) {
+	rec := sh.users[userID]
+	for i := range rec {
+		if rec[i].modality == modality {
+			rec[i].value = value
+			return
+		}
 	}
-	m[modality] = value
+	sh.users[userID] = append(rec, ctxEntry{value: value, modality: modality})
+	sh.entries++
 }
 
 // ApplyItem folds one item's context contribution into the registry under a
@@ -116,42 +161,67 @@ func (r *ContextRegistry) ApplyItem(item core.Item) {
 	if item.UserID == "" {
 		return
 	}
-	classifiedMod := ""
+	classifiedMod := noModality
 	if item.Granularity == core.GranularityClassified && item.Classified != "" {
 		if ctxMod, err := core.ContextForSensor(item.Modality); err == nil {
-			classifiedMod = ctxMod
+			classifiedMod = modalityIndex(ctxMod)
 		}
 	}
-	if classifiedMod == "" && len(item.Context) == 0 {
+	if classifiedMod == noModality && len(item.Context) == 0 {
 		return
 	}
 	sh := r.shardOf(item.UserID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if classifiedMod != "" {
-		//lint:ignore hotpath setLocked's inlined map init runs once per new user, never steady-state
+	if classifiedMod != noModality {
 		sh.setLocked(item.UserID, classifiedMod, item.Classified)
 	}
 	for k, v := range item.Context {
 		// Only same-user context entries (plain modality keys) are re-keyed
 		// under the item's user.
-		if core.ValidContextModality(k) {
-			//lint:ignore hotpath setLocked's inlined map init runs once per new user, never steady-state
-			sh.setLocked(item.UserID, k, v)
+		if mod := modalityIndex(k); mod != noModality {
+			sh.setLocked(item.UserID, mod, v)
 		}
 	}
+}
+
+// evalUser reports whether the user's context satisfies every condition,
+// read in place under that user's shard lock: the conditions see one
+// consistent record, never a half of one item's update, and nothing is
+// copied out.
+//
+//sensolint:hotpath
+func (r *ContextRegistry) evalUser(userID string, conds []ctxCondition) bool {
+	sh := r.shardOf(userID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rec := sh.users[userID]
+	for i := range conds {
+		got, ok := "", false
+		for j := range rec {
+			if rec[j].modality == conds[i].modality {
+				got, ok = rec[j].value, true
+				break
+			}
+		}
+		if !conds[i].EvalValue(got, ok) {
+			return false
+		}
+	}
+	return true
 }
 
 // SnapshotUsers copies the context entries of the given users into a
 // cross-user keyed core.Context. Each user's entries are copied under that
 // user's shard lock, so per-user groups are internally consistent.
 func (r *ContextRegistry) SnapshotUsers(userIDs []string) core.Context {
+	names := core.ContextModalities()
 	out := make(core.Context, len(userIDs)*2)
 	for _, u := range userIDs {
 		sh := r.shardOf(u)
 		sh.mu.Lock()
-		for mod, v := range sh.users[u] {
-			out[core.Key(u, mod)] = v
+		for _, e := range sh.users[u] {
+			out[core.Key(u, names[e.modality])] = e.value
 		}
 		sh.mu.Unlock()
 	}
@@ -160,13 +230,14 @@ func (r *ContextRegistry) SnapshotUsers(userIDs []string) core.Context {
 
 // SnapshotAll merges every shard into one cross-user keyed core.Context.
 func (r *ContextRegistry) SnapshotAll() core.Context {
+	names := core.ContextModalities()
 	out := make(core.Context)
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.Lock()
-		for u, mods := range sh.users {
-			for mod, v := range mods {
-				out[core.Key(u, mod)] = v
+		for u, rec := range sh.users {
+			for _, e := range rec {
+				out[core.Key(u, names[e.modality])] = e.value
 			}
 		}
 		sh.mu.Unlock()
@@ -174,19 +245,16 @@ func (r *ContextRegistry) SnapshotAll() core.Context {
 	return out
 }
 
-// Users returns the users with any context entry, sorted (diagnostics).
-func (r *ContextRegistry) Users() []string {
-	var out []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for u := range sh.users {
-			out = append(out, u)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
+// lastPoint returns the point of the user's last successful registry write,
+// if one is remembered.
+//
+//sensolint:hotpath
+func (r *ContextRegistry) lastPoint(userID string) (geo.Point, bool) {
+	sh := r.shardOf(userID)
+	sh.mu.Lock()
+	last, ok := sh.loc[userID]
+	sh.mu.Unlock()
+	return last.pt, ok
 }
 
 // LocationUnchanged reports whether a pending registry write for the user

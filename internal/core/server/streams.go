@@ -148,7 +148,9 @@ func (m *Manager) OnOSNAction(a osn.Action) {
 	if a.Network == "twitter" {
 		ctxMod = core.CtxTwitterActivity
 	}
-	m.registry.Set(a.UserID, ctxMod, core.OSNActive)
+	if err := m.registry.Set(a.UserID, ctxMod, core.OSNActive); err != nil {
+		m.logf("osn action: context not recorded", "err", err)
+	}
 	m.wg.Add(1)
 
 	go func() {
@@ -241,18 +243,14 @@ func (m *Manager) processItem(item core.Item) {
 	// Cross-user conditions: the mobile already enforced same-user
 	// conditions; the server filter manager enforces the rest ("streams
 	// coming from one user can be conditioned on data coming from another
-	// user"). The snapshot is one atomic load; context is materialized only
-	// for the users the filter actually references.
+	// user"). The snapshot is one atomic load; each referenced user's
+	// conditions are evaluated in place against that user's registry record.
 	snap := m.filters.Snapshot()
-	if cf, known := snap.filters[item.StreamID]; known && len(cf.crossUsers) > 0 {
+	if cross := snap.filters[item.StreamID]; len(cross) > 0 {
 		fsp := m.tracer.Start("filter.eval", sp.ID())
 		fsp.SetAttr("stream", item.StreamID)
-		ctx := m.registry.SnapshotUsers(cf.crossUsers)
-		for _, c := range cf.filter.Conditions {
-			if c.UserID == "" {
-				continue
-			}
-			if !c.Eval(ctx) {
+		for i := range cross {
+			if !m.registry.evalUser(cross[i].userID, cross[i].conds) {
 				m.filterRejected.Inc()
 				fsp.SetAttr("rejected", "true")
 				fsp.End()
@@ -291,9 +289,14 @@ func (m *Manager) updateRegistryFromItem(item core.Item) {
 		}
 	case core.GranularityClassified:
 		// Classified location is a city name; keep the previous raw point.
-		pt, _, err := m.UserLocation(item.UserID)
-		if err != nil {
-			return
+		// The registry remembers it after the first write (or a durable
+		// restart); before that it is read from the user document.
+		pt, ok := m.registry.lastPoint(item.UserID)
+		if !ok {
+			var err error
+			if pt, _, err = m.UserLocation(item.UserID); err != nil {
+				return
+			}
 		}
 		if m.registry.LocationUnchanged(item.UserID, pt, item.Classified) {
 			return

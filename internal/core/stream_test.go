@@ -228,4 +228,12 @@ func TestEnumHelpers(t *testing.T) {
 	if len(ContextModalities()) != 8 {
 		t.Fatalf("ContextModalities = %v", ContextModalities())
 	}
+	for want, name := range ContextModalities() {
+		if got, ok := ContextModalityIndex(name); !ok || got != want || !ValidContextModality(name) {
+			t.Fatalf("ContextModalityIndex(%q) = %d, %v; want %d, its place in ContextModalities()", name, got, ok, want)
+		}
+	}
+	if _, ok := ContextModalityIndex("mood"); ok || ValidContextModality("mood") || ValidContextModality("bob/place") {
+		t.Fatal("a name outside the vocabulary has a modality index")
+	}
 }

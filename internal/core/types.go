@@ -79,7 +79,8 @@ const (
 	CtxTwitterActivity  = "twitter_activity"
 )
 
-// ContextModalities lists every filterable context modality type.
+// ContextModalities lists every filterable context modality type, in
+// ContextModalityIndex order.
 func ContextModalities() []string {
 	return []string{
 		CtxPhysicalActivity,
@@ -93,15 +94,37 @@ func ContextModalities() []string {
 	}
 }
 
+// ContextModalityIndex returns name's position in ContextModalities(), a
+// small integer that stores and compares cheaper than the string; ok is
+// false for a name outside the filter vocabulary.
+func ContextModalityIndex(name string) (index int, ok bool) {
+	switch name {
+	case CtxPhysicalActivity:
+		return 0, true
+	case CtxAudioEnvironment:
+		return 1, true
+	case CtxPlace:
+		return 2, true
+	case CtxWiFiPlace:
+		return 3, true
+	case CtxBTSocial:
+		return 4, true
+	case CtxTimeOfDay:
+		return 5, true
+	case CtxFacebookActivity:
+		return 6, true
+	case CtxTwitterActivity:
+		return 7, true
+	default:
+		return 0, false
+	}
+}
+
 // ValidContextModality reports whether name belongs to the filter
 // vocabulary.
 func ValidContextModality(name string) bool {
-	for _, m := range ContextModalities() {
-		if m == name {
-			return true
-		}
-	}
-	return false
+	_, ok := ContextModalityIndex(name)
+	return ok
 }
 
 // SensorForContext maps a context modality type to the physical sensor that
