@@ -46,12 +46,14 @@ bench:
 # Smoke-run the ingest scaling, broker fan-out and document-store benches
 # (one iteration each): catches compile rot and harness deadlocks without
 # paying full benchmark time; the second line is the worker-side item path
-# alone on a stream with a cross-user filter. The simulator and cluster
-# layers are measured end to end by `go run ./bench` (sim.*, cluster.* in
-# bench/BASELINE.md).
+# alone on a stream with a cross-user filter, the third one item's round
+# trip through an ingest queue (box, worker, process). The simulator and
+# cluster layers are measured end to end by `go run ./bench` (sim.*,
+# cluster.* in bench/BASELINE.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
 
 # The end-to-end benchmark's untraced pass of every workload at a tenth of
 # the work (about 18 s): exits non-zero if any of its exact-count

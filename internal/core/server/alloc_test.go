@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -57,6 +58,30 @@ func TestIngestFastPathNoAlloc(t *testing.T) {
 		m.processItem(item)
 	}); avg != 0 {
 		t.Fatalf("fast path allocates %.1f objects per item, want 0", avg)
+	}
+}
+
+// TestIngestEnqueueToProcessNoAlloc extends the fast path to the ingest
+// queue: Ingest boxes the item for its shard, the worker unboxes and
+// processes it, and the box goes back to the pipeline's pool — no
+// allocation per item once the pool holds a box.
+func TestIngestEnqueueToProcessNoAlloc(t *testing.T) {
+	m := fastPathManager(t)
+	item := fastPathItem(t)
+	var want uint64
+	ingestOne := func() {
+		if !m.Ingest(item) {
+			t.Fatal("ingest rejected on an idle manager")
+		}
+		want++
+		for m.Metrics().Sum("sensocial_ingest_processed_total") < want {
+			runtime.Gosched()
+		}
+	}
+	ingestOne()
+
+	if avg := testing.AllocsPerRun(1000, ingestOne); avg != 0 {
+		t.Fatalf("ingest → process allocates %.1f objects per item, want 0", avg)
 	}
 }
 

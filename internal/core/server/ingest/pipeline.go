@@ -12,15 +12,21 @@
 // platforms separate collection from processing with bounded hand-off
 // buffers between the stages.
 //
+// A queue slot is a pointer to a box drawn from a per-pipeline sync.Pool,
+// not a value: the boxes exist while items wait, so an idle pipeline holds
+// shards × depth pointers rather than shards × depth values.
+//
 // The counters are obs registry series (families sensocial_ingest_*) and
 // nothing else: read them with Registry.Sum or off a /metrics scrape.
 package ingest
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/vclock"
@@ -47,9 +53,9 @@ func WithMetrics(reg *obs.Registry) Option {
 	return func(c *config) { c.metrics = reg }
 }
 
-// WithClock supplies the clock used to time process invocations for the
-// sensocial_ingest_process_duration_seconds histogram. Defaults to the
-// real clock.
+// WithClock supplies the clock used to time queue waits and process
+// invocations for the sensocial_ingest_{queue_wait,process_duration}_seconds
+// histograms. Defaults to the real clock.
 func WithClock(clock vclock.Clock) Option {
 	return func(c *config) { c.clock = clock }
 }
@@ -60,17 +66,27 @@ type Pipeline[T any] struct {
 	process func(T)
 	clock   vclock.Clock
 	procDur *obs.Histogram
+	waitDur *obs.Histogram
+	boxes   sync.Pool // of *box[T], zeroed
 	shards  []*shard[T]
 	quit    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 }
 
+// box carries one queued value and the instant it was accepted.
+type box[T any] struct {
+	v  T
+	at time.Time
+}
+
 // shard is one worker's bounded queue plus its counters. The counters are
 // obs registry series resolved once at construction, so the hot path is a
-// single atomic add with no map lookups.
+// single atomic add with no map lookups. inflight counts the Enqueue calls
+// under way on the shard, for Close to wait out.
 type shard[T any] struct {
-	queue     chan T
+	queue     chan *box[T]
+	inflight  atomic.Int32
 	enqueued  *obs.Counter
 	dropped   *obs.Counter
 	processed *obs.Counter
@@ -118,10 +134,13 @@ func New[T any](nShards, depth int, key func(T) string, process func(T), opts ..
 		"Items the shard worker finished processing.", "shard")
 	p.procDur = cfg.metrics.Histogram("sensocial_ingest_process_duration_seconds",
 		"Time spent in the process callback per item.", obs.LatencyBuckets)
+	p.waitDur = cfg.metrics.Histogram("sensocial_ingest_queue_wait_seconds",
+		"Time an accepted item waited in its shard queue before its worker took it.", obs.LatencyBuckets)
+	p.boxes.New = func() any { return new(box[T]) }
 	for i := range p.shards {
 		label := strconv.Itoa(i)
 		p.shards[i] = &shard[T]{
-			queue:     make(chan T, depth),
+			queue:     make(chan *box[T], depth),
 			enqueued:  enq.WithLabelValues(label),
 			dropped:   drop.WithLabelValues(label),
 			processed: proc.WithLabelValues(label),
@@ -151,25 +170,31 @@ func New[T any](nShards, depth int, key func(T) string, process func(T), opts ..
 // blocks.
 func (p *Pipeline[T]) Enqueue(v T) bool {
 	sh := p.shards[shardIndex(p.key(v), len(p.shards))]
+	sh.inflight.Add(1)
+	defer sh.inflight.Add(-1)
 	if p.closed.Load() {
 		sh.dropped.Inc()
 		return false
 	}
+	b := p.boxes.Get().(*box[T])
+	b.v, b.at = v, p.clock.Now()
 	select {
-	case sh.queue <- v:
+	case sh.queue <- b:
 		sh.enqueued.Inc()
 		return true
 	default:
+		p.recycle(b)
 		sh.dropped.Inc()
 		return false
 	}
 }
 
-// Shards returns the shard count.
-func (p *Pipeline[T]) Shards() int { return len(p.shards) }
-
-// ShardFor returns the shard index a key partitions to.
-func (p *Pipeline[T]) ShardFor(key string) int { return shardIndex(key, len(p.shards)) }
+// recycle zeroes a box, so the pool keeps nothing the value referenced
+// alive, and returns it to the pool.
+func (p *Pipeline[T]) recycle(b *box[T]) {
+	*b = box[T]{}
+	p.boxes.Put(b)
+}
 
 // worker processes one shard's queue until the pipeline closes, then drains
 // whatever was already accepted so Enqueue=true implies processed.
@@ -177,13 +202,13 @@ func (p *Pipeline[T]) worker(sh *shard[T]) {
 	defer p.wg.Done()
 	for {
 		select {
-		case v := <-sh.queue:
-			p.runOne(sh, v)
+		case b := <-sh.queue:
+			p.runOne(sh, b)
 		case <-p.quit:
 			for {
 				select {
-				case v := <-sh.queue:
-					p.runOne(sh, v)
+				case b := <-sh.queue:
+					p.runOne(sh, b)
 				default:
 					return
 				}
@@ -192,20 +217,32 @@ func (p *Pipeline[T]) worker(sh *shard[T]) {
 	}
 }
 
-// runOne times and counts one process invocation.
-func (p *Pipeline[T]) runOne(sh *shard[T], v T) {
+// runOne takes the value out of its box, recycles the box, and times and
+// counts the process invocation; the box's time until then is queue wait.
+func (p *Pipeline[T]) runOne(sh *shard[T], b *box[T]) {
 	start := p.clock.Now()
+	p.waitDur.Observe(start.Sub(b.at).Seconds())
+	v := b.v
+	p.recycle(b)
 	p.process(v)
 	p.procDur.Observe(p.clock.Now().Sub(start).Seconds())
 	sh.processed.Inc()
 }
 
 // Close stops accepting new values, drains the accepted backlog, and waits
-// for the workers to exit. Idempotent.
+// for the workers to exit. Idempotent. An Enqueue that read closed as false
+// before Close set it may still be about to send; Close waits those out
+// before signalling the workers, so every send that succeeds lands before
+// the final drain and Enqueue=true still implies processed.
 func (p *Pipeline[T]) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		p.wg.Wait()
 		return
+	}
+	for _, sh := range p.shards {
+		for sh.inflight.Load() != 0 {
+			runtime.Gosched() // Enqueue never blocks, so the count falls
+		}
 	}
 	close(p.quit)
 	p.wg.Wait()

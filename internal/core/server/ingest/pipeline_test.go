@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core/server/ingest"
 	"repro/internal/obs"
+	"repro/internal/vclock"
 )
 
 // The pipeline's counts are read where they live: the registry series.
@@ -39,27 +42,19 @@ func TestPipelineValidation(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	defer p.Close()
-	if p.Shards() != ingest.DefaultShards {
-		t.Fatalf("default shards = %d, want %d", p.Shards(), ingest.DefaultShards)
-	}
 	if got := reg.Sum("sensocial_ingest_queue_capacity"); got != ingest.DefaultShards*ingest.DefaultQueueDepth {
 		t.Fatalf("default capacity = %d, want %d queues of %d", got, ingest.DefaultShards, ingest.DefaultQueueDepth)
 	}
 }
 
 func TestPipelineShardForIsStable(t *testing.T) {
-	p, err := ingest.New(4, 8, keyOf, func(keyed) {})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer p.Close()
 	for _, k := range []string{"", "alice", "bob", "carol"} {
-		i := p.ShardFor(k)
+		i := ingest.ShardIndex(k, 4)
 		if i < 0 || i >= 4 {
-			t.Fatalf("ShardFor(%q) = %d outside [0,4)", k, i)
+			t.Fatalf("shardIndex(%q) = %d outside [0,4)", k, i)
 		}
-		if j := p.ShardFor(k); j != i {
-			t.Fatalf("ShardFor(%q) unstable: %d then %d", k, i, j)
+		if j := ingest.ShardIndex(k, 4); j != i {
+			t.Fatalf("shardIndex(%q) unstable: %d then %d", k, i, j)
 		}
 	}
 }
@@ -192,6 +187,53 @@ func TestPipelineCloseDrainsBacklog(t *testing.T) {
 	p.Close() // idempotent
 }
 
+// TestPipelineQueueWaitApartFromProcess: an item that queues behind a
+// stalled one reports the stall as queue wait, not as its own process
+// time; each processed item is one observation in each histogram.
+func TestPipelineQueueWaitApartFromProcess(t *testing.T) {
+	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
+	gate := make(chan struct{})
+	started := make(chan struct{}, 2)
+	reg := obs.NewRegistry()
+	p, err := ingest.New(1, 4, keyOf, func(v keyed) {
+		started <- struct{}{}
+		if v.seq == 0 {
+			<-gate
+		}
+	}, ingest.WithMetrics(reg), ingest.WithClock(clock))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if !p.Enqueue(keyed{key: "u", seq: 0}) {
+		t.Fatal("enqueue 0 rejected")
+	}
+	<-started // seq 0 was taken off the queue at t0 and is stalled in process
+	clock.Advance(time.Second)
+	if !p.Enqueue(keyed{key: "u", seq: 1}) {
+		t.Fatal("enqueue 1 rejected")
+	}
+	clock.Advance(2 * time.Second)
+	close(gate)
+	p.Close()
+
+	histogram := func(name string) (count uint64, sum float64) {
+		for _, f := range reg.Snapshot() {
+			if f.Name == name {
+				return f.Samples[0].Count, f.Samples[0].Sum
+			}
+		}
+		t.Fatalf("%s not registered", name)
+		return 0, 0
+	}
+	// seq 0: waited 0 s, processed for 3 s; seq 1: waited 2 s, processed in 0 s.
+	if n, sum := histogram("sensocial_ingest_queue_wait_seconds"); n != 2 || sum != 2 {
+		t.Fatalf("queue wait: %d observations summing %v s, want 2 summing 2 s", n, sum)
+	}
+	if n, sum := histogram("sensocial_ingest_process_duration_seconds"); n != 2 || sum != 3 {
+		t.Fatalf("process time: %d observations summing %v s, want 2 summing 3 s", n, sum)
+	}
+}
+
 // TestPipelineParallelismAcrossKeys: with workers per shard, two keys on
 // different shards make progress independently — a stalled key cannot
 // starve the other. (Timing-free: we only require completion.)
@@ -216,7 +258,7 @@ func TestPipelineParallelismAcrossKeys(t *testing.T) {
 	fast := ""
 	for i := 0; i < 64; i++ {
 		k := fmt.Sprintf("fast-%d", i)
-		if p.ShardFor(k) != p.ShardFor("slow") {
+		if ingest.ShardIndex(k, 8) != ingest.ShardIndex("slow", 8) {
 			fast = k
 			break
 		}
@@ -237,4 +279,200 @@ func TestPipelineParallelismAcrossKeys(t *testing.T) {
 	}
 	close(slowGate)
 	<-done
+}
+
+// TestPipelineCloseRacesProducers: Close lands at a random point among
+// producers that are mid-Enqueue. Every accepted value must still be
+// processed, and the counts must be final once Close returns: a send that
+// passed the closed check before Close set it is waited out, not stranded
+// behind workers that already drained and exited.
+func TestPipelineCloseRacesProducers(t *testing.T) {
+	const rounds, producers, perProducer = 200, 4, 64
+	for r := 0; r < rounds; r++ {
+		reg := obs.NewRegistry()
+		var calls atomic.Uint64
+		p, err := ingest.New(2, 4, keyOf, func(keyed) { calls.Add(1) }, ingest.WithMetrics(reg))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < producers; i++ {
+			wg.Add(1)
+			go func(key string) {
+				defer wg.Done()
+				<-start
+				for seq := 0; seq < perProducer; seq++ {
+					p.Enqueue(keyed{key: key, seq: seq})
+				}
+			}(fmt.Sprintf("u%d", i))
+		}
+		close(start)
+		for i := 0; i < r%16; i++ {
+			runtime.Gosched()
+		}
+		p.Close()
+		e, pr := reg.Sum(enqueued), reg.Sum(processed)
+		wg.Wait()
+		if e != pr {
+			t.Fatalf("round %d: enqueued %d != processed %d when Close returned", r, e, pr)
+		}
+		if late := reg.Sum(enqueued); late != e {
+			t.Fatalf("round %d: %d values accepted after Close returned", r, late-e)
+		}
+		if got := calls.Load(); got != pr {
+			t.Fatalf("round %d: %d process calls, processed counter %d", r, got, pr)
+		}
+		if total := reg.Sum(enqueued) + reg.Sum(dropped); total != producers*perProducer {
+			t.Fatalf("round %d: enqueued + dropped = %d, want %d", r, total, producers*perProducer)
+		}
+	}
+}
+
+// itemShaped has core.Item's size and pointer layout (176 B: six strings,
+// a time, a byte slice, a map and a pointer) without its dependencies.
+type itemShaped struct {
+	stream, device, user, modality, granularity string
+	at                                          time.Time
+	raw                                         []byte
+	classified                                  string
+	context                                     map[string]string
+	action                                      *int
+	aggregate                                   string
+}
+
+// TestPipelineIdleRetainedBytes: an idle pipeline of the server's default
+// shape holds its queue slots and counters, not shards × depth values. A
+// slot is a pointer, so 8 × 1024 slots are 64 KiB; value slots of a
+// 176-byte item were 1.44 MB.
+func TestPipelineIdleRetainedBytes(t *testing.T) {
+	if size := unsafe.Sizeof(itemShaped{}); size != 176 {
+		t.Fatalf("itemShaped is %d bytes, want core.Item's 176", size)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	p, err := ingest.New(8, 1024, func(v itemShaped) string { return v.user }, func(itemShaped) {})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	retained := heap() - before
+	p.Close()
+	t.Logf("idle New(8, 1024) of a 176-B item retains %d B", retained)
+	if retained > 128<<10 {
+		t.Fatalf("idle pipeline retains %d B, want ≤ %d", retained, 128<<10)
+	}
+}
+
+// referent is what an item points at; its finalizer reports collection.
+type referent struct{ pad [64]byte }
+
+// refItem references one referent and nothing else does.
+type refItem struct {
+	key string
+	ref *referent
+}
+
+// newReferent allocates a referent whose finalizer closes collected, in its
+// own frame so no caller's stack slot keeps it alive.
+//
+//go:noinline
+func newReferent(collected chan struct{}) *referent {
+	r := &referent{}
+	runtime.SetFinalizer(r, func(*referent) { close(collected) })
+	return r
+}
+
+// enqueueReferent enqueues an item holding a fresh referent and returns
+// whether it was accepted and the channel its finalizer closes.
+//
+//go:noinline
+func enqueueReferent(p *ingest.Pipeline[refItem]) (bool, chan struct{}) {
+	collected := make(chan struct{})
+	return p.Enqueue(refItem{key: "u", ref: newReferent(collected)}), collected
+}
+
+// awaitCollected runs one GC and waits for the referent's finalizer. One
+// cycle only: a sync.Pool keeps its boxes through the first GC (as the
+// victim cache), so a box that was recycled without being zeroed keeps the
+// referent alive past it and the finalizer does not run.
+func awaitCollected(t *testing.T, what string, collected chan struct{}) {
+	t.Helper()
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: the item's referent survived a GC; a recycled box still holds it", what)
+	}
+}
+
+// TestProcessedValueNotRetained: once an item is processed, or dropped on
+// overflow, nothing in the pipeline references what it referenced — the
+// box it rode in was zeroed before it went back to the pool.
+func TestProcessedValueNotRetained(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 4)
+	reg := obs.NewRegistry()
+	p, err := ingest.New(1, 1, func(v refItem) string { return v.key }, func(v refItem) {
+		started <- struct{}{}
+		if v.ref == nil {
+			<-gate
+		}
+	}, ingest.WithMetrics(reg))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	defer close(gate) // before Close, or a failure would wait on the parked worker
+
+	ok, collected := enqueueReferent(p)
+	if !ok {
+		t.Fatal("enqueue rejected on an empty pipeline")
+	}
+	<-started
+	for reg.Sum(processed) != 1 {
+		runtime.Gosched()
+	}
+	awaitCollected(t, "processed", collected)
+
+	// Park the worker on a gated item, fill the depth-1 queue, then overflow.
+	if !p.Enqueue(refItem{key: "u"}) {
+		t.Fatal("gated enqueue rejected")
+	}
+	<-started
+	if !p.Enqueue(refItem{key: "u"}) {
+		t.Fatal("filling enqueue rejected")
+	}
+	ok, collected = enqueueReferent(p)
+	if ok {
+		t.Fatal("enqueue on a full depth-1 queue accepted")
+	}
+	awaitCollected(t, "dropped", collected)
+}
+
+// BenchmarkPipelineEnqueueProcess times one core.Item-sized value's round
+// trip: Enqueue, the worker taking it off the queue, and the process call
+// signalling back.
+func BenchmarkPipelineEnqueueProcess(b *testing.B) {
+	done := make(chan struct{}, 1)
+	p, err := ingest.New(1, 1024, func(v itemShaped) string { return v.user },
+		func(itemShaped) { done <- struct{}{} })
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	v := itemShaped{stream: "wifi-1", device: "alice-phone", user: "alice", raw: []byte(`{"ssids":3}`)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !p.Enqueue(v) {
+			b.Fatal("enqueue rejected on an idle pipeline")
+		}
+		<-done
+	}
 }

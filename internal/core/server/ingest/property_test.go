@@ -21,7 +21,7 @@ import (
 //  2. no fabrication — every processed value was a successful Enqueue;
 //  3. counter coherence — every Enqueue call lands in exactly one of
 //     Enqueued/Dropped, and Processed matches the callback count;
-//  4. accepted implies processed — exact, when Close is not racing the
+//  4. accepted implies processed — exact, also when Close races the
 //     producers.
 //
 // Failures are reproducible from the seed baked into the subtest name
@@ -154,9 +154,9 @@ func runOrderingScenario(p propParams) error {
 				return fmt.Errorf("user %s: processed seq %d was never accepted", user, s)
 			}
 		}
-		// Without a racing Close, drained means every accepted item was
-		// processed — not merely a subsequence.
-		if !p.midClose && len(seqs) != len(accepted[u]) {
+		// Drained means every accepted item was processed — not merely a
+		// subsequence — whether or not Close raced the producers.
+		if len(seqs) != len(accepted[u]) {
 			return fmt.Errorf("user %s: accepted %d items but processed %d",
 				user, len(accepted[u]), len(seqs))
 		}
