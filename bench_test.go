@@ -315,6 +315,38 @@ func BenchmarkDocstoreIndexedQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkDocstoreScan times a query no plan narrows: a Find over every
+// user-shaped document (friends, location, city) of a collection with no
+// index on the queried field, for the 1 % that match.
+func BenchmarkDocstoreScan(b *testing.B) {
+	cities := []string{"Paris", "Bordeaux", "Lyon", "Toulouse"}
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("docs=%d", n), func(b *testing.B) {
+			c := docstore.NewStore().Collection("users")
+			for i := 0; i < n; i++ {
+				if _, err := c.Insert(docstore.Doc{
+					docstore.IDField: fmt.Sprintf("u%05d", i),
+					"friends":        []any{fmt.Sprintf("u%05d", (i+1)%n), fmt.Sprintf("u%05d", (i+7)%n), fmt.Sprintf("u%05d", (i+31)%n)},
+					"loc":            docstore.Doc{"lat": 48.8 + float64(i%100)/1000, "lon": 2.3 + float64(i%70)/1000},
+					"city":           cities[i%4],
+					"visits":         i % 100,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			q := docstore.Doc{"visits": 0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				docs, err := c.Find(q, docstore.FindOpts{})
+				if err != nil || len(docs) != n/100 {
+					b.Fatalf("find: %v (%d docs)", err, len(docs))
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDocstoreInsertItem builds and inserts the document
 // server.DeliveryHub persists per item, in bench/'s uplink_capacity mix
 // (60 % classified, 30 % a raw ~1 KB accelerometer window, 10 % a raw

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -150,14 +149,19 @@ func scribble(v any) {
 	}
 }
 
-func byID(docs []Doc) []Doc {
-	sort.Slice(docs, func(i, j int) bool { return docs[i][IDField].(string) < docs[j][IDField].(string) })
-	return docs
-}
-
 func TestDifferentialAgainstMapStore(t *testing.T) {
 	cities := []string{"Paris", "Lyon", "Rome"}
-	for seed := int64(1); seed <= 8; seed++ {
+	// Each mix is the cumulative odds, out of 20, of insert, upsert, update,
+	// delete, find, get, hash index and geo index. The churn mix rewrites
+	// and deletes enough to compact the slabs and renumber the slots, which
+	// its seeds must each do.
+	mixed := [8]int{6, 8, 11, 13, 17, 18, 19, 20}
+	churn := [8]int{5, 7, 12, 15, 17, 18, 19, 20}
+	for seed := int64(1); seed <= 12; seed++ {
+		mix, ops := mixed, 700
+		if seed > 8 {
+			mix, ops = churn, 1500
+		}
 		rng := rand.New(rand.NewSource(seed))
 		c := NewStore().Collection("things")
 		ref := &refStore{name: "things", docs: map[string]Doc{}}
@@ -231,10 +235,10 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 			}
 		}
 
-		for op := 0; op < 700; op++ {
+		for op := 0; op < ops; op++ {
 			what := fmt.Sprintf("seed %d op %d", seed, op)
 			switch k := rng.Intn(20); {
-			case k < 6:
+			case k < mix[0]:
 				d := newDoc()
 				if rng.Intn(2) == 0 {
 					d[IDField] = pickID()
@@ -244,25 +248,30 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				if (err == nil) != ok || (ok && id != wantID) {
 					t.Fatalf("%s: Insert(%v) = %q, %v; reference %q, %v", what, d, id, err, wantID, ok)
 				}
-			case k < 8:
+			case k < mix[1]:
 				d := newDoc()
-				q := Doc{IDField: pickID()}
-				if rng.Intn(2) == 0 {
+				var q Doc
+				switch rng.Intn(3) {
+				case 0:
+					q = Doc{IDField: pickID()}
+				case 1:
 					q = Doc{"u": 1 + rng.Intn(unique)} // u is unique, so at most one match
+				default:
+					q = Doc{"city": city()} // the first match in insertion order is replaced
 				}
 				id, err := c.Upsert(q, d)
 				wantID, ok := ref.upsert(t, q, d)
 				if (err == nil) != ok || (ok && id != wantID) {
 					t.Fatalf("%s: Upsert(%v, %v) = %q, %v; reference %q, %v", what, q, d, id, err, wantID, ok)
 				}
-			case k < 11:
+			case k < mix[2]:
 				q, u := query(), spec()
 				n, err := c.Update(q, u)
 				want, ok := ref.update(t, q, u)
 				if (err == nil) != ok || n != want {
 					t.Fatalf("%s: Update(%v, %v) = %d, %v; reference %d, %v", what, q, u, n, err, want, ok)
 				}
-			case k < 13:
+			case k < mix[3]:
 				q := query()
 				if q == nil && rng.Intn(4) > 0 {
 					q = Doc{"n": rng.Intn(10)} // emptying the collection is allowed, just not often
@@ -271,13 +280,13 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				if want := ref.delete(t, q); err != nil || n != want {
 					t.Fatalf("%s: Delete(%v) = %d, %v; reference %d", what, q, n, err, want)
 				}
-			case k < 17:
+			case k < mix[4]:
 				q := query()
 				got, err := c.Find(q, FindOpts{})
 				if err != nil {
 					t.Fatalf("%s: Find(%v): %v", what, q, err)
 				}
-				if want := ref.find(t, q); !reflect.DeepEqual(byID(got), byID(want)) {
+				if want := ref.find(t, q); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: Find(%v)\n got %v\nwant %v", what, q, got, want)
 				}
 				if n, err := c.Count(q); err != nil || n != len(got) {
@@ -286,7 +295,7 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				for _, d := range got {
 					scribble(d)
 				}
-			case k < 18:
+			case k < mix[5]:
 				id := pickID()
 				got, err := c.Get(id)
 				want, ok := ref.docs[id]
@@ -296,7 +305,7 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				if ok {
 					scribble(got)
 				}
-			case k < 19:
+			case k < mix[6]:
 				path := []string{"city", "n", "tags", "nested.a.b"}[rng.Intn(4)]
 				if err := c.CreateIndex(path); err != nil {
 					t.Fatalf("%s: CreateIndex(%q): %v", what, path, err)
@@ -324,6 +333,9 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 			if c.Len() != len(ref.order) {
 				t.Fatalf("%s: Len = %d, reference %d", what, c.Len(), len(ref.order))
 			}
+		}
+		if compactions, renumberings := c.reorganizations(); seed > 8 && (compactions == 0 || renumberings == 0) {
+			t.Fatalf("seed %d: %d compactions and %d renumberings; the churn mix must cause both", seed, compactions, renumberings)
 		}
 	}
 }

@@ -13,8 +13,8 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -99,25 +99,33 @@ func (s *Store) Drop(name string) {
 }
 
 // Collection is an ordered set of documents keyed by _id. A document is
-// held as one encoded record (record.go); every Doc handed out is decoded
-// fresh, so callers can never reach stored state.
+// held as one encoded record (record.go) in the collection's slabs
+// (slabs.go); every Doc handed out is decoded fresh, so callers can never
+// reach stored state.
 type Collection struct {
 	name  string
 	store *Store   // owning store, for the journal; nil in isolated tests
 	keys  keyTable // field names the records refer to; has its own lock
+	seed  maphash.Seed
 
-	mu     sync.RWMutex
-	docs   map[string][]byte // _id → record of the other fields
-	order  []string          // insertion order of live ids
-	seq    uint64
-	hashIx map[string]*hashIndex
-	geoIx  map[string]*geoIndex
+	mu        sync.RWMutex
+	slabs     [][]byte // append-only chunks of entries
+	slots     []uint64 // insertion order: where each document's entry is, or tombstone
+	ids       []uint32 // open-addressed: id → slot+1
+	live      int      // slots that are not tombstones
+	liveBytes int      // entry bytes the slots point at
+	deadBytes int      // entry bytes they no longer point at
+	seq       uint64
+	hashIx    map[string]*hashIndex
+	geoIx     map[string]*geoIndex
+
+	compactions, renumberings int // for tests
 }
 
 func newCollection(name string) *Collection {
 	return &Collection{
 		name:   name,
-		docs:   make(map[string][]byte),
+		seed:   maphash.MakeSeed(),
 		hashIx: make(map[string]*hashIndex),
 		geoIx:  make(map[string]*geoIndex),
 	}
@@ -130,7 +138,7 @@ func (c *Collection) Name() string { return c.name }
 func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.docs)
+	return c.live
 }
 
 // decode returns the document filed under id as a fresh Doc. Records are
@@ -156,6 +164,7 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("docstore: insert into %q: %w", c.name, err)
 	}
+	defer release(rec)
 	pinned := c.pinJournal()
 	defer pinned.unpin()
 	c.mu.Lock()
@@ -164,76 +173,42 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.putLocked(id, rec)
+	id = c.putLocked(id, c.seq, *rec)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, rec)}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, *rec)}); err != nil {
 			return id, err
 		}
 	}
 	return id, nil
 }
 
+// idForLocked returns doc's own _id, or "" having advanced the sequence
+// putLocked generates an id from.
 func (c *Collection) idForLocked(doc Doc) (string, error) {
 	if v, ok := doc[IDField]; ok {
 		id, ok := v.(string)
 		if !ok || id == "" {
 			return "", fmt.Errorf("docstore: insert into %q: _id must be a non-empty string, got %T", c.name, v)
 		}
-		if _, exists := c.docs[id]; exists {
+		if _, slot := c.findLocked(id); slot >= 0 {
 			return "", fmt.Errorf("docstore: insert into %q: id %q: %w", c.name, id, ErrDuplicateID)
 		}
 		return id, nil
 	}
 	c.seq++
-	return c.name + "-" + strconv.FormatUint(c.seq, 10), nil
-}
-
-// putLocked files rec under id, as a new document or in place of the one
-// there, keeping order and indexes in step. Every write — Insert, Upsert,
-// Update, journal replay — ends here.
-func (c *Collection) putLocked(id string, rec []byte) {
-	old, replaced := c.docs[id]
-	if !replaced {
-		c.order = append(c.order, id)
-	}
-	c.docs[id] = rec
-	if replaced {
-		c.indexRemoveLocked(id, old)
-	}
-	c.indexAddLocked(id, rec)
-}
-
-// deleteLocked removes the documents with the given ids (absent ones are
-// skipped) and returns how many went.
-func (c *Collection) deleteLocked(ids []string) int {
-	n := 0
-	for _, id := range ids {
-		rec, ok := c.docs[id]
-		if !ok {
-			continue
-		}
-		c.indexRemoveLocked(id, rec)
-		delete(c.docs, id)
-		n++
-	}
-	if n > 0 {
-		live := c.order[:0]
-		for _, id := range c.order {
-			if _, ok := c.docs[id]; ok {
-				live = append(live, id)
-			}
-		}
-		c.order = live
-	}
-	return n
+	return "", nil
 }
 
 // Get returns the document with the given id.
 func (c *Collection) Get(id string) (Doc, error) {
+	var rec []byte
 	c.mu.RLock()
-	rec, ok := c.docs[id]
+	_, slot := c.findLocked(id)
+	if slot >= 0 {
+		_, rec, _ = c.entry(c.slots[slot])
+	}
 	c.mu.RUnlock()
-	if !ok {
+	if slot < 0 {
 		return nil, fmt.Errorf("docstore: get %q from %q: %w", id, c.name, ErrNotFound)
 	}
 	return c.decode(id, rec), nil
@@ -333,12 +308,17 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	defer c.mu.Unlock()
 	type write struct {
 		id  string
-		rec []byte
+		rec *[]byte
 	}
 	var writes []write
+	defer func() {
+		for _, w := range writes {
+			release(w.rec)
+		}
+	}()
 	var failed error
 	c.scanLocked(query, m, func(id string, d Doc) bool {
-		var rec []byte
+		var rec *[]byte
 		err := up.apply(d)
 		if err == nil {
 			rec, err = c.keys.encode(d)
@@ -354,7 +334,7 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 		return 0, failed
 	}
 	for _, w := range writes {
-		c.putLocked(w.id, w.rec)
+		c.putLocked(w.id, 0, *w.rec)
 	}
 	if pinned != nil && len(writes) > 0 {
 		// Query+update replay is deterministic: the matched set and the
@@ -378,6 +358,7 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
 	}
+	defer release(rec)
 	pinned := c.pinJournal()
 	defer pinned.unpin()
 	c.mu.Lock()
@@ -392,11 +373,11 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 			return "", err
 		}
 	}
-	c.putLocked(id, rec)
+	id = c.putLocked(id, c.seq, *rec)
 	if pinned != nil {
-		// Log the resolved effect (which id was written), not the query:
-		// candidate order depends on map iteration.
-		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, rec)}); err != nil {
+		// Log the resolved effect (which id was written), not the query, so
+		// replay need not resolve the query against the same state.
+		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, *rec)}); err != nil {
 			return id, err
 		}
 	}
@@ -421,8 +402,8 @@ func (c *Collection) Delete(query Doc) (int, error) {
 	})
 	n := c.deleteLocked(ids)
 	if pinned != nil && n > 0 {
-		// Log the matched ids rather than the query, for the same
-		// map-iteration-order reason as Upsert.
+		// Log the matched ids rather than the query, for the same reason
+		// as Upsert.
 		if err := c.logLocked(journalRecord{Op: opDelete, IDs: ids}); err != nil {
 			return n, err
 		}
@@ -430,30 +411,41 @@ func (c *Collection) Delete(query Doc) (int, error) {
 	return n, nil
 }
 
-// scanLocked decodes the plan's candidates in plan order and hands visit
-// each one the query matches, until visit returns false. visit must leave
-// the collection as it is: the plan may be the collection's own order or an
-// index's own bucket.
+// scanLocked decodes the plan's candidates in insertion order and hands
+// visit each one the query matches, until visit returns false. visit must
+// leave the collection as it is: the plan may be an index's own bucket.
 func (c *Collection) scanLocked(query Doc, m matcher, visit func(id string, d Doc) bool) {
-	for _, id := range c.planLocked(query) {
-		rec, ok := c.docs[id]
-		if !ok {
-			continue
+	try := func(p uint64) bool {
+		id, rec, _ := c.entry(p)
+		sid := string(id)
+		d := c.decode(sid, rec)
+		return !m.match(d) || visit(sid, d)
+	}
+	plan, all := c.planLocked(query)
+	if all {
+		for _, p := range c.slots {
+			if p != tombstone && !try(p) {
+				return
+			}
 		}
-		if d := c.decode(id, rec); m.match(d) && !visit(id, d) {
+		return
+	}
+	for _, s := range plan {
+		if !try(c.slots[s]) {
 			return
 		}
 	}
 }
 
-// planLocked chooses candidate ids for a query from the query itself and
+// planLocked chooses candidate slots for a query from the query itself and
 // the conjuncts of a top-level $and, trying in order: the primary key (a
 // literal string _id names at most one document), a hash index (equality on
 // an indexed field), a geo index ($near on a geo-indexed field), and last
-// the whole collection in insertion order. The exact matcher always runs
-// afterwards, so the plan only needs to be a superset of the true result.
-// The returned slice is shared, not a copy.
-func (c *Collection) planLocked(query Doc) []string {
+// every slot (all is true). Candidates are ascending slots, which is
+// insertion order. The exact matcher always runs afterwards, so the plan
+// only needs to be a superset of the true result. The returned slice is
+// shared, not a copy.
+func (c *Collection) planLocked(query Doc) (slots []uint32, all bool) {
 	conjuncts := append(make([]Doc, 0, 4), query)
 	if subs, ok := query["$and"].([]any); ok {
 		for _, s := range subs {
@@ -464,16 +456,16 @@ func (c *Collection) planLocked(query Doc) []string {
 	}
 	for _, q := range conjuncts {
 		if id, ok := q[IDField].(string); ok {
-			if _, ok := c.docs[id]; !ok {
-				return nil
+			if _, slot := c.findLocked(id); slot >= 0 {
+				return []uint32{uint32(slot)}, false
 			}
-			return []string{id}
+			return nil, false
 		}
 	}
 	for _, q := range conjuncts {
 		for path, ix := range c.hashIx {
 			if cond, ok := q[path]; ok && isPlainValue(cond) {
-				return ix.get(hashKey(cond))
+				return ix.get(hashKey(cond)), false
 			}
 		}
 	}
@@ -481,12 +473,14 @@ func (c *Collection) planLocked(query Doc) []string {
 		for path, ix := range c.geoIx {
 			if ops, ok := q[path].(map[string]any); ok {
 				if center, radius, err := parseNear(ops["$near"]); err == nil {
-					return ix.candidates(center, radius)
+					if slots, ok := ix.candidates(center, radius); ok {
+						return slots, false
+					}
 				}
 			}
 		}
 	}
-	return c.order
+	return nil, true
 }
 
 // isPlainValue reports whether v is a literal (implicit $eq) rather than an

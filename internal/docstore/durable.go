@@ -221,8 +221,9 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 			return err
 		}
 		c.mu.Lock()
-		c.putLocked(r.ID, rec)
+		c.putLocked(r.ID, 0, *rec)
 		c.mu.Unlock()
+		release(rec)
 		c.noteGeneratedID(r.ID)
 	case opDelete:
 		c.mu.Lock()

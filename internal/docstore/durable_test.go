@@ -324,6 +324,64 @@ func TestUpdateIsAllOrNothingAndJournaledAsSuch(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterReorganizationReopens checkpoints a collection whose
+// slabs have been compacted and whose slots have been renumbered: the
+// reopened store has the same documents in the same order, and goes on
+// generating ids where the old one left off.
+func TestCheckpointAfterReorganizationReopens(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	c := s.Collection("c")
+	if err := c.CreateIndex("k"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	var last string
+	for i := 0; i < 300; i++ {
+		id, err := c.Insert(Doc{"k": i % 5, "n": i})
+		if err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		last = id
+		if _, err := c.Insert(Doc{IDField: fmt.Sprintf("x%03d", i), "k": i % 3}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		if _, err := c.Update(Doc{"k": round % 5}, Doc{"$inc": Doc{"n": 1000}}); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+	if n, err := c.Delete(Doc{"k": Doc{"$in": []any{0, 1}}}); err != nil || n != 320 {
+		t.Fatalf("Delete = %d, %v; want 320", n, err)
+	}
+	if compactions, renumberings := c.reorganizations(); compactions == 0 || renumberings == 0 {
+		t.Fatalf("%d compactions, %d renumberings; the test needs both", compactions, renumberings)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	want := storeJSON(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	s2, info := openDurable(t, dir)
+	defer s2.Close()
+	if info.SnapshotLSN == 0 || info.Replayed != 0 {
+		t.Fatalf("recovery %+v, want the snapshot alone", info)
+	}
+	if got := storeJSON(t, s2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened store differs\n got %v\nwant %v", got, want)
+	}
+	id, err := s2.Collection("c").Insert(Doc{"k": 0})
+	if err != nil {
+		t.Fatalf("Insert after reopen: %v", err)
+	}
+	if next := fmt.Sprintf("c-%d", 301); last != "c-300" || id != next {
+		t.Fatalf("generated %q after %q, want %q", id, last, next)
+	}
+}
+
 // TestReopensParentCommitDirectories opens a journal-only directory and a
 // snapshot-plus-tail directory written by the commit before records
 // (testdata/parent_*: inserts with and without ids, nested values, every

@@ -16,45 +16,54 @@ import (
 // indexes for "fast return of nearby users or those located within a
 // certain area".
 
-// hashIndex maps an equality key to the ids of documents holding that value
-// at the indexed field path, or in the array there.
+// hashIndex maps an equality key to the slots of documents holding that
+// value at the indexed field path, or in the array there. A bucket is kept
+// ascending, which is insertion order.
 type hashIndex struct {
 	path string
-	byK  map[string][]string
+	byK  map[string][]uint32
 }
 
 func newHashIndex(path string) *hashIndex {
-	return &hashIndex{path: path, byK: make(map[string][]string)}
+	return &hashIndex{path: path, byK: make(map[string][]uint32)}
 }
 
-func (ix *hashIndex) add(id string, d Doc) {
+func (ix *hashIndex) add(slot uint32, d Doc) {
 	v, ok := lookupPath(d, ix.path)
 	if !ok {
 		return
 	}
 	for _, k := range equalityKeys(v) {
-		ix.byK[k] = append(ix.byK[k], id)
+		ix.byK[k] = insertSorted(ix.byK[k], slot)
 	}
 }
 
-func (ix *hashIndex) remove(id string, d Doc) {
+func (ix *hashIndex) remove(slot uint32, d Doc) {
 	v, ok := lookupPath(d, ix.path)
 	if !ok {
 		return
 	}
 	for _, k := range equalityKeys(v) {
-		ids := ix.byK[k]
-		for i, x := range ids {
-			if x == id {
-				ids[i] = ids[len(ids)-1]
-				ix.byK[k] = ids[:len(ids)-1]
-				break
-			}
-		}
-		if len(ix.byK[k]) == 0 {
+		if slots := removeSorted(ix.byK[k], slot); len(slots) > 0 {
+			ix.byK[k] = slots
+		} else {
 			delete(ix.byK, k)
 		}
 	}
+}
+
+func insertSorted(slots []uint32, slot uint32) []uint32 {
+	if i, found := slices.BinarySearch(slots, slot); !found {
+		return slices.Insert(slots, i, slot)
+	}
+	return slots
+}
+
+func removeSorted(slots []uint32, slot uint32) []uint32 {
+	if i, found := slices.BinarySearch(slots, slot); found {
+		return slices.Delete(slots, i, i+1)
+	}
+	return slots
 }
 
 // equalityKeys returns the keys a field value is found under: its own and,
@@ -72,7 +81,7 @@ func equalityKeys(v any) []string {
 	return keys
 }
 
-func (ix *hashIndex) get(key string) []string { return ix.byK[key] }
+func (ix *hashIndex) get(key string) []uint32 { return ix.byK[key] }
 
 // hashKey produces a canonical string key for an equality-indexable value.
 // Numeric types collapse to one representation so int(5) and float64(5)
@@ -95,12 +104,11 @@ func hashKey(v any) string {
 
 // geoIndex is a uniform lat/lon grid. Cells are cellDeg degrees on a side
 // (~1.1 km of latitude at the default), which suits city-scale multicast
-// queries.
+// queries. A cell's slots are kept ascending.
 type geoIndex struct {
 	path    string
 	cellDeg float64
-	cells   map[int64][]string
-	byID    map[string]int64
+	cells   map[int64][]uint32
 }
 
 const defaultGeoCellDeg = 0.01
@@ -109,76 +117,64 @@ func newGeoIndex(path string) *geoIndex {
 	return &geoIndex{
 		path:    path,
 		cellDeg: defaultGeoCellDeg,
-		cells:   make(map[int64][]string),
-		byID:    make(map[string]int64),
+		cells:   make(map[int64][]uint32),
 	}
 }
 
-func (ix *geoIndex) cellKey(lat, lon float64) int64 {
-	row := int64(math.Floor((lat + 90) / ix.cellDeg))
-	col := int64(math.Floor((lon + 180) / ix.cellDeg))
-	return row<<32 | (col & 0xffffffff)
-}
-
-func (ix *geoIndex) add(id string, d Doc) {
+// cellOf returns the cell d's point falls in, if it has a valid one.
+func (ix *geoIndex) cellOf(d Doc) (int64, bool) {
 	v, ok := lookupPath(d, ix.path)
 	if !ok {
-		return
+		return 0, false
 	}
 	pt, err := docPoint(v)
 	if err != nil {
-		return
+		return 0, false
 	}
-	key := ix.cellKey(pt.Lat, pt.Lon)
-	ix.cells[key] = append(ix.cells[key], id)
-	ix.byID[id] = key
+	row := int64(math.Floor((pt.Lat + 90) / ix.cellDeg))
+	col := int64(math.Floor((pt.Lon + 180) / ix.cellDeg))
+	return row<<32 | (col & 0xffffffff), true
 }
 
-func (ix *geoIndex) remove(id string, _ Doc) {
-	key, ok := ix.byID[id]
+func (ix *geoIndex) add(slot uint32, d Doc) {
+	if key, ok := ix.cellOf(d); ok {
+		ix.cells[key] = insertSorted(ix.cells[key], slot)
+	}
+}
+
+func (ix *geoIndex) remove(slot uint32, d Doc) {
+	key, ok := ix.cellOf(d)
 	if !ok {
 		return
 	}
-	ids := ix.cells[key]
-	for i, x := range ids {
-		if x == id {
-			ids[i] = ids[len(ids)-1]
-			ix.cells[key] = ids[:len(ids)-1]
-			break
-		}
-	}
-	if len(ix.cells[key]) == 0 {
+	if slots := removeSorted(ix.cells[key], slot); len(slots) > 0 {
+		ix.cells[key] = slots
+	} else {
 		delete(ix.cells, key)
 	}
-	delete(ix.byID, id)
 }
 
-// candidates returns ids in all grid cells overlapping the bounding box of
-// the query circle. The exact haversine filter is applied later by the
-// matcher; this only prunes.
-func (ix *geoIndex) candidates(center geo.Point, radiusMeters float64) []string {
+// candidates returns, ascending, the slots in all grid cells overlapping the
+// bounding box of the query circle. The exact haversine filter is applied
+// later by the matcher; this only prunes. A box of more than 2^16 cells (a
+// huge radius) is not worth walking: ok is false and the caller scans.
+func (ix *geoIndex) candidates(center geo.Point, radiusMeters float64) (slots []uint32, ok bool) {
 	c := geo.Circle{Center: center, Radius: radiusMeters}
 	minLat, minLon, maxLat, maxLon := c.BoundingBox()
 	minRow := int64(math.Floor((minLat + 90) / ix.cellDeg))
 	maxRow := int64(math.Floor((maxLat + 90) / ix.cellDeg))
 	minCol := int64(math.Floor((minLon + 180) / ix.cellDeg))
 	maxCol := int64(math.Floor((maxLon + 180) / ix.cellDeg))
-	// Guard against pathological boxes (huge radius): cap the scan and fall
-	// back to a full index walk which is still exact.
 	if (maxRow-minRow+1)*(maxCol-minCol+1) > 1<<16 {
-		out := make([]string, 0, len(ix.byID))
-		for id := range ix.byID {
-			out = append(out, id)
-		}
-		return out
+		return nil, false
 	}
-	var out []string
 	for row := minRow; row <= maxRow; row++ {
 		for col := minCol; col <= maxCol; col++ {
-			out = append(out, ix.cells[row<<32|(col&0xffffffff)]...)
+			slots = append(slots, ix.cells[row<<32|(col&0xffffffff)]...)
 		}
 	}
-	return out
+	slices.Sort(slots)
+	return slots, true
 }
 
 // CreateIndex builds a hash index over a field path for equality queries.
@@ -196,9 +192,7 @@ func (c *Collection) CreateIndex(path string) error {
 		return nil
 	}
 	ix := newHashIndex(path)
-	for id, rec := range c.docs {
-		ix.add(id, c.decode(id, rec))
-	}
+	c.eachLocked(ix.add)
 	c.hashIx[path] = ix
 	if pinned != nil {
 		return c.logLocked(journalRecord{Op: opHashIndex, Path: path})
@@ -220,9 +214,7 @@ func (c *Collection) CreateGeoIndex(path string) error {
 		return nil
 	}
 	ix := newGeoIndex(path)
-	for id, rec := range c.docs {
-		ix.add(id, c.decode(id, rec))
-	}
+	c.eachLocked(ix.add)
 	c.geoIx[path] = ix
 	if pinned != nil {
 		return c.logLocked(journalRecord{Op: opGeoIndex, Path: path})
@@ -244,29 +236,30 @@ func (c *Collection) Indexes() (hash, geoPaths []string) {
 }
 
 // indexAddLocked and indexRemoveLocked enter and withdraw the document
-// filed as rec under id; a collection without indexes never decodes it.
-func (c *Collection) indexAddLocked(id string, rec []byte) {
+// filed as rec under id at slot; a collection without indexes never decodes
+// it.
+func (c *Collection) indexAddLocked(slot uint32, id string, rec []byte) {
 	if len(c.hashIx)+len(c.geoIx) == 0 {
 		return
 	}
 	d := c.decode(id, rec)
 	for _, ix := range c.hashIx {
-		ix.add(id, d)
+		ix.add(slot, d)
 	}
 	for _, ix := range c.geoIx {
-		ix.add(id, d)
+		ix.add(slot, d)
 	}
 }
 
-func (c *Collection) indexRemoveLocked(id string, rec []byte) {
+func (c *Collection) indexRemoveLocked(slot uint32, id string, rec []byte) {
 	if len(c.hashIx)+len(c.geoIx) == 0 {
 		return
 	}
 	d := c.decode(id, rec)
 	for _, ix := range c.hashIx {
-		ix.remove(id, d)
+		ix.remove(slot, d)
 	}
 	for _, ix := range c.geoIx {
-		ix.remove(id, d)
+		ix.remove(slot, d)
 	}
 }

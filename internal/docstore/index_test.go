@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geo"
@@ -164,6 +165,49 @@ func TestGeoIndexHugeRadiusFallback(t *testing.T) {
 	}
 }
 
+func TestIndexedFindKeepsInsertionOrder(t *testing.T) {
+	c := NewStore().Collection("users")
+	if err := c.CreateIndex("city"); err != nil {
+		t.Fatalf("CreateIndex: %v", err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		if _, err := c.Insert(Doc{IDField: id, "city": "Paris", "n": 0}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	// An update re-files a in the index; it must not move a behind b and c.
+	if _, err := c.Update(Doc{IDField: "a"}, Doc{"$inc": Doc{"n": 1}}); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if d, err := c.FindOne(Doc{"city": "Paris"}); err != nil || d[IDField] != "a" {
+		t.Fatalf("FindOne = %v, %v; want a", d, err)
+	}
+	if got := ids(mustFind(t, c, Doc{"city": "Paris"})); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("Find = %v, want [a b c]", got)
+	}
+
+	// A planetary radius is answered without the grid; the answer is still
+	// in insertion order, every time.
+	if err := c.CreateGeoIndex("loc"); err != nil {
+		t.Fatalf("CreateGeoIndex: %v", err)
+	}
+	var want []string
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("p%02d", (i*17)%40)
+		loc := Doc{"lat": -60 + float64(i*3), "lon": -170 + float64(i*8)}
+		if _, err := c.Insert(Doc{IDField: id, "loc": loc}); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+		want = append(want, id)
+	}
+	q := Doc{"loc": Doc{"$near": Doc{"lat": 0.0, "lon": 0.0, "$maxDistance": 2.1e7}}}
+	for run := 0; run < 20; run++ {
+		if got := ids(mustFind(t, c, q)); !slices.Equal(got, want) {
+			t.Fatalf("run %d: $near = %v\nwant %v", run, got, want)
+		}
+	}
+}
+
 func TestHashIndexNumericKeyNormalization(t *testing.T) {
 	c := NewStore().Collection("n")
 	if err := c.CreateIndex("v"); err != nil {
@@ -273,7 +317,11 @@ func TestPrimaryKeyPlan(t *testing.T) {
 		{"no id, hash index", Doc{"city": "Lyon"}, 0, nil},
 	} {
 		c.mu.RLock()
-		got := len(c.planLocked(tc.query))
+		slots, all := c.planLocked(tc.query)
+		got := len(slots)
+		if all {
+			got = c.live
+		}
 		c.mu.RUnlock()
 		if got != tc.candidates {
 			t.Errorf("%s: plan examines %d candidates, want %d", tc.name, got, tc.candidates)

@@ -1,7 +1,6 @@
 package docstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,10 +10,10 @@ import (
 
 // Records
 //
-// A collection keeps each document at rest as one record: a []byte with no
-// pointers in it, so the collector never looks inside a stored document and
-// a document costs about its own size plus an id-map entry. A Doc exists
-// only while a caller or the matcher holds one.
+// A collection keeps each document at rest as one record: bytes with no
+// pointers in them, in the collection's slabs (slabs.go), so the collector
+// never looks inside a stored document and a document costs about its own
+// size. A Doc exists only while a caller or the matcher holds one.
 //
 //	record := doc
 //	doc    := uvarint(fields) { uvarint(key ref) value }
@@ -22,7 +21,7 @@ import (
 //
 // A key ref indexes the collection's keyTable, so a field name is stored
 // once per collection, not once per record. The top-level _id is not in the
-// record: it is the key the record is filed under, and decode puts it back.
+// record: it is the id the record is filed under, and decode puts it back.
 // The kind byte preserves the Go kind, so a document reads back with the
 // types it was stored with (an int64 stays an int64):
 //
@@ -122,39 +121,36 @@ func (t *keyTable) ref(name string) uint64 {
 	return r
 }
 
-// scratch holds encode buffers: a record is built in one and copied out at
-// its exact size, so append's growth slack is never kept per document.
+// scratch holds encode buffers: a record is built in one and copied into a
+// slab, so append's growth slack is never kept per document.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// encode returns doc's record.
-func (t *keyTable) encode(doc Doc) ([]byte, error) {
+// encode builds doc's record in a scratch buffer; the caller hands it back
+// with release once the record is in a slab.
+func (t *keyTable) encode(doc Doc) (*[]byte, error) {
 	bp := scratch.Get().(*[]byte)
 	buf, verr := t.appendDoc((*bp)[:0], doc, 0)
-	return finish(bp, buf, verr)
+	*bp = buf
+	if verr != nil {
+		release(bp)
+		return nil, verr
+	}
+	return bp, nil
+}
+
+func release(bp *[]byte) {
+	*bp = (*bp)[:0]
+	scratch.Put(bp)
 }
 
 // encodeValue returns the value headed for path in record form, for
 // decodeValue to make fresh copies from.
 func (t *keyTable) encodeValue(path string, v any) ([]byte, error) {
-	bp := scratch.Get().(*[]byte)
-	buf, verr := t.appendValue((*bp)[:0], v, 1)
+	buf, verr := t.appendValue(nil, v, 1)
 	if verr != nil {
-		verr.under(path)
+		return nil, verr.under(path)
 	}
-	return finish(bp, buf, verr)
-}
-
-// finish copies what was built in a scratch buffer out at its exact size
-// and gives the buffer back.
-func finish(bp *[]byte, buf []byte, verr *valueError) (rec []byte, err error) {
-	if verr != nil {
-		err = verr
-	} else {
-		rec = bytes.Clone(buf)
-	}
-	*bp = buf[:0]
-	scratch.Put(bp)
-	return rec, err
+	return buf, nil
 }
 
 func (t *keyTable) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError) {
