@@ -14,9 +14,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -40,13 +44,17 @@ func main() {
 	activity := flag.String("activity", "walking", "ground-truth activity: still|walking|running")
 	interval := flag.Duration("interval", 10*time.Second, "continuous sampling interval")
 	flag.Parse()
-	if err := run(*user, *mqttAddr, *httpAddr, *city, *activity, *interval); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(*user, *mqttAddr, *httpAddr, *city, *activity, *interval, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "sensocial-mobile:", err)
 		os.Exit(1)
 	}
 }
 
-func run(user, mqttAddr, httpAddr, city, activity string, interval time.Duration) error {
+// run registers the device, streams until stop yields or is closed, and
+// shuts the agent down.
+func run(user, mqttAddr, httpAddr, city, activity string, interval time.Duration, stop <-chan os.Signal) error {
 	places := geo.EuropeanCities()
 	place, ok := places.Lookup(city)
 	if !ok {
@@ -88,12 +96,11 @@ func run(user, mqttAddr, httpAddr, city, activity string, interval time.Duration
 
 	// Register the device with the server over HTTP (the PHP registration
 	// script's role).
-	resp, err := httpPost(httpAddr, "/register",
-		fmt.Sprintf(`{"user_id":%q,"device_id":%q}`, user, deviceID))
+	status, err := register(httpAddr, user, deviceID)
 	if err != nil {
 		return fmt.Errorf("register: %w", err)
 	}
-	fmt.Printf("sensocial-mobile: registered %s (%s)\n", deviceID, resp)
+	fmt.Printf("sensocial-mobile: registered %s (%s)\n", deviceID, status)
 
 	classifiers, err := classify.DefaultRegistry(places)
 	if err != nil {
@@ -136,34 +143,27 @@ func run(user, mqttAddr, httpAddr, city, activity string, interval time.Duration
 	})
 
 	fmt.Printf("sensocial-mobile: %s streaming to %s (Ctrl-C to stop)\n", deviceID, mqttAddr)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-stop
 	fmt.Printf("sensocial-mobile: shutting down; battery used %.1f µAh\n",
 		dev.Meter().TotalMicroAh())
 	return nil
 }
 
-// httpPost is a minimal JSON POST helper over real TCP.
-func httpPost(host, path, body string) (string, error) {
-	conn, err := net.DialTimeout("tcp", host, 10*time.Second)
+// register posts the device's registration and returns the response status.
+func register(httpAddr, user, deviceID string) (string, error) {
+	body, err := json.Marshal(map[string]string{"user_id": user, "device_id": deviceID})
 	if err != nil {
 		return "", err
 	}
-	defer conn.Close()
-	req := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s",
-		path, host, len(body), body)
-	if _, err := conn.Write([]byte(req)); err != nil {
-		return "", err
-	}
-	buf := make([]byte, 256)
-	n, err := conn.Read(buf)
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post("http://"+httpAddr+"/register", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return "", err
 	}
-	status := strings.SplitN(string(buf[:n]), "\r\n", 2)[0]
-	if !strings.Contains(status, "201") && !strings.Contains(status, "200") {
-		return "", fmt.Errorf("server said %q", status)
+	defer resp.Body.Close()
+	_, _ = io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
+		return "", fmt.Errorf("server said %q", resp.Status)
 	}
-	return status, nil
+	return resp.Status, nil
 }

@@ -30,7 +30,10 @@ const smokeText = `
 // dtnText is the delay-tolerant-networking scenario: the whole fleet
 // goes dark for four virtual hours, batch-uploads its backlog on
 // reconnect, then survives a churn aftershock. No shaping verbs, so it
-// runs at QoS 1.
+// may run at QoS 1, as its test does; `sensocial-sim -chaos dtn` leaves
+// Pool.UploadQoS at 0. Whether the backlog survives the dark hours is a
+// matter of Pool.MaxBacklog: the test's 512 holds all of it, the default
+// 64 drops the rest.
 const dtnText = `
 @30m    partition device-pool | server
 @4h30m  heal
@@ -39,7 +42,8 @@ const dtnText = `
 
 // crashText is the durability scenario: the broker process dies twice
 // mid-stream and recovers from its session journal, with a churn
-// aftershock between the crashes. No shaping verbs, so it runs at QoS 1;
+// aftershock between the crashes. No shaping verbs, so it may run at
+// QoS 1, as its test does (`sensocial-sim -chaos crash` runs at QoS 0);
 // requires Options.DurableDir (validated).
 const crashText = `
 @8m  crash

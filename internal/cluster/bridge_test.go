@@ -273,6 +273,14 @@ func TestBridgeVersionGapTriggersResync(t *testing.T) {
 		sc := &MatchScratch{}
 		return len(a.bridge.Index().Match("streamdata/u1", sc)) == 1
 	})
+	// The link's connect-time sync request must be answered first: while it
+	// is pending, a gap joins it rather than counting a new resync.
+	link := a.bridge.links[0]
+	tc.wait("connect-time sync answered", func() bool {
+		link.mu.Lock()
+		defer link.mu.Unlock()
+		return a.mtx.SummaryResyncs.Value() > 0 && link.synced && !link.syncPending
+	})
 	before := a.mtx.SummaryResyncs.Value()
 
 	// Inject a delta far ahead of shard1's real version directly onto its

@@ -434,8 +434,7 @@ func TestPersistItemsToStore(t *testing.T) {
 		t.Fatalf("CreateRemoteStream: %v", err)
 	}
 	waitUntil(t, func() bool {
-		n, err := s.Shards[0].Server.Store().Collection("items").Count(nil)
-		return err == nil && n >= 2
+		return s.Shards[0].Server.Store().Collection("items").Len() >= 2
 	})
 	docs, err := s.Shards[0].Server.Store().Collection("items").Find(
 		map[string]any{"user": "alice", "classified": "walking"},

@@ -3,11 +3,12 @@
 // OSN friendship graphs and latest geographic locations (paper §4, "Data
 // Storage and Querying").
 //
-// It supports a Mongo-like query language (see Match in query.go), update
-// operators, secondary hash indexes, and geospatial queries backed by a grid
-// index — the paper specifically calls out MongoDB's native geospatial
-// querying ("fast return of nearby users or those located within a certain
-// area") as the feature SenSocial multicast streams rely on.
+// It speaks the part of MongoDB's language the server uses: queries of
+// top-level field equality and $near (query.go), $set updates (update.go),
+// secondary hash indexes, and geospatial queries backed by a grid index —
+// the paper specifically calls out MongoDB's native geospatial querying
+// ("fast return of nearby users or those located within a certain area")
+// as the feature SenSocial multicast streams rely on.
 package docstore
 
 import (
@@ -216,12 +217,9 @@ func (c *Collection) Get(id string) (Doc, error) {
 
 // FindOpts controls Find result shaping.
 type FindOpts struct {
-	// SortBy is a field path to order results by; empty keeps insertion order.
+	// SortBy is a top-level field to order results by, ascending and stable;
+	// empty keeps insertion order.
 	SortBy string
-	// Desc reverses the sort order.
-	Desc bool
-	// Limit caps the number of results; 0 means unlimited.
-	Limit int
 }
 
 // Find returns all documents matching query, shaped by opts.
@@ -230,69 +228,27 @@ func (c *Collection) Find(query Doc, opts FindOpts) ([]Doc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("docstore: find in %q: %w", c.name, err)
 	}
-	// Without a sort the first Limit matches are the answer.
-	stopAt := 0
-	if opts.SortBy == "" {
-		stopAt = opts.Limit
-	}
 	var out []Doc
 	c.mu.RLock()
 	c.scanLocked(query, m, func(_ string, d Doc) bool {
 		out = append(out, d)
-		return len(out) != stopAt
+		return true
 	})
 	c.mu.RUnlock()
 
 	if opts.SortBy != "" {
 		sort.SliceStable(out, func(i, j int) bool {
-			vi, _ := lookupPath(out[i], opts.SortBy)
-			vj, _ := lookupPath(out[j], opts.SortBy)
-			less := compareValues(vi, vj) < 0
-			if opts.Desc {
-				return !less && compareValues(vi, vj) != 0
-			}
-			return less
+			return compareValues(out[i][opts.SortBy], out[j][opts.SortBy]) < 0
 		})
-	}
-	if opts.Limit > 0 && len(out) > opts.Limit {
-		out = out[:opts.Limit]
 	}
 	return out, nil
 }
 
-// FindOne returns the first matching document.
-func (c *Collection) FindOne(query Doc) (Doc, error) {
-	docs, err := c.Find(query, FindOpts{Limit: 1})
-	if err != nil {
-		return nil, err
-	}
-	if len(docs) == 0 {
-		return nil, fmt.Errorf("docstore: find one in %q: %w", c.name, ErrNotFound)
-	}
-	return docs[0], nil
-}
-
-// Count returns the number of documents matching query.
-func (c *Collection) Count(query Doc) (int, error) {
-	if len(query) == 0 {
-		return c.Len(), nil
-	}
-	m, err := compileQuery(query)
-	if err != nil {
-		return 0, fmt.Errorf("docstore: count in %q: %w", c.name, err)
-	}
-	n := 0
-	c.mu.RLock()
-	c.scanLocked(query, m, func(string, Doc) bool { n++; return true })
-	c.mu.RUnlock()
-	return n, nil
-}
-
 // Update applies the update spec to every document matching query and
-// returns the number of documents modified. The update spec must use update
-// operators ($set, $unset, $inc, $push); see compileUpdate. It is all or
-// nothing: if the spec cannot be applied to one matched document, no
-// document changes, nothing is journaled and the count is 0.
+// returns the number of documents modified. The spec is a $set (see
+// update.go). It is all or nothing: if the spec cannot be applied to one
+// matched document, no document changes, nothing is journaled and the
+// count is 0.
 func (c *Collection) Update(query, update Doc) (int, error) {
 	m, err := compileQuery(query)
 	if err != nil {
@@ -437,45 +393,30 @@ func (c *Collection) scanLocked(query Doc, m matcher, visit func(id string, d Do
 	}
 }
 
-// planLocked chooses candidate slots for a query from the query itself and
-// the conjuncts of a top-level $and, trying in order: the primary key (a
-// literal string _id names at most one document), a hash index (equality on
-// an indexed field), a geo index ($near on a geo-indexed field), and last
-// every slot (all is true). Candidates are ascending slots, which is
-// insertion order. The exact matcher always runs afterwards, so the plan
-// only needs to be a superset of the true result. The returned slice is
-// shared, not a copy.
+// planLocked chooses candidate slots for a query, trying in order: the
+// primary key (a literal string _id names at most one document), a hash
+// index (equality on an indexed field), a geo index ($near on a geo-indexed
+// field), and last every slot (all is true). Candidates are ascending
+// slots, which is insertion order. The exact matcher always runs
+// afterwards, so the plan only needs to be a superset of the true result.
+// The returned slice is shared, not a copy.
 func (c *Collection) planLocked(query Doc) (slots []uint32, all bool) {
-	conjuncts := append(make([]Doc, 0, 4), query)
-	if subs, ok := query["$and"].([]any); ok {
-		for _, s := range subs {
-			if sd, ok := s.(map[string]any); ok {
-				conjuncts = append(conjuncts, sd)
-			}
+	if id, ok := query[IDField].(string); ok {
+		if _, slot := c.findLocked(id); slot >= 0 {
+			return []uint32{uint32(slot)}, false
+		}
+		return nil, false
+	}
+	for field, ix := range c.hashIx {
+		if cond, ok := query[field]; ok && isPlainValue(cond) {
+			return ix.get(hashKey(cond)), false
 		}
 	}
-	for _, q := range conjuncts {
-		if id, ok := q[IDField].(string); ok {
-			if _, slot := c.findLocked(id); slot >= 0 {
-				return []uint32{uint32(slot)}, false
-			}
-			return nil, false
-		}
-	}
-	for _, q := range conjuncts {
-		for path, ix := range c.hashIx {
-			if cond, ok := q[path]; ok && isPlainValue(cond) {
-				return ix.get(hashKey(cond)), false
-			}
-		}
-	}
-	for _, q := range conjuncts {
-		for path, ix := range c.geoIx {
-			if ops, ok := q[path].(map[string]any); ok {
-				if center, radius, err := parseNear(ops["$near"]); err == nil {
-					if slots, ok := ix.candidates(center, radius); ok {
-						return slots, false
-					}
+	for field, ix := range c.geoIx {
+		if ops, ok := query[field].(map[string]any); ok {
+			if center, radius, err := parseNear(ops["$near"]); err == nil {
+				if slots, ok := ix.candidates(center, radius); ok {
+					return slots, false
 				}
 			}
 		}

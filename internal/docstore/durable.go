@@ -7,12 +7,15 @@ package docstore
 // The journal records resolved effects, not raw requests, wherever request
 // replay would be nondeterministic: Insert and Upsert log the stored
 // document with its assigned _id, Delete logs the matched ids. Update logs
-// the query and update spec — the matched set and per-document application
-// are order-independent, so replay reproduces the same state. Records are
-// appended under the collection lock, so the journal order equals the
-// application order. Checkpoint serializes the whole store through the
-// WAL's compacting snapshot; recovery loads the newest snapshot and
-// replays the record tail. See docs/DURABILITY.md for the contract.
+// the query and $set spec — the matched set and per-document application
+// are order-independent, so replay reproduces the same state. Replay
+// compiles a logged query and spec like any other, so a record holding an
+// operator outside the language (query.go, update.go) fails the open,
+// naming its record number and the operator. Records are appended under
+// the collection lock, so the journal order equals the application order.
+// Checkpoint serializes the whole store through the WAL's compacting
+// snapshot; recovery loads the newest snapshot and replays the record
+// tail. See docs/DURABILITY.md for the contract.
 
 import (
 	"bytes"

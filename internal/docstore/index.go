@@ -17,7 +17,7 @@ import (
 // certain area".
 
 // hashIndex maps an equality key to the slots of documents holding that
-// value at the indexed field path, or in the array there. A bucket is kept
+// value at the indexed field, or in the array there. A bucket is kept
 // ascending, which is insertion order.
 type hashIndex struct {
 	path string
@@ -29,7 +29,7 @@ func newHashIndex(path string) *hashIndex {
 }
 
 func (ix *hashIndex) add(slot uint32, d Doc) {
-	v, ok := lookupPath(d, ix.path)
+	v, ok := d[ix.path]
 	if !ok {
 		return
 	}
@@ -39,7 +39,7 @@ func (ix *hashIndex) add(slot uint32, d Doc) {
 }
 
 func (ix *hashIndex) remove(slot uint32, d Doc) {
-	v, ok := lookupPath(d, ix.path)
+	v, ok := d[ix.path]
 	if !ok {
 		return
 	}
@@ -123,7 +123,7 @@ func newGeoIndex(path string) *geoIndex {
 
 // cellOf returns the cell d's point falls in, if it has a valid one.
 func (ix *geoIndex) cellOf(d Doc) (int64, bool) {
-	v, ok := lookupPath(d, ix.path)
+	v, ok := d[ix.path]
 	if !ok {
 		return 0, false
 	}
@@ -177,7 +177,7 @@ func (ix *geoIndex) candidates(center geo.Point, radiusMeters float64) (slots []
 	return slots, true
 }
 
-// CreateIndex builds a hash index over a field path for equality queries.
+// CreateIndex builds a hash index over a top-level field for equality queries.
 // Existing documents are indexed immediately. Creating the same index twice
 // is a no-op.
 func (c *Collection) CreateIndex(path string) error {
@@ -200,7 +200,7 @@ func (c *Collection) CreateIndex(path string) error {
 	return nil
 }
 
-// CreateGeoIndex builds a grid geospatial index over a field path holding
+// CreateGeoIndex builds a grid geospatial index over a top-level field holding
 // {"lat":..,"lon":..} objects.
 func (c *Collection) CreateGeoIndex(path string) error {
 	if path == "" {

@@ -9,225 +9,87 @@ import (
 
 // Query language
 //
-// A query is a Doc whose keys are either field paths (dot-separated, e.g.
-// "profile.home.city") with a condition value, or logical operators:
+// A query is nil, which matches every document, or a Doc of top-level field
+// names, each with one condition; a document must meet them all:
 //
-//	{"city": "Paris"}                          implicit $eq
-//	{"age": {"$gte": 18, "$lt": 65}}           comparison operators
-//	{"city": {"$in": ["Paris", "Lyon"]}}       membership
-//	{"$or": [{...}, {...}]}                    disjunction
-//	{"$and": [{...}, {...}]}                   conjunction
-//	{"$not": {...}}                            negation
-//	{"name": {"$exists": true}}                field presence
-//	{"text": {"$contains": "football"}}        substring match
-//	{"loc": {"$near": {"lat":48.8,"lon":2.3,"$maxDistance":15000}}} geo
+//	{"city": "Paris"}                                                 equality
+//	{"loc": {"$near": {"lat":48.8,"lon":2.3,"$maxDistance":15000}}}   within meters
 //
-// Field values that are arrays match a scalar condition when any element
-// matches, mirroring MongoDB array semantics.
+// A field name is literal: a dot in it is part of the name. An array field
+// equals a value when the whole array does or any one element does, which
+// is what the multikey hash index serves. A condition object holding a key
+// that starts with "$" must be exactly {"$near": ...}; anything else is an
+// error naming the operator.
 
 // matcher is a compiled query predicate.
-type matcher interface {
-	match(d Doc) bool
-}
+type matcher []fieldMatcher
 
-type andMatcher []matcher
-
-func (a andMatcher) match(d Doc) bool {
-	for _, m := range a {
-		if !m.match(d) {
+func (m matcher) match(d Doc) bool {
+	for _, f := range m {
+		if !f.match(d) {
 			return false
 		}
 	}
 	return true
 }
 
-type orMatcher []matcher
+type fieldMatcher struct {
+	field string
+	pred  func(value any) bool
+}
 
-func (o orMatcher) match(d Doc) bool {
-	for _, m := range o {
-		if m.match(d) {
+func (f fieldMatcher) match(d Doc) bool {
+	v, ok := d[f.field]
+	if !ok {
+		return false
+	}
+	if f.pred(v) {
+		return true
+	}
+	// Array fields also match when any element satisfies the predicate.
+	arr, _ := v.([]any)
+	for _, e := range arr {
+		if f.pred(e) {
 			return true
 		}
 	}
 	return false
 }
 
-type notMatcher struct{ inner matcher }
-
-func (n notMatcher) match(d Doc) bool { return !n.inner.match(d) }
-
-type fieldMatcher struct {
-	path string
-	pred func(value any, present bool) bool
-}
-
-func (f fieldMatcher) match(d Doc) bool {
-	v, ok := lookupPath(d, f.path)
-	if ok {
-		// Array fields match when any element satisfies the predicate.
-		if arr, isArr := v.([]any); isArr {
-			if f.pred(v, true) {
-				return true
-			}
-			for _, e := range arr {
-				if f.pred(e, true) {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	return f.pred(v, ok)
-}
-
 // compileQuery validates and compiles a query document into a matcher.
 // An empty or nil query matches everything.
 func compileQuery(q Doc) (matcher, error) {
-	var ms andMatcher
-	for key, val := range q {
-		switch key {
-		case "$and", "$or":
-			subs, ok := val.([]any)
-			if !ok {
-				subsD, okD := val.([]Doc)
-				if !okD {
-					return nil, fmt.Errorf("%s requires an array of queries, got %T", key, val)
-				}
-				for _, sd := range subsD {
-					subs = append(subs, any(sd))
-				}
-			}
-			var compiled []matcher
-			for i, s := range subs {
-				sd, ok := s.(map[string]any)
-				if !ok {
-					return nil, fmt.Errorf("%s element %d is %T, want object", key, i, s)
-				}
-				m, err := compileQuery(sd)
-				if err != nil {
-					return nil, err
-				}
-				compiled = append(compiled, m)
-			}
-			if key == "$and" {
-				ms = append(ms, andMatcher(compiled))
-			} else {
-				ms = append(ms, orMatcher(compiled))
-			}
-		case "$not":
-			sd, ok := val.(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("$not requires a query object, got %T", val)
-			}
-			m, err := compileQuery(sd)
-			if err != nil {
-				return nil, err
-			}
-			ms = append(ms, notMatcher{m})
-		default:
-			if strings.HasPrefix(key, "$") {
-				return nil, fmt.Errorf("unknown top-level operator %q", key)
-			}
-			m, err := compileFieldCondition(key, val)
-			if err != nil {
-				return nil, err
-			}
-			ms = append(ms, m)
+	var m matcher
+	for field, cond := range q {
+		if strings.HasPrefix(field, "$") {
+			return nil, fmt.Errorf("unsupported operator %q", field)
 		}
+		pred, err := compileCondition(cond)
+		if err != nil {
+			return nil, fmt.Errorf("field %q: %w", field, err)
+		}
+		m = append(m, fieldMatcher{field: field, pred: pred})
 	}
-	return ms, nil
+	return m, nil
 }
 
-func compileFieldCondition(path string, cond any) (matcher, error) {
+func compileCondition(cond any) (func(any) bool, error) {
 	if isPlainValue(cond) {
-		want := cond
-		return fieldMatcher{path: path, pred: func(v any, ok bool) bool {
-			return ok && compareValues(v, want) == 0
-		}}, nil
+		return func(v any) bool { return compareValues(v, cond) == 0 }, nil
 	}
-	ops := cond.(map[string]any)
-	var preds []func(any, bool) bool
-	for op, arg := range ops {
-		p, err := compileOperator(op, arg)
-		if err != nil {
-			return nil, fmt.Errorf("field %q: %w", path, err)
+	for op := range cond.(map[string]any) {
+		if op != "$near" {
+			return nil, fmt.Errorf("unsupported operator %q", op)
 		}
-		preds = append(preds, p)
 	}
-	return fieldMatcher{path: path, pred: func(v any, ok bool) bool {
-		for _, p := range preds {
-			if !p(v, ok) {
-				return false
-			}
-		}
-		return true
-	}}, nil
-}
-
-func compileOperator(op string, arg any) (func(any, bool) bool, error) {
-	switch op {
-	case "$eq":
-		return func(v any, ok bool) bool { return ok && compareValues(v, arg) == 0 }, nil
-	case "$ne":
-		return func(v any, ok bool) bool { return !ok || compareValues(v, arg) != 0 }, nil
-	case "$gt":
-		return func(v any, ok bool) bool { return ok && comparableKinds(v, arg) && compareValues(v, arg) > 0 }, nil
-	case "$gte":
-		return func(v any, ok bool) bool { return ok && comparableKinds(v, arg) && compareValues(v, arg) >= 0 }, nil
-	case "$lt":
-		return func(v any, ok bool) bool { return ok && comparableKinds(v, arg) && compareValues(v, arg) < 0 }, nil
-	case "$lte":
-		return func(v any, ok bool) bool { return ok && comparableKinds(v, arg) && compareValues(v, arg) <= 0 }, nil
-	case "$in", "$nin":
-		list, ok := arg.([]any)
-		if !ok {
-			return nil, fmt.Errorf("%s requires an array, got %T", op, arg)
-		}
-		contains := func(v any) bool {
-			for _, e := range list {
-				if compareValues(v, e) == 0 {
-					return true
-				}
-			}
-			return false
-		}
-		if op == "$in" {
-			return func(v any, ok bool) bool { return ok && contains(v) }, nil
-		}
-		return func(v any, ok bool) bool { return !ok || !contains(v) }, nil
-	case "$exists":
-		want, ok := arg.(bool)
-		if !ok {
-			return nil, fmt.Errorf("$exists requires a bool, got %T", arg)
-		}
-		return func(_ any, present bool) bool { return present == want }, nil
-	case "$contains":
-		sub, ok := arg.(string)
-		if !ok {
-			return nil, fmt.Errorf("$contains requires a string, got %T", arg)
-		}
-		return func(v any, ok bool) bool {
-			s, isStr := v.(string)
-			return ok && isStr && strings.Contains(strings.ToLower(s), strings.ToLower(sub))
-		}, nil
-	case "$near":
-		center, radius, err := parseNear(arg)
-		if err != nil {
-			return nil, err
-		}
-		return func(v any, ok bool) bool {
-			if !ok {
-				return false
-			}
-			pt, err := docPoint(v)
-			if err != nil {
-				return false
-			}
-			return center.DistanceMeters(pt) <= radius
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown operator %q", op)
+	center, radius, err := parseNear(cond.(map[string]any)["$near"])
+	if err != nil {
+		return nil, err
 	}
+	return func(v any) bool {
+		pt, err := docPoint(v)
+		return err == nil && center.DistanceMeters(pt) <= radius
+	}, nil
 }
 
 // parseNear decodes {"lat":..,"lon":..,"$maxDistance":..} into a center and
@@ -267,22 +129,6 @@ func docPoint(v any) (geo.Point, error) {
 	return p, nil
 }
 
-// lookupPath resolves a dot-separated field path within a document.
-func lookupPath(d Doc, path string) (any, bool) {
-	cur := any(d)
-	for _, seg := range strings.Split(path, ".") {
-		m, ok := cur.(map[string]any)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = m[seg]
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
-}
-
 // typeRank orders values of different kinds so sorting is total:
 // nil < bool < number < string < array < object.
 func typeRank(v any) int {
@@ -303,10 +149,6 @@ func typeRank(v any) int {
 		return 6
 	}
 }
-
-// comparableKinds reports whether ordering comparisons between a and b are
-// meaningful (same type rank: both numbers, or both strings, ...).
-func comparableKinds(a, b any) bool { return typeRank(a) == typeRank(b) }
 
 // compareValues imposes a total order over document values: first by type
 // rank, then within the type. Numbers compare numerically across Go numeric

@@ -63,7 +63,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("geo find = %v, %v", near, err)
 	}
 	// Numeric queries survive the JSON int->float64 round trip.
-	aged, err := users.Find(Doc{"age": Doc{"$gte": 30}}, FindOpts{})
+	aged, err := users.Find(Doc{"age": 30}, FindOpts{})
 	if err != nil || len(aged) != 1 {
 		t.Fatalf("numeric find = %v, %v", aged, err)
 	}

@@ -152,11 +152,9 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 // location, sampler phase (the activity ground truth), sampling cadence,
 // pending-upload backlog and battery drain. Devices are grouped into frames
 // of FrameSize; each frame is one vclock event that fires once per sample
-// interval, scans its slice of the arrays, and re-arms itself. On an
-// EventScheduler clock (vclock.Manual) frames run synchronously inside
-// Advance in deterministic (deadline, sequence) order; on real/scaled
-// clocks each frame falls back to one goroutine — still a 64x reduction
-// over goroutine-per-device.
+// interval, scans its slice of the arrays, and re-arms itself. The clock
+// must be an EventScheduler (vclock.Manual): frames run synchronously
+// inside Advance in deterministic (deadline, sequence) order.
 //
 // Uploads preserve the wire protocol of the full path: classified items are
 // encoded exactly like mobile's pipeline and published at UploadQoS to
@@ -209,9 +207,8 @@ type DevicePool struct {
 
 // poolFrame is one scheduled span [lo,hi) of the pool's device arrays. The
 // scratch slices are reused every tick so the steady-state tick loop does
-// not allocate; a frame is only ever ticked by one goroutine at a time
-// (serially inside Advance on a Manual clock, or by its own fallback
-// goroutine otherwise), so they need no locking.
+// not allocate; frames are ticked serially inside Advance, so they need no
+// locking.
 type poolFrame struct {
 	pool *DevicePool
 	lo   int
@@ -302,8 +299,13 @@ func (p *DevicePool) AddDevices(n int) error {
 // until the CONNACK is delivered through the fabric, so it cannot run on
 // the caller's goroutine under a manual clock). Frames whose connection is
 // not yet ready keep sampling and buffer a bounded backlog; the first tick
-// after the CONNACK drains it with backdated timestamps.
+// after the CONNACK drains it with backdated timestamps. The pool's clock
+// must be a vclock.EventScheduler.
 func (p *DevicePool) Start() error {
+	sched, ok := p.clock.(vclock.EventScheduler)
+	if !ok {
+		return fmt.Errorf("sim: device pool: clock %T does not schedule events", p.clock)
+	}
 	p.mu.Lock()
 	if p.started {
 		p.mu.Unlock()
@@ -353,15 +355,8 @@ func (p *DevicePool) Start() error {
 		}(slot)
 	}
 
-	if sched, ok := p.clock.(vclock.EventScheduler); ok {
-		for _, f := range frames {
-			f.ev = sched.Schedule(f.next, f.fire)
-		}
-		return nil
-	}
 	for _, f := range frames {
-		p.wg.Add(1)
-		go f.loop()
+		f.ev = sched.Schedule(f.next, f.fire)
 	}
 	return nil
 }
@@ -411,16 +406,13 @@ func (p *DevicePool) connectSlot(slot int) {
 }
 
 // reconnectSlot redials a slot synchronously from a frame tick after its
-// client was retired. On an event-scheduler clock the tick runs inside
-// Advance, where a blocking handshake can only complete if the path
-// delivers without any clock advance — so the attempt is skipped (devices
-// keep buffering) until the fabric reports the broker path delay-free
-// again, which is also what makes reconnect times deterministic. On
-// real/scaled clocks time flows independently, so the handshake may simply
-// block.
+// client was retired. The tick runs inside Advance, where a blocking
+// handshake can only complete if the path delivers without any clock
+// advance — so the attempt is skipped (devices keep buffering) until the
+// fabric reports the broker path delay-free again, which is also what makes
+// reconnect times deterministic.
 func (p *DevicePool) reconnectSlot(slot int) *mqtt.Client {
-	if _, ok := p.clock.(vclock.EventScheduler); ok &&
-		!p.fabric.PathDelayFree("device-pool", p.addrs[slot/p.perShard]) {
+	if !p.fabric.PathDelayFree("device-pool", p.addrs[slot/p.perShard]) {
 		return nil
 	}
 	p.connectSlot(slot)
@@ -486,8 +478,8 @@ func (p *DevicePool) readyCount() int {
 	return n
 }
 
-// fire is the scheduled-event entry point for one frame tick; on a Manual
-// clock it runs synchronously inside Advance and re-arms its own event.
+// fire is the scheduled-event entry point for one frame tick; it runs
+// synchronously inside Advance and re-arms its own event.
 func (f *poolFrame) fire(now time.Time) {
 	p := f.pool
 	select {
@@ -505,23 +497,6 @@ func (f *poolFrame) fire(now time.Time) {
 	}
 	//lint:ignore wallclock see above: measuring host CPU cost of the tick
 	p.series.tickDur.Observe(time.Since(t0).Seconds())
-}
-
-// loop is the fallback driver for clocks without an event scheduler: one
-// goroutine per frame (not per device) waiting on virtual timers.
-func (f *poolFrame) loop() {
-	p := f.pool
-	defer p.wg.Done()
-	for {
-		t := p.clock.NewTimer(max(0, f.next.Sub(p.clock.Now())))
-		select {
-		case <-p.done:
-			t.Stop()
-			return
-		case now := <-t.C():
-			f.fire(now)
-		}
-	}
 }
 
 // tick advances every device cadence in the frame and grows backlogs; it

@@ -149,41 +149,6 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	}
 }
 
-// TestPooledFallbackGoroutineFrames runs the pool on a scaled clock (no
-// EventScheduler), exercising the goroutine-per-frame fallback.
-func TestPooledFallbackGoroutineFrames(t *testing.T) {
-	clock := vclock.NewScaled(poolEpoch, 1200) // 1 virtual minute per 50ms
-	s := newPooledSim(t, clock, PoolOptions{
-		Connections:    1,
-		FrameSize:      4,
-		SampleInterval: time.Minute,
-		UploadBatch:    1,
-	}, 0)
-	defer s.Close()
-
-	if err := s.AddDevices(8); err != nil {
-		t.Fatalf("AddDevices: %v", err)
-	}
-	if err := s.StartPool(); err != nil {
-		t.Fatalf("StartPool: %v", err)
-	}
-	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-	// The scaled clock runs on its own, so there is no parked instant to
-	// quiesce at: wait for one full cycle from all 8 devices.
-	deadline := time.Now().Add(30 * time.Second)
-	for ingested(s, "sensocial_ingest_processed_total") < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline processed %d items within 30s, want 8", ingested(s, "sensocial_ingest_processed_total"))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if frames, ticks := s.Pool.Frames(), s.Shards[0].Metrics.Sum("sensocial_sim_tick_duration_seconds"); frames != 2 || ticks == 0 {
-		t.Fatalf("%d frames, %d ticks; want 2 frames with ticks", frames, ticks)
-	}
-}
-
 // TestPooledBacklogBoundedWithoutConnection: a fleet whose broker handshake
 // can never complete (no virtual time passes, default high-latency link)
 // must keep sampling with a capped backlog instead of growing memory.
@@ -249,4 +214,21 @@ func TestPooledLifecycleErrors(t *testing.T) {
 	}
 	s.Pool.Close()
 	s.Pool.Close() // idempotent
+}
+
+// TestPooledFallbackGoroutineFrames: the pool has no goroutine-per-frame
+// fallback. Frames are scheduled events, so a clock that cannot schedule
+// them (a scaled clock) is refused and no frame is built.
+func TestPooledFallbackGoroutineFrames(t *testing.T) {
+	scaled := newPooledSim(t, vclock.NewScaled(poolEpoch, 1200), PoolOptions{Connections: 1}, 0)
+	defer scaled.Close()
+	if err := scaled.AddDevices(3); err != nil {
+		t.Fatalf("AddDevices: %v", err)
+	}
+	if err := scaled.StartPool(); err == nil || !strings.Contains(err.Error(), "does not schedule events") {
+		t.Fatalf("StartPool on a scaled clock = %v, want a refusal", err)
+	}
+	if frames := scaled.Pool.Frames(); frames != 0 {
+		t.Fatalf("refused pool built %d frames", frames)
+	}
 }
