@@ -2,17 +2,22 @@
 
 GO ?= go
 
-.PHONY: all ci build vet lint no-stats lockgraph test race bench bench-smoke bench-e2e-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build fmt vet lint no-stats lockgraph test race bench bench-smoke bench-e2e-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
 
 # The CI gate (ci.sh runs exactly this): every recipe below is written once
 # and composed here. `race` is the full test suite under the race detector.
-ci: build vet lint no-stats race fuzz-smoke bench-smoke bench-e2e-smoke chaos-smoke durability-smoke metrics-smoke
+ci: build fmt vet lint no-stats race fuzz-smoke bench-smoke bench-e2e-smoke chaos-smoke durability-smoke metrics-smoke
 	@echo "CI OK"
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file differs from gofmt's output, and name the files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -w these files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

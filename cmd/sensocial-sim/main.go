@@ -27,8 +27,8 @@
 //     real-time clock, plus simulated OSN activity. Full fidelity; fleets
 //     up to a few hundred devices.
 //   - pooled: struct-of-arrays device pool running sampling,
-//     classification and upload as scheduled events on the timer-wheel
-//     manual clock, advancing virtual time as fast as the host allows.
+//     classification and upload as scheduled events on the manual clock,
+//     advancing virtual time as fast as the host allows.
 //     This is how `-devices 100000 -hours 1` completes in seconds.
 //
 // With -trace N the deployment records up to N spans in a ring buffer and

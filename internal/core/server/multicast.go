@@ -66,10 +66,10 @@ func (q MemberQuery) Validate() error {
 // refreshes for different users cannot double-create member streams. Lock
 // order is opMu before mcMu, never the reverse.
 type MulticastStream struct {
-	id       string
-	manager  *Manager
-	query    MemberQuery
-	agg      *core.Aggregator
+	id      string
+	manager *Manager
+	query   MemberQuery
+	agg     *core.Aggregator
 
 	// opMu serializes Refresh/SetFilter/Close.
 	opMu sync.Mutex

@@ -311,9 +311,13 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 func TestOSNWebhookDeliveryPath(t *testing.T) {
-	// Full fidelity: the Facebook plug-in notifies the server over HTTP
-	// through the fabric, like the original Facebook app -> PHP receiver.
-	s := fastSim(t, func(o *sim.Options) { o.DeliverViaHTTP = true })
+	// Full fidelity: the action reaches the server as the original
+	// Facebook app notified the PHP receiver, an HTTP POST to the owning
+	// shard's webhook over the fabric, and comes out as a social-event item.
+	s := fastSim(t)
+	if err := s.Shards[0].StartHTTP(); err != nil {
+		t.Fatalf("StartHTTP: %v", err)
+	}
 	addStillUser(t, s, "alice", "Paris", sensors.ActivityWalking)
 	sink := &itemSink{}
 	if err := s.Shards[0].Server.RegisterListener("se", sink); err != nil {
@@ -331,8 +335,20 @@ func TestOSNWebhookDeliveryPath(t *testing.T) {
 		h, _ := s.Handle("alice")
 		return len(h.Mobile.StreamConfigs()) == 1
 	})
-	if _, err := s.Facebook.Record("alice", osn.ActionLike, "like", s.Clock.Now()); err != nil {
-		t.Fatalf("Record: %v", err)
+	body, err := json.Marshal(osn.Action{
+		ID: "facebook-1", Network: "facebook", UserID: "alice",
+		Type: osn.ActionLike, Text: "like", Time: s.Clock.Now(),
+	})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	resp, err := s.HTTPClient("facebook-cloud").Post("http://"+s.Shards[0].HTTPAddr+"/osn/action", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /osn/action: %v", err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("osn action = %d", resp.StatusCode)
 	}
 	items := sink.waitFor(t, 1)
 	if items[0].Action == nil || items[0].Action.Type != osn.ActionLike {

@@ -36,9 +36,6 @@ type BrokerOptions struct {
 	Clock vclock.Clock
 	// Logger receives connection lifecycle diagnostics; nil disables logging.
 	Logger *slog.Logger
-	// KeepaliveGrace multiplies the client keepalive to obtain the read
-	// deadline (default 1.5, per MQTT 3.1.1).
-	KeepaliveGrace float64
 	// FanoutQueue bounds each session's outbound delivery queue (default
 	// 256). A publish never blocks on a slow session: deliveries beyond
 	// the bound are dropped and counted in
@@ -58,6 +55,10 @@ type BrokerOptions struct {
 	State *SessionStore
 }
 
+// keepaliveGrace is a session's read deadline per second of client
+// keepalive: one and a half keepalive periods, per MQTT 3.1.1.
+const keepaliveGrace = 1500 * time.Millisecond
+
 // Broker is a Mosquitto-equivalent MQTT broker. It can serve any number of
 // listeners concurrently and routes PUBLISH packets among sessions with
 // retained-message and wildcard support.
@@ -72,7 +73,6 @@ type BrokerOptions struct {
 type Broker struct {
 	clock       vclock.Clock
 	logger      *slog.Logger
-	grace       float64
 	fanoutQueue int
 	tracer      *obs.Tracer
 	state       *SessionStore // nil on non-durable brokers
@@ -118,10 +118,6 @@ func NewBroker(opts BrokerOptions) *Broker {
 	if clock == nil {
 		clock = vclock.NewReal()
 	}
-	grace := opts.KeepaliveGrace
-	if grace <= 0 {
-		grace = 1.5
-	}
 	queue := opts.FanoutQueue
 	if queue <= 0 {
 		queue = 256
@@ -133,7 +129,6 @@ func NewBroker(opts BrokerOptions) *Broker {
 	b := &Broker{
 		clock:       clock,
 		logger:      opts.Logger,
-		grace:       grace,
 		fanoutQueue: queue,
 		tracer:      opts.Tracer,
 		state:       opts.State,
@@ -368,7 +363,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 		subs:     make(map[string]byte),
 	}
 	if c.keepAliveSec > 0 {
-		s.timeout = time.Duration(float64(c.keepAliveSec) * b.grace * float64(time.Second))
+		s.timeout = time.Duration(c.keepAliveSec) * keepaliveGrace
 	}
 	if b.state != nil {
 		// Continue packet-id numbering past recovered in-flight ids. Must

@@ -13,9 +13,7 @@
 package sim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net"
@@ -90,10 +88,6 @@ type Options struct {
 	// pipeline (zero keeps the server defaults).
 	IngestShards     int
 	IngestQueueDepth int
-	// DeliverViaHTTP routes Facebook plug-in notifications through the
-	// owning server's HTTP webhook over the fabric (full fidelity) instead
-	// of the direct in-process call.
-	DeliverViaHTTP bool
 	// ActionTap, when set, observes every OSN action at the moment the
 	// server receives it (the Table 3 experiment timestamps server
 	// receipt with it).
@@ -278,19 +272,10 @@ func New(opts Options) (*Simulation, error) {
 		}
 	}
 	deliver := toOwner
-	if opts.DeliverViaHTTP {
-		for _, sh := range s.Shards {
-			if err := sh.StartHTTP(); err != nil {
-				return fail(err)
-			}
-		}
-		deliver = s.httpDeliver
-	}
 	if tap := opts.ActionTap; tap != nil {
-		inner := deliver
 		deliver = func(a osn.Action) {
 			tap(a)
-			inner(a)
+			toOwner(a)
 		}
 	}
 	if s.FBPlugin, err = osn.NewPushPlugin(s.Facebook, opts.Clock, fbDelay, opts.Seed+2, deliver); err != nil {
@@ -465,22 +450,6 @@ func (s *Simulation) HTTPClient(fromHost string) *http.Client {
 		},
 		Timeout: 30 * time.Second,
 	}
-}
-
-// httpDeliver posts an action to the owning server's webhook over the
-// fabric, exactly as the original Facebook application notifies the PHP
-// receiver.
-func (s *Simulation) httpDeliver(a osn.Action) {
-	body, err := json.Marshal(a)
-	if err != nil {
-		return
-	}
-	client := s.HTTPClient("facebook-cloud")
-	resp, err := client.Post("http://"+s.Owner(a.UserID).HTTPAddr+"/osn/action", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	_ = resp.Body.Close()
 }
 
 // KillShard permanently removes shard i, as a crashed-and-not-restarted

@@ -12,7 +12,6 @@
 package vclock
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -115,25 +114,19 @@ type Event interface {
 // Manual is a deterministic test clock. Time advances only via Advance.
 // Sleepers, timers, tickers and scheduled events fire synchronously inside
 // Advance, in (deadline, creation sequence) order, before Advance returns.
-//
-// Pending waiters are held in a hierarchical timer wheel (see wheel.go), so
-// clocks carrying hundreds of thousands of timers advance in time
-// proportional to the waiters actually fired, not to the pending
-// population.
+// Pending waiters are held in an indexed binary min-heap (see heap.go).
 type Manual struct {
 	// advMu serializes Advance/AdvanceTo. It is held across callback
 	// invocations, while mu — which guards the data below — is released,
 	// so callbacks and concurrent goroutines may use the clock freely.
 	advMu sync.Mutex
 
-	mu    sync.Mutex
-	base  time.Time // epoch for the wheel's integer timeline
-	now   time.Time
-	nowNs int64 // now - base, in nanoseconds
-	seq   uint64
-	live  int // pending waiters (sleeps, timers, tickers, events)
-	heap  []*manualWaiter
-	wheel wheel
+	mu   sync.Mutex
+	base time.Time // epoch for the heap's integer timeline
+	now  time.Time
+	seq  uint64
+	live int // pending waiters (sleeps, timers, tickers, events)
+	heap []*manualWaiter
 }
 
 var (
@@ -152,12 +145,11 @@ type manualWaiter struct {
 	isSleep bool
 	sleepWG chan struct{}
 
-	// Location tracking for eager O(1)/O(log n) removal on Stop.
-	where waiterLoc
-	lvl   uint8 // wheel level, when where == locWheel
-	slot  uint8 // wheel slot, when where == locWheel
-	idx   int32 // index within heap or wheel slot
+	idx int32 // index in Manual.heap, or notQueued
 }
+
+// notQueued marks a waiter that fired, was stopped, or was never queued.
+const notQueued = -1
 
 // NewManual returns a Manual clock whose current time is start.
 func NewManual(start time.Time) *Manual {
@@ -247,63 +239,28 @@ func (m *Manual) nextSeqLocked() uint64 {
 
 // insertLocked files a new waiter and counts it pending.
 func (m *Manual) insertLocked(w *manualWaiter) {
-	m.enqueueLocked(w)
+	m.heapPush(w)
 	m.live++
 }
 
-// enqueueLocked files w by deadline without touching the pending count
-// (ticker re-arms reuse it). Deadlines at or behind the wheel cursor go to
-// the heap; strictly later ticks go to the wheel.
-//
-//sensolint:hotpath
-func (m *Manual) enqueueLocked(w *manualWaiter) {
-	w.atNs = int64(w.at.Sub(m.base))
-	if tickOf(w.atNs) <= m.wheel.tick {
-		m.heapPush(w)
-	} else {
-		m.wheel.insert(w)
+// removeLocked eagerly unfiles a pending waiter and reports whether it was
+// pending. No-op if w already fired or was stopped.
+func (m *Manual) removeLocked(w *manualWaiter) bool {
+	if w.idx == notQueued {
+		return false
 	}
-}
-
-// removeLocked eagerly unfiles a pending waiter. No-op if w already fired
-// or was stopped.
-func (m *Manual) removeLocked(w *manualWaiter) {
-	switch w.where {
-	case locHeap:
-		m.heapRemoveAt(int(w.idx))
-	case locWheel:
-		m.wheel.remove(w)
-	default:
-		return
-	}
+	m.heapRemoveAt(int(w.idx))
 	m.live--
+	return true
 }
 
-// nextDueLocked returns the earliest pending waiter due at or before
-// targetNs (by (deadline, seq)), removed from its container, or nil. Wheel
-// groups are pulled into the heap only when they could precede both the
-// heap front and the target, so the wheel stays untouched for waiters far
-// beyond the advance window.
+// nextDueLocked removes and returns the earliest pending waiter (by
+// (deadline, seq)) if it is due at or before targetNs, or returns nil.
 func (m *Manual) nextDueLocked(targetNs int64) *manualWaiter {
-	for {
-		var front *manualWaiter
-		if len(m.heap) > 0 {
-			front = m.heap[0]
-		}
-		if m.wheel.count > 0 {
-			limit := targetNs
-			if front != nil && front.atNs < limit {
-				limit = front.atNs
-			}
-			if m.pullNextGroup(limit) {
-				continue
-			}
-		}
-		if front == nil || front.atNs > targetNs {
-			return nil
-		}
-		return m.heapPop()
+	if len(m.heap) == 0 || m.heap[0].atNs > targetNs {
+		return nil
 	}
+	return m.heapPop()
 }
 
 // Advance moves the clock forward by d, firing every waiter whose deadline
@@ -325,7 +282,6 @@ func (m *Manual) Advance(d time.Duration) {
 			break
 		}
 		m.now = w.at
-		m.nowNs = w.atNs
 		switch {
 		case w.fn != nil:
 			m.live--
@@ -348,7 +304,7 @@ func (m *Manual) Advance(d time.Duration) {
 			}
 			w.at = w.at.Add(w.period)
 			w.seq = m.nextSeqLocked()
-			m.enqueueLocked(w)
+			m.heapPush(w)
 		default:
 			m.live--
 			select {
@@ -358,7 +314,6 @@ func (m *Manual) Advance(d time.Duration) {
 		}
 	}
 	m.now = target
-	m.nowNs = targetNs
 	m.mu.Unlock()
 }
 
@@ -397,11 +352,7 @@ func (t *manualTimer) C() <-chan time.Time { return t.w.ch }
 func (t *manualTimer) Stop() bool {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()
-	if t.w.where == locNone {
-		return false // already fired or stopped
-	}
-	t.m.removeLocked(t.w)
-	return true
+	return t.m.removeLocked(t.w)
 }
 
 type manualTicker struct {
@@ -414,9 +365,7 @@ func (t *manualTicker) C() <-chan time.Time { return t.w.ch }
 func (t *manualTicker) Stop() {
 	t.m.mu.Lock()
 	defer t.m.mu.Unlock()
-	if t.w.where != locNone {
-		t.m.removeLocked(t.w)
-	}
+	t.m.removeLocked(t.w)
 }
 
 type manualEvent struct {
@@ -429,9 +378,7 @@ type manualEvent struct {
 func (e *manualEvent) Reschedule(at time.Time) {
 	e.m.mu.Lock()
 	defer e.m.mu.Unlock()
-	if e.w.where != locNone {
-		e.m.removeLocked(e.w)
-	}
+	e.m.removeLocked(e.w)
 	e.w.at = at
 	e.w.seq = e.m.nextSeqLocked()
 	e.m.insertLocked(e.w)
@@ -441,11 +388,7 @@ func (e *manualEvent) Reschedule(at time.Time) {
 func (e *manualEvent) Stop() bool {
 	e.m.mu.Lock()
 	defer e.m.mu.Unlock()
-	if e.w.where == locNone {
-		return false
-	}
-	e.m.removeLocked(e.w)
-	return true
+	return e.m.removeLocked(e.w)
 }
 
 // Scaled is a Clock whose virtual time runs at Factor times real time.
@@ -544,10 +487,4 @@ func (t *scaledTicker) C() <-chan time.Time { return t.ch }
 func (t *scaledTicker) Stop() {
 	t.rt.Stop()
 	t.once.Do(func() { close(t.done) })
-}
-
-// SortTimes sorts a slice of times ascending. Shared test helper used by
-// packages that assert on event ordering.
-func SortTimes(ts []time.Time) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Before(ts[j]) })
 }

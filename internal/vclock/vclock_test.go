@@ -290,13 +290,3 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("real After did not fire")
 	}
 }
-
-func TestSortTimes(t *testing.T) {
-	ts := []time.Time{epoch.Add(3 * time.Second), epoch, epoch.Add(time.Second)}
-	SortTimes(ts)
-	for i := 1; i < len(ts); i++ {
-		if ts[i].Before(ts[i-1]) {
-			t.Fatalf("not sorted at %d: %v", i, ts)
-		}
-	}
-}
