@@ -106,13 +106,13 @@ func (s *Store) Drop(name string) {
 type Collection struct {
 	name  string
 	store *Store   // owning store, for the journal; nil in isolated tests
-	keys  keyTable // field names the records refer to; has its own lock
+	keys  keyTable // field names and short strings the records refer to; has its own lock
 	seed  maphash.Seed
 
 	mu        sync.RWMutex
 	slabs     [][]byte // append-only chunks of entries
 	slots     []uint64 // insertion order: where each document's entry is, or tombstone
-	ids       []uint32 // open-addressed: id → slot+1
+	ids       table    // open-addressed: id → slot+1
 	live      int      // slots that are not tombstones
 	liveBytes int      // entry bytes the slots point at
 	deadBytes int      // entry bytes they no longer point at

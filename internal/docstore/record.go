@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"sync"
 )
@@ -20,8 +21,10 @@ import (
 //	value  := kind [payload]
 //
 // A key ref indexes the collection's keyTable, so a field name is stored
-// once per collection, not once per record. The top-level _id is not in the
-// record: it is the id the record is filed under, and decode puts it back.
+// once per collection, not once per record; so is a string of at most
+// symMax bytes, kept in the keyTable's value dictionary and written as its
+// offset there (kindSym). The top-level _id is not in the record: it is the
+// id the record is filed under, and decode puts it back.
 // The kind byte preserves the Go kind, so a document reads back with the
 // types it was stored with (an int64 stays an int64):
 //
@@ -29,7 +32,8 @@ import (
 //	int, int32, int64                 zig-zag varint
 //	uint, uint32, uint64              uvarint
 //	float32, float64                  IEEE 754 bits, little endian
-//	string                            uvarint(len) bytes
+//	string of 1 to symMax bytes       uvarint(dictionary offset) (kindSym)
+//	any other string                  uvarint(len) bytes
 //	[]any                             uvarint(len) value...
 //	map[string]any                    doc
 //
@@ -50,6 +54,7 @@ const (
 	kindString
 	kindArray
 	kindDoc
+	kindSym
 )
 
 // maxDepth bounds container nesting at what encoding/json accepts: a deeper
@@ -90,35 +95,104 @@ func (e *valueError) under(seg string) *valueError {
 	return e
 }
 
-// keyTable interns the field names of one collection. It has its own lock
-// (a leaf: nothing is acquired under it) so records are encoded before the
-// collection lock is taken. Names are never removed, so a ref stays valid
-// for the life of the collection.
+// keyTable interns the field names and the short string values of one
+// collection. It has its own lock (a leaf: nothing is acquired under it) so
+// records are encoded before the collection lock is taken. Nothing is ever
+// removed, so a ref stays valid for the life of the collection.
+//
+// The values are a dictionary with no Go object per entry: fixed-size byte
+// chunks of uvarint(len) bytes entries, addressed by byte offset, and an
+// open-addressed table (table.go) from value to offset+1 and a hash tag. A
+// chunk is allocated at its full length and written by copy, never grown,
+// so a reader holding an older view of vals can read its entries while a
+// writer fills the same chunk further on.
 type keyTable struct {
 	mu    sync.RWMutex
 	refs  map[string]uint64
 	names []string
+
+	seed  maphash.Seed // set with the first value
+	vals  [][]byte     // dictionary chunks of dictChunk bytes
+	end   uint64       // offset of the next entry
+	nvals int
+	cells table // value → hash tag | offset+1
 }
 
-func (t *keyTable) ref(name string) uint64 {
-	t.mu.RLock()
-	r, ok := t.refs[name]
-	t.mu.RUnlock()
-	if ok {
-		return r
+const (
+	// symMax is the longest string kept in the dictionary: ids and labels
+	// fit, sensor payloads (a location fix is about 64 B) do not.
+	symMax    = 32
+	dictChunk = 4 << 10
+	// dictBits bounds the dictionary at 64 MiB. A value table cell holds
+	// the entry's offset+1 in its low dictBits bits and the top bits of the
+	// value's hash above them, so a probe compares bytes only where those
+	// agree.
+	dictBits = 26
+	offMask  = 1<<dictBits - 1
+)
+
+// cellTag is the part of a value table cell that comes from the hash.
+func cellTag(h uint64) uint32 { return uint32(h>>(32+dictBits)) << dictBits }
+
+// symbol returns the dictionary offset of s, if s is there, and the hash
+// admitLocked files s under if not. The caller holds mu, shared or
+// exclusive.
+//
+//sensolint:hotpath
+func (t *keyTable) symbol(s string) (off, h uint64, ok bool) {
+	if len(t.cells) == 0 {
+		return 0, 0, false // no seed yet: admitLocked makes one
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if r, ok := t.refs[name]; ok {
-		return r
+	h = maphash.String(t.seed, s)
+	tag := cellTag(h)
+	_, v := t.cells.probe(h, func(v uint32) bool {
+		return v&^offMask == tag && string(t.entry(uint64(v&offMask-1))) == s
+	})
+	return uint64(v&offMask) - 1, h, v != 0
+}
+
+// entry returns the bytes of the value at off, which admitLocked wrote.
+func (t *keyTable) entry(off uint64) []byte {
+	c, i := t.vals[off/dictChunk], off%dictChunk
+	return c[i+1 : i+1+uint64(c[i])]
+}
+
+// admitLocked adds s, which symbol did not find and hashed to h, to the
+// dictionary and returns its offset; false if the dictionary is full. The
+// caller holds mu exclusive.
+func (t *keyTable) admitLocked(s string, h uint64) (uint64, bool) {
+	size := uint64(1 + len(s)) // a one-byte uvarint length, then s
+	off := t.end
+	if off%dictChunk+size > dictChunk { // an entry never straddles chunks
+		off += dictChunk - off%dictChunk
 	}
-	if t.refs == nil {
-		t.refs = make(map[string]uint64)
+	if off+size >= offMask {
+		return 0, false
 	}
-	r = uint64(len(t.names))
-	t.names = append(t.names, name)
-	t.refs[name] = r
-	return r
+	if off/dictChunk == uint64(len(t.vals)) {
+		t.vals = append(t.vals, make([]byte, dictChunk))
+	}
+	c := t.vals[off/dictChunk][off%dictChunk:]
+	c[0] = byte(len(s))
+	copy(c[1:], s)
+	t.end = off + size
+
+	if t.nvals == 0 {
+		t.seed = maphash.MakeSeed()
+		h = maphash.String(t.seed, s)
+	}
+	if t.cells.crowded(t.nvals+1, valueLoad) {
+		old := t.cells
+		t.cells = make(table, tableSize(t.nvals+1, valueLoad))
+		for _, v := range old {
+			if v != 0 {
+				t.cells.place(maphash.Bytes(t.seed, t.entry(uint64(v&offMask-1))), v)
+			}
+		}
+	}
+	t.cells.place(h, cellTag(h)|uint32(off+1))
+	t.nvals++
+	return off, true
 }
 
 // scratch holds encode buffers: a record is built in one and copied into a
@@ -129,8 +203,13 @@ var scratch = sync.Pool{New: func() any { return new([]byte) }}
 // with release once the record is in a slab.
 func (t *keyTable) encode(doc Doc) (*[]byte, error) {
 	bp := scratch.Get().(*[]byte)
-	buf, verr := t.appendDoc((*bp)[:0], doc, 0)
-	*bp = buf
+	e := encoder{t: t}
+	var verr *valueError
+	for more := true; more; more = e.again(verr) {
+		e.lock()
+		*bp, verr = e.appendDoc((*bp)[:0], doc, 0)
+		e.unlock()
+	}
 	if verr != nil {
 		release(bp)
 		return nil, verr
@@ -146,14 +225,87 @@ func release(bp *[]byte) {
 // encodeValue returns the value headed for path in record form, for
 // decodeValue to make fresh copies from.
 func (t *keyTable) encodeValue(path string, v any) ([]byte, error) {
-	buf, verr := t.appendValue(nil, v, 1)
+	e := encoder{t: t}
+	var buf []byte
+	var verr *valueError
+	for more := true; more; more = e.again(verr) {
+		e.lock()
+		buf, verr = e.appendValue(buf[:0], v, 1)
+		e.unlock()
+	}
 	if verr != nil {
 		return nil, verr.under(path)
 	}
 	return buf, nil
 }
 
-func (t *keyTable) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError) {
+// encoder appends record bytes against a keyTable. A record is encoded
+// with the table's lock held once, shared. The first name or short string
+// the table lacks sets missed and ends that pass, and only then is the
+// record encoded a second time, with the lock held exclusive and admit set,
+// adding what is new. (Trading the shared lock for the exclusive one in
+// mid-record would keep what the first pass wrote, but would lock the
+// table inside a call made under its own lock.)
+type encoder struct {
+	t      *keyTable
+	admit  bool
+	missed bool
+}
+
+func (e *encoder) lock() {
+	if e.admit {
+		e.t.mu.Lock()
+	} else {
+		e.t.mu.RLock()
+	}
+}
+
+func (e *encoder) unlock() {
+	if e.admit {
+		e.t.mu.Unlock()
+	} else {
+		e.t.mu.RUnlock()
+	}
+}
+
+// again reports whether the pass that ended with verr must be redone
+// admitting what it missed, and switches to admitting if so.
+func (e *encoder) again(verr *valueError) bool {
+	if verr != nil || !e.missed || e.admit {
+		return false
+	}
+	e.admit, e.missed = true, false
+	return true
+}
+
+// name returns the ref of a field name.
+func (e *encoder) name(k string) uint64 {
+	t := e.t
+	if r, ok := t.refs[k]; ok || !e.admit {
+		e.missed = e.missed || !ok
+		return r
+	}
+	if t.refs == nil {
+		t.refs = make(map[string]uint64)
+	}
+	r := uint64(len(t.names))
+	t.names = append(t.names, k)
+	t.refs[k] = r
+	return r
+}
+
+// symbol returns the dictionary offset of a short string, or false if it
+// is to be written inline.
+func (e *encoder) symbol(s string) (uint64, bool) {
+	off, h, ok := e.t.symbol(s)
+	if ok || !e.admit {
+		e.missed = e.missed || !ok
+		return off, ok
+	}
+	return e.t.admitLocked(s, h)
+}
+
+func (e *encoder) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError) {
 	n := len(d)
 	_, hasID := d[IDField]
 	skipID := depth == 0 && hasID
@@ -165,16 +317,19 @@ func (t *keyTable) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError)
 		if skipID && k == IDField {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, t.ref(k))
+		buf = binary.AppendUvarint(buf, e.name(k))
 		var verr *valueError
-		if buf, verr = t.appendValue(buf, v, depth+1); verr != nil {
+		if buf, verr = e.appendValue(buf, v, depth+1); verr != nil {
 			return buf, verr.under(k)
+		}
+		if e.missed {
+			return buf, nil // the exclusive pass starts over
 		}
 	}
 	return buf, nil
 }
 
-func (t *keyTable) appendValue(buf []byte, v any, depth int) ([]byte, *valueError) {
+func (e *encoder) appendValue(buf []byte, v any, depth int) ([]byte, *valueError) {
 	switch x := v.(type) {
 	case nil:
 		return append(buf, kindNil), nil
@@ -200,6 +355,11 @@ func (t *keyTable) appendValue(buf []byte, v any, depth int) ([]byte, *valueErro
 	case float64:
 		return binary.LittleEndian.AppendUint64(append(buf, kindFloat64), math.Float64bits(x)), nil
 	case string:
+		if 0 < len(x) && len(x) <= symMax {
+			if off, ok := e.symbol(x); ok {
+				return binary.AppendUvarint(append(buf, kindSym), off), nil
+			}
+		}
 		buf = binary.AppendUvarint(append(buf, kindString), uint64(len(x)))
 		return append(buf, x...), nil
 	case []any:
@@ -207,10 +367,13 @@ func (t *keyTable) appendValue(buf []byte, v any, depth int) ([]byte, *valueErro
 			return buf, errTooDeep()
 		}
 		buf = binary.AppendUvarint(append(buf, kindArray), uint64(len(x)))
-		for i, e := range x {
+		for i, el := range x {
 			var verr *valueError
-			if buf, verr = t.appendValue(buf, e, depth+1); verr != nil {
+			if buf, verr = e.appendValue(buf, el, depth+1); verr != nil {
 				return buf, verr.under(fmt.Sprintf("[%d]", i))
+			}
+			if e.missed {
+				return buf, nil
 			}
 		}
 		return buf, nil
@@ -218,7 +381,7 @@ func (t *keyTable) appendValue(buf []byte, v any, depth int) ([]byte, *valueErro
 		if depth > maxDepth {
 			return buf, errTooDeep()
 		}
-		return t.appendDoc(append(buf, kindDoc), x, depth)
+		return e.appendDoc(append(buf, kindDoc), x, depth)
 	default:
 		return buf, &valueError{what: fmt.Sprintf("unsupported value type %T", v)}
 	}
@@ -248,11 +411,11 @@ func (t *keyTable) decodeValue(b []byte) (any, error) {
 }
 
 func (t *keyTable) reader(b []byte) recordReader {
-	// Names are append-only, so this view holds every ref that bytes
-	// already written can carry.
+	// Names and values are append-only, so this view holds every ref that
+	// bytes already written can carry.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return recordReader{b: b, names: t.names}
+	return recordReader{b: b, names: t.names, vals: t.vals, end: t.end}
 }
 
 // recordReader consumes a record front to back. Every length is checked
@@ -262,6 +425,8 @@ func (t *keyTable) reader(b []byte) recordReader {
 type recordReader struct {
 	b     []byte
 	names []string
+	vals  [][]byte
+	end   uint64 // the dictionary's length in this view
 	bad   bool
 }
 
@@ -318,6 +483,20 @@ func (r *recordReader) doc(extra, depth int) Doc {
 	return d
 }
 
+// symbol returns a fresh copy of the dictionary value at off. It reads
+// nothing at or past end: bytes there may be being written.
+func (r *recordReader) symbol(off uint64) string {
+	if off < r.end {
+		base := off / dictChunk * dictChunk
+		c := r.vals[off/dictChunk][off-base : min(r.end-base, dictChunk)]
+		if n, k := binary.Uvarint(c); k > 0 && n <= uint64(len(c)-k) {
+			return string(c[k : k+int(n)])
+		}
+	}
+	r.fail()
+	return ""
+}
+
 func (r *recordReader) value(depth int) any {
 	kind := r.take(1)
 	if kind == nil {
@@ -352,6 +531,8 @@ func (r *recordReader) value(depth int) any {
 		}
 	case kindString:
 		return string(r.take(r.uvarint()))
+	case kindSym:
+		return r.symbol(r.uvarint())
 	case kindArray:
 		n := r.uvarint()
 		if n > uint64(len(r.b)) || depth > maxDepth { // an element is at least a kind

@@ -16,8 +16,8 @@ import (
 //	       uvarint(len id) id uvarint(len rec) rec
 //	slots  []uint64 in insertion order, each chunk<<32 | offset of the
 //	       document's current entry, or tombstone once it is deleted
-//	ids    an open-addressed []uint32 table from id to slot+1 (0 is empty),
-//	       probed linearly and compared against the id bytes in the slab
+//	ids    an open-addressed table (table.go) from id to slot+1, compared
+//	       against the id bytes in the slab
 //
 // A write appends an entry and points a slot at it, so a replaced document
 // keeps its slot and with it its place in insertion order. Written bytes
@@ -106,66 +106,27 @@ func uvarintLen(v int) int {
 // findLocked returns the table position of id and its slot, or the empty
 // position where id would go and -1.
 func (c *Collection) findLocked(id string) (pos, slot int) {
-	if len(c.ids) == 0 {
-		return 0, -1
-	}
-	mask := uint64(len(c.ids) - 1)
-	for i := maphash.String(c.seed, id) & mask; ; i = (i + 1) & mask {
-		v := c.ids[i]
-		if v == 0 {
-			return int(i), -1
-		}
-		if got, _, _ := c.entry(c.slots[v-1]); string(got) == id {
-			return int(i), int(v - 1)
-		}
-	}
+	pos, v := c.ids.probe(maphash.String(c.seed, id), func(v uint32) bool {
+		got, _, _ := c.entry(c.slots[v-1])
+		return string(got) == id
+	})
+	return pos, int(v) - 1
 }
 
-// home is where the id of the entry at p hashes to in the table.
-func (c *Collection) home(p uint64) uint64 {
-	id, _, _ := c.entry(p)
-	return maphash.Bytes(c.seed, id) & uint64(len(c.ids)-1)
+// hash is the hash of the id filed under id table cell v.
+func (c *Collection) hash(v uint32) uint64 {
+	id, _, _ := c.entry(c.slots[v-1])
+	return maphash.Bytes(c.seed, id)
 }
 
-// unfileLocked empties table position pos by backward shift: each entry
-// after it in the probe run moves back if pos lies between its home and
-// where it sits, so no lookup ever meets a gap before its id.
-func (c *Collection) unfileLocked(pos int) {
-	mask := uint64(len(c.ids) - 1)
-	i := uint64(pos)
-	for j := (i + 1) & mask; c.ids[j] != 0; j = (j + 1) & mask {
-		if (j-c.home(c.slots[c.ids[j]-1]))&mask >= (j-i)&mask {
-			c.ids[i] = c.ids[j]
-			i = j
-		}
-	}
-	c.ids[i] = 0
-}
-
-// rehashLocked rebuilds the id table at size entries from the slots.
+// rehashLocked rebuilds the id table at size cells from the slots.
 func (c *Collection) rehashLocked(size int) {
-	c.ids = make([]uint32, size)
-	mask := uint64(size - 1)
+	c.ids = make(table, size)
 	for s, p := range c.slots {
-		if p == tombstone {
-			continue
+		if p != tombstone {
+			c.ids.place(c.hash(uint32(s+1)), uint32(s+1))
 		}
-		i := c.home(p)
-		for c.ids[i] != 0 {
-			i = (i + 1) & mask
-		}
-		c.ids[i] = uint32(s + 1)
 	}
-}
-
-// tableSize is the smallest power of two, at least 8, that holds n ids at a
-// load of at most ¾.
-func tableSize(n int) int {
-	size := 8
-	for size*3 < n*4 {
-		size *= 2
-	}
-	return size
 }
 
 // putLocked files rec under id, as a new document at the end of the order or
@@ -178,8 +139,8 @@ func (c *Collection) putLocked(id string, seq uint64, rec []byte) string {
 		gen, _, _ := c.entry(p)
 		id = string(gen)
 	}
-	if (c.live+1)*4 > len(c.ids)*3 {
-		c.rehashLocked(tableSize(c.live + 1))
+	if c.ids.crowded(c.live+1, idLoad) {
+		c.rehashLocked(tableSize(c.live+1, idLoad))
 	}
 	pos, slot := c.findLocked(id)
 	if slot >= 0 {
@@ -211,7 +172,7 @@ func (c *Collection) deleteLocked(ids []string) int {
 		}
 		_, rec, size := c.entry(c.slots[slot])
 		c.indexRemoveLocked(uint32(slot), id, rec)
-		c.unfileLocked(pos)
+		c.ids.unfile(pos, c.hash)
 		c.slots[slot] = tombstone
 		c.live--
 		c.liveBytes -= size
@@ -258,7 +219,7 @@ func (c *Collection) renumberLocked() {
 		}
 	}
 	c.slots = live
-	c.rehashLocked(tableSize(c.live))
+	c.rehashLocked(tableSize(c.live, idLoad))
 	for path := range c.hashIx {
 		ix := newHashIndex(path)
 		c.eachLocked(ix.add)

@@ -135,7 +135,7 @@ func TestInsertDeleteChurnRenumbers(t *testing.T) {
 	if renumberings == 0 || compactions == 0 {
 		t.Fatalf("%d compactions and %d renumberings, want both", compactions, renumberings)
 	}
-	if slots > 2*window+1 || table > tableSize(2*window) || chunks > 2*maxChunk {
+	if slots > 2*window+1 || table > tableSize(2*window, idLoad) || chunks > 2*maxChunk {
 		t.Fatalf("%d slots, %d table entries, %d B of chunks for %d documents", slots, table, chunks, window)
 	}
 	docs := mustFind(t, c, Doc{"k": 3})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -184,5 +185,50 @@ func TestReportsReadable(t *testing.T) {
 		if strings.Contains(report, "SHAPE CHECK FAILED") {
 			t.Errorf("%s report shows failed shape check:\n%s", c.name, report)
 		}
+	}
+}
+
+// TestMeasureDiscardsWindowsThatShrank reproduces the Table 2 flake: work
+// left over from before the measurement lets go of its objects once a
+// collection has run, as a closing simulation's goroutines do, so they are
+// freed inside the window measure reads the heap across and cancel out the
+// build's 100 objects. measure must see the shrunken window and measure
+// again.
+func TestMeasureDiscardsWindowsThatShrank(t *testing.T) {
+	held := make([]*[64]byte, 20000)
+	for i := range held {
+		held[i] = new([64]byte)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	released := make(chan struct{})
+	go func(start uint32) {
+		defer close(released)
+		for {
+			var now runtime.MemStats
+			runtime.ReadMemStats(&now)
+			if now.NumGC >= start+2 {
+				break
+			}
+			runtime.Gosched()
+		}
+		held = nil
+	}(ms.NumGC)
+
+	var kept []*[64]byte
+	_, objects, closer, err := measure(func() (func(), error) {
+		kept = make([]*[64]byte, 100)
+		for i := range kept {
+			kept[i] = new([64]byte)
+		}
+		return func() { kept = nil }, nil
+	})
+	<-released
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer()
+	if objects < 100 {
+		t.Fatalf("measure counted %d objects for a build that keeps 101", objects)
 	}
 }
