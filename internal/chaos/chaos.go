@@ -72,10 +72,6 @@ type Options struct {
 	// scheduled frame, where virtual time cannot advance, so the pool
 	// path must either work delay-free or fail fast (partition, churn).
 	Pool sim.PoolOptions
-	// Probes is the number of QoS 1 probe publishes sent after each step
-	// over a dedicated probe client pair (default 1; negative disables).
-	// Schedules must not target the probe hosts.
-	Probes int
 	// DurableDir enables broker durability (see sim.Options.DurableDir).
 	// Required for schedules containing crash faults: a crash kills the
 	// broker mid-write and restarts it from its session journal, so there
@@ -100,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.Probes == 0 {
-		o.Probes = 1
 	}
 	if o.IngestShards <= 0 {
 		o.IngestShards = 1
@@ -298,14 +291,11 @@ func Run(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
-	var probes *probeRig
-	if opts.Probes > 0 {
-		var err error
-		if probes, err = newProbeRig(fabric, clock, brokerAddr); err != nil {
-			return nil, fmt.Errorf("chaos: %w", err)
-		}
-		defer probes.close()
+	probes, err := newProbeRig(fabric, clock, brokerAddr)
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
+	defer probes.close()
 	storm := &stormRig{fabric: fabric, clock: clock, addr: brokerAddr}
 	defer storm.close()
 
@@ -359,16 +349,12 @@ func Run(opts Options) (*Result, error) {
 			// The probe clients died with the broker; reconnect them so the
 			// recovered broker redelivers any unacked QoS 1 frames, then wait
 			// for the in-flight set to drain before the next probe round.
-			if probes != nil {
-				if err := probes.reconnect(); err != nil {
-					return nil, fmt.Errorf("chaos: step %d: probe reconnect: %w", i+1, err)
-				}
+			if err := probes.reconnect(); err != nil {
+				return nil, fmt.Errorf("chaos: step %d: probe reconnect: %w", i+1, err)
 			}
 			drainInflight(dep.Shards[0], inv)
 		}
-		if probes != nil {
-			probes.round(opts.Probes, inv)
-		}
+		probes.round(inv)
 		inv.checkStaleness(regOf)
 	}
 	eng.Stop()
@@ -388,10 +374,8 @@ func Run(opts Options) (*Result, error) {
 		StormClients: storm.joined(),
 	}
 	inv.checkConservation(dep.Shards, opts.Pool.UploadQoS)
-	if probes != nil {
-		probes.finalCheck(inv)
-		res.ProbesSent, res.ProbesAcked, res.ProbesAmbiguous = probes.counts()
-	}
+	probes.finalCheck(inv)
+	res.ProbesSent, res.ProbesAcked, res.ProbesAmbiguous = probes.counts()
 	res.Violations, res.Items = inv.report()
 
 	if opts.TraceCapacity > 0 {
@@ -524,51 +508,44 @@ func (r *probeRig) reconnect() error {
 	return r.connect()
 }
 
-// round sends n QoS 1 probes and waits for every acknowledged one to
-// reach the watch subscriber. The probe path is delay-free by
+// round sends one QoS 1 probe and, if it is acknowledged, waits for it
+// to reach the watch subscriber. The probe path is delay-free by
 // construction, so the wait is real-time goroutine progress only.
-func (r *probeRig) round(n int, inv *checker) {
-	wantSeqs := make([]uint64, 0, n)
-	for i := 0; i < n; i++ {
+func (r *probeRig) round(inv *checker) {
+	r.mu.Lock()
+	seq := r.sent
+	r.sent++
+	r.mu.Unlock()
+	topic := fmt.Sprintf("chaos/probe/%d", seq%8)
+	err := r.pub.Publish(topic, fmt.Appendf(nil, "%d", seq), 1, false)
+	switch {
+	case err == nil:
 		r.mu.Lock()
-		seq := r.sent
-		r.sent++
+		r.acked[seq] = true
 		r.mu.Unlock()
-		topic := fmt.Sprintf("chaos/probe/%d", seq%8)
-		err := r.pub.Publish(topic, fmt.Appendf(nil, "%d", seq), 1, false)
-		switch {
-		case err == nil:
-			r.mu.Lock()
-			r.acked[seq] = true
-			r.mu.Unlock()
-			wantSeqs = append(wantSeqs, seq)
-		case errors.Is(err, mqtt.ErrAckUnknown) || errors.Is(err, mqtt.ErrAckTimeout):
-			r.mu.Lock()
-			r.ambiguous++
-			r.mu.Unlock()
-		default:
-			// The probe path is never faulted, so a hard publish failure
-			// is itself an invariant breach.
-			inv.violate("probe: publish seq %d failed: %v", seq, err)
-		}
+	case errors.Is(err, mqtt.ErrAckUnknown) || errors.Is(err, mqtt.ErrAckTimeout):
+		r.mu.Lock()
+		r.ambiguous++
+		r.mu.Unlock()
+		return
+	default:
+		// The probe path is never faulted, so a hard publish failure is
+		// itself an invariant breach.
+		inv.violate("probe: publish seq %d failed: %v", seq, err)
+		return
 	}
 	//lint:ignore wallclock probe delivery is real goroutine progress over a delay-free path
 	deadline := time.Now().Add(quiesceTimeout)
 	for {
 		r.mu.Lock()
-		missing := 0
-		for _, seq := range wantSeqs {
-			if r.recv[seq] == 0 {
-				missing++
-			}
-		}
+		delivered := r.recv[seq] > 0
 		r.mu.Unlock()
-		if missing == 0 {
+		if delivered {
 			return
 		}
 		//lint:ignore wallclock see above
 		if time.Now().After(deadline) {
-			inv.violate("probe: %d acked probes undelivered after %v", missing, quiesceTimeout)
+			inv.violate("probe: acked seq %d undelivered after %v", seq, quiesceTimeout)
 			return
 		}
 		//lint:ignore wallclock see above

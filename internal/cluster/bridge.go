@@ -236,13 +236,11 @@ func (b *Bridge) Close() error {
 
 // onLocalPublish is the broker-side forward hook, run synchronously on
 // every routed publish: one PeerIndex walk decides which links (if any)
-// the message crosses.
+// the message crosses. Its `#` filter never matches the bridge's own
+// $cluster/ control topics ([MQTT-4.7.2-1]), so they are never forwarded.
 //
 //sensolint:hotpath
 func (b *Bridge) onLocalPublish(m mqtt.Message) {
-	if strings.HasPrefix(m.Topic, "$cluster/") {
-		return
-	}
 	if m.Origin != "" {
 		// Already crossed one bridge hop; the origin shard forwarded it
 		// to every interested peer directly.

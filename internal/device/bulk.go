@@ -19,7 +19,10 @@ import (
 // battery accounts.
 //
 // The cost model and CPU constants are identical to Device's, so a pooled
-// fleet and a full fleet running the same schedule report the same totals.
+// fleet and a full fleet running the same schedule report the same energy
+// totals. CPU time differs in one place: a batch of transmissions is
+// charged cpuPerTxKB per whole KB of the batch's total payload, where
+// Device rounds down per message.
 type BulkCharger struct {
 	cost  energy.CostModel
 	meter *energy.Meter
@@ -31,18 +34,14 @@ type BulkCharger struct {
 	txBytesByMd *obs.CounterVec
 }
 
-// NewBulkCharger builds a charger over a cost model. A zero-value cost
-// model selects energy.DefaultCostModel; a nil registry keeps the
-// sensocial_device_* families private.
-func NewBulkCharger(cost energy.CostModel, metrics *obs.Registry) *BulkCharger {
-	if len(cost.Sampling) == 0 {
-		cost = energy.DefaultCostModel()
-	}
+// NewBulkCharger builds a charger over energy.DefaultCostModel; a nil
+// registry keeps the sensocial_device_* families private.
+func NewBulkCharger(metrics *obs.Registry) *BulkCharger {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
 	return &BulkCharger{
-		cost:  cost,
+		cost:  energy.DefaultCostModel(),
 		meter: energy.NewMeter(),
 		cpu:   &CPUMeter{},
 		samples: metrics.CounterVec("sensocial_device_samples_total",
@@ -97,12 +96,14 @@ func (b *BulkCharger) ChargeClassifications(modality string, n int) (float64, er
 
 // ChargeTransmissions accounts for messages uplink transmissions totalling
 // payloadBytes, attributed to one modality label, and returns the total
-// energy charged in µAh.
+// energy charged in µAh: the per-message cost once per message plus the
+// per-byte cost of the whole payload, as messages Device.ChargeTransmission
+// calls would.
 func (b *BulkCharger) ChargeTransmissions(modality string, messages, payloadBytes int) float64 {
 	if messages <= 0 {
 		return 0
 	}
-	cost := b.cost.TransmissionCost(payloadBytes)
+	cost := float64(messages)*b.cost.TxPerMessage + float64(payloadBytes)*b.cost.TxPerByte
 	b.meter.Add(energy.TaskTransmission, modality, cost)
 	b.cpu.AddBusy(time.Duration(messages)*cpuPerTxMessage +
 		time.Duration(payloadBytes/1024)*cpuPerTxKB)

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // pooled and full fleets report the same totals.
 func TestBulkChargerMatchesPerDeviceAccounting(t *testing.T) {
 	cost := energy.DefaultCostModel()
-	b := NewBulkCharger(cost, nil)
+	b := NewBulkCharger(nil)
 
 	const n = 64
 	perSample, err := b.ChargeSamples(sensors.ModalityAccelerometer, n)
@@ -40,20 +41,31 @@ func TestBulkChargerMatchesPerDeviceAccounting(t *testing.T) {
 		t.Fatalf("per-classification cost = %v, want %v", perClass, wantClass)
 	}
 
-	const payload = 4096
-	txCharge := b.ChargeTransmissions(sensors.ModalityAccelerometer, 3, payload)
-	if want := cost.TransmissionCost(payload); txCharge != want {
-		t.Fatalf("transmission charge = %v, want %v", txCharge, want)
+	// Three uploads of 1, 1 and 2 KB charged as one batch cost what three
+	// per-device transmissions cost: TxPerMessage each, not once.
+	sizes := []int{1024, 1024, 2048}
+	var payload int
+	var want float64
+	for _, sz := range sizes {
+		payload += sz
+		want += cost.TransmissionCost(sz)
+	}
+	txCharge := b.ChargeTransmissions(sensors.ModalityAccelerometer, len(sizes), payload)
+	if math.Abs(txCharge-want) > 1e-9 {
+		t.Fatalf("transmission charge = %v, want %v (sum of %d per-device charges)", txCharge, want, len(sizes))
+	}
+	if got := b.Meter().TaskLabel(energy.TaskTransmission, sensors.ModalityAccelerometer); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("metered transmission = %v µAh, want %v", got, want)
 	}
 	wantCPU := n*cpuSampling + n*cpuClassification +
-		3*cpuPerTxMessage + time.Duration(payload/1024)*cpuPerTxKB
+		time.Duration(len(sizes))*cpuPerTxMessage + time.Duration(payload/1024)*cpuPerTxKB
 	if got := b.CPU().Busy(); got != wantCPU {
 		t.Fatalf("CPU busy = %v, want %v", got, wantCPU)
 	}
 }
 
 func TestBulkChargerRejectsUnknownModality(t *testing.T) {
-	b := NewBulkCharger(energy.CostModel{}, nil)
+	b := NewBulkCharger(nil)
 	if _, err := b.ChargeSamples("telepathy", 1); err == nil {
 		t.Fatal("ChargeSamples accepted an unknown modality")
 	}
@@ -63,7 +75,7 @@ func TestBulkChargerRejectsUnknownModality(t *testing.T) {
 }
 
 func TestBulkChargerZeroCounts(t *testing.T) {
-	b := NewBulkCharger(energy.CostModel{}, nil)
+	b := NewBulkCharger(nil)
 	if c, err := b.ChargeSamples(sensors.ModalityWiFi, 0); err != nil || c != 0 {
 		t.Fatalf("ChargeSamples(0) = %v, %v", c, err)
 	}
@@ -77,7 +89,7 @@ func TestBulkChargerZeroCounts(t *testing.T) {
 
 func TestBulkChargerIdle(t *testing.T) {
 	cost := energy.DefaultCostModel()
-	b := NewBulkCharger(cost, nil)
+	b := NewBulkCharger(nil)
 	per := b.ChargeIdle(10, 30*time.Minute)
 	if want := cost.IdleCost(30); per != want {
 		t.Fatalf("per-device idle = %v, want %v", per, want)

@@ -34,6 +34,9 @@ const (
 	cpuPerTxKB        = 5 * time.Millisecond
 )
 
+// batteryMAh is the Galaxy N7000's battery capacity.
+const batteryMAh = 2500
+
 // CPUMeter accumulates busy time; utilization is busy/elapsed over a
 // measurement window managed by the caller.
 type CPUMeter struct {
@@ -99,10 +102,6 @@ type Config struct {
 	// simulated device talks to a server running as a separate process).
 	// Takes precedence over Fabric.
 	Dialer func(addr string) (net.Conn, error)
-	// CostModel prices energy; zero value uses energy.DefaultCostModel.
-	CostModel energy.CostModel
-	// BatteryMAh defaults to 2500 (Galaxy N7000).
-	BatteryMAh float64
 	// Seed makes sensor noise deterministic.
 	Seed int64
 	// Metrics registers the device counters (families sensocial_device_*,
@@ -153,13 +152,7 @@ func New(cfg Config) (*Device, error) {
 	if cfg.Host == "" {
 		cfg.Host = cfg.ID
 	}
-	if cfg.BatteryMAh == 0 {
-		cfg.BatteryMAh = 2500
-	}
-	if len(cfg.CostModel.Sampling) == 0 {
-		cfg.CostModel = energy.DefaultCostModel()
-	}
-	battery, err := energy.NewBattery(cfg.BatteryMAh)
+	battery, err := energy.NewBattery(batteryMAh)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: %w", cfg.ID, err)
 	}
@@ -182,7 +175,7 @@ func New(cfg Config) (*Device, error) {
 		meter:     energy.NewMeter(),
 		battery:   battery,
 		cpu:       &CPUMeter{},
-		cost:      cfg.CostModel,
+		cost:      energy.DefaultCostModel(),
 		tracer:    cfg.Tracer,
 		idleSince: cfg.Clock.Now(),
 		samples: metrics.CounterVec("sensocial_device_samples_total",

@@ -53,9 +53,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{ID: "d", Clock: clock}); err == nil {
 		t.Fatal("missing profile accepted")
 	}
-	if _, err := New(Config{ID: "d", Clock: clock, Profile: testProfile(t), BatteryMAh: -1}); err == nil {
-		t.Fatal("negative battery accepted")
-	}
 }
 
 func TestSampleChargesEnergyAndCPU(t *testing.T) {

@@ -32,9 +32,6 @@ import (
 type DurableOptions struct {
 	// Clock feeds the WAL's recovery-duration metric (defaults to real time).
 	Clock vclock.Clock
-	// SegmentBytes and RetainSnapshots pass through to wal.Options.
-	SegmentBytes    int
-	RetainSnapshots int
 	// Metrics shares WAL counters with the rest of the deployment.
 	Metrics *wal.Metrics
 }
@@ -56,10 +53,8 @@ type RecoveryInfo struct {
 // a clean shutdown.
 func OpenDurable(dir string, opts DurableOptions) (*Store, *RecoveryInfo, error) {
 	l, rec, err := wal.Open(dir, wal.Options{
-		Clock:           opts.Clock,
-		SegmentBytes:    opts.SegmentBytes,
-		RetainSnapshots: opts.RetainSnapshots,
-		Metrics:         opts.Metrics,
+		Clock:   opts.Clock,
+		Metrics: opts.Metrics,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,16 +86,16 @@ type Broker struct {
 	fanoutDropped *obs.Counter
 	routeSeconds  *obs.Histogram
 
-	// subs indexes every subscription filter; retained indexes retained
-	// messages by topic. Both are internally synchronized — route never
-	// takes b.mu.
-	subs     *topictrie.FilterTrie[subEntry]
-	retained *topictrie.TopicTrie[Message]
-	// retainMu orders a retained publish's store-and-fan-out against a
-	// SUBSCRIBE's replay, so a subscriber never receives an older retained
-	// message after a newer one on the same topic. Publishes without the
-	// retain flag never take it.
+	// subs indexes every subscription filter; it is internally
+	// synchronized — route never takes b.mu.
+	subs *topictrie.FilterTrie[subEntry]
+	// retainMu guards retained, the retained messages by topic, and orders
+	// a retained publish's store-and-fan-out against a SUBSCRIBE's replay,
+	// so a subscriber never receives an older retained message after a
+	// newer one on the same topic. Publishes without the retain flag never
+	// take it.
 	retainMu sync.Mutex
+	retained map[string]Message
 
 	// subListener, when set, observes network-session subscription
 	// changes (see SetSubListener). Loaded per change, off the publish
@@ -133,7 +135,7 @@ func NewBroker(opts BrokerOptions) *Broker {
 		tracer:      opts.Tracer,
 		state:       opts.State,
 		subs:        topictrie.NewFilterTrie[subEntry](),
-		retained:    topictrie.NewTopicTrie[Message](),
+		retained:    make(map[string]Message),
 		sessions:    make(map[string]*session),
 		handshaking: make(map[net.Conn]struct{}),
 		done:        make(chan struct{}),
@@ -141,7 +143,7 @@ func NewBroker(opts BrokerOptions) *Broker {
 	if b.state != nil {
 		// Recovered retained messages serve SUBSCRIBE replay immediately.
 		for _, m := range b.state.RetainedMessages() {
-			b.retained.Set(m.Topic, m)
+			b.retained[m.Topic] = m
 		}
 	}
 	b.connects = metrics.Counter("sensocial_mqtt_connects_total",
@@ -168,7 +170,11 @@ func NewBroker(opts BrokerOptions) *Broker {
 		})
 	metrics.GaugeFunc("sensocial_mqtt_retained",
 		"Retained messages held.",
-		func() float64 { return float64(b.retained.Len()) })
+		func() float64 {
+			b.retainMu.Lock()
+			defer b.retainMu.Unlock()
+			return float64(len(b.retained))
+		})
 	metrics.GaugeFunc("sensocial_mqtt_match_filters",
 		"Subscription filters currently indexed in the topic trie.",
 		func() float64 { return float64(b.subs.Len()) })
@@ -524,15 +530,14 @@ func (s *session) readLoop() {
 			if err := s.write(packetSuback, 0, body); err != nil {
 				return
 			}
-			// Replay retained messages matching the new filters, resolved
-			// through the retained topic trie rather than a full scan.
+			// Replay retained messages matching the new filters.
 			s.broker.retainMu.Lock()
 			for i, f := range p.filters {
 				if codes[i] == 0x80 {
 					continue
 				}
-				for _, e := range s.broker.retained.MatchFilter(f) {
-					s.deliver(e.Value, codes[i])
+				for _, m := range s.broker.retainedMatching(f) {
+					s.deliver(m, codes[i])
 				}
 			}
 			s.broker.retainMu.Unlock()
@@ -600,17 +605,7 @@ func (b *Broker) route(m Message) {
 		// replay then either reads m, or has enqueued the message m replaces
 		// before m's fan-out (see retainMu).
 		b.retainMu.Lock()
-		if len(m.Payload) == 0 {
-			b.retained.Delete(m.Topic) // empty retained payload clears
-			if b.state != nil {
-				b.state.Unretain(m.Topic)
-			}
-		} else {
-			b.retained.Set(m.Topic, m)
-			if b.state != nil {
-				b.state.Retain(m)
-			}
-		}
+		b.retain(m)
 	}
 
 	c := scratchPool.Get().(*routeScratch)
@@ -653,6 +648,45 @@ func (b *Broker) route(m Message) {
 	scratchPool.Put(c)
 	b.routeSeconds.Observe(b.clock.Now().Sub(start).Seconds())
 	sp.End()
+}
+
+// retain stores a retained publish, or clears its topic when the payload
+// is empty, in memory and in the session journal. The caller holds
+// retainMu.
+func (b *Broker) retain(m Message) {
+	if len(m.Payload) == 0 {
+		delete(b.retained, m.Topic)
+		if b.state != nil {
+			b.state.Unretain(m.Topic)
+		}
+		return
+	}
+	b.retained[m.Topic] = m
+	if b.state != nil {
+		b.state.Retain(m)
+	}
+}
+
+// retainedMatching returns the retained messages matching filter, sorted
+// by topic so replay order is deterministic. A literal filter is one
+// lookup; a wildcard filter scans the store, which in this system holds
+// at most a shard's 64 cluster summary buckets (DESIGN.md §9). The caller
+// holds retainMu.
+func (b *Broker) retainedMatching(filter string) []Message {
+	if !strings.ContainsAny(filter, "+#") {
+		if m, ok := b.retained[filter]; ok {
+			return []Message{m}
+		}
+		return nil
+	}
+	var out []Message
+	for topic, m := range b.retained {
+		if topictrie.Matches(filter, topic) {
+			out = append(out, m)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
+	return out
 }
 
 // deliver encodes m for this session alone (retained replay on SUBSCRIBE)

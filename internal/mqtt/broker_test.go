@@ -225,6 +225,73 @@ func TestRetainedMessageDeliveredOnSubscribe(t *testing.T) {
 	}
 }
 
+// TestWildcardFiltersSkipDollarTopics pins [MQTT-4.7.2-1]: a filter whose
+// first level is a wildcard matches no topic beginning with '$', neither
+// in retained replay nor in live fan-out, for network sessions and local
+// handlers alike. Only a filter spelling out the '$' level sees the
+// cluster bridge's control traffic.
+func TestWildcardFiltersSkipDollarTopics(t *testing.T) {
+	bus := newTestBus(t)
+	pub := bus.connect("publisher")
+	if err := pub.Publish("$cluster/summary/shard1/0", []byte("bucket"), 0, true); err != nil {
+		t.Fatalf("Publish retained: %v", err)
+	}
+	if err := pub.Publish("config/dev1", []byte("v1"), 0, true); err != nil {
+		t.Fatalf("Publish retained: %v", err)
+	}
+	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_retained") == 2 })
+
+	var local collector
+	if err := bus.broker.SubscribeLocal("#", local.handler); err != nil {
+		t.Fatalf("SubscribeLocal: %v", err)
+	}
+	subscribe := func(client, filter string) *collector {
+		t.Helper()
+		var col collector
+		if err := bus.connect(client).Subscribe(filter, 0, col.handler); err != nil {
+			t.Fatalf("Subscribe %s: %v", filter, err)
+		}
+		return &col
+	}
+	all := subscribe("all", "#")
+	plus := subscribe("plus", "+/summary/#")
+	dollar := subscribe("dollar", "$cluster/#")
+	if got := dollar.waitFor(t, 1); got[0].Topic != "$cluster/summary/shard1/0" {
+		t.Fatalf("$cluster/# replayed %+v", got[0])
+	}
+	if got := all.waitFor(t, 1); got[0].Topic != "config/dev1" {
+		t.Fatalf("# replayed %+v", got[0])
+	}
+
+	if err := pub.Publish("$cluster/bridge/shard1/x", []byte("fwd"), 0, false); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	if err := pub.Publish("x", []byte("plain"), 0, false); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	dollar.waitFor(t, 2)
+	for _, m := range all.waitFor(t, 2) {
+		if m.Topic[0] == '$' {
+			t.Fatalf("# received %s", m.Topic)
+		}
+	}
+	for _, m := range local.waitFor(t, 1) {
+		if m.Topic[0] == '$' {
+			t.Fatalf("local # handler received %s", m.Topic)
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := plus.count(); n != 0 {
+		t.Fatalf("+/summary/# received %d messages, want 0", n)
+	}
+	if n := all.count(); n != 2 {
+		t.Fatalf("# received %d messages, want 2", n)
+	}
+	if n := local.count(); n != 1 {
+		t.Fatalf("local # handler received %d messages, want 1", n)
+	}
+}
+
 // TestRetainedReplayNeverOvertakesNewerPublish races SUBSCRIBE replays
 // against a stream of retained publishes on one topic: every session must
 // see the topic's values in publish order (repeats allowed), never an older

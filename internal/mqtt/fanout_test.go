@@ -12,11 +12,15 @@ import (
 )
 
 // splitTopicMatches is the historical strings.Split-based matcher that
-// TopicMatches replaced. It is kept here as the oracle: the index-walking
-// implementation and the subscription trie must both agree with it.
+// TopicMatches replaced, with the '$' rule [MQTT-4.7.2-1] added. It is
+// kept here as the oracle: the index-walking implementation and the
+// subscription trie must both agree with it.
 func splitTopicMatches(filter, topic string) bool {
 	fl := strings.Split(filter, "/")
 	tl := strings.Split(topic, "/")
+	if strings.HasPrefix(topic, "$") && (fl[0] == "+" || fl[0] == "#") {
+		return false
+	}
 	for i, f := range fl {
 		if f == "#" {
 			return true
@@ -41,6 +45,9 @@ func FuzzTopicMatchConsistency(f *testing.F) {
 		{"+/+", "a/b"}, {"#", ""}, {"+", "a"}, {"+", "a/b"},
 		{"a/+/c", "a//c"}, {"a/", "a/"}, {"/a", "/a"},
 		{"a/#/b", "a"}, {"sport/+", "sport"}, {"+/#", "x/y/z"},
+		{"#", "$SYS/x"}, {"+/summary/#", "$cluster/summary/s0/1"},
+		{"$cluster/summary/+/+", "$cluster/summary/s0/1"}, {"$cluster/#", "$cluster"},
+		{"+", "$"}, {"#", "a/$b"}, {"+a", "$a"},
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -68,55 +75,95 @@ func FuzzTopicMatchConsistency(f *testing.F) {
 // overlapping + and # filters: each filter independently replays every
 // retained message it matches (so overlap duplicates, exactly like a
 // linear scan per filter did), and replay within one filter is ordered by
-// topic name.
+// topic name. It also pins the store itself: a republished topic replaces
+// its value, an empty payload deletes exactly one topic (and deleting an
+// absent one is a no-op), and the retained gauge tracks the count.
 func TestRetainedReplayOverlappingWildcards(t *testing.T) {
 	bus := newTestBus(t)
 	pub := bus.connect("publisher")
-	retained := []struct{ topic, payload string }{
-		{"sensocial/us/state", "us-state"},
-		{"sensocial/eu/state", "eu-state"},
-		{"sensocial/eu/config", "eu-config"},
-	}
-	for _, r := range retained {
-		if err := pub.Publish(r.topic, []byte(r.payload), 0, true); err != nil {
-			t.Fatalf("Publish retained %s: %v", r.topic, err)
+	retain := func(topic, payload string) {
+		t.Helper()
+		if err := pub.Publish(topic, []byte(payload), 0, true); err != nil {
+			t.Fatalf("Publish retained %s: %v", topic, err)
 		}
 	}
-	waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_retained") == 3 })
+	retainedCount := func(n uint64) {
+		t.Helper()
+		waitUntil(t, func() bool { return bus.metrics.Sum("sensocial_mqtt_retained") == n })
+	}
+	for _, topic := range []string{
+		"sensocial/us/state", "sensocial/eu/state", "sensocial/eu/config",
+		"config/dev1", "config/dev2", "config/dev2/extra", "state/dev1", "config",
+	} {
+		retain(topic, "v:"+topic)
+	}
+	retain("config/dev1", "v2:config/dev1") // replace, not grow
+	retainedCount(8)
 
-	// Two late subscribers with overlapping filters: both index into the
-	// same trie paths, and each filter must replay exactly its own match
-	// set, sorted by topic.
-	cases := []struct {
-		client, filter string
-		want           []string
-	}{
-		{"late-plus", "sensocial/+/state", []string{"sensocial/eu/state", "sensocial/us/state"}},
-		{"late-hash", "sensocial/#", []string{"sensocial/eu/config", "sensocial/eu/state", "sensocial/us/state"}},
-	}
-	for _, c := range cases {
-		sub := bus.connect(c.client)
+	// Late subscribers, one per filter: each filter replays exactly its
+	// own match set, sorted by topic, with the retain flag and the
+	// latest value.
+	late := 0
+	replay := func(filter string, want ...string) {
+		t.Helper()
+		late++
+		sub := bus.connect(fmt.Sprintf("late-%d", late))
 		var col collector
-		if err := sub.Subscribe(c.filter, 0, col.handler); err != nil {
-			t.Fatalf("Subscribe %s: %v", c.filter, err)
+		if err := sub.Subscribe(filter, 0, col.handler); err != nil {
+			t.Fatalf("Subscribe %s: %v", filter, err)
 		}
-		msgs := col.waitFor(t, len(c.want))
+		msgs := col.waitFor(t, len(want))
 		var topics []string
 		for _, m := range msgs {
 			if !m.Retain {
 				t.Fatalf("replayed message lost its retain flag: %+v", m)
 			}
+			value := "v:" + m.Topic
+			if m.Topic == "config/dev1" {
+				value = "v2:config/dev1"
+			}
+			if string(m.Payload) != value {
+				t.Fatalf("filter %s replayed %s = %q, want %q", filter, m.Topic, m.Payload, value)
+			}
 			topics = append(topics, m.Topic)
 		}
-		if strings.Join(topics, ",") != strings.Join(c.want, ",") {
-			t.Fatalf("filter %s replay = %v, want %v", c.filter, topics, c.want)
+		if strings.Join(topics, ",") != strings.Join(want, ",") {
+			t.Fatalf("filter %s replay = %v, want %v", filter, topics, want)
 		}
 		// Replay is once per SUBSCRIBE: no stragglers follow.
 		time.Sleep(10 * time.Millisecond)
-		if col.count() != len(c.want) {
-			t.Fatalf("filter %s replayed %d messages, want %d", c.filter, col.count(), len(c.want))
+		if col.count() != len(want) {
+			t.Fatalf("filter %s replayed %d messages, want %d", filter, col.count(), len(want))
 		}
 	}
+	replay("sensocial/+/state", "sensocial/eu/state", "sensocial/us/state")
+	replay("sensocial/#", "sensocial/eu/config", "sensocial/eu/state", "sensocial/us/state")
+	replay("config/+", "config/dev1", "config/dev2")
+	replay("config/#", "config", "config/dev1", "config/dev2", "config/dev2/extra")
+	replay("#", "config", "config/dev1", "config/dev2", "config/dev2/extra", "sensocial/eu/config",
+		"sensocial/eu/state", "sensocial/us/state", "state/dev1")
+	replay("+/dev1", "config/dev1", "state/dev1")
+	replay("config/dev1", "config/dev1")
+	replay("nothing/+")
+
+	// Deleting config/dev2 leaves config/dev2/extra reachable, and a
+	// second delete is a no-op: once the marker published after it is
+	// stored, the count is back to 8.
+	retain("config/dev2", "")
+	retainedCount(7)
+	retain("config/dev2", "")
+	retain("marker", "v:marker")
+	retainedCount(8)
+	replay("config/#", "config", "config/dev1", "config/dev2/extra")
+
+	for _, topic := range []string{
+		"sensocial/us/state", "sensocial/eu/state", "sensocial/eu/config",
+		"config/dev1", "config/dev2/extra", "state/dev1", "config", "marker",
+	} {
+		retain(topic, "")
+	}
+	retainedCount(0)
+	replay("#")
 }
 
 // TestFanoutPreservesPerSessionOrder pins that handing deliveries to a

@@ -6,7 +6,7 @@ package mqtt
 // unacked QoS 1 publishes with the DUP flag set.
 //
 // The store is a write-through mirror: the broker keeps serving from its
-// own in-memory structures (retained trie, per-session sub maps) and calls
+// own in-memory structures (retained map, per-session sub maps) and calls
 // the store on every state transition; on restart the mirror reseeds
 // those structures. All methods are safe for concurrent use; appends
 // happen under the store lock, so journal order equals application order.
@@ -28,9 +28,6 @@ import (
 type SessionStoreOptions struct {
 	// Clock feeds the WAL's recovery-duration metric.
 	Clock vclock.Clock
-	// SegmentBytes and RetainSnapshots pass through to wal.Options.
-	SegmentBytes    int
-	RetainSnapshots int
 	// Metrics shares WAL counters with the rest of the deployment.
 	Metrics *wal.Metrics
 	// CheckpointEvery compacts the journal after this many records
@@ -91,10 +88,8 @@ const (
 // OpenSessionStore recovers (or creates) a session store in dir.
 func OpenSessionStore(dir string, opts SessionStoreOptions) (*SessionStore, error) {
 	l, rec, err := wal.Open(dir, wal.Options{
-		Clock:           opts.Clock,
-		SegmentBytes:    opts.SegmentBytes,
-		RetainSnapshots: opts.RetainSnapshots,
-		Metrics:         opts.Metrics,
+		Clock:   opts.Clock,
+		Metrics: opts.Metrics,
 	})
 	if err != nil {
 		return nil, err

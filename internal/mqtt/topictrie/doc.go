@@ -1,5 +1,5 @@
-// Package topictrie indexes MQTT topic filters and topic names for the
-// broker's hot path. It provides three pieces:
+// Package topictrie indexes MQTT topic filters for the broker's hot path.
+// It provides two pieces:
 //
 //   - Matches, an allocation-free single-filter matcher that walks topic
 //     levels with index arithmetic instead of strings.Split;
@@ -7,11 +7,10 @@
 //     with `+`/`#` wildcard edges. Readers are lock-free: the root is an
 //     atomic pointer to an immutable node graph and every mutation
 //     copies the touched path (copy-on-write), so matching a publish
-//     never blocks on subscribe/unsubscribe traffic;
-//   - TopicTrie, a mutable index over concrete topic names (the broker's
-//     retained-message store) answering the reverse question — which
-//     stored topics match a subscription filter — without scanning every
-//     retained message.
+//     never blocks on subscribe/unsubscribe traffic.
+//
+// Both follow MQTT 3.1.1 §4.7, including [MQTT-4.7.2-1]: a filter whose
+// first level is a wildcard does not match a topic beginning with '$'.
 //
 // The package is pure data structure: no clocks, no I/O, no in-module
 // imports, so it sits at the bottom of the layering DAG next to geo and

@@ -227,7 +227,18 @@ func remove[T any](n *node[T], filter string, pos int, pred func(T) bool) (*node
 // makes the steady-state match allocation-free.
 func (t *FilterTrie[T]) Match(topic string, dst []T) ([]T, int) {
 	m := matcher[T]{topic: topic, dst: dst}
-	m.walk(t.root.Load(), 0, false)
+	root := t.root.Load()
+	if !isDollar(topic) {
+		m.walk(root, 0, false)
+		return m.dst, m.visited
+	}
+	// A '$' topic skips the root's `#` entries and `+` edge
+	// [MQTT-4.7.2-1]: only filters spelling out the first level match it.
+	m.visited++
+	seg, next, more := NextLevel(topic, 0)
+	if child := root.children[seg]; child != nil {
+		m.walk(child, next, !more)
+	}
 	return m.dst, m.visited
 }
 

@@ -17,10 +17,17 @@ func NextLevel(s string, pos int) (level string, next int, more bool) {
 
 // Matches reports whether a concrete topic name matches a subscription
 // filter (MQTT 3.1.1 §4.7): `+` matches exactly one level, a trailing `#`
-// matches the remaining levels including the parent level itself. The
-// walk is allocation-free and byte-for-byte equivalent to the historical
-// strings.Split implementation for every input, valid or not.
+// matches the remaining levels including the parent level itself, and a
+// filter whose first level is a wildcard does not match a topic beginning
+// with '$' [MQTT-4.7.2-1]. The walk is allocation-free and byte-for-byte
+// equivalent to the strings.Split oracle in the tests for every input,
+// valid or not.
 func Matches(filter, topic string) bool {
+	if isDollar(topic) {
+		if first, _, _ := NextLevel(filter, 0); first == "+" || first == "#" {
+			return false
+		}
+	}
 	fi, ti := 0, 0
 	tDone := false // no topic level left to consume
 	for {
@@ -42,3 +49,7 @@ func Matches(filter, topic string) bool {
 		fi = fnext
 	}
 }
+
+// isDollar reports whether topic is a '$' topic (broker-internal control
+// traffic), which no filter starting with a wildcard matches.
+func isDollar(topic string) bool { return len(topic) > 0 && topic[0] == '$' }

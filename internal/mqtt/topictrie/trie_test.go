@@ -8,11 +8,15 @@ import (
 	"testing"
 )
 
-// splitMatches is the historical strings.Split-based matcher; Matches and
-// FilterTrie must agree with it (see also the package mqtt fuzz test).
+// splitMatches is the historical strings.Split-based matcher with the
+// '$' rule [MQTT-4.7.2-1] added; Matches and FilterTrie must agree with it
+// (see also the package mqtt fuzz test).
 func splitMatches(filter, topic string) bool {
 	fl := strings.Split(filter, "/")
 	tl := strings.Split(topic, "/")
+	if strings.HasPrefix(topic, "$") && (fl[0] == "+" || fl[0] == "#") {
+		return false
+	}
 	for i, f := range fl {
 		if f == "#" {
 			return true
@@ -48,8 +52,8 @@ func TestNextLevelMirrorsSplit(t *testing.T) {
 }
 
 func TestMatchesAgainstSplit(t *testing.T) {
-	filters := []string{"a/b/c", "a/b", "a/+/c", "a/+/+", "+", "#", "a/#", "a/b/#", "+/+/#", "a", "", "a/", "/a", "+/#", "a/#/b", "x"}
-	topics := []string{"a/b/c", "a/b", "a", "a/b/c/d", "b", "", "a/", "/a", "a//c", "x"}
+	filters := []string{"a/b/c", "a/b", "a/+/c", "a/+/+", "+", "#", "a/#", "a/b/#", "+/+/#", "a", "", "a/", "/a", "+/#", "a/#/b", "x", "$a/#", "$a/+", "$a", "+a", "#/a"}
+	topics := []string{"a/b/c", "a/b", "a", "a/b/c/d", "b", "", "a/", "/a", "a//c", "x", "$a", "$a/b", "$", "+a", "#/a"}
 	for _, f := range filters {
 		for _, tp := range topics {
 			if got, want := Matches(f, tp), splitMatches(f, tp); got != want {
@@ -67,7 +71,7 @@ func matchSorted(tr *FilterTrie[string], topic string) []string {
 }
 
 func TestFilterTrieMatchesLikeLinearScan(t *testing.T) {
-	filters := []string{"a/b/c", "a/b", "a/+/c", "a/+/+", "+", "#", "a/#", "a/b/#", "+/+/#", "a", "x/y"}
+	filters := []string{"a/b/c", "a/b", "a/+/c", "a/+/+", "+", "#", "a/#", "a/b/#", "+/+/#", "a", "x/y", "$x/#", "$x/+", "$x/y"}
 	tr := NewFilterTrie[string]()
 	for _, f := range filters {
 		tr.Subscribe(f, f)
@@ -75,7 +79,7 @@ func TestFilterTrieMatchesLikeLinearScan(t *testing.T) {
 	if tr.Len() != len(filters) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(filters))
 	}
-	for _, topic := range []string{"a/b/c", "a/b", "a", "a/b/c/d", "b", "x/y", "a//c", "a/"} {
+	for _, topic := range []string{"a/b/c", "a/b", "a", "a/b/c/d", "b", "x/y", "a//c", "a/", "$x", "$x/y", "$x/y/z"} {
 		var want []string
 		for _, f := range filters {
 			if splitMatches(f, topic) {
@@ -173,56 +177,6 @@ func TestFilterTrieSnapshotReads(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-}
-
-func TestTopicTrieSetDeleteMatch(t *testing.T) {
-	tr := NewTopicTrie[string]()
-	topics := []string{"config/dev1", "config/dev2", "config/dev2/extra", "state/dev1", "config"}
-	for _, tp := range topics {
-		tr.Set(tp, "v:"+tp)
-	}
-	tr.Set("config/dev1", "v2:config/dev1") // replace, not grow
-	if tr.Len() != len(topics) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(topics))
-	}
-	cases := []struct {
-		filter string
-		want   []string
-	}{
-		{"config/+", []string{"config/dev1", "config/dev2"}},
-		{"config/#", []string{"config", "config/dev1", "config/dev2", "config/dev2/extra"}},
-		{"#", []string{"config", "config/dev1", "config/dev2", "config/dev2/extra", "state/dev1"}},
-		{"+/dev1", []string{"config/dev1", "state/dev1"}},
-		{"config/dev2", []string{"config/dev2"}},
-		{"nothing/+", nil},
-	}
-	for _, c := range cases {
-		got := tr.MatchFilter(c.filter)
-		var gotTopics []string
-		for _, e := range got {
-			gotTopics = append(gotTopics, e.Topic)
-		}
-		if strings.Join(gotTopics, ",") != strings.Join(c.want, ",") {
-			t.Errorf("MatchFilter(%q) = %v, want %v", c.filter, gotTopics, c.want)
-		}
-	}
-	if got := tr.MatchFilter("config/dev1"); len(got) != 1 || got[0].Value != "v2:config/dev1" {
-		t.Fatalf("replaced value = %+v", got)
-	}
-	tr.Delete("config/dev2") // leaves config/dev2/extra reachable
-	tr.Delete("config/dev2") // idempotent
-	if got := tr.MatchFilter("config/#"); len(got) != 3 {
-		t.Fatalf("after delete MatchFilter = %+v", got)
-	}
-	for _, tp := range []string{"config/dev1", "config/dev2/extra", "state/dev1", "config"} {
-		tr.Delete(tp)
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", tr.Len())
-	}
-	if tr.root.children != nil {
-		t.Fatalf("root children not pruned: %v", tr.root.children)
-	}
 }
 
 func BenchmarkFilterTrieMatch(b *testing.B) {

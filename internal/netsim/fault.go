@@ -311,11 +311,10 @@ type EngineOptions struct {
 	OnFault func(f Fault)
 }
 
-// FaultEngine drives a Schedule against a Network on the virtual clock. On
-// an EventScheduler clock (vclock.Manual) faults run synchronously inside
-// Advance in deterministic (deadline, sequence) order, which is what makes
-// chaos runs byte-replayable; on other clocks a single goroutine replays
-// the schedule on timers.
+// FaultEngine drives a Schedule against a Network on the virtual clock,
+// which must be a vclock.EventScheduler (vclock.Manual): faults run
+// synchronously inside Advance in deterministic (deadline, sequence)
+// order, which is what makes chaos runs byte-replayable.
 type FaultEngine struct {
 	net   *Network
 	clock vclock.Clock
@@ -326,9 +325,6 @@ type FaultEngine struct {
 	started bool
 	stopped bool
 	events  []vclock.Event
-
-	done chan struct{}
-	wg   sync.WaitGroup
 }
 
 // NewFaultEngine binds a schedule to a network. Start arms it.
@@ -339,11 +335,16 @@ func NewFaultEngine(n *Network, clock vclock.Clock, sched *Schedule, opts Engine
 	if sched == nil || len(sched.Faults) == 0 {
 		return nil, fmt.Errorf("netsim: fault engine: empty schedule")
 	}
-	return &FaultEngine{net: n, clock: clock, sched: sched, opts: opts, done: make(chan struct{})}, nil
+	return &FaultEngine{net: n, clock: clock, sched: sched, opts: opts}, nil
 }
 
-// Start arms every fault at now+At. Safe to call once.
+// Start arms every fault at now+At. Safe to call once; it fails on a
+// clock that does not schedule events.
 func (e *FaultEngine) Start() error {
+	sched, ok := e.clock.(vclock.EventScheduler)
+	if !ok {
+		return fmt.Errorf("netsim: fault engine: clock %T does not schedule events", e.clock)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.started {
@@ -351,42 +352,17 @@ func (e *FaultEngine) Start() error {
 	}
 	e.started = true
 	base := e.clock.Now()
-	if sched, ok := e.clock.(vclock.EventScheduler); ok {
-		for _, f := range e.sched.Faults {
-			f := f
-			e.events = append(e.events, sched.Schedule(base.Add(f.At), func(time.Time) {
-				e.apply(f)
-			}))
-		}
-		return nil
+	for _, f := range e.sched.Faults {
+		f := f
+		e.events = append(e.events, sched.Schedule(base.Add(f.At), func(time.Time) {
+			e.apply(f)
+		}))
 	}
-	e.wg.Add(1)
-	go e.loop(base)
 	return nil
 }
 
-// loop is the fallback driver for clocks without an event scheduler.
-func (e *FaultEngine) loop(base time.Time) {
-	defer e.wg.Done()
-	for _, f := range e.sched.Faults {
-		d := base.Add(f.At).Sub(e.clock.Now())
-		if d < 0 {
-			d = 0
-		}
-		t := e.clock.NewTimer(d)
-		select {
-		case <-t.C():
-			e.apply(f)
-		case <-e.done:
-			t.Stop()
-			return
-		}
-	}
-}
-
-// Stop disarms pending faults and joins the fallback goroutine. Applied
-// fault state (partitions, overrides) is left in place; call Network.Heal
-// to clear it.
+// Stop disarms pending faults. Applied fault state (partitions, overrides)
+// is left in place; call Network.Heal to clear it.
 func (e *FaultEngine) Stop() {
 	e.mu.Lock()
 	if e.stopped {
@@ -399,8 +375,6 @@ func (e *FaultEngine) Stop() {
 	for _, ev := range events {
 		ev.Stop()
 	}
-	close(e.done)
-	e.wg.Wait()
 }
 
 // apply executes one schedule entry. What it did is counted on the fabric's

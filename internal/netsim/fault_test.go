@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +266,25 @@ func TestResetConnsChurn(t *testing.T) {
 	}
 	if _, err := conns[2].Write([]byte("x")); err != nil {
 		t.Fatalf("unmatched conn reset by churn: %v", err)
+	}
+}
+
+// TestFaultEngineRequiresEventScheduler: faults are events on the
+// deployment clock, so a clock that cannot schedule them is refused.
+func TestFaultEngineRequiresEventScheduler(t *testing.T) {
+	sched, err := ParseSchedule("engine", "@1m heal\n")
+	if err != nil {
+		t.Fatalf("ParseSchedule: %v", err)
+	}
+	clock := vclock.NewReal()
+	n := NewNetwork(clock, 1)
+	defer n.Close()
+	eng, err := NewFaultEngine(n, clock, sched, EngineOptions{})
+	if err != nil {
+		t.Fatalf("NewFaultEngine: %v", err)
+	}
+	if err := eng.Start(); err == nil || !strings.Contains(err.Error(), "does not schedule events") {
+		t.Fatalf("Start on a real clock = %v, want a refusal", err)
 	}
 }
 

@@ -119,6 +119,85 @@ func TestLatencyIsApplied(t *testing.T) {
 	}
 }
 
+// armDriftClock is a manual clock that moves by drift the first time a
+// reader arms a wait on it once armed is set: after the reader has read
+// the time and before its wait is filed, the interleaving a simulation
+// advancing on another goroutine produces.
+type armDriftClock struct {
+	*vclock.Manual
+	drift time.Duration
+	armed sync.Once
+	ready chan struct{}
+}
+
+func (c *armDriftClock) move() {
+	select {
+	case <-c.ready:
+		c.armed.Do(func() { c.Manual.Advance(c.drift) })
+	default:
+	}
+}
+
+func (c *armDriftClock) NewTimer(d time.Duration) vclock.Timer {
+	c.move()
+	return c.Manual.NewTimer(d)
+}
+
+func (c *armDriftClock) Schedule(at time.Time, fn func(time.Time)) vclock.Event {
+	c.move()
+	return c.Manual.Schedule(at, fn)
+}
+
+// TestReadNotStrandedByClockMovingWhileArming: a chunk whose stamp the
+// clock reaches while its reader is arming the wait is delivered, although
+// the clock then stays parked. A wait armed relative to the time read
+// before the clock moved would fire one drift too late, that is never.
+func TestReadNotStrandedByClockMovingWhileArming(t *testing.T) {
+	clock := &armDriftClock{
+		Manual: vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC)),
+		drift:  50 * time.Millisecond,
+		ready:  make(chan struct{}),
+	}
+	n := NewNetwork(clock, 1)
+	defer n.Close()
+	n.SetDefaultLink(Link{Latency: 50 * time.Millisecond})
+	l, err := n.Listen("server:1")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer l.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := l.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	c, err := n.Dial("mobile", "server:1")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	srv := <-accepted
+	defer srv.Close()
+	if _, err := c.Write([]byte("x")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	close(clock.ready)
+	read := make(chan error, 1)
+	go func() {
+		_, err := srv.Read(make([]byte, 1))
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Read stranded: the chunk's stamp has passed on the parked clock")
+	}
+}
+
 func TestPerHostLinkOverride(t *testing.T) {
 	n := newTestNetwork(t)
 	n.SetDefaultLink(Link{})

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/energy"
 	"repro/internal/mqtt"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -249,7 +248,7 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 	return &DevicePool{
 		clock:   s.Clock,
 		fabric:  s.Fabric,
-		charger: device.NewBulkCharger(energy.CostModel{}, s.fleetMetrics),
+		charger: device.NewBulkCharger(s.fleetMetrics),
 
 		addrs:    addrs,
 		perShard: perShard,

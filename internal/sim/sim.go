@@ -84,10 +84,9 @@ type Options struct {
 	ServerProcessingJitter time.Duration
 	// PersistItems stores received items in the document store.
 	PersistItems bool
-	// IngestShards and IngestQueueDepth size each server's sharded ingest
-	// pipeline (zero keeps the server defaults).
-	IngestShards     int
-	IngestQueueDepth int
+	// IngestShards sizes each server's sharded ingest pipeline (zero keeps
+	// the server default).
+	IngestShards int
 	// ActionTap, when set, observes every OSN action at the moment the
 	// server receives it (the Table 3 experiment timestamps server
 	// receipt with it).
@@ -224,7 +223,6 @@ func New(opts Options) (*Simulation, error) {
 			ProcessingJitter: opts.ServerProcessingJitter,
 			PersistItems:     opts.PersistItems,
 			IngestShards:     opts.IngestShards,
-			IngestQueueDepth: opts.IngestQueueDepth,
 			TraceCapacity:    opts.TraceCapacity,
 			DurableDir:       opts.DurableDir,
 		})
@@ -281,7 +279,7 @@ func New(opts Options) (*Simulation, error) {
 	if s.FBPlugin, err = osn.NewPushPlugin(s.Facebook, opts.Clock, fbDelay, opts.Seed+2, deliver); err != nil {
 		return fail(err)
 	}
-	if s.TWPlugin, err = osn.NewPollPlugin(s.Twitter, opts.Clock, opts.TwitterPollPeriod, opts.Clock.Now(), toOwner); err != nil {
+	if s.TWPlugin, err = osn.NewPollPlugin(s.Twitter, opts.Clock, opts.TwitterPollPeriod, opts.Clock.Now(), deliver); err != nil {
 		return fail(err)
 	}
 	return s, nil

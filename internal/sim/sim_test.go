@@ -352,3 +352,46 @@ func TestTwitterPollDelayShorterThanFacebook(t *testing.T) {
 		t.Fatalf("facebook delay %v, want ~46 s", delays["facebook"])
 	}
 }
+
+// TestActionTapSeesTwitterActions: the tap observes every OSN action on
+// its way to the owning server, the poll plug-in's (Twitter) as well as
+// the push plug-in's (Facebook).
+func TestActionTapSeesTwitterActions(t *testing.T) {
+	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
+	tapped := make(chan osn.Action, 4)
+	s, err := New(Options{
+		Clock:             clock,
+		Seed:              1,
+		TwitterPollPeriod: time.Second,
+		ActionTap:         func(a osn.Action) { tapped <- a },
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	if err := s.Graph.AddUser("alice"); err != nil {
+		t.Fatalf("AddUser: %v", err)
+	}
+	s.TWPlugin.RegisterUser("alice", clock.Now())
+	clock.Advance(time.Second)
+	tweet, err := s.Twitter.Record("alice", osn.ActionTweet, "quick tweet", clock.Now())
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	for step := 0; ; step++ {
+		if step == 100 {
+			t.Fatal("tweet never reached the action tap")
+		}
+		// The poll loop runs on its own goroutine; step virtual time until
+		// its ticker has fired after the tweet.
+		clock.Advance(time.Second)
+		select {
+		case a := <-tapped:
+			if a.ID != tweet.ID || a.Network != "twitter" {
+				t.Fatalf("tap saw %+v, want the tweet %+v", a, tweet)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
