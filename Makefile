@@ -67,13 +67,15 @@ bench-smoke:
 bench-e2e-smoke:
 	$(GO) run ./bench -short
 
-# Short coverage-guided runs of the wire-format fuzzer, the topic-trie
-# match cross-check, the netsim lifecycle fuzzer, the WAL replay fuzzer and
-# the document-record codec fuzzer: catches decode panics, trie/matcher
-# divergence, fabric deadlocks under fault/close interleavings and records
-# that do not read back as written, without a dedicated fuzz farm.
+# Short coverage-guided runs of the item-format fuzzer, the MQTT wire codec
+# fuzzer, the topic-trie match cross-check, the netsim lifecycle fuzzer, the
+# WAL replay fuzzer and the document-record codec fuzzer: catches decode
+# panics, frames that do not read back as written, trie/matcher divergence,
+# fabric deadlocks under fault/close interleavings and records that do not
+# read back as written, without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketRoundTrip$$' -fuzztime 10s ./internal/mqtt
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatchConsistency$$' -fuzztime 10s ./internal/mqtt
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricLifecycle$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal

@@ -145,6 +145,14 @@ func scribble(v any) {
 
 func TestDifferentialAgainstMapStore(t *testing.T) {
 	cities := []string{"Paris", "Lyon", "Rome"}
+	// Raw payloads over symMax bytes: two accelerometer windows and a short
+	// array, which are packed, and a location fix, which stays inline.
+	raws := []string{
+		accelPayload(rand.New(rand.NewSource(1))),
+		accelPayload(rand.New(rand.NewSource(2))),
+		"[12,-3,4.5,6,7,8,9,10,11,12,13,14,15,16,17]",
+		`{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`,
+	}
 	// Each mix is the cumulative odds, out of 20, of insert, upsert, update,
 	// delete, find, get, hash index and geo index. The churn mix rewrites
 	// and deletes enough to compact the slabs and renumber the slots, which
@@ -163,6 +171,7 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 
 		pickID := func() string { return fmt.Sprintf("id%02d", rng.Intn(40)) }
 		city := func() string { return cities[rng.Intn(len(cities))] }
+		raw := func() string { return raws[rng.Intn(len(raws))] }
 		newDoc := func() Doc {
 			unique++
 			d := Doc{"u": unique, "n": rng.Intn(10), "ratio": float32(rng.Intn(4)) / 4, "at": int64(rng.Intn(1000))}
@@ -178,10 +187,13 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				d["nested"] = Doc{"a": Doc{"b": rng.Intn(5)}}
 			}
+			if rng.Intn(3) == 0 {
+				d["raw"] = raw()
+			}
 			return d
 		}
 		query := func() Doc {
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0:
 				return nil
 			case 1:
@@ -204,12 +216,14 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				return Doc{"nested": Doc{"a": Doc{"b": rng.Intn(5)}}}
 			case 10:
 				return Doc{"city": city(), "loc": Doc{"$near": Doc{"lat": 48.9, "lon": 2.4, "$maxDistance": float64(1000 + rng.Intn(20000))}}}
+			case 11:
+				return Doc{"raw": raw()}
 			default:
 				return Doc{"n": rng.Intn(10)}
 			}
 		}
 		spec := func() Doc {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				return Doc{"$set": Doc{"city": city()}}
 			case 1:
@@ -220,6 +234,8 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 				return Doc{"$set": Doc{"city": []any{city(), city()}, "tags": []any{Doc{"k": []any{city()}}}}}
 			case 4: // a point no longer: the geo index lets the document go
 				return Doc{"$set": Doc{"loc": nil, "ratio": float32(9)}}
+			case 5:
+				return Doc{"$set": Doc{"raw": raw()}}
 			default:
 				return Doc{"$set": Doc{"at": int64(rng.Intn(1000)), "loc": Doc{"lat": 48.8 + float64(rng.Intn(40))/100, "lon": 2.3}}}
 			}
@@ -292,7 +308,7 @@ func TestDifferentialAgainstMapStore(t *testing.T) {
 					scribble(got)
 				}
 			case k < mix[6]:
-				path := []string{"city", "n", "tags", "nested"}[rng.Intn(4)]
+				path := []string{"city", "n", "tags", "nested", "raw"}[rng.Intn(5)]
 				if err := c.CreateIndex(path); err != nil {
 					t.Fatalf("%s: CreateIndex(%q): %v", what, path, err)
 				}

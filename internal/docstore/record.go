@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"strings"
 	"sync"
 )
 
@@ -33,6 +34,7 @@ import (
 //	uint, uint32, uint64              uvarint
 //	float32, float64                  IEEE 754 bits, little endian
 //	string of 1 to symMax bytes       uvarint(dictionary offset) (kindSym)
+//	longer string, mostly numeric     uvarint(len) codes (kindPacked)
 //	any other string                  uvarint(len) bytes
 //	[]any                             uvarint(len) value...
 //	map[string]any                    doc
@@ -55,6 +57,7 @@ const (
 	kindArray
 	kindDoc
 	kindSym
+	kindPacked
 )
 
 // maxDepth bounds container nesting at what encoding/json accepts: a deeper
@@ -360,6 +363,11 @@ func (e *encoder) appendValue(buf []byte, v any, depth int) ([]byte, *valueError
 				return binary.AppendUvarint(append(buf, kindSym), off), nil
 			}
 		}
+		if len(x) > symMax {
+			if packed, ok := appendPacked(buf, x); ok {
+				return packed, nil
+			}
+		}
 		buf = binary.AppendUvarint(append(buf, kindString), uint64(len(x)))
 		return append(buf, x...), nil
 	case []any:
@@ -385,6 +393,77 @@ func (e *encoder) appendValue(buf []byte, v any, depth int) ([]byte, *valueError
 	default:
 		return buf, &valueError{what: fmt.Sprintf("unsupported value type %T", v)}
 	}
+}
+
+// Packed strings
+//
+// A string too long for the dictionary that is mostly numeric text, as a
+// raw sensor window's JSON integer arrays are, is stored at four bits a
+// byte (kindPacked):
+//
+//	packed := uvarint(len) codes
+//
+// Codes 0 to 14 stand for the bytes of packAlphabet; code 15 escapes any
+// other byte, whose high and low nibbles follow it as two more codes.
+// Codes fill each byte high nibble first, and an odd count ends with a
+// zero nibble. A string is packed only when its codes take at most three
+// quarters of its length; otherwise it stays kindString, so text that is
+// mostly letters (a location fix) is never stored larger than inline.
+const (
+	packAlphabet = `0123456789,-.":`
+	packEscape   = 15
+)
+
+// packCode maps a byte to its code: its index in packAlphabet, or
+// packEscape.
+var packCode = func() (t [256]byte) {
+	for i := range t {
+		t[i] = packEscape
+	}
+	for k := 0; k < len(packAlphabet); k++ {
+		t[packAlphabet[k]] = byte(k)
+	}
+	return t
+}()
+
+// maxEscapes is how many escaped bytes a string of n > symMax bytes may
+// hold and still pack: (n + 2·escapes + 1) / 2 bytes of codes at most n·3/4.
+func maxEscapes(n int) int { return (n*3/4*2 - n) / 2 }
+
+// appendPacked appends s as kindPacked, or returns buf as it was and false
+// once s holds more escaped bytes than maxEscapes allows. Codes collect in
+// acc and go out four bytes at a time.
+//
+//sensolint:hotpath
+func appendPacked(buf []byte, s string) ([]byte, bool) {
+	mark := len(buf)
+	buf = binary.AppendUvarint(append(buf, kindPacked), uint64(len(s)))
+	escapes, budget := 0, maxEscapes(len(s))
+	var acc uint64 // the low n bits are codes not yet written
+	n := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if k := packCode[c]; k != packEscape {
+			acc, n = acc<<4|uint64(k), n+4
+		} else {
+			if escapes == budget {
+				return buf[:mark], false
+			}
+			escapes++
+			acc, n = acc<<12|packEscape<<8|uint64(c), n+12
+		}
+		if n >= 32 {
+			n -= 32
+			buf = binary.BigEndian.AppendUint32(buf, uint32(acc>>n))
+		}
+	}
+	for ; n >= 8; n -= 8 {
+		buf = append(buf, byte(acc>>(n-8)))
+	}
+	if n == 4 {
+		buf = append(buf, byte(acc<<4)) // a zero nibble pads the last byte
+	}
+	return buf, true
 }
 
 // decode rebuilds the document filed under id as a fresh Doc sharing
@@ -497,6 +576,76 @@ func (r *recordReader) symbol(off uint64) string {
 	return ""
 }
 
+// packPairs maps a byte of two codes, neither of them packEscape, to the
+// two bytes they stand for.
+var packPairs = func() (t [256][2]byte) {
+	for hi := 0; hi < packEscape; hi++ {
+		for lo := 0; lo < packEscape; lo++ {
+			t[hi<<4|lo] = [2]byte{packAlphabet[hi], packAlphabet[lo]}
+		}
+	}
+	return t
+}()
+
+// nibble returns the i-th code of codes, high nibbles first.
+func nibble(codes []byte, i int) byte { return codes[i>>1] >> (4 - 4*(i&1)) & 0x0f }
+
+// packed reads a kindPacked payload into one fresh string. It fails if the
+// codes run past the record, an escape is cut off, or the codes hold more
+// than the declared length (a last nibble that is not zero padding).
+func (r *recordReader) packed() string {
+	n := r.uvarint()
+	codes := r.b
+	if n > 2*uint64(len(codes)) { // a byte takes at least one code
+		r.fail()
+		return ""
+	}
+	var sb strings.Builder
+	sb.Grow(int(n))
+	var chunk [256]byte
+	k, i, end := 0, 0, 2*len(codes) // i and end count codes
+	for n > 0 {
+		if k >= len(chunk)-1 {
+			sb.Write(chunk[:k])
+			k = 0
+		}
+		// Two codes at once while they fill a whole byte and neither escapes.
+		if i&1 == 0 && n >= 2 && i < end {
+			if b := codes[i>>1]; b < packEscape<<4 && b&0x0f != packEscape {
+				p := packPairs[b]
+				chunk[k], chunk[k+1] = p[0], p[1]
+				k, i, n = k+2, i+2, n-2
+				continue
+			}
+		}
+		if i == end {
+			r.fail()
+			return ""
+		}
+		c := nibble(codes, i)
+		i++
+		if c == packEscape {
+			if end-i < 2 {
+				r.fail()
+				return ""
+			}
+			c = nibble(codes, i)<<4 | nibble(codes, i+1)
+			i += 2
+		} else {
+			c = packAlphabet[c]
+		}
+		chunk[k] = c
+		k, n = k+1, n-1
+	}
+	if i&1 == 1 && nibble(codes, i) != 0 {
+		r.fail()
+		return ""
+	}
+	sb.Write(chunk[:k])
+	r.b = codes[(i+1)/2:]
+	return sb.String()
+}
+
 func (r *recordReader) value(depth int) any {
 	kind := r.take(1)
 	if kind == nil {
@@ -533,6 +682,8 @@ func (r *recordReader) value(depth int) any {
 		return string(r.take(r.uvarint()))
 	case kindSym:
 		return r.symbol(r.uvarint())
+	case kindPacked:
+		return r.packed()
 	case kindArray:
 		n := r.uvarint()
 		if n > uint64(len(r.b)) || depth > maxDepth { // an element is at least a kind

@@ -3,15 +3,19 @@ package docstore
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // docGen turns fuzz bytes into nested documents of every storable kind. Its
 // strings run from 0 to 64 bytes, either side of symMax, and it reuses the
-// ones it has made, so documents share dictionary values.
+// ones it has made, so documents share dictionary values. Its numeric text
+// runs from 33 to 2 000 bytes, some pure and some mixed with other bytes,
+// so it is packed or written inline depending on the mix.
 type docGen struct {
 	b    []byte
 	strs []string
@@ -47,6 +51,25 @@ func (g *docGen) str() string {
 	return sb.String()
 }
 
+// numeric returns 33 to 2 000 bytes drawn from packAlphabet, each replaced
+// by an arbitrary byte with odds set by the fuzz input (none at all for a
+// zero). A few input bytes seed the text, so long strings cost little input.
+func (g *docGen) numeric() string {
+	n := 33 + int(uint16(g.next())<<8|uint16(g.next()))%1968
+	mixed := int(g.next())
+	h := g.u64()
+	b := make([]byte, n)
+	for i := range b {
+		h = h*6364136223846793005 + 1442695040888963407
+		x := h >> 33
+		b[i] = packAlphabet[x%uint64(len(packAlphabet))]
+		if int(x>>8&0xff) < mixed {
+			b[i] = byte(x >> 16)
+		}
+	}
+	return string(b)
+}
+
 func (g *docGen) doc(depth int) Doc {
 	d := Doc{}
 	for i, n := 0, int(g.next()%5); i < n; i++ {
@@ -56,7 +79,7 @@ func (g *docGen) doc(depth int) Doc {
 }
 
 func (g *docGen) value(depth int) any {
-	kind := g.next() % 14
+	kind := g.next() % 15
 	if depth > 4 && kind >= 12 {
 		kind %= 12
 	}
@@ -95,6 +118,8 @@ func (g *docGen) value(depth int) any {
 			arr[i] = g.value(depth + 1)
 		}
 		return arr
+	case 13:
+		return g.numeric()
 	default:
 		return g.doc(depth)
 	}
@@ -108,6 +133,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 0, kindSym, 0x80, 0x20})        // value ref past the dictionary
 	f.Add([]byte{2, 0, kindSym, 0, 1, kindSym, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{3, 1, 10, 1, 40, 2, 1, 11, 0, 3, 1, 10, 0, 0})
+	f.Add([]byte{1, 0, 13, 7, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}) // pure numeric text
+	f.Add([]byte{2, 1, 13, 1, 200, 60, 9, 9, 9, 9, 9, 9, 9, 9, 0, 13, 0, 40, 255, 1, 2})
+	for _, rec := range packedCorrupt {
+		f.Add(rec)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys := tableWithNames(16) // the names the generator uses, so raw refs 0..15 resolve
 
@@ -301,17 +331,26 @@ func TestUniqueShortStringsCostBounded(t *testing.T) {
 // there was a dictionary (2).
 func TestInsertOfKnownValuesAllocates(t *testing.T) {
 	c := NewStore().Collection("items")
-	doc := itemDoc(1)
-	if _, err := c.Insert(doc); err != nil {
-		t.Fatal(err)
+	// A classified item, and a raw accelerometer window whose payload is
+	// written as kindPacked. The window's record is the larger, so a fresh
+	// scratch buffer grows more times to hold it, and the race detector
+	// drops sync.Pool puts by design: there it is left out.
+	docs := []Doc{itemDoc(1), itemDoc(7)}
+	if raceEnabled {
+		docs = docs[:1]
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
+	for _, doc := range docs {
 		if _, err := c.Insert(doc); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("Insert of known names and values: %.1f allocs, want <= 2", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := c.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("Insert of known names and values (%s): %.1f allocs, want <= 2", doc["granularity"], allocs)
+		}
 	}
 }
 
@@ -352,4 +391,118 @@ func TestSymbolAdmissionRacesReaders(t *testing.T) {
 	}
 	close(inserted)
 	<-done
+}
+
+// packedCorrupt are records of one kindPacked field (ref 0) that do not
+// decode: codes that run past the record, an escape cut off at the end,
+// and codes that hold more than the declared length.
+var packedCorrupt = [][]byte{
+	{1, 0, kindPacked, 40, 0x12, 0x34},               // 40 bytes declared, 4 codes present
+	{1, 0, kindPacked, 4, 0xf4, 0x1f, 0x42},          // two escapes, then nothing for the other two bytes
+	{1, 0, kindPacked, 2, 0x1f},                      // '1', then an escape with no byte after it
+	{1, 0, kindPacked, 3, 0x12, 0x34},                // "123", then a 4 where the padding goes
+	{1, 0, kindPacked, 0xff, 0xff, 0xff, 0xff, 0x0f}, // a length far past the record, no codes
+}
+
+func TestPackedValueCorrupt(t *testing.T) {
+	keys := tableWithNames(1)
+	if got, err := keys.decode("x", []byte{1, 0, kindPacked, 3, 0x12, 0x30}); err != nil || got["k0"] != "123" {
+		t.Fatalf("decode of a well-formed packed value = %v, %v; want k0 = 123", got, err)
+	}
+	if got, err := keys.decode("x", []byte{1, 0, kindPacked, 2, 0xf4, 0x1d}); err != nil || got["k0"] != `A"` {
+		t.Fatalf("decode of an escape = %v, %v; want k0 = A\"", got, err)
+	}
+	for _, rec := range packedCorrupt {
+		if d, err := keys.decode("x", rec); err != errCorruptRecord {
+			t.Errorf("decode(%x) = %v, %v; want errCorruptRecord", rec, d, err)
+		}
+		if v, err := keys.decodeValue(rec[2:]); err != errCorruptRecord {
+			t.Errorf("decodeValue(%x) = %v, %v; want errCorruptRecord", rec[2:], v, err)
+		}
+	}
+}
+
+// accelPayload is a raw accelerometer window as sensors.AccelReading
+// marshals it: 50 samples per axis in milli-m/s², each drawn from rng.
+func accelPayload(rng *rand.Rand) string {
+	var b strings.Builder
+	b.WriteString(`{"rate_hz":50`)
+	for _, axis := range []string{"x", "y", "z"} {
+		b.WriteString(`,"` + axis + `":[`)
+		for i := 0; i < 50; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.Itoa(rng.Intn(20000) - 10000))
+		}
+		b.WriteByte(']')
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// TestUniqueAccelPayloadsPack stores 1 000 accelerometer windows no two of
+// which are alike, so nothing is shared between records: each record must
+// come to at most 55 % of its payload's text, and read back as written.
+func TestUniqueAccelPayloadsPack(t *testing.T) {
+	keys := tableWithNames(1)
+	rng := rand.New(rand.NewSource(1))
+	seen := map[string]bool{}
+	recBytes, textBytes := 0, 0
+	for i := 0; i < 1000; i++ {
+		raw := accelPayload(rng)
+		if seen[raw] {
+			t.Fatalf("payload %d repeats an earlier one", i)
+		}
+		seen[raw] = true
+		doc := Doc{IDField: "x", "k0": raw}
+		rec, err := keys.encode(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(*rec) > len(raw)*55/100 {
+			t.Fatalf("a %d-byte payload takes a %d-byte record, want <= 55 %%", len(raw), len(*rec))
+		}
+		recBytes, textBytes = recBytes+len(*rec), textBytes+len(raw)
+		got, err := keys.decode("x", *rec)
+		release(rec)
+		if err != nil || !reflect.DeepEqual(got, doc) {
+			t.Fatalf("round trip of payload %d = %v, %v", i, got, err)
+		}
+	}
+	t.Logf("%d payload bytes in %d record bytes (%.1f %%)", textBytes, recBytes, 100*float64(recBytes)/float64(textBytes))
+}
+
+// TestLetterHeavyStringsStayInline checks that strings over symMax bytes
+// that are mostly letters are written as kindString, byte for byte as
+// before kindPacked existed, and that the packing margin is where
+// maxEscapes puts it.
+func TestLetterHeavyStringsStayInline(t *testing.T) {
+	const n = 51
+	e := maxEscapes(n) // 12: (51 + 2·12 + 1) / 2 = 38 = 51·3/4
+	keys := tableWithNames(1)
+	for _, s := range []string{
+		`{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`,
+		"the quick brown fox jumps over the lazy dog",
+		strings.Repeat("-", n-e-1) + strings.Repeat("x", e+1), // one escape too many
+	} {
+		rec, err := keys.encode(Doc{"k0": s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte{1, 0, kindString, byte(len(s))}, s...)
+		if !reflect.DeepEqual(*rec, want) {
+			t.Errorf("%q stored as %x, want inline %x", s, *rec, want)
+		}
+		release(rec)
+	}
+	s := strings.Repeat("-", n-e) + strings.Repeat("x", e)
+	rec, err := keys.encode(Doc{"k0": s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (*rec)[2] != kindPacked || len(*rec)-4 != n*3/4 {
+		t.Errorf("%q stored as %x, want kindPacked in %d code bytes", s, *rec, n*3/4)
+	}
+	release(rec)
 }

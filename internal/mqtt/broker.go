@@ -466,12 +466,13 @@ func (b *Broker) removeSession(s *session) {
 }
 
 func (s *session) readLoop() {
+	in := packetReader{r: s.conn}
 	for {
 		if s.timeout > 0 {
 			//lint:ignore wallclock net.Conn read deadlines are wall-clock by the net contract; a virtual Now here would disarm (or instantly fire) the socket timeout
 			_ = s.conn.SetReadDeadline(time.Now().Add(s.timeout))
 		}
-		pkt, err := readPacket(s.conn)
+		pkt, err := in.read()
 		if err != nil {
 			return
 		}

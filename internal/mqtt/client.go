@@ -1,6 +1,7 @@
 package mqtt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -151,18 +152,20 @@ func (c *Client) Publish(topic string, payload []byte, qos byte, retain bool) er
 	if qos > 1 {
 		return fmt.Errorf("mqtt: publish to %q: QoS %d unsupported", topic, qos)
 	}
-	p := publishPacket{topic: topic, payload: payload, qos: qos, retain: retain}
+	if n := 2 + len(topic) + len(payload) + 2*int(qos); n > maxRemainingLength {
+		return fmt.Errorf("mqtt: publish to %q: packet body %d bytes exceeds limit: %w", topic, n, ErrMalformedPacket)
+	}
+	var id uint16
 	var ack *pendingAck
 	if qos == 1 {
 		var err error
-		p.packetID, ack, err = c.registerPending()
+		id, ack, err = c.registerPending()
 		if err != nil {
 			return err
 		}
-		defer c.unregisterPending(p.packetID)
+		defer c.unregisterPending(id)
 	}
-	flags, body := encodePublish(p)
-	if err := c.write(packetPublish, flags, body); err != nil {
+	if err := c.writePublish(Message{Topic: topic, Payload: payload, QoS: qos, Retain: retain}, id); err != nil {
 		return fmt.Errorf("mqtt: publish to %q: %w", topic, err)
 	}
 	if qos == 1 {
@@ -268,8 +271,9 @@ func (c *Client) Err() error {
 func (c *Client) Done() <-chan struct{} { return c.done }
 
 func (c *Client) readLoop() {
+	in := packetReader{r: c.conn}
 	for {
-		pkt, err := readPacket(c.conn)
+		pkt, err := in.read()
 		if err != nil {
 			c.mu.Lock()
 			if !c.closed {
@@ -432,6 +436,34 @@ func (c *Client) removeSub(filter string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.subs, filter)
+}
+
+// writePublish encodes m into a pooled frame, patches in id at QoS 1, and
+// writes it.
+//
+//sensolint:hotpath
+func (c *Client) writePublish(m Message, id uint16) error {
+	f := newPublishFrame(m, m.QoS)
+	if m.QoS == 1 {
+		binary.BigEndian.PutUint16(f.buf[f.idOff:], id)
+	}
+	err := c.writeFrame(f.buf)
+	f.release()
+	return err
+}
+
+// writeFrame writes an encoded frame unless the client is closed.
+func (c *Client) writeFrame(buf []byte) error {
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		return ErrClientClosed
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	_, err := c.conn.Write(buf)
+	return err
 }
 
 func (c *Client) write(ptype, flags byte, body []byte) error {

@@ -81,14 +81,29 @@ func writePacket(w io.Writer, ptype, flags byte, body []byte) error {
 	return nil
 }
 
+// packetReader reads the frames of one connection. The fixed header is
+// read a byte at a time into hdr, which lives as long as the reader, so it
+// does not escape through io.ReadFull on every frame: a frame costs its
+// body and nothing else.
+type packetReader struct {
+	r   io.Reader
+	hdr [1]byte
+}
+
 // readPacket decodes one frame from r.
 func readPacket(r io.Reader) (packet, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	pr := packetReader{r: r}
+	return pr.read()
+}
+
+// read decodes the next frame. Its body is freshly allocated and never
+// reused, so what is decoded from it may alias it.
+func (pr *packetReader) read() (packet, error) {
+	if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
 		return packet{}, err // io.EOF propagates unwrapped for clean shutdown
 	}
-	ptype := first[0] >> 4
-	flags := first[0] & 0x0f
+	ptype := pr.hdr[0] >> 4
+	flags := pr.hdr[0] & 0x0f
 
 	// Varint remaining length.
 	length := 0
@@ -97,12 +112,12 @@ func readPacket(r io.Reader) (packet, error) {
 		if i >= 4 {
 			return packet{}, fmt.Errorf("mqtt: remaining length too long: %w", ErrMalformedPacket)
 		}
-		var b [1]byte
-		if _, err := io.ReadFull(r, b[:]); err != nil {
+		if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
 			return packet{}, fmt.Errorf("mqtt: read remaining length: %w", err)
 		}
-		length += int(b[0]&0x7f) * multiplier
-		if b[0]&0x80 == 0 {
+		b := pr.hdr[0]
+		length += int(b&0x7f) * multiplier
+		if b&0x80 == 0 {
 			break
 		}
 		multiplier *= 128
@@ -111,7 +126,7 @@ func readPacket(r io.Reader) (packet, error) {
 		return packet{}, fmt.Errorf("mqtt: remaining length %d exceeds limit: %w", length, ErrMalformedPacket)
 	}
 	body := make([]byte, length)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(pr.r, body); err != nil {
 		return packet{}, fmt.Errorf("mqtt: read packet body: %w", err)
 	}
 	return packet{ptype: ptype, flags: flags, body: body}, nil
@@ -131,8 +146,6 @@ func (b *bodyWriter) writeUint16(v uint16) {
 }
 
 func (b *bodyWriter) writeByte(v byte) { b.buf = append(b.buf, v) }
-
-func (b *bodyWriter) writeBytes(p []byte) { b.buf = append(b.buf, p...) }
 
 type bodyReader struct {
 	buf []byte
@@ -216,27 +229,14 @@ func decodeConnect(body []byte) (connectPacket, error) {
 	return connectPacket{clientID: id, keepAliveSec: ka}, nil
 }
 
-// publishPacket carries a PUBLISH frame.
+// publishPacket is a decoded PUBLISH frame. Writers encode one with
+// newPublishFrame (fanout.go).
 type publishPacket struct {
 	topic    string
 	payload  []byte
 	qos      byte
 	retain   bool
 	packetID uint16 // only when qos == 1
-}
-
-func encodePublish(p publishPacket) (flags byte, body []byte) {
-	flags = p.qos << 1
-	if p.retain {
-		flags |= 1
-	}
-	var w bodyWriter
-	w.writeString(p.topic)
-	if p.qos > 0 {
-		w.writeUint16(p.packetID)
-	}
-	w.writeBytes(p.payload)
-	return flags, w.buf
 }
 
 func decodePublish(flags byte, body []byte) (publishPacket, error) {
@@ -260,7 +260,7 @@ func decodePublish(flags byte, body []byte) (publishPacket, error) {
 		}
 		p.packetID = id
 	}
-	p.payload = append([]byte(nil), r.rest()...)
+	p.payload = r.rest() // aliases body, which readPacket allocates per frame
 	return p, nil
 }
 

@@ -2,7 +2,9 @@ package mqtt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -44,6 +46,10 @@ func TestPacketRejectsOversize(t *testing.T) {
 	if err := writePacket(&buf, packetPublish, 0, make([]byte, maxRemainingLength+1)); !errors.Is(err, ErrMalformedPacket) {
 		t.Fatalf("oversize write err = %v", err)
 	}
+	c := &Client{conn: discardConn{}}
+	if err := c.Publish("t", make([]byte, maxRemainingLength-2), 0, false); !errors.Is(err, ErrMalformedPacket) {
+		t.Fatalf("oversize publish err = %v", err)
+	}
 	// Hand-craft an oversize remaining length: 0xFF 0xFF 0xFF 0x7F = ~268M.
 	r := bytes.NewReader([]byte{packetPublish << 4, 0xFF, 0xFF, 0xFF, 0x7F})
 	if _, err := readPacket(r); !errors.Is(err, ErrMalformedPacket) {
@@ -83,11 +89,35 @@ func TestConnectRejectsWrongProtocol(t *testing.T) {
 	}
 }
 
-func TestPublishRoundTripQoS0(t *testing.T) {
-	flags, body := encodePublish(publishPacket{topic: "a/b", payload: []byte("data"), qos: 0, retain: true})
-	p, err := decodePublish(flags, body)
+// publishFrame encodes p as the client and the broker do, with
+// newPublishFrame and the packet identifier patched in, and returns a copy
+// of the wire bytes.
+func publishFrame(p publishPacket) []byte {
+	f := newPublishFrame(Message{Topic: p.topic, Payload: p.payload, QoS: p.qos, Retain: p.retain}, p.qos)
+	if p.qos == 1 {
+		binary.BigEndian.PutUint16(f.buf[f.idOff:], p.packetID)
+	}
+	b := append([]byte(nil), f.buf...)
+	f.release()
+	return b
+}
+
+// readPublish reads one frame from b and decodes it as a PUBLISH.
+func readPublish(b []byte) (publishPacket, error) {
+	pkt, err := readPacket(bytes.NewReader(b))
 	if err != nil {
-		t.Fatalf("decodePublish: %v", err)
+		return publishPacket{}, err
+	}
+	if pkt.ptype != packetPublish {
+		return publishPacket{}, fmt.Errorf("packet type %d, want PUBLISH", pkt.ptype)
+	}
+	return decodePublish(pkt.flags, pkt.body)
+}
+
+func TestPublishRoundTripQoS0(t *testing.T) {
+	p, err := readPublish(publishFrame(publishPacket{topic: "a/b", payload: []byte("data"), qos: 0, retain: true}))
+	if err != nil {
+		t.Fatalf("readPublish: %v", err)
 	}
 	if p.topic != "a/b" || string(p.payload) != "data" || p.qos != 0 || !p.retain {
 		t.Fatalf("decoded %+v", p)
@@ -95,13 +125,71 @@ func TestPublishRoundTripQoS0(t *testing.T) {
 }
 
 func TestPublishRoundTripQoS1(t *testing.T) {
-	flags, body := encodePublish(publishPacket{topic: "t", payload: []byte("x"), qos: 1, packetID: 777})
-	p, err := decodePublish(flags, body)
+	p, err := readPublish(publishFrame(publishPacket{topic: "t", payload: []byte("x"), qos: 1, packetID: 777}))
 	if err != nil {
-		t.Fatalf("decodePublish: %v", err)
+		t.Fatalf("readPublish: %v", err)
 	}
 	if p.qos != 1 || p.packetID != 777 {
 		t.Fatalf("decoded %+v", p)
+	}
+}
+
+// TestClientPublishWriteAllocs pins a client's PUBLISH write, a 250 B QoS 1
+// message, at one allocation: the frame comes from the broker's pool and
+// the packet identifier is patched into it.
+func TestClientPublishWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool puts by design; alloc pinning does not apply")
+	}
+	var last []byte
+	c := &Client{conn: recordConn{last: &last}}
+	m := Message{Topic: "sensocial/device/d00001/uplink", Payload: bytes.Repeat([]byte{'x'}, 250), QoS: 1}
+	id := uint16(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		id++
+		if err := c.writePublish(m, id); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("client PUBLISH write: %.1f allocs, want <= 1", allocs)
+	}
+	p, err := readPublish(last)
+	if err != nil || p.topic != m.Topic || !bytes.Equal(p.payload, m.Payload) || p.qos != 1 || p.packetID != id {
+		t.Fatalf("last write decodes to %+v, %v; want %s with packet id %d", p, err, m.Topic, id)
+	}
+}
+
+// recordConn is a discardConn that keeps a copy of the last write.
+type recordConn struct {
+	discardConn
+	last *[]byte
+}
+
+func (c recordConn) Write(p []byte) (int, error) {
+	*c.last = append((*c.last)[:0], p...)
+	return len(p), nil
+}
+
+// TestPublishReadAllocs pins reading and decoding a PUBLISH at two
+// allocations, the body and the topic: the fixed header is read into the
+// reader, and the payload aliases the body.
+func TestPublishReadAllocs(t *testing.T) {
+	wire := publishFrame(publishPacket{topic: "sensocial/device/d00001/uplink", payload: bytes.Repeat([]byte{'x'}, 250), qos: 1, packetID: 9})
+	r := bytes.NewReader(wire)
+	in := &packetReader{r: r}
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Reset(wire)
+		pkt, err := in.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p, err := decodePublish(pkt.flags, pkt.body); err != nil || p.packetID != 9 {
+			t.Fatalf("decodePublish = %+v, %v", p, err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("PUBLISH read and decode: %.1f allocs, want <= 2", allocs)
 	}
 }
 
@@ -151,16 +239,7 @@ func TestPropertyPublishRoundTrip(t *testing.T) {
 		}
 		qos := qosRaw % 2
 		in := publishPacket{topic: topic, payload: payload, qos: qos, retain: retain, packetID: 1}
-		flags, body := encodePublish(in)
-		var buf bytes.Buffer
-		if err := writePacket(&buf, packetPublish, flags, body); err != nil {
-			return len(body) > maxRemainingLength // oversize is allowed to fail
-		}
-		pkt, err := readPacket(&buf)
-		if err != nil {
-			return false
-		}
-		out, err := decodePublish(pkt.flags, pkt.body)
+		out, err := readPublish(publishFrame(in))
 		if err != nil {
 			return false
 		}

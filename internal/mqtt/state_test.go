@@ -67,8 +67,7 @@ func (r *rawSession) publish(topic string, payload []byte, qos byte, retain bool
 		r.pid++
 		p.packetID = r.pid
 	}
-	flags, body := encodePublish(p)
-	if err := writePacket(r.conn, packetPublish, flags, body); err != nil {
+	if _, err := r.conn.Write(publishFrame(p)); err != nil {
 		r.t.Fatalf("PUBLISH(%s): %v", topic, err)
 	}
 	if qos == 1 {
