@@ -52,13 +52,17 @@ bench:
 # (one iteration each): catches compile rot and harness deadlocks without
 # paying full benchmark time; the second line is the worker-side item path
 # alone on a stream with a cross-user filter, the third one item's round
-# trip through an ingest queue (box, worker, process). The simulator and
-# cluster layers are measured end to end by `go run ./bench` (sim.*,
-# cluster.* in bench/BASELINE.md).
+# trip through an ingest queue (box, worker, process). The last two are the
+# pooled fleet's set-up path: populating 20 000 pooled devices and building
+# a three-shard ring. The simulator and cluster layers at run time are
+# measured end to end by `go run ./bench` (sim.*, cluster.* in
+# bench/BASELINE.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreScan' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
+	$(GO) test -run '^$$' -bench '^BenchmarkPoolAddDevices$$' -benchtime 1x ./internal/sim
+	$(GO) test -run '^$$' -bench '^BenchmarkNewRing$$' -benchtime 1x ./internal/cluster
 
 # The end-to-end benchmark's untraced pass of every workload at a tenth of
 # the work (about 18 s): exits non-zero if any of its exact-count

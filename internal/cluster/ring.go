@@ -11,7 +11,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -66,16 +68,18 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 			r.points = append(r.points, ringPoint{hash: vnodeHash(id, v), shard: int32(i)})
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool {
-		pa, pb := r.points[a], r.points[b]
-		if pa.hash != pb.hash {
-			return pa.hash < pb.hash
-		}
-		// Ties (astronomically rare) resolve by shard index so the ring
-		// is identical regardless of input order.
-		return pa.shard < pb.shard
-	})
+	slices.SortFunc(r.points, comparePoints)
 	return r, nil
+}
+
+// comparePoints orders ring points by hash. Ties (astronomically rare)
+// resolve by shard index so the ring is identical regardless of input
+// order.
+func comparePoints(a, b ringPoint) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.shard, b.shard)
 }
 
 // Shards returns the shard IDs the ring was built over, in input order.
@@ -96,6 +100,8 @@ func (r *Ring) OwnerIndex(key string) int {
 }
 
 // ownerPoint returns the index of the first point at or after h, wrapping.
+// sort.Search and its closure are inlined here: the compiled loop is the
+// hand-written lower bound's, with no call per probe.
 func (r *Ring) ownerPoint(h uint64) int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -171,6 +172,79 @@ func TestRingOwnerDeterministic(t *testing.T) {
 		}
 		if r1.Shards()[r1.OwnerIndex(k)] != r1.Owner(k) {
 			t.Fatalf("key %q: OwnerIndex disagrees with Owner", k)
+		}
+	}
+}
+
+// TestRingMatchesReference pins the ring to plain references: NewRing
+// orders its points exactly as the sort.Slice on (hash, shard) it replaced
+// did, and ownerPoint answers as a linear scan for the first point at or
+// after the hash, wrapping to point 0, including for hashes equal to a
+// point and above the last one.
+func TestRingMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 3, 5, 8} {
+		ring, err := NewRing(shardIDs(n), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref []ringPoint
+		for i, id := range ring.Shards() {
+			for v := 0; v < DefaultVirtualNodes; v++ {
+				ref = append(ref, ringPoint{hash: vnodeHash(id, v), shard: int32(i)})
+			}
+		}
+		sort.Slice(ref, func(a, b int) bool {
+			if ref[a].hash != ref[b].hash {
+				return ref[a].hash < ref[b].hash
+			}
+			return ref[a].shard < ref[b].shard
+		})
+		if len(ref) != len(ring.points) {
+			t.Fatalf("%d shards: %d points, reference has %d", n, len(ring.points), len(ref))
+		}
+		for i := range ref {
+			if ring.points[i] != ref[i] {
+				t.Fatalf("%d shards: point %d = %+v, reference %+v", n, i, ring.points[i], ref[i])
+			}
+		}
+	}
+
+	ring, err := NewRing(shardIDs(3), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := func(h uint64) int {
+		for i, p := range ring.points {
+			if p.hash >= h {
+				return i
+			}
+		}
+		return 0
+	}
+	last := ring.points[len(ring.points)-1].hash
+	hashes := []uint64{0, ring.points[0].hash, ring.points[1].hash, ring.points[17].hash,
+		last - 1, last, last + 1, ^uint64(0)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		hashes = append(hashes, rng.Uint64())
+	}
+	for _, h := range hashes {
+		if got, want := ring.ownerPoint(h), scan(h); got != want {
+			t.Fatalf("ownerPoint(%#x) = %d, linear scan %d", h, got, want)
+		}
+	}
+	if last == ^uint64(0) || ring.ownerPoint(last+1) != 0 {
+		t.Fatalf("a hash above the last point does not wrap to point 0")
+	}
+}
+
+// BenchmarkNewRing builds the ring a three-shard deployment starts with.
+func BenchmarkNewRing(b *testing.B) {
+	ids := shardIDs(3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewRing(ids, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

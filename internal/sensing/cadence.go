@@ -9,8 +9,9 @@ import "time"
 // cycle each time accumulated credit crosses 1, so DutyCycle 0.5 samples
 // every other cycle without long-run drift).
 //
-// It is a small value type — 40 bytes — so the pool keeps one per device
-// in a flat slice.
+// It is a small value type — 40 bytes. The pool keeps one per frame, not
+// per device: a frame's devices share an anchor, interval and duty cycle
+// and tick together, so their cadences would always be equal.
 type Cadence struct {
 	// Next is the deadline of the next cycle.
 	Next time.Time

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,13 +150,14 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 // DevicePool runs a large fleet of simulated devices as scheduled events
 // instead of parked goroutines.
 //
-// Per-device state lives in parallel struct-of-arrays slices: identity,
-// location, sampler phase (the activity ground truth), sampling cadence,
-// pending-upload backlog and battery drain. Devices are grouped into frames
-// of FrameSize; each frame is one vclock event that fires once per sample
-// interval, scans its slice of the arrays, and re-arms itself. The clock
-// must be an EventScheduler (vclock.Manual): frames run synchronously
-// inside Advance in deterministic (deadline, sequence) order.
+// Per-device state lives in parallel struct-of-arrays slices: identity
+// (substrings of one name arena per AddDevices call), sampler phase (the
+// activity ground truth), ring shard, pending-upload backlog and battery
+// drain. Devices are grouped into frames of FrameSize; each frame is one
+// vclock event that fires once per sample interval, keeps the one sampling
+// cadence all its devices share, scans its slice of the arrays, and re-arms
+// itself. The clock must be an EventScheduler (vclock.Manual): frames run
+// synchronously inside Advance in deterministic (deadline, sequence) order.
 //
 // Uploads preserve the wire protocol of the full path: classified items are
 // encoded exactly like mobile's pipeline and published at UploadQoS to
@@ -187,26 +191,28 @@ type DevicePool struct {
 	// closes) its conn.
 	conns []net.Conn
 	// Struct-of-arrays device state. ids/users/phase/shard are written
-	// only before Start; cads/backlog/drained are mutated under mu by
-	// frame ticks.
+	// only before Start; backlog/drained are mutated under mu by frame
+	// ticks.
 	ids     []string
 	users   []string
 	phase   []uint32
 	shard   []int32
 	backlog []uint16
 	drained []float64
-	cads    []sensing.Cadence
 
 	frames     []*poolFrame
 	clients    []atomic.Pointer[mqtt.Client]
 	connecting []atomic.Bool
-	done       chan struct{}
-	wg         sync.WaitGroup
+	// ready is closed once every slot holds a client at the same time.
+	ready     chan struct{}
+	readyOnce sync.Once
+	done      chan struct{}
+	wg        sync.WaitGroup
 }
 
 // poolFrame is one scheduled span [lo,hi) of the pool's device arrays. The
-// scratch slices are reused every tick so the steady-state tick loop does
-// not allocate; frames are ticked serially inside Advance, so they need no
+// flush scratch slices are reused every tick so the steady state does not
+// allocate; frames are ticked serially inside Advance, so they need no
 // locking.
 type poolFrame struct {
 	pool *DevicePool
@@ -215,8 +221,12 @@ type poolFrame struct {
 	base int // slot offset inside each shard's connection group
 	next time.Time
 	ev   vclock.Event
+	// cad is the sampling cadence of every device in the frame: they share
+	// an anchor, interval and duty cycle and tick together, so one
+	// schedule and one duty-cycle credit stand for all of them.
+	cad sensing.Cadence
 
-	sampled  []int32       // device indices that sampled this tick
+	sampled  bool          // this tick's cycle sampled every device in [lo,hi)
 	flushIdx []int32       // device indices drained this tick
 	flushCnt []uint16      // backlog depth drained per flushIdx entry
 	byShard  []flushClient // per-shard client resolution, reset each flush
@@ -261,13 +271,49 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 		conns:      make([]net.Conn, total),
 		clients:    make([]atomic.Pointer[mqtt.Client], total),
 		connecting: make([]atomic.Bool, total),
+		ready:      make(chan struct{}),
 		done:       make(chan struct{}),
 	}
 }
 
+// Pooled device names: user "pool<idx>" with idx zero-padded to
+// poolNameDigits, device "<user>-phone".
+const (
+	poolNamePrefix = "pool"
+	poolNameSuffix = "-phone"
+	poolNameDigits = 6
+)
+
+// poolNameLen is the byte length of device idx's name.
+func poolNameLen(idx int) int {
+	digits := 1
+	for v := idx; v >= 10; v /= 10 {
+		digits++
+	}
+	return len(poolNamePrefix) + max(digits, poolNameDigits) + len(poolNameSuffix)
+}
+
+// writePoolName appends device idx's name to b without allocating (b is
+// pre-grown); it is byte-identical to fmt.Sprintf("pool%06d", idx)+"-phone".
+func writePoolName(b *strings.Builder, idx int) {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(idx), 10)
+	b.WriteString(poolNamePrefix)
+	for pad := poolNameDigits - len(d); pad > 0; pad-- {
+		b.WriteByte('0')
+	}
+	b.Write(d)
+	b.WriteString(poolNameSuffix)
+}
+
 // AddDevices appends n pooled devices. Must be called before Start.
-// Devices are named "pool<idx>" / "pool<idx>-phone"; their activity ground
-// truth is a phase-shifted rotation through the classifier labels.
+// Devices are named "pool<idx>" / "pool<idx>-phone", idx zero-padded to six
+// digits, so ids sort lexically in index order up to 10^6 devices (beyond
+// that "pool1000000" sorts before "pool200000"). Their activity ground truth
+// is a phase-shifted rotation through the classifier labels.
+//
+// Set-up allocates per column, not per device: every column is grown once,
+// and all n names are written into one string that ids and users slice.
 func (p *DevicePool) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: device pool: AddDevices(%d)", n)
@@ -278,16 +324,33 @@ func (p *DevicePool) AddDevices(n int) error {
 		return fmt.Errorf("sim: device pool: AddDevices after Start")
 	}
 	base := len(p.ids)
-	for k := 0; k < n; k++ {
-		idx := base + k
-		user := fmt.Sprintf("pool%06d", idx) // zero-padded so pooled ids sort lexically
-		p.ids = append(p.ids, user+"-phone")
+	size := 0
+	for idx := base; idx < base+n; idx++ {
+		size += poolNameLen(idx)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for idx := base; idx < base+n; idx++ {
+		writePoolName(&b, idx)
+	}
+	arena := b.String()
+
+	p.ids = slices.Grow(p.ids, n)
+	p.users = slices.Grow(p.users, n)
+	p.phase = slices.Grow(p.phase, n)
+	p.shard = slices.Grow(p.shard, n)
+	p.backlog = append(p.backlog, make([]uint16, n)...)
+	p.drained = append(p.drained, make([]float64, n)...)
+	off := 0
+	for idx := base; idx < base+n; idx++ {
+		end := off + poolNameLen(idx)
+		id := arena[off:end]
+		user := id[:len(id)-len(poolNameSuffix)]
+		p.ids = append(p.ids, id)
 		p.users = append(p.users, user)
 		p.phase = append(p.phase, uint32(idx%3))
 		p.shard = append(p.shard, int32(p.shardOf(user)))
-		p.backlog = append(p.backlog, 0)
-		p.drained = append(p.drained, 0)
-		p.cads = append(p.cads, sensing.Cadence{})
+		off = end
 	}
 	p.series.devices.Add(float64(n))
 	return nil
@@ -329,14 +392,11 @@ func (p *DevicePool) Start() error {
 		// smooth: frame j fires at offset (j mod 64)/64 of the interval.
 		offset := p.opts.SampleInterval * time.Duration(j%64) / 64
 		anchor := start.Add(offset)
-		for i := lo; i < hi; i++ {
-			p.cads[i] = sensing.NewCadence(anchor, p.opts.SampleInterval)
-		}
 		f := &poolFrame{
 			pool: p, lo: lo, hi: hi,
 			base:     j % p.perShard,
 			next:     anchor.Add(p.opts.SampleInterval),
-			sampled:  make([]int32, 0, hi-lo),
+			cad:      sensing.NewCadence(anchor, p.opts.SampleInterval),
 			flushIdx: make([]int32, 0, hi-lo),
 			flushCnt: make([]uint16, 0, hi-lo),
 			byShard:  make([]flushClient, len(p.addrs)),
@@ -402,6 +462,9 @@ func (p *DevicePool) connectSlot(slot int) {
 		return
 	}
 	p.clients[slot].Store(cli)
+	if p.readyCount() == len(p.clients) {
+		p.readyOnce.Do(func() { close(p.ready) })
+	}
 }
 
 // reconnectSlot redials a slot synchronously from a frame tick after its
@@ -451,20 +514,19 @@ func (p *DevicePool) restoreBacklog(i, count int) {
 // handshake or the real-time timeout expires. Tests on
 // a manual clock call this before advancing so that every flush lands at a
 // deterministic virtual time; it needs a zero-latency link (the handshake
-// completes without virtual-time advances) to terminate.
+// completes without virtual-time advances) to terminate. The handshake that
+// completes the set wakes it; there is no polling.
 func (p *DevicePool) WaitReady(timeout time.Duration) error {
 	//lint:ignore wallclock readiness spans real goroutine scheduling (background handshakes), independent of the virtual clock
-	deadline := time.Now().Add(timeout)
-	for p.readyCount() < len(p.clients) {
-		//lint:ignore wallclock see above: polling real progress of background handshake goroutines
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sim: device pool: %d/%d connections ready after %v",
-				p.readyCount(), len(p.clients), timeout)
-		}
-		//lint:ignore wallclock see above: real-time backoff while background goroutines progress
-		time.Sleep(time.Millisecond)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-p.ready:
+		return nil
+	case <-timer.C:
+		return fmt.Errorf("sim: device pool: %d/%d connections ready after %v",
+			p.readyCount(), len(p.clients), timeout)
 	}
-	return nil
 }
 
 func (p *DevicePool) readyCount() int {
@@ -498,21 +560,20 @@ func (f *poolFrame) fire(now time.Time) {
 	p.series.tickDur.Observe(time.Since(t0).Seconds())
 }
 
-// tick advances every device cadence in the frame and grows backlogs; it
-// is the per-tick hot loop and must not allocate in steady state (the
-// scratch slice is pre-sized to the frame and reused).
+// tick advances the frame's cadence and, when the cycle samples, grows
+// every device's backlog; it is the per-tick hot loop and must not
+// allocate.
 //
 //sensolint:hotpath
 func (f *poolFrame) tick(now time.Time) {
 	p := f.pool
-	f.sampled = f.sampled[:0]
+	f.sampled = f.cad.Tick(p.opts.DutyCycle)
+	if !f.sampled {
+		return
+	}
 	dropped := uint64(0)
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
-		if !p.cads[i].Tick(p.opts.DutyCycle) {
-			continue
-		}
-		f.sampled = append(f.sampled, int32(i))
 		if int(p.backlog[i]) < p.opts.MaxBacklog {
 			p.backlog[i]++
 		} else {
@@ -523,10 +584,9 @@ func (f *poolFrame) tick(now time.Time) {
 	if dropped > 0 {
 		p.series.dropped.Add(dropped)
 	}
-	if n := uint64(len(f.sampled)); n > 0 {
-		p.series.samples.Add(n)
-		p.series.backlog.Add(float64(n - dropped))
-	}
+	n := uint64(f.hi - f.lo)
+	p.series.samples.Add(n)
+	p.series.backlog.Add(float64(n - dropped))
 }
 
 // flush charges the tick's sampling/classification energy and publishes
@@ -535,12 +595,13 @@ func (f *poolFrame) tick(now time.Time) {
 // batched per device rather than per sample.
 func (f *poolFrame) flush(now time.Time) {
 	p := f.pool
-	if n := len(f.sampled); n > 0 {
+	if f.sampled {
+		n := f.hi - f.lo
 		perSample, _ := p.charger.ChargeSamples(poolModality, n)
 		perClass, _ := p.charger.ChargeClassifications(poolModality, n)
 		per := perSample + perClass
 		p.mu.Lock()
-		for _, i := range f.sampled {
+		for i := f.lo; i < f.hi; i++ {
 			p.drained[i] += per
 		}
 		p.mu.Unlock()

@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -173,6 +177,9 @@ func TestPooledBacklogBounded(t *testing.T) {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
+	if err := s.Pool.WaitReady(10 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "0/1 connections ready") {
+		t.Fatalf("WaitReady on a handshake that cannot complete = %v, want a timeout", err)
+	}
 	clock.Advance(20 * time.Minute)
 	fleet := s.Shards[0].Metrics
 	if got := fleet.Sum("sensocial_sim_samples_total"); got != 16*20 {
@@ -230,5 +237,144 @@ func TestPooledFallbackGoroutineFrames(t *testing.T) {
 	}
 	if frames := scaled.Pool.Frames(); frames != 0 {
 		t.Fatalf("refused pool built %d frames", frames)
+	}
+}
+
+// TestPoolNames pins pooled names to the fmt formatting they replaced: ring
+// placement hashes the user id, so a changed byte would move devices between
+// shards. Two AddDevices calls name devices as one call does.
+func TestPoolNames(t *testing.T) {
+	for _, idx := range []int{0, 9, 99_999, 100_000, 999_999, 1_000_000} {
+		var b strings.Builder
+		writePoolName(&b, idx)
+		want := fmt.Sprintf("pool%06d", idx) + "-phone"
+		if b.String() != want || poolNameLen(idx) != len(want) {
+			t.Fatalf("name of %d = %q (length %d), want %q", idx, b.String(), poolNameLen(idx), want)
+		}
+	}
+
+	one := newPooledSim(t, vclock.NewManual(poolEpoch), PoolOptions{}, 0)
+	defer one.Close()
+	two := newPooledSim(t, vclock.NewManual(poolEpoch), PoolOptions{}, 0)
+	defer two.Close()
+	if err := one.AddDevices(1500); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1000, 500} {
+		if err := two.AddDevices(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 1500 {
+		want := fmt.Sprintf("pool%06d", i)
+		if one.Pool.users[i] != want || one.Pool.ids[i] != want+"-phone" {
+			t.Fatalf("device %d = %q/%q, want %q", i, one.Pool.users[i], one.Pool.ids[i], want)
+		}
+		if two.Pool.ids[i] != one.Pool.ids[i] || two.Pool.users[i] != one.Pool.users[i] ||
+			two.Pool.shard[i] != one.Pool.shard[i] || two.Pool.phase[i] != one.Pool.phase[i] {
+			t.Fatalf("device %d differs between one AddDevices call and two", i)
+		}
+	}
+}
+
+// standalonePool is a device pool over a three-shard ring with no
+// deployment behind it: enough to populate, not to start.
+func standalonePool(tb testing.TB) *DevicePool {
+	ring, err := cluster.NewRing([]string{ShardID(0), ShardID(1), ShardID(2)}, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &DevicePool{shardOf: ring.OwnerIndex, series: newFleetSeries(obs.NewRegistry(), 3)}
+}
+
+// TestAddDevicesAllocs pins set-up to a fixed number of allocations,
+// whatever the number of devices: one per column and one name arena. The
+// pool stands alone (no deployment, so no background goroutine allocates
+// while it is measured) and is emptied before every call.
+func TestAddDevicesAllocs(t *testing.T) {
+	p := standalonePool(t)
+	// The first GC cycle starts the runtime's mark workers, allocations
+	// that would otherwise land inside the measurement.
+	runtime.GC()
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			p.ids, p.users, p.phase, p.shard, p.backlog, p.drained = nil, nil, nil, nil, nil, nil
+			if err := p.AddDevices(n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(10_000)
+	if small != large {
+		t.Fatalf("AddDevices allocates %v times for 1000 devices and %v for 10000, want the same count", small, large)
+	}
+	// Six columns and the arena; the race detector's unfused appends add
+	// one allocation per zeroed column and per slices.Grow.
+	if limit := 7.0; !raceEnabled && large > limit {
+		t.Fatalf("AddDevices allocates %v times, want at most %v", large, limit)
+	}
+}
+
+// TestPooledDutyCycle runs unconnected pools (the handshake never completes,
+// so nothing flushes) at duty cycles 0.5 and 0.3. The expected samples and
+// per-device backlogs were recorded from the device-per-cadence pool: frame
+// 0 fires at the end of the run and has one tick more than the later frames.
+func TestPooledDutyCycle(t *testing.T) {
+	for _, tc := range []struct {
+		duty    float64
+		minutes int
+		samples uint64
+		backlog [2]uint16 // frame 0 (devices 0-7), frames 1-2 (devices 8-19)
+	}{
+		{duty: 0.5, minutes: 38, samples: 368, backlog: [2]uint16{19, 18}},
+		{duty: 0.3, minutes: 37, samples: 208, backlog: [2]uint16{11, 10}},
+	} {
+		clock := vclock.NewManual(poolEpoch)
+		s, err := New(Options{
+			Clock:      clock,
+			Seed:       7,
+			MobileLink: &netsim.Link{Latency: 1000 * time.Hour},
+			Pool: PoolOptions{Connections: 1, FrameSize: 8, SampleInterval: time.Minute,
+				UploadBatch: 64, MaxBacklog: 64, DutyCycle: tc.duty},
+		})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := s.AddDevices(20); err != nil {
+			t.Fatalf("AddDevices: %v", err)
+		}
+		if err := s.StartPool(); err != nil {
+			t.Fatalf("StartPool: %v", err)
+		}
+		clock.Advance(time.Duration(tc.minutes) * time.Minute)
+		samples, _, _, dropped, backlog := poolLedger(s)
+		if samples != tc.samples || backlog != tc.samples || dropped != 0 {
+			t.Errorf("duty %v: samples %d, backlog %d, dropped %d; want %d, %d, 0",
+				tc.duty, samples, backlog, dropped, tc.samples, tc.samples)
+		}
+		s.Pool.mu.Lock()
+		for i, got := range s.Pool.backlog {
+			want := tc.backlog[min(i/8, 1)]
+			if got != want {
+				t.Errorf("duty %v: device %d backlog %d, want %d", tc.duty, i, got, want)
+			}
+		}
+		s.Pool.mu.Unlock()
+		s.Close()
+	}
+}
+
+// BenchmarkPoolAddDevices populates the 20 000-device fleet of the sim_fleet
+// benchmark over a three-shard ring, into an emptied stand-alone pool each
+// iteration.
+func BenchmarkPoolAddDevices(b *testing.B) {
+	p := standalonePool(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.ids, p.users, p.phase, p.shard, p.backlog, p.drained = nil, nil, nil, nil, nil, nil
+		if err := p.AddDevices(20_000); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
