@@ -85,7 +85,7 @@ func run(user, mqttAddr, httpAddr, city, activity string, interval time.Duration
 		UserID:  user,
 		Clock:   vclock.NewReal(),
 		Profile: profile,
-		Dialer: func(addr string) (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, 10*time.Second)
 		},
 		Seed: int64(len(user)) * 7919,

@@ -155,7 +155,8 @@ func newRig(t *testing.T, initial *wireConfig) *rig {
 		t.Fatalf("NewProfile: %v", err)
 	}
 	dev, err := device.New(device.Config{
-		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Fabric: fabric, Seed: 1,
+		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Seed: 1,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("alice-phone", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)

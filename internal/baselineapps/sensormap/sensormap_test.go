@@ -171,7 +171,8 @@ func TestEndToEndWithoutMiddleware(t *testing.T) {
 		t.Fatalf("NewProfile: %v", err)
 	}
 	dev, err := device.New(device.Config{
-		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Fabric: fabric, Seed: 1,
+		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Seed: 1,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("alice-phone", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)
@@ -240,7 +241,8 @@ func TestMobilePrivacyOptOut(t *testing.T) {
 		t.Fatalf("NewProfile: %v", err)
 	}
 	dev, err := device.New(device.Config{
-		ID: "bob-phone", UserID: "bob", Clock: clock, Profile: profile, Fabric: fabric, Seed: 2,
+		ID: "bob-phone", UserID: "bob", Clock: clock, Profile: profile, Seed: 2,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("bob-phone", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)
@@ -365,7 +367,8 @@ func TestHTTPSurface(t *testing.T) {
 		t.Fatalf("NewProfile: %v", err)
 	}
 	dev, err := device.New(device.Config{
-		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Fabric: fabric, Seed: 8,
+		ID: "alice-phone", UserID: "alice", Clock: clock, Profile: profile, Seed: 8,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("alice-phone", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)
@@ -455,7 +458,8 @@ func TestConnectWithRetryFails(t *testing.T) {
 		t.Fatalf("NewProfile: %v", err)
 	}
 	dev, err := device.New(device.Config{
-		ID: "d", UserID: "u", Clock: clock, Profile: profile, Fabric: fabric, Seed: 1,
+		ID: "d", UserID: "u", Clock: clock, Profile: profile, Seed: 1,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("d", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)

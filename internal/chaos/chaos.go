@@ -144,7 +144,7 @@ func validate(o Options) error {
 		}
 		for _, pat := range append(append([]string{}, f.A...), f.B...) {
 			for _, h := range probeHosts {
-				if patternMatches(pat, h) {
+				if netsim.MatchHost(pat, h) {
 					return fmt.Errorf("chaos: fault @%v %v pattern %q targets reserved probe host %q",
 						f.At, f.Kind, pat, h)
 				}
@@ -163,19 +163,6 @@ func validate(o Options) error {
 	return nil
 }
 
-// patternMatches mirrors netsim's host-pattern semantics: exact, "*", or
-// a trailing-star prefix.
-func patternMatches(pat, host string) bool {
-	if pat == "*" || pat == host {
-		return true
-	}
-	if n := len(pat); n > 0 && pat[n-1] == '*' {
-		prefix := pat[:n-1]
-		return len(host) >= len(prefix) && host[:len(prefix)] == prefix
-	}
-	return false
-}
-
 // NeedsDurability reports whether the schedule contains crash faults and
 // therefore requires Options.DurableDir.
 func NeedsDurability(s *netsim.Schedule) bool {
@@ -189,7 +176,7 @@ func NeedsDurability(s *netsim.Schedule) bool {
 
 func touchesPoolPath(f netsim.Fault) bool {
 	for _, pat := range append(append([]string{}, f.A...), f.B...) {
-		if patternMatches(pat, "device-pool") || patternMatches(pat, "server") {
+		if netsim.MatchHost(pat, "device-pool") || netsim.MatchHost(pat, "server") {
 			return true
 		}
 	}

@@ -1,28 +1,25 @@
 package device
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/energy"
 	"repro/internal/obs"
 )
 
-// BulkCharger is the resource accountant for pooled simulated devices. The
-// full-fidelity path gives every device its own Device with a private
-// meter, battery and CPU meter; at 100k+ devices that is most of the
-// per-device footprint, and the per-operation lock/map traffic dominates
-// the tick loop. The pool instead shares one meter and one CPU meter for
-// the whole fleet and charges operations in batches — one call per frame
-// per modality instead of one per device — while returning the per-
-// operation energy price so the caller can debit its own flat per-device
-// battery accounts.
+// BulkCharger is the resource accountant of every simulated device: one
+// cost model, one energy meter, one CPU meter and the sensocial_device_*
+// counters. A full Device holds one and charges each operation as a batch
+// of one; the device pool shares one across the whole fleet and charges a
+// frame's operations in batches, one call per frame per modality instead of
+// one per device. Each call returns the energy price of what it charged so
+// a Device can drain its battery by it.
 //
-// The cost model and CPU constants are identical to Device's, so a pooled
-// fleet and a full fleet running the same schedule report the same energy
-// totals. CPU time differs in one place: a batch of transmissions is
-// charged cpuPerTxKB per whole KB of the batch's total payload, where
-// Device rounds down per message.
+// Because both paths charge through the same code, a pooled fleet and a
+// full fleet running the same schedule report the same energy totals. CPU
+// time differs in one place: a batch of transmissions is charged
+// cpuPerTxKB per whole KB of the batch's total payload, so a batch rounds
+// down once where a run of batches of one rounds down per message.
 type BulkCharger struct {
 	cost  energy.CostModel
 	meter *energy.Meter
@@ -35,12 +32,14 @@ type BulkCharger struct {
 }
 
 // NewBulkCharger builds a charger over energy.DefaultCostModel; a nil
-// registry keeps the sensocial_device_* families private.
-func NewBulkCharger(metrics *obs.Registry) *BulkCharger {
+// registry keeps the sensocial_device_* families private. It is the one
+// place those families are registered. The charger is returned by value so
+// a Device can hold it without a separate allocation.
+func NewBulkCharger(metrics *obs.Registry) BulkCharger {
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
-	return &BulkCharger{
+	return BulkCharger{
 		cost:  energy.DefaultCostModel(),
 		meter: energy.NewMeter(),
 		cpu:   &CPUMeter{},
@@ -55,22 +54,21 @@ func NewBulkCharger(metrics *obs.Registry) *BulkCharger {
 	}
 }
 
-// Meter exposes the fleet-wide energy meter.
+// Meter exposes the energy meter.
 func (b *BulkCharger) Meter() *energy.Meter { return b.meter }
 
-// CPU exposes the fleet-wide CPU meter.
+// CPU exposes the CPU meter.
 func (b *BulkCharger) CPU() *CPUMeter { return b.cpu }
 
 // ChargeSamples accounts for n sampling acquisitions of one modality and
-// returns the per-acquisition energy cost in µAh (for per-device battery
-// bookkeeping).
+// returns the per-acquisition energy cost in µAh (for battery bookkeeping).
 func (b *BulkCharger) ChargeSamples(modality string, n int) (float64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
 	cost, err := b.cost.SamplingCost(modality)
 	if err != nil {
-		return 0, fmt.Errorf("device: bulk sampling: %w", err)
+		return 0, err
 	}
 	b.meter.Add(energy.TaskSampling, modality, cost*float64(n))
 	b.cpu.AddBusy(time.Duration(n) * cpuSampling)
@@ -86,7 +84,7 @@ func (b *BulkCharger) ChargeClassifications(modality string, n int) (float64, er
 	}
 	cost, err := b.cost.ClassificationCost(modality)
 	if err != nil {
-		return 0, fmt.Errorf("device: bulk classification: %w", err)
+		return 0, err
 	}
 	b.meter.Add(energy.TaskClassification, modality, cost*float64(n))
 	b.cpu.AddBusy(time.Duration(n) * cpuClassification)
@@ -97,8 +95,7 @@ func (b *BulkCharger) ChargeClassifications(modality string, n int) (float64, er
 // ChargeTransmissions accounts for messages uplink transmissions totalling
 // payloadBytes, attributed to one modality label, and returns the total
 // energy charged in µAh: the per-message cost once per message plus the
-// per-byte cost of the whole payload, as messages Device.ChargeTransmission
-// calls would.
+// per-byte cost of the whole payload.
 func (b *BulkCharger) ChargeTransmissions(modality string, messages, payloadBytes int) float64 {
 	if messages <= 0 {
 		return 0

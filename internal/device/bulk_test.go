@@ -1,13 +1,100 @@
 package device
 
 import (
+	"maps"
 	"math"
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/energy"
+	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/sensors"
+	"repro/internal/vclock"
 )
+
+// TestDeviceChargesLikeOneBatch: n operations on a full Device must leave
+// exactly the state one BulkCharger reaches when charged with one batch of
+// n per operation kind — the meter by task and by label, CPU busy time, the
+// battery drain (the sum of the prices the charger returns) and the
+// sensocial_device_* series. The inputs keep every float sum exact, so the
+// comparison is bit-for-bit: the accelerometer's sampling and
+// classification costs are whole µAh, payloads are whole multiples of
+// 625 KiB (1024 µAh at 0.0016 µAh/B, and whole KB, so batching does not
+// change the per-KB CPU rounding), and each idle window is 200 minutes
+// (63 µAh).
+func TestDeviceChargesLikeOneBatch(t *testing.T) {
+	const (
+		n        = 9
+		mod      = sensors.ModalityAccelerometer
+		idleStep = 200 * time.Minute
+	)
+	payloads := []int{0, 625 * 1024, 2 * 625 * 1024}
+
+	clock := vclock.NewManual(epoch)
+	devReg := obs.NewRegistry()
+	d, err := New(Config{ID: "dev1", Clock: clock, Profile: testProfile(t), Seed: 1, Metrics: devReg})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	classifiers, err := classify.DefaultRegistry(geo.EuropeanCities())
+	if err != nil {
+		t.Fatalf("DefaultRegistry: %v", err)
+	}
+	totalBytes := 0
+	for i := 0; i < n; i++ {
+		r, err := d.Sample(mod)
+		if err != nil {
+			t.Fatalf("Sample: %v", err)
+		}
+		if _, err := d.Classify(classifiers, r); err != nil {
+			t.Fatalf("Classify: %v", err)
+		}
+		size := payloads[i%len(payloads)]
+		totalBytes += size
+		d.ChargeTransmission(mod, size)
+		clock.Advance(idleStep)
+		d.AccrueIdle()
+	}
+
+	refReg := obs.NewRegistry()
+	ref := NewBulkCharger(refReg)
+	perSample, err := ref.ChargeSamples(mod, n)
+	if err != nil {
+		t.Fatalf("ChargeSamples: %v", err)
+	}
+	perClass, err := ref.ChargeClassifications(mod, n)
+	if err != nil {
+		t.Fatalf("ChargeClassifications: %v", err)
+	}
+	tx := ref.ChargeTransmissions(mod, n, totalBytes)
+	perIdle := ref.ChargeIdle(n, idleStep)
+	wantDrain := perSample*n + perClass*n + tx + perIdle*n
+
+	if got, want := d.Meter().ByTask(), ref.Meter().ByTask(); !maps.Equal(got, want) {
+		t.Errorf("meter by task = %v, want %v", got, want)
+	}
+	if got, want := d.Meter().ByLabel(), ref.Meter().ByLabel(); !maps.Equal(got, want) {
+		t.Errorf("meter by label = %v, want %v", got, want)
+	}
+	if got, want := d.CPU().Busy(), ref.CPU().Busy(); got != want {
+		t.Errorf("CPU busy = %v, want %v", got, want)
+	}
+	if got := d.Battery().DrainedMicroAh(); got != wantDrain {
+		t.Errorf("battery drain = %v µAh, want %v", got, wantDrain)
+	}
+	for _, name := range []string{
+		"sensocial_device_samples_total",
+		"sensocial_device_classifications_total",
+		"sensocial_device_tx_messages_total",
+		"sensocial_device_tx_bytes_total",
+	} {
+		if got, want := devReg.Sum(name, mod), refReg.Sum(name, mod); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
 
 // TestBulkChargerMatchesPerDeviceAccounting: charging n operations in one
 // bulk call must equal n per-device charges under the same cost model, so

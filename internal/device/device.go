@@ -1,12 +1,15 @@
 // Package device simulates the smartphone that hosts the SenSocial mobile
 // middleware: a Samsung Galaxy N7000-class handset with five sensors, a
 // 2500 mAh battery, a CPU whose load the evaluation reports (Figure 5), and
-// a radio attached to a netsim fabric.
+// a radio reached through an injected dial function (a simulated fabric or
+// real TCP).
 //
-// The device is where resource accounting happens: every sample,
-// classification and transmission the middleware performs is charged to the
+// The package is where resource accounting happens. Every sample,
+// classification and transmission is charged through a BulkCharger to the
 // energy meter (PowerTutor's role) and the CPU meter (TraceView/DDMS's
-// role), using the calibrated cost model from the energy package.
+// role), using the calibrated cost model from the energy package. A full
+// Device charges its own charger in batches of one; the simulator's device
+// pool charges one shared charger per frame.
 package device
 
 import (
@@ -17,7 +20,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/energy"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sensors"
 	"repro/internal/vclock"
@@ -89,19 +91,14 @@ type Config struct {
 	ID string
 	// UserID is the owner (OSN identity).
 	UserID string
-	// Host is the device's network name on the fabric.
-	Host string
 	// Clock drives sampling schedules and timestamps.
 	Clock vclock.Clock
 	// Profile is the ground-truth behaviour of the device's user.
 	Profile *sensors.Profile
-	// Fabric connects the device to the simulated network; nil for devices
-	// used purely in-process (unit tests).
-	Fabric *netsim.Network
-	// Dialer overrides the network path entirely (e.g. real TCP when a
-	// simulated device talks to a server running as a separate process).
-	// Takes precedence over Fabric.
-	Dialer func(addr string) (net.Conn, error)
+	// Dial is the device's network path: a simulated fabric dial from the
+	// device's host, or real TCP when the server runs as a separate
+	// process. Nil for devices used purely in-process (unit tests).
+	Dial func(addr string) (net.Conn, error)
 	// Seed makes sensor noise deterministic.
 	Seed int64
 	// Metrics registers the device counters (families sensocial_device_*,
@@ -117,22 +114,13 @@ type Config struct {
 type Device struct {
 	id     string
 	userID string
-	host   string
 	clock  vclock.Clock
-	fabric *netsim.Network
-	dialer func(addr string) (net.Conn, error)
+	dial   func(addr string) (net.Conn, error)
 
 	suite   *sensors.Suite
-	meter   *energy.Meter
 	battery *energy.Battery
-	cpu     *CPUMeter
-	cost    energy.CostModel
-
-	tracer      *obs.Tracer
-	samples     *obs.CounterVec
-	classifies  *obs.CounterVec
-	txMessages  *obs.CounterVec
-	txBytesByMd *obs.CounterVec
+	charger BulkCharger
+	tracer  *obs.Tracer
 
 	mu        sync.Mutex
 	idleSince time.Time
@@ -149,9 +137,6 @@ func New(cfg Config) (*Device, error) {
 	if cfg.Profile == nil {
 		return nil, fmt.Errorf("device: %s: profile required", cfg.ID)
 	}
-	if cfg.Host == "" {
-		cfg.Host = cfg.ID
-	}
 	battery, err := energy.NewBattery(batteryMAh)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: %w", cfg.ID, err)
@@ -160,32 +145,16 @@ func New(cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: %w", cfg.ID, err)
 	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = obs.NewRegistry()
-	}
 	return &Device{
 		id:        cfg.ID,
 		userID:    cfg.UserID,
-		host:      cfg.Host,
 		clock:     cfg.Clock,
-		fabric:    cfg.Fabric,
-		dialer:    cfg.Dialer,
+		dial:      cfg.Dial,
 		suite:     suite,
-		meter:     energy.NewMeter(),
 		battery:   battery,
-		cpu:       &CPUMeter{},
-		cost:      energy.DefaultCostModel(),
+		charger:   NewBulkCharger(cfg.Metrics),
 		tracer:    cfg.Tracer,
 		idleSince: cfg.Clock.Now(),
-		samples: metrics.CounterVec("sensocial_device_samples_total",
-			"Sensor readings acquired (all devices), by modality.", "modality"),
-		classifies: metrics.CounterVec("sensocial_device_classifications_total",
-			"On-device classification passes (all devices), by modality.", "modality"),
-		txMessages: metrics.CounterVec("sensocial_device_tx_messages_total",
-			"Uplink transmissions charged (all devices), by modality.", "modality"),
-		txBytesByMd: metrics.CounterVec("sensocial_device_tx_bytes_total",
-			"Uplink payload bytes charged (all devices), by modality.", "modality"),
 	}, nil
 }
 
@@ -199,13 +168,13 @@ func (d *Device) UserID() string { return d.userID }
 func (d *Device) Clock() vclock.Clock { return d.clock }
 
 // Meter exposes the energy meter (the experiment harness reads it).
-func (d *Device) Meter() *energy.Meter { return d.meter }
+func (d *Device) Meter() *energy.Meter { return d.charger.Meter() }
 
 // Battery exposes battery state.
 func (d *Device) Battery() *energy.Battery { return d.battery }
 
 // CPU exposes the CPU meter.
-func (d *Device) CPU() *CPUMeter { return d.cpu }
+func (d *Device) CPU() *CPUMeter { return d.charger.CPU() }
 
 // Suite exposes the raw sensor suite (tests assert against ground truth).
 func (d *Device) Suite() *sensors.Suite { return d.suite }
@@ -214,20 +183,12 @@ func (d *Device) Suite() *sensors.Suite { return d.suite }
 // the mobile middleware parents its upload spans on it.
 func (d *Device) Tracer() *obs.Tracer { return d.tracer }
 
-// Dial opens a connection from this device's host through its configured
-// network path (a custom dialer when set, otherwise the simulated fabric).
+// Dial opens a connection through the device's configured network path.
 func (d *Device) Dial(addr string) (net.Conn, error) {
-	if d.dialer != nil {
-		conn, err := d.dialer(addr)
-		if err != nil {
-			return nil, fmt.Errorf("device: %s: dial %s: %w", d.id, addr, err)
-		}
-		return conn, nil
+	if d.dial == nil {
+		return nil, fmt.Errorf("device: %s: no network path", d.id)
 	}
-	if d.fabric == nil {
-		return nil, fmt.Errorf("device: %s: not attached to a network fabric", d.id)
-	}
-	conn, err := d.fabric.Dial(d.host, addr)
+	conn, err := d.dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("device: %s: dial %s: %w", d.id, addr, err)
 	}
@@ -244,13 +205,11 @@ func (d *Device) Sample(modality string) (sensors.Reading, error) {
 	if err != nil {
 		return sensors.Reading{}, fmt.Errorf("device: %s: %w", d.id, err)
 	}
-	cost, err := d.cost.SamplingCost(modality)
+	cost, err := d.charger.ChargeSamples(modality, 1)
 	if err != nil {
 		return sensors.Reading{}, fmt.Errorf("device: %s: %w", d.id, err)
 	}
-	d.charge(energy.TaskSampling, modality, cost)
-	d.cpu.AddBusy(cpuSampling)
-	d.samples.WithLabelValues(modality).Inc()
+	d.battery.Drain(cost)
 	return r, nil
 }
 
@@ -264,13 +223,9 @@ func (d *Device) Classify(reg *classify.Registry, r sensors.Reading) (string, er
 	if err != nil {
 		return "", fmt.Errorf("device: %s: %w", d.id, err)
 	}
-	cost, err := d.cost.ClassificationCost(r.Modality)
-	if err != nil {
-		return "", fmt.Errorf("device: %s: %w", d.id, err)
+	if err := d.ChargeClassification(r.Modality); err != nil {
+		return "", err
 	}
-	d.charge(energy.TaskClassification, r.Modality, cost)
-	d.cpu.AddBusy(cpuClassification)
-	d.classifies.WithLabelValues(r.Modality).Inc()
 	return label, nil
 }
 
@@ -278,23 +233,18 @@ func (d *Device) Classify(reg *classify.Registry, r sensors.Reading) (string, er
 // a modality without running a registry classifier — applications that
 // hand-roll their inference (the Table 5 baselines) still burn the energy.
 func (d *Device) ChargeClassification(modality string) error {
-	cost, err := d.cost.ClassificationCost(modality)
+	cost, err := d.charger.ChargeClassifications(modality, 1)
 	if err != nil {
 		return fmt.Errorf("device: %s: %w", d.id, err)
 	}
-	d.charge(energy.TaskClassification, modality, cost)
-	d.cpu.AddBusy(cpuClassification)
-	d.classifies.WithLabelValues(modality).Inc()
+	d.battery.Drain(cost)
 	return nil
 }
 
 // ChargeTransmission accounts for uploading payloadBytes attributed to a
-// modality label.
+// modality label; a negative byte count is charged as 0.
 func (d *Device) ChargeTransmission(modality string, payloadBytes int) {
-	d.charge(energy.TaskTransmission, modality, d.cost.TransmissionCost(payloadBytes))
-	d.cpu.AddBusy(cpuPerTxMessage + time.Duration(payloadBytes/1024)*cpuPerTxKB)
-	d.txMessages.WithLabelValues(modality).Inc()
-	d.txBytesByMd.WithLabelValues(modality).Add(uint64(payloadBytes))
+	d.battery.Drain(d.charger.ChargeTransmissions(modality, 1, max(payloadBytes, 0)))
 }
 
 // AccrueIdle charges baseline idle energy for the wall time elapsed since
@@ -306,12 +256,5 @@ func (d *Device) AccrueIdle() {
 	elapsed := now.Sub(d.idleSince)
 	d.idleSince = now
 	d.mu.Unlock()
-	if elapsed > 0 {
-		d.charge(energy.TaskIdle, "system", d.cost.IdleCost(elapsed.Minutes()))
-	}
-}
-
-func (d *Device) charge(task energy.Task, label string, microAh float64) {
-	d.meter.Add(task, label, microAh)
-	d.battery.Drain(microAh)
+	d.battery.Drain(d.charger.ChargeIdle(1, elapsed))
 }

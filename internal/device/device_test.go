@@ -184,7 +184,8 @@ func TestDialThroughFabric(t *testing.T) {
 		close(accepted)
 	}()
 	d, err := New(Config{
-		ID: "dev1", Clock: clock, Profile: testProfile(t), Fabric: fabric, Seed: 1,
+		ID: "dev1", Clock: clock, Profile: testProfile(t), Seed: 1,
+		Dial: func(addr string) (net.Conn, error) { return fabric.Dial("dev1", addr) },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -208,12 +209,12 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestDialWithCustomDialer(t *testing.T) {
-	// A custom dialer (the real-TCP path of cmd/sensocial-mobile) takes
-	// precedence over the fabric.
+	// A custom dialer (the real-TCP path of cmd/sensocial-mobile) is the
+	// device's whole network path.
 	dialed := ""
 	d, err := New(Config{
 		ID: "d", Clock: vclock.NewManual(epoch), Profile: testProfile(t), Seed: 1,
-		Dialer: func(addr string) (net.Conn, error) {
+		Dial: func(addr string) (net.Conn, error) {
 			dialed = addr
 			c1, c2 := net.Pipe()
 			go func() { _ = c2.Close() }()
@@ -231,10 +232,10 @@ func TestDialWithCustomDialer(t *testing.T) {
 	if dialed != "server:1883" {
 		t.Fatalf("dialer saw %q", dialed)
 	}
-	// Dialer errors are wrapped with device identity.
+	// Dial errors are wrapped with device identity.
 	d2, err := New(Config{
 		ID: "d2", Clock: vclock.NewManual(epoch), Profile: testProfile(t), Seed: 1,
-		Dialer: func(string) (net.Conn, error) { return nil, net.ErrClosed },
+		Dial: func(string) (net.Conn, error) { return nil, net.ErrClosed },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -68,9 +68,8 @@ func DefaultLayering() []LayerRule {
 		{From: "internal/classify", Only: []string{"internal/geo", "internal/sensors"},
 			Why: "classifiers consume sensor data only"},
 		{From: "internal/device", Only: []string{"internal/classify", "internal/energy",
-			"internal/geo", "internal/netsim", "internal/obs", "internal/sensors",
-			"internal/vclock"},
-			Why: "the simulated device must not see the OSN or server side"},
+			"internal/geo", "internal/obs", "internal/sensors", "internal/vclock"},
+			Why: "the simulated device must not see the OSN or server side, and its transport is injected (Config.Dial), so it must not know the fabric"},
 		{From: "internal/sensing", Only: []string{"internal/device", "internal/geo",
 			"internal/sensors", "internal/vclock"},
 			Why: "local sensing runs on the device; no OSN or server imports"},

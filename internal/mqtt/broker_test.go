@@ -487,6 +487,35 @@ func TestClientCloseIdempotentAndRejectsOps(t *testing.T) {
 	}
 }
 
+// TestPacketIDsExhausted: with every packet id awaiting an ack, requests
+// that need one fail with ErrPacketIDsExhausted instead of spinning for a
+// free id while holding the lock the read loop needs.
+func TestPacketIDsExhausted(t *testing.T) {
+	bus := newTestBus(t)
+	c := bus.connect("c")
+	c.FillPending()
+	errs := make(chan error, 3)
+	go func() {
+		errs <- c.Publish("t", []byte("x"), 1, false)
+		errs <- c.Subscribe("t", 1, func(Message) {})
+		errs <- c.Unsubscribe("t")
+	}()
+	for _, op := range []string{"Publish", "Subscribe", "Unsubscribe"} {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrPacketIDsExhausted) {
+				t.Fatalf("%s with every packet id in flight: err = %v, want ErrPacketIDsExhausted", op, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s with every packet id in flight hung", op)
+		}
+	}
+	// QoS 0 needs no packet id.
+	if err := c.Publish("t", []byte("x"), 0, false); err != nil {
+		t.Fatalf("QoS 0 Publish: %v", err)
+	}
+}
+
 func TestHandlerMayPublishQoS1(t *testing.T) {
 	// Regression guard: handlers run off the reader goroutine, so a QoS 1
 	// publish from inside a handler must not deadlock.

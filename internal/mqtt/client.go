@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -34,6 +35,10 @@ var ErrAckTimeout = errors.New("mqtt: acknowledgement timeout")
 // (ErrClientClosed and transport errors), where the packet never reached
 // the wire and resending is always safe.
 var ErrAckUnknown = errors.New("mqtt: acknowledgement unknown (transport lost after send)")
+
+// ErrPacketIDsExhausted is returned by a QoS 1 Publish, Subscribe or
+// Unsubscribe when every packet id is already awaiting an acknowledgement.
+var ErrPacketIDsExhausted = errors.New("mqtt: all packet ids in flight")
 
 // ClientOptions configures Connect.
 type ClientOptions struct {
@@ -381,24 +386,27 @@ type pendingAck struct {
 	acked bool
 }
 
+// registerPending reserves the next free packet id. When all 65 535 ids are
+// in flight it fails after one full cycle instead of spinning under c.mu,
+// which the read loop needs to retire an ack.
 func (c *Client) registerPending() (uint16, *pendingAck, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, nil, ErrClientClosed
 	}
-	for {
+	for range math.MaxUint16 {
 		c.nextID++
 		if c.nextID == 0 {
 			c.nextID = 1
 		}
 		if _, taken := c.pending[c.nextID]; !taken {
-			break
+			pa := &pendingAck{ch: make(chan struct{})}
+			c.pending[c.nextID] = pa
+			return c.nextID, pa, nil
 		}
 	}
-	pa := &pendingAck{ch: make(chan struct{})}
-	c.pending[c.nextID] = pa
-	return c.nextID, pa, nil
+	return 0, nil, ErrPacketIDsExhausted
 }
 
 func (c *Client) unregisterPending(id uint16) {

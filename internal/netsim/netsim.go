@@ -254,16 +254,17 @@ func (n *Network) effectiveLinkLocked(src, dst string) Link {
 	l := n.linkFor(src, dst)
 	sh, dh := hostOf(src), hostOf(dst)
 	for _, o := range n.overrides {
-		if matchHost(o.src, sh) && matchHost(o.dst, dh) {
+		if MatchHost(o.src, sh) && MatchHost(o.dst, dh) {
 			l = o.fault.apply(l)
 		}
 	}
 	return l
 }
 
-// matchHost reports whether host matches pattern: exact, "*", or a
-// trailing-star prefix like "device-*".
-func matchHost(pattern, host string) bool {
+// MatchHost reports whether host matches a fault pattern: exact, "*", or a
+// trailing-star prefix like "device-*". It is the one definition of the
+// pattern language, shared by the fabric and schedule validation.
+func MatchHost(pattern, host string) bool {
 	if pattern == "*" {
 		return true
 	}
@@ -275,7 +276,7 @@ func matchHost(pattern, host string) bool {
 
 func matchAny(patterns []string, host string) bool {
 	for _, p := range patterns {
-		if matchHost(p, host) {
+		if MatchHost(p, host) {
 			return true
 		}
 	}
@@ -542,7 +543,7 @@ func (n *Network) linkUpdatesLocked() ([]linkUpdate, int) {
 func (n *Network) ResetConns(pattern string) int {
 	n.mu.Lock()
 	victims := n.collectLocked(func(p *connPair) bool {
-		return matchHost(pattern, p.srcHost) || matchHost(pattern, p.dstHost)
+		return MatchHost(pattern, p.srcHost) || MatchHost(pattern, p.dstHost)
 	})
 	fc := n.counters.Load()
 	n.mu.Unlock()

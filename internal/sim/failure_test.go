@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -207,8 +208,8 @@ func TestReconnectingMobileResumesAfterBrokerRestart(t *testing.T) {
 	}
 	// Hand-build a reconnecting mobile manager on the sim fabric.
 	dev, err := device.New(device.Config{
-		ID: "r-phone", UserID: "r", Host: "r-phone", Clock: s.Clock,
-		Profile: profile, Fabric: s.Fabric, Seed: 77,
+		ID: "r-phone", UserID: "r", Clock: s.Clock, Profile: profile, Seed: 77,
+		Dial: func(addr string) (net.Conn, error) { return s.Fabric.Dial("r-phone", addr) },
 	})
 	if err != nil {
 		t.Fatalf("device.New: %v", err)

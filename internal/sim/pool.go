@@ -152,8 +152,9 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 //
 // Per-device state lives in parallel struct-of-arrays slices: identity
 // (substrings of one name arena per AddDevices call), sampler phase (the
-// activity ground truth), ring shard, pending-upload backlog and battery
-// drain. Devices are grouped into frames of FrameSize; each frame is one
+// activity ground truth), ring shard and pending-upload backlog. Energy and
+// CPU are charged to one fleet-wide device.BulkCharger, not per device.
+// Devices are grouped into frames of FrameSize; each frame is one
 // vclock event that fires once per sample interval, keeps the one sampling
 // cadence all its devices share, scans its slice of the arrays, and re-arms
 // itself. The clock must be an EventScheduler (vclock.Manual): frames run
@@ -169,7 +170,7 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 type DevicePool struct {
 	clock   vclock.Clock
 	fabric  *netsim.Network
-	charger *device.BulkCharger
+	charger device.BulkCharger
 
 	// addrs/perShard form the pool's address ring: slot s dials
 	// addrs[s/perShard], so each address owns a contiguous group of
@@ -191,14 +192,12 @@ type DevicePool struct {
 	// closes) its conn.
 	conns []net.Conn
 	// Struct-of-arrays device state. ids/users/phase/shard are written
-	// only before Start; backlog/drained are mutated under mu by frame
-	// ticks.
+	// only before Start; backlog is mutated under mu by frame ticks.
 	ids     []string
 	users   []string
 	phase   []uint32
 	shard   []int32
 	backlog []uint16
-	drained []float64
 
 	frames     []*poolFrame
 	clients    []atomic.Pointer[mqtt.Client]
@@ -340,7 +339,6 @@ func (p *DevicePool) AddDevices(n int) error {
 	p.phase = slices.Grow(p.phase, n)
 	p.shard = slices.Grow(p.shard, n)
 	p.backlog = append(p.backlog, make([]uint16, n)...)
-	p.drained = append(p.drained, make([]float64, n)...)
 	off := 0
 	for idx := base; idx < base+n; idx++ {
 		end := off + poolNameLen(idx)
@@ -596,15 +594,11 @@ func (f *poolFrame) tick(now time.Time) {
 func (f *poolFrame) flush(now time.Time) {
 	p := f.pool
 	if f.sampled {
+		// The cost model prices poolModality, so neither call can fail,
+		// and the per-device prices they return have no battery to drain.
 		n := f.hi - f.lo
-		perSample, _ := p.charger.ChargeSamples(poolModality, n)
-		perClass, _ := p.charger.ChargeClassifications(poolModality, n)
-		per := perSample + perClass
-		p.mu.Lock()
-		for i := f.lo; i < f.hi; i++ {
-			p.drained[i] += per
-		}
-		p.mu.Unlock()
+		_, _ = p.charger.ChargeSamples(poolModality, n)
+		_, _ = p.charger.ChargeClassifications(poolModality, n)
 	}
 
 	f.flushIdx = f.flushIdx[:0]
@@ -707,29 +701,11 @@ func (f *poolFrame) flush(now time.Time) {
 			p.series.published[sh].Add(uint64(st.msgs))
 		}
 	}
-	if msgs > 0 {
-		tx := p.charger.ChargeTransmissions(poolModality, msgs, bytes)
-		share := tx / float64(len(f.flushIdx))
-		p.mu.Lock()
-		for _, i := range f.flushIdx {
-			p.drained[i] += share
-		}
-		p.mu.Unlock()
-	}
+	p.charger.ChargeTransmissions(poolModality, msgs, bytes)
 }
 
 // Charger exposes the fleet-wide resource accountant.
-func (p *DevicePool) Charger() *device.BulkCharger { return p.charger }
-
-// DrainedMicroAh returns one device's accumulated battery drain.
-func (p *DevicePool) DrainedMicroAh(i int) float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.drained) {
-		return 0
-	}
-	return p.drained[i]
-}
+func (p *DevicePool) Charger() *device.BulkCharger { return &p.charger }
 
 // Frames returns how many scheduled frames the started fleet was carved
 // into.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/vclock"
@@ -80,10 +82,15 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 
 	var mu sync.Mutex
 	seen := make(map[string]int) // deviceID -> items
-	var badLabel, badUser int
+	var badLabel, badUser, payloadBytes int
 	s.Shards[0].Server.OnItem(func(i core.Item) {
+		payload, err := i.Encode()
 		mu.Lock()
 		defer mu.Unlock()
+		if err != nil {
+			t.Errorf("re-encoding %+v: %v", i, err)
+		}
+		payloadBytes += len(payload)
 		seen[i.DeviceID]++
 		switch i.Classified {
 		case "still", "walking", "running":
@@ -136,20 +143,23 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 		t.Fatalf("%d bad labels, %d bad user attributions", badLabel, badUser)
 	}
 
-	// Frame-mates accrued identical energy under full duty (transmission
-	// cost is batched per frame flush, so shares differ across frames of
-	// different size but never within one).
-	first := s.Pool.DrainedMicroAh(0)
-	if first <= 0 {
-		t.Fatal("device 0 accrued no battery drain")
+	// The fleet meter charged every sample, classification and upload at
+	// the cost model's prices. Sampling and classification cost whole µAh,
+	// so their sums are exact; the meter adds one transmission price per
+	// frame flush, and summing those in another order may move the last
+	// bit, hence the 1e-12 relative bound on transmission alone.
+	cost := energy.DefaultCostModel()
+	meter := s.Pool.Charger().Meter()
+	const samples = devices * 4
+	if got, want := meter.TaskLabel(energy.TaskSampling, poolModality), samples*cost.Sampling[poolModality]; got != want {
+		t.Errorf("fleet sampling charge = %v µAh, want %v", got, want)
 	}
-	for i := 1; i < 8; i++ {
-		if got := s.Pool.DrainedMicroAh(i); got != first {
-			t.Fatalf("device %d drained %v µAh, frame-mate 0 drained %v", i, got, first)
-		}
+	if got, want := meter.TaskLabel(energy.TaskClassification, poolModality), samples*cost.Classification[poolModality]; got != want {
+		t.Errorf("fleet classification charge = %v µAh, want %v", got, want)
 	}
-	if got := s.Pool.DrainedMicroAh(devices - 1); got <= 0 {
-		t.Fatal("last device accrued no battery drain")
+	wantTx := samples*cost.TxPerMessage + float64(payloadBytes)*cost.TxPerByte
+	if got := meter.TaskLabel(energy.TaskTransmission, poolModality); math.Abs(got-wantTx) > 1e-12*wantTx {
+		t.Errorf("fleet transmission charge = %v µAh, want %v (%d messages, %d bytes)", got, wantTx, samples, payloadBytes)
 	}
 }
 
@@ -298,7 +308,7 @@ func TestAddDevicesAllocs(t *testing.T) {
 	runtime.GC()
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			p.ids, p.users, p.phase, p.shard, p.backlog, p.drained = nil, nil, nil, nil, nil, nil
+			p.ids, p.users, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
 			if err := p.AddDevices(n); err != nil {
 				t.Fatal(err)
 			}
@@ -308,9 +318,9 @@ func TestAddDevicesAllocs(t *testing.T) {
 	if small != large {
 		t.Fatalf("AddDevices allocates %v times for 1000 devices and %v for 10000, want the same count", small, large)
 	}
-	// Six columns and the arena; the race detector's unfused appends add
+	// Five columns and the arena; the race detector's unfused appends add
 	// one allocation per zeroed column and per slices.Grow.
-	if limit := 7.0; !raceEnabled && large > limit {
+	if limit := 6.0; !raceEnabled && large > limit {
 		t.Fatalf("AddDevices allocates %v times, want at most %v", large, limit)
 	}
 }
@@ -372,7 +382,7 @@ func BenchmarkPoolAddDevices(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ids, p.users, p.phase, p.shard, p.backlog, p.drained = nil, nil, nil, nil, nil, nil
+		p.ids, p.users, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
 		if err := p.AddDevices(20_000); err != nil {
 			b.Fatal(err)
 		}

@@ -394,10 +394,10 @@ func (s *Simulation) AddUserWithPrivacy(userID string, profile *sensors.Profile,
 	dev, err := device.New(device.Config{
 		ID:      deviceID,
 		UserID:  userID,
-		Host:    deviceID,
 		Clock:   s.Clock,
 		Profile: profile,
-		Fabric:  s.Fabric,
+		// The device's fabric host is its id, which fault patterns name.
+		Dial:    func(addr string) (net.Conn, error) { return s.Fabric.Dial(deviceID, addr) },
 		Seed:    seed,
 		Metrics: sh.Metrics,
 		Tracer:  sh.Tracer,
