@@ -71,14 +71,17 @@ bench-smoke:
 bench-e2e-smoke:
 	$(GO) run ./bench -short
 
-# Short coverage-guided runs of the item-format fuzzer, the MQTT wire codec
-# fuzzer, the topic-trie match cross-check, the netsim lifecycle fuzzer, the
-# WAL replay fuzzer and the document-record codec fuzzer: catches decode
-# panics, frames that do not read back as written, trie/matcher divergence,
+# Short coverage-guided runs of the item and trigger codec fuzzers (each
+# differential against encoding/json), the MQTT wire codec fuzzer, the
+# topic-trie match cross-check, the netsim lifecycle fuzzer, the WAL replay
+# fuzzer and the document-record codec fuzzer: catches decode panics, a
+# codec fast path that drifts from encoding/json, frames that do not read
+# back as written, trie/matcher divergence,
 # fabric deadlocks under fault/close interleavings and records that do not
 # read back as written, without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrigger$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketRoundTrip$$' -fuzztime 10s ./internal/mqtt
 	$(GO) test -run '^$$' -fuzz '^FuzzTopicMatchConsistency$$' -fuzztime 10s ./internal/mqtt
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricLifecycle$$' -fuzztime 10s ./internal/netsim

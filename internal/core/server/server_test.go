@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -488,5 +489,39 @@ func TestRemoteStreamViaDownload(t *testing.T) {
 	}
 	if err := s.Shards[0].Server.CreateRemoteStreamViaDownload(core.StreamConfig{ID: "bad"}); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestRegisterDeviceConcurrentSameUser registers the devices of one new
+// user from eight goroutines at once, as a phone and a watch registering at
+// the same moment over POST /register do: every registration succeeds, the
+// user exists once, and every device is bound to it.
+func TestRegisterDeviceConcurrentSameUser(t *testing.T) {
+	m := bareManager(t, nil)
+	const rounds, devices = 200, 8
+	for r := 0; r < rounds; r++ {
+		user := fmt.Sprintf("user%03d", r)
+		errs := make(chan error, devices)
+		var wg sync.WaitGroup
+		for d := 0; d < devices; d++ {
+			wg.Add(1)
+			go func(d int) {
+				defer wg.Done()
+				errs <- m.RegisterDevice(user, fmt.Sprintf("%s-dev%d", user, d))
+			}(d)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: RegisterDevice: %v", r, err)
+			}
+		}
+		if devs, err := m.DevicesOf(user); err != nil || len(devs) != devices {
+			t.Fatalf("round %d: DevicesOf = %v, %v; want %d devices", r, devs, err, devices)
+		}
+	}
+	if n := m.Store().Collection("users").Len(); n != rounds {
+		t.Fatalf("users collection holds %d documents, want %d", n, rounds)
 	}
 }

@@ -101,8 +101,13 @@ type Item struct {
 	AggregateID string `json:"aggregate_id,omitempty"`
 }
 
-// Encode serializes the item for transport (MQTT payload).
+// Encode serializes the item for transport (MQTT payload): the bytes
+// encoding/json writes for it, produced by codec.go's fast path whenever
+// the item fits it.
 func (i Item) Encode() ([]byte, error) {
+	if b, ok := appendItem(&i); ok {
+		return b, nil
+	}
 	b, err := json.Marshal(i)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode item of stream %q: %w", i.StreamID, err)
@@ -110,8 +115,12 @@ func (i Item) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeItem parses an item from its transport encoding.
+// DecodeItem parses an item from its transport encoding, as
+// encoding/json.Unmarshal would.
 func DecodeItem(b []byte) (Item, error) {
+	if i, ok := decodeItem(b); ok {
+		return i, nil
+	}
 	var i Item
 	if err := json.Unmarshal(b, &i); err != nil {
 		return Item{}, fmt.Errorf("core: decode item: %w", err)

@@ -69,10 +69,15 @@ func (t Trigger) Validate() error {
 	return nil
 }
 
-// Encode serializes the trigger for MQTT transport.
+// Encode serializes the trigger for MQTT transport: the bytes encoding/json
+// writes for it, produced by codec.go's fast path whenever the trigger fits
+// it.
 func (t Trigger) Encode() ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	if b, ok := appendTrigger(&t); ok {
+		return b, nil
 	}
 	b, err := json.Marshal(t)
 	if err != nil {
@@ -81,11 +86,15 @@ func (t Trigger) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// DecodeTrigger parses a trigger payload.
+// DecodeTrigger parses a trigger payload, as encoding/json.Unmarshal would.
 func DecodeTrigger(b []byte) (Trigger, error) {
-	var t Trigger
-	if err := json.Unmarshal(b, &t); err != nil {
-		return Trigger{}, fmt.Errorf("core: decode trigger: %w", err)
+	t, ok := decodeTrigger(b)
+	if !ok {
+		var slow Trigger // its own variable, so t does not escape on the fast path
+		if err := json.Unmarshal(b, &slow); err != nil {
+			return Trigger{}, fmt.Errorf("core: decode trigger: %w", err)
+		}
+		t = slow
 	}
 	if err := t.Validate(); err != nil {
 		return Trigger{}, err

@@ -342,7 +342,8 @@ type session struct {
 func (b *Broker) handleConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 
-	pkt, err := readPacket(conn)
+	in := &packetReader{r: conn}
+	pkt, err := in.read()
 	b.mu.Lock()
 	delete(b.handshaking, conn)
 	b.mu.Unlock()
@@ -405,7 +406,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 		b.restoreSession(s)
 	}
 	b.logf("client connected", "client", c.clientID)
-	s.readLoop()
+	s.readLoop(in)
 	b.removeSession(s)
 	b.logf("client disconnected", "client", c.clientID)
 }
@@ -465,8 +466,10 @@ func (b *Broker) removeSession(s *session) {
 	}
 }
 
-func (s *session) readLoop() {
-	in := packetReader{r: s.conn}
+// readLoop handles the session's frames until the connection fails. in is
+// the reader the CONNECT came through: frames pipelined behind it may
+// already sit in its buffer.
+func (s *session) readLoop(in *packetReader) {
 	for {
 		if s.timeout > 0 {
 			//lint:ignore wallclock net.Conn read deadlines are wall-clock by the net contract; a virtual Now here would disarm (or instantly fire) the socket timeout

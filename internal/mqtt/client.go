@@ -103,7 +103,8 @@ func Connect(conn net.Conn, opts ClientOptions) (*Client, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("mqtt: connect %q: %w", opts.ClientID, err)
 	}
-	pkt, err := readPacket(conn)
+	in := &packetReader{r: conn}
+	pkt, err := in.read()
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("mqtt: connect %q: read connack: %w", opts.ClientID, err)
@@ -129,7 +130,7 @@ func Connect(conn net.Conn, opts ClientOptions) (*Client, error) {
 	c.wg.Add(2)
 	go func() {
 		defer c.wg.Done()
-		c.readLoop()
+		c.readLoop(in)
 	}()
 	go func() {
 		defer c.wg.Done()
@@ -275,8 +276,10 @@ func (c *Client) Err() error {
 // on it.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-func (c *Client) readLoop() {
-	in := packetReader{r: c.conn}
+// readLoop handles the client's frames until the connection fails. in is
+// the reader the CONNACK came through: a redelivery the broker writes right
+// behind it may already sit in its buffer.
+func (c *Client) readLoop(in *packetReader) {
 	for {
 		pkt, err := in.read()
 		if err != nil {

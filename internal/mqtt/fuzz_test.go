@@ -8,14 +8,14 @@ import (
 	"testing/quick"
 )
 
-// Property: readPacket never panics and never allocates absurdly on
+// Property: packetReader never panics and never allocates absurdly on
 // arbitrary input bytes — a malicious or corrupted peer cannot take the
 // broker down.
 func TestPropertyReadPacketRobust(t *testing.T) {
 	f := func(data []byte) bool {
-		r := bytes.NewReader(data)
+		in := &packetReader{r: bytes.NewReader(data)}
 		for i := 0; i < 4; i++ { // drain a few frames if parseable
-			if _, err := readPacket(r); err != nil {
+			if _, err := in.read(); err != nil {
 				return true
 			}
 		}
@@ -69,7 +69,7 @@ func TestPropertyFrameRoundTrip(t *testing.T) {
 // FuzzPacketRoundTrip checks the wire codec in both directions. As a
 // generator seed, the input becomes a PUBLISH (QoS 0 or 1, retained or
 // not), a SUBSCRIBE, an UNSUBSCRIBE and a CONNECT, each written the way the
-// client writes it; every one must come back through readPacket and its
+// client writes it; every one must come back through packetReader and its
 // decoder as it went in. As wire bytes, the input must decode frame by
 // frame or fail, and never panic.
 func FuzzPacketRoundTrip(f *testing.F) {
@@ -125,9 +125,9 @@ func FuzzPacketRoundTrip(f *testing.F) {
 		}
 
 		// As wire bytes.
-		r := bytes.NewReader(data)
+		in := &packetReader{r: bytes.NewReader(data)}
 		for {
-			pkt, err := readPacket(r)
+			pkt, err := in.read()
 			if err != nil {
 				break
 			}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Packet types (MQTT 3.1.1 §2.2.1).
@@ -81,55 +82,130 @@ func writePacket(w io.Writer, ptype, flags byte, body []byte) error {
 	return nil
 }
 
-// packetReader reads the frames of one connection. The fixed header is
-// read a byte at a time into hdr, which lives as long as the reader, so it
-// does not escape through io.ReadFull on every frame: a frame costs its
-// body and nothing else.
+// readBufSize is the size of the buffer a packetReader borrows while a
+// frame is in progress: room for several item PUBLISHes, so a burst costs
+// one read call rather than three or four per frame.
+const readBufSize = 4 << 10
+
+// readBufs holds the borrowed buffers. An idle connection holds none, so
+// the memory follows the frames in flight, not the session count.
+var readBufs = sync.Pool{New: func() any { return new([readBufSize]byte) }}
+
+// packetReader reads the frames of one connection. Idle, it blocks on a
+// one-byte read of the next fixed header into hdr and holds no buffer. Once
+// a frame starts, it borrows a buffer, reads whatever has arrived, and
+// parses frames out of it until it is drained, then gives it back. It calls
+// Read only when the frame being read needs another byte, so it never waits
+// for a byte that frame does not need, and it calls Read again only after
+// every frame it has already returned was handled: a netsim reader proves
+// it is done with a chunk by calling Read again, which is what
+// sensocial_netsim_unread_bytes counts on.
+//
+// Every body is a fresh copy, never a view of the buffer, so what is
+// decoded from it may alias it. A connection's handshake and read loop
+// must share one reader: bytes buffered behind the handshake frame belong
+// to the frames that follow it.
 type packetReader struct {
 	r   io.Reader
 	hdr [1]byte
+	buf *[readBufSize]byte // nil while idle
+	off int                // next unparsed byte in buf
+	end int                // end of the bytes read into buf
+	err error              // what Read returned beside the last bytes it gave
 }
 
-// readPacket decodes one frame from r.
-func readPacket(r io.Reader) (packet, error) {
-	pr := packetReader{r: r}
-	return pr.read()
-}
-
-// read decodes the next frame. Its body is freshly allocated and never
-// reused, so what is decoded from it may alias it.
+// read decodes the next frame.
 func (pr *packetReader) read() (packet, error) {
-	if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
-		return packet{}, err // io.EOF propagates unwrapped for clean shutdown
-	}
-	ptype := pr.hdr[0] >> 4
-	flags := pr.hdr[0] & 0x0f
-
-	// Varint remaining length.
-	length := 0
-	multiplier := 1
-	for i := 0; ; i++ {
-		if i >= 4 {
-			return packet{}, fmt.Errorf("mqtt: remaining length too long: %w", ErrMalformedPacket)
+	if pr.buf == nil {
+		if pr.err != nil {
+			return packet{}, pr.err
 		}
 		if _, err := io.ReadFull(pr.r, pr.hdr[:]); err != nil {
-			return packet{}, fmt.Errorf("mqtt: read remaining length: %w", err)
+			return packet{}, err // io.EOF propagates unwrapped for clean shutdown
 		}
-		b := pr.hdr[0]
+		pr.buf = readBufs.Get().(*[readBufSize]byte)
+		pr.buf[0] = pr.hdr[0]
+		pr.off, pr.end = 0, 1
+	}
+	pkt, err := pr.parse()
+	if err != nil || pr.off == pr.end {
+		pr.release()
+	}
+	return pkt, err
+}
+
+// parse decodes the frame starting at buf[off], reading what it lacks.
+func (pr *packetReader) parse() (packet, error) {
+	// Fixed header byte, then the varint remaining length (up to 4 bytes).
+	length, multiplier := 0, 1
+	for i := 1; ; i++ {
+		if i > 4 {
+			return packet{}, fmt.Errorf("mqtt: remaining length too long: %w", ErrMalformedPacket)
+		}
+		if pr.off+i == pr.end {
+			if err := pr.fill(); err != nil {
+				return packet{}, fmt.Errorf("mqtt: read remaining length: %w", err)
+			}
+		}
+		b := pr.buf[pr.off+i]
 		length += int(b&0x7f) * multiplier
 		if b&0x80 == 0 {
-			break
+			if length > maxRemainingLength {
+				return packet{}, fmt.Errorf("mqtt: remaining length %d exceeds limit: %w", length, ErrMalformedPacket)
+			}
+			pkt := packet{ptype: pr.buf[pr.off] >> 4, flags: pr.buf[pr.off] & 0x0f, body: make([]byte, length)}
+			pr.off += i + 1
+			n := copy(pkt.body, pr.buf[pr.off:pr.end])
+			pr.off += n
+			if n < length {
+				// The rest of the body has not arrived: read exactly it,
+				// straight into the body, so nothing past this frame is
+				// waited for.
+				pr.release()
+				err := pr.err
+				if err == nil {
+					_, err = io.ReadFull(pr.r, pkt.body[n:])
+				}
+				if err != nil {
+					return packet{}, fmt.Errorf("mqtt: read packet body: %w", unexpectedEOF(err))
+				}
+			}
+			return pkt, nil
 		}
 		multiplier *= 128
 	}
-	if length > maxRemainingLength {
-		return packet{}, fmt.Errorf("mqtt: remaining length %d exceeds limit: %w", length, ErrMalformedPacket)
+}
+
+// fill moves the unparsed bytes to the front of buf and reads more after
+// them; the caller needs at least one more byte.
+func (pr *packetReader) fill() error {
+	pr.end = copy(pr.buf[:], pr.buf[pr.off:pr.end])
+	pr.off = 0
+	for pr.err == nil {
+		n, err := pr.r.Read(pr.buf[pr.end:])
+		pr.end += n
+		pr.err = err
+		if n > 0 {
+			return nil
+		}
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(pr.r, body); err != nil {
-		return packet{}, fmt.Errorf("mqtt: read packet body: %w", err)
+	return unexpectedEOF(pr.err)
+}
+
+// release gives the buffer back; the reader is idle again.
+func (pr *packetReader) release() {
+	if pr.buf != nil {
+		readBufs.Put(pr.buf)
+		pr.buf, pr.off, pr.end = nil, 0, 0
 	}
-	return packet{ptype: ptype, flags: flags, body: body}, nil
+}
+
+// unexpectedEOF reports an end of stream inside a frame as such.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Body encoding helpers: MQTT strings are uint16-length-prefixed UTF-8.
@@ -260,7 +336,7 @@ func decodePublish(flags byte, body []byte) (publishPacket, error) {
 		}
 		p.packetID = id
 	}
-	p.payload = r.rest() // aliases body, which readPacket allocates per frame
+	p.payload = r.rest() // aliases body, which packetReader allocates per frame
 	return p, nil
 }
 

@@ -10,6 +10,15 @@ import (
 	"testing/quick"
 )
 
+// readPacket reads one frame from r through a fresh reader, as a
+// connection's first read does. Bytes it buffers past the frame are lost
+// with the reader: read a stream of frames through one packetReader.
+func readPacket(r io.Reader) (packet, error) {
+	in := packetReader{r: r}
+	defer in.release()
+	return in.read()
+}
+
 func roundTrip(t *testing.T, ptype, flags byte, body []byte) packet {
 	t.Helper()
 	var buf bytes.Buffer

@@ -15,6 +15,7 @@ import (
 type rawSession struct {
 	t    *testing.T
 	conn net.Conn
+	in   *packetReader
 	pid  uint16
 }
 
@@ -27,22 +28,23 @@ func rawConnect(t *testing.T, n *netsim.Network, clientID, addr string) *rawSess
 	if err := writePacket(conn, packetConnect, 0, encodeConnect(connectPacket{clientID: clientID})); err != nil {
 		t.Fatalf("CONNECT(%s): %v", clientID, err)
 	}
-	pkt := mustRead(t, conn)
+	r := &rawSession{t: t, conn: conn, in: &packetReader{r: conn}}
+	t.Cleanup(func() { _ = conn.Close() })
+	pkt := r.mustRead()
 	if pkt.ptype != packetConnack || len(pkt.body) != 2 || pkt.body[1] != connAccepted {
 		t.Fatalf("CONNACK(%s): %+v", clientID, pkt)
 	}
-	r := &rawSession{t: t, conn: conn}
-	t.Cleanup(func() { _ = conn.Close() })
 	return r
 }
 
-func mustRead(t *testing.T, conn net.Conn) packet {
-	t.Helper()
+// mustRead reads the session's next frame.
+func (r *rawSession) mustRead() packet {
+	r.t.Helper()
 	//lint:ignore wallclock test read deadline on a real socket
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	pkt, err := readPacket(conn)
+	_ = r.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	pkt, err := r.in.read()
 	if err != nil {
-		t.Fatalf("readPacket: %v", err)
+		r.t.Fatalf("read: %v", err)
 	}
 	return pkt
 }
@@ -54,7 +56,7 @@ func (r *rawSession) subscribe(filter string, qos byte) {
 	if err := writePacket(r.conn, packetSubscribe, 2, body); err != nil {
 		r.t.Fatalf("SUBSCRIBE(%s): %v", filter, err)
 	}
-	pkt := mustRead(r.t, r.conn)
+	pkt := r.mustRead()
 	if pkt.ptype != packetSuback {
 		r.t.Fatalf("expected SUBACK, got type %d", pkt.ptype)
 	}
@@ -71,7 +73,7 @@ func (r *rawSession) publish(topic string, payload []byte, qos byte, retain bool
 		r.t.Fatalf("PUBLISH(%s): %v", topic, err)
 	}
 	if qos == 1 {
-		pkt := mustRead(r.t, r.conn)
+		pkt := r.mustRead()
 		if pkt.ptype != packetPuback {
 			r.t.Fatalf("expected PUBACK, got type %d", pkt.ptype)
 		}
@@ -82,7 +84,7 @@ func (r *rawSession) publish(topic string, payload []byte, qos byte, retain bool
 // flag from the fixed header.
 func (r *rawSession) readPublish() (publishPacket, bool) {
 	r.t.Helper()
-	pkt := mustRead(r.t, r.conn)
+	pkt := r.mustRead()
 	if pkt.ptype != packetPublish {
 		r.t.Fatalf("expected PUBLISH, got type %d", pkt.ptype)
 	}
