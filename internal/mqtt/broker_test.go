@@ -526,9 +526,11 @@ func TestHandlerMayPublishQoS1(t *testing.T) {
 	if err := sink.Subscribe("out", 0, col.handler); err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
+	relayed := make(chan error, 1)
 	if err := relay.Subscribe("in", 0, func(m Message) {
-		if err := relay.Publish("out", m.Payload, 1, false); err != nil {
-			t.Errorf("relay publish: %v", err)
+		select {
+		case relayed <- relay.Publish("out", m.Payload, 1, false):
+		default: // a redelivery; the first result is the one checked
 		}
 	}); err != nil {
 		t.Fatalf("Subscribe: %v", err)
@@ -540,6 +542,16 @@ func TestHandlerMayPublishQoS1(t *testing.T) {
 	msgs := col.waitFor(t, 1)
 	if string(msgs[0].Payload) != "chained" {
 		t.Fatalf("got %q", msgs[0].Payload)
+	}
+	// The sink can see the message before the relay's PUBACK arrives; wait
+	// for the acknowledged publish before the cleanup closes the relay.
+	select {
+	case err := <-relayed:
+		if err != nil {
+			t.Fatalf("relay publish: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("relay publish never returned")
 	}
 }
 
