@@ -10,6 +10,7 @@ package config
 import (
 	"encoding/xml"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -42,40 +43,99 @@ type xmlCondition struct {
 }
 
 // EncodeStreams serializes stream configurations to the XML document format.
+// It writes the fixed <streams> schema directly rather than through
+// reflection; its bytes are exactly xml.Header followed by
+// xml.MarshalIndent(doc, "", "  ") of the xmlStreams document DecodeStreams
+// reads, so config triggers and journals carry what they always have.
 func EncodeStreams(configs []core.StreamConfig) ([]byte, error) {
-	doc := xmlStreams{}
-	for _, c := range configs {
-		if err := c.Validate(); err != nil {
+	size := len(xml.Header) + len("<streams>\n</streams>")
+	for i := range configs {
+		if err := configs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("config: encode: %w", err)
 		}
-		xs := xmlStream{
-			ID:          c.ID,
-			DeviceID:    c.DeviceID,
-			UserID:      c.UserID,
-			Modality:    c.Modality,
-			Granularity: string(c.Granularity),
-			Kind:        string(c.Kind),
-			DutyCycle:   c.DutyCycle,
-			Deliver:     string(c.Deliver),
+		size += 256 + 96*len(configs[i].Filter.Conditions)
+	}
+	b := make(appender, 0, size)
+	b = append(b, xml.Header...)
+	b = append(b, "<streams>"...)
+	for i := range configs {
+		c := &configs[i]
+		b = append(b, "\n  <stream"...)
+		b.attr("id", c.ID)
+		b.attr("device", c.DeviceID)
+		if c.UserID != "" {
+			b.attr("user", c.UserID)
 		}
+		b.attr("modality", c.Modality)
+		b.attr("granularity", string(c.Granularity))
+		b.attr("kind", string(c.Kind))
 		if c.SampleInterval > 0 {
-			xs.SampleIntervalSec = c.SampleInterval.Seconds()
+			b.floatAttr("sampleIntervalSec", c.SampleInterval.Seconds())
 		}
+		b.floatAttr("dutyCycle", c.DutyCycle)
+		b.attr("deliver", string(c.Deliver))
+		b = append(b, ">\n    <filter>"...)
 		for _, cond := range c.Filter.Conditions {
-			xs.Conditions = append(xs.Conditions, xmlCondition{
-				Modality: cond.Modality,
-				Operator: string(cond.Operator),
-				Value:    cond.Value,
-				UserID:   cond.UserID,
-			})
+			b = append(b, "\n      <condition"...)
+			b.attr("modality", cond.Modality)
+			b.attr("operator", string(cond.Operator))
+			b.attr("value", cond.Value)
+			if cond.UserID != "" {
+				b.attr("user", cond.UserID)
+			}
+			b = append(b, "></condition>"...)
 		}
-		doc.Streams = append(doc.Streams, xs)
+		if len(c.Filter.Conditions) > 0 {
+			b = append(b, "\n    "...)
+		}
+		b = append(b, "</filter>\n  </stream>"...)
 	}
-	b, err := xml.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("config: encode streams: %w", err)
+	if len(configs) > 0 {
+		b = append(b, '\n')
 	}
-	return append([]byte(xml.Header), b...), nil
+	return append(b, "</streams>"...), nil
+}
+
+// appender builds a document by appending; as an io.Writer it is what
+// xml.EscapeText writes escaped text into.
+type appender []byte
+
+func (a *appender) Write(p []byte) (int, error) {
+	*a = append(*a, p...)
+	return len(p), nil
+}
+
+// attr appends ` name="value"`, value escaped as encoding/xml escapes an
+// attribute. A value with no byte to escape, the usual case, is copied;
+// any other goes through xml.EscapeText, the escaper encoding/xml uses.
+func (a *appender) attr(name, value string) {
+	*a = append(*a, ' ')
+	*a = append(*a, name...)
+	*a = append(*a, '=', '"')
+	plain := true
+	for i := 0; i < len(value) && plain; i++ {
+		c := value[i]
+		plain = c >= 0x20 && c < 0x7f && c != '"' && c != '\'' && c != '&' && c != '<' && c != '>'
+	}
+	if plain {
+		*a = append(*a, value...)
+	} else {
+		_ = xml.EscapeText(a, []byte(value)) // an appender's Write never fails
+	}
+	*a = append(*a, '"')
+}
+
+// floatAttr appends a float attribute tagged omitempty: nothing for zero,
+// else the shortest 'g' form, as encoding/xml formats a float64.
+func (a *appender) floatAttr(name string, v float64) {
+	if v == 0 {
+		return
+	}
+	*a = append(*a, ' ')
+	*a = append(*a, name...)
+	*a = append(*a, '=', '"')
+	*a = strconv.AppendFloat(*a, v, 'g', -1, 64)
+	*a = append(*a, '"')
 }
 
 // DecodeStreams parses and validates an XML stream configuration document.

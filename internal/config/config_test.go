@@ -1,6 +1,8 @@
 package config
 
 import (
+	"bytes"
+	"encoding/xml"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,6 +59,92 @@ func TestStreamsRoundTrip(t *testing.T) {
 	}
 	if out[1].Kind != core.KindSocialEvent || out[1].SampleInterval != 0 {
 		t.Fatalf("s2 = %+v", out[1])
+	}
+}
+
+// marshalStreams is the reflection encoder EncodeStreams replaced: the
+// xmlStreams document through xml.MarshalIndent. It is the reference the
+// direct writer must reproduce byte for byte.
+func marshalStreams(t *testing.T, configs []core.StreamConfig) []byte {
+	t.Helper()
+	doc := xmlStreams{}
+	for _, c := range configs {
+		xs := xmlStream{
+			ID: c.ID, DeviceID: c.DeviceID, UserID: c.UserID, Modality: c.Modality,
+			Granularity: string(c.Granularity), Kind: string(c.Kind),
+			DutyCycle: c.DutyCycle, Deliver: string(c.Deliver),
+		}
+		if c.SampleInterval > 0 {
+			xs.SampleIntervalSec = c.SampleInterval.Seconds()
+		}
+		for _, cond := range c.Filter.Conditions {
+			xs.Conditions = append(xs.Conditions, xmlCondition{
+				Modality: cond.Modality, Operator: string(cond.Operator),
+				Value: cond.Value, UserID: cond.UserID,
+			})
+		}
+		doc.Streams = append(doc.Streams, xs)
+	}
+	b, err := xml.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatalf("xml.MarshalIndent: %v", err)
+	}
+	return append([]byte(xml.Header), b...)
+}
+
+// TestEncodeStreamsMatchesEncodingXML pins EncodeStreams to the bytes
+// encoding/xml writes for the same document: config triggers and stream
+// journals must not change with the encoder. The cases cover every escape
+// encoding/xml makes in an attribute, omitempty floats at zero and at
+// values 'g' formatting treats specially, and streams with no conditions.
+func TestEncodeStreamsMatchesEncodingXML(t *testing.T) {
+	cond := func(mod, val, user string) core.Condition {
+		return core.Condition{Modality: mod, Operator: core.OpEquals, Value: val, UserID: user}
+	}
+	odd := []string{
+		`a&b`, `<tag>`, `say "hi"`, "it's", "tab\there", "line\nbreak", "cr\rlf",
+		"caf\u00e9", "\u4e16\u754c", "bad\xffutf8", "ctl\x01x", "\ufffd", "del\x7f", "&amp;",
+	}
+	cases := map[string][]core.StreamConfig{
+		"none":   nil,
+		"empty":  {},
+		"sample": sampleConfigs(),
+		"no conditions, zero floats": {{
+			ID: "s", DeviceID: "d", Modality: "wifi", Granularity: core.GranularityRaw,
+			Kind: core.KindSocialEvent, Deliver: core.DeliverLocal,
+		}},
+		"fractional floats": {{
+			ID: "f", DeviceID: "d", Modality: "wifi", Granularity: core.GranularityRaw,
+			Kind: core.KindContinuous, SampleInterval: 1500 * time.Millisecond, DutyCycle: 1.0 / 3,
+			Deliver: core.DeliverServer,
+		}, {
+			ID: "g", DeviceID: "d", Modality: "wifi", Granularity: core.GranularityRaw,
+			Kind: core.KindContinuous, SampleInterval: time.Nanosecond, DutyCycle: 1e-7,
+			Deliver: core.DeliverServer,
+		}, {
+			ID: "h", DeviceID: "d", Modality: "wifi", Granularity: core.GranularityRaw,
+			Kind: core.KindContinuous, SampleInterval: 1 << 62, DutyCycle: 1,
+			Deliver: core.DeliverServer,
+		}},
+	}
+	for i, s := range odd {
+		cases[fmt.Sprintf("escape %d", i)] = []core.StreamConfig{{
+			ID: "id " + s, DeviceID: s, UserID: s, Modality: "location",
+			Granularity: core.GranularityClassified, Kind: core.KindSocialEvent,
+			Deliver: core.DeliverServer,
+			Filter: core.Filter{Conditions: []core.Condition{
+				cond(core.CtxPlace, s, ""), cond(core.CtxPlace, "v", s),
+			}},
+		}}
+	}
+	for name, configs := range cases {
+		got, err := EncodeStreams(configs)
+		if err != nil {
+			t.Fatalf("%s: EncodeStreams: %v", name, err)
+		}
+		if want := marshalStreams(t, configs); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeStreams differs from encoding/xml\n got: %q\nwant: %q", name, got, want)
+		}
 	}
 }
 

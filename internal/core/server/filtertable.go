@@ -5,14 +5,17 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/pmap"
 )
 
 // FilterTable holds the server-side filters and the coarse per-item hooks
 // behind a copy-on-write snapshot: the ingest hot path reads the current
 // snapshot with one atomic load and never takes a lock, so filter
 // evaluation and listener dispatch proceed without serializing on writers.
-// Writers (stream creation/destruction, hook registration) are rare; they
-// serialize on a mutex and publish a fresh snapshot.
+// Writers (stream creation/destruction, hook registration) serialize on a
+// mutex and publish a fresh snapshot. The filters are a persistent map, so
+// a stream create or destroy copies O(log n) nodes, not the whole table: a
+// bulk load of n streams costs O(n log n), not O(n²).
 type FilterTable struct {
 	mu   sync.Mutex // serializes writers
 	snap atomic.Pointer[filterSnapshot]
@@ -26,7 +29,7 @@ type filterSnapshot struct {
 	// read so the hot path neither rescans conditions nor allocates. Empty
 	// means nothing (same-user conditions were already enforced on the
 	// mobile).
-	filters map[string][]userConditions
+	filters pmap.Map[[]userConditions]
 	hooks   []func(core.Item)
 }
 
@@ -40,7 +43,7 @@ type userConditions struct {
 // NewFilterTable returns an empty table.
 func NewFilterTable() *FilterTable {
 	t := &FilterTable{}
-	t.snap.Store(&filterSnapshot{filters: map[string][]userConditions{}})
+	t.snap.Store(&filterSnapshot{})
 	return t
 }
 
@@ -54,12 +57,7 @@ func (t *FilterTable) Set(streamID string, f core.Filter) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.snap.Load()
-	filters := make(map[string][]userConditions, len(cur.filters)+1)
-	for k, v := range cur.filters {
-		filters[k] = v
-	}
-	filters[streamID] = compileFilter(f)
-	t.snap.Store(&filterSnapshot{filters: filters, hooks: cur.hooks})
+	t.snap.Store(&filterSnapshot{filters: cur.filters.Set(streamID, compileFilter(f)), hooks: cur.hooks})
 }
 
 // Delete removes a stream's filter.
@@ -67,16 +65,10 @@ func (t *FilterTable) Delete(streamID string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.snap.Load()
-	if _, ok := cur.filters[streamID]; !ok {
+	if _, ok := cur.filters.Get(streamID); !ok {
 		return
 	}
-	filters := make(map[string][]userConditions, len(cur.filters)-1)
-	for k, v := range cur.filters {
-		if k != streamID {
-			filters[k] = v
-		}
-	}
-	t.snap.Store(&filterSnapshot{filters: filters, hooks: cur.hooks})
+	t.snap.Store(&filterSnapshot{filters: cur.filters.Delete(streamID), hooks: cur.hooks})
 }
 
 // AddHook appends a per-item hook.
@@ -94,7 +86,7 @@ func (t *FilterTable) AddHook(f func(core.Item)) {
 }
 
 // Len reports how many streams have a filter installed.
-func (t *FilterTable) Len() int { return len(t.snap.Load().filters) }
+func (t *FilterTable) Len() int { return t.snap.Load().filters.Len() }
 
 // compileFilter groups a filter's cross-user conditions by user, in order
 // of first mention.

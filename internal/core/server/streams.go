@@ -246,7 +246,7 @@ func (m *Manager) processItem(item core.Item) {
 	// user"). The snapshot is one atomic load; each referenced user's
 	// conditions are evaluated in place against that user's registry record.
 	snap := m.filters.Snapshot()
-	if cross := snap.filters[item.StreamID]; len(cross) > 0 {
+	if cross, _ := snap.filters.Get(item.StreamID); len(cross) > 0 {
 		fsp := m.tracer.Start("filter.eval", sp.ID())
 		fsp.SetAttr("stream", item.StreamID)
 		for i := range cross {

@@ -37,6 +37,24 @@ var ErrNotFound = errors.New("docstore: document not found")
 // exists in the collection.
 var ErrDuplicateID = errors.New("docstore: duplicate _id")
 
+// idError is the error of a Get that misses (cause ErrNotFound) or an
+// Insert of a taken id (cause ErrDuplicateID). Its message is formatted
+// only when asked for: registering a new user meets a miss every time, and
+// nothing on that path reads the text.
+type idError struct {
+	coll, id string
+	cause    error
+}
+
+func (e *idError) Error() string {
+	if e.cause == ErrNotFound {
+		return fmt.Sprintf("docstore: get %q from %q: %v", e.id, e.coll, e.cause)
+	}
+	return fmt.Sprintf("docstore: insert into %q: id %q: %v", e.coll, e.id, e.cause)
+}
+
+func (e *idError) Unwrap() error { return e.cause }
+
 // Store is a set of named collections. A store opened with OpenDurable
 // additionally journals every mutation to a write-ahead log (see
 // durable.go); NewStore stores are purely in-memory.
@@ -56,12 +74,18 @@ func NewStore() *Store {
 	return &Store{collections: make(map[string]*Collection)}
 }
 
-// Collection returns the named collection, creating it if needed.
+// Collection returns the named collection, creating it if needed. A
+// lookup shares the store's lock; only creating one takes it exclusively.
 func (s *Store) Collection(name string) *Collection {
+	s.mu.RLock()
+	c, ok := s.collections[name]
+	s.mu.RUnlock()
+	if ok {
+		return c
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.collections[name]
-	if !ok {
+	if c, ok = s.collections[name]; !ok {
 		c = newCollection(name)
 		c.store = s
 		s.collections[name] = c
@@ -174,7 +198,7 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id = c.putLocked(id, c.seq, *rec)
+	id = c.putLocked(id, c.seq, *rec, doc)
 	if pinned != nil {
 		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, *rec)}); err != nil {
 			return id, err
@@ -192,7 +216,7 @@ func (c *Collection) idForLocked(doc Doc) (string, error) {
 			return "", fmt.Errorf("docstore: insert into %q: _id must be a non-empty string, got %T", c.name, v)
 		}
 		if _, slot := c.findLocked(id); slot >= 0 {
-			return "", fmt.Errorf("docstore: insert into %q: id %q: %w", c.name, id, ErrDuplicateID)
+			return "", &idError{coll: c.name, id: id, cause: ErrDuplicateID}
 		}
 		return id, nil
 	}
@@ -202,17 +226,34 @@ func (c *Collection) idForLocked(doc Doc) (string, error) {
 
 // Get returns the document with the given id.
 func (c *Collection) Get(id string) (Doc, error) {
-	var rec []byte
-	c.mu.RLock()
-	_, slot := c.findLocked(id)
-	if slot >= 0 {
-		_, rec, _ = c.entry(c.slots[slot])
-	}
-	c.mu.RUnlock()
-	if slot < 0 {
-		return nil, fmt.Errorf("docstore: get %q from %q: %w", id, c.name, ErrNotFound)
+	rec, ok := c.record(id)
+	if !ok {
+		return nil, &idError{coll: c.name, id: id, cause: ErrNotFound}
 	}
 	return c.decode(id, rec), nil
+}
+
+// record returns the record filed under id, if there is one.
+func (c *Collection) record(id string) ([]byte, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, slot := c.findLocked(id)
+	if slot < 0 {
+		return nil, false
+	}
+	_, rec, _ := c.entry(c.slots[slot])
+	return rec, true
+}
+
+// primaryKey returns id when query is exactly {_id: id} with a string id.
+// The primary-key plan of such a query is its exact result, so it needs no
+// compiled matcher and no decode to test candidates.
+func primaryKey(query Doc) (string, bool) {
+	if len(query) != 1 {
+		return "", false
+	}
+	id, ok := query[IDField].(string)
+	return id, ok
 }
 
 // FindOpts controls Find result shaping.
@@ -224,6 +265,12 @@ type FindOpts struct {
 
 // Find returns all documents matching query, shaped by opts.
 func (c *Collection) Find(query Doc, opts FindOpts) ([]Doc, error) {
+	if id, ok := primaryKey(query); ok {
+		if rec, ok := c.record(id); ok {
+			return []Doc{c.decode(id, rec)}, nil
+		}
+		return nil, nil
+	}
 	m, err := compileQuery(query)
 	if err != nil {
 		return nil, fmt.Errorf("docstore: find in %q: %w", c.name, err)
@@ -264,6 +311,7 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	defer c.mu.Unlock()
 	type write struct {
 		id  string
+		doc Doc
 		rec *[]byte
 	}
 	var writes []write
@@ -283,14 +331,14 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 			failed = fmt.Errorf("docstore: update %q in %q: %w", id, c.name, err)
 			return false
 		}
-		writes = append(writes, write{id, rec})
+		writes = append(writes, write{id, d, rec})
 		return true
 	})
 	if failed != nil {
 		return 0, failed
 	}
 	for _, w := range writes {
-		c.putLocked(w.id, 0, *w.rec)
+		c.putLocked(w.id, 0, *w.rec, w.doc)
 	}
 	if pinned != nil && len(writes) > 0 {
 		// Query+update replay is deterministic: the matched set and the
@@ -306,9 +354,13 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 // nothing matches. Returns the id of the stored document. Values are
 // restricted as for Insert.
 func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
-	m, err := compileQuery(query)
-	if err != nil {
-		return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
+	key, byKey := primaryKey(query)
+	var m matcher
+	if !byKey {
+		var err error
+		if m, err = compileQuery(query); err != nil {
+			return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
+		}
 	}
 	rec, err := c.keys.encode(doc)
 	if err != nil {
@@ -320,16 +372,22 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := ""
-	c.scanLocked(query, m, func(match string, _ Doc) bool {
-		id = match
-		return false
-	})
+	if byKey {
+		if _, slot := c.findLocked(key); slot >= 0 {
+			id = key
+		}
+	} else {
+		c.scanLocked(query, m, func(match string, _ Doc) bool {
+			id = match
+			return false
+		})
+	}
 	if id == "" {
 		if id, err = c.idForLocked(doc); err != nil {
 			return "", err
 		}
 	}
-	id = c.putLocked(id, c.seq, *rec)
+	id = c.putLocked(id, c.seq, *rec, doc)
 	if pinned != nil {
 		// Log the resolved effect (which id was written), not the query, so
 		// replay need not resolve the query against the same state.

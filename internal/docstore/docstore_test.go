@@ -36,8 +36,12 @@ func TestInsertExplicitID(t *testing.T) {
 	if id != "u1" {
 		t.Fatalf("id = %q, want u1", id)
 	}
-	if _, err := c.Insert(Doc{IDField: "u1"}); !errors.Is(err, ErrDuplicateID) {
+	_, err = c.Insert(Doc{IDField: "u1"})
+	if !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate insert err = %v, want ErrDuplicateID", err)
+	}
+	if want := `docstore: insert into "users": id "u1": docstore: duplicate _id`; err.Error() != want {
+		t.Fatalf("duplicate insert err = %q, want %q", err, want)
 	}
 }
 
@@ -54,10 +58,20 @@ func TestInsertRejectsBadID(t *testing.T) {
 	}
 }
 
+// TestGetNotFound: a miss unwraps to ErrNotFound, keeps the message it
+// has always had, and costs one small allocation — the message is
+// formatted only when asked for, since registering a new user misses.
 func TestGetNotFound(t *testing.T) {
 	c := NewStore().Collection("users")
-	if _, err := c.Get("missing"); !errors.Is(err, ErrNotFound) {
+	_, err := c.Get("missing")
+	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	if want := `docstore: get "missing" from "users": docstore: document not found`; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = c.Get("missing") }); allocs > 1 {
+		t.Fatalf("a miss allocates %.0f times, want at most 1", allocs)
 	}
 }
 

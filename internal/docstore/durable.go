@@ -219,7 +219,7 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 			return err
 		}
 		c.mu.Lock()
-		c.putLocked(r.ID, 0, *rec)
+		c.putLocked(r.ID, 0, *rec, r.Doc)
 		c.mu.Unlock()
 		release(rec)
 		c.noteGeneratedID(r.ID)

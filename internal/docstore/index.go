@@ -237,12 +237,19 @@ func (c *Collection) Indexes() (hash, geoPaths []string) {
 
 // indexAddLocked and indexRemoveLocked enter and withdraw the document
 // filed as rec under id at slot; a collection without indexes never decodes
-// it.
-func (c *Collection) indexAddLocked(slot uint32, id string, rec []byte) {
+// it. indexAddLocked reads doc, the document rec encodes, when it is given:
+// a record reads back with the kinds and values it was written with, so
+// the two file under the same keys. The _id is the exception, as the record
+// does not hold it and doc may name another or none, so an index on _id
+// has rec decoded.
+func (c *Collection) indexAddLocked(slot uint32, id string, rec []byte, doc Doc) {
 	if len(c.hashIx)+len(c.geoIx) == 0 {
 		return
 	}
-	d := c.decode(id, rec)
+	d := doc
+	if d == nil || c.hashIx[IDField] != nil || c.geoIx[IDField] != nil {
+		d = c.decode(id, rec)
+	}
 	for _, ix := range c.hashIx {
 		ix.add(slot, d)
 	}

@@ -132,8 +132,10 @@ func (c *Collection) rehashLocked(size int) {
 // putLocked files rec under id, as a new document at the end of the order or
 // in place of the document filed under id, and keeps the indexes in step. An
 // empty id stands for the generated id name-seq. It returns the id. Every
-// write — Insert, Upsert, Update, journal replay — ends here.
-func (c *Collection) putLocked(id string, seq uint64, rec []byte) string {
+// write — Insert, Upsert, Update, journal replay — ends here. doc is the
+// document rec encodes, when the caller holds it, for the indexes to read
+// instead of decoding rec; nil has them decode it.
+func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) string {
 	p, size := c.appendEntryLocked(id, seq, rec)
 	if id == "" {
 		gen, _, _ := c.entry(p)
@@ -156,7 +158,7 @@ func (c *Collection) putLocked(id string, seq uint64, rec []byte) string {
 		c.live++
 	}
 	c.liveBytes += size
-	c.indexAddLocked(uint32(slot), id, rec)
+	c.indexAddLocked(uint32(slot), id, rec, doc)
 	c.compactLocked()
 	return id
 }

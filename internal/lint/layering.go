@@ -51,7 +51,9 @@ func DefaultLayering() []LayerRule {
 		// Infrastructure simulators: clock and observability only.
 		{From: "internal/netsim", Only: []string{"internal/obs", "internal/vclock"},
 			Why: "the network simulator sits below every component it connects"},
-		{From: "internal/mqtt/topictrie", Only: []string{},
+		{From: "internal/pmap", Only: []string{},
+			Why: "the persistent map is pure data structure at the bottom of the DAG"},
+		{From: "internal/mqtt/topictrie", Only: []string{"internal/pmap"},
 			Why: "the topic-matching index is pure data structure at the bottom of the DAG"},
 		{From: "internal/mqtt", Only: []string{"internal/mqtt/topictrie",
 			"internal/obs", "internal/vclock", "internal/wal"},

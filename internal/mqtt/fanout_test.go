@@ -3,6 +3,7 @@ package mqtt
 import (
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,14 @@ func splitTopicMatches(filter, topic string) bool {
 // FuzzTopicMatchConsistency cross-checks three matching implementations:
 // the old split-based oracle, the allocation-free TopicMatches, and (for
 // inputs that pass validation, the only ones the broker ever indexes) the
-// subscription trie.
+// subscription trie. ops then drives one trie through interleaved
+// Subscribe and Unsubscribe calls against a reference list of (filter,
+// value) pairs: each byte picks a filter from a pool (the fuzzed filter and
+// topic, fixed wildcards, and sixteen device-trigger siblings, enough to
+// take a node's edge map past its small flat form and back), a value, and
+// whether to add or remove it. After every call the trie's Len, the count
+// Unsubscribe reports, and the values Match yields for a few topics must
+// equal what the reference and the oracle say.
 func FuzzTopicMatchConsistency(f *testing.F) {
 	seeds := [][2]string{
 		{"a/b/c", "a/b/c"}, {"a/#", "a"}, {"a/#", "a/b/c"},
@@ -49,10 +57,14 @@ func FuzzTopicMatchConsistency(f *testing.F) {
 		{"$cluster/summary/+/+", "$cluster/summary/s0/1"}, {"$cluster/#", "$cluster"},
 		{"+", "$"}, {"#", "a/$b"}, {"+a", "$a"},
 	}
-	for _, s := range seeds {
-		f.Add(s[0], s[1])
+	for i, s := range seeds {
+		ops := make([]byte, 3*i)
+		for j := range ops {
+			ops[j] = byte(j*37 + i*11)
+		}
+		f.Add(s[0], s[1], ops)
 	}
-	f.Fuzz(func(t *testing.T, filter, topic string) {
+	f.Fuzz(func(t *testing.T, filter, topic string, ops []byte) {
 		want := splitTopicMatches(filter, topic)
 		if got := TopicMatches(filter, topic); got != want {
 			t.Fatalf("TopicMatches(%q, %q) = %v, oracle says %v", filter, topic, got, want)
@@ -68,7 +80,64 @@ func FuzzTopicMatchConsistency(f *testing.F) {
 		if (len(out) == 1) != want {
 			t.Fatalf("trie match of %q against %q = %v, oracle says %v", filter, topic, out, want)
 		}
+		checkTrieChurn(t, filter, topic, ops)
 	})
+}
+
+// checkTrieChurn is FuzzTopicMatchConsistency's Subscribe/Unsubscribe
+// interleaving, for a validated filter and topic.
+func checkTrieChurn(t *testing.T, filter, topic string, ops []byte) {
+	pool := []string{filter, "#", "+/#", "a/+", "a/b", "$x/#", "sensocial/device/+/trigger"}
+	if ValidateTopicFilter(topic) == nil {
+		pool = append(pool, topic)
+	}
+	for d := 0; d < 16; d++ {
+		pool = append(pool, fmt.Sprintf("sensocial/device/d%d/trigger", d))
+	}
+	topics := []string{topic, "a/b", "$x/y", "sensocial/device/d3/trigger", "sensocial/device/d15/trigger"}
+	type sub struct {
+		filter string
+		v      int
+	}
+	var ref []sub
+	tr := topictrie.NewFilterTrie[int]()
+	for i, op := range ops {
+		fl, v := pool[int(op>>1)%len(pool)], int(op>>6)
+		if op&1 == 0 {
+			tr.Subscribe(fl, v)
+			ref = append(ref, sub{fl, v})
+		} else {
+			kept, removed := ref[:0:0], 0
+			for _, s := range ref {
+				if s.filter == fl && s.v == v {
+					removed++
+				} else {
+					kept = append(kept, s)
+				}
+			}
+			ref = kept
+			if n := tr.Unsubscribe(fl, func(x int) bool { return x == v }); n != removed {
+				t.Fatalf("op %d: Unsubscribe(%q, %d) removed %d, reference %d", i, fl, v, n, removed)
+			}
+		}
+		if tr.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, reference holds %d", i, tr.Len(), len(ref))
+		}
+		for _, tp := range topics {
+			var want []int
+			for _, s := range ref {
+				if splitTopicMatches(s.filter, tp) {
+					want = append(want, s.v)
+				}
+			}
+			got, _ := tr.Match(tp, nil)
+			sort.Ints(want)
+			sort.Ints(got)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("op %d: Match(%q) = %v, reference %v (subscriptions %v)", i, tp, got, want, ref)
+			}
+		}
+	}
 }
 
 // TestRetainedReplayOverlappingWildcards pins retained semantics under

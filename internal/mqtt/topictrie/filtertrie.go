@@ -3,42 +3,39 @@ package topictrie
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/pmap"
 )
 
 // node is one level of the filter index. Nodes are immutable once
-// published: every mutation clones the nodes along the touched path and
+// published: every mutation copies the nodes along the touched path and
 // swaps the root, so a reader that loaded the old root keeps a fully
-// consistent snapshot.
+// consistent snapshot. The literal edges are a persistent map, so copying
+// a node shares its siblings' edges instead of duplicating them: a write
+// under `sensocial/device`, which has one edge per device, copies
+// O(log n) map nodes rather than n entries.
 type node[T any] struct {
-	children map[string]*node[T] // literal next-level edges
-	plus     *node[T]            // '+' single-level wildcard edge
-	entries  []T                 // filters terminating exactly here
-	hash     []T                 // filters terminating here with a trailing '#'
+	children pmap.Map[*node[T]] // literal next-level edges
+	plus     *node[T]           // '+' single-level wildcard edge
+	entries  []T                // filters terminating exactly here
+	hash     []T                // filters terminating here with a trailing '#'
 }
 
 // empty reports whether the node holds nothing and can be pruned.
 func (n *node[T]) empty() bool {
-	return len(n.children) == 0 && n.plus == nil && len(n.entries) == 0 && len(n.hash) == 0
+	return n.children.Len() == 0 && n.plus == nil && len(n.entries) == 0 && len(n.hash) == 0
 }
 
-// clone shallow-copies a node for copy-on-write: the children map is
-// duplicated (values shared), entry slices are shared until appendOne /
-// removeWhere replace them. A nil receiver clones to a fresh empty node.
+// clone shallow-copies a node for copy-on-write: the children map and the
+// entry slices are shared until the caller replaces them (pmap writes and
+// appendOne / removeWhere return fresh values). A nil receiver clones to a
+// fresh empty node.
 func (n *node[T]) clone() *node[T] {
-	cp := &node[T]{}
 	if n == nil {
-		return cp
+		return &node[T]{}
 	}
-	if len(n.children) > 0 {
-		cp.children = make(map[string]*node[T], len(n.children)+1)
-		for k, c := range n.children {
-			cp.children[k] = c
-		}
-	}
-	cp.plus = n.plus
-	cp.entries = n.entries
-	cp.hash = n.hash
-	return cp
+	cp := *n
+	return &cp
 }
 
 // appendOne returns a fresh slice with v appended. The input slice may be
@@ -118,8 +115,8 @@ func insert[T any](n *node[T], filter string, pos int, v T) *node[T] {
 	var child *node[T]
 	if seg == "+" {
 		child = cp.plus
-	} else if cp.children != nil {
-		child = cp.children[seg]
+	} else {
+		child, _ = cp.children.Get(seg)
 	}
 	var grown *node[T]
 	if more {
@@ -131,10 +128,7 @@ func insert[T any](n *node[T], filter string, pos int, v T) *node[T] {
 	if seg == "+" {
 		cp.plus = grown
 	} else {
-		if cp.children == nil {
-			cp.children = make(map[string]*node[T], 1)
-		}
-		cp.children[seg] = grown
+		cp.children = cp.children.Set(seg, grown)
 	}
 	return cp
 }
@@ -179,8 +173,8 @@ func remove[T any](n *node[T], filter string, pos int, pred func(T) bool) (*node
 	var child *node[T]
 	if seg == "+" {
 		child = n.plus
-	} else if n.children != nil {
-		child = n.children[seg]
+	} else {
+		child, _ = n.children.Get(seg)
 	}
 	var shrunk *node[T]
 	var dropped int
@@ -207,12 +201,9 @@ func remove[T any](n *node[T], filter string, pos int, pred func(T) bool) (*node
 	if seg == "+" {
 		cp.plus = shrunk
 	} else if shrunk == nil {
-		delete(cp.children, seg)
-		if len(cp.children) == 0 {
-			cp.children = nil
-		}
+		cp.children = cp.children.Delete(seg)
 	} else {
-		cp.children[seg] = shrunk
+		cp.children = cp.children.Set(seg, shrunk)
 	}
 	if cp.empty() {
 		return nil, dropped
@@ -236,7 +227,7 @@ func (t *FilterTrie[T]) Match(topic string, dst []T) ([]T, int) {
 	// [MQTT-4.7.2-1]: only filters spelling out the first level match it.
 	m.visited++
 	seg, next, more := NextLevel(topic, 0)
-	if child := root.children[seg]; child != nil {
+	if child, _ := root.children.Get(seg); child != nil {
 		m.walk(child, next, !more)
 	}
 	return m.dst, m.visited
@@ -262,10 +253,8 @@ func (m *matcher[T]) walk(n *node[T], pos int, exhausted bool) {
 		return
 	}
 	seg, next, more := NextLevel(m.topic, pos)
-	if n.children != nil {
-		if child := n.children[seg]; child != nil {
-			m.walk(child, next, !more)
-		}
+	if child, _ := n.children.Get(seg); child != nil {
+		m.walk(child, next, !more)
 	}
 	if n.plus != nil {
 		m.walk(n.plus, next, !more)

@@ -194,3 +194,31 @@ func BenchmarkFilterTrieMatch(b *testing.B) {
 		}
 	}
 }
+
+// TestSubscribeBytesDoNotScaleWithSiblings: a SUBSCRIBE under
+// `sensocial/device` copies the path to its new filter, and the edge map
+// there shares every sibling it does not touch, so the bytes a Subscribe
+// and the Unsubscribe that undoes it allocate at 10 000 device filters
+// stay within 3× of those at 100. When each write cloned the children map
+// they grew with the device count. testing.Benchmark's byte count is
+// exact; wall time would not be. (Pausing the timer around the
+// Unsubscribe would read the memory statistics twice per op, which costs
+// the test tens of seconds.)
+func TestSubscribeBytesDoNotScaleWithSiblings(t *testing.T) {
+	perSubscribe := func(n int) int64 {
+		tr := NewFilterTrie[int]()
+		for i := 0; i < n; i++ {
+			tr.Subscribe(fmt.Sprintf("sensocial/device/dev%d/trigger", i), i)
+		}
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr.Subscribe("sensocial/device/new/trigger", -1)
+				tr.Unsubscribe("sensocial/device/new/trigger", func(int) bool { return true })
+			}
+		}).AllocedBytesPerOp()
+	}
+	small, large := perSubscribe(100), perSubscribe(10_000)
+	if small <= 0 || large > 3*small {
+		t.Fatalf("Subscribe+Unsubscribe allocates %d B at 10 000 siblings and %d B at 100, want at most 3×", large, small)
+	}
+}

@@ -249,7 +249,7 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			q.mu.Unlock()
 			// Wait for the stamp on the clock, but re-check earlier if
 			// state changes or the deadline fires.
-			fire, cancel := q.alarm(head.deliverAt, now)
+			fire, cancel := vclock.Alarm(q.clock, head.deliverAt, now)
 			select {
 			case <-fire:
 			case <-wake:
@@ -293,26 +293,6 @@ func (q *deliveryQueue) due(now time.Time) (n int) {
 		n += len(c.data)
 	}
 	return n
-}
-
-// alarm returns a channel that fires once the clock reaches at, read as
-// now before the call, and the alarm's cancel. On an event scheduler the
-// alarm is filed at the absolute time: the clock may have moved since now
-// was read, and a relative timer would then fire late — on a manual clock
-// parked before that late deadline, never — stranding the reader with a
-// deliverable chunk. A stamp the clock has already reached fires at once.
-func (q *deliveryQueue) alarm(at, now time.Time) (<-chan time.Time, func() bool) {
-	sched, ok := q.clock.(vclock.EventScheduler)
-	if !ok {
-		t := q.clock.NewTimer(at.Sub(now))
-		return t.C(), t.Stop
-	}
-	fire := make(chan time.Time, 1)
-	ev := sched.Schedule(at, func(t time.Time) { fire <- t })
-	if !at.After(q.clock.Now()) && ev.Stop() {
-		fire <- at
-	}
-	return fire, ev.Stop
 }
 
 func (q *deliveryQueue) close() {

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/sensors"
+	"repro/internal/vclock"
 )
 
 // Settings tunes a subscription, mirroring the key-value sensing
@@ -167,12 +168,15 @@ func (s *Subscription) loop(anchor time.Time) {
 	clk := s.manager.dev.Clock()
 	cad := NewCadence(anchor, s.settings.Interval)
 	for {
-		if d := cad.Next.Sub(clk.Now()); d > 0 {
-			t := clk.NewTimer(d)
+		if now := clk.Now(); cad.Next.After(now) {
+			// The alarm is armed at the cycle's absolute deadline: an
+			// advance landing after Now was read must not push it one
+			// interval late, where a clock that then stops never fires it.
+			fire, stop := vclock.Alarm(clk, cad.Next, now)
 			select {
-			case <-t.C():
+			case <-fire:
 			case <-s.done:
-				t.Stop()
+				stop()
 				return
 			}
 		} else {

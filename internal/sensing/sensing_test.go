@@ -325,3 +325,60 @@ func TestSubscribeAnchorsScheduleBeforeReturn(t *testing.T) {
 		sub.Stop()
 	}
 }
+
+// armDriftClock is a manual clock that moves by drift the first time the
+// loop arms a wait once ready is closed: after the loop has read the time
+// and before its wait is filed, the interleaving a test or simulation
+// advancing on another goroutine produces.
+type armDriftClock struct {
+	*vclock.Manual
+	drift time.Duration
+	once  sync.Once
+	ready chan struct{}
+}
+
+func (c *armDriftClock) move() {
+	select {
+	case <-c.ready:
+		c.once.Do(func() { c.Manual.Advance(c.drift) })
+	default:
+	}
+}
+
+func (c *armDriftClock) NewTimer(d time.Duration) vclock.Timer {
+	c.move()
+	return c.Manual.NewTimer(d)
+}
+
+func (c *armDriftClock) Schedule(at time.Time, fn func(time.Time)) vclock.Event {
+	c.move()
+	return c.Manual.Schedule(at, fn)
+}
+
+// TestSubscribeWaitArmedAtDeadline: a cycle whose deadline the clock
+// reaches while the loop is arming its wait runs, although the clock then
+// stays parked. A wait armed for the interval left at the time read before
+// the clock moved would fire one interval late, that is never; this is
+// what made TestDutyCycleReducesSampling time out under load.
+func TestSubscribeWaitArmedAtDeadline(t *testing.T) {
+	clock := &armDriftClock{Manual: vclock.NewManual(epoch), drift: time.Minute, ready: make(chan struct{})}
+	m := newManager(t, clock)
+	var mu sync.Mutex
+	count := 0
+	sub, err := m.Subscribe(sensors.ModalityWiFi, Settings{Interval: time.Minute, DutyCycle: 1},
+		func(sensors.Reading) {
+			mu.Lock()
+			count++
+			mu.Unlock()
+		})
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	defer sub.Stop()
+	clock.BlockUntilWaiters(1)
+	close(clock.ready)
+	// The first cycle runs; arming the second moves the clock onto its
+	// deadline.
+	clock.Advance(time.Minute)
+	waitForCount(t, &mu, &count, 2)
+}

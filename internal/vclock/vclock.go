@@ -100,6 +100,26 @@ type EventScheduler interface {
 	Schedule(at time.Time, fn func(now time.Time)) Event
 }
 
+// Alarm returns a channel that fires once c reaches at, read as now before
+// the call, and the alarm's cancel. On an event scheduler the alarm is
+// filed at the absolute time: the clock may have moved since now was read,
+// and a relative timer would then fire late — on a manual clock parked
+// before that late deadline, never. A time the clock has already reached
+// fires at once. Other clocks arm a timer for at - now.
+func Alarm(c Clock, at, now time.Time) (<-chan time.Time, func() bool) {
+	sched, ok := c.(EventScheduler)
+	if !ok {
+		t := c.NewTimer(at.Sub(now))
+		return t.C(), t.Stop
+	}
+	fire := make(chan time.Time, 1)
+	ev := sched.Schedule(at, func(t time.Time) { fire <- t })
+	if !at.After(c.Now()) && ev.Stop() {
+		fire <- at
+	}
+	return fire, ev.Stop
+}
+
 // Event is a scheduled callback's handle.
 type Event interface {
 	// Reschedule re-arms the event at a new deadline, reusing the handle.
