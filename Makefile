@@ -66,7 +66,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
 	$(GO) test -run '^$$' -bench '^BenchmarkPoolAddDevices$$' -benchtime 1x ./internal/sim
-	$(GO) test -run '^$$' -bench '^BenchmarkNewRing$$' -benchtime 1x ./internal/cluster
+	$(GO) test -run '^$$' -bench '^Benchmark(NewRing|RingOwner)$$' -benchtime 1x ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkFilterTrieMatch$$' -benchtime 1x ./internal/mqtt/topictrie
 	$(GO) test -run '^$$' -bench '^BenchmarkSummaryChurn$$' -benchtime 1x ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkStreamCreate$$' -benchtime 1x ./internal/core/server

@@ -13,15 +13,15 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"slices"
-	"sort"
+	"math"
+	"math/bits"
 )
 
 // DefaultVirtualNodes is the number of ring points each shard projects.
 // 2048 points per shard keeps key distribution within a few percent of
 // uniform (the ring property test asserts <10% skew at 3/5/8 shards)
-// while the sorted-point array stays small enough to rebuild on any
-// membership change.
+// while the point array and its bucket index stay small enough to rebuild
+// on any membership change.
 const DefaultVirtualNodes = 2048
 
 // ringPoint is one virtual node: a hash position owned by a shard.
@@ -36,14 +36,27 @@ type ringPoint struct {
 // nodes hash independently of the other shards, adding or removing one
 // shard remaps only the keys that land on (or leave) that shard's
 // points — about 1/N of the keyspace, which the property test pins down.
+//
+// The points are sorted by (hash, shard) and indexed by bucket: the top
+// bits of a hash name one of 2^⌈log₂ len(points)⌉ buckets, and starts[b]
+// is the index of the first point at or above bucket b's lowest hash. A
+// lookup reads its bucket's start and steps past the at most one point
+// a bucket holds on average, instead of binary-searching the whole
+// array. See DESIGN.md §12.
 type Ring struct {
 	shards []string
 	points []ringPoint
+	starts []int32
+	shift  uint // 64 minus the bucket bits: h>>shift is h's bucket
 }
 
 // NewRing builds a ring over the given shard IDs with vnodes virtual
 // nodes per shard (non-positive means DefaultVirtualNodes). Shard IDs
 // must be unique and non-empty.
+//
+// The build is linear: one counting pass files the points into their
+// buckets, and an insertion sort orders each bucket by (hash, shard),
+// moving a point only past the few others in its bucket.
 func NewRing(shards []string, vnodes int) (*Ring, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one shard")
@@ -51,12 +64,14 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	seen := make(map[string]struct{}, len(shards))
-	r := &Ring{
-		shards: append([]string(nil), shards...),
-		points: make([]ringPoint, 0, len(shards)*vnodes),
+	// starts holds point indexes as int32.
+	if vnodes > math.MaxInt32/len(shards) {
+		return nil, fmt.Errorf("cluster: %d shards × %d virtual nodes is over %d ring points", len(shards), vnodes, math.MaxInt32)
 	}
-	for i, id := range r.shards {
+	seen := make(map[string]struct{}, len(shards))
+	n := len(shards) * vnodes
+	unsorted := make([]ringPoint, 0, n)
+	for i, id := range shards {
 		if id == "" {
 			return nil, fmt.Errorf("cluster: empty shard ID")
 		}
@@ -65,10 +80,39 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 		}
 		seen[id] = struct{}{}
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: vnodeHash(id, v), shard: int32(i)})
+			unsorted = append(unsorted, ringPoint{hash: vnodeHash(id, v), shard: int32(i)})
 		}
 	}
-	slices.SortFunc(r.points, comparePoints)
+	r := &Ring{
+		shards: append([]string(nil), shards...),
+		points: make([]ringPoint, n),
+		shift:  uint(64 - bits.Len(uint(n-1))),
+	}
+	r.starts = make([]int32, 1<<(64-r.shift))
+	// Count each bucket's points, turn the counts into start offsets, and
+	// file the points in input order, each start advancing to its bucket's
+	// end (the next bucket's start), which one shift moves back.
+	for _, p := range unsorted {
+		r.starts[p.hash>>r.shift]++
+	}
+	var next int32
+	for b, c := range r.starts {
+		r.starts[b], next = next, next+c
+	}
+	for _, p := range unsorted {
+		b := p.hash >> r.shift
+		r.points[r.starts[b]] = p
+		r.starts[b]++
+	}
+	copy(r.starts[1:], r.starts)
+	r.starts[0] = 0
+	// Every earlier bucket's points hash lower, so this moves each point
+	// only within its bucket.
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && comparePoints(r.points[j], r.points[j-1]) < 0; j-- {
+			r.points[j], r.points[j-1] = r.points[j-1], r.points[j]
+		}
+	}
 	return r, nil
 }
 
@@ -100,10 +144,14 @@ func (r *Ring) OwnerIndex(key string) int {
 }
 
 // ownerPoint returns the index of the first point at or after h, wrapping.
-// sort.Search and its closure are inlined here: the compiled loop is the
-// hand-written lower bound's, with no call per probe.
+// It starts at h's bucket's first point; every point from there on in a
+// later bucket hashes higher than h, so the step loop never leaves h's
+// bucket except onto the answer.
 func (r *Ring) ownerPoint(h uint64) int {
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	i := int(r.starts[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
+	}
 	if i == len(r.points) {
 		return 0
 	}
@@ -111,9 +159,10 @@ func (r *Ring) ownerPoint(h uint64) int {
 }
 
 // keyHash is FNV-1a 64 over the key bytes plus an avalanche finalizer,
-// allocation-free. The finalizer matters: ring lookups binary-search on
-// the full 64-bit value, and raw FNV leaves the high bits poorly mixed,
-// which shows up as multi-percent arc-weight skew between shards.
+// allocation-free. The finalizer matters: ring lookups bucket on the top
+// bits and compare the full 64-bit value, and raw FNV leaves the high bits
+// poorly mixed, which shows up as multi-percent arc-weight skew between
+// shards.
 func keyHash(key string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -160,6 +162,9 @@ func TestRingRejectsBadConfig(t *testing.T) {
 	if _, err := NewRing([]string{""}, 0); err == nil {
 		t.Fatal("empty shard ID accepted")
 	}
+	if _, err := NewRing([]string{"a", "b"}, math.MaxInt32/2+1); err == nil {
+		t.Fatal("more ring points than an int32 indexes accepted")
+	}
 }
 
 func TestRingOwnerDeterministic(t *testing.T) {
@@ -246,5 +251,81 @@ func BenchmarkNewRing(b *testing.B) {
 		if _, err := NewRing(ids, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRingBucketLookup checks the bucket-indexed ownerPoint against a
+// linear scan over rings from one point to 8 × 2048, probing both sides
+// of every bucket boundary, the last point and the two ends of the hash
+// space. The scan is one sweep of the points over the probes in ascending
+// order. The buckets are the smallest power of two not below the points.
+func TestRingBucketLookup(t *testing.T) {
+	for _, vnodes := range []int{1, 3, 64, 2048} {
+		for _, n := range []int{1, 3, 8} {
+			ring, err := NewRing(shardIDs(n), vnodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(ring.starts); got < len(ring.points) || got/2 >= len(ring.points) {
+				t.Fatalf("%d×%d: %d buckets for %d points", n, vnodes, got, len(ring.points))
+			}
+			last := ring.points[len(ring.points)-1].hash
+			hashes := []uint64{0, 1, last - 1, last, last + 1, ^uint64(0) - 1, ^uint64(0)}
+			for b := range ring.starts {
+				lo := uint64(b) << ring.shift
+				hashes = append(hashes, lo-1, lo, lo+1)
+			}
+			slices.Sort(hashes)
+			i := 0
+			for _, h := range hashes {
+				for i < len(ring.points) && ring.points[i].hash < h {
+					i++
+				}
+				want := i
+				if want == len(ring.points) {
+					want = 0
+				}
+				if got := ring.ownerPoint(h); got != want {
+					t.Fatalf("%d×%d: ownerPoint(%#x) = %d, linear scan %d", n, vnodes, h, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewRingAllocs pins the ring build to a fixed number of allocations
+// whatever the number of virtual nodes: the points, the bucket starts and
+// a scratch copy, never one per point or per bucket.
+func TestNewRingAllocs(t *testing.T) {
+	ids := shardIDs(3)
+	allocs := func(vnodes int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewRing(ids, vnodes); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(DefaultVirtualNodes); small != large {
+		t.Fatalf("NewRing allocates %v times at 16 virtual nodes and %v at %d, want the same count",
+			small, large, DefaultVirtualNodes)
+	}
+}
+
+// BenchmarkRingOwner looks up the owner of 1 024 user-shaped keys on the
+// three-shard ring a deployment starts with; ns/op is per key.
+func BenchmarkRingOwner(b *testing.B) {
+	ring, err := NewRing(shardIDs(3), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := ringKeys(ringParams{seed: 1, keys: 1024})
+	sum := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum += ring.OwnerIndex(keys[i%len(keys)])
+	}
+	if sum < 0 {
+		b.Fatal("negative shard index")
 	}
 }

@@ -33,8 +33,13 @@ func (ix *hashIndex) add(slot uint32, d Doc) {
 	if !ok {
 		return
 	}
-	for _, k := range equalityKeys(v) {
-		ix.byK[k] = insertSorted(ix.byK[k], slot)
+	arr, multi := v.([]any)
+	if !multi {
+		ix.insert(hashKey(v), slot)
+		return
+	}
+	for _, k := range arrayKeys(arr) {
+		ix.insert(k, slot)
 	}
 }
 
@@ -43,12 +48,25 @@ func (ix *hashIndex) remove(slot uint32, d Doc) {
 	if !ok {
 		return
 	}
-	for _, k := range equalityKeys(v) {
-		if slots := removeSorted(ix.byK[k], slot); len(slots) > 0 {
-			ix.byK[k] = slots
-		} else {
-			delete(ix.byK, k)
-		}
+	arr, multi := v.([]any)
+	if !multi {
+		ix.delete(hashKey(v), slot)
+		return
+	}
+	for _, k := range arrayKeys(arr) {
+		ix.delete(k, slot)
+	}
+}
+
+func (ix *hashIndex) insert(k string, slot uint32) {
+	ix.byK[k] = insertSorted(ix.byK[k], slot)
+}
+
+func (ix *hashIndex) delete(k string, slot uint32) {
+	if slots := removeSorted(ix.byK[k], slot); len(slots) > 0 {
+		ix.byK[k] = slots
+	} else {
+		delete(ix.byK, k)
 	}
 }
 
@@ -66,16 +84,14 @@ func removeSorted(slots []uint32, slot uint32) []uint32 {
 	return slots
 }
 
-// equalityKeys returns the keys a field value is found under: its own and,
-// because the matcher lets an array match through any one element, each
-// distinct element's.
-func equalityKeys(v any) []string {
-	keys := []string{hashKey(v)}
-	if arr, ok := v.([]any); ok {
-		for _, e := range arr {
-			if k := hashKey(e); !slices.Contains(keys, k) {
-				keys = append(keys, k)
-			}
+// arrayKeys returns the keys an array field value is found under: its own
+// and, because the matcher lets an array match through any one element,
+// each distinct element's. A scalar is found under its hashKey alone.
+func arrayKeys(arr []any) []string {
+	keys := []string{hashKey(arr)}
+	for _, e := range arr {
+		if k := hashKey(e); !slices.Contains(keys, k) {
+			keys = append(keys, k)
 		}
 	}
 	return keys

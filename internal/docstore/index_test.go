@@ -245,6 +245,27 @@ func TestHashIndexServesArrayElementMatch(t *testing.T) {
 	wantIDs(t, mustFind(t, c, nil), "c")
 }
 
+// TestHashIndexScalarWriteAllocs pins a scalar field's index writes to
+// its one key: adding and removing a slot under an existing key allocate
+// the key string each and no slice of keys.
+func TestHashIndexScalarWriteAllocs(t *testing.T) {
+	ix := newHashIndex("user")
+	d := Doc{"user": "alice"}
+	ix.add(1, d)
+	ix.add(2, d) // grows the bucket to hold slot 2 from here on
+	ix.remove(2, d)
+	allocs := testing.AllocsPerRun(100, func() {
+		ix.add(2, d)
+		ix.remove(2, d)
+	})
+	if allocs > 2 {
+		t.Fatalf("a scalar index add and remove allocate %v times, want at most 2 (the keys)", allocs)
+	}
+	if got := ix.get(hashKey("alice")); !slices.Equal(got, []uint32{1}) {
+		t.Fatalf("bucket after the writes = %v, want [1]", got)
+	}
+}
+
 func TestPrimaryKeyPlan(t *testing.T) {
 	c := NewStore().Collection("users")
 	if err := c.CreateIndex("city"); err != nil {

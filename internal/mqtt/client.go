@@ -338,7 +338,14 @@ func (c *Client) enqueue(m Message) {
 	}
 }
 
+// dispatchLoop hands inbox messages to their handlers, one call at a time
+// and in arrival order. It takes the whole queue under the lock and leaves
+// the reader the buffer of the batch before, cleared, so the two buffers
+// alternate without reallocating and a handled message's topic and payload
+// are not kept alive by a queue slot.
 func (c *Client) dispatchLoop() {
+	var batch []Message
+	var hs []Handler
 	for {
 		c.mu.Lock()
 		if len(c.inbox) == 0 {
@@ -350,18 +357,24 @@ func (c *Client) dispatchLoop() {
 				return
 			}
 		}
-		m := c.inbox[0]
-		c.inbox = c.inbox[1:]
-		var hs []Handler
-		for f, h := range c.subs {
-			if TopicMatches(f, m.Topic) {
-				hs = append(hs, h)
-			}
-		}
+		batch, c.inbox = c.inbox, batch
 		c.mu.Unlock()
-		for _, h := range hs {
-			h(m)
+		for _, m := range batch {
+			c.mu.Lock()
+			for f, h := range c.subs {
+				if TopicMatches(f, m.Topic) {
+					hs = append(hs, h)
+				}
+			}
+			c.mu.Unlock()
+			for _, h := range hs {
+				h(m)
+			}
+			clear(hs)
+			hs = hs[:0]
 		}
+		clear(batch)
+		batch = batch[:0]
 	}
 }
 

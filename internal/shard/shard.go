@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -145,7 +146,9 @@ func (sh *Shard) start() (err error) {
 	var owns func(userID string) bool
 	ringSize := 1
 	if ring := opts.Ring; ring != nil {
-		owns = func(userID string) bool { return ring.Owner(userID) == opts.ID }
+		// A shard missing from the ring (self is -1) owns no user.
+		self := slices.Index(ring.Shards(), opts.ID)
+		owns = func(userID string) bool { return ring.OwnerIndex(userID) == self }
 		ringSize = len(ring.Shards())
 	}
 	sh.ClusterMetrics.RingShards.Set(float64(ringSize))

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"strconv"
@@ -305,6 +306,40 @@ func writePoolName(b *strings.Builder, idx int) {
 	b.WriteString(poolNameSuffix)
 }
 
+// poolNamesLen is the byte length of the names of devices [lo, hi). Names
+// are one length below 10^poolNameDigits and grow a byte at each later
+// power of ten.
+func poolNamesLen(lo, hi int) int {
+	size := 0
+	for longer := int(math.Pow10(poolNameDigits)); lo < hi; longer *= 10 {
+		if lo < longer {
+			end := min(hi, longer)
+			size += (end - lo) * poolNameLen(lo)
+			lo = end
+		}
+	}
+	return size
+}
+
+// nextPoolName turns device idx's name into device idx+1's in place by
+// incrementing its decimal digits. A carry out of the leading digit (idx+1
+// is a power of ten past the padding) inserts a leading '1', growing the
+// name by a byte within its capacity.
+func nextPoolName(name []byte) []byte {
+	digits := name[len(poolNamePrefix) : len(name)-len(poolNameSuffix)]
+	for i := len(digits) - 1; i >= 0; i-- {
+		if digits[i] != '9' {
+			digits[i]++
+			return name
+		}
+		digits[i] = '0'
+	}
+	name = append(name, 0)
+	copy(name[len(poolNamePrefix)+1:], name[len(poolNamePrefix):])
+	name[len(poolNamePrefix)] = '1'
+	return name
+}
+
 // AddDevices appends n pooled devices. Must be called before Start.
 // Devices are named "pool<idx>" / "pool<idx>-phone", idx zero-padded to six
 // digits, so ids sort lexically in index order up to 10^6 devices (beyond
@@ -313,6 +348,8 @@ func writePoolName(b *strings.Builder, idx int) {
 //
 // Set-up allocates per column, not per device: every column is grown once,
 // and all n names are written into one string that ids and users slice.
+// Only the first name is formatted; each later one is its predecessor
+// incremented in a stack buffer.
 func (p *DevicePool) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: device pool: AddDevices(%d)", n)
@@ -323,32 +360,30 @@ func (p *DevicePool) AddDevices(n int) error {
 		return fmt.Errorf("sim: device pool: AddDevices after Start")
 	}
 	base := len(p.ids)
-	size := 0
-	for idx := base; idx < base+n; idx++ {
-		size += poolNameLen(idx)
-	}
 	var b strings.Builder
-	b.Grow(size)
-	for idx := base; idx < base+n; idx++ {
-		writePoolName(&b, idx)
-	}
-	arena := b.String()
+	b.Grow(poolNamesLen(base, base+n))
+	writePoolName(&b, base)
+	var buf [32]byte
+	name := append(buf[:0], b.String()...)
 
 	p.ids = slices.Grow(p.ids, n)
 	p.users = slices.Grow(p.users, n)
 	p.phase = slices.Grow(p.phase, n)
 	p.shard = slices.Grow(p.shard, n)
 	p.backlog = append(p.backlog, make([]uint16, n)...)
-	off := 0
 	for idx := base; idx < base+n; idx++ {
-		end := off + poolNameLen(idx)
-		id := arena[off:end]
+		if idx > base {
+			name = nextPoolName(name)
+			b.Write(name)
+		}
+		// The builder only appends, so a string sliced from it now keeps
+		// its bytes; pre-grown, it never reallocates either.
+		id := b.String()[b.Len()-len(name):]
 		user := id[:len(id)-len(poolNameSuffix)]
 		p.ids = append(p.ids, id)
 		p.users = append(p.users, user)
 		p.phase = append(p.phase, uint32(idx%3))
 		p.shard = append(p.shard, int32(p.shardOf(user)))
-		off = end
 	}
 	p.series.devices.Add(float64(n))
 	return nil

@@ -287,6 +287,33 @@ func TestPoolNames(t *testing.T) {
 	}
 }
 
+// TestNextPoolName checks incremented names against fmt across the
+// points where a name grows by a byte, and poolNamesLen against the sum of
+// the lengths it stands for.
+func TestNextPoolName(t *testing.T) {
+	for _, from := range []int{0, 99_990, 999_990, 9_999_990} {
+		var b strings.Builder
+		writePoolName(&b, from)
+		var buf [32]byte
+		name := append(buf[:0], b.String()...)
+		for idx := from + 1; idx <= from+20; idx++ {
+			name = nextPoolName(name)
+			if want := fmt.Sprintf("pool%06d", idx) + "-phone"; string(name) != want {
+				t.Fatalf("name after %d increments from %d = %q, want %q", idx-from, from, name, want)
+			}
+		}
+	}
+	for _, r := range [][2]int{{0, 1}, {0, 20_000}, {5, 999_999}, {999_998, 1_000_003}, {17, 10_000_005}} {
+		want := 0
+		for idx := r[0]; idx < r[1]; idx++ {
+			want += poolNameLen(idx)
+		}
+		if got := poolNamesLen(r[0], r[1]); got != want {
+			t.Fatalf("poolNamesLen(%d, %d) = %d, want %d", r[0], r[1], got, want)
+		}
+	}
+}
+
 // standalonePool is a device pool over a three-shard ring with no
 // deployment behind it: enough to populate, not to start.
 func standalonePool(tb testing.TB) *DevicePool {
