@@ -48,8 +48,8 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
-# Smoke-run the ingest scaling, broker fan-out and document-store benches
-# (one iteration each): catches compile rot and harness deadlocks without
+# Smoke-run the ingest scaling, broker fan-out, document-store and netsim
+# benches (one iteration each): catches compile rot and harness deadlocks without
 # paying full benchmark time; the second line is the worker-side item path
 # alone on a stream with a cross-user filter, the third one item's round
 # trip through an ingest queue (box, worker, process). The last two are the
@@ -62,7 +62,7 @@ bench:
 # measured end to end by `go run ./bench` (sim.*, cluster.* in
 # bench/BASELINE.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreScan' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreInsertAction|BenchmarkDocstoreScan|BenchmarkNetsimThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
 	$(GO) test -run '^$$' -bench '^BenchmarkPoolAddDevices$$' -benchtime 1x ./internal/sim

@@ -389,6 +389,44 @@ func BenchmarkDocstoreInsertItem(b *testing.B) {
 	runtime.KeepAlive(c)
 }
 
+// BenchmarkDocstoreInsertAction is BenchmarkDocstoreInsertItem for the item
+// bench/'s osn_trigger workload persists: a classified location of one of
+// 256 users that carries the OSN action it answers, as a subdocument whose
+// id is new every time. It reports what the store keeps per document.
+func BenchmarkDocstoreInsertAction(b *testing.B) {
+	cities := []string{"Paris", "Lyon", "Lille", "Nice"}
+	types := []string{"post", "like", "comment"}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	c := docstore.NewStore().Collection("items")
+	before := heap()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		user := strconv.Itoa(100000 + i%256)[1:]
+		d := docstore.Doc{
+			"stream": "location-" + user, "device": "d" + user, "user": "u" + user,
+			"modality": "location", "granularity": "classified",
+			"time": int64(1_700_000_000_000 + i), "classified": cities[i%256%4],
+			"action": docstore.Doc{
+				"id": "a" + strconv.Itoa(i), "type": types[i%3],
+				"text": "status update " + strconv.Itoa(i%64), "network": "facebook",
+			},
+		}
+		if _, err := c.Insert(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric((float64(heap())-float64(before))/float64(b.N), "B/doc")
+	runtime.KeepAlive(c)
+}
+
 func BenchmarkNetsimThroughput(b *testing.B) {
 	net := netsim.NewNetwork(vclock.NewReal(), 1)
 	defer net.Close()

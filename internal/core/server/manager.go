@@ -203,6 +203,18 @@ func New(opts Options) (*Manager, error) {
 			defer m.mcMu.Unlock()
 			return float64(len(m.multicasts))
 		})
+	metrics.GaugeFunc("sensocial_docstore_documents",
+		"Documents held by the document store, item history included.",
+		func() float64 {
+			docs, _ := m.store.Footprint()
+			return float64(docs)
+		})
+	metrics.GaugeFunc("sensocial_docstore_bytes",
+		"Bytes the document store keeps for its documents: slab entries, slots, id tables and value dictionaries.",
+		func() float64 {
+			_, bytes := m.store.Footprint()
+			return float64(bytes)
+		})
 	m.delivery = NewDeliveryHub(m.store, m.hub, m.persist, m.logger, m.refreshMulticastsFor, metrics, m.tracer)
 	pipeline, err := ingest.New(shards, opts.IngestQueueDepth, partitionKey, m.processItem,
 		ingest.WithMetrics(metrics), ingest.WithClock(m.clock))

@@ -105,6 +105,30 @@ func (s *Store) CollectionNames() []string {
 	return names
 }
 
+// Footprint returns how many documents the store holds and the bytes its
+// collections keep for them: the entry bytes written to slabs (live, or
+// superseded and not yet compacted away), the slots, the id tables, and the
+// dictionaries' chunks and tables. Go's own overhead, the unused tail of
+// each slab chunk and the field names are left out.
+func (s *Store) Footprint() (docs, bytes int) {
+	s.mu.RLock()
+	colls := make([]*Collection, 0, len(s.collections))
+	for _, c := range s.collections {
+		colls = append(colls, c)
+	}
+	s.mu.RUnlock()
+	for _, c := range colls {
+		c.mu.RLock()
+		docs += c.live
+		bytes += c.liveBytes + c.deadBytes + 8*cap(c.slots) + 4*len(c.ids)
+		c.mu.RUnlock()
+		c.keys.mu.RLock()
+		bytes += dictChunk*len(c.keys.vals) + 4*len(c.keys.cells)
+		c.keys.mu.RUnlock()
+	}
+	return docs, bytes
+}
+
 // Drop removes a collection and all its documents.
 func (s *Store) Drop(name string) {
 	durable := s.journal != nil
@@ -198,9 +222,9 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id = c.putLocked(id, c.seq, *rec, doc)
+	id = c.putLocked(id, c.seq, rec.b, doc)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, *rec)}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, rec.b)}); err != nil {
 			return id, err
 		}
 	}
@@ -241,7 +265,7 @@ func (c *Collection) record(id string) ([]byte, bool) {
 	if slot < 0 {
 		return nil, false
 	}
-	_, rec, _ := c.entry(c.slots[slot])
+	_, _, rec, _ := c.entry(c.slots[slot])
 	return rec, true
 }
 
@@ -312,7 +336,7 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	type write struct {
 		id  string
 		doc Doc
-		rec *[]byte
+		rec *recBuf
 	}
 	var writes []write
 	defer func() {
@@ -322,7 +346,7 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	}()
 	var failed error
 	c.scanLocked(query, m, func(id string, d Doc) bool {
-		var rec *[]byte
+		var rec *recBuf
 		err := up.apply(d)
 		if err == nil {
 			rec, err = c.keys.encode(d)
@@ -338,7 +362,7 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 		return 0, failed
 	}
 	for _, w := range writes {
-		c.putLocked(w.id, 0, *w.rec, w.doc)
+		c.putLocked(w.id, 0, w.rec.b, w.doc)
 	}
 	if pinned != nil && len(writes) > 0 {
 		// Query+update replay is deterministic: the matched set and the
@@ -387,11 +411,11 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 			return "", err
 		}
 	}
-	id = c.putLocked(id, c.seq, *rec, doc)
+	id = c.putLocked(id, c.seq, rec.b, doc)
 	if pinned != nil {
 		// Log the resolved effect (which id was written), not the query, so
 		// replay need not resolve the query against the same state.
-		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, *rec)}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, rec.b)}); err != nil {
 			return id, err
 		}
 	}
@@ -430,8 +454,8 @@ func (c *Collection) Delete(query Doc) (int, error) {
 // leave the collection as it is: the plan may be an index's own bucket.
 func (c *Collection) scanLocked(query Doc, m matcher, visit func(id string, d Doc) bool) {
 	try := func(p uint64) bool {
-		id, rec, _ := c.entry(p)
-		sid := string(id)
+		text, num, rec, _ := c.entry(p)
+		sid := c.idString(text, num)
 		d := c.decode(sid, rec)
 		return !m.match(d) || visit(sid, d)
 	}

@@ -219,7 +219,7 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 			return err
 		}
 		c.mu.Lock()
-		c.putLocked(r.ID, 0, *rec, r.Doc)
+		c.putLocked(r.ID, 0, rec.b, r.Doc)
 		c.mu.Unlock()
 		release(rec)
 		c.noteGeneratedID(r.ID)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,18 +19,29 @@ import (
 // size. A Doc exists only while a caller or the matcher holds one.
 //
 //	record := doc
-//	doc    := uvarint(fields) { uvarint(key ref) value }
-//	value  := kind [payload]
+//	doc    := shape { payload }
+//	shape  := uvarint(dictionary offset + 1)
+//	        | uvarint(0) uvarint(len) pairs
+//	pairs  := { uvarint(key ref) kind }
+//	value  := kind payload
 //
-// A key ref indexes the collection's keyTable, so a field name is stored
-// once per collection, not once per record; so is a string of at most
-// symMax bytes, kept in the keyTable's value dictionary and written as its
-// offset there (kindSym). The top-level _id is not in the record: it is the
-// id the record is filed under, and decode puts it back.
-// The kind byte preserves the Go kind, so a document reads back with the
-// types it was stored with (an int64 stays an int64):
+// A document's shape is its fields' (key ref, kind) pairs, sorted by key
+// ref; its payloads follow in the same order with neither. A key ref
+// indexes the collection's keyTable, so a field name is stored once per
+// collection, not once per record. The shape itself is kept once per
+// collection too, as an entry of the keyTable's value dictionary, beside
+// every string of at most symMax bytes (written as its offset there,
+// kindSym); documents that share their field names and kinds share one
+// shape. A shape longer than entryMax, or one met while the dictionary is
+// full, is written inline instead. Sorting by key ref makes a document's
+// record independent of the order its map is iterated in. A nested
+// document carries its own shape; an array element, and the single value
+// encodeValue writes, keeps its kind byte. The top-level _id is not in the
+// record: it is the id the record is filed under, and decode puts it back.
+// The kind preserves the Go kind, so a document reads back with the types
+// it was stored with (an int64 stays an int64); the payload of each kind is
 //
-//	nil, false, true                  no payload
+//	nil, false, true                  nothing
 //	int, int32, int64                 zig-zag varint
 //	uint, uint32, uint64              uvarint
 //	float32, float64                  IEEE 754 bits, little endian
@@ -98,37 +110,43 @@ func (e *valueError) under(seg string) *valueError {
 	return e
 }
 
-// keyTable interns the field names and the short string values of one
-// collection. It has its own lock (a leaf: nothing is acquired under it) so
-// records are encoded before the collection lock is taken. Nothing is ever
-// removed, so a ref stays valid for the life of the collection.
+// keyTable interns the field names, the document shapes and the short
+// string values of one collection. It has its own lock (a leaf: nothing is
+// acquired under it) so records are encoded before the collection lock is
+// taken. Nothing is ever removed, so a ref stays valid for the life of the
+// collection.
 //
-// The values are a dictionary with no Go object per entry: fixed-size byte
-// chunks of uvarint(len) bytes entries, addressed by byte offset, and an
-// open-addressed table (table.go) from value to offset+1 and a hash tag. A
-// chunk is allocated at its full length and written by copy, never grown,
-// so a reader holding an older view of vals can read its entries while a
-// writer fills the same chunk further on.
+// Shapes and values share one dictionary with no Go object per entry:
+// fixed-size byte chunks of uvarint(len) bytes entries, addressed by byte
+// offset, and an open-addressed table (table.go) from entry bytes to
+// offset+1 and a hash tag. An entry is only bytes, so a shape and a string
+// with the same bytes are one entry. A chunk is allocated at its full
+// length and written by copy, never grown, so a reader holding an older
+// view of vals can read its entries while a writer fills the same chunk
+// further on.
 type keyTable struct {
 	mu    sync.RWMutex
 	refs  map[string]uint64
 	names []string
 
-	seed  maphash.Seed // set with the first value
+	seed  maphash.Seed // set with the first entry
 	vals  [][]byte     // dictionary chunks of dictChunk bytes
 	end   uint64       // offset of the next entry
 	nvals int
-	cells table // value → hash tag | offset+1
+	cells table // entry bytes → hash tag | offset+1
 }
 
 const (
-	// symMax is the longest string kept in the dictionary: ids and labels
-	// fit, sensor payloads (a location fix is about 64 B) do not.
-	symMax    = 32
+	// symMax is the longest string value kept in the dictionary: ids and
+	// labels fit, sensor payloads (a location fix is about 64 B) do not.
+	symMax = 32
+	// entryMax is the longest dictionary entry, so its length is a one-byte
+	// uvarint: a shape of up to about 60 fields.
+	entryMax  = 127
 	dictChunk = 4 << 10
 	// dictBits bounds the dictionary at 64 MiB. A value table cell holds
 	// the entry's offset+1 in its low dictBits bits and the top bits of the
-	// value's hash above them, so a probe compares bytes only where those
+	// entry's hash above them, so a probe compares bytes only where those
 	// agree.
 	dictBits = 26
 	offMask  = 1<<dictBits - 1
@@ -147,22 +165,40 @@ func (t *keyTable) symbol(s string) (off, h uint64, ok bool) {
 		return 0, 0, false // no seed yet: admitLocked makes one
 	}
 	h = maphash.String(t.seed, s)
-	tag := cellTag(h)
-	_, v := t.cells.probe(h, func(v uint32) bool {
-		return v&^offMask == tag && string(t.entry(uint64(v&offMask-1))) == s
-	})
-	return uint64(v&offMask) - 1, h, v != 0
+	off, ok = t.find(h, func(e []byte) bool { return string(e) == s })
+	return off, h, ok
 }
 
-// entry returns the bytes of the value at off, which admitLocked wrote.
+// shape is symbol for a shape's bytes.
+//
+//sensolint:hotpath
+func (t *keyTable) shape(b []byte) (off, h uint64, ok bool) {
+	if len(t.cells) == 0 {
+		return 0, 0, false
+	}
+	h = maphash.Bytes(t.seed, b)
+	off, ok = t.find(h, func(e []byte) bool { return bytes.Equal(e, b) })
+	return off, h, ok
+}
+
+// find returns the offset of the entry hashed to h that eq accepts.
+func (t *keyTable) find(h uint64, eq func(e []byte) bool) (uint64, bool) {
+	tag := cellTag(h)
+	_, v := t.cells.probe(h, func(v uint32) bool {
+		return v&^offMask == tag && eq(t.entry(uint64(v&offMask-1)))
+	})
+	return uint64(v&offMask) - 1, v != 0
+}
+
+// entry returns the bytes of the entry at off, which admitLocked wrote.
 func (t *keyTable) entry(off uint64) []byte {
 	c, i := t.vals[off/dictChunk], off%dictChunk
 	return c[i+1 : i+1+uint64(c[i])]
 }
 
-// admitLocked adds s, which symbol did not find and hashed to h, to the
-// dictionary and returns its offset; false if the dictionary is full. The
-// caller holds mu exclusive.
+// admitLocked adds s, at most entryMax bytes that symbol or shape did not
+// find and hashed to h, to the dictionary and returns its offset; false if
+// the dictionary is full. The caller holds mu exclusive.
 func (t *keyTable) admitLocked(s string, h uint64) (uint64, bool) {
 	size := uint64(1 + len(s)) // a one-byte uvarint length, then s
 	off := t.end
@@ -198,59 +234,73 @@ func (t *keyTable) admitLocked(s string, h uint64) (uint64, bool) {
 	return off, true
 }
 
-// scratch holds encode buffers: a record is built in one and copied into a
-// slab, so append's growth slack is never kept per document.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
+// recBuf is an encode buffer: a record is built in b and copied into a
+// slab, so append's growth slack is never kept per document. shape and doc
+// are appendDoc's scratch for the shape and the reordered fields of the
+// document it is finishing.
+type recBuf struct {
+	b     []byte
+	shape []byte
+	doc   []byte
+}
+
+// stackFields is how many fields appendDoc keeps track of in arrays on its
+// own stack; a wider document takes slices from the heap.
+const stackFields = 12
+
+var scratch = sync.Pool{New: func() any { return new(recBuf) }}
 
 // encode builds doc's record in a scratch buffer; the caller hands it back
 // with release once the record is in a slab.
-func (t *keyTable) encode(doc Doc) (*[]byte, error) {
-	bp := scratch.Get().(*[]byte)
-	e := encoder{t: t}
+func (t *keyTable) encode(doc Doc) (*recBuf, error) {
+	rb := scratch.Get().(*recBuf)
+	e := encoder{t: t, s: rb}
 	var verr *valueError
 	for more := true; more; more = e.again(verr) {
 		e.lock()
-		*bp, verr = e.appendDoc((*bp)[:0], doc, 0)
+		rb.b, verr = e.appendDoc(rb.b[:0], doc, 0)
 		e.unlock()
 	}
 	if verr != nil {
-		release(bp)
+		release(rb)
 		return nil, verr
 	}
-	return bp, nil
+	return rb, nil
 }
 
-func release(bp *[]byte) {
-	*bp = (*bp)[:0]
-	scratch.Put(bp)
+func release(rb *recBuf) {
+	rb.b = rb.b[:0]
+	scratch.Put(rb)
 }
 
 // encodeValue returns the value headed for path in record form, for
 // decodeValue to make fresh copies from.
 func (t *keyTable) encodeValue(path string, v any) ([]byte, error) {
-	e := encoder{t: t}
-	var buf []byte
+	rb := scratch.Get().(*recBuf)
+	defer release(rb)
+	e := encoder{t: t, s: rb}
 	var verr *valueError
 	for more := true; more; more = e.again(verr) {
 		e.lock()
-		buf, verr = e.appendValue(buf[:0], v, 1)
+		rb.b, verr = e.appendValue(rb.b[:0], v, 1)
 		e.unlock()
 	}
 	if verr != nil {
 		return nil, verr.under(path)
 	}
-	return buf, nil
+	return bytes.Clone(rb.b), nil
 }
 
 // encoder appends record bytes against a keyTable. A record is encoded
-// with the table's lock held once, shared. The first name or short string
-// the table lacks sets missed and ends that pass, and only then is the
-// record encoded a second time, with the lock held exclusive and admit set,
-// adding what is new. (Trading the shared lock for the exclusive one in
-// mid-record would keep what the first pass wrote, but would lock the
+// with the table's lock held once, shared. The first name, shape or short
+// string the table lacks sets missed and ends that pass, and only then is
+// the record encoded a second time, with the lock held exclusive and admit
+// set, adding what is new. (Trading the shared lock for the exclusive one
+// in mid-record would keep what the first pass wrote, but would lock the
 // table inside a call made under its own lock.)
 type encoder struct {
 	t      *keyTable
+	s      *recBuf
 	admit  bool
 	missed bool
 }
@@ -308,90 +358,148 @@ func (e *encoder) symbol(s string) (uint64, bool) {
 	return e.t.admitLocked(s, h)
 }
 
-func (e *encoder) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError) {
-	n := len(d)
-	_, hasID := d[IDField]
-	skipID := depth == 0 && hasID
-	if skipID {
-		n--
+// shape returns the dictionary offset of a shape, or false if it is to be
+// written inline.
+func (e *encoder) shape(b []byte) (uint64, bool) {
+	if len(b) > entryMax {
+		return 0, false
 	}
-	buf = binary.AppendUvarint(buf, uint64(n))
+	off, h, ok := e.t.shape(b)
+	if ok || !e.admit {
+		e.missed = e.missed || !ok
+		return off, ok
+	}
+	return e.t.admitLocked(string(b), h)
+}
+
+// appendDoc appends d's shape and then its payloads in key ref order. The
+// payloads are written in the order the map yields its fields, which is
+// random, and the shape is known only once they are written, so the
+// document is put in order last, behind its shape.
+func (e *encoder) appendDoc(buf []byte, d Doc, depth int) ([]byte, *valueError) {
+	var orderAt [stackFields]uint64
+	var startAt [stackFields + 1]int
+	var kindAt [stackFields]byte
+	// order holds key ref<<32 | i for the i-th field written; its payload
+	// is buf[starts[i]:starts[i+1]] and its kind kinds[i].
+	order, starts, kinds := orderAt[:0], startAt[:0], kindAt[:0]
+	if len(d) > stackFields {
+		order, starts, kinds = make([]uint64, 0, len(d)), make([]int, 0, len(d)+1), make([]byte, 0, len(d))
+	}
+	start := len(buf)
 	for k, v := range d {
-		if skipID && k == IDField {
+		if depth == 0 && k == IDField {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, e.name(k))
-		var verr *valueError
-		if buf, verr = e.appendValue(buf, v, depth+1); verr != nil {
-			return buf, verr.under(k)
-		}
+		ref := e.name(k)
 		if e.missed {
 			return buf, nil // the exclusive pass starts over
 		}
+		order = append(order, ref<<32|uint64(len(order)))
+		starts = append(starts, len(buf))
+		var kind byte
+		var verr *valueError
+		if buf, kind, verr = e.appendPayload(buf, v, depth+1); verr != nil {
+			return buf, verr.under(k)
+		}
+		if e.missed {
+			return buf, nil
+		}
+		kinds = append(kinds, kind)
 	}
-	return buf, nil
+	starts = append(starts, len(buf))
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && order[j] < order[j-1]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	shape := e.s.shape[:0]
+	for _, o := range order {
+		shape = append(binary.AppendUvarint(shape, o>>32), kinds[uint32(o)])
+	}
+	e.s.shape = shape
+	out := e.s.doc[:0]
+	if off, ok := e.shape(shape); ok {
+		out = binary.AppendUvarint(out, off+1)
+	} else {
+		out = append(binary.AppendUvarint(append(out, 0), uint64(len(shape))), shape...)
+	}
+	for _, o := range order {
+		out = append(out, buf[starts[uint32(o)]:starts[uint32(o)+1]]...)
+	}
+	e.s.doc = out
+	return append(buf[:start], out...), nil
 }
 
+// appendValue appends v with its kind byte.
 func (e *encoder) appendValue(buf []byte, v any, depth int) ([]byte, *valueError) {
+	at := len(buf)
+	buf, kind, verr := e.appendPayload(append(buf, 0), v, depth)
+	buf[at] = kind
+	return buf, verr
+}
+
+// appendPayload appends v's payload and returns the kind it wrote.
+func (e *encoder) appendPayload(buf []byte, v any, depth int) ([]byte, byte, *valueError) {
 	switch x := v.(type) {
 	case nil:
-		return append(buf, kindNil), nil
+		return buf, kindNil, nil
 	case bool:
 		if x {
-			return append(buf, kindTrue), nil
+			return buf, kindTrue, nil
 		}
-		return append(buf, kindFalse), nil
+		return buf, kindFalse, nil
 	case int:
-		return binary.AppendVarint(append(buf, kindInt), int64(x)), nil
+		return binary.AppendVarint(buf, int64(x)), kindInt, nil
 	case int32:
-		return binary.AppendVarint(append(buf, kindInt32), int64(x)), nil
+		return binary.AppendVarint(buf, int64(x)), kindInt32, nil
 	case int64:
-		return binary.AppendVarint(append(buf, kindInt64), x), nil
+		return binary.AppendVarint(buf, x), kindInt64, nil
 	case uint:
-		return binary.AppendUvarint(append(buf, kindUint), uint64(x)), nil
+		return binary.AppendUvarint(buf, uint64(x)), kindUint, nil
 	case uint32:
-		return binary.AppendUvarint(append(buf, kindUint32), uint64(x)), nil
+		return binary.AppendUvarint(buf, uint64(x)), kindUint32, nil
 	case uint64:
-		return binary.AppendUvarint(append(buf, kindUint64), x), nil
+		return binary.AppendUvarint(buf, x), kindUint64, nil
 	case float32:
-		return binary.LittleEndian.AppendUint32(append(buf, kindFloat32), math.Float32bits(x)), nil
+		return binary.LittleEndian.AppendUint32(buf, math.Float32bits(x)), kindFloat32, nil
 	case float64:
-		return binary.LittleEndian.AppendUint64(append(buf, kindFloat64), math.Float64bits(x)), nil
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x)), kindFloat64, nil
 	case string:
 		if 0 < len(x) && len(x) <= symMax {
 			if off, ok := e.symbol(x); ok {
-				return binary.AppendUvarint(append(buf, kindSym), off), nil
+				return binary.AppendUvarint(buf, off), kindSym, nil
 			}
 		}
 		if len(x) > symMax {
 			if packed, ok := appendPacked(buf, x); ok {
-				return packed, nil
+				return packed, kindPacked, nil
 			}
 		}
-		buf = binary.AppendUvarint(append(buf, kindString), uint64(len(x)))
-		return append(buf, x...), nil
+		return append(binary.AppendUvarint(buf, uint64(len(x))), x...), kindString, nil
 	case []any:
 		if depth > maxDepth {
-			return buf, errTooDeep()
+			return buf, kindArray, errTooDeep()
 		}
-		buf = binary.AppendUvarint(append(buf, kindArray), uint64(len(x)))
+		buf = binary.AppendUvarint(buf, uint64(len(x)))
 		for i, el := range x {
 			var verr *valueError
 			if buf, verr = e.appendValue(buf, el, depth+1); verr != nil {
-				return buf, verr.under(fmt.Sprintf("[%d]", i))
+				return buf, kindArray, verr.under(fmt.Sprintf("[%d]", i))
 			}
 			if e.missed {
-				return buf, nil
+				break
 			}
 		}
-		return buf, nil
+		return buf, kindArray, nil
 	case map[string]any:
 		if depth > maxDepth {
-			return buf, errTooDeep()
+			return buf, kindDoc, errTooDeep()
 		}
-		return e.appendDoc(append(buf, kindDoc), x, depth)
+		buf, verr := e.appendDoc(buf, x, depth)
+		return buf, kindDoc, verr
 	default:
-		return buf, &valueError{what: fmt.Sprintf("unsupported value type %T", v)}
+		return buf, kindNil, &valueError{what: fmt.Sprintf("unsupported value type %T", v)}
 	}
 }
 
@@ -430,14 +538,14 @@ var packCode = func() (t [256]byte) {
 // hold and still pack: (n + 2·escapes + 1) / 2 bytes of codes at most n·3/4.
 func maxEscapes(n int) int { return (n*3/4*2 - n) / 2 }
 
-// appendPacked appends s as kindPacked, or returns buf as it was and false
-// once s holds more escaped bytes than maxEscapes allows. Codes collect in
-// acc and go out four bytes at a time.
+// appendPacked appends s as a kindPacked payload, or returns buf as it was
+// and false once s holds more escaped bytes than maxEscapes allows. Codes
+// collect in acc and go out four bytes at a time.
 //
 //sensolint:hotpath
 func appendPacked(buf []byte, s string) ([]byte, bool) {
 	mark := len(buf)
-	buf = binary.AppendUvarint(append(buf, kindPacked), uint64(len(s)))
+	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	escapes, budget := 0, maxEscapes(len(s))
 	var acc uint64 // the low n bits are codes not yet written
 	n := 0
@@ -543,37 +651,55 @@ func (r *recordReader) varint() int64 {
 	return v
 }
 
-// doc reads a field list into a map with room for extra more fields.
+// doc reads a shape and the payloads it lists into a map with room for
+// extra more fields.
 func (r *recordReader) doc(extra, depth int) Doc {
-	n := r.uvarint()
-	if n > uint64(len(r.b))/2 { // a field is at least a ref and a kind
+	var shape []byte
+	if ref := r.uvarint(); ref == 0 {
+		shape = r.take(r.uvarint())
+	} else {
+		shape = r.entry(ref - 1)
+	}
+	n, ok := r.fields(shape)
+	if !ok {
 		r.fail()
 		return nil
 	}
-	d := make(Doc, int(n)+extra)
-	for ; n > 0 && !r.bad; n-- {
-		ref := r.uvarint()
-		if ref >= uint64(len(r.names)) {
-			r.fail()
-			break
-		}
-		d[r.names[ref]] = r.value(depth + 1)
+	d := make(Doc, n+extra)
+	for len(shape) > 0 && !r.bad {
+		ref, k := binary.Uvarint(shape)
+		kind := shape[k]
+		shape = shape[k+1:]
+		d[r.names[ref]] = r.payload(kind, depth+1)
 	}
 	return d
 }
 
-// symbol returns a fresh copy of the dictionary value at off. It reads
+// fields counts the pairs of a shape, which must name known keys in
+// ascending order, each with a kind.
+func (r *recordReader) fields(shape []byte) (n int, ok bool) {
+	for prev := -1; len(shape) > 0; n++ {
+		ref, k := binary.Uvarint(shape)
+		if k <= 0 || k >= len(shape) || ref >= uint64(len(r.names)) || int(ref) <= prev || shape[k] > kindPacked {
+			return 0, false
+		}
+		prev, shape = int(ref), shape[k+1:]
+	}
+	return n, true
+}
+
+// entry returns the dictionary entry at off, sharing its bytes. It reads
 // nothing at or past end: bytes there may be being written.
-func (r *recordReader) symbol(off uint64) string {
+func (r *recordReader) entry(off uint64) []byte {
 	if off < r.end {
 		base := off / dictChunk * dictChunk
 		c := r.vals[off/dictChunk][off-base : min(r.end-base, dictChunk)]
 		if n, k := binary.Uvarint(c); k > 0 && n <= uint64(len(c)-k) {
-			return string(c[k : k+int(n)])
+			return c[k : k+int(n)]
 		}
 	}
 	r.fail()
-	return ""
+	return nil
 }
 
 // packPairs maps a byte of two codes, neither of them packEscape, to the
@@ -646,12 +772,18 @@ func (r *recordReader) packed() string {
 	return sb.String()
 }
 
+// value reads a kind byte and its payload.
 func (r *recordReader) value(depth int) any {
 	kind := r.take(1)
 	if kind == nil {
 		return nil
 	}
-	switch kind[0] {
+	return r.payload(kind[0], depth)
+}
+
+// payload reads a payload of the given kind.
+func (r *recordReader) payload(kind byte, depth int) any {
+	switch kind {
 	case kindNil:
 		return nil
 	case kindFalse:
@@ -681,7 +813,7 @@ func (r *recordReader) value(depth int) any {
 	case kindString:
 		return string(r.take(r.uvarint()))
 	case kindSym:
-		return r.symbol(r.uvarint())
+		return string(r.entry(r.uvarint()))
 	case kindPacked:
 		return r.packed()
 	case kindArray:

@@ -3,7 +3,9 @@ package docstore
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"math"
 	"strconv"
+	"strings"
 )
 
 // Collections at rest
@@ -13,11 +15,13 @@ import (
 // anything per document, and a collection costs the bytes it stores:
 //
 //	slabs  append-only []byte chunks of entries:
-//	       uvarint(len id) id uvarint(len rec) rec
+//	       id uvarint(len rec) rec
+//	       where id is uvarint(len) text, or uvarint(0) uvarint(n) for the
+//	       id <collection name>-<n> with n in canonical decimal
 //	slots  []uint64 in insertion order, each chunk<<32 | offset of the
 //	       document's current entry, or tombstone once it is deleted
 //	ids    an open-addressed table (table.go) from id to slot+1, compared
-//	       against the id bytes in the slab
+//	       against the id in the slab
 //
 // A write appends an entry and points a slot at it, so a replaced document
 // keeps its slot and with it its place in insertion order. Written bytes
@@ -31,6 +35,13 @@ import (
 // renumbered and the id table and the indexes, which hold slot numbers, are
 // rebuilt (renumberLocked). Nothing iterates the id table, so its seeded
 // hash never shows in any output.
+//
+// Every id of the generated form, given or generated, is stored as its
+// number (numericID), so a collection restored from a snapshot or a
+// journal holds the same bytes as the one that wrote it. An id is never
+// empty, so a zero length marks the number. Outside this file ids are
+// text: the id table hashes the text, and a lookup by an id of the
+// generated form compares numbers.
 
 const (
 	minChunk  = 4 << 10
@@ -38,19 +49,60 @@ const (
 	tombstone = ^uint64(0)
 )
 
-// splitEntry parses the entry at the start of b.
-func splitEntry(b []byte) (id, rec []byte, size int) {
+// splitEntry parses the entry at the start of b. text is the id's text,
+// or empty for an id stored as its number num.
+func splitEntry(b []byte) (text []byte, num uint64, rec []byte, size int) {
 	n, k := binary.Uvarint(b)
-	id = b[k : k+int(n)]
+	if n == 0 {
+		var k2 int
+		num, k2 = binary.Uvarint(b[k:])
+		k += k2
+	}
+	text = b[k : k+int(n)]
 	m, k2 := binary.Uvarint(b[k+int(n):])
 	start := k + int(n) + k2
 	end := start + int(m)
-	return id, b[start:end:end], end
+	return text, num, b[start:end:end], end
 }
 
 // entry reads the entry a slot points at.
-func (c *Collection) entry(p uint64) (id, rec []byte, size int) {
+func (c *Collection) entry(p uint64) (text []byte, num uint64, rec []byte, size int) {
 	return splitEntry(c.slabs[p>>32][uint32(p):])
+}
+
+// numericID reports whether id is the collection's name, '-' and a
+// decimal number with no leading zero that fits a uint64, and the number.
+func (c *Collection) numericID(id string) (uint64, bool) {
+	digits, ok := strings.CutPrefix(id, c.name)
+	if !ok || len(digits) < 2 || digits[0] != '-' || digits[1] == '0' && len(digits) > 2 {
+		return 0, false
+	}
+	var n uint64
+	for i := 1; i < len(digits); i++ {
+		d := uint64(digits[i] - '0')
+		if d > 9 || n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
+}
+
+// appendID appends the text of the id an entry holds.
+func (c *Collection) appendID(b, text []byte, num uint64) []byte {
+	if len(text) > 0 {
+		return append(b, text...)
+	}
+	return strconv.AppendUint(append(append(b, c.name...), '-'), num, 10)
+}
+
+// idString returns the text of the id an entry holds.
+func (c *Collection) idString(text []byte, num uint64) string {
+	if len(text) > 0 {
+		return string(text)
+	}
+	var buf [48]byte
+	return string(c.appendID(buf[:0], nil, num))
 }
 
 // reserveLocked returns the index of a chunk with room for size more bytes.
@@ -70,32 +122,31 @@ func (c *Collection) reserveLocked(size int) int {
 }
 
 // appendEntryLocked writes an entry for id and rec and returns where it is
-// and its size. An empty id stands for the generated id name-seq, which is
-// formatted straight into the slab.
+// and its size. An empty id stands for the generated id name-seq.
 func (c *Collection) appendEntryLocked(id string, seq uint64, rec []byte) (p uint64, size int) {
-	idLen := len(id)
-	if id == "" {
-		idLen = len(c.name) + 2
-		for v := seq; v >= 10; v /= 10 {
-			idLen++
-		}
+	num, numeric := seq, id == ""
+	if !numeric {
+		num, numeric = c.numericID(id)
 	}
-	size = uvarintLen(idLen) + idLen + uvarintLen(len(rec)) + len(rec)
+	idSize := uvarintLen(uint64(len(id))) + len(id)
+	if numeric {
+		idSize = 1 + uvarintLen(num)
+	}
+	size = idSize + uvarintLen(uint64(len(rec))) + len(rec)
 	k := c.reserveLocked(size)
 	b := c.slabs[k]
 	off := len(b)
-	b = binary.AppendUvarint(b, uint64(idLen))
-	if id == "" {
-		b = strconv.AppendUint(append(append(b, c.name...), '-'), seq, 10)
+	if numeric {
+		b = binary.AppendUvarint(append(b, 0), num)
 	} else {
-		b = append(b, id...)
+		b = append(binary.AppendUvarint(b, uint64(len(id))), id...)
 	}
 	b = binary.AppendUvarint(b, uint64(len(rec)))
 	c.slabs[k] = append(b, rec...)
 	return uint64(k)<<32 | uint64(off), size
 }
 
-func uvarintLen(v int) int {
+func uvarintLen(v uint64) int {
 	n := 1
 	for ; v >= 0x80; v >>= 7 {
 		n++
@@ -106,17 +157,22 @@ func uvarintLen(v int) int {
 // findLocked returns the table position of id and its slot, or the empty
 // position where id would go and -1.
 func (c *Collection) findLocked(id string) (pos, slot int) {
+	num, numeric := c.numericID(id)
 	pos, v := c.ids.probe(maphash.String(c.seed, id), func(v uint32) bool {
-		got, _, _ := c.entry(c.slots[v-1])
-		return string(got) == id
+		text, n, _, _ := c.entry(c.slots[v-1])
+		if numeric {
+			return len(text) == 0 && n == num
+		}
+		return string(text) == id
 	})
 	return pos, int(v) - 1
 }
 
 // hash is the hash of the id filed under id table cell v.
 func (c *Collection) hash(v uint32) uint64 {
-	id, _, _ := c.entry(c.slots[v-1])
-	return maphash.Bytes(c.seed, id)
+	text, num, _, _ := c.entry(c.slots[v-1])
+	var buf [48]byte
+	return maphash.Bytes(c.seed, c.appendID(buf[:0], text, num))
 }
 
 // rehashLocked rebuilds the id table at size cells from the slots.
@@ -138,15 +194,14 @@ func (c *Collection) rehashLocked(size int) {
 func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) string {
 	p, size := c.appendEntryLocked(id, seq, rec)
 	if id == "" {
-		gen, _, _ := c.entry(p)
-		id = string(gen)
+		id = c.idString(nil, seq)
 	}
 	if c.ids.crowded(c.live+1, idLoad) {
 		c.rehashLocked(tableSize(c.live+1, idLoad))
 	}
 	pos, slot := c.findLocked(id)
 	if slot >= 0 {
-		_, old, oldSize := c.entry(c.slots[slot])
+		_, _, old, oldSize := c.entry(c.slots[slot])
 		c.indexRemoveLocked(uint32(slot), id, old)
 		c.slots[slot] = p
 		c.liveBytes -= oldSize
@@ -172,7 +227,7 @@ func (c *Collection) deleteLocked(ids []string) int {
 		if slot < 0 {
 			continue
 		}
-		_, rec, size := c.entry(c.slots[slot])
+		_, _, rec, size := c.entry(c.slots[slot])
 		c.indexRemoveLocked(uint32(slot), id, rec)
 		c.ids.unfile(pos, c.hash)
 		c.slots[slot] = tombstone
@@ -201,7 +256,7 @@ func (c *Collection) compactLocked() {
 			continue
 		}
 		b := old[p>>32][uint32(p):]
-		_, _, size := splitEntry(b)
+		_, _, _, size := splitEntry(b)
 		k := c.reserveLocked(size)
 		c.slots[s] = uint64(k)<<32 | uint64(len(c.slabs[k]))
 		c.slabs[k] = append(c.slabs[k], b[:size]...)
@@ -239,8 +294,8 @@ func (c *Collection) renumberLocked() {
 func (c *Collection) eachLocked(fn func(slot uint32, d Doc)) {
 	for s, p := range c.slots {
 		if p != tombstone {
-			id, rec, _ := c.entry(p)
-			fn(uint32(s), c.decode(string(id), rec))
+			text, num, rec, _ := c.entry(p)
+			fn(uint32(s), c.decode(c.idString(text, num), rec))
 		}
 	}
 }

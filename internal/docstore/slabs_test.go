@@ -148,3 +148,39 @@ func TestInsertDeleteChurnRenumbers(t *testing.T) {
 		t.Fatalf("Len = %d, %d found; want %d and some", c.Len(), len(docs), window)
 	}
 }
+
+// TestFootprintCountsWhatCollectionsKeep checks Store.Footprint against the
+// heap: across two collections it counts every document, and its bytes are
+// no more than the inserts retained and at least half of it (it leaves out
+// the unused tail of each slab chunk and Go's own overhead).
+func TestFootprintCountsWhatCollectionsKeep(t *testing.T) {
+	s := NewStore()
+	if docs, bytes := s.Footprint(); docs != 0 || bytes != 0 {
+		t.Fatalf("empty store: Footprint = %d, %d", docs, bytes)
+	}
+	before := gcHeap().HeapAlloc
+	items, users := s.Collection("items"), s.Collection("users")
+	for i := 0; i < 20000; i++ {
+		if _, err := items.Insert(actionDoc(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := users.Insert(Doc{IDField: fmt.Sprintf("u%05d", i), "city": "Paris"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := int(gcHeap().HeapAlloc - before)
+	docs, bytes := s.Footprint()
+	t.Logf("%d documents, %d B counted, %d B retained", docs, bytes, retained)
+	if docs != 20100 || bytes > retained || bytes < retained/2 {
+		t.Fatalf("Footprint = %d documents, %d B; want 20100 and between %d and %d B", docs, bytes, retained/2, retained)
+	}
+	if n, err := items.Delete(Doc{"user": "u00003"}); err != nil || n == 0 {
+		t.Fatalf("Delete = %d, %v", n, err)
+	}
+	if docs, _ := s.Footprint(); docs != 20100-79 { // i%256 == 3 for 79 of the 20 000
+		t.Fatalf("after deleting user u00003's items Footprint counts %d documents", docs)
+	}
+	runtime.KeepAlive(s)
+}

@@ -186,13 +186,18 @@ type timedChunk struct {
 type deliveryQueue struct {
 	clock vclock.Clock
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// queue[head:] are the chunks in flight. Popping advances head, and a
+	// drained queue starts again at the front of the same backing array,
+	// unless that holds more than keepChunks.
 	queue     []timedChunk
+	head      int
 	held      int       // size of the chunk the reader took last and has not come back from
 	busyUntil time.Time // when the last accepted write finishes occupying the pipe
 	closed    bool
 	failErr   error         // non-nil when torn down by fault injection (RST)
-	wake      chan struct{} // closed & replaced whenever state changes
+	wake      chan struct{} // closed & replaced on a state change once a reader has taken it
+	waited    bool          // a reader has taken wake since it was made
 }
 
 func newDeliveryQueue(clock vclock.Clock) *deliveryQueue {
@@ -219,6 +224,15 @@ func (q *deliveryQueue) enqueue(data []byte, tx, prop time.Duration) error {
 	}
 	done := start.Add(tx)
 	q.busyUntil = done
+	if len(q.queue) == cap(q.queue) && q.head > 0 && q.head >= len(q.queue)/2 {
+		// Full, and at least half of it popped: move the chunks in flight
+		// to the front rather than grow, so a queue that never drains holds
+		// at most about four times what it has in flight. The copy is no
+		// longer than the pops that made room for it.
+		n := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[n:])
+		q.queue, q.head = q.queue[:n], 0
+	}
 	q.queue = append(q.queue, timedChunk{data: data, deliverAt: done.Add(prop)})
 	q.wakeLocked()
 	return nil
@@ -232,20 +246,20 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 		q.mu.Lock()
 		// The reader is back for more, so it is done with its last chunk.
 		q.held = 0
-		if len(q.queue) > 0 {
-			head := q.queue[0]
+		if q.head < len(q.queue) {
+			head := q.queue[q.head]
 			now := q.clock.Now()
 			// A closed connection delivers residual in-flight data
 			// immediately: the link is torn down, so nothing paces the
 			// remaining chunks, and waiting out their stamps would wedge
 			// the reader forever when the virtual clock has stopped.
 			if q.closed || !head.deliverAt.After(now) {
-				q.queue = q.queue[1:]
+				q.pop()
 				q.held = len(head.data)
 				q.mu.Unlock()
 				return head.data, nil
 			}
-			wake := q.wake
+			wake := q.takeWake()
 			q.mu.Unlock()
 			// Wait for the stamp on the clock, but re-check earlier if
 			// state changes or the deadline fires.
@@ -268,7 +282,7 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			}
 			return nil, io.EOF
 		}
-		wake := q.wake
+		wake := q.takeWake()
 		q.mu.Unlock()
 		select {
 		case <-wake:
@@ -286,7 +300,7 @@ func (q *deliveryQueue) due(now time.Time) (n int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n = q.held
-	for _, c := range q.queue {
+	for _, c := range q.queue[q.head:] {
 		if c.deliverAt.After(now) {
 			break
 		}
@@ -314,13 +328,42 @@ func (q *deliveryQueue) fail(err error) {
 	}
 	q.closed = true
 	q.failErr = err
-	q.queue = nil
+	q.queue, q.head = nil, 0
 	q.wakeLocked()
 }
 
+// keepChunks is the largest backing array a drained queue keeps for its
+// next writes. A burst grows the array far past what the connection
+// usually holds, and keeping that on every idle connection would cost more
+// memory than the garbage it saves.
+const keepChunks = 32
+
+// pop drops the chunk at the head, letting go of its bytes.
+func (q *deliveryQueue) pop() {
+	q.queue[q.head] = timedChunk{}
+	q.head++
+	if q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+		if cap(q.queue) > keepChunks {
+			q.queue = nil
+		}
+	}
+}
+
+// takeWake returns the channel wakeLocked closes on the next state change.
+func (q *deliveryQueue) takeWake() chan struct{} {
+	q.waited = true
+	return q.wake
+}
+
+// wakeLocked wakes the readers waiting on wake, if any has taken it; with
+// none, there is no one to tell and the channel stays as it is.
 func (q *deliveryQueue) wakeLocked() {
+	if !q.waited {
+		return
+	}
 	close(q.wake)
-	q.wake = make(chan struct{})
+	q.wake, q.waited = make(chan struct{}), false
 }
 
 // timeoutError satisfies net.Error for deadline expiry.

@@ -491,3 +491,116 @@ func TestDialRacingListenerClose(t *testing.T) {
 		_ = n.Close()
 	}
 }
+
+// TestWriteReadPairAllocs pins what one write and the read that takes it
+// allocate on a delay-free pipe: the write's copy of its bytes, and nothing
+// for the queue between them. A drained queue appends into the array it
+// already has (up to keepChunks), and a state change makes a fresh wake
+// channel only when a reader has taken the last one. Before either, a pair
+// cost 3 allocations: the copy, the queue's regrowth and a channel.
+func TestWriteReadPairAllocs(t *testing.T) {
+	n := newTestNetwork(t)
+	l, err := n.Listen("sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("src", "sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, buf := bytes.Repeat([]byte{'x'}, 64), make([]byte, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(s, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("write/read pair: %.1f allocs, want <= 1", allocs)
+	}
+}
+
+// TestDrainedBurstReleasesQueue checks the other side of that reuse: once a
+// burst of more than keepChunks writes drains, the queue lets go of the
+// array the burst grew, so an idle connection does not keep it.
+func TestDrainedBurstReleasesQueue(t *testing.T) {
+	n := newTestNetwork(t)
+	l, err := n.Listen("sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("src", "sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.(*conn).out
+	capacity := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return cap(q.queue)
+	}
+	buf := make([]byte, 1)
+	for _, burst := range []int{4, 4 * keepChunks} {
+		for i := 0; i < burst; i++ {
+			if _, err := c.Write([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < burst; i++ {
+			if _, err := io.ReadFull(s, buf); err != nil || buf[0] != byte(i) {
+				t.Fatalf("read %d of %d = %v, %v", i, burst, buf[0], err)
+			}
+		}
+		if kept := capacity(); (burst <= keepChunks) != (kept > 0) {
+			t.Fatalf("after a burst of %d the drained queue keeps capacity %d", burst, kept)
+		}
+	}
+}
+
+// TestBusyQueueStaysSmall keeps one chunk in flight while 1 000 more pass
+// through, so the queue never drains: its array must stay the size of what
+// is in flight, not of everything that went through it.
+func TestBusyQueueStaysSmall(t *testing.T) {
+	n := newTestNetwork(t)
+	l, err := n.Listen("sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("src", "sink:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.(*conn).out
+	buf := make([]byte, 1)
+	if _, err := c.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 1000; i++ {
+		if _, err := c.Write([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(s, buf); err != nil || buf[0] != byte(i-1) {
+			t.Fatalf("read %d = %v, %v", i-1, buf[0], err)
+		}
+	}
+	q.mu.Lock()
+	capacity, inFlight := cap(q.queue), len(q.queue)-q.head
+	q.mu.Unlock()
+	if inFlight != 1 || capacity > 4 {
+		t.Fatalf("after 1 000 writes with one in flight: %d in flight, capacity %d", inFlight, capacity)
+	}
+}
