@@ -126,8 +126,8 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 		Seed:   42,
 		Shards: shards,
 		// The pooled experiment measures scheduler and pipeline cost, not
-		// link latency; an instantaneous link also lets the shared MQTT
-		// handshakes finish without virtual-time advances.
+		// link latency; an instantaneous link also lets StartPool finish
+		// the shared MQTT handshakes without virtual-time advances.
 		MobileLink:    &netsim.Link{},
 		TraceCapacity: traceCap,
 		DurableDir:    durableDir,
@@ -157,9 +157,6 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 		return err
 	}
 	if err := deployment.StartPool(); err != nil {
-		return err
-	}
-	if err := deployment.Pool.WaitReady(30 * time.Second); err != nil {
 		return err
 	}
 

@@ -274,9 +274,6 @@ func Run(opts Options) (*Result, error) {
 	if err := dep.StartPool(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	if err := dep.Pool.WaitReady(quiesceTimeout); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
 
 	probes, err := newProbeRig(fabric, clock, brokerAddr)
 	if err != nil {

@@ -21,8 +21,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/vclock"
 	"repro/internal/wal"
@@ -206,9 +204,6 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 		if _, err := c.Insert(r.Doc); err != nil {
 			return err
 		}
-		if id, ok := r.Doc[IDField].(string); ok {
-			c.noteGeneratedID(id)
-		}
 	case opUpdate:
 		if _, err := c.Update(r.Query, r.Upd); err != nil {
 			return err
@@ -222,7 +217,6 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 		c.putLocked(r.ID, 0, rec.b, r.Doc)
 		c.mu.Unlock()
 		release(rec)
-		c.noteGeneratedID(r.ID)
 	case opDelete:
 		c.mu.Lock()
 		c.deleteLocked(r.IDs)
@@ -235,25 +229,6 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 		return fmt.Errorf("unknown op %q", r.Op)
 	}
 	return nil
-}
-
-// noteGeneratedID bumps the id-generation sequence past a replayed or
-// snapshot-loaded generated id ("<collection>-<n>"), so fresh inserts
-// after recovery cannot collide with recovered documents.
-func (c *Collection) noteGeneratedID(id string) {
-	prefix := c.name + "-"
-	if !strings.HasPrefix(id, prefix) {
-		return
-	}
-	n, err := strconv.ParseUint(id[len(prefix):], 10, 64)
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	if n > c.seq {
-		c.seq = n
-	}
-	c.mu.Unlock()
 }
 
 // seqValue reads the id-generation sequence for snapshots.

@@ -790,3 +790,58 @@ func TestNumericIDs(t *testing.T) {
 		t.Fatalf("Get(items-7) after delete = %v", err)
 	}
 }
+
+// givenThenGenerated inserts an explicit items-2 and then two documents
+// without an _id, the order in which a generated id used to land on the
+// given one.
+func givenThenGenerated(t *testing.T, c *Collection) {
+	t.Helper()
+	if _, err := c.Insert(Doc{IDField: "items-2", "given": true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"items-3", "items-4"} {
+		if id, err := c.Insert(Doc{"given": false}); err != nil || id != want {
+			t.Fatalf("generated Insert = %q, %v; want %q", id, err, want)
+		}
+	}
+}
+
+// checkGivenKept checks what givenThenGenerated left: three documents, the
+// given one still under its id, and the next generated id past them all.
+func checkGivenKept(t *testing.T, c *Collection) {
+	t.Helper()
+	if n := c.Len(); n != 3 {
+		t.Fatalf("Len = %d, want 3", n)
+	}
+	if d, err := c.Get("items-2"); err != nil || d["given"] != true {
+		t.Fatalf("Get(items-2) = %v, %v; want the given document", d, err)
+	}
+	if id, err := c.Insert(Doc{}); err != nil || id != "items-5" {
+		t.Fatalf("next generated Insert = %q, %v; want items-5", id, err)
+	}
+}
+
+// TestGivenIDNotOverwritten: a given id of the generated form takes its
+// number out of the sequence, so no generated insert replaces it.
+func TestGivenIDNotOverwritten(t *testing.T) {
+	c := NewStore().Collection("items")
+	givenThenGenerated(t, c)
+	checkGivenKept(t, c)
+}
+
+// TestGivenIDNotOverwrittenAfterReplay: the same holds for a collection
+// rebuilt from its journal.
+func TestGivenIDNotOverwrittenAfterReplay(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := openDurable(t, dir)
+	givenThenGenerated(t, s.Collection("items"))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, info := openDurable(t, dir)
+	defer s2.Close()
+	if info.Replayed != 3 {
+		t.Fatalf("replayed %d records, want 3", info.Replayed)
+	}
+	checkGivenKept(t, s2.Collection("items"))
+}

@@ -122,11 +122,17 @@ func (c *Collection) reserveLocked(size int) int {
 }
 
 // appendEntryLocked writes an entry for id and rec and returns where it is
-// and its size. An empty id stands for the generated id name-seq.
+// and its size. An empty id stands for the generated id name-seq. A given
+// id of the generated form raises the sequence to its number, so no later
+// generated id lands on it, whether the id came from an insert, a journal
+// replay or a snapshot restore.
 func (c *Collection) appendEntryLocked(id string, seq uint64, rec []byte) (p uint64, size int) {
 	num, numeric := seq, id == ""
 	if !numeric {
 		num, numeric = c.numericID(id)
+		if numeric && num > c.seq {
+			c.seq = num
+		}
 	}
 	idSize := uvarintLen(uint64(len(id))) + len(id)
 	if numeric {

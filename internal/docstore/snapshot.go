@@ -82,9 +82,6 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 			if _, err := c.Insert(d); err != nil {
 				return nil, fmt.Errorf("docstore: restore %q: %w", sc.Name, err)
 			}
-			if id, ok := d[IDField].(string); ok {
-				c.noteGeneratedID(id)
-			}
 		}
 		c.mu.Lock()
 		if sc.Seq > c.seq {

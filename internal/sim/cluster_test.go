@@ -48,9 +48,6 @@ func newClusterFixture(t *testing.T, shards, devices, traceCap int) (*Simulation
 	if err := cl.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	if err := cl.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
 	return cl, clock
 }
 

@@ -164,9 +164,6 @@ func durablePooledTraceRun(t *testing.T) string {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
 	const steps = 3
 	for i := 1; i <= steps; i++ {
 		clock.Advance(2 * time.Minute)

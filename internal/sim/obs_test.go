@@ -146,13 +146,6 @@ func deterministicPooledTraceRun(t *testing.T) string {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	// The shared client's handshake happens on a background goroutine; wait
-	// for it before advancing so every flush lands at a deterministic
-	// virtual time.
-	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-
 	// UploadBatch=2: every second cycle publishes 2 items per device.
 	const steps = 3
 	for i := 1; i <= steps; i++ {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,7 +38,7 @@ type PoolOptions struct {
 	// middleware's store-and-forward batching.
 	UploadBatch int
 	// MaxBacklog caps a device's pending-upload backlog while its
-	// connection is still handshaking or broken (default 64). Overflow is
+	// slot has no connection or a broken one (default 64). Overflow is
 	// dropped and counted, never allocated.
 	MaxBacklog int
 	// DutyCycle is the sampling duty cycle in (0,1] (default 1).
@@ -188,10 +187,6 @@ type DevicePool struct {
 	mu      sync.Mutex
 	started bool
 	closed  bool
-	// conns holds each slot's latest fabric conn, so Close can unblock a
-	// handshake still parked in a read; an established client owns (and
-	// closes) its conn.
-	conns []net.Conn
 	// Struct-of-arrays device state. ids/users/phase/shard are written
 	// only before Start; backlog is mutated under mu by frame ticks.
 	ids     []string
@@ -200,14 +195,9 @@ type DevicePool struct {
 	shard   []int32
 	backlog []uint16
 
-	frames     []*poolFrame
-	clients    []atomic.Pointer[mqtt.Client]
-	connecting []atomic.Bool
-	// ready is closed once every slot holds a client at the same time.
-	ready     chan struct{}
-	readyOnce sync.Once
-	done      chan struct{}
-	wg        sync.WaitGroup
+	frames  []*poolFrame
+	clients []atomic.Pointer[mqtt.Client]
+	done    chan struct{}
 }
 
 // poolFrame is one scheduled span [lo,hi) of the pool's device arrays. The
@@ -268,11 +258,8 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 
 		series: s.series,
 
-		conns:      make([]net.Conn, total),
-		clients:    make([]atomic.Pointer[mqtt.Client], total),
-		connecting: make([]atomic.Bool, total),
-		ready:      make(chan struct{}),
-		done:       make(chan struct{}),
+		clients: make([]atomic.Pointer[mqtt.Client], total),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -389,13 +376,14 @@ func (p *DevicePool) AddDevices(n int) error {
 	return nil
 }
 
-// Start carves the device arrays into frames, schedules them, and begins
-// connecting the shared MQTT clients in the background (mqtt.Connect blocks
-// until the CONNACK is delivered through the fabric, so it cannot run on
-// the caller's goroutine under a manual clock). Frames whose connection is
-// not yet ready keep sampling and buffer a bounded backlog; the first tick
-// after the CONNACK drains it with backdated timestamps. The pool's clock
-// must be a vclock.EventScheduler.
+// Start carves the device arrays into frames, connects every slot in slot
+// order on the caller's goroutine (connect), and schedules the frames. On a
+// delay-free link Start returns with every slot connected and the clock
+// where it was. A slot that does not connect (a delayed or partitioned
+// path, a refused dial) is retried by its frames' flushes; until then they
+// keep sampling and buffer a bounded backlog, which the first flush on a
+// connected slot drains with backdated timestamps. The pool's clock must be
+// a vclock.EventScheduler.
 func (p *DevicePool) Start() error {
 	sched, ok := p.clock.(vclock.EventScheduler)
 	if !ok {
@@ -440,50 +428,31 @@ func (p *DevicePool) Start() error {
 	p.mu.Unlock()
 
 	for slot := range p.clients {
-		p.wg.Add(1)
-		go func(slot int) {
-			defer p.wg.Done()
-			p.connectSlot(slot)
-		}(slot)
+		p.connect(slot)
 	}
-
 	for _, f := range frames {
 		f.ev = sched.Schedule(f.next, f.fire)
 	}
 	return nil
 }
 
-// connectSlot dials the slot's fabric connection to its shard's broker and
-// performs the MQTT handshake, publishing the client for frame flushes once
-// the broker acknowledges. Errors are counted and the slot stays nil; its
-// frames keep buffering (capped) until a later flush retries. The connecting
-// guard keeps the initial background dial and a frame's synchronous
-// reconnect from racing two handshakes for one slot.
-func (p *DevicePool) connectSlot(slot int) {
-	if !p.connecting[slot].CompareAndSwap(false, true) {
-		return
+// connect dials the slot's fabric connection to its shard's broker and
+// performs the MQTT handshake on the caller's goroutine, storing the client
+// for frame flushes. mqtt.Connect blocks until the CONNACK arrives, which on
+// the manual clock happens only if no delivery waits for the clock to move;
+// so connect dials only when the fabric reports the broker path delay-free,
+// and otherwise returns nil and leaves the slot for a later flush. That is
+// also what makes connect times deterministic. Failed dials and handshakes
+// are counted and leave the slot empty.
+func (p *DevicePool) connect(slot int) *mqtt.Client {
+	addr := p.addrs[slot/p.perShard]
+	if !p.fabric.PathDelayFree("device-pool", addr) {
+		return nil
 	}
-	defer p.connecting[slot].Store(false)
-	select {
-	case <-p.done:
-		return
-	default:
-	}
-	if p.clients[slot].Load() != nil {
-		return
-	}
-	conn, err := p.fabric.Dial("device-pool", p.addrs[slot/p.perShard])
+	conn, err := p.fabric.Dial("device-pool", addr)
 	if err != nil {
 		p.series.publishErrs.Inc()
-		return
-	}
-	p.mu.Lock()
-	closed := p.closed
-	p.conns[slot] = conn
-	p.mu.Unlock()
-	if closed {
-		_ = conn.Close()
-		return
+		return nil
 	}
 	cli, err := mqtt.Connect(conn, mqtt.ClientOptions{
 		ClientID: fmt.Sprintf("device-pool-%d", slot),
@@ -492,31 +461,22 @@ func (p *DevicePool) connectSlot(slot int) {
 	if err != nil {
 		p.series.publishErrs.Inc()
 		_ = conn.Close()
-		return
-	}
-	p.clients[slot].Store(cli)
-	if p.readyCount() == len(p.clients) {
-		p.readyOnce.Do(func() { close(p.ready) })
-	}
-}
-
-// reconnectSlot redials a slot synchronously from a frame tick after its
-// client was retired. The tick runs inside Advance, where a blocking
-// handshake can only complete if the path delivers without any clock
-// advance — so the attempt is skipped (devices keep buffering) until the
-// fabric reports the broker path delay-free again, which is also what makes
-// reconnect times deterministic.
-func (p *DevicePool) reconnectSlot(slot int) *mqtt.Client {
-	if !p.fabric.PathDelayFree("device-pool", p.addrs[slot/p.perShard]) {
 		return nil
 	}
-	p.connectSlot(slot)
-	return p.clients[slot].Load()
+	p.clients[slot].Store(cli)
+	select {
+	case <-p.done:
+		// Close ran during the handshake and may have missed the client.
+		p.retireClient(slot, cli)
+		return nil
+	default:
+	}
+	return cli
 }
 
 // retireClient drops a slot's broken client, closing its conn with it, so a
-// later flush redials. The compare-and-swap keeps a racing frame on another
-// goroutine from retiring a freshly dialed replacement.
+// later flush redials. The compare-and-swap leaves a client that Close has
+// already taken to Close, so each client is closed once.
 func (p *DevicePool) retireClient(slot int, cli *mqtt.Client) {
 	if p.clients[slot].CompareAndSwap(cli, nil) {
 		_ = cli.Close()
@@ -541,35 +501,6 @@ func (p *DevicePool) restoreBacklog(i, count int) {
 	if dropped := count - add; dropped > 0 {
 		p.series.dropped.Add(uint64(dropped))
 	}
-}
-
-// WaitReady blocks until every pooled connection has completed its MQTT
-// handshake or the real-time timeout expires. Tests on
-// a manual clock call this before advancing so that every flush lands at a
-// deterministic virtual time; it needs a zero-latency link (the handshake
-// completes without virtual-time advances) to terminate. The handshake that
-// completes the set wakes it; there is no polling.
-func (p *DevicePool) WaitReady(timeout time.Duration) error {
-	//lint:ignore wallclock readiness spans real goroutine scheduling (background handshakes), independent of the virtual clock
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-p.ready:
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("sim: device pool: %d/%d connections ready after %v",
-			p.readyCount(), len(p.clients), timeout)
-	}
-}
-
-func (p *DevicePool) readyCount() int {
-	n := 0
-	for i := range p.clients {
-		if p.clients[i].Load() != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // fire is the scheduled-event entry point for one frame tick; it runs
@@ -674,7 +605,7 @@ func (f *poolFrame) flush(now time.Time) {
 				// Lazy reconnect: the first tick after the fabric path
 				// heals redials and then drains the whole accumulated
 				// backlog — the DTN batch-upload-on-reconnect behaviour.
-				st.cli = p.reconnectSlot(slot)
+				st.cli = p.connect(slot)
 			}
 			st.failed = st.cli == nil
 		}
@@ -754,8 +685,8 @@ func (p *DevicePool) Frames() int {
 // shard.
 func (p *DevicePool) Connections() int { return len(p.clients) }
 
-// Close stops every frame event, tears down the pooled connections and
-// joins the background goroutines. Safe to call more than once.
+// Close stops every frame event and tears down the pooled connections.
+// Safe to call more than once.
 func (p *DevicePool) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -765,7 +696,6 @@ func (p *DevicePool) Close() {
 	p.closed = true
 	frames := p.frames
 	devices := len(p.ids)
-	conns := append([]net.Conn(nil), p.conns...)
 	p.mu.Unlock()
 
 	close(p.done)
@@ -775,17 +705,9 @@ func (p *DevicePool) Close() {
 		}
 	}
 	for i := range p.clients {
-		if cli := p.clients[i].Load(); cli != nil {
+		if cli := p.clients[i].Swap(nil); cli != nil {
 			_ = cli.Close()
 		}
 	}
-	// Closing the conns unblocks any handshake still parked in a read; a
-	// dial that lands after this snapshot sees closed and closes its own.
-	for _, c := range conns {
-		if c != nil {
-			_ = c.Close()
-		}
-	}
-	p.wg.Wait()
 	p.series.devices.Add(-float64(devices))
 }

@@ -105,9 +105,6 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
 
 	// Four sampling cycles: with UploadBatch=2 every device publishes twice,
 	// two items per flush (frame offsets are < 2s, so 4m30s covers all).
@@ -163,17 +160,16 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	}
 }
 
-// TestPooledBacklogBoundedWithoutConnection: a fleet whose broker handshake
-// can never complete (no virtual time passes, default high-latency link)
-// must keep sampling with a capped backlog instead of growing memory.
+// TestPooledBacklogBounded: a fleet that can never connect (its link is
+// never delay-free, so no slot dials) must keep sampling with a capped
+// backlog instead of growing memory.
 func TestPooledBacklogBounded(t *testing.T) {
 	clock := vclock.NewManual(poolEpoch)
 	s, err := New(Options{
 		Clock: clock,
 		Seed:  7,
-		// A link slower than the whole run: the CONNECT stays in flight for
-		// the entire test, so the handshake deterministically never
-		// completes and no backlog can ever flush.
+		// A link slower than the whole run: the broker path is never
+		// delay-free, so no slot dials and no backlog can ever flush.
 		MobileLink: &netsim.Link{Latency: 1000 * time.Hour},
 		Pool:       PoolOptions{Connections: 1, FrameSize: 16, SampleInterval: time.Minute, UploadBatch: 4, MaxBacklog: 5},
 	})
@@ -187,8 +183,8 @@ func TestPooledBacklogBounded(t *testing.T) {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	if err := s.Pool.WaitReady(10 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "0/1 connections ready") {
-		t.Fatalf("WaitReady on a handshake that cannot complete = %v, want a timeout", err)
+	if got := s.Shards[0].Metrics.Sum("sensocial_mqtt_connections"); got != 0 {
+		t.Fatalf("broker holds %d connections on a link that is never delay-free, want 0", got)
 	}
 	clock.Advance(20 * time.Minute)
 	fleet := s.Shards[0].Metrics
@@ -201,6 +197,123 @@ func TestPooledBacklogBounded(t *testing.T) {
 	}
 	if got := fleet.Sum("sensocial_sim_backlog"); got != 16*5 {
 		t.Fatalf("backlog = %d, want %d", got, 16*5)
+	}
+}
+
+// poolSessions is how many broker sessions the device pool holds across a
+// ring: every session on every shard, less the n-1 inbound bridge sessions
+// each shard of an n-shard ring carries.
+func poolSessions(s *Simulation) int {
+	sum := 0
+	for _, sh := range s.Shards {
+		sum += int(sh.Metrics.Sum("sensocial_mqtt_connections")) - (len(s.Shards) - 1)
+	}
+	return sum
+}
+
+// newPoolRing is a deployment of 96 pooled devices in frames of 16, two
+// slots per shard, whose bridge sessions are all up.
+func newPoolRing(t *testing.T, clock *vclock.Manual, shards int) *Simulation {
+	t.Helper()
+	s, err := New(Options{
+		Clock:      clock,
+		Seed:       7,
+		Shards:     shards,
+		MobileLink: &netsim.Link{},
+		Pool:       PoolOptions{Connections: 2 * shards, FrameSize: 16, SampleInterval: time.Minute, UploadBatch: 2},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(s.Close)
+	if err := s.AddDevices(96); err != nil {
+		t.Fatalf("AddDevices: %v", err)
+	}
+	// Bridges dial their peers on their own goroutines; the pool's count is
+	// read net of them, so they must all be up first.
+	waitCluster(t, "bridge sessions", func() bool { return poolSessions(s) == 0 })
+	return s
+}
+
+// TestPoolConnectsInStart: on a delay-free link StartPool returns with
+// every slot's session open on its shard's broker, with no wait and no
+// clock advance.
+func TestPoolConnectsInStart(t *testing.T) {
+	clock := vclock.NewManual(poolEpoch)
+	s := newPoolRing(t, clock, 3)
+	if err := s.StartPool(); err != nil {
+		t.Fatalf("StartPool: %v", err)
+	}
+	if got, want := poolSessions(s), s.Pool.Connections(); got != want {
+		t.Fatalf("brokers hold %d pool sessions right after StartPool, want %d", got, want)
+	}
+	if !clock.Now().Equal(poolEpoch) {
+		t.Fatalf("StartPool moved the clock to %v", clock.Now())
+	}
+	if errs := s.Shards[0].Metrics.Sum("sensocial_sim_publish_errors_total"); errs != 0 {
+		t.Fatalf("%d dial or handshake errors", errs)
+	}
+}
+
+// TestPoolConnectsAfterHeal starts a fleet partitioned from the server:
+// StartPool connects nothing and the devices buffer. After the heal, the
+// first flush of each frame connects its slot and drains the backlog with
+// backdated, strictly increasing per-device timestamps, and the ledger
+// balances. One shard, so no bridge session shares the broker's count:
+// bridges redial on their own goroutines and the clock, and may be down
+// after an advance.
+func TestPoolConnectsAfterHeal(t *testing.T) {
+	clock := vclock.NewManual(poolEpoch)
+	s := newPoolRing(t, clock, 1)
+	var mu sync.Mutex
+	last := make(map[string]time.Time)
+	violations := 0
+	for _, sh := range s.Shards {
+		sh.Server.OnItem(func(i core.Item) {
+			mu.Lock()
+			defer mu.Unlock()
+			if prev, ok := last[i.DeviceID]; ok && !i.Time.After(prev) {
+				violations++
+			}
+			last[i.DeviceID] = i.Time
+		})
+	}
+
+	s.Fabric.Partition([]string{"device-pool"}, []string{"server"})
+	if err := s.StartPool(); err != nil {
+		t.Fatalf("StartPool: %v", err)
+	}
+	if got := poolSessions(s); got != 0 {
+		t.Fatalf("brokers hold %d pool sessions across the partition, want 0", got)
+	}
+	clock.Advance(10 * time.Minute)
+	samples, published, _, dropped, backlog := poolLedger(s)
+	if samples == 0 || published != 0 || dropped != 0 || backlog != samples {
+		t.Fatalf("partitioned: samples %d, published %d, dropped %d, backlog %d; want every sample buffered",
+			samples, published, dropped, backlog)
+	}
+
+	s.Fabric.Heal()
+	clock.Advance(time.Minute)
+	quiesce(t, s)
+	if got, want := poolSessions(s), s.Pool.Connections(); got != want {
+		t.Fatalf("brokers hold %d pool sessions after the heal, want %d", got, want)
+	}
+	samples, published, ackLost, dropped, backlog := poolLedger(s)
+	if published != samples || ackLost != 0 || dropped != 0 || backlog != 0 {
+		t.Fatalf("after the heal: samples %d, published %d, ackLost %d, dropped %d, backlog %d; want every sample published",
+			samples, published, ackLost, dropped, backlog)
+	}
+	if got := ingested(s, "sensocial_ingest_processed_total"); got != published {
+		t.Fatalf("ingest processed %d items, pool published %d", got, published)
+	}
+	if errs := s.Shards[0].Metrics.Sum("sensocial_sim_publish_errors_total"); errs != 0 {
+		t.Fatalf("%d dial or handshake errors: the pool dialled into the partition", errs)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(last) != 96 || violations != 0 {
+		t.Fatalf("items from %d devices, %d out-of-order timestamps; want 96 and 0", len(last), violations)
 	}
 }
 
@@ -352,8 +465,8 @@ func TestAddDevicesAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledDutyCycle runs unconnected pools (the handshake never completes,
-// so nothing flushes) at duty cycles 0.5 and 0.3. The expected samples and
+// TestPooledDutyCycle runs unconnected pools (the link is never delay-free,
+// so no slot dials and nothing flushes) at duty cycles 0.5 and 0.3. The expected samples and
 // per-device backlogs were recorded from the device-per-cadence pool: frame
 // 0 fires at the end of the run and has one tick more than the later frames.
 func TestPooledDutyCycle(t *testing.T) {
@@ -413,5 +526,35 @@ func BenchmarkPoolAddDevices(b *testing.B) {
 		if err := p.AddDevices(20_000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPoolStart times StartPool on the sim_fleet shape: 20 000 devices
+// over three shards at the default Connections, so six slots, on a
+// delay-free link. StartPool returns with every slot connected; building
+// the deployment and adding the devices is not timed. Each iteration builds
+// a deployment, so run it with a fixed -benchtime count (100x).
+func BenchmarkPoolStart(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := New(Options{Clock: vclock.NewManual(poolEpoch), Seed: 42, Shards: 3, MobileLink: &netsim.Link{}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.AddDevices(20_000); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := s.StartPool(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for slot := range s.Pool.clients {
+			if s.Pool.clients[slot].Load() == nil {
+				b.Fatalf("slot %d not connected after StartPool", slot)
+			}
+		}
+		s.Close()
 	}
 }

@@ -54,10 +54,6 @@ func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	if err := s.Pool.WaitReady(30 * time.Second); err != nil {
-		t.Fatalf("WaitReady: %v", err)
-	}
-
 	for i := 0; i < 30; i++ {
 		clock.Advance(time.Minute)
 		if i%5 == 4 {
