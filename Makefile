@@ -54,22 +54,24 @@ bench:
 # alone on a stream with a cross-user filter, the third one item's round
 # trip through an ingest queue (box, worker, process). The next two are the
 # pooled fleet's set-up path: populating 20 000 pooled devices and starting
-# them (every slot connected), then building a three-shard ring. The last
-# three are control-plane writes and the read they must not slow: a
-# topic-trie match over 1 000 device filters, a cluster summary change
-# applied at 1 000 and 10 000 filters, and a stream create on a server
-# holding 1 000 and 10 000 streams. The simulator and cluster layers at run
+# them (every slot connected), with the test that pins what those devices
+# hold at rest, then building a three-shard ring. The last three are
+# control-plane writes and the read they must not slow: a topic-trie match
+# over 1 000 device filters, a cluster summary change applied at 1 000 and
+# 10 000 filters, and a stream create on a server holding 1 000 and 10 000
+# streams, beside the context registry's write of one item for a known and
+# a first-seen user. The simulator and cluster layers at run
 # time are measured end to end by `go run ./bench` (sim.*, cluster.* in
 # bench/BASELINE.md).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreInsertAction|BenchmarkDocstoreScan|BenchmarkNetsimThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
-	$(GO) test -run '^$$' -bench '^BenchmarkPool(AddDevices|Start)$$' -benchtime 1x ./internal/sim
+	$(GO) test -run '^TestPoolRetainedBytesPerDevice$$' -bench '^BenchmarkPool(AddDevices|Start)$$' -benchtime 1x ./internal/sim
 	$(GO) test -run '^$$' -bench '^Benchmark(NewRing|RingOwner)$$' -benchtime 1x ./internal/cluster
 	$(GO) test -run '^$$' -bench '^BenchmarkFilterTrieMatch$$' -benchtime 1x ./internal/mqtt/topictrie
 	$(GO) test -run '^$$' -bench '^BenchmarkSummaryChurn$$' -benchtime 1x ./internal/cluster
-	$(GO) test -run '^$$' -bench '^BenchmarkStreamCreate$$' -benchtime 1x ./internal/core/server
+	$(GO) test -run '^$$' -bench '^Benchmark(StreamCreate|RegistryApplyItem)$$' -benchtime 1x ./internal/core/server
 
 # The end-to-end benchmark's untraced pass of every workload at a tenth of
 # the work (about 18 s): exits non-zero if any of its exact-count

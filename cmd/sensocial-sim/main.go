@@ -139,12 +139,14 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	// Every count below is read where it is kept: the pool's ledger on the
 	// fleet registry (shard 0's), ingest on each shard's own.
 	fleet := deployment.Shards[0].Metrics
-	processed := func() (sum uint64) {
+	// ingest sums an ingest pipeline counter over the shards.
+	ingest := func(family string) (sum uint64) {
 		for _, sh := range deployment.Shards {
-			sum += sh.Metrics.Sum("sensocial_ingest_processed_total")
+			sum += sh.Metrics.Sum(family)
 		}
 		return sum
 	}
+	processed := func() uint64 { return ingest("sensocial_ingest_processed_total") }
 	publishedByShard := func() []uint64 {
 		by := make([]uint64, shards)
 		for i := range by {
@@ -229,6 +231,8 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 			publishedByShard(), deployment.Ring.VirtualNodes())
 	}
 	fmt.Printf("  items processed    %d\n", processed())
+	// Items the ingest queues shed under load: published, never processed.
+	fmt.Printf("  ingest dropped     %d\n", ingest("sensocial_ingest_dropped_total"))
 	meter := deployment.Pool.Charger().Meter()
 	fmt.Printf("  fleet energy       %.1f µAh total, %.2f µAh/device\n",
 		meter.TotalMicroAh(), meter.TotalMicroAh()/float64(devices))

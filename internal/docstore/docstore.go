@@ -19,6 +19,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/oatable"
 	"repro/internal/wal"
 )
 
@@ -158,12 +159,12 @@ type Collection struct {
 	seed  maphash.Seed
 
 	mu        sync.RWMutex
-	slabs     [][]byte // append-only chunks of entries
-	slots     []uint64 // insertion order: where each document's entry is, or tombstone
-	ids       table    // open-addressed: id → slot+1
-	live      int      // slots that are not tombstones
-	liveBytes int      // entry bytes the slots point at
-	deadBytes int      // entry bytes they no longer point at
+	slabs     [][]byte      // append-only chunks of entries
+	slots     []uint64      // insertion order: where each document's entry is, or tombstone
+	ids       oatable.Table // open-addressed: id → slot+1
+	live      int           // slots that are not tombstones
+	liveBytes int           // entry bytes the slots point at
+	deadBytes int           // entry bytes they no longer point at
 	seq       uint64
 	hashIx    map[string]*hashIndex
 	geoIx     map[string]*geoIndex

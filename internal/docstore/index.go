@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -18,15 +19,24 @@ import (
 
 // hashIndex maps an equality key to the slots of documents holding that
 // value at the indexed field, or in the array there. A bucket is kept
-// ascending, which is insertion order.
+// ascending, which is insertion order. The map holds each key's bucket
+// number rather than the bucket, so a write under a key already filed
+// changes the bucket in place and looks the key up from the bytes on the
+// writer's stack: the key string is built only when a new key is filed.
 type hashIndex struct {
-	path string
-	byK  map[string][]uint32
+	path    string
+	byK     map[string]uint32 // key → bucket number
+	buckets [][]uint32
+	free    []uint32 // numbers of emptied buckets
 }
 
 func newHashIndex(path string) *hashIndex {
-	return &hashIndex{path: path, byK: make(map[string][]uint32)}
+	return &hashIndex{path: path, byK: make(map[string]uint32)}
 }
+
+// keyBuf is the stack space a scalar's key is built in; a longer key
+// spills to the heap.
+const keyBuf = 64
 
 func (ix *hashIndex) add(slot uint32, d Doc) {
 	v, ok := d[ix.path]
@@ -35,7 +45,8 @@ func (ix *hashIndex) add(slot uint32, d Doc) {
 	}
 	arr, multi := v.([]any)
 	if !multi {
-		ix.insert(hashKey(v), slot)
+		var buf [keyBuf]byte
+		ix.insert(appendKey(buf[:0], v), slot)
 		return
 	}
 	for _, k := range arrayKeys(arr) {
@@ -50,7 +61,8 @@ func (ix *hashIndex) remove(slot uint32, d Doc) {
 	}
 	arr, multi := v.([]any)
 	if !multi {
-		ix.delete(hashKey(v), slot)
+		var buf [keyBuf]byte
+		ix.delete(appendKey(buf[:0], v), slot)
 		return
 	}
 	for _, k := range arrayKeys(arr) {
@@ -58,16 +70,34 @@ func (ix *hashIndex) remove(slot uint32, d Doc) {
 	}
 }
 
-func (ix *hashIndex) insert(k string, slot uint32) {
-	ix.byK[k] = insertSorted(ix.byK[k], slot)
+func (ix *hashIndex) insert(k []byte, slot uint32) {
+	if b, ok := ix.byK[string(k)]; ok {
+		ix.buckets[b] = insertSorted(ix.buckets[b], slot)
+		return
+	}
+	var b uint32
+	if n := len(ix.free); n > 0 {
+		b, ix.free = ix.free[n-1], ix.free[:n-1]
+	} else {
+		b = uint32(len(ix.buckets))
+		ix.buckets = append(ix.buckets, nil)
+	}
+	ix.buckets[b] = append(ix.buckets[b], slot)
+	ix.byK[string(k)] = b
 }
 
-func (ix *hashIndex) delete(k string, slot uint32) {
-	if slots := removeSorted(ix.byK[k], slot); len(slots) > 0 {
-		ix.byK[k] = slots
-	} else {
-		delete(ix.byK, k)
+func (ix *hashIndex) delete(k []byte, slot uint32) {
+	b, ok := ix.byK[string(k)]
+	if !ok {
+		return
 	}
+	if slots := removeSorted(ix.buckets[b], slot); len(slots) > 0 {
+		ix.buckets[b] = slots
+		return
+	}
+	delete(ix.byK, string(k))
+	ix.buckets[b] = nil
+	ix.free = append(ix.free, b)
 }
 
 func insertSorted(slots []uint32, slot uint32) []uint32 {
@@ -87,34 +117,43 @@ func removeSorted(slots []uint32, slot uint32) []uint32 {
 // arrayKeys returns the keys an array field value is found under: its own
 // and, because the matcher lets an array match through any one element,
 // each distinct element's. A scalar is found under its hashKey alone.
-func arrayKeys(arr []any) []string {
-	keys := []string{hashKey(arr)}
+func arrayKeys(arr []any) [][]byte {
+	keys := [][]byte{appendKey(nil, arr)}
 	for _, e := range arr {
-		if k := hashKey(e); !slices.Contains(keys, k) {
+		k := appendKey(nil, e)
+		if !slices.ContainsFunc(keys, func(have []byte) bool { return bytes.Equal(have, k) }) {
 			keys = append(keys, k)
 		}
 	}
 	return keys
 }
 
-func (ix *hashIndex) get(key string) []uint32 { return ix.byK[key] }
+func (ix *hashIndex) get(key string) []uint32 {
+	if b, ok := ix.byK[key]; ok {
+		return ix.buckets[b]
+	}
+	return nil
+}
 
 // hashKey produces a canonical string key for an equality-indexable value.
 // Numeric types collapse to one representation so int(5) and float64(5)
 // index identically, matching compareValues semantics.
-func hashKey(v any) string {
+func hashKey(v any) string { return string(appendKey(nil, v)) }
+
+// appendKey appends v's hashKey to b.
+func appendKey(b []byte, v any) []byte {
 	if f, ok := toFloat(v); ok {
-		return "n:" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(b, "n:"...), f, 'g', -1, 64)
 	}
 	switch t := v.(type) {
 	case nil:
-		return "z:"
+		return append(b, "z:"...)
 	case bool:
-		return "b:" + strconv.FormatBool(t)
+		return strconv.AppendBool(append(b, "b:"...), t)
 	case string:
-		return "s:" + t
+		return append(append(b, "s:"...), t...)
 	default:
-		return fmt.Sprintf("o:%v", t)
+		return fmt.Appendf(b, "o:%v", t)
 	}
 }
 

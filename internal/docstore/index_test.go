@@ -246,8 +246,8 @@ func TestHashIndexServesArrayElementMatch(t *testing.T) {
 }
 
 // TestHashIndexScalarWriteAllocs pins a scalar field's index writes to
-// its one key: adding and removing a slot under an existing key allocate
-// the key string each and no slice of keys.
+// its one key: adding and removing a slot under an existing key look the
+// key up from the stack and allocate nothing.
 func TestHashIndexScalarWriteAllocs(t *testing.T) {
 	ix := newHashIndex("user")
 	d := Doc{"user": "alice"}
@@ -258,11 +258,49 @@ func TestHashIndexScalarWriteAllocs(t *testing.T) {
 		ix.add(2, d)
 		ix.remove(2, d)
 	})
-	if allocs > 2 {
-		t.Fatalf("a scalar index add and remove allocate %v times, want at most 2 (the keys)", allocs)
+	if allocs != 0 {
+		t.Fatalf("a scalar index add and remove allocate %v times, want 0", allocs)
 	}
 	if got := ix.get(hashKey("alice")); !slices.Equal(got, []uint32{1}) {
 		t.Fatalf("bucket after the writes = %v, want [1]", got)
+	}
+	// Emptying a bucket frees it, and the next new key takes it over.
+	ix.remove(1, d)
+	ix.add(3, Doc{"user": "bob"})
+	if len(ix.byK) != 1 || len(ix.buckets) != 1 || ix.get(hashKey("alice")) != nil ||
+		!slices.Equal(ix.get(hashKey("bob")), []uint32{3}) {
+		t.Fatalf("after emptying alice and filing bob: keys %v, buckets %v", ix.byK, ix.buckets)
+	}
+}
+
+// TestIndexedInsertOfKnownValuesAllocs: inserting a document whose indexed
+// values are already filed costs no more allocations than the same insert
+// into a collection without the indexes.
+func TestIndexedInsertOfKnownValuesAllocs(t *testing.T) {
+	doc := Doc{"user": "alice", "stream": "accel-1", "n": 7, "ok": true}
+	insertAllocs := func(indexed bool) float64 {
+		c := NewStore().Collection("items")
+		if indexed {
+			for _, path := range []string{"user", "stream", "n", "ok"} {
+				if err := c.CreateIndex(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < 1000; i++ { // file the keys and grow past the first buckets
+			if _, err := c.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(200, func() {
+			if _, err := c.Insert(doc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, indexed := insertAllocs(false), insertAllocs(true)
+	if indexed > plain {
+		t.Fatalf("an insert under four indexed known values allocates %v times, %v without the indexes", indexed, plain)
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"math"
 	"strings"
 	"sync"
+
+	"repro/internal/oatable"
 )
 
 // Records
@@ -118,7 +120,7 @@ func (e *valueError) under(seg string) *valueError {
 //
 // Shapes and values share one dictionary with no Go object per entry:
 // fixed-size byte chunks of uvarint(len) bytes entries, addressed by byte
-// offset, and an open-addressed table (table.go) from entry bytes to
+// offset, and an open-addressed table (internal/oatable) from entry bytes to
 // offset+1 and a hash tag. An entry is only bytes, so a shape and a string
 // with the same bytes are one entry. A chunk is allocated at its full
 // length and written by copy, never grown, so a reader holding an older
@@ -133,7 +135,7 @@ type keyTable struct {
 	vals  [][]byte     // dictionary chunks of dictChunk bytes
 	end   uint64       // offset of the next entry
 	nvals int
-	cells table // entry bytes → hash tag | offset+1
+	cells oatable.Table // entry bytes → hash tag | offset+1
 }
 
 const (
@@ -150,6 +152,10 @@ const (
 	// agree.
 	dictBits = 26
 	offMask  = 1<<dictBits - 1
+	// valueLoad bounds the value table at ⅞ (in eighths): it misses once
+	// per distinct value, at admission, and when no value repeats it is all
+	// overhead.
+	valueLoad = 7
 )
 
 // cellTag is the part of a value table cell that comes from the hash.
@@ -184,7 +190,7 @@ func (t *keyTable) shape(b []byte) (off, h uint64, ok bool) {
 // find returns the offset of the entry hashed to h that eq accepts.
 func (t *keyTable) find(h uint64, eq func(e []byte) bool) (uint64, bool) {
 	tag := cellTag(h)
-	_, v := t.cells.probe(h, func(v uint32) bool {
+	_, v := t.cells.Probe(h, func(v uint32) bool {
 		return v&^offMask == tag && eq(t.entry(uint64(v&offMask-1)))
 	})
 	return uint64(v&offMask) - 1, v != 0
@@ -220,16 +226,16 @@ func (t *keyTable) admitLocked(s string, h uint64) (uint64, bool) {
 		t.seed = maphash.MakeSeed()
 		h = maphash.String(t.seed, s)
 	}
-	if t.cells.crowded(t.nvals+1, valueLoad) {
+	if t.cells.Crowded(t.nvals+1, valueLoad) {
 		old := t.cells
-		t.cells = make(table, tableSize(t.nvals+1, valueLoad))
+		t.cells = make(oatable.Table, oatable.Size(t.nvals+1, valueLoad))
 		for _, v := range old {
 			if v != 0 {
-				t.cells.place(maphash.Bytes(t.seed, t.entry(uint64(v&offMask-1))), v)
+				t.cells.Place(maphash.Bytes(t.seed, t.entry(uint64(v&offMask-1))), v)
 			}
 		}
 	}
-	t.cells.place(h, cellTag(h)|uint32(off+1))
+	t.cells.Place(h, cellTag(h)|uint32(off+1))
 	t.nvals++
 	return off, true
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/oatable"
 )
 
 // Collections at rest
@@ -20,8 +22,8 @@ import (
 //	       id <collection name>-<n> with n in canonical decimal
 //	slots  []uint64 in insertion order, each chunk<<32 | offset of the
 //	       document's current entry, or tombstone once it is deleted
-//	ids    an open-addressed table (table.go) from id to slot+1, compared
-//	       against the id in the slab
+//	ids    an open-addressed table (internal/oatable) from id to
+//	       slot+1, compared against the id in the slab
 //
 // A write appends an entry and points a slot at it, so a replaced document
 // keeps its slot and with it its place in insertion order. Written bytes
@@ -47,6 +49,9 @@ const (
 	minChunk  = 4 << 10
 	maxChunk  = 1 << 20
 	tombstone = ^uint64(0)
+	// idLoad bounds the id table at ¾ (in eighths): every Insert of a new
+	// id probes it and misses.
+	idLoad = 6
 )
 
 // splitEntry parses the entry at the start of b. text is the id's text,
@@ -164,7 +169,7 @@ func uvarintLen(v uint64) int {
 // position where id would go and -1.
 func (c *Collection) findLocked(id string) (pos, slot int) {
 	num, numeric := c.numericID(id)
-	pos, v := c.ids.probe(maphash.String(c.seed, id), func(v uint32) bool {
+	pos, v := c.ids.Probe(maphash.String(c.seed, id), func(v uint32) bool {
 		text, n, _, _ := c.entry(c.slots[v-1])
 		if numeric {
 			return len(text) == 0 && n == num
@@ -183,10 +188,10 @@ func (c *Collection) hash(v uint32) uint64 {
 
 // rehashLocked rebuilds the id table at size cells from the slots.
 func (c *Collection) rehashLocked(size int) {
-	c.ids = make(table, size)
+	c.ids = make(oatable.Table, size)
 	for s, p := range c.slots {
 		if p != tombstone {
-			c.ids.place(c.hash(uint32(s+1)), uint32(s+1))
+			c.ids.Place(c.hash(uint32(s+1)), uint32(s+1))
 		}
 	}
 }
@@ -202,8 +207,8 @@ func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) strin
 	if id == "" {
 		id = c.idString(nil, seq)
 	}
-	if c.ids.crowded(c.live+1, idLoad) {
-		c.rehashLocked(tableSize(c.live+1, idLoad))
+	if c.ids.Crowded(c.live+1, idLoad) {
+		c.rehashLocked(oatable.Size(c.live+1, idLoad))
 	}
 	pos, slot := c.findLocked(id)
 	if slot >= 0 {
@@ -235,7 +240,7 @@ func (c *Collection) deleteLocked(ids []string) int {
 		}
 		_, _, rec, size := c.entry(c.slots[slot])
 		c.indexRemoveLocked(uint32(slot), id, rec)
-		c.ids.unfile(pos, c.hash)
+		c.ids.Unfile(pos, c.hash)
 		c.slots[slot] = tombstone
 		c.live--
 		c.liveBytes -= size
@@ -282,7 +287,7 @@ func (c *Collection) renumberLocked() {
 		}
 	}
 	c.slots = live
-	c.rehashLocked(tableSize(c.live, idLoad))
+	c.rehashLocked(oatable.Size(c.live, idLoad))
 	for path := range c.hashIx {
 		ix := newHashIndex(path)
 		c.eachLocked(ix.add)

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/oatable"
 )
 
 func gcHeap() runtime.MemStats {
@@ -135,7 +137,7 @@ func TestInsertDeleteChurnRenumbers(t *testing.T) {
 	if renumberings == 0 || compactions == 0 {
 		t.Fatalf("%d compactions and %d renumberings, want both", compactions, renumberings)
 	}
-	if slots > 2*window+1 || table > tableSize(2*window, idLoad) || chunks > 2*maxChunk {
+	if slots > 2*window+1 || table > oatable.Size(2*window, idLoad) || chunks > 2*maxChunk {
 		t.Fatalf("%d slots, %d table entries, %d B of chunks for %d documents", slots, table, chunks, window)
 	}
 	docs := mustFind(t, c, Doc{"k": 3})

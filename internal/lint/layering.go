@@ -53,6 +53,8 @@ func DefaultLayering() []LayerRule {
 			Why: "the network simulator sits below every component it connects"},
 		{From: "internal/pmap", Only: []string{},
 			Why: "the persistent map is pure data structure at the bottom of the DAG"},
+		{From: "internal/oatable", Only: []string{},
+			Why: "the open-addressed table is pure data structure at the bottom of the DAG"},
 		{From: "internal/mqtt/topictrie", Only: []string{"internal/pmap"},
 			Why: "the topic-matching index is pure data structure at the bottom of the DAG"},
 		{From: "internal/mqtt", Only: []string{"internal/mqtt/topictrie",
@@ -80,8 +82,8 @@ func DefaultLayering() []LayerRule {
 			Why: "the GAR baseline is a device-side app"},
 
 		// Server-side stack and shared schema.
-		{From: "internal/docstore", Only: []string{"internal/geo", "internal/vclock",
-			"internal/wal"},
+		{From: "internal/docstore", Only: []string{"internal/geo", "internal/oatable",
+			"internal/vclock", "internal/wal"},
 			Why: "storage primitives sit below the server"},
 		{From: "internal/core", Only: []string{"internal/geo", "internal/osn",
 			"internal/sensors", "internal/vclock"},

@@ -148,8 +148,8 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	cl, clock := newClusterFixture(t, 3, devices, 0)
 
 	dev := -1
-	for i, u := range cl.Pool.users {
-		if cl.Ring.OwnerIndex(u) == 0 {
+	for i := range cl.Pool.ends {
+		if cl.Ring.OwnerIndex(user(cl.Pool.id(i))) == 0 {
 			dev = i
 			break
 		}
@@ -157,7 +157,7 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 	if dev < 0 {
 		t.Fatal("no pooled device owned by shard0")
 	}
-	topic := core.StreamDataTopic(cl.Pool.ids[dev])
+	topic := core.StreamDataTopic(cl.Pool.id(dev))
 
 	conn, err := cl.Fabric.Dial("cross-sub", cl.Shards[1].BrokerAddr)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -89,7 +90,7 @@ const (
 	poolStreamID       = "pool-activity"
 )
 
-func poolActivity(phase uint32, t time.Time) string {
+func poolActivity(phase uint8, t time.Time) string {
 	slot := uint64(t.UnixNano()/int64(poolActivityPeriod)) + uint64(phase)
 	return poolActivityLabels[slot%3]
 }
@@ -151,9 +152,10 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 // instead of parked goroutines.
 //
 // Per-device state lives in parallel struct-of-arrays slices: identity
-// (substrings of one name arena per AddDevices call), sampler phase (the
-// activity ground truth), ring shard and pending-upload backlog. Energy and
-// CPU are charged to one fleet-wide device.BulkCharger, not per device.
+// (an end offset into one string of ids per AddDevices call), sampler
+// phase (the activity ground truth), ring shard and pending-upload backlog.
+// Energy and CPU are charged to one fleet-wide device.BulkCharger, not per
+// device.
 // Devices are grouped into frames of FrameSize; each frame is one
 // vclock event that fires once per sample interval, keeps the one sampling
 // cadence all its devices share, scans its slice of the arrays, and re-arms
@@ -187,11 +189,14 @@ type DevicePool struct {
 	mu      sync.Mutex
 	started bool
 	closed  bool
-	// Struct-of-arrays device state. ids/users/phase/shard are written
-	// only before Start; backlog is mutated under mu by frame ticks.
-	ids     []string
-	users   []string
-	phase   []uint32
+	// Struct-of-arrays device state. names/ends/phase/shard are written
+	// only before Start; backlog is mutated under mu by frame ticks. Device
+	// i's id ends at ends[i] in the string of the AddDevices call that
+	// added it, and starts where device i-1's ends, or at 0 for the call's
+	// first device; its user is the id without poolNameSuffix.
+	names   []poolNames
+	ends    []uint32
+	phase   []uint8
 	shard   []int32
 	backlog []uint16
 
@@ -199,6 +204,26 @@ type DevicePool struct {
 	clients []atomic.Pointer[mqtt.Client]
 	done    chan struct{}
 }
+
+// poolNames is the ids of the devices one AddDevices call added, from
+// device lo on, back to back in one string.
+type poolNames struct {
+	lo  int
+	ids string
+}
+
+// id returns device i's id.
+func (p *DevicePool) id(i int) string {
+	b := sort.Search(len(p.names), func(b int) bool { return p.names[b].lo > i }) - 1
+	start := uint32(0)
+	if i > p.names[b].lo {
+		start = p.ends[i-1]
+	}
+	return p.names[b].ids[start:p.ends[i]]
+}
+
+// user returns the user of the device whose id is id.
+func user(id string) string { return id[:len(id)-len(poolNameSuffix)] }
 
 // poolFrame is one scheduled span [lo,hi) of the pool's device arrays. The
 // flush scratch slices are reused every tick so the steady state does not
@@ -334,9 +359,9 @@ func nextPoolName(name []byte) []byte {
 // is a phase-shifted rotation through the classifier labels.
 //
 // Set-up allocates per column, not per device: every column is grown once,
-// and all n names are written into one string that ids and users slice.
-// Only the first name is formatted; each later one is its predecessor
-// incremented in a stack buffer.
+// and all n ids are written into one string, with each id's end offset
+// kept. Only the first name is formatted; each later one is its
+// predecessor incremented in a stack buffer.
 func (p *DevicePool) AddDevices(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("sim: device pool: AddDevices(%d)", n)
@@ -346,15 +371,18 @@ func (p *DevicePool) AddDevices(n int) error {
 	if p.started {
 		return fmt.Errorf("sim: device pool: AddDevices after Start")
 	}
-	base := len(p.ids)
+	base := len(p.ends)
+	size := poolNamesLen(base, base+n)
+	if uint64(size) > math.MaxUint32 {
+		return fmt.Errorf("sim: device pool: AddDevices(%d): %d bytes of ids", n, size)
+	}
 	var b strings.Builder
-	b.Grow(poolNamesLen(base, base+n))
+	b.Grow(size)
 	writePoolName(&b, base)
 	var buf [32]byte
 	name := append(buf[:0], b.String()...)
 
-	p.ids = slices.Grow(p.ids, n)
-	p.users = slices.Grow(p.users, n)
+	p.ends = slices.Grow(p.ends, n)
 	p.phase = slices.Grow(p.phase, n)
 	p.shard = slices.Grow(p.shard, n)
 	p.backlog = append(p.backlog, make([]uint16, n)...)
@@ -366,12 +394,11 @@ func (p *DevicePool) AddDevices(n int) error {
 		// The builder only appends, so a string sliced from it now keeps
 		// its bytes; pre-grown, it never reallocates either.
 		id := b.String()[b.Len()-len(name):]
-		user := id[:len(id)-len(poolNameSuffix)]
-		p.ids = append(p.ids, id)
-		p.users = append(p.users, user)
-		p.phase = append(p.phase, uint32(idx%3))
-		p.shard = append(p.shard, int32(p.shardOf(user)))
+		p.ends = append(p.ends, uint32(b.Len()))
+		p.phase = append(p.phase, uint8(idx%3))
+		p.shard = append(p.shard, int32(p.shardOf(user(id))))
 	}
+	p.names = append(p.names, poolNames{lo: base, ids: b.String()})
 	p.series.devices.Add(float64(n))
 	return nil
 }
@@ -398,17 +425,17 @@ func (p *DevicePool) Start() error {
 		p.mu.Unlock()
 		return fmt.Errorf("sim: device pool: closed")
 	}
-	if len(p.ids) == 0 {
+	if len(p.ends) == 0 {
 		p.mu.Unlock()
 		return fmt.Errorf("sim: device pool: no devices added")
 	}
 	p.started = true
 	start := p.clock.Now()
-	nFrames := (len(p.ids) + p.opts.FrameSize - 1) / p.opts.FrameSize
+	nFrames := (len(p.ends) + p.opts.FrameSize - 1) / p.opts.FrameSize
 	p.frames = make([]*poolFrame, 0, nFrames)
 	for j := 0; j < nFrames; j++ {
 		lo := j * p.opts.FrameSize
-		hi := min(lo+p.opts.FrameSize, len(p.ids))
+		hi := min(lo+p.opts.FrameSize, len(p.ends))
 		// Stagger frame anchors across one interval so broker load is
 		// smooth: frame j fires at offset (j mod 64)/64 of the interval.
 		offset := p.opts.SampleInterval * time.Duration(j%64) / 64
@@ -613,6 +640,7 @@ func (f *poolFrame) flush(now time.Time) {
 			p.restoreBacklog(int(i), depth)
 			continue
 		}
+		id := p.id(int(i))
 		consumed := 0
 		for j := 0; j < depth; j++ {
 			// Backdate buffered samples to their acquisition ticks, the
@@ -620,8 +648,8 @@ func (f *poolFrame) flush(now time.Time) {
 			ts := now.Add(-time.Duration(depth-1-j) * p.opts.SampleInterval)
 			item := core.Item{
 				StreamID:    poolStreamID,
-				DeviceID:    p.ids[i],
-				UserID:      p.users[i],
+				DeviceID:    id,
+				UserID:      user(id),
 				Modality:    poolModality,
 				Granularity: core.GranularityClassified,
 				Time:        ts,
@@ -634,7 +662,7 @@ func (f *poolFrame) flush(now time.Time) {
 				consumed++
 				continue
 			}
-			err = st.cli.Publish(core.StreamDataTopic(p.ids[i]), payload, p.opts.UploadQoS, false)
+			err = st.cli.Publish(core.StreamDataTopic(id), payload, p.opts.UploadQoS, false)
 			if err == nil {
 				consumed++
 				st.msgs++
@@ -695,7 +723,7 @@ func (p *DevicePool) Close() {
 	}
 	p.closed = true
 	frames := p.frames
-	devices := len(p.ids)
+	devices := len(p.ends)
 	p.mu.Unlock()
 
 	close(p.done)

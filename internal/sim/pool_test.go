@@ -390,11 +390,11 @@ func TestPoolNames(t *testing.T) {
 	}
 	for i := range 1500 {
 		want := fmt.Sprintf("pool%06d", i)
-		if one.Pool.users[i] != want || one.Pool.ids[i] != want+"-phone" {
-			t.Fatalf("device %d = %q/%q, want %q", i, one.Pool.users[i], one.Pool.ids[i], want)
+		id := one.Pool.id(i)
+		if user(id) != want || id != want+"-phone" {
+			t.Fatalf("device %d = %q/%q, want %q", i, user(id), id, want)
 		}
-		if two.Pool.ids[i] != one.Pool.ids[i] || two.Pool.users[i] != one.Pool.users[i] ||
-			two.Pool.shard[i] != one.Pool.shard[i] || two.Pool.phase[i] != one.Pool.phase[i] {
+		if two.Pool.id(i) != id || two.Pool.shard[i] != one.Pool.shard[i] || two.Pool.phase[i] != one.Pool.phase[i] {
 			t.Fatalf("device %d differs between one AddDevices call and two", i)
 		}
 	}
@@ -448,7 +448,7 @@ func TestAddDevicesAllocs(t *testing.T) {
 	runtime.GC()
 	allocs := func(n int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			p.ids, p.users, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
+			p.names, p.ends, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
 			if err := p.AddDevices(n); err != nil {
 				t.Fatal(err)
 			}
@@ -514,6 +514,33 @@ func TestPooledDutyCycle(t *testing.T) {
 	}
 }
 
+// TestPoolRetainedBytesPerDevice pins what a pooled device costs at rest,
+// at sim_fleet's 20 000 devices: its 16-byte id, once, in its AddDevices
+// call's string, a 4-byte end offset, a phase byte, a 4-byte ring shard and
+// a 2-byte backlog, so at most 28 B. A string header per id and per user
+// beside the names read 58 B.
+func TestPoolRetainedBytesPerDevice(t *testing.T) {
+	const devices = 20_000
+	p := standalonePool(t)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	if err := p.AddDevices(devices); err != nil {
+		t.Fatal(err)
+	}
+	per := (float64(heap()) - float64(before)) / devices
+	runtime.KeepAlive(p)
+	t.Logf("%.1f B/device", per)
+	if per > 28 {
+		t.Fatalf("pool retains %.1f B per device, want <= 28", per)
+	}
+}
+
 // BenchmarkPoolAddDevices populates the 20 000-device fleet of the sim_fleet
 // benchmark over a three-shard ring, into an emptied stand-alone pool each
 // iteration.
@@ -522,7 +549,7 @@ func BenchmarkPoolAddDevices(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ids, p.users, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
+		p.names, p.ends, p.phase, p.shard, p.backlog = nil, nil, nil, nil, nil
 		if err := p.AddDevices(20_000); err != nil {
 			b.Fatal(err)
 		}
