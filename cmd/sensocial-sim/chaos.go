@@ -60,6 +60,7 @@ func runChaos(schedule string, devices int, hours float64, hoursSet bool, traceC
 	fmt.Printf("\nchaos summary:\n")
 	fmt.Printf("  steps              %d\n", res.Steps)
 	fmt.Printf("  items ingested     %d\n", res.Items)
+	fmt.Printf("  ingest dropped     %d\n", res.IngestDropped)
 	// The tallies are series on the fleet registry: faults by kind, forced
 	// resets by cause, and the pool's sample ledger.
 	faults := func(kinds ...string) (n uint64) {

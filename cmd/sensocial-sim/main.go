@@ -178,6 +178,12 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	start := time.Now()
 	for m := 1; m <= minutes; m++ {
 		clock.Advance(time.Minute)
+		// Wait for the brokers and ingest pipelines to drain the minute's
+		// burst, as chaos.Run does every step, so the next minute's does not
+		// land on queues still holding this one.
+		if err := deployment.Quiesce(time.Minute); err != nil {
+			return err
+		}
 		// Peak-heap sampling is cheap relative to a 100k-device minute but
 		// not free; every 8 virtual minutes still catches the flush peaks.
 		if m%8 == 0 || m == minutes {
@@ -199,12 +205,6 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	}
 	//lint:ignore wallclock see above: real host cost measurement
 	elapsed := time.Since(start)
-
-	// Let the brokers and ingest pipelines drain what the last advance
-	// published before reading the final counters.
-	if err := deployment.Quiesce(time.Minute); err != nil {
-		return err
-	}
 
 	runtime.ReadMemStats(&ms)
 	if ms.HeapAlloc > peakHeap {

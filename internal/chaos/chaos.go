@@ -61,25 +61,18 @@ type Options struct {
 	Schedule *netsim.Schedule
 	// Duration is the virtual run length (default Schedule.Horizon + 10m).
 	Duration time.Duration
-	// Step is the virtual-time advance granularity; the harness quiesces
-	// and probes between steps (default 1m).
-	Step time.Duration
-	// Seed makes the simulation deterministic (default 42).
-	Seed int64
-	// Pool tunes the pooled scheduler, including UploadQoS. Schedules
-	// that shape latency/bandwidth/loss on the device-pool<->server path
-	// are rejected at QoS 1: a QoS 1 flush blocks on PUBACKs inside a
-	// scheduled frame, where virtual time cannot advance, so the pool
-	// path must either work delay-free or fail fast (partition, churn).
-	Pool sim.PoolOptions
+	// UploadQoS is the pooled fleet's publish QoS (sim.Options.UploadQoS).
+	// Schedules that shape latency/bandwidth/loss on the
+	// device-pool<->server path are rejected at QoS 1: a QoS 1 flush blocks
+	// on PUBACKs inside a scheduled frame, where virtual time cannot
+	// advance, so the pool path must either work delay-free or fail fast
+	// (partition, churn).
+	UploadQoS byte
 	// DurableDir enables broker durability (see sim.Options.DurableDir).
 	// Required for schedules containing crash faults: a crash kills the
 	// broker mid-write and restarts it from its session journal, so there
 	// must be a journal to recover from.
 	DurableDir string
-	// IngestShards sizes the server pipeline (default 1, which pins the
-	// ingest ordering so trace dumps are byte-replayable).
-	IngestShards int
 	// TraceCapacity enables span tracing (0 = off).
 	TraceCapacity int
 	// Logf, when set, receives progress lines (fault applications, step
@@ -91,17 +84,13 @@ func (o Options) withDefaults() Options {
 	if o.Duration <= 0 {
 		o.Duration = o.Schedule.Horizon() + 10*time.Minute
 	}
-	if o.Step <= 0 {
-		o.Step = time.Minute
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.IngestShards <= 0 {
-		o.IngestShards = 1
-	}
 	return o
 }
+
+// step is the virtual-time advance granularity, one pool sample interval,
+// so every step ticks each frame once; the harness quiesces and probes
+// between steps.
+const step = time.Minute
 
 // probe hosts are reserved for the harness's own QoS 1 delivery checks
 // and must stay outside every scheduled fault's blast radius.
@@ -150,7 +139,7 @@ func validate(o Options) error {
 				}
 			}
 		}
-		if o.Pool.UploadQoS >= 1 {
+		if o.UploadQoS >= 1 {
 			switch f.Kind {
 			case netsim.FaultLatency, netsim.FaultBandwidth, netsim.FaultLoss:
 				if touchesPoolPath(f) {
@@ -189,6 +178,10 @@ type Result struct {
 	Violations []string
 	// Items is how many stream items the server ingested end to end.
 	Items uint64
+	// IngestDropped is how many items the ingest queues shed when full
+	// (sensocial_ingest_dropped_total), summed over every shard, killed ones
+	// included; Metrics is shard 0's registry alone.
+	IngestDropped uint64
 	// Steps is how many virtual-time steps the run advanced.
 	Steps int
 	// ProbesSent/ProbesAcked/ProbesAmbiguous count the QoS 1 probe
@@ -236,14 +229,16 @@ func Run(opts Options) (*Result, error) {
 	clock := vclock.NewManual(chaosEpoch)
 	dep, err := sim.New(sim.Options{
 		Clock:  clock,
-		Seed:   opts.Seed,
+		Seed:   42,
 		Shards: opts.Shards,
 		// A delay-free base fabric: every impairment comes from the
 		// schedule, which also keeps handshakes inside scheduled events
 		// deterministic.
-		MobileLink:    &netsim.Link{},
-		Pool:          opts.Pool,
-		IngestShards:  opts.IngestShards,
+		MobileLink: &netsim.Link{},
+		UploadQoS:  opts.UploadQoS,
+		// One ingest worker per server pins the ingest ordering, so trace
+		// dumps are byte-replayable.
+		IngestShards:  1,
 		TraceCapacity: opts.TraceCapacity,
 		DurableDir:    opts.DurableDir,
 	})
@@ -322,9 +317,9 @@ func Run(opts Options) (*Result, error) {
 	}
 	defer eng.Stop()
 
-	steps := int(opts.Duration / opts.Step)
+	steps := int(opts.Duration / step)
 	for i := 0; i < steps; i++ {
-		clock.Advance(opts.Step)
+		clock.Advance(step)
 		if err := dep.Quiesce(quiesceTimeout); err != nil {
 			return nil, fmt.Errorf("chaos: step %d: %w", i+1, err)
 		}
@@ -346,7 +341,7 @@ func Run(opts Options) (*Result, error) {
 	// Final settle: heal everything and advance one more cadence so
 	// still-dark backlogs either drain or stay counted as backlog.
 	fabric.Heal()
-	clock.Advance(opts.Step)
+	clock.Advance(step)
 	if err := dep.Quiesce(quiesceTimeout); err != nil {
 		return nil, fmt.Errorf("chaos: final settle: %w", err)
 	}
@@ -357,7 +352,10 @@ func Run(opts Options) (*Result, error) {
 		Metrics:      dep.Shards[0].Metrics,
 		StormClients: storm.joined(),
 	}
-	inv.checkConservation(dep.Shards, opts.Pool.UploadQoS)
+	for _, sh := range dep.Shards {
+		res.IngestDropped += sh.Metrics.Sum("sensocial_ingest_dropped_total")
+	}
+	inv.checkConservation(dep.Shards, opts.UploadQoS)
 	probes.finalCheck(inv)
 	res.ProbesSent, res.ProbesAcked, res.ProbesAmbiguous = probes.counts()
 	res.Violations, res.Items = inv.report()

@@ -29,12 +29,6 @@ func TestSmokeScheduleZeroViolations(t *testing.T) {
 				Devices:  128,
 				Shards:   shards,
 				Schedule: Smoke(),
-				Step:     time.Minute,
-				Pool: sim.PoolOptions{
-					Connections:    4,
-					SampleInterval: time.Minute,
-					UploadBatch:    2,
-				},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
@@ -68,19 +62,13 @@ func TestSmokeScheduleZeroViolations(t *testing.T) {
 
 // TestDTNBatchUploadOnReconnect keeps the fleet dark for four virtual
 // hours at QoS 1 and checks that backlogs batch-upload on reconnect with
-// every invariant intact.
+// every invariant intact, and that the 64-deep backlog dropped exactly
+// the dark samples it could not hold.
 func TestDTNBatchUploadOnReconnect(t *testing.T) {
 	res, err := Run(Options{
-		Devices:  64,
-		Schedule: DTN(),
-		Step:     5 * time.Minute,
-		Pool: sim.PoolOptions{
-			Connections:    2,
-			SampleInterval: time.Minute,
-			UploadBatch:    4,
-			MaxBacklog:     512,
-			UploadQoS:      1,
-		},
+		Devices:   64,
+		Schedule:  DTN(),
+		UploadQoS: 1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -96,10 +84,12 @@ func TestDTNBatchUploadOnReconnect(t *testing.T) {
 	if got := res.Metrics.Sum("sensocial_sim_backlog"); got != 0 {
 		t.Fatalf("backlog of %d not drained after heal", got)
 	}
-	// Four dark hours at 1-minute sampling far exceeds MaxBacklog=512?
-	// No: 240 samples fit, so nothing may be dropped to overflow either.
-	if got := res.Metrics.Sum("sensocial_sim_items_dropped_total"); got != 0 {
-		t.Fatalf("DTN run dropped %d items despite sufficient backlog", got)
+	// Each device last flushed at 28m, two ticks before the partition. Its
+	// backlog is full after the 64th tick from then (1h32m), and each of
+	// the 178 ticks from 1h33m to 4h30m drops its sample: at 4h30m the heal
+	// comes first, but the tick samples before its flush drains the backlog.
+	if got, want := res.Metrics.Sum("sensocial_sim_items_dropped_total"), uint64(64*178); got != want {
+		t.Fatalf("DTN run dropped %d items at the backlog cap, want %d", got, want)
 	}
 	if res.Items == 0 {
 		t.Fatalf("no items ingested end to end")
@@ -122,17 +112,10 @@ func TestPartitionReconnect1kDevices(t *testing.T) {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
 	res, err := Run(Options{
-		Devices:  1000,
-		Schedule: sched,
-		Duration: 30 * time.Minute,
-		Step:     time.Minute,
-		Pool: sim.PoolOptions{
-			Connections:    8,
-			SampleInterval: time.Minute,
-			UploadBatch:    4,
-			MaxBacklog:     64,
-			UploadQoS:      1,
-		},
+		Devices:   1000,
+		Schedule:  sched,
+		Duration:  30 * time.Minute,
+		UploadQoS: 1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -152,18 +135,18 @@ func TestPartitionReconnect1kDevices(t *testing.T) {
 }
 
 // chaosTraceRun executes one deterministic chaos run with tracing and
-// returns the canonical dump. Single connection, single frame, single
-// ingest shard and a shaping-free QoS 1 schedule pin every ordering
-// source, mirroring the sim package's trace determinism tests.
+// returns the canonical dump. A single frame (so a single connection), the
+// harness's single ingest shard and a shaping-free QoS 1 schedule pin
+// every ordering source, mirroring the sim package's trace determinism
+// tests.
 func chaosTraceRun(t *testing.T) []byte {
 	t.Helper()
 	// Every instant that publishes must be the final instant of an
 	// Advance window: the run quiesces there with the clock parked, so
 	// the async shard-side ingest spans get deterministic stamps. Flushes
-	// happen only on frame ticks (every 1m), so Step=1m makes every tick
-	// a window end — a coarser step would let a mid-window catch-up flush
-	// race the remainder of the Advance and flap a span stamp into the
-	// next minute. The faults sit between ticks and publish nothing.
+	// happen only on frame ticks, every minute on the minute for the one
+	// frame, and the harness steps a minute at a time, so every tick ends
+	// a window. The faults sit between ticks and publish nothing.
 	sched, err := netsim.ParseSchedule("trace", `
 @3m30s partition device-pool | server
 @7m30s heal
@@ -173,18 +156,10 @@ func chaosTraceRun(t *testing.T) []byte {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
 	res, err := Run(Options{
-		Devices:  16,
-		Schedule: sched,
-		Duration: 14 * time.Minute,
-		Step:     time.Minute,
-		Pool: sim.PoolOptions{
-			Connections:    1,
-			FrameSize:      16,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-			MaxBacklog:     32,
-			UploadQoS:      1,
-		},
+		Devices:       16,
+		Schedule:      sched,
+		Duration:      14 * time.Minute,
+		UploadQoS:     1,
 		TraceCapacity: 8192,
 	})
 	if err != nil {
@@ -225,14 +200,8 @@ func TestCrashScheduleRecoversWithInvariants(t *testing.T) {
 	res, err := Run(Options{
 		Devices:    64,
 		Schedule:   Crash(),
-		Step:       time.Minute,
 		DurableDir: t.TempDir(),
-		Pool: sim.PoolOptions{
-			Connections:    2,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-			UploadQoS:      1,
-		},
+		UploadQoS:  1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -258,17 +227,10 @@ func TestCrashScheduleRecoversWithInvariants(t *testing.T) {
 // probe rig (on shard0) undisturbed, and the flash crowd still landing.
 func TestClusterScheduleKillOneShardSurvives(t *testing.T) {
 	res, err := Run(Options{
-		Devices:  96,
-		Shards:   3,
-		Schedule: Cluster(),
-		Step:     time.Minute,
-		Pool: sim.PoolOptions{
-			Connections:    3,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-			MaxBacklog:     64,
-			UploadQoS:      1,
-		},
+		Devices:   96,
+		Shards:    3,
+		Schedule:  Cluster(),
+		UploadQoS: 1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -295,6 +257,75 @@ func TestClusterScheduleKillOneShardSurvives(t *testing.T) {
 	}
 }
 
+// presetFamilies are the pool-ledger and fault series a preset's runs must
+// repeat, label by label.
+var presetFamilies = map[string]bool{
+	"sensocial_sim_samples_total":         true,
+	"sensocial_sim_items_published_total": true,
+	"sensocial_sim_items_ack_lost_total":  true,
+	"sensocial_sim_items_dropped_total":   true,
+	"sensocial_sim_backlog":               true,
+	faults:                                true,
+	resets:                                true,
+}
+
+// presetOutcome renders what a preset's runs must repeat: every count and
+// violation on the Result, and the series of presetFamilies.
+func presetOutcome(r *Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "items %d, ingest dropped %d, steps %d, probes %d/%d/%d, storm clients %d, violations %q\n",
+		r.Items, r.IngestDropped, r.Steps, r.ProbesSent, r.ProbesAcked, r.ProbesAmbiguous, r.StormClients, r.Violations)
+	for _, f := range r.Metrics.Snapshot() {
+		if presetFamilies[f.Name] {
+			for _, sample := range f.Samples {
+				fmt.Fprintf(&b, "%s%v %v\n", f.Name, sample.Labels, sample.Value)
+			}
+		}
+	}
+	return b.String()
+}
+
+// TestPresetsRepeat runs the presets that ship the way sensocial-sim -chaos
+// runs them (QoS 0, the preset's smallest ring, a journal for crash), on
+// smaller fleets, twice each, and requires the two runs to agree on every
+// count. dtn is left out: its post-heal flush of every device's backlog at
+// once overruns the one ingest queue by a different amount each run (six
+// CLI runs at 64 devices ingested from 7 257 to all 8 512 published items).
+func TestPresetsRepeat(t *testing.T) {
+	for _, tc := range []struct {
+		preset  string
+		devices int
+	}{
+		{"smoke", 32},
+		{"crash", 16},
+		{"cluster", 24},
+	} {
+		t.Run(tc.preset, func(t *testing.T) {
+			sched, err := LoadSchedule(tc.preset)
+			if err != nil {
+				t.Fatalf("LoadSchedule: %v", err)
+			}
+			run := func() string {
+				opts := Options{Devices: tc.devices, Shards: MinShards(sched), Schedule: sched}
+				if NeedsDurability(sched) {
+					opts.DurableDir = t.TempDir()
+				}
+				res, err := Run(opts)
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if !res.Ok() {
+					t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
+				}
+				return presetOutcome(res)
+			}
+			if first, second := run(), run(); first != second {
+				t.Fatalf("%s runs differ:\n--- run 1 ---\n%s--- run 2 ---\n%s", tc.preset, first, second)
+			}
+		})
+	}
+}
+
 // TestValidateRejectsHostileSchedules covers the schedule validation
 // rules: probe hosts are off limits, crash faults need a durable
 // directory, and QoS 1 runs reject shaping on the pool path.
@@ -310,11 +341,11 @@ func TestValidateRejectsHostileSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSchedule: %v", err)
 	}
-	opts := Options{Devices: 1, Schedule: shape, Pool: sim.PoolOptions{UploadQoS: 1}}
+	opts := Options{Devices: 1, Schedule: shape, UploadQoS: 1}
 	if _, err := Run(opts); err == nil {
 		t.Fatalf("QoS1 run accepted shaping on the pool path")
 	}
-	opts.Pool.UploadQoS = 0
+	opts.UploadQoS = 0
 	if err := validate(opts.withDefaults()); err != nil {
 		t.Fatalf("QoS0 shaping schedule rejected: %v", err)
 	}

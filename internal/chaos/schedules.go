@@ -30,10 +30,9 @@ const smokeText = `
 // dtnText is the delay-tolerant-networking scenario: the whole fleet
 // goes dark for four virtual hours, batch-uploads its backlog on
 // reconnect, then survives a churn aftershock. No shaping verbs, so it
-// may run at QoS 1, as its test does; `sensocial-sim -chaos dtn` leaves
-// Pool.UploadQoS at 0. Whether the backlog survives the dark hours is a
-// matter of Pool.MaxBacklog: the test's 512 holds all of it, the default
-// 64 drops the rest.
+// may run at QoS 1, as its test does; `sensocial-sim -chaos dtn` runs it
+// at QoS 0. A device's backlog holds 64 samples; the rest of its dark
+// hours' samples are dropped and counted.
 const dtnText = `
 @30m    partition device-pool | server
 @4h30m  heal

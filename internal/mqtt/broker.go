@@ -439,11 +439,6 @@ func (b *Broker) restoreSession(s *session) {
 	}
 }
 
-// SessionState returns the broker's durable session store (nil on
-// non-durable brokers). The chaos harness drains its in-flight count
-// before injecting crashes.
-func (b *Broker) SessionState() *SessionStore { return b.state }
-
 func (b *Broker) removeSession(s *session) {
 	b.mu.Lock()
 	if b.sessions[s.clientID] == s {

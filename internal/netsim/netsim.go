@@ -400,13 +400,6 @@ func (n *Network) dropPair(id uint64) {
 	n.mu.Unlock()
 }
 
-// Conns reports the number of established (not yet closed) connections.
-func (n *Network) Conns() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.conns)
-}
-
 // Partition severs traffic between hosts matching the a patterns and hosts
 // matching the b patterns: established connections crossing the cut are
 // forcibly reset (both ends observe ErrConnReset) and new dials across it

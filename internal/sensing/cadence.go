@@ -2,16 +2,11 @@ package sensing
 
 import "time"
 
-// Cadence is the sampling schedule shared by the goroutine-per-device
-// Subscription loop and the pooled device simulator: an absolute schedule
-// (anchor + k*interval, so no cycle is lost when the clock jumps several
-// intervals at once) combined with a duty-cycle credit accumulator (run a
-// cycle each time accumulated credit crosses 1, so DutyCycle 0.5 samples
-// every other cycle without long-run drift).
-//
-// It is a small value type — 40 bytes. The pool keeps one per frame, not
-// per device: a frame's devices share an anchor, interval and duty cycle
-// and tick together, so their cadences would always be equal.
+// Cadence is the sampling schedule of a Subscription loop: an absolute
+// schedule (anchor + k*interval, so no cycle is lost when the clock jumps
+// several intervals at once) combined with a duty-cycle credit accumulator
+// (run a cycle each time accumulated credit crosses 1, so DutyCycle 0.5
+// samples every other cycle without long-run drift).
 type Cadence struct {
 	// Next is the deadline of the next cycle.
 	Next time.Time

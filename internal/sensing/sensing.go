@@ -161,9 +161,7 @@ func (s *Subscription) Modality() string { return s.modality }
 // drops a tick whenever the previous one has not been consumed yet, so two
 // clock advances landing before this goroutine is scheduled would silently
 // lose a cycle; the absolute schedule runs every elapsed interval exactly
-// once, no matter how the advances interleave with this goroutine. The
-// pooled device simulator shares the same Cadence type, so both execution
-// modes keep identical sampling semantics.
+// once, no matter how the advances interleave with this goroutine.
 func (s *Subscription) loop(anchor time.Time) {
 	clk := s.manager.dev.Clock()
 	cad := NewCadence(anchor, s.settings.Interval)

@@ -17,24 +17,18 @@ import (
 var clusterEpoch = time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC)
 
 // newClusterFixture boots a pooled deployment of the given ring size on a
-// manual clock over a zero-latency fabric. One frame covers the whole fleet
-// and each shard gets exactly one pooled connection, so every flush is a
-// single ordered publish sequence — the same pinning the pooled trace
-// determinism test uses.
+// manual clock over a zero-latency fabric. The fleet is at most one frame
+// (64 devices), which publishes through one connection per shard, so every
+// flush is a single ordered publish sequence — the same pinning the pooled
+// trace determinism test uses.
 func newClusterFixture(t *testing.T, shards, devices, traceCap int) (*Simulation, *vclock.Manual) {
 	t.Helper()
 	clock := vclock.NewManual(clusterEpoch)
 	cl, err := New(Options{
-		Clock:      clock,
-		Seed:       7,
-		Shards:     shards,
-		MobileLink: &netsim.Link{},
-		Pool: PoolOptions{
-			Connections:    shards,
-			FrameSize:      devices,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-		},
+		Clock:         clock,
+		Seed:          7,
+		Shards:        shards,
+		MobileLink:    &netsim.Link{},
 		IngestShards:  1,
 		TraceCapacity: traceCap,
 	})
@@ -109,8 +103,8 @@ func TestClusterShardLocalDelivery(t *testing.T) {
 			const devices = 24
 			cl, clock := newClusterFixture(t, shards, devices, 0)
 
-			clock.Advance(2 * time.Minute)
-			want := uint64(devices * 2)
+			clock.Advance(4 * time.Minute)
+			want := uint64(devices * 4)
 			quiesce(t, cl)
 
 			if got := cl.Shards[0].Metrics.Sum("sensocial_sim_items_published_total"); got != want {
@@ -177,16 +171,16 @@ func TestClusterCrossShardDelivery(t *testing.T) {
 		return len(cl.Shards[0].Bridge.Index().Match(topic, sc)) == 1
 	})
 
-	clock.Advance(2 * time.Minute)
-	waitCluster(t, "cross-shard delivery", func() bool { return got.Load() >= 2 })
+	clock.Advance(4 * time.Minute)
+	waitCluster(t, "cross-shard delivery", func() bool { return got.Load() >= 4 })
 
-	want := uint64(devices * 2)
+	want := uint64(devices * 4)
 	quiesce(t, cl)
 	if p := clusterProcessed(cl); p != want {
 		t.Fatalf("processed %d cluster-wide, want %d: bridged copies were double-ingested", p, want)
 	}
-	if f := clusterForeign(cl); f < 2 {
-		t.Fatalf("foreign counter %v, want >= 2 (shard1 must skip-and-count bridged copies)", f)
+	if f := clusterForeign(cl); f < 4 {
+		t.Fatalf("foreign counter %v, want >= 4 (shard1 must skip-and-count bridged copies)", f)
 	}
 }
 
@@ -201,7 +195,7 @@ func TestClusterKillShardSurvivorsServe(t *testing.T) {
 			const devices = 24
 			cl, clock := newClusterFixture(t, 3, devices, 0)
 
-			clock.Advance(2 * time.Minute)
+			clock.Advance(4 * time.Minute)
 			quiesce(t, cl)
 			var pre [3]uint64
 			for i := range pre {
@@ -222,7 +216,7 @@ func TestClusterKillShardSurvivorsServe(t *testing.T) {
 			}
 
 			for i := 0; i < 3; i++ {
-				clock.Advance(2 * time.Minute)
+				clock.Advance(4 * time.Minute)
 			}
 			quiesce(t, cl)
 
@@ -264,9 +258,9 @@ func clusterTraceRun(t *testing.T, shards int) string {
 
 	const steps = 3
 	for i := 1; i <= steps; i++ {
-		clock.Advance(2 * time.Minute)
+		clock.Advance(4 * time.Minute)
 		quiesce(t, cl)
-		if got, want := clusterProcessed(cl), uint64(devices*2*i); got != want {
+		if got, want := clusterProcessed(cl), uint64(devices*4*i); got != want {
 			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
 		}
 	}

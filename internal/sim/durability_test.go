@@ -140,15 +140,9 @@ func durablePooledTraceRun(t *testing.T) string {
 	t.Helper()
 	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
 	s, err := New(Options{
-		Clock:      clock,
-		Seed:       7,
-		MobileLink: &netsim.Link{},
-		Pool: PoolOptions{
-			Connections:    1,
-			FrameSize:      32,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-		},
+		Clock:         clock,
+		Seed:          7,
+		MobileLink:    &netsim.Link{},
 		IngestShards:  1,
 		TraceCapacity: 4096,
 		DurableDir:    t.TempDir(),
@@ -166,9 +160,9 @@ func durablePooledTraceRun(t *testing.T) string {
 	}
 	const steps = 3
 	for i := 1; i <= steps; i++ {
-		clock.Advance(2 * time.Minute)
+		clock.Advance(4 * time.Minute)
 		quiesce(t, s)
-		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*2*i); got != want {
+		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*4*i); got != want {
 			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
 		}
 	}

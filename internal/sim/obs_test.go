@@ -116,22 +116,17 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 }
 
 // deterministicPooledTraceRun is the pooled-mode twin of
-// deterministicTraceRun: one frame of pooled devices over a single shared
-// connection, quiescing between advances. A single connection and a single
-// ingest shard pin every ordering source, so the dump must be stable.
+// deterministicTraceRun: one frame of pooled devices, which publishes over
+// a single shared connection, quiescing between advances. A single frame
+// and a single ingest shard pin every ordering source, so the dump must be
+// stable.
 func deterministicPooledTraceRun(t *testing.T) string {
 	t.Helper()
 	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
 	s, err := New(Options{
-		Clock:      clock,
-		Seed:       7,
-		MobileLink: &netsim.Link{},
-		Pool: PoolOptions{
-			Connections:    1,
-			FrameSize:      32, // one frame: ticks and flushes are a single ordered sequence
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-		},
+		Clock:         clock,
+		Seed:          7,
+		MobileLink:    &netsim.Link{},
 		IngestShards:  1,
 		TraceCapacity: 4096,
 	})
@@ -146,12 +141,12 @@ func deterministicPooledTraceRun(t *testing.T) string {
 	if err := s.StartPool(); err != nil {
 		t.Fatalf("StartPool: %v", err)
 	}
-	// UploadBatch=2: every second cycle publishes 2 items per device.
+	// A batch of 4: every fourth cycle publishes 4 items per device.
 	const steps = 3
 	for i := 1; i <= steps; i++ {
-		clock.Advance(2 * time.Minute)
+		clock.Advance(4 * time.Minute)
 		quiesce(t, s)
-		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*2*i); got != want {
+		if got, want := ingested(s, "sensocial_ingest_processed_total"), uint64(devices*4*i); got != want {
 			t.Fatalf("step %d: processed %d items, want %d", i, got, want)
 		}
 	}
@@ -235,9 +230,9 @@ func TestMetricsAndTraceOverHTTP(t *testing.T) {
 					t.Fatalf("StartHTTP: %v", err)
 				}
 			}
-			// Three cycles at UploadBatch=2: one flush of two items per device,
-			// and a third sample left buffered.
-			clock.Advance(3 * time.Minute)
+			// Five cycles at a batch of 4: one flush of four items per device,
+			// and a fifth sample left buffered.
+			clock.Advance(5 * time.Minute)
 			quiesce(t, cl)
 			client := cl.HTTPClient("prober")
 
@@ -270,9 +265,9 @@ func TestMetricsAndTraceOverHTTP(t *testing.T) {
 			samples, published := fleet["sensocial_sim_samples_total"], fleet["sensocial_sim_items_published_total"]
 			ackLost, dropped := fleet["sensocial_sim_items_ack_lost_total"], fleet["sensocial_sim_items_dropped_total"]
 			backlog := fleet["sensocial_sim_backlog"]
-			if samples != devices*3 || published != devices*2 || backlog != devices {
+			if samples != devices*5 || published != devices*4 || backlog != devices {
 				t.Errorf("scraped ledger samples=%v published=%v backlog=%v, want %d, %d, %d",
-					samples, published, backlog, devices*3, devices*2, devices)
+					samples, published, backlog, devices*5, devices*4, devices)
 			}
 			if samples != published+ackLost+dropped+backlog {
 				t.Errorf("conservation broken on the scrape: samples=%v != published=%v + ackLost=%v + dropped=%v + backlog=%v",

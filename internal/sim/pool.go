@@ -17,67 +17,34 @@ import (
 	"repro/internal/mqtt"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sensing"
 	"repro/internal/sensors"
 	"repro/internal/vclock"
 )
 
-// PoolOptions tunes the pooled device scheduler.
-type PoolOptions struct {
-	// Connections bounds the fabric connections shared by the whole pooled
-	// fleet (default 8). Devices map to connections deterministically by
-	// frame, so same-seed runs put every device on the same connection.
-	Connections int
-	// FrameSize is the number of devices ticked per scheduled event
-	// (default 64). Frames are staggered across the sample interval so the
-	// load on the broker is smooth rather than phase-locked.
-	FrameSize int
-	// SampleInterval is the virtual-time sampling cadence (default 1m).
-	SampleInterval time.Duration
-	// UploadBatch is how many classified samples a device buffers before
-	// its frame publishes them (default 4), mirroring the mobile
-	// middleware's store-and-forward batching.
-	UploadBatch int
-	// MaxBacklog caps a device's pending-upload backlog while its
-	// slot has no connection or a broken one (default 64). Overflow is
-	// dropped and counted, never allocated.
-	MaxBacklog int
-	// DutyCycle is the sampling duty cycle in (0,1] (default 1).
-	DutyCycle float64
-	// UploadQoS is the MQTT QoS pooled uploads publish at (0 or 1,
-	// default 0). At QoS 1 a flush blocks on each PUBACK, so the broker's
-	// receipt of every counted item is confirmed; publishes whose
-	// acknowledgement is lost to a mid-flight fault are charged to
-	// sensocial_sim_items_ack_lost_total and never resent (at-most-once —
-	// resending could double-deliver, because the broker acks before
-	// routing).
-	UploadQoS byte
-}
-
-func (o PoolOptions) withDefaults() PoolOptions {
-	if o.Connections <= 0 {
-		o.Connections = 8
-	}
-	if o.FrameSize <= 0 {
-		o.FrameSize = 64
-	}
-	if o.SampleInterval <= 0 {
-		o.SampleInterval = time.Minute
-	}
-	if o.UploadBatch <= 0 {
-		o.UploadBatch = 4
-	}
-	if o.MaxBacklog < o.UploadBatch {
-		o.MaxBacklog = max(64, o.UploadBatch)
-	}
-	if o.DutyCycle <= 0 || o.DutyCycle > 1 {
-		o.DutyCycle = 1
-	}
-	if o.UploadQoS > 1 {
-		o.UploadQoS = 1
-	}
-	return o
-}
+// The pooled fleet runs one configuration, like the device configuration a
+// scalability evaluation fixes before it scales the device count.
+const (
+	// poolConnections bounds the fabric connections shared by the whole
+	// fleet, split into one group of poolConnections/shards slots (at least
+	// one) per shard. Devices map to connections deterministically by frame,
+	// so same-seed runs put every device on the same connection.
+	poolConnections = 8
+	// poolFrameSize is the number of devices ticked per scheduled event.
+	// Frames are staggered across the sample interval so the load on the
+	// broker is smooth rather than phase-locked.
+	poolFrameSize = 64
+	// poolSampleInterval is the virtual-time sampling cadence; every device
+	// samples every interval.
+	poolSampleInterval = time.Minute
+	// poolUploadBatch is how many classified samples a device buffers before
+	// its frame publishes them, mirroring the mobile middleware's
+	// store-and-forward batching.
+	poolUploadBatch = 4
+	// poolMaxBacklog caps a device's pending-upload backlog while its slot
+	// has no connection or a broken one. Overflow is dropped and counted,
+	// never allocated. It fits the uint8 backlog column.
+	poolMaxBacklog = 64
+)
 
 // poolActivityCycle is the ground-truth activity schedule for pooled
 // devices: a device's phase offsets a 30-minute rotation through the same
@@ -156,17 +123,17 @@ func newFleetSeries(reg *obs.Registry, shards int) fleetSeries {
 // phase (the activity ground truth), ring shard and pending-upload backlog.
 // Energy and CPU are charged to one fleet-wide device.BulkCharger, not per
 // device.
-// Devices are grouped into frames of FrameSize; each frame is one
-// vclock event that fires once per sample interval, keeps the one sampling
-// cadence all its devices share, scans its slice of the arrays, and re-arms
-// itself. The clock must be an EventScheduler (vclock.Manual): frames run
-// synchronously inside Advance in deterministic (deadline, sequence) order.
+// Devices are grouped into frames of poolFrameSize; each frame is one
+// vclock event that fires once per sample interval, samples every device
+// in its slice of the arrays, and re-arms itself. The clock must be an
+// EventScheduler (vclock.Manual): frames run synchronously inside Advance
+// in deterministic (deadline, sequence) order.
 //
 // Uploads preserve the wire protocol of the full path: classified items are
-// encoded exactly like mobile's pipeline and published at UploadQoS to
-// core.StreamDataTopic(deviceID) over MQTT, so the broker, the server
-// ingest pipeline and every downstream consumer see pooled devices as
-// indistinguishable from full ones. The whole fleet shares Connections
+// encoded exactly like mobile's pipeline and published at the deployment's
+// UploadQoS to core.StreamDataTopic(deviceID) over MQTT, so the broker, the
+// server ingest pipeline and every downstream consumer see pooled devices as
+// indistinguishable from full ones. The whole fleet shares poolConnections
 // fabric conns, one MQTT client per slot; per-device attribution rides in
 // the topic.
 type DevicePool struct {
@@ -182,7 +149,7 @@ type DevicePool struct {
 	perShard int
 	shardOf  func(userID string) int
 
-	opts PoolOptions // defaults applied
+	qos byte // Options.UploadQoS
 
 	series fleetSeries
 
@@ -198,7 +165,7 @@ type DevicePool struct {
 	ends    []uint32
 	phase   []uint8
 	shard   []int32
-	backlog []uint16
+	backlog []uint8
 
 	frames  []*poolFrame
 	clients []atomic.Pointer[mqtt.Client]
@@ -236,14 +203,9 @@ type poolFrame struct {
 	base int // slot offset inside each shard's connection group
 	next time.Time
 	ev   vclock.Event
-	// cad is the sampling cadence of every device in the frame: they share
-	// an anchor, interval and duty cycle and tick together, so one
-	// schedule and one duty-cycle credit stand for all of them.
-	cad sensing.Cadence
 
-	sampled  bool          // this tick's cycle sampled every device in [lo,hi)
 	flushIdx []int32       // device indices drained this tick
-	flushCnt []uint16      // backlog depth drained per flushIdx entry
+	flushCnt []uint8       // backlog depth drained per flushIdx entry
 	byShard  []flushClient // per-shard client resolution, reset each flush
 }
 
@@ -259,16 +221,15 @@ type flushClient struct {
 }
 
 // newDevicePool wires a pool into the deployment's fabric, ring and fleet
-// registry. The Connections budget is split into one group of
-// Connections/len(Shards) slots (min 1) per shard, and every device
+// registry. The poolConnections budget is split into one group of
+// poolConnections/len(Shards) slots (min 1) per shard, and every device
 // publishes only through its ring owner's group.
-func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
-	opts = opts.withDefaults()
+func newDevicePool(s *Simulation, qos byte) *DevicePool {
 	addrs := make([]string, len(s.Shards))
 	for i, sh := range s.Shards {
 		addrs[i] = sh.BrokerAddr
 	}
-	perShard := max(1, opts.Connections/len(addrs))
+	perShard := max(1, poolConnections/len(addrs))
 	total := perShard * len(addrs)
 	return &DevicePool{
 		clock:   s.Clock,
@@ -279,7 +240,7 @@ func newDevicePool(s *Simulation, opts PoolOptions) *DevicePool {
 		perShard: perShard,
 		shardOf:  s.Ring.OwnerIndex,
 
-		opts: opts,
+		qos: qos,
 
 		series: s.series,
 
@@ -385,7 +346,7 @@ func (p *DevicePool) AddDevices(n int) error {
 	p.ends = slices.Grow(p.ends, n)
 	p.phase = slices.Grow(p.phase, n)
 	p.shard = slices.Grow(p.shard, n)
-	p.backlog = append(p.backlog, make([]uint16, n)...)
+	p.backlog = append(p.backlog, make([]uint8, n)...)
 	for idx := base; idx < base+n; idx++ {
 		if idx > base {
 			name = nextPoolName(name)
@@ -431,22 +392,20 @@ func (p *DevicePool) Start() error {
 	}
 	p.started = true
 	start := p.clock.Now()
-	nFrames := (len(p.ends) + p.opts.FrameSize - 1) / p.opts.FrameSize
+	nFrames := (len(p.ends) + poolFrameSize - 1) / poolFrameSize
 	p.frames = make([]*poolFrame, 0, nFrames)
 	for j := 0; j < nFrames; j++ {
-		lo := j * p.opts.FrameSize
-		hi := min(lo+p.opts.FrameSize, len(p.ends))
+		lo := j * poolFrameSize
+		hi := min(lo+poolFrameSize, len(p.ends))
 		// Stagger frame anchors across one interval so broker load is
 		// smooth: frame j fires at offset (j mod 64)/64 of the interval.
-		offset := p.opts.SampleInterval * time.Duration(j%64) / 64
-		anchor := start.Add(offset)
+		offset := poolSampleInterval * time.Duration(j%64) / 64
 		f := &poolFrame{
 			pool: p, lo: lo, hi: hi,
 			base:     j % p.perShard,
-			next:     anchor.Add(p.opts.SampleInterval),
-			cad:      sensing.NewCadence(anchor, p.opts.SampleInterval),
+			next:     start.Add(offset + poolSampleInterval),
 			flushIdx: make([]int32, 0, hi-lo),
-			flushCnt: make([]uint16, 0, hi-lo),
+			flushCnt: make([]uint8, 0, hi-lo),
 			byShard:  make([]flushClient, len(p.addrs)),
 		}
 		p.frames = append(p.frames, f)
@@ -521,8 +480,8 @@ func (p *DevicePool) restoreBacklog(i, count int) {
 		return
 	}
 	p.mu.Lock()
-	add := min(count, max(0, p.opts.MaxBacklog-int(p.backlog[i])))
-	p.backlog[i] += uint16(add)
+	add := min(count, poolMaxBacklog-int(p.backlog[i]))
+	p.backlog[i] += uint8(add)
 	p.mu.Unlock()
 	p.series.backlog.Add(float64(add))
 	if dropped := count - add; dropped > 0 {
@@ -543,7 +502,7 @@ func (f *poolFrame) fire(now time.Time) {
 	t0 := time.Now()
 	f.tick(now)
 	f.flush(now)
-	f.next = f.next.Add(p.opts.SampleInterval)
+	f.next = f.next.Add(poolSampleInterval)
 	if f.ev != nil {
 		f.ev.Reschedule(f.next)
 	}
@@ -551,21 +510,16 @@ func (f *poolFrame) fire(now time.Time) {
 	p.series.tickDur.Observe(time.Since(t0).Seconds())
 }
 
-// tick advances the frame's cadence and, when the cycle samples, grows
-// every device's backlog; it is the per-tick hot loop and must not
-// allocate.
+// tick samples every device in the frame, growing its backlog; it is the
+// per-tick hot loop and must not allocate.
 //
 //sensolint:hotpath
 func (f *poolFrame) tick(now time.Time) {
 	p := f.pool
-	f.sampled = f.cad.Tick(p.opts.DutyCycle)
-	if !f.sampled {
-		return
-	}
 	dropped := uint64(0)
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
-		if int(p.backlog[i]) < p.opts.MaxBacklog {
+		if p.backlog[i] < poolMaxBacklog {
 			p.backlog[i]++
 		} else {
 			dropped++
@@ -586,20 +540,18 @@ func (f *poolFrame) tick(now time.Time) {
 // batched per device rather than per sample.
 func (f *poolFrame) flush(now time.Time) {
 	p := f.pool
-	if f.sampled {
-		// The cost model prices poolModality, so neither call can fail,
-		// and the per-device prices they return have no battery to drain.
-		n := f.hi - f.lo
-		_, _ = p.charger.ChargeSamples(poolModality, n)
-		_, _ = p.charger.ChargeClassifications(poolModality, n)
-	}
+	// The cost model prices poolModality, so neither call can fail, and the
+	// per-device prices they return have no battery to drain.
+	n := f.hi - f.lo
+	_, _ = p.charger.ChargeSamples(poolModality, n)
+	_, _ = p.charger.ChargeClassifications(poolModality, n)
 
 	f.flushIdx = f.flushIdx[:0]
 	f.flushCnt = f.flushCnt[:0]
 	taken := 0
 	p.mu.Lock()
 	for i := f.lo; i < f.hi; i++ {
-		if int(p.backlog[i]) >= p.opts.UploadBatch {
+		if p.backlog[i] >= poolUploadBatch {
 			f.flushIdx = append(f.flushIdx, int32(i))
 			f.flushCnt = append(f.flushCnt, p.backlog[i])
 			taken += int(p.backlog[i])
@@ -645,7 +597,7 @@ func (f *poolFrame) flush(now time.Time) {
 		for j := 0; j < depth; j++ {
 			// Backdate buffered samples to their acquisition ticks, the
 			// same store-and-forward timestamping the mobile pipeline uses.
-			ts := now.Add(-time.Duration(depth-1-j) * p.opts.SampleInterval)
+			ts := now.Add(-time.Duration(depth-1-j) * poolSampleInterval)
 			item := core.Item{
 				StreamID:    poolStreamID,
 				DeviceID:    id,
@@ -662,7 +614,7 @@ func (f *poolFrame) flush(now time.Time) {
 				consumed++
 				continue
 			}
-			err = st.cli.Publish(core.StreamDataTopic(id), payload, p.opts.UploadQoS, false)
+			err = st.cli.Publish(core.StreamDataTopic(id), payload, p.qos, false)
 			if err == nil {
 				consumed++
 				st.msgs++

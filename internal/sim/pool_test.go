@@ -19,15 +19,13 @@ import (
 
 var poolEpoch = time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC)
 
-func newPooledSim(t *testing.T, clock vclock.Clock, opts PoolOptions, traceCap int) *Simulation {
+func newPooledSim(t *testing.T, clock vclock.Clock) *Simulation {
 	t.Helper()
 	s, err := New(Options{
-		Clock:         clock,
-		Seed:          7,
-		MobileLink:    &netsim.Link{}, // zero latency: handshakes and deliveries never wait on a frozen clock
-		Pool:          opts,
-		IngestShards:  1, // single shard keeps processing order (and hence trace output) deterministic
-		TraceCapacity: traceCap,
+		Clock:        clock,
+		Seed:         7,
+		MobileLink:   &netsim.Link{}, // zero latency: handshakes and deliveries never wait on a frozen clock
+		IngestShards: 1,              // single shard keeps processing order deterministic
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -62,20 +60,16 @@ func ingested(s *Simulation, family string) (sum uint64) {
 }
 
 // TestPooledDevicesPublishThroughBroker drives a pooled fleet on the manual
-// clock and checks the full path: scheduled frame ticks sample on cadence,
-// backlogs batch, and uploads arrive at the server ingest pipeline with
-// per-device attribution intact despite the shared connections.
+// clock and checks the full path: scheduled frame ticks sample every
+// minute, backlogs batch, and uploads arrive at the server ingest pipeline
+// with per-device attribution intact despite the shared connections. The
+// 200 devices fill four frames, each on its own connection.
 func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	clock := vclock.NewManual(poolEpoch)
-	s := newPooledSim(t, clock, PoolOptions{
-		Connections:    2,
-		FrameSize:      8,
-		SampleInterval: time.Minute,
-		UploadBatch:    2,
-	}, 0)
+	s := newPooledSim(t, clock)
 	defer s.Close()
 
-	const devices = 20
+	const devices = 200
 	if err := s.AddDevices(devices); err != nil {
 		t.Fatalf("AddDevices: %v", err)
 	}
@@ -106,17 +100,21 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 		t.Fatalf("StartPool: %v", err)
 	}
 
-	// Four sampling cycles: with UploadBatch=2 every device publishes twice,
-	// two items per flush (frame offsets are < 2s, so 4m30s covers all).
+	// Eight sampling cycles: with a batch of 4 every device publishes twice,
+	// four items per flush (frame offsets are < 3s, so 8m30s covers all).
+	// The run quiesces after each flush minute: the 800 items of one fit
+	// the single ingest queue, the 1 600 of two may not.
 	clock.Advance(4*time.Minute + 30*time.Second)
+	quiesce(t, s)
+	clock.Advance(4 * time.Minute)
 	quiesce(t, s)
 
 	fleet := s.Shards[0].Metrics
 	for family, want := range map[string]uint64{
 		"sensocial_sim_devices":               devices,
-		"sensocial_sim_samples_total":         devices * 4,
-		"sensocial_sim_items_published_total": devices * 4,
-		"sensocial_ingest_processed_total":    devices * 4,
+		"sensocial_sim_samples_total":         devices * 8,
+		"sensocial_sim_items_published_total": devices * 8,
+		"sensocial_ingest_processed_total":    devices * 8,
 		"sensocial_sim_items_dropped_total":   0,
 		"sensocial_sim_publish_errors_total":  0,
 		"sensocial_sim_backlog":               0,
@@ -132,8 +130,8 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 		t.Fatalf("items from %d devices, want %d", len(seen), devices)
 	}
 	for id, n := range seen {
-		if n != 4 {
-			t.Fatalf("device %s delivered %d items, want 4", id, n)
+		if n != 8 {
+			t.Fatalf("device %s delivered %d items, want 8", id, n)
 		}
 	}
 	if badLabel != 0 || badUser != 0 {
@@ -147,7 +145,7 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	// bit, hence the 1e-12 relative bound on transmission alone.
 	cost := energy.DefaultCostModel()
 	meter := s.Pool.Charger().Meter()
-	const samples = devices * 4
+	const samples = devices * 8
 	if got, want := meter.TaskLabel(energy.TaskSampling, poolModality), samples*cost.Sampling[poolModality]; got != want {
 		t.Errorf("fleet sampling charge = %v µAh, want %v", got, want)
 	}
@@ -162,7 +160,8 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 
 // TestPooledBacklogBounded: a fleet that can never connect (its link is
 // never delay-free, so no slot dials) must keep sampling with a capped
-// backlog instead of growing memory.
+// backlog instead of growing memory. 80 minutes fill the 64-deep backlog
+// and overflow it by 16 samples a device.
 func TestPooledBacklogBounded(t *testing.T) {
 	clock := vclock.NewManual(poolEpoch)
 	s, err := New(Options{
@@ -171,7 +170,6 @@ func TestPooledBacklogBounded(t *testing.T) {
 		// A link slower than the whole run: the broker path is never
 		// delay-free, so no slot dials and no backlog can ever flush.
 		MobileLink: &netsim.Link{Latency: 1000 * time.Hour},
-		Pool:       PoolOptions{Connections: 1, FrameSize: 16, SampleInterval: time.Minute, UploadBatch: 4, MaxBacklog: 5},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -186,17 +184,17 @@ func TestPooledBacklogBounded(t *testing.T) {
 	if got := s.Shards[0].Metrics.Sum("sensocial_mqtt_connections"); got != 0 {
 		t.Fatalf("broker holds %d connections on a link that is never delay-free, want 0", got)
 	}
-	clock.Advance(20 * time.Minute)
+	clock.Advance(80 * time.Minute)
 	fleet := s.Shards[0].Metrics
-	if got := fleet.Sum("sensocial_sim_samples_total"); got != 16*20 {
-		t.Fatalf("samples = %d, want %d", got, 16*20)
+	if got := fleet.Sum("sensocial_sim_samples_total"); got != 16*80 {
+		t.Fatalf("samples = %d, want %d", got, 16*80)
 	}
-	// 5 buffered per device, the rest dropped — never published.
-	if got := fleet.Sum("sensocial_sim_items_dropped_total"); got != 16*15 {
-		t.Fatalf("dropped = %d, want %d", got, 16*15)
+	// 64 buffered per device, the rest dropped — never published.
+	if got := fleet.Sum("sensocial_sim_items_dropped_total"); got != 16*16 {
+		t.Fatalf("dropped = %d, want %d", got, 16*16)
 	}
-	if got := fleet.Sum("sensocial_sim_backlog"); got != 16*5 {
-		t.Fatalf("backlog = %d, want %d", got, 16*5)
+	if got := fleet.Sum("sensocial_sim_backlog"); got != 16*64 {
+		t.Fatalf("backlog = %d, want %d", got, 16*64)
 	}
 }
 
@@ -211,8 +209,12 @@ func poolSessions(s *Simulation) int {
 	return sum
 }
 
-// newPoolRing is a deployment of 96 pooled devices in frames of 16, two
-// slots per shard, whose bridge sessions are all up.
+// poolRingDevices fill eight frames, so on a ring of one every one of the
+// eight slots carries a frame.
+const poolRingDevices = 8 * 64
+
+// newPoolRing is a deployment of poolRingDevices pooled devices whose
+// bridge sessions are all up.
 func newPoolRing(t *testing.T, clock *vclock.Manual, shards int) *Simulation {
 	t.Helper()
 	s, err := New(Options{
@@ -220,13 +222,12 @@ func newPoolRing(t *testing.T, clock *vclock.Manual, shards int) *Simulation {
 		Seed:       7,
 		Shards:     shards,
 		MobileLink: &netsim.Link{},
-		Pool:       PoolOptions{Connections: 2 * shards, FrameSize: 16, SampleInterval: time.Minute, UploadBatch: 2},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(s.Close)
-	if err := s.AddDevices(96); err != nil {
+	if err := s.AddDevices(poolRingDevices); err != nil {
 		t.Fatalf("AddDevices: %v", err)
 	}
 	// Bridges dial their peers on their own goroutines; the pool's count is
@@ -286,7 +287,10 @@ func TestPoolConnectsAfterHeal(t *testing.T) {
 	if got := poolSessions(s); got != 0 {
 		t.Fatalf("brokers hold %d pool sessions across the partition, want 0", got)
 	}
-	clock.Advance(10 * time.Minute)
+	// Five minutes: the flush at the fourth finds no path and re-buffers,
+	// and the backlog stays far below what the ingest queues can take at
+	// once after the heal.
+	clock.Advance(5 * time.Minute)
 	samples, published, _, dropped, backlog := poolLedger(s)
 	if samples == 0 || published != 0 || dropped != 0 || backlog != samples {
 		t.Fatalf("partitioned: samples %d, published %d, dropped %d, backlog %d; want every sample buffered",
@@ -312,8 +316,8 @@ func TestPoolConnectsAfterHeal(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(last) != 96 || violations != 0 {
-		t.Fatalf("items from %d devices, %d out-of-order timestamps; want 96 and 0", len(last), violations)
+	if len(last) != poolRingDevices || violations != 0 {
+		t.Fatalf("items from %d devices, %d out-of-order timestamps; want %d and 0", len(last), violations, poolRingDevices)
 	}
 }
 
@@ -321,7 +325,7 @@ func TestPoolConnectsAfterHeal(t *testing.T) {
 // starting twice, empty start, and double close.
 func TestPooledLifecycleErrors(t *testing.T) {
 	clock := vclock.NewManual(poolEpoch)
-	s := newPooledSim(t, clock, PoolOptions{Connections: 1}, 0)
+	s := newPooledSim(t, clock)
 	defer s.Close()
 
 	if err := s.StartPool(); err == nil {
@@ -350,7 +354,7 @@ func TestPooledLifecycleErrors(t *testing.T) {
 // fallback. Frames are scheduled events, so a clock that cannot schedule
 // them (a scaled clock) is refused and no frame is built.
 func TestPooledFallbackGoroutineFrames(t *testing.T) {
-	scaled := newPooledSim(t, vclock.NewScaled(poolEpoch, 1200), PoolOptions{Connections: 1}, 0)
+	scaled := newPooledSim(t, vclock.NewScaled(poolEpoch, 1200))
 	defer scaled.Close()
 	if err := scaled.AddDevices(3); err != nil {
 		t.Fatalf("AddDevices: %v", err)
@@ -376,9 +380,9 @@ func TestPoolNames(t *testing.T) {
 		}
 	}
 
-	one := newPooledSim(t, vclock.NewManual(poolEpoch), PoolOptions{}, 0)
+	one := newPooledSim(t, vclock.NewManual(poolEpoch))
 	defer one.Close()
-	two := newPooledSim(t, vclock.NewManual(poolEpoch), PoolOptions{}, 0)
+	two := newPooledSim(t, vclock.NewManual(poolEpoch))
 	defer two.Close()
 	if err := one.AddDevices(1500); err != nil {
 		t.Fatal(err)
@@ -465,59 +469,10 @@ func TestAddDevicesAllocs(t *testing.T) {
 	}
 }
 
-// TestPooledDutyCycle runs unconnected pools (the link is never delay-free,
-// so no slot dials and nothing flushes) at duty cycles 0.5 and 0.3. The expected samples and
-// per-device backlogs were recorded from the device-per-cadence pool: frame
-// 0 fires at the end of the run and has one tick more than the later frames.
-func TestPooledDutyCycle(t *testing.T) {
-	for _, tc := range []struct {
-		duty    float64
-		minutes int
-		samples uint64
-		backlog [2]uint16 // frame 0 (devices 0-7), frames 1-2 (devices 8-19)
-	}{
-		{duty: 0.5, minutes: 38, samples: 368, backlog: [2]uint16{19, 18}},
-		{duty: 0.3, minutes: 37, samples: 208, backlog: [2]uint16{11, 10}},
-	} {
-		clock := vclock.NewManual(poolEpoch)
-		s, err := New(Options{
-			Clock:      clock,
-			Seed:       7,
-			MobileLink: &netsim.Link{Latency: 1000 * time.Hour},
-			Pool: PoolOptions{Connections: 1, FrameSize: 8, SampleInterval: time.Minute,
-				UploadBatch: 64, MaxBacklog: 64, DutyCycle: tc.duty},
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if err := s.AddDevices(20); err != nil {
-			t.Fatalf("AddDevices: %v", err)
-		}
-		if err := s.StartPool(); err != nil {
-			t.Fatalf("StartPool: %v", err)
-		}
-		clock.Advance(time.Duration(tc.minutes) * time.Minute)
-		samples, _, _, dropped, backlog := poolLedger(s)
-		if samples != tc.samples || backlog != tc.samples || dropped != 0 {
-			t.Errorf("duty %v: samples %d, backlog %d, dropped %d; want %d, %d, 0",
-				tc.duty, samples, backlog, dropped, tc.samples, tc.samples)
-		}
-		s.Pool.mu.Lock()
-		for i, got := range s.Pool.backlog {
-			want := tc.backlog[min(i/8, 1)]
-			if got != want {
-				t.Errorf("duty %v: device %d backlog %d, want %d", tc.duty, i, got, want)
-			}
-		}
-		s.Pool.mu.Unlock()
-		s.Close()
-	}
-}
-
 // TestPoolRetainedBytesPerDevice pins what a pooled device costs at rest,
 // at sim_fleet's 20 000 devices: its 16-byte id, once, in its AddDevices
 // call's string, a 4-byte end offset, a phase byte, a 4-byte ring shard and
-// a 2-byte backlog, so at most 28 B. A string header per id and per user
+// a backlog byte, so at most 27 B. A string header per id and per user
 // beside the names read 58 B.
 func TestPoolRetainedBytesPerDevice(t *testing.T) {
 	const devices = 20_000
@@ -536,8 +491,8 @@ func TestPoolRetainedBytesPerDevice(t *testing.T) {
 	per := (float64(heap()) - float64(before)) / devices
 	runtime.KeepAlive(p)
 	t.Logf("%.1f B/device", per)
-	if per > 28 {
-		t.Fatalf("pool retains %.1f B per device, want <= 28", per)
+	if per > 27 {
+		t.Fatalf("pool retains %.1f B per device, want <= 27", per)
 	}
 }
 
@@ -557,7 +512,7 @@ func BenchmarkPoolAddDevices(b *testing.B) {
 }
 
 // BenchmarkPoolStart times StartPool on the sim_fleet shape: 20 000 devices
-// over three shards at the default Connections, so six slots, on a
+// over three shards, so six of the eight connections, on a
 // delay-free link. StartPool returns with every slot connected; building
 // the deployment and adding the devices is not timed. Each iteration builds
 // a deployment, so run it with a fixed -benchtime count (100x).

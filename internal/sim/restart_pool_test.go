@@ -19,16 +19,10 @@ import (
 func TestRestartBrokerDuringPooledQoS1Uploads(t *testing.T) {
 	clock := vclock.NewManual(time.Date(2014, 12, 8, 9, 0, 0, 0, time.UTC))
 	s, err := New(Options{
-		Clock:      clock,
-		Seed:       3,
-		MobileLink: &netsim.Link{},
-		Pool: PoolOptions{
-			Connections:    4,
-			SampleInterval: time.Minute,
-			UploadBatch:    2,
-			MaxBacklog:     128,
-			UploadQoS:      1,
-		},
+		Clock:        clock,
+		Seed:         3,
+		MobileLink:   &netsim.Link{},
+		UploadQoS:    1,
 		IngestShards: 2,
 	})
 	if err != nil {

@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -104,8 +103,14 @@ type Options struct {
 	// directory recovers the registry. See docs/DURABILITY.md. One-shard
 	// deployments only: the directory holds one shard's journals.
 	DurableDir string
-	// Pool tunes the pooled device scheduler behind AddDevices.
-	Pool PoolOptions
+	// UploadQoS is the MQTT QoS the pooled fleet behind AddDevices
+	// publishes at (0 or 1). At QoS 1 a flush blocks on each PUBACK, so the
+	// broker's receipt of every counted item is confirmed; publishes whose
+	// acknowledgement is lost to a mid-flight fault are charged to
+	// sensocial_sim_items_ack_lost_total and never resent (at-most-once —
+	// resending could double-deliver, because the broker acks before
+	// routing).
+	UploadQoS byte
 }
 
 // Simulation is a running deployment.
@@ -127,7 +132,7 @@ type Simulation struct {
 
 	classifiers *classify.Registry
 	seed        int64
-	poolOpts    PoolOptions
+	uploadQoS   byte
 
 	// fleetMetrics carries the series of what the deployment owns (fabric,
 	// pool, devices' energy). Those components have no process of their own
@@ -163,8 +168,8 @@ func New(opts Options) (*Simulation, error) {
 		return nil, fmt.Errorf("sim: DurableDir is one-shard only: %d shards would interleave their journals in %s",
 			opts.Shards, opts.DurableDir)
 	}
-	if opts.Pool.MaxBacklog > math.MaxUint16 {
-		return nil, fmt.Errorf("sim: Pool.MaxBacklog %d exceeds the backlog counter's %d", opts.Pool.MaxBacklog, math.MaxUint16)
+	if opts.UploadQoS > 1 {
+		return nil, fmt.Errorf("sim: UploadQoS %d, want 0 or 1", opts.UploadQoS)
 	}
 	if opts.Places == nil {
 		opts.Places = geo.EuropeanCities()
@@ -193,14 +198,14 @@ func New(opts Options) (*Simulation, error) {
 	fabric.SetDefaultLink(link)
 
 	s := &Simulation{
-		Clock:    opts.Clock,
-		Fabric:   fabric,
-		Ring:     ring,
-		Places:   opts.Places,
-		Graph:    osn.NewGraph(),
-		seed:     opts.Seed,
-		poolOpts: opts.Pool,
-		handles:  make(map[string]*Handle),
+		Clock:     opts.Clock,
+		Fabric:    fabric,
+		Ring:      ring,
+		Places:    opts.Places,
+		Graph:     osn.NewGraph(),
+		seed:      opts.Seed,
+		uploadQoS: opts.UploadQoS,
+		handles:   make(map[string]*Handle),
 	}
 	fail := func(err error) (*Simulation, error) {
 		s.Close()
@@ -300,7 +305,7 @@ func (s *Simulation) AddDevices(n int) error {
 	}
 	s.mu.Lock()
 	if s.Pool == nil {
-		s.Pool = newDevicePool(s, s.poolOpts)
+		s.Pool = newDevicePool(s, s.uploadQoS)
 	}
 	pool := s.Pool
 	s.mu.Unlock()
