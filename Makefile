@@ -64,7 +64,7 @@ bench:
 # time are measured end to end by `go run ./bench` (sim.*, cluster.* in
 # bench/BASELINE.md).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreInsertAction|BenchmarkDocstoreScan|BenchmarkNetsimThroughput' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkIngest|BenchmarkBrokerFanout|BenchmarkDocstoreIndexedQuery|BenchmarkDocstoreInsertItem|BenchmarkDocstoreGetItem|BenchmarkDocstoreInsertAction|BenchmarkDocstoreScan|BenchmarkNetsimThroughput' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkIngestConditioned' -benchtime 1x ./internal/core/server
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineEnqueueProcess' -benchtime 1x ./internal/core/server/ingest
 	$(GO) test -run '^TestPoolRetainedBytesPerDevice$$' -bench '^BenchmarkPool(AddDevices|Start)$$' -benchtime 1x ./internal/sim
@@ -96,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricLifecycle$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 10s ./internal/docstore
+	$(GO) test -run '^$$' -fuzz '^FuzzStringRoundTrip$$' -fuzztime 10s ./internal/docstore
 
 # Deterministic chaos runs under fault schedules (DESIGN.md §8, §15): the
 # smoke schedule exercises every fault verb over a 128-device fleet, the

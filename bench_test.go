@@ -8,6 +8,7 @@ package repro
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -347,15 +348,57 @@ func BenchmarkDocstoreScan(b *testing.B) {
 	}
 }
 
-// BenchmarkDocstoreInsertItem builds and inserts the document
-// server.DeliveryHub persists per item, in bench/'s uplink_capacity mix
-// (60 % classified, 30 % a raw ~1 KB accelerometer window, 10 % a raw
-// location fix), and reports what the store keeps per document once the
-// garbage is gone. Every document gets strings of its own, as items off the
-// wire have: a store that keeps the caller's strings pays for them here too.
+// benchAccelWindows returns n raw accelerometer windows in the uploader's
+// transport form, as bench/'s uplink_capacity workload generates them: 50
+// samples per axis in milli-m/s² drawn from ±10 000 by a seeded generator,
+// so no two windows are alike.
+func benchAccelWindows(n int) []string {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]string, n)
+	for k := range out {
+		var b strings.Builder
+		b.WriteString(`{"rate_hz":50`)
+		for _, axis := range []string{"x", "y", "z"} {
+			b.WriteString(`,"` + axis + `":[`)
+			for i := 0; i < 50; i++ {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(strconv.Itoa(rng.Intn(20000) - 10000))
+			}
+			b.WriteByte(']')
+		}
+		b.WriteByte('}')
+		out[k] = b.String()
+	}
+	return out
+}
+
+// benchItemDoc is the document server.DeliveryHub persists for item i, in
+// bench/'s uplink_capacity mix (60 % classified, 30 % a raw ~840 B
+// accelerometer window from accel, 10 % a raw location fix). Every document
+// gets strings of its own, as items off the wire have: a store that keeps
+// the caller's strings pays for them too.
+func benchItemDoc(i int, accel []string) docstore.Doc {
+	user := strconv.Itoa(100000 + i%1000)[1:]
+	d := docstore.Doc{
+		"stream": "activity-" + user, "device": "d" + user, "user": "u" + user,
+		"modality": "accelerometer", "granularity": "classified",
+		"time": int64(1_700_000_000_000 + i), "classified": "walking",
+	}
+	switch {
+	case i%10 >= 7:
+		d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(accel[i%len(accel)])
+	case i%10 == 6:
+		d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(`{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`)
+	}
+	return d
+}
+
+// BenchmarkDocstoreInsertItem builds and inserts benchItemDoc documents and
+// reports what the store keeps per document once the garbage is gone.
 func BenchmarkDocstoreInsertItem(b *testing.B) {
-	accel := `{"rate_hz":50,"x":[` + strings.Repeat("-1234,", 170) + `0]}`
-	fix := `{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`
+	accel := benchAccelWindows(64)
 	heap := func() uint64 {
 		runtime.GC()
 		runtime.GC()
@@ -368,25 +411,37 @@ func BenchmarkDocstoreInsertItem(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		user := strconv.Itoa(100000 + i%1000)[1:]
-		d := docstore.Doc{
-			"stream": "activity-" + user, "device": "d" + user, "user": "u" + user,
-			"modality": "accelerometer", "granularity": "classified",
-			"time": int64(1_700_000_000_000 + i), "classified": "walking",
-		}
-		switch {
-		case i%10 >= 7:
-			d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(accel)
-		case i%10 == 6:
-			d["granularity"], d["classified"], d["raw"] = "raw", "", strings.Clone(fix)
-		}
-		if _, err := c.Insert(d); err != nil {
+		if _, err := c.Insert(benchItemDoc(i, accel)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric((float64(heap())-float64(before))/float64(b.N), "B/doc")
 	runtime.KeepAlive(c)
+}
+
+// BenchmarkDocstoreGetItem reads back by id, as a fresh Doc, a stored item
+// carrying a raw accelerometer window: the read side of what
+// BenchmarkDocstoreInsertItem stores, and what a snapshot pays per item.
+func BenchmarkDocstoreGetItem(b *testing.B) {
+	accel := benchAccelWindows(64)
+	c := docstore.NewStore().Collection("items")
+	ids := make([]string, len(accel))
+	for k := range ids {
+		id, err := c.Insert(benchItemDoc(10*k+7, accel))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[k] = id
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := c.Get(ids[i%len(ids)])
+		if err != nil || len(d["raw"].(string)) < 800 {
+			b.Fatalf("Get = %v, %v", d, err)
+		}
+	}
 }
 
 // BenchmarkDocstoreInsertAction is BenchmarkDocstoreInsertItem for the item

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"math/bits"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -48,7 +50,7 @@ import (
 //	uint, uint32, uint64              uvarint
 //	float32, float64                  IEEE 754 bits, little endian
 //	string of 1 to symMax bytes       uvarint(dictionary offset) (kindSym)
-//	longer string, mostly numeric     uvarint(len) codes (kindPacked)
+//	longer, with integer arrays       see Integer arrays (kindArrays)
 //	any other string                  uvarint(len) bytes
 //	[]any                             uvarint(len) value...
 //	map[string]any                    doc
@@ -71,7 +73,7 @@ const (
 	kindArray
 	kindDoc
 	kindSym
-	kindPacked
+	kindArrays
 )
 
 // maxDepth bounds container nesting at what encoding/json accepts: a deeper
@@ -248,6 +250,8 @@ type recBuf struct {
 	b     []byte
 	shape []byte
 	doc   []byte
+	vals  []int64     // appendArrays' scratch: the values of spans
+	spans []arraySpan // and the arrays that hold them
 }
 
 // stackFields is how many fields appendDoc keeps track of in arrays on its
@@ -478,8 +482,8 @@ func (e *encoder) appendPayload(buf []byte, v any, depth int) ([]byte, byte, *va
 			}
 		}
 		if len(x) > symMax {
-			if packed, ok := appendPacked(buf, x); ok {
-				return packed, kindPacked, nil
+			if packed, ok := e.appendArrays(buf, x); ok {
+				return packed, kindArrays, nil
 			}
 		}
 		return append(binary.AppendUvarint(buf, uint64(len(x))), x...), kindString, nil
@@ -509,75 +513,131 @@ func (e *encoder) appendPayload(buf []byte, v any, depth int) ([]byte, byte, *va
 	}
 }
 
-// Packed strings
+// Integer arrays
 //
-// A string too long for the dictionary that is mostly numeric text, as a
-// raw sensor window's JSON integer arrays are, is stored at four bits a
-// byte (kindPacked):
+// A raw sensor window arrives as JSON integer arrays (sensors.AccelReading,
+// in milli-m/s²), and its digits are most of what a stored item weighs. A
+// string longer than symMax that holds an array of at least arrayMin
+// integers, each canonical (0 or -?[1-9][0-9]*, within int64) so that the
+// text comes back byte for byte, is stored with every such array bit packed
+// against its minimum (frame of reference, kindArrays):
 //
-//	packed := uvarint(len) codes
+//	arrays := uvarint(len) uvarint(count) { uvarint(gap) gap-bytes array } uvarint(tail) tail-bytes
+//	array  := uvarint(n) varint(min) width bits
 //
-// Codes 0 to 14 stand for the bytes of packAlphabet; code 15 escapes any
-// other byte, whose high and low nibbles follow it as two more codes.
-// Codes fill each byte high nibble first, and an odd count ends with a
-// zero nibble. A string is packed only when its codes take at most three
-// quarters of its length; otherwise it stays kindString, so text that is
-// mostly letters (a location fix) is never stored larger than inline.
+// gap is the text between one array and the next one's '[', tail the text
+// after the last ']'; brackets and commas are implied. bits holds each value
+// less min in width = bits.Len64(max−min) bits, least significant first,
+// and pads the last byte with zeros. A string is stored this way only when
+// that is smaller than inline, and only up to arraysMax bytes, which bounds
+// what a corrupt record can make the decoder write.
 const (
-	packAlphabet = `0123456789,-.":`
-	packEscape   = 15
+	arrayMin  = 8
+	arraysMax = 16 << 20 // MongoDB's document size limit
 )
 
-// packCode maps a byte to its code: its index in packAlphabet, or
-// packEscape.
-var packCode = func() (t [256]byte) {
-	for i := range t {
-		t[i] = packEscape
-	}
-	for k := 0; k < len(packAlphabet); k++ {
-		t[packAlphabet[k]] = byte(k)
-	}
-	return t
-}()
+// arraySpan is an array appendArrays packs: s[at:end], brackets included,
+// holding n values.
+type arraySpan struct{ at, end, n int }
 
-// maxEscapes is how many escaped bytes a string of n > symMax bytes may
-// hold and still pack: (n + 2·escapes + 1) / 2 bytes of codes at most n·3/4.
-func maxEscapes(n int) int { return (n*3/4*2 - n) / 2 }
-
-// appendPacked appends s as a kindPacked payload, or returns buf as it was
-// and false once s holds more escaped bytes than maxEscapes allows. Codes
-// collect in acc and go out four bytes at a time.
+// appendArrays appends s as a kindArrays payload, or returns buf as it was
+// and false. Each value is parsed once, into the recBuf's scratch.
 //
 //sensolint:hotpath
-func appendPacked(buf []byte, s string) ([]byte, bool) {
+func (e *encoder) appendArrays(buf []byte, s string) ([]byte, bool) {
+	if len(s) > arraysMax {
+		return buf, false
+	}
+	vals, spans := e.s.vals[:0], e.s.spans[:0]
+	for i := 0; ; {
+		k := strings.IndexByte(s[i:], '[')
+		if k < 0 {
+			break
+		}
+		i += k + 1
+		end, more := scanArray(s, i, vals)
+		if n := len(more) - len(vals); end > 0 && n >= arrayMin {
+			spans = append(spans, arraySpan{i - 1, end, n})
+			vals, i = more, end
+		}
+	}
+	e.s.vals, e.s.spans = vals, spans
+	if len(spans) == 0 {
+		return buf, false
+	}
 	mark := len(buf)
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	escapes, budget := 0, maxEscapes(len(s))
-	var acc uint64 // the low n bits are codes not yet written
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if k := packCode[c]; k != packEscape {
-			acc, n = acc<<4|uint64(k), n+4
-		} else {
-			if escapes == budget {
-				return buf[:mark], false
+	inline := len(buf) - mark + len(s)
+	buf = binary.AppendUvarint(buf, uint64(len(spans)))
+	prev := 0
+	for _, a := range spans {
+		buf = append(binary.AppendUvarint(buf, uint64(a.at-prev)), s[prev:a.at]...)
+		vs := vals[:a.n]
+		vals, prev = vals[a.n:], a.end
+		lo, hi := vs[0], vs[0]
+		for _, v := range vs {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		width := bits.Len64(uint64(hi) - uint64(lo))
+		buf = append(binary.AppendVarint(binary.AppendUvarint(buf, uint64(a.n)), lo), byte(width))
+		var acc uint64 // the low n bits are not written yet
+		n := 0
+		for _, v := range vs {
+			d := uint64(v) - uint64(lo)
+			acc |= d << n
+			if n += width; n >= 64 {
+				buf = binary.LittleEndian.AppendUint64(buf, acc)
+				n -= 64
+				acc = d >> (width - n)
 			}
-			escapes++
-			acc, n = acc<<12|packEscape<<8|uint64(c), n+12
 		}
-		if n >= 32 {
-			n -= 32
-			buf = binary.BigEndian.AppendUint32(buf, uint32(acc>>n))
+		for ; n > 0; n -= 8 {
+			buf = append(buf, byte(acc))
+			acc >>= 8
 		}
 	}
-	for ; n >= 8; n -= 8 {
-		buf = append(buf, byte(acc>>(n-8)))
-	}
-	if n == 4 {
-		buf = append(buf, byte(acc<<4)) // a zero nibble pads the last byte
+	buf = append(binary.AppendUvarint(buf, uint64(len(s)-prev)), s[prev:]...)
+	if len(buf)-mark >= inline {
+		return buf[:mark], false
 	}
 	return buf, true
+}
+
+// scanArray appends to vals the canonical integers of the array whose '['
+// is s[i-1]. end is the index past its ']', or 0 if the array does not end
+// there or holds anything else.
+//
+//sensolint:hotpath
+func scanArray(s string, i int, vals []int64) (end int, _ []int64) {
+	for i < len(s) {
+		neg := s[i] == '-'
+		if neg {
+			i++
+		}
+		at := i
+		var u uint64
+		for ; i < len(s) && s[i]-'0' <= 9; i++ {
+			u = u*10 + uint64(s[i]-'0') // wraps past 19 digits, which fail below
+		}
+		switch {
+		case i == at, i-at > 19, s[at] == '0' && (i > at+1 || neg), i == len(s),
+			neg && u > 1<<63, !neg && u > math.MaxInt64:
+			return 0, vals
+		}
+		if neg {
+			u = -u
+		}
+		vals = append(vals, int64(u))
+		switch s[i] {
+		case ']':
+			return i + 1, vals
+		case ',':
+			i++
+		default:
+			return 0, vals
+		}
+	}
+	return 0, vals
 }
 
 // decode rebuilds the document filed under id as a fresh Doc sharing
@@ -686,7 +746,7 @@ func (r *recordReader) doc(extra, depth int) Doc {
 func (r *recordReader) fields(shape []byte) (n int, ok bool) {
 	for prev := -1; len(shape) > 0; n++ {
 		ref, k := binary.Uvarint(shape)
-		if k <= 0 || k >= len(shape) || ref >= uint64(len(r.names)) || int(ref) <= prev || shape[k] > kindPacked {
+		if k <= 0 || k >= len(shape) || ref >= uint64(len(r.names)) || int(ref) <= prev || shape[k] > kindArrays {
 			return 0, false
 		}
 		prev, shape = int(ref), shape[k+1:]
@@ -708,73 +768,63 @@ func (r *recordReader) entry(off uint64) []byte {
 	return nil
 }
 
-// packPairs maps a byte of two codes, neither of them packEscape, to the
-// two bytes they stand for.
-var packPairs = func() (t [256][2]byte) {
-	for hi := 0; hi < packEscape; hi++ {
-		for lo := 0; lo < packEscape; lo++ {
-			t[hi<<4|lo] = [2]byte{packAlphabet[hi], packAlphabet[lo]}
-		}
-	}
-	return t
-}()
-
-// nibble returns the i-th code of codes, high nibbles first.
-func nibble(codes []byte, i int) byte { return codes[i>>1] >> (4 - 4*(i&1)) & 0x0f }
-
-// packed reads a kindPacked payload into one fresh string. It fails if the
-// codes run past the record, an escape is cut off, or the codes hold more
-// than the declared length (a last nibble that is not zero padding).
-func (r *recordReader) packed() string {
-	n := r.uvarint()
-	codes := r.b
-	if n > 2*uint64(len(codes)) { // a byte takes at least one code
+// arrays reads a kindArrays payload into one fresh string. It fails on a
+// width over 64, a count or bits past the record, pad bits that are not
+// zero, a gap or tail past the record, or text that does not come to the
+// declared length.
+func (r *recordReader) arrays() string {
+	n, m := r.uvarint(), r.uvarint()
+	if n > arraysMax {
 		r.fail()
 		return ""
 	}
 	var sb strings.Builder
-	sb.Grow(int(n))
-	var chunk [256]byte
-	k, i, end := 0, 0, 2*len(codes) // i and end count codes
-	for n > 0 {
-		if k >= len(chunk)-1 {
-			sb.Write(chunk[:k])
-			k = 0
-		}
-		// Two codes at once while they fill a whole byte and neither escapes.
-		if i&1 == 0 && n >= 2 && i < end {
-			if b := codes[i>>1]; b < packEscape<<4 && b&0x0f != packEscape {
-				p := packPairs[b]
-				chunk[k], chunk[k+1] = p[0], p[1]
-				k, i, n = k+2, i+2, n-2
-				continue
-			}
-		}
-		if i == end {
+	// A window's text is about 2.5 times its record; a more compressible
+	// string, or a length that lies, grows the builder as it goes.
+	sb.Grow(int(min(n, 4*uint64(len(r.b)))))
+	var out [256]byte
+	for ; m > 0 && !r.bad; m-- {
+		sb.Write(r.take(r.uvarint()))
+		count, lo, width := r.uvarint(), r.varint(), r.take(1)
+		if at := uint64(sb.Len()); width == nil || width[0] > 64 || at > n || count > (n-at)/2 {
 			r.fail()
 			return ""
 		}
-		c := nibble(codes, i)
-		i++
-		if c == packEscape {
-			if end-i < 2 {
-				r.fail()
-				return ""
+		w := int(width[0])
+		packed := r.take((count*uint64(w) + 7) / 8)
+		text := append(out[:0], '[')
+		var acc uint64 // the low have bits are not read yet
+		have := 0
+		for i := uint64(0); i < count && !r.bad; i++ {
+			var d uint64
+			for got := 0; got < w; got += 32 { // at most 32 bits at a time, so acc never overflows
+				k := min(w-got, 32)
+				for ; have < k; have += 8 {
+					acc |= uint64(packed[0]) << have
+					packed = packed[1:]
+				}
+				d |= acc & (1<<k - 1) << got
+				acc, have = acc>>k, have-k
 			}
-			c = nibble(codes, i)<<4 | nibble(codes, i+1)
-			i += 2
-		} else {
-			c = packAlphabet[c]
+			if len(text) > len(out)-22 { // room for a comma, a 20-byte integer and the closing bracket
+				sb.Write(text)
+				text = out[:0]
+			}
+			if i > 0 {
+				text = append(text, ',')
+			}
+			text = strconv.AppendInt(text, int64(uint64(lo)+d), 10)
 		}
-		chunk[k] = c
-		k, n = k+1, n-1
+		if acc != 0 {
+			r.fail()
+		}
+		sb.Write(append(text, ']'))
 	}
-	if i&1 == 1 && nibble(codes, i) != 0 {
+	sb.Write(r.take(r.uvarint()))
+	if r.bad || uint64(sb.Len()) != n {
 		r.fail()
 		return ""
 	}
-	sb.Write(chunk[:k])
-	r.b = codes[(i+1)/2:]
 	return sb.String()
 }
 
@@ -820,8 +870,8 @@ func (r *recordReader) payload(kind byte, depth int) any {
 		return string(r.take(r.uvarint()))
 	case kindSym:
 		return string(r.entry(r.uvarint()))
-	case kindPacked:
-		return r.packed()
+	case kindArrays:
+		return r.arrays()
 	case kindArray:
 		n := r.uvarint()
 		if n > uint64(len(r.b)) || depth > maxDepth { // an element is at least a kind

@@ -17,8 +17,9 @@ import (
 // docGen turns fuzz bytes into nested documents of every storable kind. Its
 // strings run from 0 to 64 bytes, either side of symMax, and it reuses the
 // ones it has made, so documents share dictionary values. Its numeric text
-// runs from 33 to 2 000 bytes, some pure and some mixed with other bytes,
-// so it is packed or written inline depending on the mix.
+// runs from 33 to 2 000 bytes of integer arrays, some canonical and some
+// mixed with other bytes, so it is stored as arrays or inline depending on
+// the mix.
 type docGen struct {
 	b    []byte
 	strs []string
@@ -54,20 +55,34 @@ func (g *docGen) str() string {
 	return sb.String()
 }
 
-// numeric returns 33 to 2 000 bytes drawn from packAlphabet, each replaced
-// by an arbitrary byte with odds set by the fuzz input (none at all for a
-// zero). A few input bytes seed the text, so long strings cost little input.
+// numeric returns 33 to 2 000 bytes of arrays of up to 15 integers, whose
+// magnitude in bits is set by the fuzz input, with each byte replaced by an
+// arbitrary one at odds set by the input (none at all for a zero). A few
+// input bytes seed the text, so long strings cost little input.
 func (g *docGen) numeric() string {
 	n := 33 + int(uint16(g.next())<<8|uint16(g.next()))%1968
 	mixed := int(g.next())
+	span := g.next() % 64
 	h := g.u64()
-	b := make([]byte, n)
-	for i := range b {
+	rnd := func() uint64 {
 		h = h*6364136223846793005 + 1442695040888963407
-		x := h >> 33
-		b[i] = packAlphabet[x%uint64(len(packAlphabet))]
-		if int(x>>8&0xff) < mixed {
-			b[i] = byte(x >> 16)
+		return h
+	}
+	b := []byte(`{"x":`)
+	for len(b) < n {
+		b = append(b, '[')
+		for i, k := 0, int(rnd()>>60); i < k; i++ {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(rnd())>>(63-span), 10)
+		}
+		b = append(b, "],"...)
+	}
+	b = b[:n]
+	for i := range b {
+		if x := rnd() >> 32; int(x&0xff) < mixed {
+			b[i] = byte(x >> 8)
 		}
 	}
 	return string(b)
@@ -151,8 +166,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{3, 1, 10, 1, 40, 2, 1, 11, 0, 3, 1, 10, 0, 0})
 	f.Add([]byte{1, 0, 13, 7, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8}) // pure numeric text
 	f.Add([]byte{2, 1, 13, 1, 200, 60, 9, 9, 9, 9, 9, 9, 9, 9, 0, 13, 0, 40, 255, 1, 2})
-	for _, rec := range packedCorrupt {
-		f.Add(rec)
+	for _, c := range arraysCorrupt {
+		f.Add(c.rec)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		keys := tableWithNames(16) // the names the generator uses, so raw refs 0..15 resolve
@@ -264,7 +279,7 @@ func TestShapeRefPastDictionaryIsCorrupt(t *testing.T) {
 		{0, 2, 2, kindNil},             // key ref 2 of 2 names
 		{0, 4, 1, kindNil, 0, kindNil}, // refs descending
 		{0, 4, 0, kindNil, 0, kindNil}, // a ref twice
-		{0, 2, 0, kindPacked + 1},      // no such kind
+		{0, 2, 0, kindArrays + 1},      // no such kind
 		{0, 4, 0, kindNil},             // a shape longer than the record
 		{0, 3, 0, kindNil, 1},          // a pair cut off
 	} {
@@ -316,8 +331,8 @@ func TestEncodeRejectsUnsupportedValues(t *testing.T) {
 }
 
 // itemDoc is the document server.DeliveryHub persists per item, in the
-// uplink_capacity mix: 60 % classified, 30 % a raw ~1 KB accelerometer
-// window, 10 % a raw location fix.
+// uplink_capacity mix: 60 % classified, 30 % a raw accelerometer window
+// (accelPayload, seeded by i), 10 % a raw location fix.
 func itemDoc(i int) Doc {
 	d := Doc{
 		"stream": fmt.Sprintf("activity-%05d", i%1000), "device": fmt.Sprintf("d%05d", i%1000),
@@ -327,7 +342,7 @@ func itemDoc(i int) Doc {
 	switch {
 	case i%10 >= 7:
 		d["granularity"], d["classified"] = "raw", ""
-		d["raw"] = `{"rate_hz":50,"x":[` + strings.Repeat("-1234,", 170) + `0]}`
+		d["raw"] = accelPayload(rand.New(rand.NewSource(int64(i))))
 	case i%10 == 6:
 		d["granularity"], d["classified"] = "raw", ""
 		d["raw"] = `{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`
@@ -370,14 +385,15 @@ func retainedPerDoc(t *testing.T, n int, doc func(int) Doc) float64 {
 
 // TestInsertRetainedBytesPerDoc pins what a stored document costs: its
 // entry in a slab (record and id), its slot, its share of the id table and
-// of the value dictionary. The bound is the 227 B/doc it reads plus 10 %
-// (280 B/doc before shapes went to the dictionary and generated ids were
-// stored as numbers, 434 B/doc before short strings went there).
+// of the value dictionary. The bound is the 175 B/doc it reads plus 10 %
+// (227 B/doc before integer arrays were bit packed, 280 B/doc before shapes
+// went to the dictionary and generated ids were stored as numbers, 434
+// B/doc before short strings went there).
 func TestInsertRetainedBytesPerDoc(t *testing.T) {
 	perDoc := retainedPerDoc(t, 20000, itemDoc)
 	t.Logf("%.0f B/doc retained", perDoc)
-	if perDoc > 250 {
-		t.Fatalf("inserts retain %.0f B/doc, want <= 250", perDoc)
+	if perDoc > 193 {
+		t.Fatalf("inserts retain %.0f B/doc, want <= 193", perDoc)
 	}
 }
 
@@ -423,7 +439,7 @@ func TestUniqueShortStringsCostBounded(t *testing.T) {
 func TestInsertOfKnownValuesAllocates(t *testing.T) {
 	c := NewStore().Collection("items")
 	// A classified item, and a raw accelerometer window whose payload is
-	// written as kindPacked. The window's record is the larger, so a fresh
+	// written as kindArrays. The window's record is the larger, so a fresh
 	// scratch buffer grows more times to hold it, and the race detector
 	// drops sync.Pool puts by design: there it is left out.
 	docs := []Doc{itemDoc(1), itemDoc(7)}
@@ -484,31 +500,41 @@ func TestSymbolAdmissionRacesReaders(t *testing.T) {
 	<-done
 }
 
-// packedCorrupt are records of one kindPacked field (ref 0) that do not
-// decode: codes that run past the record, an escape cut off at the end,
-// and codes that hold more than the declared length.
-var packedCorrupt = [][]byte{
-	oneField(kindPacked, 40, 0x12, 0x34),               // 40 bytes declared, 4 codes present
-	oneField(kindPacked, 4, 0xf4, 0x1f, 0x42),          // two escapes, then nothing for the other two bytes
-	oneField(kindPacked, 2, 0x1f),                      // '1', then an escape with no byte after it
-	oneField(kindPacked, 3, 0x12, 0x34),                // "123", then a 4 where the padding goes
-	oneField(kindPacked, 0xff, 0xff, 0xff, 0xff, 0x0f), // a length far past the record, no codes
+// arraysCorrupt are records of one kindArrays field (ref 0) that do not
+// decode. Each changes one thing in arraysWellFormed.
+var arraysCorrupt = []struct {
+	name string
+	rec  []byte
+}{
+	{"width over 64", oneField(kindArrays, 15, 1, 0, 7, 10, 65, 0x00, 0)},
+	{"count past the declared length", oneField(kindArrays, 15, 1, 0, 8, 10, 1, 0x00, 0)},
+	{"count far past the record", oneField(kindArrays, 15, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 10, 0, 0)},
+	{"bits past the record", oneField(kindArrays, 15, 1, 0, 7, 10, 1)},
+	{"bits of width 64 past the record", oneField(kindArrays, 15, 1, 0, 7, 10, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0)},
+	{"a pad bit set", oneField(kindArrays, 15, 1, 0, 7, 10, 1, 0x80, 0)},
+	{"gap past the record", oneField(kindArrays, 15, 1, 40, 'a', 'b')},
+	{"tail past the record", oneField(kindArrays, 15, 1, 0, 7, 10, 1, 0x00, 40, 'a')},
+	{"declared length one short", oneField(kindArrays, 14, 1, 0, 7, 10, 1, 0x00, 0)},
+	{"declared length one long", oneField(kindArrays, 16, 1, 0, 7, 10, 1, 0x00, 0)},
+	{"declared length past arraysMax", oneField(kindArrays, 0x81, 0x80, 0x80, 0x08, 1, 0, 0, 0, 0, 0)},
+	{"an array declared and missing", oneField(kindArrays, 15, 2, 0, 7, 10, 1, 0x00, 0)},
 }
 
-func TestPackedValueCorrupt(t *testing.T) {
+// arraysWellFormed holds "[5,5,5,5,5,5,5]": no gap, seven values of width 1
+// above a minimum of 5 (varint 10), a zero pad bit, no tail.
+var arraysWellFormed = oneField(kindArrays, 15, 1, 0, 7, 10, 1, 0x00, 0)
+
+func TestArraysValueCorrupt(t *testing.T) {
 	keys := tableWithNames(1)
-	if got, err := keys.decode("x", oneField(kindPacked, 3, 0x12, 0x30)); err != nil || got["k0"] != "123" {
-		t.Fatalf("decode of a well-formed packed value = %v, %v; want k0 = 123", got, err)
+	if got, err := keys.decode("x", arraysWellFormed); err != nil || got["k0"] != "[5,5,5,5,5,5,5]" {
+		t.Fatalf("decode of a well-formed arrays value = %v, %v", got, err)
 	}
-	if got, err := keys.decode("x", oneField(kindPacked, 2, 0xf4, 0x1d)); err != nil || got["k0"] != `A"` {
-		t.Fatalf("decode of an escape = %v, %v; want k0 = A\"", got, err)
-	}
-	for _, rec := range packedCorrupt {
-		if d, err := keys.decode("x", rec); err != errCorruptRecord {
-			t.Errorf("decode(%x) = %v, %v; want errCorruptRecord", rec, d, err)
+	for _, c := range arraysCorrupt {
+		if d, err := keys.decode("x", c.rec); err != errCorruptRecord {
+			t.Errorf("%s: decode(%x) = %v, %v; want errCorruptRecord", c.name, c.rec, d, err)
 		}
-		if v, err := keys.decodeValue(rec[3:]); err != errCorruptRecord {
-			t.Errorf("decodeValue(%x) = %v, %v; want errCorruptRecord", rec[3:], v, err)
+		if v, err := keys.decodeValue(c.rec[3:]); err != errCorruptRecord {
+			t.Errorf("%s: decodeValue(%x) = %v, %v; want errCorruptRecord", c.name, c.rec[3:], v, err)
 		}
 	}
 }
@@ -534,7 +560,7 @@ func accelPayload(rng *rand.Rand) string {
 
 // TestUniqueAccelPayloadsPack stores 1 000 accelerometer windows no two of
 // which are alike, so nothing is shared between records: each record must
-// come to at most 55 % of its payload's text, and read back as written.
+// come to at most 42 % of its payload's text, and read back as written.
 func TestUniqueAccelPayloadsPack(t *testing.T) {
 	keys := tableWithNames(1)
 	rng := rand.New(rand.NewSource(1))
@@ -551,8 +577,8 @@ func TestUniqueAccelPayloadsPack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.b) > len(raw)*55/100 {
-			t.Fatalf("a %d-byte payload takes a %d-byte record, want <= 55 %%", len(raw), len(rec.b))
+		if len(rec.b) > len(raw)*42/100 {
+			t.Fatalf("a %d-byte payload takes a %d-byte record, want <= 42 %%", len(raw), len(rec.b))
 		}
 		recBytes, textBytes = recBytes+len(rec.b), textBytes+len(raw)
 		got, err := keys.decode("x", rec.b)
@@ -564,36 +590,71 @@ func TestUniqueAccelPayloadsPack(t *testing.T) {
 	t.Logf("%d payload bytes in %d record bytes (%.1f %%)", textBytes, recBytes, 100*float64(recBytes)/float64(textBytes))
 }
 
-// TestLetterHeavyStringsStayInline checks that strings over symMax bytes
-// that are mostly letters are written as kindString, byte for byte as
-// before kindPacked existed, and that the packing margin is where
-// maxEscapes puts it.
-func TestLetterHeavyStringsStayInline(t *testing.T) {
-	const n = 51
-	e := maxEscapes(n) // 12: (51 + 2·12 + 1) / 2 = 38 = 51·3/4
+// TestStringsWithoutArraysStayInline checks that a string over symMax bytes
+// with no array of arrayMin canonical integers, or whose arrays would not
+// make it smaller, is written as kindString, byte for byte, and that one
+// array of arrayMin is enough to pack a string.
+func TestStringsWithoutArraysStayInline(t *testing.T) {
 	keys := tableWithNames(1)
 	for _, s := range []string{
 		`{"lat":48.85661,"lon":2.35222,"accuracy_m":12,"fix_seconds":1.5}`,
-		"the quick brown fox jumps over the lazy dog",
-		strings.Repeat("-", n-e-1) + strings.Repeat("x", e+1), // one escape too many
+		`{"frame_rate_hz":10,"rms":[0.12,0.5,0.33,0.08,0.41,0.27,0.19,0.6,0.05]}`,
+		`{"x":[1,2,3,4,5,6,7],"y":[1, 2, 3, 4, 5, 6, 7, 8]}`,
+		`{"x":[-0,1,2,3,4,5,6,7],"y":[01,1,2,3,4,5,6,7],"z":[+1,1,2,3,4,5,6,7]}`,
+		`{"x":[[1,2],[3,4],[5,6],[7,8]],"y":[1,2,3,4,5,6,7,8`,
+		`{"v":[0,9223372036854775807,0,0,0,0,0,0]}`,
 	} {
 		val, err := keys.encodeValue("k0", s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := append([]byte{kindString, byte(len(s))}, s...)
-		if !reflect.DeepEqual(val, want) {
+		if !bytes.Equal(val, want) {
 			t.Errorf("%q stored as %x, want inline %x", s, val, want)
 		}
 	}
-	s := strings.Repeat("-", n-e) + strings.Repeat("x", e)
+	s := `{"rate_hz":50,"x":[1,2,3,4,5,6,7,8]}`
 	val, err := keys.encodeValue("k0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if val[0] != kindPacked || len(val)-2 != n*3/4 {
-		t.Errorf("%q stored as %x, want kindPacked in %d code bytes", s, val, n*3/4)
+	if val[0] != kindArrays || len(val) >= 2+len(s) {
+		t.Errorf("%q stored as %x, want kindArrays smaller than inline", s, val)
 	}
+}
+
+// FuzzStringRoundTrip checks that any string comes back from encodeValue
+// and decodeValue as it went in, and is never stored larger than inline.
+func FuzzStringRoundTrip(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []string{
+		accelPayload(rng), accelPayload(rng),
+		"[1,2,3,4,5,6,7,8][9,10,11,12,13,14,15,16],[0,0,0,0,0,0,0,0]",
+		`{"seven":[1,2,3,4,5,6,7],"eight":[1,2,3,4,5,6,7,8]}`,
+		"[-9223372036854775808,9223372036854775807,-9223372036854775808,9223372036854775807," +
+			"-9223372036854775808,9223372036854775807,-9223372036854775808,9223372036854775807]",
+		`{"v":[9223372036854775808,1,2,3,4,5,6,7],"w":[12345678901234567890,1,2,3,4,5,6,7]}`,
+		`{"x":[-0,1,2,3,4,5,6,7],"y":[01,1,2,3,4,5,6,7],"z":[+1,1,2,3,4,5,6,7]}`,
+		`{"x":[1.0,1,2,3,4,5,6,7],"y":[1, 2, 3, 4, 5, 6, 7, 8]}`,
+		`{"x":[[1,2,3,4,5,6,7,8],[1,2]],"y":[1,2,3,4,5,6,7,8`,
+		"[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]]",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		keys := tableWithNames(0)
+		val, err := keys.encodeValue("k", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(val) > 1+binary.MaxVarintLen64+len(s) {
+			t.Fatalf("%q stored in %d bytes, more than inline", s, len(val))
+		}
+		got, err := keys.decodeValue(val)
+		if err != nil || got != s {
+			t.Fatalf("round trip of %q through %x = %q, %v", s, val, got, err)
+		}
+	})
 }
 
 // TestRecordIndependentOfMapOrder encodes one document 200 times: maps
