@@ -562,9 +562,7 @@ func BenchmarkIngest(b *testing.B) {
 				go func(it core.Item, n int) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						for !mgr.Ingest(it) {
-							runtime.Gosched() // full shard queue: wait, don't drop
-						}
+						mgr.Ingest(it) // a full shard queue waits for a slot
 					}
 				}(items[u], n)
 			}
@@ -615,9 +613,7 @@ func BenchmarkIngestLatencyBound(b *testing.B) {
 				go func(it core.Item, n int) {
 					defer wg.Done()
 					for i := 0; i < n; i++ {
-						for !mgr.Ingest(it) {
-							runtime.Gosched()
-						}
+						mgr.Ingest(it)
 					}
 				}(item, n)
 			}

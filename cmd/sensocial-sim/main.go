@@ -179,8 +179,9 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	for m := 1; m <= minutes; m++ {
 		clock.Advance(time.Minute)
 		// Wait for the brokers and ingest pipelines to drain the minute's
-		// burst, as chaos.Run does every step, so the next minute's does not
-		// land on queues still holding this one.
+		// burst, as chaos.Run does every step: that bounds what the fabric
+		// holds at once, and the hourly lines below count every item of the
+		// minutes before them.
 		if err := deployment.Quiesce(time.Minute); err != nil {
 			return err
 		}
@@ -231,7 +232,8 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 			publishedByShard(), deployment.Ring.VirtualNodes())
 	}
 	fmt.Printf("  items processed    %d\n", processed())
-	// Items the ingest queues shed under load: published, never processed.
+	// Items the ingest pipelines rejected because they had begun to close;
+	// a full queue waits instead, so a run that completes prints 0.
 	fmt.Printf("  ingest dropped     %d\n", ingest("sensocial_ingest_dropped_total"))
 	meter := deployment.Pool.Charger().Meter()
 	fmt.Printf("  fleet energy       %.1f µAh total, %.2f µAh/device\n",

@@ -178,9 +178,10 @@ type Result struct {
 	Violations []string
 	// Items is how many stream items the server ingested end to end.
 	Items uint64
-	// IngestDropped is how many items the ingest queues shed when full
-	// (sensocial_ingest_dropped_total), summed over every shard, killed ones
-	// included; Metrics is shard 0's registry alone.
+	// IngestDropped is how many items the ingest pipelines rejected because
+	// they had begun to close (sensocial_ingest_dropped_total), summed over
+	// every shard, killed ones included; Metrics is shard 0's registry
+	// alone. A full queue waits rather than rejects.
 	IngestDropped uint64
 	// Steps is how many virtual-time steps the run advanced.
 	Steps int

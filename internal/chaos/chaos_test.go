@@ -288,9 +288,9 @@ func presetOutcome(r *Result) string {
 // TestPresetsRepeat runs the presets that ship the way sensocial-sim -chaos
 // runs them (QoS 0, the preset's smallest ring, a journal for crash), on
 // smaller fleets, twice each, and requires the two runs to agree on every
-// count. dtn is left out: its post-heal flush of every device's backlog at
-// once overruns the one ingest queue by a different amount each run (six
-// CLI runs at 64 devices ingested from 7 257 to all 8 512 published items).
+// count and the ingest queues to reject nothing. dtn's post-heal flush
+// delivers every device's backlog at once, four times the one ingest
+// queue's depth.
 func TestPresetsRepeat(t *testing.T) {
 	for _, tc := range []struct {
 		preset  string
@@ -299,6 +299,7 @@ func TestPresetsRepeat(t *testing.T) {
 		{"smoke", 32},
 		{"crash", 16},
 		{"cluster", 24},
+		{"dtn", 64},
 	} {
 		t.Run(tc.preset, func(t *testing.T) {
 			sched, err := LoadSchedule(tc.preset)
@@ -316,6 +317,9 @@ func TestPresetsRepeat(t *testing.T) {
 				}
 				if !res.Ok() {
 					t.Fatalf("invariant violations:\n%s", strings.Join(res.Violations, "\n"))
+				}
+				if res.IngestDropped != 0 {
+					t.Fatalf("ingest queues rejected %d items", res.IngestDropped)
 				}
 				return presetOutcome(res)
 			}

@@ -126,9 +126,9 @@ func (c *checker) checkConservation(shards []*shard.Shard, qos byte) {
 	if enqueued != processed {
 		c.violate("conservation: ingest enqueued=%d != processed=%d at quiesce", enqueued, processed)
 	}
-	// Enqueued counts accepted items, dropped counts queue-full rejects;
-	// together they are every stream-data publish the broker routed to
-	// the server.
+	// Enqueued counts accepted items, dropped counts those a closing
+	// pipeline refused; together they are every stream-data publish the
+	// broker routed to the server.
 	received := enqueued + rejected
 	if qos >= 1 {
 		// QoS 1 publishes only count once acked, and the broker acks

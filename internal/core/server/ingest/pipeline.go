@@ -5,12 +5,14 @@
 // that all items sharing a key are processed in submission order by a single
 // worker while distinct keys proceed in parallel.
 //
-// The overflow policy is explicit: Enqueue never blocks. When a shard's
-// queue is full the item is rejected and counted, not silently lost and not
-// buffered without bound — the caller decides whether to retry, drop, or
-// surface backpressure. This mirrors how MOSDEN-style collaborative sensing
-// platforms separate collection from processing with bounded hand-off
-// buffers between the stages.
+// A full queue pushes back: Enqueue waits for a slot in its shard's queue,
+// so an item handed to an open pipeline is processed, never shed. The wait
+// travels toward the sender (the broker session reader stops reading, the
+// transport window fills, the device's backlog holds the items). Enqueue
+// reports false only once Close has begun, and counts that rejection. This
+// mirrors how MOSDEN-style collaborative sensing platforms separate
+// collection from processing with bounded hand-off buffers between the
+// stages.
 //
 // A queue slot is a pointer to a box drawn from a per-pipeline sync.Pool,
 // not a value: the boxes exist while items wait, so an idle pipeline holds
@@ -129,13 +131,13 @@ func New[T any](nShards, depth int, key func(T) string, process func(T), opts ..
 	enq := cfg.metrics.CounterVec("sensocial_ingest_enqueued_total",
 		"Items accepted into a shard queue.", "shard")
 	drop := cfg.metrics.CounterVec("sensocial_ingest_dropped_total",
-		"Items rejected because the shard queue was full or the pipeline closed.", "shard")
+		"Items rejected because the pipeline had begun to close.", "shard")
 	proc := cfg.metrics.CounterVec("sensocial_ingest_processed_total",
 		"Items the shard worker finished processing.", "shard")
 	p.procDur = cfg.metrics.Histogram("sensocial_ingest_process_duration_seconds",
 		"Time spent in the process callback per item.", obs.LatencyBuckets)
 	p.waitDur = cfg.metrics.Histogram("sensocial_ingest_queue_wait_seconds",
-		"Time an accepted item waited in its shard queue before its worker took it.", obs.LatencyBuckets)
+		"Time from an item's Enqueue, the wait for a free slot included, to its worker taking it.", obs.LatencyBuckets)
 	p.boxes.New = func() any { return new(box[T]) }
 	for i := range p.shards {
 		label := strconv.Itoa(i)
@@ -165,9 +167,9 @@ func New[T any](nShards, depth int, key func(T) string, process func(T), opts ..
 	return p, nil
 }
 
-// Enqueue hands a value to its shard. It reports false — and counts the
-// drop — when the shard's queue is full or the pipeline is closed; it never
-// blocks.
+// Enqueue hands a value to its shard, waiting for a slot while the shard's
+// queue is full. It reports false, and counts the rejection, only once
+// Close has begun; a true return means the value will be processed.
 func (p *Pipeline[T]) Enqueue(v T) bool {
 	sh := p.shards[shardIndex(p.key(v), len(p.shards))]
 	sh.inflight.Add(1)
@@ -178,22 +180,9 @@ func (p *Pipeline[T]) Enqueue(v T) bool {
 	}
 	b := p.boxes.Get().(*box[T])
 	b.v, b.at = v, p.clock.Now()
-	select {
-	case sh.queue <- b:
-		sh.enqueued.Inc()
-		return true
-	default:
-		p.recycle(b)
-		sh.dropped.Inc()
-		return false
-	}
-}
-
-// recycle zeroes a box, so the pool keeps nothing the value referenced
-// alive, and returns it to the pool.
-func (p *Pipeline[T]) recycle(b *box[T]) {
-	*b = box[T]{}
-	p.boxes.Put(b)
+	sh.queue <- b
+	sh.enqueued.Inc()
+	return true
 }
 
 // worker processes one shard's queue until the pipeline closes, then drains
@@ -217,13 +206,16 @@ func (p *Pipeline[T]) worker(sh *shard[T]) {
 	}
 }
 
-// runOne takes the value out of its box, recycles the box, and times and
-// counts the process invocation; the box's time until then is queue wait.
+// runOne takes the value out of its box, zeroes the box (so the pool keeps
+// nothing the value referenced alive) and returns it to the pool, then
+// times and counts the process invocation; the box's time until then is
+// queue wait.
 func (p *Pipeline[T]) runOne(sh *shard[T], b *box[T]) {
 	start := p.clock.Now()
 	p.waitDur.Observe(start.Sub(b.at).Seconds())
 	v := b.v
-	p.recycle(b)
+	*b = box[T]{}
+	p.boxes.Put(b)
 	p.process(v)
 	p.procDur.Observe(p.clock.Now().Sub(start).Seconds())
 	sh.processed.Inc()
@@ -231,9 +223,9 @@ func (p *Pipeline[T]) runOne(sh *shard[T], b *box[T]) {
 
 // Close stops accepting new values, drains the accepted backlog, and waits
 // for the workers to exit. Idempotent. An Enqueue that read closed as false
-// before Close set it may still be about to send; Close waits those out
-// before signalling the workers, so every send that succeeds lands before
-// the final drain and Enqueue=true still implies processed.
+// before Close set it may still be about to send, or waiting for a slot;
+// Close waits those out before signalling the workers, so every send lands
+// before the final drain and Enqueue=true still implies processed.
 func (p *Pipeline[T]) Close() {
 	if !p.closed.CompareAndSwap(false, true) {
 		p.wg.Wait()
@@ -241,7 +233,7 @@ func (p *Pipeline[T]) Close() {
 	}
 	for _, sh := range p.shards {
 		for sh.inflight.Load() != 0 {
-			runtime.Gosched() // Enqueue never blocks, so the count falls
+			runtime.Gosched() // the workers still drain, so a waiting send lands
 		}
 	}
 	close(p.quit)

@@ -82,8 +82,9 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 		go func(key string) {
 			defer wg.Done()
 			for seq := 0; seq < perKey; seq++ {
-				for !p.Enqueue(keyed{key: key, seq: seq}) {
-					runtime.Gosched() // backpressure: retry instead of losing order
+				if !p.Enqueue(keyed{key: key, seq: seq}) {
+					t.Errorf("%s: enqueue %d rejected by an open pipeline", key, seq)
+					return
 				}
 			}
 		}(fmt.Sprintf("user-%d", k))
@@ -108,49 +109,115 @@ func TestPipelinePerKeyOrdering(t *testing.T) {
 	}
 }
 
-// TestPipelineOverflowDropsCounted blocks the single worker and overfills
-// its depth-1 queue: the excess must be rejected and counted, never
-// silently lost and never blocking the producer.
-func TestPipelineOverflowDropsCounted(t *testing.T) {
+// TestPipelineFullQueueWaits parks the single worker on a gated value and
+// fills its depth-1 queue: a third Enqueue must wait for a slot, not return
+// while the worker is held, and must then complete once the gate opens,
+// with nothing dropped.
+func TestPipelineFullQueueWaits(t *testing.T) {
 	gate := make(chan struct{})
-	started := make(chan struct{}, 1)
+	started := make(chan struct{}, 3)
 	reg := obs.NewRegistry()
-	p, err := ingest.New(1, 1, keyOf, func(keyed) {
+	p, err := ingest.New(1, 1, keyOf, func(v keyed) {
 		started <- struct{}{}
-		<-gate
+		if v.seq == 0 {
+			<-gate
+		}
 	}, ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-
-	const total = 20
-	accepted := 0
 	if !p.Enqueue(keyed{key: "u", seq: 0}) {
 		t.Fatal("first enqueue rejected on an empty pipeline")
 	}
-	accepted++
-	<-started // the worker now blocks inside process, queue is empty again
-	for i := 1; i < total; i++ {
-		if p.Enqueue(keyed{key: "u", seq: i}) {
-			accepted++
-		}
+	<-started // the worker now holds seq 0; the queue is empty again
+	if !p.Enqueue(keyed{key: "u", seq: 1}) {
+		t.Fatal("second enqueue rejected with a free slot")
 	}
-	if reg.Sum(dropped) == 0 {
-		t.Fatal("overfilling a depth-1 queue dropped nothing")
+	third := make(chan bool, 1)
+	go func() { third <- p.Enqueue(keyed{key: "u", seq: 2}) }()
+	select {
+	case ok := <-third:
+		t.Fatalf("third enqueue returned %v while the worker was held and the queue full", ok)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if e, d := reg.Sum(enqueued), reg.Sum(dropped); e+d != total {
-		t.Fatalf("enqueued %d + dropped %d != sent %d", e, d, total)
+	if e := reg.Sum(enqueued); e != 2 {
+		t.Fatalf("enqueued %d while the third value waited, want 2", e)
 	}
 	close(gate)
-	go func() {
-		for range started { // release the remaining blocked process calls
+	select {
+	case ok := <-third:
+		if !ok {
+			t.Fatal("waiting enqueue rejected once a slot freed")
 		}
-	}()
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiting enqueue did not complete after the gate opened")
+	}
 	p.Close()
-	close(started)
+	if e, d, pr := reg.Sum(enqueued), reg.Sum(dropped), reg.Sum(processed); e != 3 || d != 0 || pr != 3 {
+		t.Fatalf("enqueued %d, dropped %d, processed %d; want 3, 0, 3", e, d, pr)
+	}
+}
 
-	if p, e := reg.Sum(processed), reg.Sum(enqueued); p != e {
-		t.Fatalf("processed %d != enqueued %d: accepted values were lost", p, e)
+// nowTap is a clock that, once armed, reports its next Now call. Enqueue
+// reads the clock after its closed check and just before its send, so the
+// report means that sender can no longer be rejected.
+type nowTap struct {
+	vclock.Clock
+	armed atomic.Bool
+	hit   chan struct{}
+}
+
+func (c *nowTap) Now() time.Time {
+	if c.armed.CompareAndSwap(true, false) {
+		close(c.hit)
+	}
+	return c.Clock.Now()
+}
+
+// TestPipelineCloseWaitsOutBlockedSender: a send waiting on a full queue
+// when Close begins lands and is processed before Close returns; a value
+// handed over after that is rejected and counted.
+func TestPipelineCloseWaitsOutBlockedSender(t *testing.T) {
+	clock := &nowTap{Clock: vclock.NewReal(), hit: make(chan struct{})}
+	gate := make(chan struct{})
+	started := make(chan struct{}, 3)
+	reg := obs.NewRegistry()
+	p, err := ingest.New(1, 1, keyOf, func(v keyed) {
+		started <- struct{}{}
+		if v.seq == 0 {
+			<-gate
+		}
+	}, ingest.WithMetrics(reg), ingest.WithClock(clock))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	p.Enqueue(keyed{key: "u", seq: 0})
+	<-started // the worker holds seq 0 and reads the clock no more until released
+	p.Enqueue(keyed{key: "u", seq: 1})
+	clock.armed.Store(true)
+	third := make(chan bool, 1)
+	go func() { third <- p.Enqueue(keyed{key: "u", seq: 2}) }()
+	<-clock.hit // the third sender passed the closed check
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a send still waited on the held worker")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	<-closed
+	if !<-third {
+		t.Fatal("a send waiting when Close began was rejected")
+	}
+	if p.Enqueue(keyed{key: "u", seq: 3}) {
+		t.Fatal("enqueue accepted after Close")
+	}
+	if e, d, pr := reg.Sum(enqueued), reg.Sum(dropped), reg.Sum(processed); e != 3 || d != 1 || pr != 3 {
+		t.Fatalf("enqueued %d, dropped %d, processed %d; want 3, 1, 3", e, d, pr)
 	}
 }
 
@@ -411,48 +478,31 @@ func awaitCollected(t *testing.T, what string, collected chan struct{}) {
 	}
 }
 
-// TestProcessedValueNotRetained: once an item is processed, or dropped on
-// overflow, nothing in the pipeline references what it referenced — the
+// TestProcessedValueNotRetained: once an item is processed, or rejected
+// after Close, nothing in the pipeline references what it referenced — the
 // box it rode in was zeroed before it went back to the pool.
 func TestProcessedValueNotRetained(t *testing.T) {
-	gate := make(chan struct{})
-	started := make(chan struct{}, 4)
 	reg := obs.NewRegistry()
-	p, err := ingest.New(1, 1, func(v refItem) string { return v.key }, func(v refItem) {
-		started <- struct{}{}
-		if v.ref == nil {
-			<-gate
-		}
-	}, ingest.WithMetrics(reg))
+	p, err := ingest.New(1, 1, func(v refItem) string { return v.key }, func(refItem) {},
+		ingest.WithMetrics(reg))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer p.Close()
-	defer close(gate) // before Close, or a failure would wait on the parked worker
-
 	ok, collected := enqueueReferent(p)
 	if !ok {
 		t.Fatal("enqueue rejected on an empty pipeline")
 	}
-	<-started
 	for reg.Sum(processed) != 1 {
 		runtime.Gosched()
 	}
 	awaitCollected(t, "processed", collected)
 
-	// Park the worker on a gated item, fill the depth-1 queue, then overflow.
-	if !p.Enqueue(refItem{key: "u"}) {
-		t.Fatal("gated enqueue rejected")
-	}
-	<-started
-	if !p.Enqueue(refItem{key: "u"}) {
-		t.Fatal("filling enqueue rejected")
-	}
+	p.Close()
 	ok, collected = enqueueReferent(p)
 	if ok {
-		t.Fatal("enqueue on a full depth-1 queue accepted")
+		t.Fatal("enqueue accepted after Close")
 	}
-	awaitCollected(t, "dropped", collected)
+	awaitCollected(t, "rejected after Close", collected)
 }
 
 // BenchmarkPipelineEnqueueProcess times one core.Item-sized value's round

@@ -17,7 +17,9 @@ import (
 // producers, then asserts the pipeline's core contract:
 //
 //  1. per-user ordering — the processed sequence for a user is strictly
-//     increasing (drops allowed, reordering and duplication are not);
+//     increasing, and the values accepted for a user are a prefix of its
+//     submissions: a full queue waits, so only Close rejects, and without
+//     a Close nothing is rejected;
 //  2. no fabrication — every processed value was a successful Enqueue;
 //  3. counter coherence — every Enqueue call lands in exactly one of
 //     Enqueued/Dropped, and Processed matches the callback count;
@@ -144,6 +146,16 @@ func runOrderingScenario(p propParams) error {
 				return fmt.Errorf("user %s: processed seq %d at index %d not after %d",
 					user, seqs[i], i, seqs[i-1])
 			}
+		}
+		for i, s := range accepted[u] {
+			if s != i {
+				return fmt.Errorf("user %s: accepted seq %d at index %d; a rejection came before Close",
+					user, s, i)
+			}
+		}
+		if !p.midClose && len(accepted[u]) != p.opsEach {
+			return fmt.Errorf("user %s: accepted %d of %d items with no Close",
+				user, len(accepted[u]), p.opsEach)
 		}
 		accSet := make(map[int]struct{}, len(accepted[u]))
 		for _, s := range accepted[u] {

@@ -3,13 +3,13 @@ package server_test
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/server"
+	"repro/internal/core/server/ingest"
 	"repro/internal/geo"
 	"repro/internal/mqtt"
 	"repro/internal/sensors"
@@ -87,8 +87,9 @@ func TestConcurrentIngestPreservesPerUserOrder(t *testing.T) {
 		go func(user string) {
 			defer wg.Done()
 			for seq := 0; seq < perUser; seq++ {
-				for !m.Ingest(seqItem(user, seq)) {
-					runtime.Gosched() // queue full: retry rather than reorder
+				if !m.Ingest(seqItem(user, seq)) {
+					t.Errorf("%s: item %d rejected by an open manager", user, seq)
+					return
 				}
 			}
 		}(fmt.Sprintf("user%d", u))
@@ -148,8 +149,8 @@ func TestCrossUserFilterSeesConsistentSnapshot(t *testing.T) {
 		}
 	}
 	ingest := func(it core.Item) {
-		for !m.Ingest(it) {
-			runtime.Gosched()
+		if !m.Ingest(it) {
+			t.Errorf("item of %s rejected by an open manager", it.UserID)
 		}
 	}
 
@@ -222,8 +223,8 @@ func TestCrossUserFilterOnTwoFriends(t *testing.T) {
 		t.Fatalf("RegisterListener: %v", err)
 	}
 	ingest := func(it core.Item) {
-		for !m.Ingest(it) {
-			runtime.Gosched()
+		if !m.Ingest(it) {
+			t.Errorf("item of %s rejected by an open manager", it.UserID)
 		}
 	}
 	friend := func(user string, ctx core.Context) core.Item {
@@ -286,51 +287,49 @@ func TestCrossUserFilterOnTwoFriends(t *testing.T) {
 	sink.waitFor(t, 1)
 }
 
-// TestIngestOverflowDropsCounted saturates a single depth-1 shard behind a
-// gated delivery hook: the pipeline must shed load via counted drops, and
-// every accepted item must still be processed after the gate opens.
-func TestIngestOverflowDropsCounted(t *testing.T) {
-	m := bareManager(t, func(o *server.Options) {
-		o.IngestShards = 1
-		o.IngestQueueDepth = 1
-	})
+// TestIngestFullShardWaits parks the only worker inside a gated delivery
+// hook and fills its shard queue: the next Ingest must wait for a slot
+// rather than return, complete once the gate opens, and every item must be
+// processed with nothing dropped.
+func TestIngestFullShardWaits(t *testing.T) {
+	m := bareManager(t, func(o *server.Options) { o.IngestShards = 1 })
 	gate := make(chan struct{})
 	started := make(chan struct{}, 1)
-	var opened bool
-	var mu sync.Mutex
+	var once sync.Once
 	m.OnItem(func(core.Item) {
-		mu.Lock()
-		ok := opened
-		mu.Unlock()
-		if !ok {
+		once.Do(func() {
 			started <- struct{}{}
 			<-gate
-		}
+		})
 	})
 
-	const total = 50
-	sent := uint64(0)
 	if !m.Ingest(seqItem("u", 0)) {
 		t.Fatal("first item rejected by an idle pipeline")
 	}
-	sent++
 	<-started // the only worker now blocks inside delivery
-	for i := 1; i < total; i++ {
-		m.Ingest(seqItem("u", i))
-		sent++
+	for i := 1; i <= ingest.DefaultQueueDepth; i++ {
+		if !m.Ingest(seqItem("u", i)) {
+			t.Fatalf("item %d rejected with a free slot", i)
+		}
 	}
-	enqueued, dropped := m.Metrics().Sum("sensocial_ingest_enqueued_total"), m.Metrics().Sum("sensocial_ingest_dropped_total")
-	if dropped == 0 {
-		t.Fatal("flooding a full depth-1 queue dropped nothing")
+	next := make(chan bool, 1)
+	go func() { next <- m.Ingest(seqItem("u", ingest.DefaultQueueDepth+1)) }()
+	select {
+	case ok := <-next:
+		t.Fatalf("Ingest on a full shard returned %v while the worker was held", ok)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if enqueued+dropped != sent {
-		t.Fatalf("enqueued %d + dropped %d != sent %d", enqueued, dropped, sent)
-	}
-	mu.Lock()
-	opened = true
-	mu.Unlock()
 	close(gate)
+	if !<-next {
+		t.Fatal("waiting Ingest rejected once a slot freed")
+	}
 	waitUntil(t, func() bool { return drained(m) })
+	reg := m.Metrics()
+	const total = ingest.DefaultQueueDepth + 2
+	if e, d, p := reg.Sum("sensocial_ingest_enqueued_total"), reg.Sum("sensocial_ingest_dropped_total"),
+		reg.Sum("sensocial_ingest_processed_total"); e != total || d != 0 || p != total {
+		t.Fatalf("enqueued %d, dropped %d, processed %d; want %d, 0, %d", e, d, p, total, total)
+	}
 }
 
 // TestRegistrySkipsNoopLocationWrites uploads the same raw fix repeatedly:

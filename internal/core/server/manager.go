@@ -85,11 +85,6 @@ type Options struct {
 	// is preserved across any shard count. Non-positive selects
 	// ingest.DefaultShards.
 	IngestShards int
-	// IngestQueueDepth bounds each shard's queue. When a queue is full
-	// further items for its users are dropped and counted
-	// (sensocial_ingest_dropped_total) rather than blocking the broker. Non-positive selects
-	// ingest.DefaultQueueDepth.
-	IngestQueueDepth int
 	// Owns, when set, restricts ingest to users this shard owns under the
 	// cluster's consistent-hash ring: stream items whose user hashes to a
 	// different shard are skipped and counted instead of processed, so a
@@ -216,7 +211,7 @@ func New(opts Options) (*Manager, error) {
 			return float64(bytes)
 		})
 	m.delivery = NewDeliveryHub(m.store, m.hub, m.persist, m.logger, m.refreshMulticastsFor, metrics, m.tracer)
-	pipeline, err := ingest.New(shards, opts.IngestQueueDepth, partitionKey, m.processItem,
+	pipeline, err := ingest.New(shards, ingest.DefaultQueueDepth, partitionKey, m.processItem,
 		ingest.WithMetrics(metrics), ingest.WithClock(m.clock))
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)

@@ -195,7 +195,9 @@ func (m *Manager) sendTrigger(t core.Trigger) error {
 
 // onStreamData is the server Filter Manager's intake: every item uploaded
 // by any device arrives here via the broker and is handed to the sharded
-// ingest pipeline.
+// ingest pipeline. It runs on the publishing session's reader goroutine (a
+// bridge link's reader for a forwarded item), which waits here while the
+// user's shard queue is full.
 func (m *Manager) onStreamData(msg mqtt.Message) {
 	sp := m.tracer.Start("ingest.enqueue", 0)
 	defer sp.End()
@@ -213,15 +215,15 @@ func (m *Manager) onStreamData(msg mqtt.Message) {
 	}
 	if !m.Ingest(item) {
 		sp.SetAttr("dropped", "true")
-		m.logf("ingest overflow", "stream", item.StreamID, "user", item.UserID)
+		m.logf("ingest closed", "stream", item.StreamID, "user", item.UserID)
 	}
 }
 
-// Ingest enqueues one decoded item on its user's pipeline shard. It reports
-// whether the item was accepted; false means the shard's bounded queue was
-// full (or the manager closed) and the drop was counted on the registry — the
-// pipeline never blocks the caller. Exposed for in-process pipelines
-// (tests, single-binary sims).
+// Ingest enqueues one decoded item on its user's pipeline shard, waiting
+// for a slot while the shard's bounded queue is full. It reports false,
+// counted on sensocial_ingest_dropped_total, only once the manager has
+// begun to close. Exposed for in-process pipelines (tests, single-binary
+// sims).
 func (m *Manager) Ingest(item core.Item) bool {
 	return m.pipeline.Enqueue(item)
 }

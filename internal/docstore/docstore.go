@@ -225,7 +225,7 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	}
 	id = c.putLocked(id, c.seq, rec.b, doc)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opInsert, Doc: c.decode(id, rec.b)}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opInsert, ID: id, Doc: doc}); err != nil {
 			return id, err
 		}
 	}
@@ -416,7 +416,7 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 	if pinned != nil {
 		// Log the resolved effect (which id was written), not the query, so
 		// replay need not resolve the query against the same state.
-		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: c.decode(id, rec.b)}); err != nil {
+		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: doc}); err != nil {
 			return id, err
 		}
 	}

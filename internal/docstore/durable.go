@@ -5,8 +5,10 @@ package docstore
 // restart story the paper's MongoDB deployment has for free.
 //
 // The journal records resolved effects, not raw requests, wherever request
-// replay would be nondeterministic: Insert and Upsert log the stored
-// document with its assigned _id, Delete logs the matched ids. Update logs
+// replay would be nondeterministic: Insert and Upsert log the caller's
+// document beside the id it was stored under (marshalled before they
+// return, so the caller may reuse the document), Delete logs the matched
+// ids. Update logs
 // the query and $set spec — the matched set and per-document application
 // are order-independent, so replay reproduces the same state. Replay
 // compiles a logged query and spec like any other, so a record holding an
@@ -201,6 +203,11 @@ func (s *Store) applyJournalRecord(raw []byte) error {
 	c := s.Collection(r.Coll)
 	switch r.Op {
 	case opInsert:
+		// The id is logged beside the document; journals written before
+		// that carry it inside the document instead.
+		if _, ok := r.Doc[IDField]; !ok && r.ID != "" && r.Doc != nil {
+			r.Doc[IDField] = r.ID
+		}
 		if _, err := c.Insert(r.Doc); err != nil {
 			return err
 		}

@@ -60,6 +60,16 @@ func TestDurableRoundTripAfterClose(t *testing.T) {
 	if n, err := users.Delete(Doc{"_id": "gone"}); err != nil || n != 1 {
 		t.Fatalf("Delete = %d, %v", n, err)
 	}
+	// An item with an accelerometer window under a generated id: the journal
+	// holds the caller's document and the id beside it, marshalled before
+	// Insert returns, so the caller's later edits do not reach it.
+	item := itemDoc(7)
+	wantRaw := item["raw"]
+	itemID, err := s.Collection("items").Insert(item)
+	if err != nil {
+		t.Fatalf("Insert item: %v", err)
+	}
+	item["raw"] = "edited after insert"
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -74,6 +84,12 @@ func TestDurableRoundTripAfterClose(t *testing.T) {
 	}
 	if got := docField(t, s2, "users", genID, "name"); got != "grace" {
 		t.Fatalf("%s.name = %v, want grace", genID, got)
+	}
+	if got := docField(t, s2, "items", itemID, "raw"); got != wantRaw {
+		t.Fatalf("%s.raw = %.60v…, want the window as inserted", itemID, got)
+	}
+	if got := docField(t, s2, "items", itemID, IDField); got != itemID {
+		t.Fatalf("%s._id = %v after replay", itemID, got)
 	}
 	if _, err := s2.Collection("users").Get("gone"); err == nil {
 		t.Fatal("deleted doc survived recovery")

@@ -299,6 +299,13 @@ func TestIndexedInsertOfKnownValuesAllocs(t *testing.T) {
 		})
 	}
 	plain, indexed := insertAllocs(false), insertAllocs(true)
+	if raceEnabled {
+		// The race detector drops sync.Pool puts at random, so some inserts
+		// allocate a fresh scratch buffer, and AllocsPerRun's truncated mean
+		// reads 1 or 2 for either collection whatever the indexes do. Allow
+		// that one allocation there; without -race the comparison is exact.
+		plain++
+	}
 	if indexed > plain {
 		t.Fatalf("an insert under four indexed known values allocates %v times, %v without the indexes", indexed, plain)
 	}

@@ -6,10 +6,10 @@ import (
 	"go/types"
 )
 
-// NewChandiscipline returns the analyzer enforcing the drop-instead-of-block
-// send policy the ingest pipeline (PR 2) and broker fan-out (PR 5) adopted:
-// a send that can block for an unbounded time must not be written as a bare
-// send.
+// NewChandiscipline returns the analyzer that keeps a send from blocking
+// for an unbounded time unnoticed: a send whose channel is not provably
+// buffered must be select-with-default, and a hot path drops rather than
+// blocks, as the broker's session fan-out does.
 //
 //   - A send (bare, or inside a select without a default case) on a channel
 //     whose visible make sites are unbuffered is flagged: it blocks until a
@@ -23,7 +23,9 @@ import (
 //
 // Make sites are resolved per package by attributing make(chan ...) calls to
 // the variable or struct field they initialize; constant capacities are
-// classified exactly and dynamic capacities count as buffered.
+// classified exactly and dynamic capacities count as buffered. A field of
+// an instantiated generic type resolves to the field it was instantiated
+// from, so a make site in Pipeline[T] vouches for a send in Pipeline[T].
 func NewChandiscipline() *Analyzer {
 	return &Analyzer{
 		Name: "chandiscipline",
@@ -139,6 +141,7 @@ func collectChanOrigins(pkg *Package) map[types.Object]*chanOrigin {
 		if obj == nil {
 			return
 		}
+		obj = genericOrigin(obj)
 		o := origins[obj]
 		if o == nil {
 			o = &chanOrigin{}
@@ -219,9 +222,18 @@ func makeChanCap(pkg *Package, e ast.Expr) (unbuffered, isMakeChan bool) {
 func chanObject(pkg *Package, e ast.Expr) types.Object {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		return pkg.Info.Uses[e]
+		return genericOrigin(pkg.Info.Uses[e])
 	case *ast.SelectorExpr:
-		return pkg.Info.Uses[e.Sel]
+		return genericOrigin(pkg.Info.Uses[e.Sel])
 	}
 	return nil
+}
+
+// genericOrigin maps a variable or field of an instantiated generic type
+// to its declaration in the generic type, where its make sites are filed.
+func genericOrigin(obj types.Object) types.Object {
+	if v, ok := obj.(*types.Var); ok {
+		return v.Origin()
+	}
+	return obj
 }

@@ -71,3 +71,24 @@ func hotGuarded(ch chan int) int {
 		return 0
 	}
 }
+
+// G is generic; each instantiation's field is a different object from the
+// field the make site below initializes.
+type G[T any] struct{ q chan T }
+
+func newG[T any]() *G[T] { return &G[T]{q: make(chan T, 4)} }
+
+// Negative: the make site of the generic field proves it buffered.
+func (g *G[T]) put(v T) {
+	g.q <- v
+}
+
+// U is generic with an unbuffered field.
+type U[T any] struct{ q chan T }
+
+func newU[T any]() *U[T] { return &U[T]{q: make(chan T)} }
+
+// Positive: the generic field's make site is unbuffered.
+func (u *U[T]) put(v T) {
+	u.q <- v // want "unbuffered channel"
+}

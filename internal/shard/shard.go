@@ -57,10 +57,9 @@ type Options struct {
 	ProcessingDelay, ProcessingJitter time.Duration
 	// PersistItems stores received items in the document store.
 	PersistItems bool
-	// IngestShards and IngestQueueDepth size the ingest pipeline, and
-	// FanoutQueue bounds each broker session's delivery queue (zero keeps
-	// the defaults).
-	IngestShards, IngestQueueDepth, FanoutQueue int
+	// IngestShards is the number of ingest workers, and FanoutQueue bounds
+	// each broker session's delivery queue (zero keeps the defaults).
+	IngestShards, FanoutQueue int
 	// TraceCapacity enables span tracing with a ring buffer of that many
 	// spans; zero leaves it off.
 	TraceCapacity int
@@ -177,7 +176,6 @@ func (sh *Shard) start() (err error) {
 		Seed:             opts.Seed,
 		Logger:           opts.Logger,
 		IngestShards:     opts.IngestShards,
-		IngestQueueDepth: opts.IngestQueueDepth,
 		Owns:             owns,
 		Metrics:          sh.Metrics,
 		Tracer:           sh.Tracer,

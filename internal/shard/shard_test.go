@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/core/server/ingest"
 	"repro/internal/docstore"
 	"repro/internal/mqtt"
 	"repro/internal/sensors"
@@ -293,4 +295,141 @@ func TestTwoShardsOverTCP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFullIngestQueuesDoNotDeadlock holds both shards' only ingest worker
+// until its queue is full, so session readers and the bridge link readers
+// that carry misrouted uploads to their owner wait on Enqueue. Every path a
+// worker takes out of processItem then leads to a reader that is itself
+// stalled: a synchronous Hub listener sends a 16 KiB notification per item
+// (sendTrigger's PublishLocal), which fans out to subscribers that stopped
+// reading their sockets and across the bridge (onLocalPublish) to the
+// other shard, whose link reader waits on that shard's full queue; every
+// upload also fans out to the stalled subscribers. The notes fill the
+// link's socket buffers within a few hundred items, so a worker that
+// waited on a full link queue would close the cycle; as it is, every
+// upload a shard's own user made to it is processed once the gate opens,
+// and nothing is rejected.
+func TestFullIngestQueuesDoNotDeadlock(t *testing.T) {
+	ring, err := cluster.NewRing([]string{"shard0", "shard1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shards []*Shard
+	for _, id := range ring.Shards() {
+		opts := tcpOptions()
+		opts.ID, opts.Ring, opts.IngestShards = id, ring, 1
+		shards = append(shards, newTCPShard(t, opts))
+	}
+	a, b := shards[0], shards[1]
+	for _, pair := range [][2]*Shard{{a, b}, {b, a}} {
+		addr := pair[1].BrokerAddr
+		peer := cluster.Peer{ID: pair[1].ID, Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }}
+		if err := pair[0].StartBridge([]cluster.Peer{peer}); err != nil {
+			t.Fatalf("StartBridge: %v", err)
+		}
+	}
+	owned := func(sh *Shard) string {
+		for i := 0; ; i++ {
+			if user := fmt.Sprintf("user%d", i); ring.Owner(user) == sh.ID {
+				return user
+			}
+		}
+	}
+	users := map[*Shard]string{a: owned(a), b: owned(b)}
+
+	note := strings.Repeat("n", 16<<10)
+	gate := make(chan struct{})
+	sc := &cluster.MatchScratch{}
+	for _, sh := range shards {
+		sh.Server.OnItem(func(it core.Item) {
+			<-gate
+			_ = sh.Server.NotifyDevice(it.DeviceID, note)
+		})
+		subscribeStalled(t, sh.BrokerAddr, "stalled-"+sh.ID, core.StreamDataFilter(), core.DeviceTriggerFilter())
+	}
+	for _, pair := range [][2]*Shard{{a, b}, {b, a}} {
+		topic, _ := itemPayload(users[pair[0]], 0)
+		waitFor(t, pair[1].ID+"'s summary to reach "+pair[0].ID, func() bool {
+			return len(pair[0].Bridge.Index().Match(topic, sc)) == 1
+		})
+	}
+
+	// Each shard takes 2 048 uploads from each user: its own, and the other
+	// shard's, which its bridge forwards to the owner; the steady stream of
+	// those keeps both link readers waiting.
+	const perUser = 2048
+	var wg sync.WaitGroup
+	for _, sh := range shards {
+		for _, user := range []string{users[a], users[b]} {
+			cli := connectTCP(t, sh.BrokerAddr, "pub-"+user+"-on-"+sh.ID)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for seq := 0; seq < perUser; seq++ {
+					topic, payload := itemPayload(user, seq)
+					if err := cli.Publish(topic, payload, 0, false); err != nil {
+						t.Errorf("publish %s/%d: %v", user, seq, err)
+						return
+					}
+				}
+			}()
+		}
+	}
+	for _, sh := range shards {
+		waitFor(t, sh.ID+"'s ingest queue to fill", func() bool {
+			return sh.Metrics.Sum("sensocial_ingest_backlog") == ingest.DefaultQueueDepth
+		})
+	}
+	close(gate)
+	wg.Wait()
+	for _, sh := range shards {
+		waitFor(t, sh.ID+" to process its own user's uploads", func() bool {
+			return sh.Metrics.Sum("sensocial_ingest_processed_total") >= perUser
+		})
+	}
+	for _, sh := range shards {
+		if d := sh.Metrics.Sum("sensocial_ingest_dropped_total"); d != 0 {
+			t.Errorf("%s rejected %d items", sh.ID, d)
+		}
+	}
+}
+
+// stallConn is a client transport that stops reading once stalled is set,
+// until release closes: the subscriber's socket fills, and the broker's
+// writer for it blocks.
+type stallConn struct {
+	net.Conn
+	stalled atomic.Bool
+	release chan struct{}
+}
+
+func (c *stallConn) Read(p []byte) (int, error) {
+	if c.stalled.Load() {
+		<-c.release
+	}
+	return c.Conn.Read(p)
+}
+
+// subscribeStalled connects a client that subscribes to filters and then
+// never reads again while the test runs.
+func subscribeStalled(t *testing.T, addr, clientID string, filters ...string) {
+	t.Helper()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial %s: %v", addr, err)
+	}
+	conn := &stallConn{Conn: raw, release: make(chan struct{})}
+	cli, err := mqtt.Connect(conn, mqtt.ClientOptions{ClientID: clientID, Clock: vclock.NewReal()})
+	if err != nil {
+		t.Fatalf("connect %s: %v", clientID, err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+	t.Cleanup(func() { close(conn.release) }) // runs first
+	for _, filter := range filters {
+		if err := cli.Subscribe(filter, 0, func(mqtt.Message) {}); err != nil {
+			t.Fatalf("subscribe %s: %v", filter, err)
+		}
+	}
+	conn.stalled.Store(true)
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/core/server/ingest"
 	"repro/internal/energy"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -102,8 +103,7 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 
 	// Eight sampling cycles: with a batch of 4 every device publishes twice,
 	// four items per flush (frame offsets are < 3s, so 8m30s covers all).
-	// The run quiesces after each flush minute: the 800 items of one fit
-	// the single ingest queue, the 1 600 of two may not.
+	// The run quiesces after each flush minute.
 	clock.Advance(4*time.Minute + 30*time.Second)
 	quiesce(t, s)
 	clock.Advance(4 * time.Minute)
@@ -155,6 +155,51 @@ func TestPooledDevicesPublishThroughBroker(t *testing.T) {
 	wantTx := samples*cost.TxPerMessage + float64(payloadBytes)*cost.TxPerByte
 	if got := meter.TaskLabel(energy.TaskTransmission, poolModality); math.Abs(got-wantTx) > 1e-12*wantTx {
 		t.Errorf("fleet transmission charge = %v µAh, want %v (%d messages, %d bytes)", got, wantTx, samples, payloadBytes)
+	}
+}
+
+// TestAlignedBurstIngestsEveryItem keeps the fleet's worst burst as a
+// fixture: every device starts with an empty backlog, so all of them reach
+// their batch in the same minute, and one Advance publishes ten times what
+// the shipped ingest queues hold (8 shards × 1 024 slots) into one server.
+// A full queue pushes back toward the connections instead of shedding, so
+// every published item is ingested and nothing is dropped.
+func TestAlignedBurstIngestsEveryItem(t *testing.T) {
+	const capacity = ingest.DefaultShards * ingest.DefaultQueueDepth
+	const devices = 10 * capacity / poolUploadBatch
+	clock := vclock.NewManual(poolEpoch)
+	s, err := New(Options{Clock: clock, Seed: 7, MobileLink: &netsim.Link{}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	if err := s.AddDevices(devices); err != nil {
+		t.Fatalf("AddDevices: %v", err)
+	}
+	if err := s.StartPool(); err != nil {
+		t.Fatalf("StartPool: %v", err)
+	}
+	// A frame first ticks one interval after start plus its offset in
+	// [0, 1 interval), so just short of four intervals every device holds
+	// one sample less than a batch, and the next interval flushes them all.
+	clock.Advance(poolUploadBatch*poolSampleInterval - time.Nanosecond)
+	quiesce(t, s)
+	if samples, published, _, _, _ := poolLedger(s); samples != devices*(poolUploadBatch-1) || published != 0 {
+		t.Fatalf("%d samples and %d items published before the burst, want %d and 0",
+			samples, published, devices*(poolUploadBatch-1))
+	}
+	clock.Advance(poolSampleInterval)
+	quiesce(t, s)
+	samples, published, ackLost, dropped, backlog := poolLedger(s)
+	if want := uint64(devices * poolUploadBatch); samples != want || published != want || ackLost+dropped+backlog != 0 {
+		t.Fatalf("ledger samples=%d published=%d ackLost=%d dropped=%d backlog=%d; want %d published in the one burst",
+			samples, published, ackLost, dropped, backlog, want)
+	}
+	if got := ingested(s, "sensocial_ingest_processed_total"); got != published {
+		t.Errorf("ingested %d of %d published items", got, published)
+	}
+	if got := ingested(s, "sensocial_ingest_dropped_total"); got != 0 {
+		t.Errorf("sensocial_ingest_dropped_total = %d, want 0", got)
 	}
 }
 
