@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build fmt vet lint no-stats lockgraph test race bench bench-smoke bench-e2e-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
+.PHONY: all ci build fmt vet lint no-stats lockgraph test race stress bench bench-smoke bench-e2e-smoke fuzz-smoke chaos-smoke durability-smoke metrics-smoke experiments examples loc clean
 
 all: build vet lint test fuzz-smoke
 
@@ -43,6 +43,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The deadlock and flake net for the fabric's send windows and the ingest
+# wait: every test of the fabric, simulator, chaos and shard packages twenty
+# times under the race detector, then each test's pass count (about six
+# minutes on two vCPUs, so not part of ci). Fails if any run failed.
+STRESS_PKGS = ./internal/netsim ./internal/sim ./internal/chaos ./internal/shard
+stress:
+	@log=$$(mktemp); $(GO) test -race -count=20 -timeout 60m -v $(STRESS_PKGS) > $$log 2>&1; status=$$?; \
+	awk '$$1 == "---" && ($$2 == "PASS:" || $$2 == "FAIL:") { runs[$$3]++; if ($$2 == "PASS:") passed[$$3]++ } \
+		END { for (t in runs) printf "%4d/%-4d %s\n", passed[t], runs[t], t }' $$log | sort -k2; \
+	if [ $$status -ne 0 ]; then grep -E '^(--- FAIL|FAIL|panic)' $$log | head -40; fi; \
+	rm -f $$log; exit $$status
 
 # One testing.B bench per paper table/figure + micro-benchmarks + ablations.
 bench:

@@ -179,9 +179,10 @@ func runPooled(devices int, hours float64, traceCap int, durableDir string, shar
 	for m := 1; m <= minutes; m++ {
 		clock.Advance(time.Minute)
 		// Wait for the brokers and ingest pipelines to drain the minute's
-		// burst, as chaos.Run does every step: that bounds what the fabric
-		// holds at once, and the hourly lines below count every item of the
-		// minutes before them.
+		// burst, as chaos.Run does every step. The fabric does not need it to
+		// stay small (each connection's send window bounds it, and a full
+		// window holds the flush back inside Advance); it keeps the hourly
+		// lines below exact: they count every item of the minutes before them.
 		if err := deployment.Quiesce(time.Minute); err != nil {
 			return err
 		}

@@ -65,6 +65,22 @@ func benchDevice(clock vclock.Clock, seed int64) (*device.Device, *classify.Regi
 	return dev, reg, nil
 }
 
+// arrives waits for ch to deliver, for at most d on wall, and reports
+// whether it did. The watchdog timer is stopped on the way out: under this
+// module's go 1.22 timer rules a time.After left pending stays in the heap
+// until it fires, seconds later, and its objects are then freed inside
+// whatever heap measurement is running (Table 2's measure window).
+func arrives[T any](wall vclock.Clock, d time.Duration, ch <-chan T) bool {
+	t := wall.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return true
+	case <-t.C():
+		return false
+	}
+}
+
 // meanStd returns the mean and sample standard deviation of xs.
 func meanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {

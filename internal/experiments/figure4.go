@@ -128,9 +128,7 @@ func figure4GAR(cycles int, wall vclock.Clock) (Figure4Row, error) {
 	clock.BlockUntilWaiters(1)
 	for i := 0; i < cycles; i++ {
 		clock.Advance(time.Minute)
-		select {
-		case <-got:
-		case <-wall.After(5 * time.Second):
+		if !arrives(wall, 5*time.Second, got) {
 			return Figure4Row{}, fmt.Errorf("experiments: figure4: GAR cycle %d missing", i)
 		}
 	}

@@ -56,12 +56,12 @@ func RunTable2() (*Table2Result, error) {
 }
 
 // measure reports the live-heap growth caused by constructing an app. The
-// heap is the whole process's, so work left winding down by an earlier
-// caller (a closed simulation's goroutines returning) can free objects
-// inside the measured window and cancel out the app's own: the GAR stub
-// holds about 45 objects, so a few dozen such frees read as zero. A window
-// in which the heap did not grow is therefore thrown away, and the app
-// closed and built again, up to measureAttempts times.
+// heap is the whole process's, so whatever an earlier caller left to be
+// freed later (a timer left pending until it fires; see arrives) can cancel
+// out the app's own objects inside the measured window: the GAR stub holds
+// about 45 objects, so a few dozen such frees read as zero. A window in
+// which the heap did not grow is therefore thrown away, and the app closed
+// and built again, up to measureAttempts times.
 func measure(build func() (func(), error)) (heap, objects uint64, closer func(), err error) {
 	for attempt := 1; ; attempt++ {
 		var before, after runtime.MemStats

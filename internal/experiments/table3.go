@@ -140,9 +140,7 @@ func RunTable3OnClock(wall vclock.Clock) (*Table3Result, error) {
 		// Serialize: wait for this action's full path before the next, so
 		// 50 actions do not overlap (matching the paper's methodology of
 		// discrete measured posts).
-		select {
-		case <-mobileSeen:
-		case <-wall.After(30 * time.Second):
+		if !arrives(wall, 30*time.Second, mobileSeen) {
 			return nil, fmt.Errorf("experiments: table3: action %d never reached mobile", i)
 		}
 		<-serverSeen // must have arrived before the mobile leg completed

@@ -12,10 +12,19 @@ import (
 	"repro/internal/vclock"
 )
 
+// SendWindow is the most bytes one direction of a connection holds before a
+// writer waits, as a TCP send buffer does: a write is admitted while the
+// direction holds less than this, so it holds at most SendWindow plus one
+// write, unless one of the two rules in deliveryQueue.enqueue admits more.
+// A writer waits only on data its peer's reader could take without the
+// clock moving, so a write inside a manual clock's Advance never waits for
+// virtual time.
+const SendWindow = 64 << 10
+
 // conn is one endpoint of a simulated connection. Writes are chunked into
 // timed deliveries: each write is stamped with a delivery time computed from
-// the link profile and handed to a pump goroutine that releases it to the
-// peer's read buffer once the (possibly virtual) clock reaches the stamp.
+// the link profile and queued for the peer, whose reader takes it once the
+// (possibly virtual) clock reaches the stamp.
 type conn struct {
 	local, remote net.Addr
 	link          atomic.Pointer[Link] // current profile; swapped live by fault injection
@@ -26,9 +35,10 @@ type conn struct {
 	out *deliveryQueue // chunks travelling to the peer
 	in  *deliveryQueue // chunks arriving from the peer
 
-	readBuf  []byte
-	readMu   sync.Mutex
-	deadline deadlineGuard
+	readBuf   []byte
+	readMu    sync.Mutex
+	deadline  deadlineGuard // read deadline
+	wdeadline deadlineGuard // write deadline
 
 	closeOnce sync.Once
 	onClose   func() // deregisters the conn from the fabric; may be nil
@@ -41,6 +51,7 @@ var _ net.Conn = (*conn)(nil)
 func linkedPair(clock vclock.Clock, rng func() float64, fwd, rev Link, clientAddr, serverAddr net.Addr, fc *fabricCounters) (client, server *conn) {
 	c2s := newDeliveryQueue(clock)
 	s2c := newDeliveryQueue(clock)
+	c2s.peer, s2c.peer = s2c, c2s
 	c := &conn{local: clientAddr, remote: serverAddr, clock: clock, rng: rng, counters: fc, out: c2s, in: s2c}
 	s := &conn{local: serverAddr, remote: clientAddr, clock: clock, rng: rng, counters: fc, out: s2c, in: c2s}
 	c.setLink(fwd)
@@ -55,8 +66,10 @@ func (c *conn) setLink(l Link) {
 	c.link.Store(&cp)
 }
 
-// Write implements net.Conn. It never blocks on the link; bandwidth and
-// latency shape the delivery time instead.
+// Write implements net.Conn. Bandwidth and latency shape the delivery time
+// rather than block the writer; a write waits only while the direction
+// holds SendWindow bytes its reader could already take, and then until the
+// reader takes them, the connection closes or the write deadline fires.
 func (c *conn) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
@@ -69,10 +82,15 @@ func (c *conn) Write(p []byte) (int, error) {
 		prop += l.lossPenalty()
 		c.counters.lossRetransmits.Inc()
 	}
-	if err := c.out.enqueue(cp, l.txTime(len(p)), prop); err != nil {
+	held, waited, err := c.out.enqueue(cp, l.txTime(len(p)), prop, &c.wdeadline)
+	if waited {
+		c.counters.writeWaits.Inc()
+	}
+	if err != nil {
 		return 0, fmt.Errorf("netsim: write %s->%s: %w", c.local, c.remote, err)
 	}
 	c.counters.txBytes.Add(uint64(len(p)))
+	c.counters.noteQueued(held)
 	return len(p), nil
 }
 
@@ -93,11 +111,12 @@ func (c *conn) Read(p []byte) (int, error) {
 }
 
 // Close implements net.Conn. It closes both directions so the peer observes
-// EOF after draining in-flight data.
+// EOF after draining in-flight data, and stops the deadline timers.
 func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.out.close()
 		c.in.close()
+		c.stopDeadlines()
 		if c.onClose != nil {
 			c.onClose()
 		}
@@ -111,6 +130,7 @@ func (c *conn) abort(err error) {
 	c.closeOnce.Do(func() {
 		c.out.fail(err)
 		c.in.fail(err)
+		c.stopDeadlines()
 		if c.onClose != nil {
 			c.onClose()
 		}
@@ -123,8 +143,12 @@ func (c *conn) LocalAddr() net.Addr { return c.local }
 // RemoteAddr implements net.Conn.
 func (c *conn) RemoteAddr() net.Addr { return c.remote }
 
-// SetDeadline implements net.Conn (read side only; writes never block).
-func (c *conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
+// SetDeadline implements net.Conn: it sets the read and the write deadline.
+func (c *conn) SetDeadline(t time.Time) error {
+	c.deadline.set(t)
+	c.wdeadline.set(t)
+	return nil
+}
 
 // SetReadDeadline implements net.Conn. The deadline is interpreted on the
 // real clock, matching how callers use it for I/O timeouts.
@@ -133,11 +157,21 @@ func (c *conn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// SetWriteDeadline implements net.Conn; writes are buffered and never block,
-// so this is a no-op.
-func (c *conn) SetWriteDeadline(time.Time) error { return nil }
+// SetWriteDeadline implements net.Conn. Like the read deadline it runs on
+// the real clock; it bounds how long a write waits on a full send window.
+func (c *conn) SetWriteDeadline(t time.Time) error {
+	c.wdeadline.set(t)
+	return nil
+}
 
-// deadlineGuard manages a read deadline channel.
+// stopDeadlines disarms both deadline timers, so a closed connection
+// leaves no pending timer behind to fire later.
+func (c *conn) stopDeadlines() {
+	c.deadline.set(time.Time{})
+	c.wdeadline.set(time.Time{})
+}
+
+// deadlineGuard manages one direction's deadline channel.
 type deadlineGuard struct {
 	mu    sync.Mutex
 	timer *time.Timer
@@ -157,7 +191,7 @@ func (g *deadlineGuard) set(t time.Time) {
 	}
 	ch := make(chan struct{})
 	g.ch = ch
-	//lint:ignore wallclock SetReadDeadline carries a wall-clock time.Time per the net.Conn contract, so the guard must compare against real time
+	//lint:ignore wallclock a net.Conn deadline is a wall-clock time.Time per the net.Conn contract, so the guard must compare against real time
 	d := time.Until(t)
 	if d <= 0 {
 		close(ch)
@@ -182,41 +216,87 @@ type timedChunk struct {
 // deliveryQueue carries chunks in one direction. A single pump goroutine
 // would need to sleep on the virtual clock; instead the receiver performs
 // the wait itself in dequeue, which keeps goroutine count at zero per
-// connection and works with any Clock implementation.
+// connection and works with any Clock implementation. The queue is also
+// the direction's send window: see enqueue.
 type deliveryQueue struct {
 	clock vclock.Clock
+	peer  *deliveryQueue // the other direction of the same connection
 
 	mu sync.Mutex
-	// queue[head:] are the chunks in flight. Popping advances head, and a
-	// drained queue starts again at the front of the same backing array,
-	// unless that holds more than keepChunks.
+	// queue[head:] are the chunks in flight, bytes their total size.
+	// Popping advances head, and a drained queue starts again at the front
+	// of the same backing array, unless that holds more than keepChunks.
 	queue     []timedChunk
 	head      int
+	bytes     int
 	held      int       // size of the chunk the reader took last and has not come back from
 	busyUntil time.Time // when the last accepted write finishes occupying the pipe
 	closed    bool
-	failErr   error         // non-nil when torn down by fault injection (RST)
-	wake      chan struct{} // closed & replaced on a state change once a reader has taken it
-	waited    bool          // a reader has taken wake since it was made
+	failErr   error  // non-nil when torn down by fault injection (RST)
+	data      signal // fired when a chunk arrives or the queue closes; readers wait on it
+	room      signal // fired when the window opens or the queue closes; writers wait on it
+	// writers counts the writers waiting on room. The other direction's
+	// writers read it without holding mu; see enqueue.
+	writers atomic.Int32
 }
 
 func newDeliveryQueue(clock vclock.Clock) *deliveryQueue {
-	return &deliveryQueue{clock: clock, wake: make(chan struct{})}
+	return &deliveryQueue{clock: clock}
 }
 
 // enqueue admits one write of tx transmission time and prop propagation
-// delay. The pipe is a shared queue: a write starts transmitting only after
-// every earlier write on this direction has finished, so concurrent writers
-// cannot both see an empty pipe — bandwidth cost accumulates across them
-// instead of being paid independently per write.
-func (q *deliveryQueue) enqueue(data []byte, tx, prop time.Duration) error {
+// delay, and returns the bytes the queue holds with it and whether it
+// waited for room. The pipe is a shared queue: a write starts transmitting
+// only after every earlier write on this direction has finished, so
+// concurrent writers cannot both see an empty pipe — bandwidth cost
+// accumulates across them instead of being paid independently per write.
+//
+// A write waits while the queue holds SendWindow bytes or more and its head
+// chunk is deliverable (stamped at or before the clock's now), that is, on
+// data the reader could take without the clock moving. A future-stamped
+// head admits the write, so no writer waits on virtual time: a write made
+// inside a manual clock's Advance can wait for a reader, never for the
+// clock the Advance holds. A write also goes ahead while a writer of the
+// other direction waits. Each end's reader writes to the other (an MQTT
+// reader's acknowledgements), so two readers each waiting on the other's
+// full window would block for good, the deadlock two full TCP windows
+// allow; with this rule at most one direction has writers waiting. The
+// wait ends with the queue's error if it closes, and with timeoutError if
+// the write deadline fires first.
+func (q *deliveryQueue) enqueue(data []byte, tx, prop time.Duration, deadline *deadlineGuard) (held int, waited bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		if q.failErr != nil {
-			return q.failErr
+	for {
+		if q.closed {
+			if q.failErr != nil {
+				return 0, waited, q.failErr
+			}
+			return 0, waited, errors.New("connection closed")
 		}
-		return errors.New("connection closed")
+		if q.bytes < SendWindow || q.queue[q.head].deliverAt.After(q.clock.Now()) {
+			break // room in the window, or nothing the reader could take yet
+		}
+		// Count this writer in before looking at the other direction: of
+		// two writers doing both at once, at least one sees the other.
+		q.writers.Add(1)
+		if q.peer.writers.Load() > 0 {
+			q.writers.Add(-1)
+			break
+		}
+		waited = true
+		room := q.room.take()
+		q.mu.Unlock()
+		timedOut := false
+		select {
+		case <-room:
+		case <-deadline.channel():
+			timedOut = true
+		}
+		q.mu.Lock()
+		q.writers.Add(-1)
+		if timedOut {
+			return 0, waited, timeoutError{}
+		}
 	}
 	start := q.clock.Now()
 	if q.busyUntil.After(start) {
@@ -234,8 +314,9 @@ func (q *deliveryQueue) enqueue(data []byte, tx, prop time.Duration) error {
 		q.queue, q.head = q.queue[:n], 0
 	}
 	q.queue = append(q.queue, timedChunk{data: data, deliverAt: done.Add(prop)})
-	q.wakeLocked()
-	return nil
+	q.bytes += len(data)
+	q.data.fire()
+	return q.bytes, waited, nil
 }
 
 // dequeue blocks until a chunk is deliverable (its stamp has passed on the
@@ -254,12 +335,12 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			// remaining chunks, and waiting out their stamps would wedge
 			// the reader forever when the virtual clock has stopped.
 			if q.closed || !head.deliverAt.After(now) {
-				q.pop()
+				q.pop(now)
 				q.held = len(head.data)
 				q.mu.Unlock()
 				return head.data, nil
 			}
-			wake := q.takeWake()
+			wake := q.data.take()
 			q.mu.Unlock()
 			// Wait for the stamp on the clock, but re-check earlier if
 			// state changes or the deadline fires.
@@ -282,7 +363,7 @@ func (q *deliveryQueue) dequeue(deadline <-chan struct{}) ([]byte, error) {
 			}
 			return nil, io.EOF
 		}
-		wake := q.takeWake()
+		wake := q.data.take()
 		q.mu.Unlock()
 		select {
 		case <-wake:
@@ -314,7 +395,8 @@ func (q *deliveryQueue) close() {
 	defer q.mu.Unlock()
 	if !q.closed {
 		q.closed = true
-		q.wakeLocked()
+		q.data.fire()
+		q.room.fire()
 	}
 }
 
@@ -328,8 +410,9 @@ func (q *deliveryQueue) fail(err error) {
 	}
 	q.closed = true
 	q.failErr = err
-	q.queue, q.head = nil, 0
-	q.wakeLocked()
+	q.queue, q.head, q.bytes = nil, 0, 0
+	q.data.fire()
+	q.room.fire()
 }
 
 // keepChunks is the largest backing array a drained queue keeps for its
@@ -338,8 +421,12 @@ func (q *deliveryQueue) fail(err error) {
 // memory than the garbage it saves.
 const keepChunks = 32
 
-// pop drops the chunk at the head, letting go of its bytes.
-func (q *deliveryQueue) pop() {
+// pop drops the chunk at the head, letting go of its bytes, and wakes the
+// waiting writers once the window has half emptied or its new head is not
+// yet deliverable at now. Waking them only then, not on every pop, lets a
+// writer that waited put half a window in before it waits again.
+func (q *deliveryQueue) pop(now time.Time) {
+	q.bytes -= len(q.queue[q.head].data)
 	q.queue[q.head] = timedChunk{}
 	q.head++
 	if q.head == len(q.queue) {
@@ -348,22 +435,35 @@ func (q *deliveryQueue) pop() {
 			q.queue = nil
 		}
 	}
+	if q.bytes <= SendWindow/2 || q.queue[q.head].deliverAt.After(now) {
+		q.room.fire()
+	}
 }
 
-// takeWake returns the channel wakeLocked closes on the next state change.
-func (q *deliveryQueue) takeWake() chan struct{} {
-	q.waited = true
-	return q.wake
+// signal wakes the goroutines waiting for one change of a deliveryQueue's
+// state; the queue's mutex guards it.
+type signal struct {
+	ch    chan struct{}
+	taken bool // someone holds ch since it was made
 }
 
-// wakeLocked wakes the readers waiting on wake, if any has taken it; with
-// none, there is no one to tell and the channel stays as it is.
-func (q *deliveryQueue) wakeLocked() {
-	if !q.waited {
+// take returns the channel the next fire closes.
+func (s *signal) take() <-chan struct{} {
+	if s.ch == nil {
+		s.ch = make(chan struct{})
+	}
+	s.taken = true
+	return s.ch
+}
+
+// fire wakes the goroutines waiting on the signal, if any has taken it;
+// with none, there is no one to tell and the channel stays as it is.
+func (s *signal) fire() {
+	if !s.taken {
 		return
 	}
-	close(q.wake)
-	q.wake, q.waited = make(chan struct{}), false
+	close(s.ch)
+	s.ch, s.taken = nil, false
 }
 
 // timeoutError satisfies net.Error for deadline expiry.

@@ -156,6 +156,8 @@ type fabricCounters struct {
 	connResets      *obs.CounterVec // by cause: "partition" or "churn"
 	dialsRefused    *obs.Counter
 	lossRetransmits *obs.Counter
+	writeWaits      *obs.Counter
+	queuedPeak      atomic.Int64 // most bytes one direction has held; see noteQueued
 }
 
 func newFabricCounters(reg *obs.Registry) *fabricCounters {
@@ -172,6 +174,19 @@ func newFabricCounters(reg *obs.Registry) *fabricCounters {
 			"Dials refused because an injected partition separated the hosts."),
 		lossRetransmits: reg.Counter("sensocial_netsim_loss_retransmits_total",
 			"Writes that paid a simulated loss retransmission penalty."),
+		writeWaits: reg.Counter("sensocial_netsim_write_waits_total",
+			"Writes that waited for room in a full send window."),
+	}
+}
+
+// noteQueued raises the queued-bytes peak to held, the bytes one direction
+// holds after a write, if that is higher.
+func (fc *fabricCounters) noteQueued(held int) {
+	for {
+		peak := fc.queuedPeak.Load()
+		if int64(held) <= peak || fc.queuedPeak.CompareAndSwap(peak, int64(held)) {
+			return
+		}
 	}
 }
 
@@ -197,7 +212,11 @@ func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	n.counters.Store(newFabricCounters(reg))
+	fc := newFabricCounters(reg)
+	n.counters.Store(fc)
+	reg.GaugeFunc("sensocial_netsim_queued_bytes_max",
+		"Most bytes one direction of one connection has held at once: at most the send window plus one write, unless the window's head was not yet deliverable or the other direction had a writer waiting.",
+		func() float64 { return float64(fc.queuedPeak.Load()) })
 	reg.GaugeFunc("sensocial_netsim_unread_bytes",
 		"Bytes due at the receiving end of established connections that its reader has not taken, or took and has not come back from.",
 		n.unreadBytes)

@@ -201,6 +201,14 @@ func TestAlignedBurstIngestsEveryItem(t *testing.T) {
 	if got := ingested(s, "sensocial_ingest_dropped_total"); got != 0 {
 		t.Errorf("sensocial_ingest_dropped_total = %d, want 0", got)
 	}
+	// The burst waits in the device backlogs, not in the fabric: a full send
+	// window holds the flush back, so no direction of a connection held more
+	// than the window plus one write, a pooled upload (about 230 bytes).
+	const oneWrite = 512
+	peak := s.Shards[0].Metrics.Sum("sensocial_netsim_queued_bytes_max")
+	if peak < netsim.SendWindow || peak > netsim.SendWindow+oneWrite {
+		t.Errorf("a connection held %d bytes at once, want the %d-byte window plus at most one write", peak, netsim.SendWindow)
+	}
 }
 
 // TestPooledBacklogBounded: a fleet that can never connect (its link is
