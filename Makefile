@@ -45,12 +45,15 @@ race:
 	$(GO) test -race ./...
 
 # The deadlock and flake net for the fabric's send windows and the ingest
-# wait: every test of the fabric, simulator, chaos and shard packages twenty
-# times under the race detector, then each test's pass count (about six
-# minutes on two vCPUs, so not part of ci). Fails if any run failed.
-STRESS_PKGS = ./internal/netsim ./internal/sim ./internal/chaos ./internal/shard
+# wait: every test of the fabric, simulator, chaos, shard, broker and WAL
+# packages, and the document store's allocation and durability tests,
+# twenty times under the race detector, then each test's pass count (not
+# part of ci). Fails if any run failed.
+STRESS_PKGS = ./internal/netsim ./internal/sim ./internal/chaos ./internal/shard ./internal/wal ./internal/mqtt
+STRESS_DOCSTORE = Allocs|Allocates|Retained|Durable|Reopen|Replay|Snapshot|Journal|Checkpoint
 stress:
 	@log=$$(mktemp); $(GO) test -race -count=20 -timeout 60m -v $(STRESS_PKGS) > $$log 2>&1; status=$$?; \
+	$(GO) test -race -count=20 -timeout 60m -v -run '$(STRESS_DOCSTORE)' ./internal/docstore >> $$log 2>&1 || status=1; \
 	awk '$$1 == "---" && ($$2 == "PASS:" || $$2 == "FAIL:") { runs[$$3]++; if ($$2 == "PASS:") passed[$$3]++ } \
 		END { for (t in runs) printf "%4d/%-4d %s\n", passed[t], runs[t], t }' $$log | sort -k2; \
 	if [ $$status -ne 0 ]; then grep -E '^(--- FAIL|FAIL|panic)' $$log | head -40; fi; \

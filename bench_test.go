@@ -189,7 +189,7 @@ func fanoutBus(b *testing.B, n int, filterFor func(i int) string) (*mqtt.Broker,
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := mqtt.Connect(conn, mqtt.ClientOptions{ClientID: fmt.Sprintf("sub-%d", i), AckTimeout: 30 * time.Second})
+		c, err := mqtt.Connect(conn, mqtt.ClientOptions{ClientID: fmt.Sprintf("sub-%d", i)})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,7 +53,6 @@ func main() {
 	flag.StringVar(&opts.BrokerAddr, "mqtt", ":1883", "MQTT broker listen address")
 	flag.StringVar(&opts.HTTPAddr, "http", ":8080", "HTTP listen address")
 	flag.IntVar(&opts.IngestShards, "ingest-shards", 0, "ingest pipeline shards (0 = default)")
-	flag.IntVar(&opts.FanoutQueue, "mqtt-fanout-queue", 0, "per-session MQTT delivery queue bound (0 = default)")
 	flag.IntVar(&opts.TraceCapacity, "trace-capacity", 0, "span ring-buffer capacity for GET /trace (0 = tracing off)")
 	flag.StringVar(&opts.DurableDir, "durable", "", "directory for WAL+snapshot durability of the registry and broker sessions (empty = in-memory)")
 	flag.StringVar(&opts.ID, "shard-id", "", "this process's shard ID in a sharded cluster (e.g. shard0); enables ring ownership checks and the broker bridge")

@@ -188,11 +188,9 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 
 	for i, p := range opts.Peers {
 		link := b.links[i]
-		re, err := mqtt.NewRedialer(p.Dial, mqtt.RedialerOptions{
-			Client: mqtt.ClientOptions{
-				ClientID: "$bridge/" + b.shardID,
-				Clock:    clock,
-			},
+		re, err := mqtt.NewRedialer(p.Dial, mqtt.ClientOptions{
+			ClientID: "$bridge/" + b.shardID,
+			Clock:    clock,
 		})
 		if err != nil {
 			_ = b.Close()
@@ -215,6 +213,17 @@ func NewBridge(opts BridgeOptions) (*Bridge, error) {
 
 // Index exposes the merged peer-summary index (tests).
 func (b *Bridge) Index() *PeerIndex { return b.index }
+
+// Linked reports whether every peer link has a live session with its
+// summary subscription in place.
+func (b *Bridge) Linked() bool {
+	for _, l := range b.links {
+		if !l.re.Connected() {
+			return false
+		}
+	}
+	return true
+}
 
 // Close detaches the subscription listener, stops the peer links and
 // joins the writer goroutines. The local control handlers stay on the

@@ -126,7 +126,7 @@ func New(opts Options) (*Manager, error) {
 		if opts.Reconnect {
 			rd, err := mqtt.NewRedialer(func() (net.Conn, error) {
 				return opts.Device.Dial(opts.BrokerAddr)
-			}, mqtt.RedialerOptions{Client: clientOpts})
+			}, clientOpts)
 			if err != nil {
 				return nil, fmt.Errorf("mobile: connect broker: %w", err)
 			}

@@ -148,7 +148,9 @@ func (f ListenerFunc) OnItem(i Item) { f(i) }
 // route items from streams to registered listeners. Subscriptions are per
 // stream id or the wildcard "*".
 type Hub struct {
-	mu        sync.Mutex
+	mu sync.Mutex
+	// listeners' slices are never written in place once stored (Register
+	// copies), so Publish iterates them outside mu without copying.
 	listeners map[string][]Listener
 }
 
@@ -170,7 +172,8 @@ func (h *Hub) Register(streamID string, l Listener) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.listeners[streamID] = append(h.listeners[streamID], l)
+	ls := h.listeners[streamID]
+	h.listeners[streamID] = append(ls[:len(ls):len(ls)], l)
 	return nil
 }
 
@@ -181,15 +184,16 @@ func (h *Hub) Unregister(streamID string) {
 	delete(h.listeners, streamID)
 }
 
-// Publish fans an item out to the stream's listeners and wildcard
+// Publish fans an item out to the stream's listeners, then the wildcard
 // listeners, synchronously.
 func (h *Hub) Publish(i Item) {
 	h.mu.Lock()
-	ls := make([]Listener, 0, len(h.listeners[i.StreamID])+len(h.listeners[Wildcard]))
-	ls = append(ls, h.listeners[i.StreamID]...)
-	ls = append(ls, h.listeners[Wildcard]...)
+	own, all := h.listeners[i.StreamID], h.listeners[Wildcard]
 	h.mu.Unlock()
-	for _, l := range ls {
+	for _, l := range own {
+		l.OnItem(i)
+	}
+	for _, l := range all {
 		l.OnItem(i)
 	}
 }

@@ -151,6 +151,32 @@ func TestHubUnregister(t *testing.T) {
 	}
 }
 
+// TestHubPublishNoAlloc pins that fanning an item out to a stream
+// listener and a wildcard listener allocates nothing: Publish runs once per
+// item on every server ingest worker and on the mobile's local delivery.
+func TestHubPublishNoAlloc(t *testing.T) {
+	h := NewHub()
+	var order []string
+	for _, id := range []string{"s1", Wildcard} {
+		id := id
+		if err := h.Register(id, ListenerFunc(func(Item) { order = append(order, id) })); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+	}
+	item := Item{StreamID: "s1"}
+	h.Publish(item)
+	if len(order) != 2 || order[0] != "s1" || order[1] != Wildcard {
+		t.Fatalf("delivery order = %q, want stream listener then wildcard", order)
+	}
+	order = order[:0:cap(order)]
+	if n := testing.AllocsPerRun(200, func() {
+		h.Publish(item)
+		order = order[:0]
+	}); n != 0 {
+		t.Fatalf("Publish allocates %.1f per item, want 0", n)
+	}
+}
+
 func TestHubValidation(t *testing.T) {
 	h := NewHub()
 	if err := h.Register("", ListenerFunc(func(Item) {})); err == nil {

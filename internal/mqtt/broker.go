@@ -38,11 +38,6 @@ type BrokerOptions struct {
 	Clock vclock.Clock
 	// Logger receives connection lifecycle diagnostics; nil disables logging.
 	Logger *slog.Logger
-	// FanoutQueue bounds each session's outbound delivery queue (default
-	// 256). A publish never blocks on a slow session: deliveries beyond
-	// the bound are dropped and counted in
-	// sensocial_mqtt_fanout_dropped_total.
-	FanoutQueue int
 	// Metrics registers the broker's counters (families sensocial_mqtt_*).
 	// Nil uses a private registry; share the deployment registry to
 	// surface the broker on /metrics.
@@ -56,6 +51,11 @@ type BrokerOptions struct {
 	// unacked deliveries when that client id reconnects.
 	State *SessionStore
 }
+
+// fanoutQueue bounds each session's outbound delivery queue. A publish
+// never blocks on a slow session: deliveries beyond the bound are dropped
+// and counted in sensocial_mqtt_fanout_dropped_total.
+const fanoutQueue = 256
 
 // keepaliveGrace is a session's read deadline per second of client
 // keepalive: one and a half keepalive periods, per MQTT 3.1.1.
@@ -73,11 +73,10 @@ const keepaliveGrace = 1500 * time.Millisecond
 // session drains its own bounded outbound queue on a dedicated writer, so
 // one slow subscriber never stalls the publisher or its peers.
 type Broker struct {
-	clock       vclock.Clock
-	logger      *slog.Logger
-	fanoutQueue int
-	tracer      *obs.Tracer
-	state       *SessionStore // nil on non-durable brokers
+	clock  vclock.Clock
+	logger *slog.Logger
+	tracer *obs.Tracer
+	state  *SessionStore // nil on non-durable brokers
 
 	connects      *obs.Counter
 	published     *obs.Counter
@@ -120,10 +119,6 @@ func NewBroker(opts BrokerOptions) *Broker {
 	if clock == nil {
 		clock = vclock.NewReal()
 	}
-	queue := opts.FanoutQueue
-	if queue <= 0 {
-		queue = 256
-	}
 	metrics := opts.Metrics
 	if metrics == nil {
 		metrics = obs.NewRegistry()
@@ -131,7 +126,6 @@ func NewBroker(opts BrokerOptions) *Broker {
 	b := &Broker{
 		clock:       clock,
 		logger:      opts.Logger,
-		fanoutQueue: queue,
 		tracer:      opts.Tracer,
 		state:       opts.State,
 		subs:        topictrie.NewFilterTrie[subEntry](),
@@ -365,7 +359,7 @@ func (b *Broker) handleConn(conn net.Conn) {
 		broker:   b,
 		conn:     conn,
 		clientID: c.clientID,
-		out:      make(chan *frame, b.fanoutQueue),
+		out:      make(chan *frame, fanoutQueue),
 		done:     make(chan struct{}),
 		subs:     make(map[string]byte),
 	}

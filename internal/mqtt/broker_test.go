@@ -44,7 +44,7 @@ func (tb *testBus) connect(clientID string, opts ...func(*ClientOptions)) *Clien
 	if err != nil {
 		tb.t.Fatalf("Dial: %v", err)
 	}
-	o := ClientOptions{ClientID: clientID, AckTimeout: 5 * time.Second}
+	o := ClientOptions{ClientID: clientID}
 	for _, f := range opts {
 		f(&o)
 	}

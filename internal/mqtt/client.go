@@ -48,9 +48,10 @@ type ClientOptions struct {
 	KeepAlive time.Duration
 	// Clock supplies time for pings and ack timeouts (default real clock).
 	Clock vclock.Clock
-	// AckTimeout bounds waits for SUBACK/PUBACK (default 30s).
-	AckTimeout time.Duration
 }
+
+// ackTimeout bounds waits for SUBACK/PUBACK.
+const ackTimeout = 30 * time.Second
 
 // Client is an MQTT client bound to a single connection.
 type Client struct {
@@ -81,9 +82,6 @@ func Connect(conn net.Conn, opts ClientOptions) (*Client, error) {
 	}
 	if opts.Clock == nil {
 		opts.Clock = vclock.NewReal()
-	}
-	if opts.AckTimeout <= 0 {
-		opts.AckTimeout = 30 * time.Second
 	}
 	kaSec := uint16(0)
 	if opts.KeepAlive > 0 {
@@ -432,7 +430,7 @@ func (c *Client) unregisterPending(id uint16) {
 }
 
 func (c *Client) waitAck(ack *pendingAck) error {
-	t := c.clock.NewTimer(c.opts.AckTimeout)
+	t := c.clock.NewTimer(ackTimeout)
 	defer t.Stop()
 	select {
 	case <-ack.ch:

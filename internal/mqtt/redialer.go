@@ -14,16 +14,12 @@ import (
 // uploads, matching the original's best-effort semantics).
 var ErrNotConnected = fmt.Errorf("mqtt: not connected")
 
-// RedialerOptions configures a Redialer.
-type RedialerOptions struct {
-	// Client carries the MQTT session parameters.
-	Client ClientOptions
-	// InitialBackoff before the first reconnect attempt (default 250 ms on
-	// the configured clock).
-	InitialBackoff time.Duration
-	// MaxBackoff caps exponential growth (default 30 s).
-	MaxBackoff time.Duration
-}
+// A Redialer waits initialBackoff on its clock after a failed attempt,
+// doubling up to maxBackoff while attempts keep failing.
+const (
+	initialBackoff = 250 * time.Millisecond
+	maxBackoff     = 30 * time.Second
+)
 
 // Redialer maintains an MQTT session across broker restarts and transport
 // failures: it reconnects with exponential backoff and replays every
@@ -31,11 +27,12 @@ type RedialerOptions struct {
 // fast with ErrNotConnected.
 type Redialer struct {
 	dial  func() (net.Conn, error)
-	opts  RedialerOptions
+	opts  ClientOptions
 	clock vclock.Clock
 
 	mu      sync.Mutex
 	client  *Client // current session, set before its subscriptions replay
+	ready   bool    // client's subscriptions have all been replayed
 	subs    map[string]redialSub
 	closed  bool
 	dialing net.Conn // transport mid-handshake, aborted by Close
@@ -50,27 +47,22 @@ type redialSub struct {
 }
 
 // NewRedialer starts the connection maintenance loop. dial must produce a
-// fresh transport connection per call.
-func NewRedialer(dial func() (net.Conn, error), opts RedialerOptions) (*Redialer, error) {
+// fresh transport connection per call; opts are every session's
+// parameters.
+func NewRedialer(dial func() (net.Conn, error), opts ClientOptions) (*Redialer, error) {
 	if dial == nil {
 		return nil, fmt.Errorf("mqtt: redialer requires a dial func")
 	}
-	if opts.Client.ClientID == "" {
+	if opts.ClientID == "" {
 		return nil, fmt.Errorf("mqtt: redialer requires a client id")
 	}
-	if opts.Client.Clock == nil {
-		opts.Client.Clock = vclock.NewReal()
-	}
-	if opts.InitialBackoff <= 0 {
-		opts.InitialBackoff = 250 * time.Millisecond
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 30 * time.Second
+	if opts.Clock == nil {
+		opts.Clock = vclock.NewReal()
 	}
 	r := &Redialer{
 		dial:  dial,
 		opts:  opts,
-		clock: opts.Client.Clock,
+		clock: opts.Clock,
 		subs:  make(map[string]redialSub),
 		done:  make(chan struct{}),
 	}
@@ -85,7 +77,7 @@ func NewRedialer(dial func() (net.Conn, error), opts RedialerOptions) (*Redialer
 // loop connects, replays subscriptions, then waits for the session to die
 // and starts over with backoff.
 func (r *Redialer) loop() {
-	backoff := r.opts.InitialBackoff
+	backoff := initialBackoff
 	for {
 		select {
 		case <-r.done:
@@ -102,12 +94,12 @@ func (r *Redialer) loop() {
 				return
 			}
 			backoff *= 2
-			if backoff > r.opts.MaxBackoff {
-				backoff = r.opts.MaxBackoff
+			if backoff > maxBackoff {
+				backoff = maxBackoff
 			}
 			continue
 		}
-		backoff = r.opts.InitialBackoff
+		backoff = initialBackoff
 		select {
 		case <-client.Done():
 			// Session died (or Close raced); fall through to reconnect.
@@ -142,7 +134,7 @@ func (r *Redialer) connectOnce() (*Client, error) {
 	}
 	r.dialing = conn
 	r.mu.Unlock()
-	client, err := Connect(conn, r.opts.Client)
+	client, err := Connect(conn, r.opts)
 	r.mu.Lock()
 	r.dialing = nil
 	if err != nil {
@@ -167,12 +159,15 @@ func (r *Redialer) connectOnce() (*Client, error) {
 			return nil, fmt.Errorf("mqtt: redial resubscribe %q: %w", filter, err)
 		}
 	}
+	r.mu.Lock()
+	r.ready = r.client == client
+	r.mu.Unlock()
 	return client, nil
 }
 
 func (r *Redialer) clearClient() {
 	r.mu.Lock()
-	r.client = nil
+	r.client, r.ready = nil, false
 	r.mu.Unlock()
 }
 
@@ -188,11 +183,12 @@ func (r *Redialer) currentClient() (*Client, error) {
 	return r.client, nil
 }
 
-// Connected reports whether a live session exists right now.
+// Connected reports whether a live session exists right now and every
+// subscription has been replayed on it (its SUBACK received).
 func (r *Redialer) Connected() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.client != nil && !r.closed
+	return r.client != nil && r.ready && !r.closed
 }
 
 // Publish sends on the current session; fails fast while disconnected.
@@ -253,7 +249,7 @@ func (r *Redialer) Close() error {
 	r.closed = true
 	close(r.done)
 	c := r.client
-	r.client = nil
+	r.client, r.ready = nil, false
 	dialing := r.dialing
 	r.mu.Unlock()
 	if dialing != nil {

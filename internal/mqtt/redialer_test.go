@@ -83,22 +83,18 @@ func (r *redialRig) subscribed(filter string) func() bool {
 }
 
 func TestRedialerValidation(t *testing.T) {
-	if _, err := NewRedialer(nil, RedialerOptions{Client: ClientOptions{ClientID: "x"}}); err == nil {
+	if _, err := NewRedialer(nil, ClientOptions{ClientID: "x"}); err == nil {
 		t.Fatal("nil dial accepted")
 	}
 	if _, err := NewRedialer(func() (net.Conn, error) { return nil, ErrNotConnected },
-		RedialerOptions{}); err == nil {
+		ClientOptions{}); err == nil {
 		t.Fatal("missing client id accepted")
 	}
 }
 
 func TestRedialerSurvivesBrokerRestart(t *testing.T) {
 	rig := newRedialRig(t)
-	rd, err := NewRedialer(rig.dial, RedialerOptions{
-		Client:         ClientOptions{ClientID: "dev1", AckTimeout: 5 * time.Second},
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
-	})
+	rd, err := NewRedialer(rig.dial, ClientOptions{ClientID: "dev1"})
 	if err != nil {
 		t.Fatalf("NewRedialer: %v", err)
 	}
@@ -136,10 +132,7 @@ func TestRedialerSurvivesBrokerRestart(t *testing.T) {
 func TestRedialerSubscribeWhileDisconnected(t *testing.T) {
 	rig := newRedialRig(t)
 	rig.stopBroker() // start life disconnected
-	rd, err := NewRedialer(rig.dial, RedialerOptions{
-		Client:         ClientOptions{ClientID: "dev1", AckTimeout: 5 * time.Second},
-		InitialBackoff: 5 * time.Millisecond,
-	})
+	rd, err := NewRedialer(rig.dial, ClientOptions{ClientID: "dev1"})
 	if err != nil {
 		t.Fatalf("NewRedialer: %v", err)
 	}
@@ -182,10 +175,7 @@ func TestRedialerPublishFromReplayedMessage(t *testing.T) {
 	rig := newRedialRig(t)
 	rig.stopBroker() // start life disconnected
 	rig.retained = []Message{{Topic: "cfg/x", Payload: []byte("v"), Retain: true}}
-	rd, err := NewRedialer(rig.dial, RedialerOptions{
-		Client:         ClientOptions{ClientID: "dev1", AckTimeout: 5 * time.Second},
-		InitialBackoff: 5 * time.Millisecond,
-	})
+	rd, err := NewRedialer(rig.dial, ClientOptions{ClientID: "dev1"})
 	if err != nil {
 		t.Fatalf("NewRedialer: %v", err)
 	}
@@ -229,10 +219,7 @@ func TestRedialerDeadSessionFinishesBeforeReplay(t *testing.T) {
 	rig.stopBroker()
 	rig.retained = []Message{{Topic: "cfg/x", Payload: []byte("old"), Retain: true}}
 	rig.startBroker()
-	rd, err := NewRedialer(rig.dial, RedialerOptions{
-		Client:         ClientOptions{ClientID: "dev1", AckTimeout: 5 * time.Second},
-		InitialBackoff: 5 * time.Millisecond,
-	})
+	rd, err := NewRedialer(rig.dial, ClientOptions{ClientID: "dev1"})
 	if err != nil {
 		t.Fatalf("NewRedialer: %v", err)
 	}
@@ -288,10 +275,7 @@ func TestRedialerDeadSessionFinishesBeforeReplay(t *testing.T) {
 
 func TestRedialerCloseIsFinal(t *testing.T) {
 	rig := newRedialRig(t)
-	rd, err := NewRedialer(rig.dial, RedialerOptions{
-		Client:         ClientOptions{ClientID: "dev1"},
-		InitialBackoff: 5 * time.Millisecond,
-	})
+	rd, err := NewRedialer(rig.dial, ClientOptions{ClientID: "dev1"})
 	if err != nil {
 		t.Fatalf("NewRedialer: %v", err)
 	}

@@ -10,7 +10,7 @@ package mqtt
 // the store on every state transition; on restart the mirror reseeds
 // those structures. All methods are safe for concurrent use; appends
 // happen under the store lock, so journal order equals application order.
-// Checkpoints compact the journal every CheckpointEvery records. The
+// Checkpoints compact the journal every checkpointEvery records. The
 // recovery contract is written out in docs/DURABILITY.md.
 
 import (
@@ -30,14 +30,17 @@ type SessionStoreOptions struct {
 	Clock vclock.Clock
 	// Metrics shares WAL counters with the rest of the deployment.
 	Metrics *wal.Metrics
-	// CheckpointEvery compacts the journal after this many records
-	// (default 4096; set by tests to force early checkpoints).
-	CheckpointEvery int
 }
+
+// checkpointEvery is how many records a SessionStore journals between
+// compacting checkpoints.
+const checkpointEvery = 4096
 
 // SessionStore journals broker session state. See the package note above.
 type SessionStore struct {
-	log             *wal.Log
+	log *wal.Log
+	// checkpointEvery starts at the constant; tests in this package lower
+	// it to force early checkpoints.
 	checkpointEvery int
 
 	mu       sync.Mutex
@@ -94,12 +97,8 @@ func OpenSessionStore(dir string, opts SessionStoreOptions) (*SessionStore, erro
 	if err != nil {
 		return nil, err
 	}
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 4096
-	}
 	s := &SessionStore{
-		checkpointEvery: every,
+		checkpointEvery: checkpointEvery,
 		retained:        make(map[string]Message),
 		sessions:        make(map[string]*clientState),
 	}

@@ -282,10 +282,11 @@ func TestRetainedClearSurvivesRestart(t *testing.T) {
 
 func TestSessionStoreCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSessionStore(dir, SessionStoreOptions{CheckpointEvery: 8})
+	s, err := OpenSessionStore(dir, SessionStoreOptions{})
 	if err != nil {
 		t.Fatalf("OpenSessionStore: %v", err)
 	}
+	s.checkpointEvery = 8
 	for i := 0; i < 40; i++ {
 		s.Retain(Message{Topic: "t/a", Payload: []byte{byte(i)}, QoS: 0, Retain: true})
 	}

@@ -39,8 +39,8 @@ func TestCadenceDutyCredit(t *testing.T) {
 }
 
 func TestCadenceVaryingDutyNoDrift(t *testing.T) {
-	// Adaptive policies vary duty per cycle; the credit accumulator must
-	// run ~sum(duty) cycles without long-run drift.
+	// Tick takes the duty per cycle, so it may vary; the credit
+	// accumulator must run ~sum(duty) cycles without long-run drift.
 	cad := NewCadence(cadenceEpoch, time.Minute)
 	ran, sum := 0, 0.0
 	duties := []float64{0.25, 0.75, 0.5, 1.0}

@@ -145,7 +145,6 @@ type Subscription struct {
 	id       int
 	modality string
 	settings Settings
-	policy   *AdaptivePolicy // nil for static duty cycling
 	fn       func(sensors.Reading)
 
 	stopOnce sync.Once
@@ -187,11 +186,7 @@ func (s *Subscription) loop(anchor time.Time) {
 			default:
 			}
 		}
-		duty := s.settings.DutyCycle
-		if s.policy != nil {
-			duty *= s.policy.FactorFor(s.manager.dev.Battery().LevelFraction())
-		}
-		if !cad.Tick(duty) {
+		if !cad.Tick(s.settings.DutyCycle) {
 			continue
 		}
 		r, err := s.manager.dev.Sample(s.modality)

@@ -154,6 +154,10 @@ func TestSubscribeValidation(t *testing.T) {
 	if _, err := m.Subscribe(sensors.ModalityWiFi, ok, nil); err == nil {
 		t.Fatal("nil callback accepted")
 	}
+	m.Close()
+	if _, err := m.Subscribe(sensors.ModalityWiFi, ok, func(sensors.Reading) {}); err == nil {
+		t.Fatal("closed manager accepted")
+	}
 }
 
 func TestManagerCloseStopsSubscriptions(t *testing.T) {
@@ -205,94 +209,6 @@ func waitForCount(t *testing.T, mu *sync.Mutex, count *int, want int) {
 			t.Fatalf("count = %d, want >= %d", c, want)
 		}
 		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-func TestAdaptivePolicyValidation(t *testing.T) {
-	if _, err := NewAdaptivePolicy(); err == nil {
-		t.Fatal("empty policy accepted")
-	}
-	if _, err := NewAdaptivePolicy(AdaptiveStep{MinLevel: 0.5, DutyFactor: 1}); err == nil {
-		t.Fatal("policy without MinLevel 0 accepted")
-	}
-	if _, err := NewAdaptivePolicy(AdaptiveStep{MinLevel: -0.1, DutyFactor: 1}); err == nil {
-		t.Fatal("negative level accepted")
-	}
-	if _, err := NewAdaptivePolicy(AdaptiveStep{MinLevel: 0, DutyFactor: 0}); err == nil {
-		t.Fatal("zero factor accepted")
-	}
-	if _, err := NewAdaptivePolicy(AdaptiveStep{MinLevel: 0, DutyFactor: 1.5}); err == nil {
-		t.Fatal("factor above 1 accepted")
-	}
-}
-
-func TestAdaptivePolicyFactors(t *testing.T) {
-	p := DefaultAdaptivePolicy()
-	cases := []struct {
-		level, want float64
-	}{{1.0, 1.0}, {0.5, 1.0}, {0.49, 0.5}, {0.2, 0.5}, {0.19, 0.2}, {0.0, 0.2}}
-	for _, c := range cases {
-		if got := p.FactorFor(c.level); got != c.want {
-			t.Errorf("FactorFor(%.2f) = %.2f, want %.2f", c.level, got, c.want)
-		}
-	}
-}
-
-func TestSubscribeAdaptiveThinsSamplingAsBatteryDrains(t *testing.T) {
-	clock := vclock.NewManual(epoch)
-	m := newManager(t, clock)
-	var mu sync.Mutex
-	count := 0
-	sub, err := m.SubscribeAdaptive(sensors.ModalityWiFi,
-		Settings{Interval: time.Minute, DutyCycle: 1},
-		DefaultAdaptivePolicy(),
-		func(sensors.Reading) {
-			mu.Lock()
-			count++
-			mu.Unlock()
-		})
-	if err != nil {
-		t.Fatalf("SubscribeAdaptive: %v", err)
-	}
-	defer sub.Stop()
-	clock.BlockUntilWaiters(1)
-	// Full battery: every tick samples.
-	for i := 0; i < 4; i++ {
-		clock.Advance(time.Minute)
-		waitForCount(t, &mu, &count, i+1)
-	}
-	// Drain to 10%: factor 0.2 — one sample per five ticks. Pace the
-	// advances so the manual ticker (buffer 1) never drops a tick.
-	m.dev.Battery().Drain(0.9 * 2500 * 1000)
-	before := func() int { mu.Lock(); defer mu.Unlock(); return count }()
-	for i := 0; i < 10; i++ {
-		clock.Advance(time.Minute)
-		time.Sleep(3 * time.Millisecond)
-	}
-	after := func() int { mu.Lock(); defer mu.Unlock(); return count }()
-	if got := after - before; got != 2 {
-		t.Fatalf("low-battery samples over 10 ticks = %d, want 2", got)
-	}
-}
-
-func TestSubscribeAdaptiveValidation(t *testing.T) {
-	m := newManager(t, vclock.NewManual(epoch))
-	ok := Settings{Interval: time.Second, DutyCycle: 1}
-	if _, err := m.SubscribeAdaptive(sensors.ModalityWiFi, ok, nil, func(sensors.Reading) {}); err == nil {
-		t.Fatal("nil policy accepted")
-	}
-	if _, err := m.SubscribeAdaptive("gyroscope", ok, DefaultAdaptivePolicy(), func(sensors.Reading) {}); err == nil {
-		t.Fatal("unknown modality accepted")
-	}
-	if _, err := m.SubscribeAdaptive(sensors.ModalityWiFi, Settings{}, DefaultAdaptivePolicy(), func(sensors.Reading) {}); err == nil {
-		t.Fatal("bad settings accepted")
-	}
-	if _, err := m.SubscribeAdaptive(sensors.ModalityWiFi, ok, DefaultAdaptivePolicy(), nil); err == nil {
-		t.Fatal("nil callback accepted")
-	}
-	m.Close()
-	if _, err := m.SubscribeAdaptive(sensors.ModalityWiFi, ok, DefaultAdaptivePolicy(), func(sensors.Reading) {}); err == nil {
-		t.Fatal("closed manager accepted")
 	}
 }
 

@@ -57,9 +57,9 @@ type Options struct {
 	ProcessingDelay, ProcessingJitter time.Duration
 	// PersistItems stores received items in the document store.
 	PersistItems bool
-	// IngestShards is the number of ingest workers, and FanoutQueue bounds
-	// each broker session's delivery queue (zero keeps the defaults).
-	IngestShards, FanoutQueue int
+	// IngestShards is the number of ingest workers (zero keeps the
+	// default).
+	IngestShards int
 	// TraceCapacity enables span tracing with a ring buffer of that many
 	// spans; zero leaves it off.
 	TraceCapacity int
@@ -200,7 +200,7 @@ func (sh *Shard) serveBroker() error {
 		}
 	}
 	broker := mqtt.NewBroker(mqtt.BrokerOptions{Clock: opts.Clock, Logger: opts.Logger,
-		Metrics: sh.Metrics, Tracer: sh.Tracer, FanoutQueue: opts.FanoutQueue, State: sessions})
+		Metrics: sh.Metrics, Tracer: sh.Tracer, State: sessions})
 	l, err := opts.Listen(sh.BrokerAddr)
 	sh.mu.Lock()
 	sh.Broker, sh.sessions = broker, sessions

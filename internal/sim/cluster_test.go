@@ -297,3 +297,47 @@ func TestClusterTraceDeterministicAcrossRuns(t *testing.T) {
 		})
 	}
 }
+
+// inboundBridges is how many peer bridges hold a session on shard i's
+// broker: each one subscribes once to the shard's summary buckets.
+func inboundBridges(cl *Simulation, i int) int {
+	return cl.Shards[i].Broker.SessionFilters()["$cluster/summary/"+ShardID(i)+"/+"]
+}
+
+// TestClusterBridgesSurviveAdvance: on a started three-shard pooled ring,
+// every shard's broker holds its two inbound bridge sessions, and after the
+// manual clock jumps ten minutes and then one more it holds the same two:
+// no broker accepted a new session in between. A bridge's SUBACK and PUBACK
+// waits time out on the deployment's clock, so a jump that lands while a
+// handshake is still in flight in real time drops the link, and its
+// redial then waits on a backoff timer that only the next advance fires.
+func TestClusterBridgesSurviveAdvance(t *testing.T) {
+	clock := vclock.NewManual(poolEpoch)
+	cl := newPoolRing(t, clock, 3)
+	if err := cl.StartPool(); err != nil {
+		t.Fatalf("StartPool: %v", err)
+	}
+	connects := func() (n []uint64) {
+		for _, sh := range cl.Shards {
+			n = append(n, sh.Metrics.Sum("sensocial_mqtt_connects_total"))
+		}
+		return n
+	}
+	check := func(when string) {
+		t.Helper()
+		for i := range cl.Shards {
+			if got := inboundBridges(cl, i); got != 2 {
+				t.Fatalf("%s: %s holds %d inbound bridge sessions, want 2", when, ShardID(i), got)
+			}
+		}
+	}
+	check("before the advances")
+	before := connects()
+	clock.Advance(10 * time.Minute)
+	clock.Advance(time.Minute)
+	quiesce(t, cl)
+	check("after Advance(10m), Advance(1m)")
+	if after := connects(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("brokers accepted sessions across the advances: connects %v -> %v", before, after)
+	}
+}

@@ -312,12 +312,17 @@ func (s *Simulation) AddDevices(n int) error {
 	return pool.AddDevices(n)
 }
 
-// StartPool begins pooled execution.
+// StartPool begins pooled execution. It returns once the ring's bridge
+// links are up too (see waitBridges), so the caller's first Advance cannot
+// land mid-handshake.
 func (s *Simulation) StartPool() error {
 	if s.Pool == nil {
 		return fmt.Errorf("sim: StartPool: no devices added")
 	}
-	return s.Pool.Start()
+	if err := s.Pool.Start(); err != nil {
+		return err
+	}
+	return s.waitBridges(30 * time.Second)
 }
 
 // Quiesce waits, in real time, until the deployment has drained what the
@@ -359,6 +364,35 @@ func (s *Simulation) Quiesce(timeout time.Duration) error {
 		//lint:ignore wallclock see above: real-time backoff while goroutines drain
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// waitBridges waits, in real time, until every shard's bridge has each
+// peer link connected and subscribed, when every bridge path is delay-free
+// (elsewhere the handshakes need the clock to move). An Advance landing
+// while a link's SUBACK is still in flight in real time would fire its
+// acknowledgement timeout on the virtual clock, drop the link, and leave
+// the redial waiting on a backoff timer only a later advance fires.
+func (s *Simulation) waitBridges(timeout time.Duration) error {
+	for _, sh := range s.Shards {
+		for _, peer := range s.Shards {
+			if peer != sh && !s.Fabric.PathDelayFree(sh.ID+"-bridge", peer.BrokerAddr) {
+				return nil
+			}
+		}
+	}
+	//lint:ignore wallclock the handshakes are real goroutine progress while virtual time is parked
+	deadline := time.Now().Add(timeout)
+	for _, sh := range s.Shards {
+		for sh.Bridge != nil && !sh.Bridge.Linked() {
+			//lint:ignore wallclock see above: real-time deadline on the handshakes
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s: bridge not linked after %v", sh.ID, timeout)
+			}
+			//lint:ignore wallclock see above: real-time backoff while the handshakes run
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return nil
 }
 
 // Classifiers returns the default on-device classifier registry.

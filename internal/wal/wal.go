@@ -41,30 +41,33 @@ type Options struct {
 	// the real clock; simulations inject their virtual clock so durable
 	// runs stay deterministic).
 	Clock vclock.Clock
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 1 MiB). A batch is never split across segments, so segments
-	// may exceed the bound by one batch.
-	SegmentBytes int
-	// RetainSnapshots is how many snapshots Checkpoint keeps (default 2:
-	// the new one plus one predecessor, so a torn newest snapshot still
-	// leaves a recoverable older one). Segments are deleted only once no
-	// retained snapshot needs their records.
-	RetainSnapshots int
 	// Metrics receives the log's counters; nil creates a private set.
 	// Share one Metrics across the deployment's logs so the
 	// sensocial_wal_* families aggregate on /metrics.
 	Metrics *Metrics
+
+	// segmentBytes overrides the segmentBytes constant; tests in this
+	// package shrink it to force rotation.
+	segmentBytes int
 }
+
+// segmentBytes rotates the active segment once it exceeds this size. A
+// batch is never split across segments, so segments may exceed the bound
+// by one batch.
+const segmentBytes = 1 << 20
+
+// retainSnapshots is how many snapshots Checkpoint keeps: the new one plus
+// one predecessor, so a torn newest snapshot still leaves a recoverable
+// older one. Segments are deleted only once no retained snapshot needs
+// their records.
+const retainSnapshots = 2
 
 func (o Options) withDefaults() Options {
 	if o.Clock == nil {
 		o.Clock = vclock.NewReal()
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.RetainSnapshots <= 0 {
-		o.RetainSnapshots = 2
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = segmentBytes
 	}
 	if o.Metrics == nil {
 		o.Metrics = NewMetrics(nil)
@@ -322,7 +325,7 @@ const maxRecycledBatch = 1 << 20
 // writeBatch appends one framed batch to the active segment (rotating
 // first if it is full) and fsyncs. Runs under ioMu only.
 func (l *Log) writeBatch(batch []byte, target uint64) error {
-	if l.seg != nil && l.segN >= l.opts.SegmentBytes {
+	if l.seg != nil && l.segN >= l.opts.segmentBytes {
 		if err := l.seg.Close(); err != nil {
 			return fmt.Errorf("wal: rotate: %w", err)
 		}
@@ -363,7 +366,7 @@ func (l *Log) writeBatch(batch []byte, target uint64) error {
 }
 
 // Checkpoint writes a compacting snapshot covering every record appended
-// so far, then applies the retention policy (keep RetainSnapshots
+// so far, then applies the retention policy (keep retainSnapshots
 // snapshots; delete segments no retained snapshot needs). The caller must
 // guarantee no Append runs concurrently — consumers hold their own
 // exclusive state lock across Checkpoint so the serialized state matches
@@ -387,12 +390,12 @@ func (l *Log) Checkpoint(write func(w io.Writer) error) error {
 	return nil
 }
 
-// retainLocked deletes snapshots beyond RetainSnapshots and segments
+// retainLocked deletes snapshots beyond retainSnapshots and segments
 // whose every record is covered by the oldest retained snapshot. Runs
 // under ioMu.
 func (l *Log) retainLocked(newest uint64) {
 	snaps, _ := listFiles(l.dir, snapPrefix, snapSuffix)
-	for len(snaps) > l.opts.RetainSnapshots {
+	for len(snaps) > retainSnapshots {
 		if os.Remove(filepath.Join(l.dir, snapshotName(snaps[0]))) != nil {
 			break
 		}

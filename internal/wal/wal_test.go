@@ -126,7 +126,7 @@ func TestCrashDropsUnsynced(t *testing.T) {
 
 func TestSegmentRotationAndNaming(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 64})
+	l, _, err := Open(dir, Options{segmentBytes: 64})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -147,7 +147,7 @@ func TestSegmentRotationAndNaming(t *testing.T) {
 		t.Fatalf("first segment named %d, want 1", segs[0])
 	}
 
-	_, rec, err := Open(dir, Options{SegmentBytes: 64})
+	_, rec, err := Open(dir, Options{segmentBytes: 64})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestSegmentRotationAndNaming(t *testing.T) {
 
 func TestCheckpointSnapshotAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{SegmentBytes: 32, RetainSnapshots: 2})
+	l, _, err := Open(dir, Options{segmentBytes: 32})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestCheckpointSnapshotAndRetention(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, rec, err := Open(dir, Options{SegmentBytes: 32, RetainSnapshots: 2})
+	_, rec, err := Open(dir, Options{segmentBytes: 32})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestTornTailTruncatedToLastCompleteRecord(t *testing.T) {
 
 func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{RetainSnapshots: 2})
+	l, _, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -349,7 +349,7 @@ func TestCorruptNewestSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("rewrite snapshot: %v", err)
 	}
 
-	_, rec, err := Open(dir, Options{RetainSnapshots: 2})
+	_, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
