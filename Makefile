@@ -75,7 +75,8 @@ bench:
 # over 1 000 device filters, a cluster summary change applied at 1 000 and
 # 10 000 filters, and a stream create on a server holding 1 000 and 10 000
 # streams, beside the context registry's write of one item for a known and
-# a first-seen user. The simulator and cluster layers at run
+# a first-seen user. The last line checkpoints and reopens a durable
+# document store of 100 000 items. The simulator and cluster layers at run
 # time are measured end to end by `go run ./bench` (sim.*, cluster.* in
 # bench/BASELINE.md).
 bench-smoke:
@@ -87,6 +88,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFilterTrieMatch$$' -benchtime 1x ./internal/mqtt/topictrie
 	$(GO) test -run '^$$' -bench '^BenchmarkSummaryChurn$$' -benchtime 1x ./internal/cluster
 	$(GO) test -run '^$$' -bench '^Benchmark(StreamCreate|RegistryApplyItem)$$' -benchtime 1x ./internal/core/server
+	$(GO) test -run '^$$' -bench '^BenchmarkDocstore(Checkpoint|Reopen)$$' -benchtime 1x .
 
 # The end-to-end benchmark's untraced pass of every workload at a tenth of
 # the work (about 18 s): exits non-zero if any of its exact-count
@@ -98,11 +100,12 @@ bench-e2e-smoke:
 # Short coverage-guided runs of the item and trigger codec fuzzers (each
 # differential against encoding/json), the MQTT wire codec fuzzer, the
 # topic-trie match cross-check, the netsim lifecycle fuzzer, the WAL replay
-# fuzzer and the document-record codec fuzzer: catches decode panics, a
-# codec fast path that drifts from encoding/json, frames that do not read
-# back as written, trie/matcher divergence,
-# fabric deadlocks under fault/close interleavings and records that do not
-# read back as written, without a dedicated fuzz farm.
+# fuzzer, the document-record codec fuzzer and the document store's
+# journal replay fuzzer: catches decode panics, a codec fast path that
+# drifts from encoding/json, frames that do not read back as written,
+# trie/matcher divergence, fabric deadlocks under fault/close
+# interleavings, records that do not read back as written and journal or
+# snapshot bytes that crash a reopen, without a dedicated fuzz farm.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeItem$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrigger$$' -fuzztime 10s ./internal/core
@@ -112,6 +115,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzStringRoundTrip$$' -fuzztime 10s ./internal/docstore
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/docstore
 
 # Deterministic chaos runs under fault schedules (DESIGN.md §8, §15): the
 # smoke schedule exercises every fault verb over a 128-device fleet, the

@@ -482,6 +482,78 @@ func BenchmarkDocstoreInsertAction(b *testing.B) {
 	runtime.KeepAlive(c)
 }
 
+// durableItems is how many benchItemDoc documents the checkpoint and
+// reopen benchmarks store: about a minute of uplink_capacity's persisted
+// items.
+const durableItems = 100_000
+
+// durableItemStore opens a durable store in a fresh directory and inserts
+// durableItems items of the uplink_capacity mix into it.
+func durableItemStore(b *testing.B) (*docstore.Store, string) {
+	b.Helper()
+	dir := b.TempDir()
+	s, _, err := docstore.OpenDurable(dir, docstore.DurableOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	accel := benchAccelWindows(64)
+	c := s.Collection("items")
+	for i := 0; i < durableItems; i++ {
+		if _, err := c.Insert(benchItemDoc(i, accel)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return s, dir
+}
+
+// BenchmarkDocstoreCheckpoint writes a compacting snapshot of a durable
+// store holding durableItems items: encoding, write, fsync and rename.
+func BenchmarkDocstoreCheckpoint(b *testing.B) {
+	s, _ := durableItemStore(b)
+	defer s.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDocstoreReopen recovers a durable store of durableItems items,
+// from its journal alone and from a snapshot, and closes it again.
+func BenchmarkDocstoreReopen(b *testing.B) {
+	for _, snapshot := range []bool{false, true} {
+		name := "journal"
+		if snapshot {
+			name = "snapshot"
+		}
+		b.Run(name, func(b *testing.B) {
+			s, dir := durableItemStore(b)
+			if snapshot {
+				if err := s.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, _, err := docstore.OpenDurable(dir, docstore.DurableOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := s.Collection("items").Len(); n != durableItems {
+					b.Fatalf("reopened %d items, want %d", n, durableItems)
+				}
+				if err := s.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkNetsimThroughput(b *testing.B) {
 	net := netsim.NewNetwork(vclock.NewReal(), 1)
 	defer net.Close()

@@ -132,7 +132,7 @@ func (c *checker) checkConservation(shards []*shard.Shard, qos byte) {
 	received := enqueued + rejected
 	if qos >= 1 {
 		// QoS 1 publishes only count once acked, and the broker acks
-		// before routing, so every published item reached ingest; the
+		// only after routing, so every published item reached ingest; the
 		// ambiguous ack-lost ones may or may not have.
 		if received < published || received > published+ackLost {
 			c.violate("conservation: QoS1 ingest received=%d outside [published=%d, published+ackLost=%d]",

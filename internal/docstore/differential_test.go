@@ -103,9 +103,7 @@ func (r *refStore) update(t *testing.T, query, spec Doc) int {
 	}
 	ids := r.matching(t, query)
 	for _, id := range ids {
-		if err := up.apply(r.docs[id]); err != nil {
-			t.Fatalf("reference: apply %v: %v", spec, err)
-		}
+		up.apply(r.docs[id])
 	}
 	return len(ids)
 }

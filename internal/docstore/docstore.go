@@ -12,6 +12,7 @@
 package docstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -139,12 +140,18 @@ func (s *Store) Drop(name string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.collections[name]; !ok {
+	c, ok := s.collections[name]
+	if !ok {
 		return
 	}
 	delete(s.collections, name)
 	if durable {
-		_ = s.appendRecord(journalRecord{Op: opDrop, Coll: name})
+		// A handle kept past the drop journals the dictionary afresh, so
+		// replay recreates the collection it writes to.
+		c.mu.Lock()
+		c.logged = dictMark{}
+		c.mu.Unlock()
+		_ = s.journal.Append(appendText([]byte{formatVersion, opDrop}, name))
 	}
 }
 
@@ -166,6 +173,7 @@ type Collection struct {
 	liveBytes int           // entry bytes the slots point at
 	deadBytes int           // entry bytes they no longer point at
 	seq       uint64
+	logged    dictMark // how much of keys the journal holds (durable.go)
 	hashIx    map[string]*hashIndex
 	geoIx     map[string]*geoIndex
 
@@ -210,24 +218,22 @@ func (c *Collection) Insert(doc Doc) (string, error) {
 	if doc == nil {
 		return "", fmt.Errorf("docstore: insert into %q: nil document", c.name)
 	}
+	pinned := c.pinJournal()
+	defer pinned.unpin()
 	rec, err := c.keys.encode(doc)
 	if err != nil {
 		return "", fmt.Errorf("docstore: insert into %q: %w", c.name, err)
 	}
 	defer release(rec)
-	pinned := c.pinJournal()
-	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id, err := c.idForLocked(doc)
 	if err != nil {
 		return "", err
 	}
-	id = c.putLocked(id, c.seq, rec.b, doc)
+	id, slot := c.putLocked(id, c.seq, rec.b, doc)
 	if pinned != nil {
-		if err := c.logLocked(journalRecord{Op: opInsert, ID: id, Doc: doc}); err != nil {
-			return id, err
-		}
+		return id, c.logLocked(nil, slot)
 	}
 	return id, nil
 }
@@ -326,12 +332,12 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("docstore: update in %q: %w", c.name, err)
 	}
+	pinned := c.pinJournal()
+	defer pinned.unpin()
 	up, err := compileUpdate(&c.keys, update)
 	if err != nil {
 		return 0, fmt.Errorf("docstore: update in %q: %w", c.name, err)
 	}
-	pinned := c.pinJournal()
-	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	type write struct {
@@ -347,11 +353,8 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	}()
 	var failed error
 	c.scanLocked(query, m, func(id string, d Doc) bool {
-		var rec *recBuf
-		err := up.apply(d)
-		if err == nil {
-			rec, err = c.keys.encode(d)
-		}
+		up.apply(d)
+		rec, err := c.keys.encode(d)
 		if err != nil {
 			failed = fmt.Errorf("docstore: update %q in %q: %w", id, c.name, err)
 			return false
@@ -362,15 +365,12 @@ func (c *Collection) Update(query, update Doc) (int, error) {
 	if failed != nil {
 		return 0, failed
 	}
-	for _, w := range writes {
-		c.putLocked(w.id, 0, w.rec.b, w.doc)
+	slots := make([]int, len(writes))
+	for i, w := range writes {
+		_, slots[i] = c.putLocked(w.id, 0, w.rec.b, w.doc)
 	}
 	if pinned != nil && len(writes) > 0 {
-		// Query+update replay is deterministic: the matched set and the
-		// per-document application are both order-independent.
-		if err := c.logLocked(journalRecord{Op: opUpdate, Query: query, Upd: update}); err != nil {
-			return len(writes), err
-		}
+		return len(writes), c.logLocked(nil, slots...)
 	}
 	return len(writes), nil
 }
@@ -387,13 +387,13 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 			return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
 		}
 	}
+	pinned := c.pinJournal()
+	defer pinned.unpin()
 	rec, err := c.keys.encode(doc)
 	if err != nil {
 		return "", fmt.Errorf("docstore: upsert in %q: %w", c.name, err)
 	}
 	defer release(rec)
-	pinned := c.pinJournal()
-	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := ""
@@ -412,13 +412,9 @@ func (c *Collection) Upsert(query Doc, doc Doc) (string, error) {
 			return "", err
 		}
 	}
-	id = c.putLocked(id, c.seq, rec.b, doc)
+	id, slot := c.putLocked(id, c.seq, rec.b, doc)
 	if pinned != nil {
-		// Log the resolved effect (which id was written), not the query, so
-		// replay need not resolve the query against the same state.
-		if err := c.logLocked(journalRecord{Op: opUpsert, ID: id, Doc: doc}); err != nil {
-			return id, err
-		}
+		return id, c.logLocked(nil, slot)
 	}
 	return id, nil
 }
@@ -441,11 +437,11 @@ func (c *Collection) Delete(query Doc) (int, error) {
 	})
 	n := c.deleteLocked(ids)
 	if pinned != nil && n > 0 {
-		// Log the matched ids rather than the query, for the same reason
-		// as Upsert.
-		if err := c.logLocked(journalRecord{Op: opDelete, IDs: ids}); err != nil {
-			return n, err
+		op := binary.AppendUvarint([]byte{opDelete}, uint64(len(ids)))
+		for _, id := range ids {
+			op = appendText(op, id)
 		}
+		return n, c.logLocked(op)
 	}
 	return n, nil
 }

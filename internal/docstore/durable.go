@@ -4,28 +4,58 @@ package docstore
 // from snapshot + tail on open, giving the in-memory document database the
 // restart story the paper's MongoDB deployment has for free.
 //
-// The journal records resolved effects, not raw requests, wherever request
-// replay would be nondeterministic: Insert and Upsert log the caller's
-// document beside the id it was stored under (marshalled before they
-// return, so the caller may reuse the document), Delete logs the matched
-// ids. Update logs
-// the query and $set spec — the matched set and per-document application
-// are order-independent, so replay reproduces the same state. Replay
-// compiles a logged query and spec like any other, so a record holding an
-// operator outside the language (query.go, update.go) fails the open,
-// naming its record number and the operator. Records are appended under
-// the collection lock, so the journal order equals the application order.
-// Checkpoint serializes the whole store through the WAL's compacting
-// snapshot; recovery loads the newest snapshot and replays the record
-// tail. See docs/DURABILITY.md for the contract.
+// The journal and the snapshot hold what the collections hold: records,
+// byte for byte, and the names and dictionary entries they refer to. Both
+// are one stream of ops, read back by one function, apply:
+//
+//	ops  := formatVersion { op }
+//	op   := 'c' text(collection) uvarint(seq)   the ops that follow are on this collection
+//	      | 'k' uvarint(names) uvarint(count) { text(name) } uvarint(end) text(dictionary bytes)
+//	      | 'p' entry                           put: a slab entry (slabs.go), the record as stored
+//	      | 'd' uvarint(count) { text(id) }     delete
+//	      | 'h' text(path) | 'g' text(path)     hash or geo index
+//	      | 'x' text(collection)                drop
+//	text := uvarint(len) bytes
+//
+// A dictionary op ('k') carries the names and dictionary bytes a
+// collection's keyTable admitted past the name count and dictionary end it
+// gives, and replay re-admits them there, so every key ref and dictionary
+// offset in a record means what it meant when the record was written.
+//
+// A journal record is one mutation's resolved effect: a 'c', the
+// dictionary growth since the collection's last record, then the records
+// an Insert, Upsert or Update wrote, the ids a Delete matched, an index or
+// a drop. Journaling decodes and marshals nothing, and replay compiles no
+// query. Records are appended under the collection lock, so the journal
+// order is the application order. Mutators pin the journal before they
+// encode, so Checkpoint, which holds it exclusive, sees no dictionary
+// grow. A snapshot writes each collection as a 'c', its whole dictionary,
+// its indexes and its live records in insertion order; recovery applies
+// the newest snapshot, then the journal tail. See docs/DURABILITY.md.
 
 import (
-	"bytes"
-	"encoding/json"
+	"bufio"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/vclock"
 	"repro/internal/wal"
+)
+
+// formatVersion is the first byte of every journal record and snapshot.
+// Version 1 was JSON, whose records begin with '{'; it is refused.
+const formatVersion = 2
+
+const (
+	opColl      = 'c'
+	opDict      = 'k'
+	opPut       = 'p'
+	opDelete    = 'd'
+	opHashIndex = 'h'
+	opGeoIndex  = 'g'
+	opDrop      = 'x'
 )
 
 // DurableOptions tunes OpenDurable; the zero value is usable.
@@ -52,31 +82,28 @@ type RecoveryInfo struct {
 // the mutator returns; call Checkpoint periodically to compact, Close for
 // a clean shutdown.
 func OpenDurable(dir string, opts DurableOptions) (*Store, *RecoveryInfo, error) {
-	l, rec, err := wal.Open(dir, wal.Options{
-		Clock:   opts.Clock,
-		Metrics: opts.Metrics,
-	})
+	l, rec, err := wal.Open(dir, wal.Options{Clock: opts.Clock, Metrics: opts.Metrics})
 	if err != nil {
 		return nil, nil, err
 	}
 	s := NewStore()
 	if rec.Snapshot != nil {
-		loaded, err := ReadSnapshot(bytes.NewReader(rec.Snapshot))
-		if err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("docstore: durable open %s: %w", dir, err)
-		}
-		s = loaded
-	}
-	for i, raw := range rec.Records {
-		if err := s.applyJournalRecord(raw); err != nil {
-			_ = l.Close()
-			return nil, nil, fmt.Errorf("docstore: durable open %s: replay record %d: %w",
-				dir, int(rec.SnapshotLSN)+i+1, err)
+		if err = s.apply(rec.Snapshot); err != nil {
+			err = fmt.Errorf("snapshot: %w", err)
 		}
 	}
-	// Attach the journal only after replay, so replay's own mutations are
-	// not re-logged.
+	for i := 0; i < len(rec.Records) && err == nil; i++ {
+		if err = s.apply(rec.Records[i]); err != nil {
+			err = fmt.Errorf("replay record %d: %w", int(rec.SnapshotLSN)+i+1, err)
+		}
+	}
+	if err != nil {
+		_ = l.Close()
+		return nil, nil, fmt.Errorf("docstore: durable open %s: %w", dir, err)
+	}
+	// The journal is attached only after replay, so replay's own mutations
+	// are not re-logged.
+	s.markLogged()
 	s.journal = l
 	return s, &RecoveryInfo{
 		SnapshotLSN:   rec.SnapshotLSN,
@@ -94,7 +121,22 @@ func (s *Store) Checkpoint() error {
 	}
 	s.cpMu.Lock()
 	defer s.cpMu.Unlock()
-	return s.journal.Checkpoint(s.WriteSnapshot)
+	if err := s.journal.Checkpoint(s.WriteSnapshot); err != nil {
+		return err
+	}
+	s.markLogged()
+	return nil
+}
+
+// markLogged records that the journal holds every collection's whole
+// dictionary. The caller holds cpMu exclusive or has not shared the store,
+// so no encoder is admitting to a dictionary.
+func (s *Store) markLogged() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, c := range s.collections {
+		c.logged = dictMark{len(c.keys.names), c.keys.end}
+	}
 }
 
 // Sync blocks until every mutation so far is fsynced. No-op on
@@ -127,33 +169,10 @@ func (s *Store) Crash() {
 // Durable reports whether the store journals its mutations.
 func (s *Store) Durable() bool { return s.journal != nil }
 
-// Journal record ops.
-const (
-	opInsert    = "insert"
-	opUpdate    = "update"
-	opUpsert    = "upsert"
-	opDelete    = "delete"
-	opHashIndex = "hashix"
-	opGeoIndex  = "geoix"
-	opDrop      = "drop"
-)
-
-// journalRecord is one logged mutation (JSON payload of a WAL record).
-type journalRecord struct {
-	Op    string   `json:"op"`
-	Coll  string   `json:"c,omitempty"`
-	ID    string   `json:"id,omitempty"`
-	IDs   []string `json:"ids,omitempty"`
-	Doc   Doc      `json:"doc,omitempty"`
-	Query Doc      `json:"q,omitempty"`
-	Upd   Doc      `json:"u,omitempty"`
-	Path  string   `json:"path,omitempty"`
-}
-
 // pinJournal takes the shared checkpoint lock when the store is durable,
 // returning the store to unpin (nil when not durable). Mutators pin before
-// taking c.mu so Checkpoint can quiesce them; the order is always
-// cpMu → s.mu/c.mu → wal internals.
+// they encode and before taking c.mu, so Checkpoint can quiesce them; the
+// order is always cpMu → s.mu/c.mu → wal internals.
 func (c *Collection) pinJournal() *Store {
 	s := c.store
 	if s == nil || s.journal == nil {
@@ -170,77 +189,196 @@ func (s *Store) unpin() {
 	}
 }
 
-// logLocked journals one mutation of this collection. Called with c.mu
-// held and the journal pinned, so journal order equals application order.
-func (c *Collection) logLocked(r journalRecord) error {
-	r.Coll = c.name
-	return c.store.appendRecord(r)
+// logLocked journals one mutation of this collection: its header, the
+// dictionary growth since its last record, ops, then a put of the entry at
+// each slot. Called with c.mu held and the journal pinned, after the
+// mutation's records were encoded, so the growth holds everything they use.
+func (c *Collection) logLocked(ops []byte, slots ...int) error {
+	b := append(make([]byte, 0, 512), formatVersion) // room for an item with a window
+	b, logged := c.keys.appendDict(c.appendHeaderLocked(b), c.logged)
+	b = append(b, ops...)
+	for _, slot := range slots {
+		b = append(append(b, opPut), rawEntry(c.slabs, c.slots[slot])...)
+	}
+	if err := c.store.journal.Append(b); err != nil {
+		return fmt.Errorf("docstore: journal %q: %w", c.name, err)
+	}
+	c.logged = logged
+	return nil
 }
 
-// appendRecord marshals and appends one journal record.
-func (s *Store) appendRecord(r journalRecord) error {
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("docstore: journal %s %q: %w", r.Op, r.Coll, err)
+func (c *Collection) appendHeaderLocked(b []byte) []byte {
+	return binary.AppendUvarint(appendText(append(b, opColl), c.name), c.seq)
+}
+
+func appendText(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// WriteSnapshot writes the whole store to w as ops. A bufio.Writer keeps
+// the first error w returns, and Flush returns it.
+func (s *Store) WriteSnapshot(w io.Writer) error {
+	bw := bufio.NewWriterSize(w, 64<<10)
+	_ = bw.WriteByte(formatVersion)
+	for _, name := range s.CollectionNames() {
+		c := s.Collection(name)
+		c.mu.RLock()
+		b, _ := c.keys.appendDict(c.appendHeaderLocked(nil), dictMark{})
+		for _, p := range sortedKeys(c.hashIx) {
+			b = appendText(append(b, opHashIndex), p)
+		}
+		for _, p := range sortedKeys(c.geoIx) {
+			b = appendText(append(b, opGeoIndex), p)
+		}
+		_, _ = bw.Write(b)
+		for _, p := range c.slots {
+			if p != tombstone {
+				_ = bw.WriteByte(opPut)
+				_, _ = bw.Write(rawEntry(c.slabs, p))
+			}
+		}
+		c.mu.RUnlock()
 	}
-	if err := s.journal.Append(buf); err != nil {
-		return fmt.Errorf("docstore: journal %s %q: %w", r.Op, r.Coll, err)
+	return bw.Flush()
+}
+
+// apply replays a journal record or a snapshot onto a store that is not
+// shared yet, and fails, never panics, on bytes that do not parse. A put
+// is applied only once its record decodes; whatever else an op that fails
+// did is left for the caller to discard with the store.
+func (s *Store) apply(b []byte) error {
+	if len(b) > 0 && b[0] == '{' {
+		return fmt.Errorf("format version 1 (JSON) is not read; this store reads version %d", formatVersion)
+	}
+	if len(b) == 0 || b[0] != formatVersion {
+		return fmt.Errorf("unknown format version; this store reads version %d", formatVersion)
+	}
+	r := recordReader{b: b[1:]}
+	var c *Collection
+	for len(r.b) > 0 && !r.bad {
+		op := r.take(1)[0]
+		switch {
+		case op == opColl:
+			c = s.Collection(string(r.take(r.uvarint())))
+			c.seq = max(c.seq, r.uvarint())
+		case op == opDrop:
+			s.Drop(string(r.take(r.uvarint())))
+			c = nil
+		case c == nil:
+			r.fail()
+		case op == opDict:
+			c.keys.applyDict(&r)
+		case op == opPut:
+			c.applyPut(&r)
+		case op == opDelete:
+			n := r.uvarint()
+			ids := make([]string, 0, min(n, uint64(len(r.b)))) // an id takes at least a byte
+			for ; n > 0 && !r.bad; n-- {
+				ids = append(ids, string(r.take(r.uvarint())))
+			}
+			c.mu.Lock()
+			c.deleteLocked(ids)
+			c.mu.Unlock()
+		case op == opHashIndex || op == opGeoIndex:
+			if c.createIndex(op, string(r.take(r.uvarint()))) != nil {
+				r.fail()
+			}
+		default:
+			r.fail()
+		}
+	}
+	if r.bad {
+		return errors.New("corrupt ops")
 	}
 	return nil
 }
 
-// applyJournalRecord replays one logged mutation onto the store. The
-// journal is not attached yet during replay, so nothing is re-logged.
-func (s *Store) applyJournalRecord(raw []byte) error {
-	var r journalRecord
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return fmt.Errorf("decode: %w", err)
+// applyPut files the entry r holds next, if its record decodes.
+func (c *Collection) applyPut(r *recordReader) {
+	n := r.uvarint()
+	id := string(r.take(n))
+	if n == 0 {
+		id = c.idString(nil, r.uvarint())
 	}
-	if r.Op == opDrop {
-		s.Drop(r.Coll)
-		return nil
+	rec := r.take(r.uvarint())
+	d, err := c.keys.decode(id, rec)
+	if err != nil || r.bad {
+		r.fail()
+		return
 	}
-	c := s.Collection(r.Coll)
-	switch r.Op {
-	case opInsert:
-		// The id is logged beside the document; journals written before
-		// that carry it inside the document instead.
-		if _, ok := r.Doc[IDField]; !ok && r.ID != "" && r.Doc != nil {
-			r.Doc[IDField] = r.ID
-		}
-		if _, err := c.Insert(r.Doc); err != nil {
-			return err
-		}
-	case opUpdate:
-		if _, err := c.Update(r.Query, r.Upd); err != nil {
-			return err
-		}
-	case opUpsert:
-		rec, err := c.keys.encode(r.Doc)
-		if err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.putLocked(r.ID, 0, rec.b, r.Doc)
-		c.mu.Unlock()
-		release(rec)
-	case opDelete:
-		c.mu.Lock()
-		c.deleteLocked(r.IDs)
-		c.mu.Unlock()
-	case opHashIndex:
-		return c.CreateIndex(r.Path)
-	case opGeoIndex:
-		return c.CreateGeoIndex(r.Path)
-	default:
-		return fmt.Errorf("unknown op %q", r.Op)
-	}
-	return nil
+	c.mu.Lock()
+	c.putLocked(id, 0, rec, d)
+	c.mu.Unlock()
 }
 
-// seqValue reads the id-generation sequence for snapshots.
-func (c *Collection) seqValue() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.seq
+// dictMark is how much of a keyTable a journal or snapshot holds: its
+// first names names and its dictionary up to end.
+type dictMark struct {
+	names int
+	end   uint64
+}
+
+// appendDict appends a dictionary op for what t holds past from, if
+// anything, and returns where t ends. The dictionary bytes are copied as
+// they are, padding included (admitLocked).
+func (t *keyTable) appendDict(b []byte, from dictMark) ([]byte, dictMark) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	to := dictMark{len(t.names), t.end}
+	if to == from {
+		return b, to
+	}
+	b = binary.AppendUvarint(binary.AppendUvarint(append(b, opDict), uint64(from.names)), uint64(to.names-from.names))
+	for _, n := range t.names[from.names:] {
+		b = appendText(b, n)
+	}
+	b = binary.AppendUvarint(binary.AppendUvarint(b, from.end), to.end-from.end)
+	for off := from.end; off < to.end; {
+		base := off / dictChunk * dictChunk
+		next := min(to.end, base+dictChunk)
+		b = append(b, t.vals[off/dictChunk][off-base:next-base]...)
+		off = next
+	}
+	return b, to
+}
+
+// applyDict re-admits what appendDict wrote. It fails r unless the op
+// starts where t ends and every entry is new and lands where it was.
+func (t *keyTable) applyDict(r *recordReader) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if r.uvarint() != uint64(len(t.names)) {
+		r.fail()
+	}
+	for n := r.uvarint(); n > 0 && !r.bad; n-- {
+		name := string(r.take(r.uvarint()))
+		if _, dup := t.refs[name]; dup {
+			r.fail()
+		}
+		t.addNameLocked(name)
+	}
+	if r.uvarint() != t.end {
+		r.fail()
+	}
+	at, region := t.end, r.take(r.uvarint())
+	for len(region) > 0 && !r.bad {
+		size := uint64(1 + region[0])
+		if region[0] == padMark {
+			size = dictChunk - at%dictChunk
+		}
+		if size > uint64(len(region)) {
+			r.fail()
+			break
+		}
+		if region[0] != padMark {
+			_, h, dup := t.shape(region[1:size])
+			if off, ok := t.admitLocked(string(region[1:size]), h); dup || !ok || off != at {
+				r.fail()
+			}
+		}
+		at, region = at+size, region[size:]
+	}
+	if at != t.end {
+		r.fail()
+	}
 }

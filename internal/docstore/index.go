@@ -235,7 +235,15 @@ func (ix *geoIndex) candidates(center geo.Point, radiusMeters float64) (slots []
 // CreateIndex builds a hash index over a top-level field for equality queries.
 // Existing documents are indexed immediately. Creating the same index twice
 // is a no-op.
-func (c *Collection) CreateIndex(path string) error {
+func (c *Collection) CreateIndex(path string) error { return c.createIndex(opHashIndex, path) }
+
+// CreateGeoIndex builds a grid geospatial index over a top-level field holding
+// {"lat":..,"lon":..} objects.
+func (c *Collection) CreateGeoIndex(path string) error { return c.createIndex(opGeoIndex, path) }
+
+// createIndex builds the index op names (opHashIndex or opGeoIndex), as
+// journal replay does too.
+func (c *Collection) createIndex(op byte, path string) error {
 	if path == "" {
 		return fmt.Errorf("docstore: create index on %q: empty path", c.name)
 	}
@@ -243,58 +251,29 @@ func (c *Collection) CreateIndex(path string) error {
 	defer pinned.unpin()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.hashIx[path]; ok {
+	switch {
+	case op == opHashIndex && c.hashIx[path] == nil:
+		ix := newHashIndex(path)
+		c.eachLocked(ix.add)
+		c.hashIx[path] = ix
+	case op == opGeoIndex && c.geoIx[path] == nil:
+		ix := newGeoIndex(path)
+		c.eachLocked(ix.add)
+		c.geoIx[path] = ix
+	default:
 		return nil
 	}
-	ix := newHashIndex(path)
-	c.eachLocked(ix.add)
-	c.hashIx[path] = ix
 	if pinned != nil {
-		return c.logLocked(journalRecord{Op: opHashIndex, Path: path})
+		return c.logLocked(appendText([]byte{op}, path))
 	}
 	return nil
-}
-
-// CreateGeoIndex builds a grid geospatial index over a top-level field holding
-// {"lat":..,"lon":..} objects.
-func (c *Collection) CreateGeoIndex(path string) error {
-	if path == "" {
-		return fmt.Errorf("docstore: create geo index on %q: empty path", c.name)
-	}
-	pinned := c.pinJournal()
-	defer pinned.unpin()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.geoIx[path]; ok {
-		return nil
-	}
-	ix := newGeoIndex(path)
-	c.eachLocked(ix.add)
-	c.geoIx[path] = ix
-	if pinned != nil {
-		return c.logLocked(journalRecord{Op: opGeoIndex, Path: path})
-	}
-	return nil
-}
-
-// Indexes returns the paths of all hash and geo indexes (for diagnostics).
-func (c *Collection) Indexes() (hash, geoPaths []string) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for p := range c.hashIx {
-		hash = append(hash, p)
-	}
-	for p := range c.geoIx {
-		geoPaths = append(geoPaths, p)
-	}
-	return hash, geoPaths
 }
 
 // indexAddLocked and indexRemoveLocked enter and withdraw the document
 // filed as rec under id at slot; a collection without indexes never decodes
-// it. indexAddLocked reads doc, the document rec encodes, when it is given:
-// a record reads back with the kinds and values it was written with, so
-// the two file under the same keys. The _id is the exception, as the record
+// it. indexAddLocked reads doc, the document rec encodes: a record reads
+// back with the kinds and values it was written with, so the two file
+// under the same keys. The _id is the exception, as the record
 // does not hold it and doc may name another or none, so an index on _id
 // has rec decoded.
 func (c *Collection) indexAddLocked(slot uint32, id string, rec []byte, doc Doc) {
@@ -302,7 +281,7 @@ func (c *Collection) indexAddLocked(slot uint32, id string, rec []byte, doc Doc)
 		return
 	}
 	d := doc
-	if d == nil || c.hashIx[IDField] != nil || c.geoIx[IDField] != nil {
+	if c.hashIx[IDField] != nil || c.geoIx[IDField] != nil {
 		d = c.decode(id, rec)
 	}
 	for _, ix := range c.hashIx {

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/geo"
@@ -215,12 +216,7 @@ func sortedKeys[V any](m map[string]V) []string {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	// Insertion sort: maps here are tiny.
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
+	sort.Strings(ks)
 	return ks
 }
 

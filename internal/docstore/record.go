@@ -76,10 +76,8 @@ const (
 	kindArrays
 )
 
-// maxDepth bounds container nesting at what encoding/json accepts: a deeper
-// document could not come back from a journal or snapshot anyway, and the
-// bound turns a self-referencing document into an error instead of a stack
-// overflow.
+// maxDepth bounds container nesting, which turns a self-referencing
+// document into an error instead of a stack overflow.
 const maxDepth = 10000
 
 var errCorruptRecord = errors.New("corrupt record")
@@ -146,7 +144,11 @@ const (
 	symMax = 32
 	// entryMax is the longest dictionary entry, so its length is a one-byte
 	// uvarint: a shape of up to about 60 fields.
-	entryMax  = 127
+	entryMax = 127
+	// padMark, never an entry's length, fills the byte after a chunk's last
+	// entry when the next one does not fit, so the dictionary reads back
+	// entry by entry (appendDict, applyDict).
+	padMark   = 0xFF
 	dictChunk = 4 << 10
 	// dictBits bounds the dictionary at 64 MiB. A value table cell holds
 	// the entry's offset+1 in its low dictBits bits and the top bits of the
@@ -211,6 +213,7 @@ func (t *keyTable) admitLocked(s string, h uint64) (uint64, bool) {
 	size := uint64(1 + len(s)) // a one-byte uvarint length, then s
 	off := t.end
 	if off%dictChunk+size > dictChunk { // an entry never straddles chunks
+		t.vals[off/dictChunk][off%dictChunk] = padMark
 		off += dictChunk - off%dictChunk
 	}
 	if off+size >= offMask {
@@ -283,8 +286,8 @@ func release(rb *recBuf) {
 	scratch.Put(rb)
 }
 
-// encodeValue returns the value headed for path in record form, for
-// decodeValue to make fresh copies from.
+// encodeValue returns the value headed for path in record form, or the
+// reason a record cannot hold it.
 func (t *keyTable) encodeValue(path string, v any) ([]byte, error) {
 	rb := scratch.Get().(*recBuf)
 	defer release(rb)
@@ -343,11 +346,15 @@ func (e *encoder) again(verr *valueError) bool {
 
 // name returns the ref of a field name.
 func (e *encoder) name(k string) uint64 {
-	t := e.t
-	if r, ok := t.refs[k]; ok || !e.admit {
+	if r, ok := e.t.refs[k]; ok || !e.admit {
 		e.missed = e.missed || !ok
 		return r
 	}
+	return e.t.addNameLocked(k)
+}
+
+// addNameLocked gives k the next key ref. The caller holds mu exclusive.
+func (t *keyTable) addNameLocked(k string) uint64 {
 	if t.refs == nil {
 		t.refs = make(map[string]uint64)
 	}
@@ -651,16 +658,6 @@ func (t *keyTable) decode(id string, rec []byte) (Doc, error) {
 	}
 	d[IDField] = id
 	return d, nil
-}
-
-// decodeValue is decode for what encodeValue wrote.
-func (t *keyTable) decodeValue(b []byte) (any, error) {
-	r := t.reader(b)
-	v := r.value(1)
-	if r.bad || len(r.b) != 0 {
-		return nil, errCorruptRecord
-	}
-	return v, nil
 }
 
 func (t *keyTable) reader(b []byte) recordReader {

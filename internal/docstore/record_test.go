@@ -696,13 +696,14 @@ func withID(d Doc, id string) Doc {
 
 // fillDictionary leaves no room in keys's value dictionary: the next
 // admission meets the dictBits bound. The entries already there stay
-// readable; the chunks past them are never read, so they are left nil.
+// readable; the chunks past them are never read, so they share one chunk
+// (an admission that meets the bound may pad the last one).
 func fillDictionary(keys *keyTable) {
 	keys.mu.Lock()
 	defer keys.mu.Unlock()
-	last := uint64(offMask / dictChunk)
+	last, spare := uint64(offMask/dictChunk), make([]byte, dictChunk)
 	for uint64(len(keys.vals)) <= last {
-		keys.vals = append(keys.vals, nil)
+		keys.vals = append(keys.vals, spare)
 	}
 	keys.end = offMask - 1
 }
@@ -816,7 +817,7 @@ func TestNumericIDs(t *testing.T) {
 	if listed[0] != "items-1" || listed[2] != "items-3" || len(listed) != 3+12 {
 		t.Fatalf("ids in order = %v", listed)
 	}
-	// A snapshot holds ids as text; restoring it stores every id as it
+	// A snapshot holds ids as stored; restoring it stores every id as it
 	// was stored here.
 	var snap bytes.Buffer
 	if err := store.WriteSnapshot(&snap); err != nil {

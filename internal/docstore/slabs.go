@@ -39,8 +39,8 @@ import (
 // hash never shows in any output.
 //
 // Every id of the generated form, given or generated, is stored as its
-// number (numericID), so a collection restored from a snapshot or a
-// journal holds the same bytes as the one that wrote it. An id is never
+// number (numericID), in the slabs and in the journal and snapshot, which
+// copy entries as they are. An id is never
 // empty, so a zero length marks the number. Outside this file ids are
 // text: the id table hashes the text, and a lookup by an id of the
 // generated form compares numbers.
@@ -73,6 +73,13 @@ func splitEntry(b []byte) (text []byte, num uint64, rec []byte, size int) {
 // entry reads the entry a slot points at.
 func (c *Collection) entry(p uint64) (text []byte, num uint64, rec []byte, size int) {
 	return splitEntry(c.slabs[p>>32][uint32(p):])
+}
+
+// rawEntry returns the bytes of the entry at p in slabs.
+func rawEntry(slabs [][]byte, p uint64) []byte {
+	b := slabs[p>>32][uint32(p):]
+	_, _, _, size := splitEntry(b)
+	return b[:size]
 }
 
 // numericID reports whether id is the collection's name, '-' and a
@@ -198,11 +205,11 @@ func (c *Collection) rehashLocked(size int) {
 
 // putLocked files rec under id, as a new document at the end of the order or
 // in place of the document filed under id, and keeps the indexes in step. An
-// empty id stands for the generated id name-seq. It returns the id. Every
-// write — Insert, Upsert, Update, journal replay — ends here. doc is the
-// document rec encodes, when the caller holds it, for the indexes to read
-// instead of decoding rec; nil has them decode it.
-func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) string {
+// empty id stands for the generated id name-seq. It returns the id and its
+// slot. Every write — Insert, Upsert, Update, journal replay — ends here. doc
+// is the document rec encodes, which the caller holds (replay decoded it),
+// for the indexes to read instead of decoding rec.
+func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) (string, int) {
 	p, size := c.appendEntryLocked(id, seq, rec)
 	if id == "" {
 		id = c.idString(nil, seq)
@@ -226,7 +233,7 @@ func (c *Collection) putLocked(id string, seq uint64, rec []byte, doc Doc) strin
 	c.liveBytes += size
 	c.indexAddLocked(uint32(slot), id, rec, doc)
 	c.compactLocked()
-	return id
+	return id, slot
 }
 
 // deleteLocked removes the documents with the given ids (absent ones are
@@ -266,11 +273,10 @@ func (c *Collection) compactLocked() {
 		if p == tombstone {
 			continue
 		}
-		b := old[p>>32][uint32(p):]
-		_, _, _, size := splitEntry(b)
-		k := c.reserveLocked(size)
+		e := rawEntry(old, p)
+		k := c.reserveLocked(len(e))
 		c.slots[s] = uint64(k)<<32 | uint64(len(c.slabs[k]))
-		c.slabs[k] = append(c.slabs[k], b[:size]...)
+		c.slabs[k] = append(c.slabs[k], e...)
 	}
 	c.deadBytes = 0
 	c.compactions++

@@ -62,9 +62,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil || len(near) != 1 {
 		t.Fatalf("geo find = %v, %v", near, err)
 	}
-	// Numeric queries survive the JSON int->float64 round trip.
+	// Numbers keep their Go kind.
 	aged, err := users.Find(Doc{"age": 30}, FindOpts{})
-	if err != nil || len(aged) != 1 {
+	if err != nil || len(aged) != 1 || aged[0]["age"] != 30 {
 		t.Fatalf("numeric find = %v, %v", aged, err)
 	}
 	// Arrays survive.

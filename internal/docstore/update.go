@@ -12,11 +12,11 @@ import (
 // $set is the only operator; field names are literal, as in queries, and
 // values are restricted as Insert's are.
 
+// updater holds the fields a $set writes. A document it is applied to is
+// encoded before anything else reads it, so documents may share the
+// spec's containers.
 type updater struct {
-	keys *keyTable
-	// Values are kept encoded and decoded afresh into every document, so no
-	// two documents (nor the caller's spec) share a container.
-	set map[string][]byte
+	set map[string]any
 }
 
 // compileUpdate validates an update spec; keys is the table of the
@@ -34,7 +34,7 @@ func compileUpdate(keys *keyTable, u Doc) (*updater, error) {
 	if !ok {
 		return nil, fmt.Errorf("$set requires an object, got %T", u["$set"])
 	}
-	up := &updater{keys: keys, set: make(map[string][]byte, len(fields))}
+	up := &updater{set: make(map[string]any, len(fields))}
 	for field, val := range fields {
 		if field == IDField {
 			return nil, fmt.Errorf("$set may not target %s", IDField)
@@ -42,23 +42,17 @@ func compileUpdate(keys *keyTable, u Doc) (*updater, error) {
 		if strings.TrimSpace(field) == "" {
 			return nil, fmt.Errorf("$set has an empty field name")
 		}
-		enc, err := keys.encodeValue(field, val)
-		if err != nil {
+		if _, err := keys.encodeValue(field, val); err != nil {
 			return nil, fmt.Errorf("$set: %w", err)
 		}
-		up.set[field] = enc
+		up.set[field] = val
 	}
 	return up, nil
 }
 
 // apply mutates doc in place.
-func (u *updater) apply(doc Doc) error {
-	for field, enc := range u.set {
-		val, err := u.keys.decodeValue(enc)
-		if err != nil {
-			return err
-		}
+func (u *updater) apply(doc Doc) {
+	for field, val := range u.set {
 		doc[field] = val
 	}
-	return nil
 }

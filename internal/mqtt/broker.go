@@ -479,13 +479,16 @@ func (s *session) readLoop(in *packetReader) {
 				s.broker.logf("bad topic", "client", s.clientID, "err", err)
 				return
 			}
+			s.broker.published.Inc()
+			s.broker.route(Message{Topic: p.topic, Payload: p.payload, QoS: p.qos, Retain: p.retain})
+			// Acknowledge once the message is routed: every local handler
+			// (the server's ingest among them) has taken it and every
+			// subscriber's queue holds it.
 			if p.qos == 1 {
 				if err := s.write(packetPuback, 0, encodeUint16Body(p.packetID)); err != nil {
 					return
 				}
 			}
-			s.broker.published.Inc()
-			s.broker.route(Message{Topic: p.topic, Payload: p.payload, QoS: p.qos, Retain: p.retain})
 		case packetSubscribe:
 			p, err := decodeSubscribe(pkt.body, true)
 			if err != nil {

@@ -628,6 +628,36 @@ func TestBrokerCloseDisconnectsClients(t *testing.T) {
 	}
 }
 
+// TestQoS1PublishAckedAfterRoute: the broker acknowledges a QoS 1 publish
+// only once it is routed, so Publish does not return while a local handler
+// for its topic is still running.
+func TestQoS1PublishAckedAfterRoute(t *testing.T) {
+	bus := newTestBus(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the bus closes, which waits for the handler
+	if err := bus.broker.SubscribeLocal("up/#", func(Message) {
+		close(entered)
+		<-release
+	}); err != nil {
+		t.Fatalf("SubscribeLocal: %v", err)
+	}
+	pub := bus.connect("mobile")
+	done := make(chan error, 1)
+	go func() { done <- pub.Publish("up/item", []byte("x"), 1, false) }()
+	<-entered
+	select {
+	case err := <-done:
+		t.Fatalf("Publish returned (%v) while the handler was still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	free()
+	if err := <-done; err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+}
+
 func TestSubscribeLocal(t *testing.T) {
 	bus := newTestBus(t)
 	var col collector

@@ -28,9 +28,9 @@ var ErrAckTimeout = errors.New("mqtt: acknowledgement timeout")
 // ErrAckUnknown is returned by a QoS 1 Publish (or a Subscribe) when the
 // transport died after the request was written but before its
 // acknowledgement arrived. The broker may or may not have processed the
-// packet — the broker acknowledges a PUBLISH before routing it — so a
-// caller that resends on this error risks a duplicate delivery, while one
-// that drops the message risks a loss. Callers choosing at-most-once
+// packet — it acknowledges a PUBLISH once it has routed it, and the ack
+// may be what was lost — so a caller that resends on this error risks a
+// duplicate delivery, while one that drops the message risks a loss. Callers choosing at-most-once
 // semantics must treat this differently from write-phase failures
 // (ErrClientClosed and transport errors), where the packet never reached
 // the wire and resending is always safe.

@@ -160,6 +160,11 @@ func (sh *Shard) start() (err error) {
 		if err != nil {
 			return fmt.Errorf("durable store: %w", err)
 		}
+		// Compact what recovery replayed before anything writes, so the
+		// next start replays only what this run journals.
+		if err := sh.store.Checkpoint(); err != nil {
+			return fmt.Errorf("durable store: checkpoint: %w", err)
+		}
 	}
 	if err := sh.serveBroker(); err != nil {
 		return err

@@ -433,3 +433,36 @@ func subscribeStalled(t *testing.T, addr, clientID string, filters ...string) {
 	}
 	conn.stalled.Store(true)
 }
+
+// TestDurableShardCheckpointsAfterRecovery: a durable shard compacts its
+// document store journal once recovery is done and before it serves, so a
+// restart replays only what the run before it wrote, not every run's.
+func TestDurableShardCheckpointsAfterRecovery(t *testing.T) {
+	opts := tcpOptions()
+	opts.DurableDir = t.TempDir()
+	var ids []string
+	for run, writes := range []int{5, 3, 0} {
+		sh, err := New(opts)
+		if err != nil {
+			t.Fatalf("run %d: New: %v", run, err)
+		}
+		replayed := sh.Metrics.Sum("sensocial_wal_replayed_records_total")
+		if run == 2 && replayed != 3 {
+			t.Errorf("run %d replayed %d records, want the 3 run 1 wrote", run, replayed)
+		}
+		c := sh.store.Collection("probe")
+		for _, id := range ids {
+			if _, err := c.Get(id); err != nil {
+				t.Errorf("run %d: %s written before is gone: %v", run, id, err)
+			}
+		}
+		for i := 0; i < writes; i++ {
+			id, err := c.Insert(docstore.Doc{"run": run, "i": i})
+			if err != nil {
+				t.Fatalf("run %d: Insert: %v", run, err)
+			}
+			ids = append(ids, id)
+		}
+		sh.Stop()
+	}
+}

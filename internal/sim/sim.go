@@ -108,8 +108,8 @@ type Options struct {
 	// broker's receipt of every counted item is confirmed; publishes whose
 	// acknowledgement is lost to a mid-flight fault are charged to
 	// sensocial_sim_items_ack_lost_total and never resent (at-most-once —
-	// resending could double-deliver, because the broker acks before
-	// routing).
+	// resending could double-deliver: the broker acks after routing, so a
+	// lost ack may follow a publish that was routed).
 	UploadQoS byte
 }
 
