@@ -45,11 +45,11 @@ race:
 	$(GO) test -race ./...
 
 # The deadlock and flake net for the fabric's send windows and the ingest
-# wait: every test of the fabric, simulator, chaos, shard, broker and WAL
-# packages, and the document store's allocation and durability tests,
-# twenty times under the race detector, then each test's pass count (not
-# part of ci). Fails if any run failed.
-STRESS_PKGS = ./internal/netsim ./internal/sim ./internal/chaos ./internal/shard ./internal/wal ./internal/mqtt
+# wait: every test of the item codec, fabric, simulator, chaos, shard,
+# broker and WAL packages, and the document store's allocation and
+# durability tests, twenty times under the race detector, then each test's
+# pass count (not part of ci). Fails if any run failed.
+STRESS_PKGS = ./internal/core ./internal/netsim ./internal/sim ./internal/chaos ./internal/shard ./internal/wal ./internal/mqtt
 STRESS_DOCSTORE = Allocs|Allocates|Retained|Durable|Reopen|Replay|Snapshot|Journal|Checkpoint
 stress:
 	@log=$$(mktemp); $(GO) test -race -count=20 -timeout 60m -v $(STRESS_PKGS) > $$log 2>&1; status=$$?; \
@@ -76,7 +76,9 @@ bench:
 # 10 000 filters, and a stream create on a server holding 1 000 and 10 000
 # streams, beside the context registry's write of one item for a known and
 # a first-seen user. The last line checkpoints and reopens a durable
-# document store of 100 000 items. The simulator and cluster layers at run
+# document store of 100 000 items, journals a QoS 1 delivery and its ack
+# in the broker's session store and checkpoints one of 20 000 clients.
+# The simulator and cluster layers at run
 # time are measured end to end by `go run ./bench` (sim.*, cluster.* in
 # bench/BASELINE.md).
 bench-smoke:
@@ -88,7 +90,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFilterTrieMatch$$' -benchtime 1x ./internal/mqtt/topictrie
 	$(GO) test -run '^$$' -bench '^BenchmarkSummaryChurn$$' -benchtime 1x ./internal/cluster
 	$(GO) test -run '^$$' -bench '^Benchmark(StreamCreate|RegistryApplyItem)$$' -benchtime 1x ./internal/core/server
-	$(GO) test -run '^$$' -bench '^BenchmarkDocstore(Checkpoint|Reopen)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(Docstore(Checkpoint|Reopen)|SessionStore(Inflight|Checkpoint))$$' -benchtime 1x .
 
 # The end-to-end benchmark's untraced pass of every workload at a tenth of
 # the work (about 18 s): exits non-zero if any of its exact-count
@@ -100,8 +102,8 @@ bench-e2e-smoke:
 # Short coverage-guided runs of the item and trigger codec fuzzers (each
 # differential against encoding/json), the MQTT wire codec fuzzer, the
 # topic-trie match cross-check, the netsim lifecycle fuzzer, the WAL replay
-# fuzzer, the document-record codec fuzzer and the document store's
-# journal replay fuzzer: catches decode panics, a codec fast path that
+# fuzzer, the document-record codec fuzzer and the journal replay fuzzers
+# of the document store and the broker's session store: catches decode panics, a codec fast path that
 # drifts from encoding/json, frames that do not read back as written,
 # trie/matcher divergence, fabric deadlocks under fault/close
 # interleavings, records that do not read back as written and journal or
@@ -116,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzStringRoundTrip$$' -fuzztime 10s ./internal/docstore
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s ./internal/docstore
+	$(GO) test -run '^$$' -fuzz '^FuzzSessionReplay$$' -fuzztime 10s ./internal/mqtt
 
 # Deterministic chaos runs under fault schedules (DESIGN.md §8, §15): the
 # smoke schedule exercises every fault verb over a 128-device fleet, the

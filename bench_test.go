@@ -25,6 +25,7 @@ import (
 	"repro/internal/mqtt"
 	"repro/internal/netsim"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // --- Table and figure reproductions -----------------------------------
@@ -492,7 +493,7 @@ const durableItems = 100_000
 func durableItemStore(b *testing.B) (*docstore.Store, string) {
 	b.Helper()
 	dir := b.TempDir()
-	s, _, err := docstore.OpenDurable(dir, docstore.DurableOptions{})
+	s, _, err := docstore.OpenDurable(dir, wal.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -539,7 +540,7 @@ func BenchmarkDocstoreReopen(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, _, err := docstore.OpenDurable(dir, docstore.DurableOptions{})
+				s, _, err := docstore.OpenDurable(dir, wal.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -551,6 +552,51 @@ func BenchmarkDocstoreReopen(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// sessionFrame is a 300-byte QoS 1 PUBLISH frame as a session store keeps
+// it in flight.
+var sessionFrame = make([]byte, 300)
+
+// BenchmarkSessionStoreInflight journals one durable QoS 1 delivery and
+// its acknowledgement: RecordInflight of a 300-byte frame, then Ack.
+func BenchmarkSessionStoreInflight(b *testing.B) {
+	s, err := mqtt.OpenSessionStore(b.TempDir(), wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pid := uint16(i%0xFFFF + 1)
+		s.RecordInflight("dev-1", pid, sessionFrame)
+		s.Ack("dev-1", pid)
+	}
+}
+
+// BenchmarkSessionStoreCheckpoint writes a compacting snapshot of a
+// session store holding 20 000 clients, each with one subscription and
+// one 300-byte frame in flight. The checkpoint holds the store's lock, so
+// its time is the longest a durable QoS 1 delivery waits for it.
+func BenchmarkSessionStoreCheckpoint(b *testing.B) {
+	s, err := mqtt.OpenSessionStore(b.TempDir(), wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 20_000; i++ {
+		id := "dev-" + strconv.Itoa(i)
+		s.AddSub(id, "sensocial/trigger/"+id, 1)
+		s.RecordInflight(id, 1, sessionFrame)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/osn"
+	"repro/internal/race"
 )
 
 // codecTime is a sample time with nanoseconds, as devices stamp items.
@@ -246,6 +247,9 @@ func fallbackItems() map[string]Item {
 // escapeFree decline before anything is allocated or copied.
 // BenchmarkItemCodec shows the time.
 func TestCodecFallbackCostsNoMore(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector drops sync.Pool puts")
+	}
 	for name, it := range fallbackItems() {
 		want := testing.AllocsPerRun(200, func() {
 			if _, err := json.Marshal(it); err != nil {

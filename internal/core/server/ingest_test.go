@@ -10,10 +10,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/core/server"
 	"repro/internal/core/server/ingest"
+	"repro/internal/docstore"
 	"repro/internal/geo"
 	"repro/internal/mqtt"
 	"repro/internal/sensors"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // bareManager builds a Manager directly on an in-process broker, bypassing
@@ -284,6 +286,68 @@ func TestCrossUserFilterOnTwoFriends(t *testing.T) {
 	ingest(friend("carol", core.Context{core.CtxPlace: "Paris", core.CtxPhysicalActivity: "still"}))
 	waitUntil(t, func() bool { return drained(m) })
 	ingest(alice(rounds + 1))
+	sink.waitFor(t, 1)
+}
+
+// TestDurableRestartKeepsStreamFilters records a stream conditioned on a
+// friend who is walking in a durable store, then closes and reopens the
+// store under a new manager. The recovered stream must still be filtered:
+// an item sent while the friend is idle is rejected, and one sent once the
+// friend walks passes.
+func TestDurableRestartKeepsStreamFilters(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *docstore.Store {
+		s, _, err := docstore.OpenDurable(dir, wal.Options{})
+		if err != nil {
+			t.Fatalf("OpenDurable: %v", err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		return s
+	}
+	store := open()
+	m := bareManager(t, func(o *server.Options) { o.Store = store })
+	if err := m.CreateRemoteStream(core.StreamConfig{
+		ID: "x", DeviceID: "alice-phone", UserID: "alice",
+		Modality: sensors.ModalityWiFi, Granularity: core.GranularityRaw,
+		Kind: core.KindContinuous, SampleInterval: time.Second,
+		Filter: core.Filter{Conditions: []core.Condition{
+			{Modality: core.CtxPhysicalActivity, Operator: core.OpEquals, Value: "walking", UserID: "bob"},
+		}},
+	}); err != nil {
+		t.Fatalf("CreateRemoteStream: %v", err)
+	}
+	_ = m.Close()
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	m = bareManager(t, func(o *server.Options) { o.Store = open() })
+	sink := &itemSink{}
+	if err := m.RegisterListener("x", sink); err != nil {
+		t.Fatalf("RegisterListener: %v", err)
+	}
+	bob := func(activity string) core.Item {
+		return core.Item{
+			StreamID: "bob-ctx", DeviceID: "bob-phone", UserID: "bob",
+			Modality: sensors.ModalityAccelerometer, Granularity: core.GranularityRaw,
+			Context: core.Context{core.CtxPhysicalActivity: activity},
+		}
+	}
+	alice := func(seq int) core.Item {
+		it := seqItem("alice", seq)
+		it.StreamID = "x"
+		return it
+	}
+	for _, it := range []core.Item{bob("still"), alice(0)} {
+		m.Ingest(it)
+		waitUntil(t, func() bool { return drained(m) })
+	}
+	if n, r := sink.count(), m.Metrics().Sum("sensocial_filter_rejected_total"); n != 0 || r != 1 {
+		t.Fatalf("with bob idle after a restart: %d items passed, %v rejected; want 0, 1", n, r)
+	}
+	m.Ingest(bob("walking"))
+	waitUntil(t, func() bool { return drained(m) })
+	m.Ingest(alice(1))
 	sink.waitFor(t, 1)
 }
 

@@ -240,6 +240,15 @@ func New(opts Options) (*Manager, error) {
 	if err := m.warmContexts(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
+	// Its recovered streams need their filters back, or a cross-user
+	// conditioned stream would deliver every item unfiltered.
+	streams, err := m.storedStreams(nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, cfg := range streams {
+		m.filters.Set(cfg.ID, cfg.Filter)
+	}
 	if err := m.AttachBroker(opts.Broker); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}

@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"encoding/json" // a raw location fix, in updateRegistryFromItem
 	"fmt"
 	"time"
 
@@ -18,12 +18,9 @@ import (
 // the configuration is recorded in the registry and pushed to the device as
 // an XML config trigger (paper §4, Remote Stream Management).
 func (m *Manager) CreateRemoteStream(cfg core.StreamConfig) error {
-	if err := m.recordRemoteStream(&cfg); err != nil {
-		return err
-	}
-	xml, err := config.EncodeStreams([]core.StreamConfig{cfg})
+	xml, err := m.recordRemoteStream(&cfg)
 	if err != nil {
-		return fmt.Errorf("server: %w", err)
+		return err
 	}
 	return m.sendTrigger(core.Trigger{
 		Kind:      core.TriggerConfig,
@@ -37,7 +34,7 @@ func (m *Manager) CreateRemoteStream(cfg core.StreamConfig) error {
 // the device fetches its configuration document from the HTTP endpoint —
 // the paper's FilterDownloader flow.
 func (m *Manager) CreateRemoteStreamViaDownload(cfg core.StreamConfig) error {
-	if err := m.recordRemoteStream(&cfg); err != nil {
+	if _, err := m.recordRemoteStream(&cfg); err != nil {
 		return err
 	}
 	return m.sendTrigger(core.Trigger{
@@ -46,31 +43,28 @@ func (m *Manager) CreateRemoteStreamViaDownload(cfg core.StreamConfig) error {
 	})
 }
 
-// recordRemoteStream validates the configuration, stores it in the stream
-// registry (replacing any previous version) and installs its filter in the
-// copy-on-write filter table.
-func (m *Manager) recordRemoteStream(cfg *core.StreamConfig) error {
+// recordRemoteStream validates the configuration, stores its XML document
+// in the stream registry (replacing any previous version), installs its
+// filter in the copy-on-write filter table and returns the document.
+func (m *Manager) recordRemoteStream(cfg *core.StreamConfig) ([]byte, error) {
 	if cfg.Deliver == "" {
 		cfg.Deliver = core.DeliverServer
 	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
 	if cfg.DeviceID == "" {
-		return fmt.Errorf("server: remote stream %q needs a device id", cfg.ID)
+		return nil, fmt.Errorf("server: remote stream %q needs a device id", cfg.ID)
 	}
-	cfgJSON, err := json.Marshal(cfg)
+	xml, err := config.EncodeStreams([]core.StreamConfig{*cfg}) // validates
 	if err != nil {
-		return fmt.Errorf("server: encode stream %q: %w", cfg.ID, err)
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if _, err := m.store.Collection(streamsCollection).Upsert(
 		docstore.Doc{docstore.IDField: cfg.ID},
-		docstore.Doc{docstore.IDField: cfg.ID, "device": cfg.DeviceID, "config": string(cfgJSON)},
+		docstore.Doc{docstore.IDField: cfg.ID, "device": cfg.DeviceID, "config": string(xml)},
 	); err != nil {
-		return fmt.Errorf("server: record stream %q: %w", cfg.ID, err)
+		return nil, fmt.Errorf("server: record stream %q: %w", cfg.ID, err)
 	}
 	m.filters.Set(cfg.ID, cfg.Filter)
-	return nil
+	return xml, nil
 }
 
 // DestroyRemoteStream removes a server-created stream from its device and
@@ -97,22 +91,24 @@ func (m *Manager) DestroyRemoteStream(streamID string) error {
 // StreamConfigsForDevice returns the server-created stream configurations
 // targeting a device (the FilterDownloader HTTP endpoint serves these).
 func (m *Manager) StreamConfigsForDevice(deviceID string) ([]core.StreamConfig, error) {
-	docs, err := m.store.Collection(streamsCollection).Find(
-		docstore.Doc{"device": deviceID}, docstore.FindOpts{SortBy: docstore.IDField})
+	return m.storedStreams(docstore.Doc{"device": deviceID})
+}
+
+// storedStreams decodes the stream registry's configurations that match
+// query, in id order.
+func (m *Manager) storedStreams(query docstore.Doc) ([]core.StreamConfig, error) {
+	docs, err := m.store.Collection(streamsCollection).Find(query, docstore.FindOpts{SortBy: docstore.IDField})
 	if err != nil {
-		return nil, fmt.Errorf("server: stream configs for %q: %w", deviceID, err)
+		return nil, fmt.Errorf("server: stream configs: %w", err)
 	}
-	out := make([]core.StreamConfig, 0, len(docs))
+	var out []core.StreamConfig
 	for _, d := range docs {
-		s, ok := d["config"].(string)
-		if !ok {
-			continue
+		xml, _ := d["config"].(string)
+		cfgs, err := config.DecodeStreams([]byte(xml))
+		if err != nil {
+			return nil, fmt.Errorf("server: stream config %v: %w", d[docstore.IDField], err)
 		}
-		var cfg core.StreamConfig
-		if err := json.Unmarshal([]byte(s), &cfg); err != nil {
-			return nil, fmt.Errorf("server: decode stream config %v: %w", d[docstore.IDField], err)
-		}
-		out = append(out, cfg)
+		out = append(out, cfgs...)
 	}
 	return out, nil
 }

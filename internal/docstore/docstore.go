@@ -151,7 +151,7 @@ func (s *Store) Drop(name string) {
 		c.mu.Lock()
 		c.logged = dictMark{}
 		c.mu.Unlock()
-		_ = s.journal.Append(appendText([]byte{formatVersion, opDrop}, name))
+		_ = s.journal.Append(wal.AppendText([]byte{formatVersion, opDrop}, name))
 	}
 }
 
@@ -439,7 +439,7 @@ func (c *Collection) Delete(query Doc) (int, error) {
 	if pinned != nil && n > 0 {
 		op := binary.AppendUvarint([]byte{opDelete}, uint64(len(ids)))
 		for _, id := range ids {
-			op = appendText(op, id)
+			op = wal.AppendText(op, id)
 		}
 		return n, c.logLocked(op)
 	}

@@ -40,12 +40,11 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/vclock"
 	"repro/internal/wal"
 )
 
-// formatVersion is the first byte of every journal record and snapshot.
-// Version 1 was JSON, whose records begin with '{'; it is refused.
+// formatVersion is the first byte of every journal record and snapshot
+// (wal.CheckVersion); version 1 was JSON.
 const formatVersion = 2
 
 const (
@@ -57,14 +56,6 @@ const (
 	opGeoIndex  = 'g'
 	opDrop      = 'x'
 )
-
-// DurableOptions tunes OpenDurable; the zero value is usable.
-type DurableOptions struct {
-	// Clock feeds the WAL's recovery-duration metric (defaults to real time).
-	Clock vclock.Clock
-	// Metrics shares WAL counters with the rest of the deployment.
-	Metrics *wal.Metrics
-}
 
 // RecoveryInfo reports what OpenDurable reconstructed.
 type RecoveryInfo struct {
@@ -80,24 +71,14 @@ type RecoveryInfo struct {
 // OpenDurable recovers (or creates) a journaled store in dir. Every
 // mutation on the returned store is logged to the write-ahead log before
 // the mutator returns; call Checkpoint periodically to compact, Close for
-// a clean shutdown.
-func OpenDurable(dir string, opts DurableOptions) (*Store, *RecoveryInfo, error) {
-	l, rec, err := wal.Open(dir, wal.Options{Clock: opts.Clock, Metrics: opts.Metrics})
+// a clean shutdown. opts is the journal's (its clock and metrics).
+func OpenDurable(dir string, opts wal.Options) (*Store, *RecoveryInfo, error) {
+	l, rec, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	s := NewStore()
-	if rec.Snapshot != nil {
-		if err = s.apply(rec.Snapshot); err != nil {
-			err = fmt.Errorf("snapshot: %w", err)
-		}
-	}
-	for i := 0; i < len(rec.Records) && err == nil; i++ {
-		if err = s.apply(rec.Records[i]); err != nil {
-			err = fmt.Errorf("replay record %d: %w", int(rec.SnapshotLSN)+i+1, err)
-		}
-	}
-	if err != nil {
+	if err := rec.Replay(s.apply); err != nil {
 		_ = l.Close()
 		return nil, nil, fmt.Errorf("docstore: durable open %s: %w", dir, err)
 	}
@@ -208,11 +189,7 @@ func (c *Collection) logLocked(ops []byte, slots ...int) error {
 }
 
 func (c *Collection) appendHeaderLocked(b []byte) []byte {
-	return binary.AppendUvarint(appendText(append(b, opColl), c.name), c.seq)
-}
-
-func appendText(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	return binary.AppendUvarint(wal.AppendText(append(b, opColl), c.name), c.seq)
 }
 
 // WriteSnapshot writes the whole store to w as ops. A bufio.Writer keeps
@@ -225,10 +202,10 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 		c.mu.RLock()
 		b, _ := c.keys.appendDict(c.appendHeaderLocked(nil), dictMark{})
 		for _, p := range sortedKeys(c.hashIx) {
-			b = appendText(append(b, opHashIndex), p)
+			b = wal.AppendText(append(b, opHashIndex), p)
 		}
 		for _, p := range sortedKeys(c.geoIx) {
-			b = appendText(append(b, opGeoIndex), p)
+			b = wal.AppendText(append(b, opGeoIndex), p)
 		}
 		_, _ = bw.Write(b)
 		for _, p := range c.slots {
@@ -247,47 +224,45 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 // is applied only once its record decodes; whatever else an op that fails
 // did is left for the caller to discard with the store.
 func (s *Store) apply(b []byte) error {
-	if len(b) > 0 && b[0] == '{' {
-		return fmt.Errorf("format version 1 (JSON) is not read; this store reads version %d", formatVersion)
+	b, err := wal.CheckVersion(b, formatVersion)
+	if err != nil {
+		return err
 	}
-	if len(b) == 0 || b[0] != formatVersion {
-		return fmt.Errorf("unknown format version; this store reads version %d", formatVersion)
-	}
-	r := recordReader{b: b[1:]}
+	r := recordReader{RecordReader: wal.NewRecordReader(b)}
 	var c *Collection
-	for len(r.b) > 0 && !r.bad {
-		op := r.take(1)[0]
+	for r.Len() > 0 && !r.Bad() {
+		op := r.Take(1)[0]
 		switch {
 		case op == opColl:
-			c = s.Collection(string(r.take(r.uvarint())))
-			c.seq = max(c.seq, r.uvarint())
+			c = s.Collection(r.Text())
+			c.seq = max(c.seq, r.Uvarint())
 		case op == opDrop:
-			s.Drop(string(r.take(r.uvarint())))
+			s.Drop(r.Text())
 			c = nil
 		case c == nil:
-			r.fail()
+			r.Fail()
 		case op == opDict:
 			c.keys.applyDict(&r)
 		case op == opPut:
 			c.applyPut(&r)
 		case op == opDelete:
-			n := r.uvarint()
-			ids := make([]string, 0, min(n, uint64(len(r.b)))) // an id takes at least a byte
-			for ; n > 0 && !r.bad; n-- {
-				ids = append(ids, string(r.take(r.uvarint())))
+			n := r.Uvarint()
+			ids := make([]string, 0, min(n, uint64(r.Len()))) // an id takes at least a byte
+			for ; n > 0 && !r.Bad(); n-- {
+				ids = append(ids, r.Text())
 			}
 			c.mu.Lock()
 			c.deleteLocked(ids)
 			c.mu.Unlock()
 		case op == opHashIndex || op == opGeoIndex:
-			if c.createIndex(op, string(r.take(r.uvarint()))) != nil {
-				r.fail()
+			if c.createIndex(op, r.Text()) != nil {
+				r.Fail()
 			}
 		default:
-			r.fail()
+			r.Fail()
 		}
 	}
-	if r.bad {
+	if r.Bad() {
 		return errors.New("corrupt ops")
 	}
 	return nil
@@ -295,15 +270,15 @@ func (s *Store) apply(b []byte) error {
 
 // applyPut files the entry r holds next, if its record decodes.
 func (c *Collection) applyPut(r *recordReader) {
-	n := r.uvarint()
-	id := string(r.take(n))
+	n := r.Uvarint()
+	id := string(r.Take(n))
 	if n == 0 {
-		id = c.idString(nil, r.uvarint())
+		id = c.idString(nil, r.Uvarint())
 	}
-	rec := r.take(r.uvarint())
+	rec := r.Take(r.Uvarint())
 	d, err := c.keys.decode(id, rec)
-	if err != nil || r.bad {
-		r.fail()
+	if err != nil || r.Bad() {
+		r.Fail()
 		return
 	}
 	c.mu.Lock()
@@ -330,7 +305,7 @@ func (t *keyTable) appendDict(b []byte, from dictMark) ([]byte, dictMark) {
 	}
 	b = binary.AppendUvarint(binary.AppendUvarint(append(b, opDict), uint64(from.names)), uint64(to.names-from.names))
 	for _, n := range t.names[from.names:] {
-		b = appendText(b, n)
+		b = wal.AppendText(b, n)
 	}
 	b = binary.AppendUvarint(binary.AppendUvarint(b, from.end), to.end-from.end)
 	for off := from.end; off < to.end; {
@@ -347,38 +322,38 @@ func (t *keyTable) appendDict(b []byte, from dictMark) ([]byte, dictMark) {
 func (t *keyTable) applyDict(r *recordReader) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if r.uvarint() != uint64(len(t.names)) {
-		r.fail()
+	if r.Uvarint() != uint64(len(t.names)) {
+		r.Fail()
 	}
-	for n := r.uvarint(); n > 0 && !r.bad; n-- {
-		name := string(r.take(r.uvarint()))
+	for n := r.Uvarint(); n > 0 && !r.Bad(); n-- {
+		name := r.Text()
 		if _, dup := t.refs[name]; dup {
-			r.fail()
+			r.Fail()
 		}
 		t.addNameLocked(name)
 	}
-	if r.uvarint() != t.end {
-		r.fail()
+	if r.Uvarint() != t.end {
+		r.Fail()
 	}
-	at, region := t.end, r.take(r.uvarint())
-	for len(region) > 0 && !r.bad {
+	at, region := t.end, r.Take(r.Uvarint())
+	for len(region) > 0 && !r.Bad() {
 		size := uint64(1 + region[0])
 		if region[0] == padMark {
 			size = dictChunk - at%dictChunk
 		}
 		if size > uint64(len(region)) {
-			r.fail()
+			r.Fail()
 			break
 		}
 		if region[0] != padMark {
 			_, h, dup := t.shape(region[1:size])
 			if off, ok := t.admitLocked(string(region[1:size]), h); dup || !ok || off != at {
-				r.fail()
+				r.Fail()
 			}
 		}
 		at, region = at+size, region[size:]
 	}
 	if at != t.end {
-		r.fail()
+		r.Fail()
 	}
 }

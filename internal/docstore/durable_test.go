@@ -12,12 +12,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/wal"
 )
 
 func openDurable(t *testing.T, dir string) (*Store, *RecoveryInfo) {
 	t.Helper()
-	s, info, err := OpenDurable(dir, DurableOptions{})
+	s, info, err := OpenDurable(dir, wal.Options{})
 	if err != nil {
 		t.Fatalf("OpenDurable(%s): %v", dir, err)
 	}
@@ -278,7 +279,7 @@ func TestDurableMutateAfterCloseFails(t *testing.T) {
 func TestDurableSharedMetrics(t *testing.T) {
 	m := wal.NewMetrics(nil)
 	dir := t.TempDir()
-	s, _, err := OpenDurable(dir, DurableOptions{Metrics: m})
+	s, _, err := OpenDurable(dir, wal.Options{Metrics: m})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -484,7 +485,7 @@ func TestReopensParentCommitDirectories(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"json_journal", "json_snapshot"} {
-		s, _, err := OpenDurable(copyDir(name), DurableOptions{})
+		s, _, err := OpenDurable(copyDir(name), wal.Options{})
 		if err == nil {
 			s.Close()
 			t.Fatalf("%s opened", name)
@@ -637,7 +638,7 @@ func TestDurableRecordsByteIdenticalAcrossReopen(t *testing.T) {
 // bytes. It must never panic.
 func FuzzJournalReplay(f *testing.F) {
 	dir := f.TempDir()
-	s, _, err := OpenDurable(dir, DurableOptions{})
+	s, _, err := OpenDurable(dir, wal.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -688,7 +689,7 @@ func FuzzJournalReplay(f *testing.F) {
 		if cerr := l.Close(); err != nil || cerr != nil {
 			t.Fatal(err, cerr)
 		}
-		s, _, err := OpenDurable(dir, DurableOptions{})
+		s, _, err := OpenDurable(dir, wal.Options{})
 		if err != nil {
 			return
 		}
@@ -720,7 +721,7 @@ func FuzzJournalReplay(f *testing.F) {
 // the journal record's buffer beside what an in-memory Insert costs, where
 // a decode alone would build the document's map and strings.
 func TestDurableInsertAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector drops sync.Pool puts")
 	}
 	s, _ := openDurable(t, t.TempDir())

@@ -38,7 +38,7 @@ func (c *Collection) Indexes() (hash, geoPaths []string) {
 func (t *keyTable) decodeValue(b []byte) (any, error) {
 	r := t.reader(b)
 	v := r.value(1)
-	if r.bad || len(r.b) != 0 {
+	if r.Bad() || r.Len() != 0 {
 		return nil, errCorruptRecord
 	}
 	return v, nil

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/geo"
+	"repro/internal/wal"
 )
 
 // Indexes
@@ -264,7 +265,7 @@ func (c *Collection) createIndex(op byte, path string) error {
 		return nil
 	}
 	if pinned != nil {
-		return c.logLocked(appendText([]byte{op}, path))
+		return c.logLocked(wal.AppendText([]byte{op}, path))
 	}
 	return nil
 }

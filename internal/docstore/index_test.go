@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/geo"
+	"repro/internal/race"
 )
 
 func TestHashIndexEquivalence(t *testing.T) {
@@ -299,7 +300,7 @@ func TestIndexedInsertOfKnownValuesAllocs(t *testing.T) {
 		})
 	}
 	plain, indexed := insertAllocs(false), insertAllocs(true)
-	if raceEnabled {
+	if race.Enabled {
 		// The race detector drops sync.Pool puts at random, so some inserts
 		// allocate a fresh scratch buffer, and AllocsPerRun's truncated mean
 		// reads 1 or 2 for either collection whatever the indexes do. Allow

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/oatable"
+	"repro/internal/wal"
 )
 
 // Records
@@ -653,7 +654,7 @@ func scanArray(s string, i int, vals []int64) (end int, _ []int64) {
 func (t *keyTable) decode(id string, rec []byte) (Doc, error) {
 	r := t.reader(rec)
 	d := r.doc(1, 0)
-	if r.bad || len(r.b) != 0 {
+	if r.Bad() || r.Len() != 0 {
 		return nil, errCorruptRecord
 	}
 	d[IDField] = id
@@ -665,71 +666,34 @@ func (t *keyTable) reader(b []byte) recordReader {
 	// bytes already written can carry.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return recordReader{b: b, names: t.names, vals: t.vals, end: t.end}
+	return recordReader{RecordReader: wal.NewRecordReader(b), names: t.names, vals: t.vals, end: t.end}
 }
 
-// recordReader consumes a record front to back. Every length is checked
-// against what is left before it is used; the first thing that does not
-// parse sets bad and empties b, so whatever is read after it is zero-valued
-// and cheap, and the caller checks bad once at the end.
+// recordReader reads a record front to back (wal.RecordReader) against a
+// view of its collection's dictionary.
 type recordReader struct {
-	b     []byte
+	wal.RecordReader
 	names []string
 	vals  [][]byte
 	end   uint64 // the dictionary's length in this view
-	bad   bool
-}
-
-func (r *recordReader) fail() { r.bad, r.b = true, nil }
-
-// take returns the next n bytes, or nil; n comes from the record and may be
-// anything.
-func (r *recordReader) take(n uint64) []byte {
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *recordReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recordReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
 }
 
 // doc reads a shape and the payloads it lists into a map with room for
 // extra more fields.
 func (r *recordReader) doc(extra, depth int) Doc {
 	var shape []byte
-	if ref := r.uvarint(); ref == 0 {
-		shape = r.take(r.uvarint())
+	if ref := r.Uvarint(); ref == 0 {
+		shape = r.Take(r.Uvarint())
 	} else {
 		shape = r.entry(ref - 1)
 	}
 	n, ok := r.fields(shape)
 	if !ok {
-		r.fail()
+		r.Fail()
 		return nil
 	}
 	d := make(Doc, n+extra)
-	for len(shape) > 0 && !r.bad {
+	for len(shape) > 0 && !r.Bad() {
 		ref, k := binary.Uvarint(shape)
 		kind := shape[k]
 		shape = shape[k+1:]
@@ -761,7 +725,7 @@ func (r *recordReader) entry(off uint64) []byte {
 			return c[k : k+int(n)]
 		}
 	}
-	r.fail()
+	r.Fail()
 	return nil
 }
 
@@ -770,29 +734,29 @@ func (r *recordReader) entry(off uint64) []byte {
 // zero, a gap or tail past the record, or text that does not come to the
 // declared length.
 func (r *recordReader) arrays() string {
-	n, m := r.uvarint(), r.uvarint()
+	n, m := r.Uvarint(), r.Uvarint()
 	if n > arraysMax {
-		r.fail()
+		r.Fail()
 		return ""
 	}
 	var sb strings.Builder
 	// A window's text is about 2.5 times its record; a more compressible
 	// string, or a length that lies, grows the builder as it goes.
-	sb.Grow(int(min(n, 4*uint64(len(r.b)))))
+	sb.Grow(int(min(n, 4*uint64(r.Len()))))
 	var out [256]byte
-	for ; m > 0 && !r.bad; m-- {
-		sb.Write(r.take(r.uvarint()))
-		count, lo, width := r.uvarint(), r.varint(), r.take(1)
+	for ; m > 0 && !r.Bad(); m-- {
+		sb.Write(r.Take(r.Uvarint()))
+		count, lo, width := r.Uvarint(), r.Varint(), r.Take(1)
 		if at := uint64(sb.Len()); width == nil || width[0] > 64 || at > n || count > (n-at)/2 {
-			r.fail()
+			r.Fail()
 			return ""
 		}
 		w := int(width[0])
-		packed := r.take((count*uint64(w) + 7) / 8)
+		packed := r.Take((count*uint64(w) + 7) / 8)
 		text := append(out[:0], '[')
 		var acc uint64 // the low have bits are not read yet
 		have := 0
-		for i := uint64(0); i < count && !r.bad; i++ {
+		for i := uint64(0); i < count && !r.Bad(); i++ {
 			var d uint64
 			for got := 0; got < w; got += 32 { // at most 32 bits at a time, so acc never overflows
 				k := min(w-got, 32)
@@ -813,13 +777,13 @@ func (r *recordReader) arrays() string {
 			text = strconv.AppendInt(text, int64(uint64(lo)+d), 10)
 		}
 		if acc != 0 {
-			r.fail()
+			r.Fail()
 		}
 		sb.Write(append(text, ']'))
 	}
-	sb.Write(r.take(r.uvarint()))
-	if r.bad || uint64(sb.Len()) != n {
-		r.fail()
+	sb.Write(r.Take(r.Uvarint()))
+	if r.Bad() || uint64(sb.Len()) != n {
+		r.Fail()
 		return ""
 	}
 	return sb.String()
@@ -827,7 +791,7 @@ func (r *recordReader) arrays() string {
 
 // value reads a kind byte and its payload.
 func (r *recordReader) value(depth int) any {
-	kind := r.take(1)
+	kind := r.Take(1)
 	if kind == nil {
 		return nil
 	}
@@ -844,38 +808,38 @@ func (r *recordReader) payload(kind byte, depth int) any {
 	case kindTrue:
 		return true
 	case kindInt:
-		return int(r.varint())
+		return int(r.Varint())
 	case kindInt32:
-		return int32(r.varint())
+		return int32(r.Varint())
 	case kindInt64:
-		return r.varint()
+		return r.Varint()
 	case kindUint:
-		return uint(r.uvarint())
+		return uint(r.Uvarint())
 	case kindUint32:
-		return uint32(r.uvarint())
+		return uint32(r.Uvarint())
 	case kindUint64:
-		return r.uvarint()
+		return r.Uvarint()
 	case kindFloat32:
-		if p := r.take(4); p != nil {
+		if p := r.Take(4); p != nil {
 			return math.Float32frombits(binary.LittleEndian.Uint32(p))
 		}
 	case kindFloat64:
-		if p := r.take(8); p != nil {
+		if p := r.Take(8); p != nil {
 			return math.Float64frombits(binary.LittleEndian.Uint64(p))
 		}
 	case kindString:
-		return string(r.take(r.uvarint()))
+		return r.Text()
 	case kindSym:
-		return string(r.entry(r.uvarint()))
+		return string(r.entry(r.Uvarint()))
 	case kindArrays:
 		return r.arrays()
 	case kindArray:
-		n := r.uvarint()
-		if n > uint64(len(r.b)) || depth > maxDepth { // an element is at least a kind
+		n := r.Uvarint()
+		if n > uint64(r.Len()) || depth > maxDepth { // an element is at least a kind
 			break
 		}
 		arr := make([]any, n)
-		for i := 0; i < len(arr) && !r.bad; i++ {
+		for i := 0; i < len(arr) && !r.Bad(); i++ {
 			arr[i] = r.value(depth + 1)
 		}
 		return arr
@@ -884,6 +848,6 @@ func (r *recordReader) payload(kind byte, depth int) any {
 			return r.doc(0, depth)
 		}
 	}
-	r.fail()
+	r.Fail()
 	return nil
 }

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // docGen turns fuzz bytes into nested documents of every storable kind. Its
@@ -443,7 +445,7 @@ func TestInsertOfKnownValuesAllocates(t *testing.T) {
 	// scratch buffer grows more times to hold it, and the race detector
 	// drops sync.Pool puts by design: there it is left out.
 	docs := []Doc{itemDoc(1), itemDoc(7)}
-	if raceEnabled {
+	if race.Enabled {
 		docs = docs[:1]
 	}
 	for _, doc := range docs {

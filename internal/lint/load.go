@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -125,7 +126,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // test asserts that, since missing type info silently weakens analyzers.
 func (l *Loader) TypeErrors() []error { return l.typeErr }
 
-// sourceFiles lists the non-test Go files of dir, sorted.
+// sourceFiles lists the non-test Go files of dir that a default `go build`
+// compiles, sorted: a file whose build constraints exclude it (the race
+// detector's twin of a constant, say) is not part of the package.
 func (l *Loader) sourceFiles(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -136,6 +139,9 @@ func (l *Loader) sourceFiles(dir string) []string {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/mqtt/topictrie"
 	"repro/internal/obs"
+	"repro/internal/race"
 )
 
 // splitTopicMatches is the historical strings.Split-based matcher that
@@ -294,7 +295,7 @@ func newBenchSession(b *Broker, id, filter string, qos byte) *session {
 // queue synchronously with the production writeFrame/release pair so the
 // measurement is deterministic.
 func TestFanoutQoS0NoAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector drops sync.Pool puts by design; alloc pinning does not apply")
 	}
 	b := NewBroker(BrokerOptions{})

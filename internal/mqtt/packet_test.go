@@ -8,6 +8,8 @@ import (
 	"io"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/race"
 )
 
 // readPacket reads one frame from r through a fresh reader, as a
@@ -147,7 +149,7 @@ func TestPublishRoundTripQoS1(t *testing.T) {
 // message, at one allocation: the frame comes from the broker's pool and
 // the packet identifier is patched into it.
 func TestClientPublishWriteAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector drops sync.Pool puts by design; alloc pinning does not apply")
 	}
 	var last []byte

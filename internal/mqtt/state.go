@@ -10,31 +10,61 @@ package mqtt
 // the store on every state transition; on restart the mirror reseeds
 // those structures. All methods are safe for concurrent use; appends
 // happen under the store lock, so journal order equals application order.
-// Checkpoints compact the journal every checkpointEvery records. The
-// recovery contract is written out in docs/DURABILITY.md.
+// Checkpoints compact the journal every checkpointEvery records.
+//
+// The journal and the snapshot are one stream of ops in the document
+// store's framing (internal/wal), read back by one function, apply:
+//
+//	ops  := formatVersion { op }
+//	op   := kind text(client) text(topic|filter) uvarint(qos|pid) text(data)
+//	text := uvarint(len) bytes
+//
+//	kind          client  topic|filter  qos|pid  data
+//	'r' retain    ""      topic         qos      payload
+//	'u' unretain  ""      topic         0        ""
+//	's' sub       client  filter        qos      ""
+//	'x' unsub     client  filter        0        ""
+//	'i' inflight  client  ""            pid      PUBLISH frame (sets MaxPID)
+//	'a' ack       client  ""            pid      ""
+//	'm' maxpid    client  ""            pid      ""
+//
+// A journal record is one op. A snapshot writes the retained set in topic
+// order, then each client in id order: its subscriptions by filter, its
+// in-flight frames by packet id and, when the last of those is not its
+// MaxPID (as for a client with nothing in flight), an 'm'. Recovery
+// applies the newest snapshot, then the journal tail. The recovery
+// contract is written out in docs/DURABILITY.md.
 
 import (
-	"encoding/json"
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
-	"repro/internal/vclock"
 	"repro/internal/wal"
 )
-
-// SessionStoreOptions tunes OpenSessionStore; the zero value is usable.
-type SessionStoreOptions struct {
-	// Clock feeds the WAL's recovery-duration metric.
-	Clock vclock.Clock
-	// Metrics shares WAL counters with the rest of the deployment.
-	Metrics *wal.Metrics
-}
 
 // checkpointEvery is how many records a SessionStore journals between
 // compacting checkpoints.
 const checkpointEvery = 4096
+
+// formatVersion is the first byte of every journal record and snapshot
+// (wal.CheckVersion); version 1 was JSON.
+const formatVersion = 2
+
+const (
+	opRetain   = 'r'
+	opUnretain = 'u'
+	opSub      = 's'
+	opUnsub    = 'x'
+	opInflight = 'i'
+	opAck      = 'a'
+	opMaxPID   = 'm'
+)
 
 // SessionStore journals broker session state. See the package note above.
 type SessionStore struct {
@@ -46,122 +76,92 @@ type SessionStore struct {
 	mu       sync.Mutex
 	retained map[string]Message
 	sessions map[string]*clientState
-	ops      int // records since the last checkpoint
+	ops      int    // records since the last checkpoint
+	rec      []byte // the record being journaled; Append copies it
 }
 
 // clientState is the durable state of one client id.
 type clientState struct {
-	Subs     map[string]byte   `json:"subs,omitempty"`
-	Inflight map[uint16][]byte `json:"inflight,omitempty"` // pid -> raw PUBLISH frame
-	MaxPID   uint16            `json:"max_pid,omitempty"`
+	subs     map[string]byte
+	inflight map[uint16][]byte // pid -> raw PUBLISH frame
+	maxPID   uint16
 }
 
-// stateSnapshot is the checkpoint shape.
-type stateSnapshot struct {
-	Retained []retainedEntry         `json:"retained,omitempty"`
-	Sessions map[string]*clientState `json:"sessions,omitempty"`
-}
-
-type retainedEntry struct {
-	Topic   string `json:"t"`
-	Payload []byte `json:"p,omitempty"`
-	QoS     byte   `json:"q,omitempty"`
-}
-
-// stateRecord is one journaled transition.
-type stateRecord struct {
-	Op     string `json:"op"`
-	Client string `json:"cl,omitempty"`
-	Topic  string `json:"t,omitempty"`
-	Filter string `json:"f,omitempty"`
-	QoS    byte   `json:"q,omitempty"`
-	PID    uint16 `json:"pid,omitempty"`
-	Data   []byte `json:"d,omitempty"`
-}
-
-const (
-	stRetain   = "retain"
-	stUnretain = "unretain"
-	stSub      = "sub"
-	stUnsub    = "unsub"
-	stInflight = "inflight"
-	stAck      = "ack"
-)
-
-// OpenSessionStore recovers (or creates) a session store in dir.
-func OpenSessionStore(dir string, opts SessionStoreOptions) (*SessionStore, error) {
-	l, rec, err := wal.Open(dir, wal.Options{
-		Clock:   opts.Clock,
-		Metrics: opts.Metrics,
-	})
+// OpenSessionStore recovers (or creates) a session store in dir. opts is
+// the journal's (its clock and metrics).
+func OpenSessionStore(dir string, opts wal.Options) (*SessionStore, error) {
+	l, rec, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &SessionStore{
-		checkpointEvery: checkpointEvery,
-		retained:        make(map[string]Message),
-		sessions:        make(map[string]*clientState),
+	s := newSessionStore()
+	if err := rec.Replay(s.apply); err != nil {
+		_ = l.Close()
+		return nil, fmt.Errorf("mqtt: session store %s: %w", dir, err)
 	}
-	if rec.Snapshot != nil {
-		var snap stateSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("mqtt: session store %s: snapshot: %w", dir, err)
-		}
-		for _, r := range snap.Retained {
-			s.retained[r.Topic] = Message{Topic: r.Topic, Payload: r.Payload, QoS: r.QoS, Retain: true}
-		}
-		for id, cs := range snap.Sessions {
-			if cs.Subs == nil {
-				cs.Subs = make(map[string]byte)
-			}
-			if cs.Inflight == nil {
-				cs.Inflight = make(map[uint16][]byte)
-			}
-			s.sessions[id] = cs
-		}
-	}
-	for i, raw := range rec.Records {
-		if err := s.applyRecord(raw); err != nil {
-			_ = l.Close()
-			return nil, fmt.Errorf("mqtt: session store %s: replay record %d: %w",
-				dir, int(rec.SnapshotLSN)+i+1, err)
-		}
-	}
+	// The log is attached only after replay, so nothing is re-journaled.
 	s.log = l
 	return s, nil
 }
 
-// applyRecord replays one journaled transition onto the mirror. The log is
-// not attached during replay, so nothing is re-journaled.
-func (s *SessionStore) applyRecord(raw []byte) error {
-	var r stateRecord
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return fmt.Errorf("decode: %w", err)
+func newSessionStore() *SessionStore {
+	return &SessionStore{
+		checkpointEvery: checkpointEvery,
+		retained:        make(map[string]Message),
+		sessions:        make(map[string]*clientState),
 	}
-	switch r.Op {
-	case stRetain:
-		s.retained[r.Topic] = Message{Topic: r.Topic, Payload: r.Data, QoS: r.QoS, Retain: true}
-	case stUnretain:
-		delete(s.retained, r.Topic)
-	case stSub:
-		s.client(r.Client).Subs[r.Filter] = r.QoS
-	case stUnsub:
-		if cs, ok := s.sessions[r.Client]; ok {
-			delete(cs.Subs, r.Filter)
+}
+
+// apply replays a journal record or a snapshot onto a store whose log is
+// not attached, and fails, never panics, on bytes that do not parse.
+// Payloads and frames are copied out of b.
+func (s *SessionStore) apply(b []byte) error {
+	b, err := wal.CheckVersion(b, formatVersion)
+	if err != nil {
+		return err
+	}
+	r := wal.NewRecordReader(b)
+	for r.Len() > 0 && !r.Bad() {
+		op := r.Take(1)[0]
+		client, topic := r.Text(), r.Text()
+		n := r.Uvarint()
+		data := r.Take(r.Uvarint())
+		switch {
+		case r.Bad():
+		case op == opRetain && n <= 2:
+			s.retained[topic] = Message{Topic: topic, Payload: slices.Clone(data), QoS: byte(n), Retain: true}
+		case op == opUnretain:
+			delete(s.retained, topic)
+		case op == opSub && n <= 2:
+			s.client(client).subs[topic] = byte(n)
+		case op == opUnsub:
+			if cs, ok := s.sessions[client]; ok {
+				delete(cs.subs, topic)
+			}
+		case op == opInflight && n <= 0xFFFF:
+			cs := s.client(client)
+			cs.inflight[uint16(n)] = slices.Clone(data)
+			cs.maxPID = uint16(n)
+		case op == opAck && n <= 0xFFFF:
+			if cs, ok := s.sessions[client]; ok {
+				delete(cs.inflight, uint16(n))
+			}
+		case op == opMaxPID && n <= 0xFFFF:
+			s.client(client).maxPID = uint16(n)
+		default:
+			r.Fail()
 		}
-	case stInflight:
-		cs := s.client(r.Client)
-		cs.Inflight[r.PID] = r.Data
-		cs.MaxPID = r.PID
-	case stAck:
-		if cs, ok := s.sessions[r.Client]; ok {
-			delete(cs.Inflight, r.PID)
-		}
-	default:
-		return fmt.Errorf("unknown op %q", r.Op)
+	}
+	if r.Bad() {
+		return errors.New("corrupt ops")
 	}
 	return nil
+}
+
+// appendOp appends one op.
+func appendOp(b []byte, op byte, client, topic string, n uint64, data []byte) []byte {
+	b = binary.AppendUvarint(wal.AppendText(wal.AppendText(append(b, op), client), topic), n)
+	return append(binary.AppendUvarint(b, uint64(len(data))), data...)
 }
 
 // client returns (creating if needed) the state for a client id. Caller
@@ -169,20 +169,17 @@ func (s *SessionStore) applyRecord(raw []byte) error {
 func (s *SessionStore) client(id string) *clientState {
 	cs, ok := s.sessions[id]
 	if !ok {
-		cs = &clientState{Subs: make(map[string]byte), Inflight: make(map[uint16][]byte)}
+		cs = &clientState{subs: make(map[string]byte), inflight: make(map[uint16][]byte)}
 		s.sessions[id] = cs
 	}
 	return cs
 }
 
-// append journals one transition and auto-checkpoints on cadence. Caller
+// journal appends one op as a record and checkpoints on cadence. Caller
 // holds s.mu.
-func (s *SessionStore) append(r stateRecord) {
-	buf, err := json.Marshal(r)
-	if err != nil {
-		return // unreachable: stateRecord fields are always marshalable
-	}
-	if err := s.log.Append(buf); err != nil {
+func (s *SessionStore) journal(op byte, client, topic string, n uint64, data []byte) {
+	s.rec = appendOp(append(s.rec[:0], formatVersion), op, client, topic, n, data)
+	if err := s.log.Append(s.rec); err != nil {
 		return // closed or sticky write error; mirror stays authoritative
 	}
 	s.ops++
@@ -197,18 +194,17 @@ func (s *SessionStore) Retain(m Message) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.retained[m.Topic] = m
-	s.append(stateRecord{Op: stRetain, Topic: m.Topic, Data: m.Payload, QoS: m.QoS})
+	s.journal(opRetain, "", m.Topic, uint64(m.QoS), m.Payload)
 }
 
 // Unretain clears a retained topic.
 func (s *SessionStore) Unretain(topic string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.retained[topic]; !ok {
-		return
+	if _, ok := s.retained[topic]; ok {
+		delete(s.retained, topic)
+		s.journal(opUnretain, "", topic, 0, nil)
 	}
-	delete(s.retained, topic)
-	s.append(stateRecord{Op: stUnretain, Topic: topic})
 }
 
 // AddSub records a client subscription (idempotent per filter+qos).
@@ -216,54 +212,47 @@ func (s *SessionStore) AddSub(client, filter string, qos byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.client(client)
-	if q, ok := cs.Subs[filter]; ok && q == qos {
+	if q, ok := cs.subs[filter]; ok && q == qos {
 		return
 	}
-	cs.Subs[filter] = qos
-	s.append(stateRecord{Op: stSub, Client: client, Filter: filter, QoS: qos})
+	cs.subs[filter] = qos
+	s.journal(opSub, client, filter, uint64(qos), nil)
 }
 
 // RemoveSub records a client unsubscription.
 func (s *SessionStore) RemoveSub(client, filter string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs, ok := s.sessions[client]
-	if !ok {
-		return
+	if cs, ok := s.sessions[client]; ok {
+		if _, ok := cs.subs[filter]; ok {
+			delete(cs.subs, filter)
+			s.journal(opUnsub, client, filter, 0, nil)
+		}
 	}
-	if _, ok := cs.Subs[filter]; !ok {
-		return
-	}
-	delete(cs.Subs, filter)
-	s.append(stateRecord{Op: stUnsub, Client: client, Filter: filter})
 }
 
 // RecordInflight records a QoS 1 PUBLISH frame written to a client but not
 // yet acknowledged. frame is copied; the caller may reuse its buffer.
 func (s *SessionStore) RecordInflight(client string, pid uint16, frame []byte) {
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
+	cp := slices.Clone(frame)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs := s.client(client)
-	cs.Inflight[pid] = cp
-	cs.MaxPID = pid
-	s.append(stateRecord{Op: stInflight, Client: client, PID: pid, Data: cp})
+	cs.inflight[pid] = cp
+	cs.maxPID = pid
+	s.journal(opInflight, client, "", uint64(pid), cp)
 }
 
 // Ack clears an in-flight record on PUBACK.
 func (s *SessionStore) Ack(client string, pid uint16) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs, ok := s.sessions[client]
-	if !ok {
-		return
+	if cs, ok := s.sessions[client]; ok {
+		if _, ok := cs.inflight[pid]; ok {
+			delete(cs.inflight, pid)
+			s.journal(opAck, client, "", uint64(pid), nil)
+		}
 	}
-	if _, ok := cs.Inflight[pid]; !ok {
-		return
-	}
-	delete(cs.Inflight, pid)
-	s.append(stateRecord{Op: stAck, Client: client, PID: pid})
 }
 
 // RetainedMessages returns the retained set sorted by topic.
@@ -271,10 +260,9 @@ func (s *SessionStore) RetainedMessages() []Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Message, 0, len(s.retained))
-	for _, m := range s.retained {
-		out = append(out, m)
+	for _, t := range sortedKeys(s.retained) {
+		out = append(out, s.retained[t])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
 	return out
 }
 
@@ -283,14 +271,10 @@ func (s *SessionStore) Subs(client string) map[string]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs, ok := s.sessions[client]
-	if !ok || len(cs.Subs) == 0 {
+	if !ok || len(cs.subs) == 0 {
 		return nil
 	}
-	out := make(map[string]byte, len(cs.Subs))
-	for f, q := range cs.Subs {
-		out[f] = q
-	}
-	return out
+	return maps.Clone(cs.subs)
 }
 
 // InflightFrame is one unacked QoS 1 delivery.
@@ -305,16 +289,13 @@ func (s *SessionStore) InflightFrames(client string) []InflightFrame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cs, ok := s.sessions[client]
-	if !ok || len(cs.Inflight) == 0 {
+	if !ok || len(cs.inflight) == 0 {
 		return nil
 	}
-	out := make([]InflightFrame, 0, len(cs.Inflight))
-	for pid, f := range cs.Inflight {
-		cp := make([]byte, len(f))
-		copy(cp, f)
-		out = append(out, InflightFrame{PID: pid, Frame: cp})
+	out := make([]InflightFrame, 0, len(cs.inflight))
+	for _, pid := range sortedKeys(cs.inflight) {
+		out = append(out, InflightFrame{PID: pid, Frame: slices.Clone(cs.inflight[pid])})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
 	return out
 }
 
@@ -324,7 +305,7 @@ func (s *SessionStore) MaxPID(client string) uint16 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cs, ok := s.sessions[client]; ok {
-		return cs.MaxPID
+		return cs.maxPID
 	}
 	return 0
 }
@@ -337,29 +318,47 @@ func (s *SessionStore) InflightCount() int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, cs := range s.sessions {
-		n += len(cs.Inflight)
+		n += len(cs.inflight)
 	}
 	return n
 }
 
-// writeSnapshot serializes the mirror. Caller holds s.mu.
+// writeSnapshot writes the mirror as ops (see the package note). Caller
+// holds s.mu.
 func (s *SessionStore) writeSnapshot(w io.Writer) error {
-	snap := stateSnapshot{Sessions: s.sessions}
-	topics := make([]string, 0, len(s.retained))
-	for t := range s.retained {
-		topics = append(topics, t)
-	}
-	sort.Strings(topics)
-	for _, t := range topics {
+	b := append(make([]byte, 0, 64<<10), formatVersion)
+	for _, t := range sortedKeys(s.retained) {
 		m := s.retained[t]
-		snap.Retained = append(snap.Retained, retainedEntry{Topic: t, Payload: m.Payload, QoS: m.QoS})
+		b = appendOp(b, opRetain, "", t, uint64(m.QoS), m.Payload)
 	}
-	buf, err := json.Marshal(snap)
-	if err != nil {
-		return err
+	for _, id := range sortedKeys(s.sessions) {
+		if cap(b)-len(b) < 4<<10 { // double, not append's quarter steps
+			b = slices.Grow(b, len(b))
+		}
+		cs := s.sessions[id]
+		for _, f := range sortedKeys(cs.subs) {
+			b = appendOp(b, opSub, id, f, uint64(cs.subs[f]), nil)
+		}
+		last := uint16(0)
+		for _, pid := range sortedKeys(cs.inflight) {
+			b = appendOp(b, opInflight, id, "", uint64(pid), cs.inflight[pid])
+			last = pid
+		}
+		if cs.maxPID != last {
+			b = appendOp(b, opMaxPID, id, "", uint64(cs.maxPID), nil)
+		}
 	}
-	_, err = w.Write(buf)
+	_, err := w.Write(b)
 	return err
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	ks := make([]K, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	return ks
 }
 
 // checkpointLocked compacts the journal. Caller holds s.mu, which also

@@ -1,12 +1,19 @@
 package mqtt
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 // rawSession is a hand-rolled MQTT connection: unlike Client it can
@@ -132,7 +139,7 @@ func newDurableBus(t *testing.T) *durableBus {
 
 func (db *durableBus) start() {
 	db.t.Helper()
-	state, err := OpenSessionStore(db.dir, SessionStoreOptions{})
+	state, err := OpenSessionStore(db.dir, wal.Options{})
 	if err != nil {
 		db.t.Fatalf("OpenSessionStore: %v", err)
 	}
@@ -282,7 +289,7 @@ func TestRetainedClearSurvivesRestart(t *testing.T) {
 
 func TestSessionStoreCheckpointCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenSessionStore(dir, SessionStoreOptions{})
+	s, err := OpenSessionStore(dir, wal.Options{})
 	if err != nil {
 		t.Fatalf("OpenSessionStore: %v", err)
 	}
@@ -296,7 +303,7 @@ func TestSessionStoreCheckpointCompaction(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2, err := OpenSessionStore(dir, SessionStoreOptions{})
+	s2, err := OpenSessionStore(dir, wal.Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -329,4 +336,197 @@ func TestSessionTakeoverKeepsDurableState(t *testing.T) {
 	if p, _ := dev2.readPublish(); string(p.payload) != "after-takeover" {
 		t.Fatalf("takeover session missed delivery: %+v", p)
 	}
+}
+
+// snapshotBytes is what a checkpoint of s would write now.
+func snapshotBytes(t testing.TB, s *SessionStore) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writeSnapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// sessionState is what a SessionStore answers, client by client.
+func sessionState(s *SessionStore, clients ...string) string {
+	out := fmt.Sprintf("retained %+v\n", s.RetainedMessages())
+	for _, c := range clients {
+		out += fmt.Sprintf("%s: subs %v inflight %+v max %d\n", c, s.Subs(c), s.InflightFrames(c), s.MaxPID(c))
+	}
+	return out
+}
+
+// sessionOps drives every op a journal holds: retain, unretain, sub,
+// unsub, in-flight and ack. dev-c's packet ids wrap, so its MaxPID is not
+// its highest id in flight, and dev-d has nothing left in flight: a
+// snapshot keeps both MaxPIDs with an 'm' op.
+func sessionOps(s *SessionStore, round int) {
+	frame := func(pid int) []byte {
+		return append([]byte{0x32, 0x00, 0xff, byte(pid)}, strings.Repeat("frame", pid%7)...)
+	}
+	s.Retain(Message{Topic: fmt.Sprintf("cfg/%d", round), Payload: []byte{0, byte(round), 0xff}, QoS: byte(round % 2), Retain: true})
+	s.Retain(Message{Topic: "cfg/gone", Payload: []byte("x"), Retain: true})
+	s.Unretain("cfg/gone")
+	s.AddSub("dev-a", "cmd/#", 1)
+	s.AddSub("dev-a", fmt.Sprintf("x/%d/+", round), 0)
+	s.RemoveSub("dev-a", "x/1/+")
+	s.AddSub("dev-b", "up/#", byte(round%2))
+	for pid := 1; pid <= 4; pid++ {
+		s.RecordInflight("dev-a", uint16(10*round+pid), frame(10*round+pid))
+	}
+	s.Ack("dev-a", uint16(10*round+2))
+	s.RecordInflight("dev-c", 0xFFFF, frame(round))
+	s.RecordInflight("dev-c", uint16(round), frame(round))
+	s.Ack("dev-c", uint16(round))
+	s.RecordInflight("dev-d", uint16(9+round), frame(9))
+	s.Ack("dev-d", uint16(9+round))
+}
+
+// TestSessionStateByteIdenticalAcrossReopen takes every op through journal
+// replay, snapshot plus tail, and a snapshot alone, and requires the
+// reopened store to write the very same snapshot bytes and to give the
+// same answers, frames and MaxPIDs included. Every record and snapshot on
+// disk starts with the format version.
+func TestSessionStateByteIdenticalAcrossReopen(t *testing.T) {
+	clients := []string{"dev-a", "dev-b", "dev-c", "dev-d"}
+	for _, midCheckpoint := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := OpenSessionStore(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessionOps(s, 1)
+		if midCheckpoint {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sessionOps(s, 2)
+		want, wantState := snapshotBytes(t, s), sessionState(s, clients...)
+		if !strings.Contains(wantState, "dev-d: subs map[] inflight [] max 11") {
+			t.Fatalf("dev-d lost its MaxPID before any reopen:\n%s", wantState)
+		}
+		for round := 0; round < 2; round++ {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			l, rec, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = l.Close()
+			if (rec.Snapshot != nil) != (midCheckpoint || round > 0) || (len(rec.Records) == 0) != (round > 0) {
+				t.Fatalf("checkpoint %v, reopen %d: snapshot %v, %d records", midCheckpoint, round, rec.Snapshot != nil, len(rec.Records))
+			}
+			for _, b := range append(rec.Records, rec.Snapshot) {
+				if b != nil && b[0] != formatVersion {
+					t.Fatalf("record begins %q, want format version %d", b[0], formatVersion)
+				}
+			}
+			if s, err = OpenSessionStore(dir, wal.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotBytes(t, s); !bytes.Equal(got, want) {
+				t.Fatalf("checkpoint %v, reopen %d: snapshot differs\n got %x\nwant %x", midCheckpoint, round, got, want)
+			}
+			if got := sessionState(s, clients...); got != wantState {
+				t.Fatalf("checkpoint %v, reopen %d: state differs\n got %s\nwant %s", midCheckpoint, round, got, wantState)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSessionStoreRefusesJSONDirectories opens session directories an
+// earlier commit wrote in JSON (format version 1), one holding a journal
+// and one a snapshot plus tail, and requires both to be refused by name.
+func TestSessionStoreRefusesJSONDirectories(t *testing.T) {
+	for _, name := range []string{"json_journal", "json_snapshot"} {
+		dir := t.TempDir() // opening appends to the journal; keep testdata as it is
+		files, err := os.ReadDir(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(filepath.Join("testdata", name, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := OpenSessionStore(dir, wal.Options{})
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s opened", name)
+		}
+		if !strings.Contains(err.Error(), "format version 1 (JSON)") {
+			t.Errorf("%s: OpenSessionStore = %v, want an error naming format version 1 (JSON)", name, err)
+		}
+	}
+}
+
+// FuzzSessionReplay hands OpenSessionStore arbitrary bytes as a journal
+// record and as a snapshot. Either the open fails with an error, or the
+// recovered store writes a snapshot that, applied to an empty store,
+// re-snapshots to the same bytes. It must never panic.
+func FuzzSessionReplay(f *testing.F) {
+	dir := f.TempDir()
+	s, err := OpenSessionStore(dir, wal.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sessionOps(s, 1)
+	snap := snapshotBytes(f, s)
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	l, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	_ = l.Close()
+	for _, r := range rec.Records {
+		f.Add(r, false)
+	}
+	f.Add(snap, true)
+	f.Add([]byte(`{"op":"sub","cl":"dev","f":"cmd/#","q":1}`), false)
+
+	f.Fuzz(func(t *testing.T, data []byte, snapshot bool) {
+		dir := t.TempDir()
+		l, _, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snapshot {
+			err = l.Checkpoint(func(w io.Writer) error { _, err := w.Write(data); return err })
+		} else {
+			err = l.Append(data)
+		}
+		if cerr := l.Close(); err != nil || cerr != nil {
+			t.Fatal(err, cerr)
+		}
+		s, err := OpenSessionStore(dir, wal.Options{})
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		a := snapshotBytes(t, s)
+		again := newSessionStore()
+		if err := again.apply(a); err != nil {
+			t.Fatalf("snapshot of a recovered store does not apply: %v", err)
+		}
+		if b := snapshotBytes(t, again); !bytes.Equal(a, b) {
+			t.Fatalf("snapshot applied differently\n got %x\nwant %x", b, a)
+		}
+	})
 }

@@ -156,7 +156,7 @@ func (sh *Shard) start() (err error) {
 	}
 	if opts.DurableDir != "" {
 		sh.store, _, err = docstore.OpenDurable(filepath.Join(opts.DurableDir, "docstore"),
-			docstore.DurableOptions{Clock: opts.Clock, Metrics: sh.walMetrics})
+			wal.Options{Clock: opts.Clock, Metrics: sh.walMetrics})
 		if err != nil {
 			return fmt.Errorf("durable store: %w", err)
 		}
@@ -199,7 +199,7 @@ func (sh *Shard) serveBroker() error {
 	if opts.DurableDir != "" {
 		var err error
 		sessions, err = mqtt.OpenSessionStore(filepath.Join(opts.DurableDir, "broker"),
-			mqtt.SessionStoreOptions{Clock: opts.Clock, Metrics: sh.walMetrics})
+			wal.Options{Clock: opts.Clock, Metrics: sh.walMetrics})
 		if err != nil {
 			return fmt.Errorf("session store: %w", err)
 		}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/mqtt"
 	"repro/internal/sensors"
 	"repro/internal/vclock"
+	"repro/internal/wal"
 )
 
 func listenTCP(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
@@ -141,7 +142,7 @@ func TestStopUnderLoadLosesNoAcceptedItem(t *testing.T) {
 	}
 
 	store, _, err := docstore.OpenDurable(filepath.Join(opts.DurableDir, "docstore"),
-		docstore.DurableOptions{Clock: opts.Clock})
+		wal.Options{Clock: opts.Clock})
 	if err != nil {
 		t.Fatalf("reopen store: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/vclock"
 )
 
@@ -517,7 +518,7 @@ func TestAddDevicesAllocs(t *testing.T) {
 	}
 	// Five columns and the arena; the race detector's unfused appends add
 	// one allocation per zeroed column and per slices.Grow.
-	if limit := 6.0; !raceEnabled && large > limit {
+	if limit := 6.0; !race.Enabled && large > limit {
 		t.Fatalf("AddDevices allocates %v times, want at most %v", large, limit)
 	}
 }
